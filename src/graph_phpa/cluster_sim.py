@@ -127,19 +127,6 @@ class DemandModel:
                 usage[s][i] = rates[s] * self.cpu_per_request[s]
         return rps, usage
 
-    def to_json_dict(self) -> dict:
-        return {"services": list(self.services), "entry": self.entry,
-                "cpu_per_request": dict(self.cpu_per_request),
-                "fan_out": {u: dict(v) for u, v in self.fan_out.items()},
-                "noise_sigma": self.noise_sigma}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "DemandModel":
-        return cls(services=tuple(d["services"]), entry=d["entry"],
-                   cpu_per_request=dict(d["cpu_per_request"]),
-                   fan_out={u: dict(v) for u, v in d.get("fan_out", {}).items()},
-                   noise_sigma=float(d.get("noise_sigma", 0.0)))
-
 
 def compute_utilization(rps: float, cpu_per_request: float, pods: int,
                         pod_capacity: float) -> float:

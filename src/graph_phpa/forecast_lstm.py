@@ -17,36 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DivergenceError, EmptyDatasetError, ShapeError, ValidationError
-from .tensor import MinMaxScaler, Rng, ensure_finite, glorot_init, sigmoid
-from .tensor import AdamState, adam_step
+from .tensor import AdamState, MinMaxScaler, Rng, adam_step, ensure_finite, glorot_init, sigmoid
 
 log = logging.getLogger(__name__)
 
+# Column order of the fused gate blocks in every layer's w_x, w_h and b.
 GATES = ("input", "forget", "output", "candidate")
 
-LSTM_SCHEMA = "graph-phpa/lstm-model/v1"
-
-
-@dataclass(frozen=True)
-class WorkloadSeries:
-    """Per-service request-rate time series on a minute grid."""
-
-    service_id: str
-    start_minute: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1:
-            raise ValidationError(f"series values must be 1-D, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValidationError(f"series {self.service_id!r} has non-finite values")
-        if np.any(values < 0):
-            raise ValidationError(f"series {self.service_id!r} has negative values")
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return len(self.values)
+LSTM_SCHEMA = "graph-phpa/lstm-model/v2"
 
 
 @dataclass(frozen=True)
@@ -77,18 +55,21 @@ class LstmConfig:
 
 
 class LstmLayer:
-    """One LSTM layer: per-gate input weights, recurrent weights, and biases."""
+    """One LSTM layer with fused gates, the layout of PyTorch's nn.LSTM.
 
-    def __init__(self, w: dict, u: dict, b: dict):
-        self.w = {g: np.asarray(w[g], dtype=np.float64) for g in GATES}
-        self.u = {g: np.asarray(u[g], dtype=np.float64) for g in GATES}
-        self.b = {g: np.asarray(b[g], dtype=np.float64) for g in GATES}
-        d_in, hidden = self.w["input"].shape
-        for g in GATES:
-            if self.w[g].shape != (d_in, hidden) or self.u[g].shape != (hidden, hidden) \
-                    or self.b[g].shape != (hidden,):
-                raise ShapeError(f"inconsistent gate shapes in layer (gate {g!r})")
-        self.input_dim = d_in
+    w_x (d_in, 4H), w_h (H, 4H) and b (4H,) hold the four gates side by side
+    in GATES order, so one product per step feeds every gate.
+    """
+
+    def __init__(self, w_x, w_h, b):
+        self.w_x = np.asarray(w_x, dtype=np.float64)
+        self.w_h = np.asarray(w_h, dtype=np.float64)
+        self.b = np.asarray(b, dtype=np.float64)
+        hidden = self.w_h.shape[0] if self.w_h.ndim == 2 else 0
+        if hidden < 1 or self.w_x.ndim != 2 or self.w_x.shape[1] != 4 * hidden \
+                or self.w_h.shape != (hidden, 4 * hidden) or self.b.shape != (4 * hidden,):
+            raise ShapeError(f"inconsistent fused gate shapes in layer: w_x {self.w_x.shape}, "
+                             f"w_h {self.w_h.shape}, b {self.b.shape}")
         self.hidden = hidden
 
 
@@ -107,21 +88,26 @@ class LstmModel:
             raise ShapeError(f"head weight shape {self.head_w.shape} does not match "
                              f"hidden size {layers[-1].hidden}")
 
+    @property
+    def params(self) -> list[np.ndarray]:
+        """[w_x, w_h, b] per layer, then head_w and head_b as a (1,) array."""
+        out = [p for layer in self.layers for p in (layer.w_x, layer.w_h, layer.b)]
+        return out + [self.head_w, np.array([self.head_b])]
+
+    @classmethod
+    def from_params(cls, config: LstmConfig, params: list[np.ndarray], scaler: MinMaxScaler,
+                    service_id: str | None = None) -> "LstmModel":
+        layers = [LstmLayer(*params[i:i + 3]) for i in range(0, len(params) - 2, 3)]
+        return cls(config, layers, params[-2], float(params[-1][0]), scaler, service_id)
+
     def to_json_dict(self) -> dict:
-        layers = []
-        for layer in self.layers:
-            entry: dict = {}
-            for g in GATES:
-                entry[f"w_{g}"] = layer.w[g].tolist()
-                entry[f"u_{g}"] = layer.u[g].tolist()
-                entry[f"b_{g}"] = layer.b[g].tolist()
-            layers.append(entry)
         return {
             "schema": LSTM_SCHEMA,
             "service": self.service_id,
             "config": self.config.to_dict(),
             "scaler": self.scaler.to_dict(),
-            "layers": layers,
+            "layers": [{"w_x": layer.w_x.tolist(), "w_h": layer.w_h.tolist(),
+                        "b": layer.b.tolist()} for layer in self.layers],
             "head_weight": self.head_w.tolist(),
             "head_bias": self.head_b,
         }
@@ -130,12 +116,7 @@ class LstmModel:
     def from_json_dict(cls, d: dict) -> "LstmModel":
         if d.get("schema") != LSTM_SCHEMA:
             raise ValidationError(f"unexpected model schema {d.get('schema')!r}")
-        layers = [
-            LstmLayer(w={g: e[f"w_{g}"] for g in GATES},
-                      u={g: e[f"u_{g}"] for g in GATES},
-                      b={g: e[f"b_{g}"] for g in GATES})
-            for e in d["layers"]
-        ]
+        layers = [LstmLayer(e["w_x"], e["w_h"], e["b"]) for e in d["layers"]]
         return cls(config=LstmConfig.from_dict(d["config"]), layers=layers,
                    head_w=np.asarray(d["head_weight"]), head_b=d["head_bias"],
                    scaler=MinMaxScaler.from_dict(d["scaler"]), service_id=d.get("service"))
@@ -149,138 +130,121 @@ class LstmModel:
         return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def make_windows(series: WorkloadSeries | np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def make_windows(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """All (window, next value) pairs: X[j] = values[j:j+k], y[j] = values[j+k]."""
-    values = series.values if isinstance(series, WorkloadSeries) else np.asarray(series, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
     if k < 1:
         raise ValidationError(f"window size must be >= 1, got {k}")
-    t = len(values)
-    if t < k + 1:
-        raise EmptyDatasetError(f"series length {t} yields no windows for k={k} (need >= {k + 1})")
-    n = t - k
-    x = np.empty((n, k), dtype=np.float64)
-    for j in range(n):
-        x[j] = values[j:j + k]
+    if len(values) < k + 1:
+        raise EmptyDatasetError(f"series length {len(values)} yields no windows for k={k} "
+                                f"(need >= {k + 1})")
+    x = np.lib.stride_tricks.sliding_window_view(values, k)[:-1].copy()
     return x, values[k:].copy()
 
 
-def _init_params(config: LstmConfig, rng: Rng) -> tuple[list[LstmLayer], np.ndarray, float]:
-    layers = []
-    d_in = 1
+def _init_params(config: LstmConfig, rng: Rng) -> list[np.ndarray]:
+    """Glorot draws per gate in GATES order, fused column-wise; zero biases."""
+    params = []
+    d_in, hidden = 1, config.hidden_units
     for _ in range(config.layers):
-        w = {g: glorot_init(d_in, config.hidden_units, rng) for g in GATES}
-        u = {g: glorot_init(config.hidden_units, config.hidden_units, rng) for g in GATES}
-        b = {g: np.zeros(config.hidden_units) for g in GATES}
-        layers.append(LstmLayer(w, u, b))
-        d_in = config.hidden_units
-    head_w = glorot_init(config.hidden_units, 1, rng)
-    return layers, head_w, 0.0
+        params.append(np.hstack([glorot_init(d_in, hidden, rng) for _ in GATES]))
+        params.append(np.hstack([glorot_init(hidden, hidden, rng) for _ in GATES]))
+        params.append(np.zeros(4 * hidden))
+        d_in = hidden
+    return params + [glorot_init(hidden, 1, rng), np.zeros(1)]
 
 
-def _forward_scaled(layers: list[LstmLayer], head_w: np.ndarray, head_b: float,
-                    x_seq: np.ndarray, keep_cache: bool = False):
-    """Run the stacked recurrence on scaled windows (batch, k); returns (yhat, cache)."""
-    batch = x_seq.shape[0]
-    current = x_seq[:, :, None]  # (batch, k, 1)
-    k = x_seq.shape[1]
-    cache = {"layer_steps": [], "layer_inputs": []} if keep_cache else None
-    for layer in layers:
-        h = np.zeros((batch, layer.hidden))
-        c = np.zeros((batch, layer.hidden))
-        outputs = np.empty((batch, k, layer.hidden))
-        steps = [] if keep_cache else None
+def _forward_scaled(params: list[np.ndarray], x_seq: np.ndarray, keep_cache: bool = False):
+    """Run the stacked recurrence on scaled windows (batch, k); returns (yhat, cache).
+
+    params is the LstmModel.params list. Sequences are time-major. With
+    keep_cache the cache holds, per layer, the input sequence (k, batch, d_in),
+    the hidden and cell states h, c (k+1, batch, H) with the zero initial state
+    at index 0, and the activated gates (k, batch, 4H).
+    """
+    batch, k = x_seq.shape
+    current = x_seq.T[:, :, None]  # (k, batch, 1)
+    cache = []
+    for li in range(0, len(params) - 2, 3):
+        w_x, w_h, b = params[li:li + 3]
+        hidden = w_h.shape[0]
+        h = np.zeros((k + 1, batch, hidden))
+        c = np.zeros((batch, hidden))
+        cells, gates = [c], []
         for t in range(k):
-            x_t = current[:, t, :]
-            gi = sigmoid(x_t @ layer.w["input"] + h @ layer.u["input"] + layer.b["input"])
-            gf = sigmoid(x_t @ layer.w["forget"] + h @ layer.u["forget"] + layer.b["forget"])
-            go = sigmoid(x_t @ layer.w["output"] + h @ layer.u["output"] + layer.b["output"])
-            gg = np.tanh(x_t @ layer.w["candidate"] + h @ layer.u["candidate"] + layer.b["candidate"])
-            c_prev, h_prev = c, h
-            c = gf * c_prev + gi * gg
-            tc = np.tanh(c)
-            h = go * tc
-            outputs[:, t, :] = h
+            a = current[t] @ w_x
+            a += h[t] @ w_h
+            a += b
+            a[:, :3 * hidden] = sigmoid(a[:, :3 * hidden])
+            np.tanh(a[:, 3 * hidden:], out=a[:, 3 * hidden:])
+            gi, gf, go, gg = a.reshape(batch, 4, hidden).swapaxes(0, 1)
+            c = gf * c + gi * gg
+            h[t + 1] = go * np.tanh(c)
             if keep_cache:
-                steps.append({"x": x_t, "h_prev": h_prev, "c_prev": c_prev,
-                              "i": gi, "f": gf, "o": go, "g": gg, "c": c, "tanh_c": tc})
+                cells.append(c)
+                gates.append(a)
         if keep_cache:
-            cache["layer_steps"].append(steps)
-            cache["layer_inputs"].append(current)
-        current = outputs
-    z = current[:, -1, :] @ head_w + head_b  # (batch, 1)
-    yhat = np.tanh(z)[:, 0]
-    if keep_cache:
-        cache["h_last"] = current[:, -1, :]
-        cache["yhat"] = yhat
+            cache.append((current, h, np.stack(cells), np.stack(gates)))
+        current = h[1:]
+    head_w, head_b = params[-2:]
+    yhat = np.tanh(current[-1] @ head_w + head_b)[:, 0]
     return yhat, cache
 
 
-def _loss_and_grads(layers: list[LstmLayer], head_w: np.ndarray, head_b: float,
-                    x_seq: np.ndarray, targets: np.ndarray):
-    """Mean squared error over the batch plus gradients for every parameter."""
+def _loss_and_grads(params: list[np.ndarray], x_seq: np.ndarray, targets: np.ndarray):
+    """Mean squared error over the batch plus one gradient per entry of params."""
     batch, k = x_seq.shape
-    yhat, cache = _forward_scaled(layers, head_w, head_b, x_seq, keep_cache=True)
+    yhat, cache = _forward_scaled(params, x_seq, keep_cache=True)
     err = yhat - targets
     loss = float(np.mean(err ** 2))
 
-    dyhat = 2.0 * err / batch
-    dz = (dyhat * (1.0 - yhat ** 2))[:, None]  # (batch, 1)
-    d_head_w = cache["h_last"].T @ dz
-    d_head_b = float(dz.sum())
-
-    grads = {"head_w": d_head_w, "head_b": d_head_b, "layers": []}
-    # Gradient flowing into each timestep's hidden output, for the layer being
+    dz = (2.0 * err / batch * (1.0 - yhat ** 2))[:, None]  # (batch, 1)
+    head_w = params[-2]
+    grads = [cache[-1][1][-1].T @ dz, dz.sum(axis=0)]
+    # Gradient flowing into each timestep's hidden output of the layer being
     # processed; starts as the head's contribution to the top layer.
-    dh_above = np.zeros((batch, k, layers[-1].hidden))
-    dh_above[:, -1, :] = dz @ head_w.T
+    dh_above = np.zeros((k, batch, head_w.shape[0]))
+    dh_above[-1] = dz @ head_w.T
 
-    for li in range(len(layers) - 1, -1, -1):
-        layer = layers[li]
-        steps = cache["layer_steps"][li]
-        dw = {g: np.zeros_like(layer.w[g]) for g in GATES}
-        du = {g: np.zeros_like(layer.u[g]) for g in GATES}
-        db = {g: np.zeros_like(layer.b[g]) for g in GATES}
-        dx_all = np.zeros((batch, k, layer.input_dim))
-        dh_carry = np.zeros((batch, layer.hidden))
-        dc_carry = np.zeros((batch, layer.hidden))
+    for li in range(len(cache) - 1, -1, -1):
+        w_x, w_h, _ = params[3 * li:3 * li + 3]
+        x, h, c, gates = cache[li]
+        gi, gf, go, gg = np.moveaxis(gates.reshape(k, batch, 4, -1), 2, 0)
+        tanh_c = np.tanh(c[1:])
+        dc_dh = go * (1.0 - tanh_c ** 2)
+        # Gate pre-activation gradients per unit of dc (input, forget,
+        # candidate) or of dh (output).
+        local = np.concatenate([gg * gi * (1.0 - gi), c[:-1] * gf * (1.0 - gf),
+                                tanh_c * go * (1.0 - go), gi * (1.0 - gg ** 2)], axis=2)
+        da = np.empty_like(gates)
+        dh_carry = np.zeros((batch, w_h.shape[0]))
+        dc_carry = np.zeros((batch, w_h.shape[0]))
         for t in range(k - 1, -1, -1):
-            s = steps[t]
-            dh = dh_above[:, t, :] + dh_carry
-            do = dh * s["tanh_c"]
-            dc = dc_carry + dh * s["o"] * (1.0 - s["tanh_c"] ** 2)
-            df = dc * s["c_prev"]
-            di = dc * s["g"]
-            dg = dc * s["i"]
-            da = {
-                "input": di * s["i"] * (1.0 - s["i"]),
-                "forget": df * s["f"] * (1.0 - s["f"]),
-                "output": do * s["o"] * (1.0 - s["o"]),
-                "candidate": dg * (1.0 - s["g"] ** 2),
-            }
-            dc_carry = dc * s["f"]
-            dh_carry = np.zeros((batch, layer.hidden))
-            dx_t = np.zeros((batch, layer.input_dim))
-            for g in GATES:
-                dw[g] += s["x"].T @ da[g]
-                du[g] += s["h_prev"].T @ da[g]
-                db[g] += da[g].sum(axis=0)
-                dx_t += da[g] @ layer.w[g].T
-                dh_carry += da[g] @ layer.u[g].T
-            dx_all[:, t, :] = dx_t
-        grads["layers"].insert(0, {"w": dw, "u": du, "b": db})
-        dh_above = dx_all  # becomes the upstream gradient for the layer below
+            dh = dh_above[t] + dh_carry
+            dc = dc_carry + dh * dc_dh[t]
+            np.multiply(np.concatenate([dc, dc, dh, dc], axis=1), local[t], out=da[t])
+            dc_carry = dc * gf[t]
+            dh_carry = da[t] @ w_h.T
+        # Layers are visited top-down; prepending keeps grads in params order.
+        grads[:0] = [np.tensordot(x, da, axes=([0, 1], [0, 1])),
+                     np.tensordot(h[:-1], da, axes=([0, 1], [0, 1])),
+                     da.sum(axis=(0, 1))]
+        dh_above = da @ w_x.T  # becomes the upstream gradient for the layer below
     return loss, grads
 
 
+def predict_windows(model: LstmModel, x: np.ndarray) -> np.ndarray:
+    """One-step forecasts in original units for each row of raw k-length windows."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != model.config.window:
+        raise ShapeError(f"windows shape {x.shape} does not match model window {model.config.window}")
+    yhat, _ = _forward_scaled(model.params, model.scaler.transform(x))
+    return model.scaler.inverse_transform(yhat)
+
+
 def lstm_forward(model: LstmModel, window) -> float:
-    """One-step forecast in original units for a raw k-length window."""
-    window = np.asarray(window, dtype=np.float64)
-    k = model.config.window
-    if window.shape != (k,):
-        raise ShapeError(f"window shape {window.shape} does not match model window ({k},)")
-    scaled = model.scaler.transform(window)[None, :]
-    yhat, _ = _forward_scaled(model.layers, model.head_w, model.head_b, scaled)
-    return float(model.scaler.inverse_transform(yhat)[0])
+    """One-step forecast for a single raw k-length window (a batch of one)."""
+    return float(predict_windows(model, np.asarray(window, dtype=np.float64)[None, :])[0])
 
 
 def forecast_series(model: LstmModel, values: np.ndarray) -> np.ndarray:
@@ -288,38 +252,11 @@ def forecast_series(model: LstmModel, values: np.ndarray) -> np.ndarray:
 
     Returns a full-length array with NaN in the first k slots.
     """
-    values = np.asarray(values, dtype=np.float64)
     k = model.config.window
-    if len(values) < k + 1:
-        raise EmptyDatasetError(f"series length {len(values)} too short for window {k}")
     x, _ = make_windows(values, k)
-    scaled = model.scaler.transform(x)
-    yhat, _ = _forward_scaled(model.layers, model.head_w, model.head_b, scaled)
     out = np.full(len(values), np.nan)
-    out[k:] = model.scaler.inverse_transform(yhat)
+    out[k:] = predict_windows(model, x)
     return out
-
-
-def predict_windows(model: LstmModel, x: np.ndarray) -> np.ndarray:
-    """Batched lstm_forward over rows of raw windows."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.config.window:
-        raise ShapeError(f"windows shape {x.shape} does not match model window {model.config.window}")
-    scaled = model.scaler.transform(x)
-    yhat, _ = _forward_scaled(model.layers, model.head_w, model.head_b, scaled)
-    return model.scaler.inverse_transform(yhat)
-
-
-def _adam_states(layers, head_w, lr) -> dict:
-    states = {"head_w": AdamState.fresh(head_w, lr), "head_b": AdamState.fresh(np.zeros(1), lr),
-              "layers": []}
-    for layer in layers:
-        states["layers"].append({
-            "w": {g: AdamState.fresh(layer.w[g], lr) for g in GATES},
-            "u": {g: AdamState.fresh(layer.u[g], lr) for g in GATES},
-            "b": {g: AdamState.fresh(layer.b[g], lr) for g in GATES},
-        })
-    return states
 
 
 def train_lstm(train: tuple[np.ndarray, np.ndarray],
@@ -346,8 +283,8 @@ def train_lstm(train: tuple[np.ndarray, np.ndarray],
         yv = scaler.transform(np.asarray(valid[1], dtype=np.float64))
 
     rng = Rng(config.seed)
-    layers, head_w, head_b = _init_params(config, rng)
-    states = _adam_states(layers, head_w, config.learning_rate)
+    params = _init_params(config, rng)
+    states = [AdamState.fresh(p, config.learning_rate) for p in params]
     shuffle_rng = rng.child(1)
 
     n = len(xs)
@@ -357,33 +294,22 @@ def train_lstm(train: tuple[np.ndarray, np.ndarray],
         sq_sum = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            loss, grads = _loss_and_grads(layers, head_w, head_b, xs[idx], ys[idx])
+            loss, grads = _loss_and_grads(params, xs[idx], ys[idx])
             if not np.isfinite(loss):
                 raise DivergenceError(f"training loss diverged at epoch {epoch}", epoch=epoch)
             sq_sum += loss * len(idx)
-            head_w, states["head_w"] = adam_step(head_w, grads["head_w"], states["head_w"])
-            hb, states["head_b"] = adam_step(np.array([head_b]), np.array([grads["head_b"]]),
-                                             states["head_b"])
-            head_b = float(hb[0])
-            for li, layer in enumerate(layers):
-                for g in GATES:
-                    layer.w[g], states["layers"][li]["w"][g] = adam_step(
-                        layer.w[g], grads["layers"][li]["w"][g], states["layers"][li]["w"][g])
-                    layer.u[g], states["layers"][li]["u"][g] = adam_step(
-                        layer.u[g], grads["layers"][li]["u"][g], states["layers"][li]["u"][g])
-                    layer.b[g], states["layers"][li]["b"][g] = adam_step(
-                        layer.b[g], grads["layers"][li]["b"][g], states["layers"][li]["b"][g])
+            for li in range(len(params)):
+                params[li], states[li] = adam_step(params[li], grads[li], states[li])
         train_mse = sq_sum / n
         valid_mse = None
         if has_valid:
-            yhat, _ = _forward_scaled(layers, head_w, head_b, xv)
+            yhat, _ = _forward_scaled(params, xv)
             valid_mse = float(np.mean((yhat - yv) ** 2))
             if not np.isfinite(valid_mse):
                 raise DivergenceError(f"validation loss diverged at epoch {epoch}", epoch=epoch)
         history.append((train_mse, valid_mse))
         log.debug("lstm epoch %d: train=%.6g valid=%s", epoch, train_mse, valid_mse)
-    model = LstmModel(config, layers, head_w, head_b, scaler, service_id)
-    return model, history
+    return LstmModel.from_params(config, params, scaler, service_id), history
 
 
 def evaluate(predictions, truth) -> tuple[float, float]:

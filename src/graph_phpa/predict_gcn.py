@@ -68,12 +68,6 @@ class ServiceGraph:
     def size(self) -> int:
         return len(self.nodes)
 
-    def index(self, node: str) -> int:
-        try:
-            return self.nodes.index(node)
-        except ValueError:
-            raise ValidationError(f"unknown service {node!r}") from None
-
     @classmethod
     def from_edges(cls, nodes, edges) -> "ServiceGraph":
         nodes = tuple(nodes)
@@ -87,29 +81,6 @@ class ServiceGraph:
             a[pos[u], pos[v]] = 1.0
             a[pos[v], pos[u]] = 1.0
         return cls(nodes=nodes, adjacency=a)
-
-    def edges(self) -> list[tuple[str, str]]:
-        out = []
-        for i in range(self.size):
-            for j in range(i + 1, self.size):
-                if self.adjacency[i, j]:
-                    out.append((self.nodes[i], self.nodes[j]))
-        return out
-
-    def to_json_dict(self) -> dict:
-        return {"nodes": list(self.nodes), "edges": [list(e) for e in self.edges()]}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ServiceGraph":
-        return cls.from_edges(d["nodes"], d["edges"])
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ServiceGraph":
-        return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), sort_keys=True) + "\n",
-                              encoding="utf-8", newline="\n")
 
 
 @dataclass(frozen=True)
@@ -216,10 +187,6 @@ class GcnModel:
         return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def _apply_activation(p: np.ndarray, kind: str) -> np.ndarray:
-    return activation(p, kind)
-
-
 def _forward_scaled(weights: list[np.ndarray], activations, a_hat: np.ndarray,
                     z: np.ndarray, keep_cache: bool = False):
     """Propagate scaled features (batch, N, D) through every layer."""
@@ -228,10 +195,9 @@ def _forward_scaled(weights: list[np.ndarray], activations, a_hat: np.ndarray,
     for w, kind in zip(weights, activations):
         agg = np.matmul(a_hat, h)  # (batch, N, D_l)
         pre = agg @ w
-        out = _apply_activation(pre, kind)
         if keep_cache:
             cache.append({"agg": agg, "pre": pre, "kind": kind})
-        h = out
+        h = activation(pre, kind)
     return h, cache
 
 

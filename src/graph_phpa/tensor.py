@@ -6,11 +6,12 @@ produce bit-identical outputs, and results are checked to be finite.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, ShapeError, ValidationError
+from .errors import ShapeError, ValidationError
 
 ACTIVATIONS = ("tanh", "sigmoid", "relu", "linear")
 
@@ -57,40 +58,19 @@ class Rng:
         return Rng(mix_seed(self.seed, *streams))
 
 
-def as_matrix(values, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D float64 array, rejecting non-finite entries."""
-    m = np.asarray(values, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got shape {m.shape}")
-    ensure_finite(m, name)
-    return m
-
-
 def ensure_finite(m: np.ndarray, name: str = "result") -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValidationError(f"{name} contains non-finite entries")
     return m
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with explicit conformance checking."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return ensure_finite(a @ b, "matmul result")
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # Stable piecewise form; exp only ever sees non-positive arguments.
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # 0.5 * (1 + tanh(x / 2)) saturates cleanly at both ends, so it never
+    # overflows; one buffer keeps wide inference batches from holding two.
+    out = 0.5 * np.asarray(x, dtype=np.float64)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
 
 
@@ -159,27 +139,6 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> tuple[np
     return new_param, new_state
 
 
-def finite_diff_gradient(f, param: np.ndarray, eps: float) -> np.ndarray:
-    """Central-difference gradient estimate of a scalar function, entry by entry."""
-    if eps <= 0.0:
-        raise ValidationError(f"eps must be positive, got {eps}")
-    param = np.asarray(param, dtype=np.float64)
-    grad = np.zeros_like(param)
-    it = np.nditer(param, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
-        bumped = param.copy()
-        bumped[idx] = param[idx] + eps
-        hi = float(f(bumped))
-        bumped[idx] = param[idx] - eps
-        lo = float(f(bumped))
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise DivergenceError(f"objective non-finite at perturbed index {idx}")
-        grad[idx] = (hi - lo) / (2.0 * eps)
-        it.iternext()
-    return grad
-
-
 def glorot_init(rows: int, cols: int, rng: Rng) -> np.ndarray:
     """Glorot-uniform matrix in +/- sqrt(6 / (rows + cols)), seeded."""
     if rows < 1 or cols < 1:
@@ -193,7 +152,9 @@ class MinMaxScaler:
     """Affine min-max map from a fitted data range onto an output range.
 
     A constant series degenerates the fit (lo == hi); transform then emits the
-    output midpoint and inverse_transform returns the constant.
+    output midpoint and inverse_transform returns the constant. A range so
+    narrow that the scale factor overflows (a subnormal hi - lo) degenerates
+    the same way.
     """
 
     lo: float
@@ -211,7 +172,8 @@ class MinMaxScaler:
 
     @property
     def degenerate(self) -> bool:
-        return self.hi == self.lo
+        return self.hi == self.lo or not math.isfinite((self.out_hi - self.out_lo)
+                                                       / (self.hi - self.lo))
 
     def transform(self, x):
         x = np.asarray(x, dtype=np.float64)

@@ -1,10 +1,17 @@
 """Independent reference implementations used to check the real ones.
 
-Everything here is deliberately written with plain Python lists, loops, and
-the math module: no numpy, no shared code with the package. Slow and simple
-beats fast and entangled, because these are the arbiters.
+The forward references are deliberately written with plain Python lists,
+loops, and the math module: no numpy, no shared code with the package. Slow
+and simple beats fast and entangled, because these are the arbiters. The
+finite-difference gradient takes and returns numpy arrays, since it perturbs
+the package's own parameter tensors, but computes nothing with them beyond
+one entry at a time.
 """
 import math
+
+import numpy as np
+
+from graph_phpa.errors import DivergenceError, ValidationError
 
 
 def rel_err(a, b, floor=1e-12):
@@ -23,6 +30,24 @@ def _flatten(x):
     for item in x:
         out.extend(_flatten(item))
     return out
+
+
+def finite_diff_gradient(f, param, eps):
+    """Central-difference gradient estimate of a scalar function, entry by entry."""
+    if eps <= 0.0:
+        raise ValidationError(f"eps must be positive, got {eps}")
+    param = np.asarray(param, dtype=np.float64)
+    grad = np.zeros_like(param)
+    for idx in np.ndindex(param.shape):
+        bumped = param.copy()
+        bumped[idx] = param[idx] + eps
+        hi = float(f(bumped))
+        bumped[idx] = param[idx] - eps
+        lo = float(f(bumped))
+        if not (math.isfinite(hi) and math.isfinite(lo)):
+            raise DivergenceError(f"objective non-finite at perturbed index {idx}")
+        grad[idx] = (hi - lo) / (2.0 * eps)
+    return grad
 
 
 def _sigmoid(v):

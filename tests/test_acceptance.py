@@ -22,10 +22,10 @@ from graph_phpa.predict_gcn import (
     _loss_and_grads as gcn_loss_and_grads,
     gcn_forward,
 )
-from graph_phpa.tensor import MinMaxScaler, Rng, finite_diff_gradient
+from graph_phpa.tensor import MinMaxScaler, Rng
 from graph_phpa.traces import WorkloadTrace, interpolate_to_minutes, split_dataset
 from conftest import run_cli
-from oracles import gcn_forward_oracle
+from oracles import finite_diff_gradient, gcn_forward_oracle
 from test_forecast_lstm import gradcheck_params, random_model as random_lstm
 
 ROOT = Path(__file__).resolve().parents[1]

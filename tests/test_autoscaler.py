@@ -17,7 +17,7 @@ from graph_phpa.autoscaler import (
     run_policy_step,
 )
 from graph_phpa.errors import ValidationError
-from graph_phpa.forecast_lstm import GATES, LstmConfig, LstmLayer, LstmModel
+from graph_phpa.forecast_lstm import LstmConfig, LstmLayer, LstmModel
 from graph_phpa.predict_gcn import GcnConfig, GcnModel, ServiceGraph
 from graph_phpa.tensor import MinMaxScaler
 
@@ -170,12 +170,10 @@ def constant_forecaster(k: int, constant_scaled: float) -> LstmModel:
     pipeline can be checked by hand.
     """
     hidden = 2
-    zeros_w = {g: np.zeros((1, hidden)) for g in GATES}
-    zeros_u = {g: np.zeros((hidden, hidden)) for g in GATES}
-    zeros_b = {g: np.zeros(hidden) for g in GATES}
+    zeros = LstmLayer(np.zeros((1, 4 * hidden)), np.zeros((hidden, 4 * hidden)),
+                      np.zeros(4 * hidden))
     bias = math.atanh(constant_scaled)
-    return LstmModel(LstmConfig(window=k, hidden_units=hidden),
-                     [LstmLayer(zeros_w, zeros_u, zeros_b)],
+    return LstmModel(LstmConfig(window=k, hidden_units=hidden), [zeros],
                      np.zeros((hidden, 1)), bias, MinMaxScaler(-1.0, 1.0, -1.0, 1.0))
 
 

@@ -24,7 +24,7 @@ from graph_phpa.cluster_sim import (
     run_simulation,
 )
 from graph_phpa.errors import ValidationError
-from graph_phpa.forecast_lstm import GATES, LstmConfig, LstmLayer, LstmModel
+from graph_phpa.forecast_lstm import LstmConfig, LstmLayer, LstmModel
 from graph_phpa.predict_gcn import GcnConfig, GcnModel, ServiceGraph
 from graph_phpa.tensor import MinMaxScaler
 from graph_phpa.traces import WorkloadTrace
@@ -124,11 +124,6 @@ class TestDemandModel:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValidationError):
             bookinfo_demand().propagate_workload(-1.0, 0, 1)
-
-    def test_json_round_trip(self):
-        demand = bookinfo_demand(noise=0.3)
-        again = DemandModel.from_json_dict(demand.to_json_dict())
-        assert again == demand
 
 
 class TestComputeUtilization:
@@ -473,9 +468,8 @@ class TestSimulationLog:
 def fixed_forecaster(k: int, value: float) -> LstmModel:
     """Zero-weight LSTM whose head bias pins the output to a constant."""
     hidden = 2
-    layer = LstmLayer({g: np.zeros((1, hidden)) for g in GATES},
-                      {g: np.zeros((hidden, hidden)) for g in GATES},
-                      {g: np.zeros(hidden) for g in GATES})
+    layer = LstmLayer(np.zeros((1, 4 * hidden)), np.zeros((hidden, 4 * hidden)),
+                      np.zeros(4 * hidden))
     return LstmModel(LstmConfig(window=k, hidden_units=hidden), [layer],
                      np.zeros((hidden, 1)), math.atanh(value),
                      MinMaxScaler(-1.0, 1.0, -1.0, 1.0))

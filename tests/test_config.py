@@ -153,11 +153,3 @@ class TestBundledConfigs:
         trace = cfg.trace.resolve(base)
         assert trace.resolution == 1
         assert len(trace) == 3600
-
-    def test_bookinfo_graph_parses(self):
-        from pathlib import Path
-        from graph_phpa.predict_gcn import ServiceGraph
-        root = Path(__file__).resolve().parents[1]
-        g = ServiceGraph.load(root / "configs" / "bookinfo_graph.json")
-        assert g.size == 4
-        assert ("productpage", "reviews") in g.edges()

@@ -18,7 +18,7 @@ from graph_phpa.forecast_lstm import (
     LstmConfig,
     LstmLayer,
     LstmModel,
-    WorkloadSeries,
+    _init_params,
     _loss_and_grads,
     evaluate,
     forecast_series,
@@ -27,8 +27,8 @@ from graph_phpa.forecast_lstm import (
     predict_windows,
     train_lstm,
 )
-from graph_phpa.tensor import MinMaxScaler, Rng, finite_diff_gradient
-from oracles import lstm_forward_oracle, rel_err
+from graph_phpa.tensor import MinMaxScaler, Rng, glorot_init
+from oracles import finite_diff_gradient, lstm_forward_oracle, rel_err
 
 IDENTITY = MinMaxScaler(-1.0, 1.0, -1.0, 1.0)
 
@@ -39,20 +39,23 @@ def random_model(rng: Rng, layers: int, hidden: int, k: int,
     built = []
     d_in = 1
     for _ in range(layers):
-        w = {g: rng.normal(0.0, 0.4, (d_in, hidden)) for g in GATES}
-        u = {g: rng.normal(0.0, 0.4, (hidden, hidden)) for g in GATES}
-        b = {g: rng.normal(0.0, 0.1, (hidden,)) for g in GATES}
-        built.append(LstmLayer(w, u, b))
+        w_x = np.hstack([rng.normal(0.0, 0.4, (d_in, hidden)) for _ in GATES])
+        w_h = np.hstack([rng.normal(0.0, 0.4, (hidden, hidden)) for _ in GATES])
+        b = np.hstack([rng.normal(0.0, 0.1, (hidden,)) for _ in GATES])
+        built.append(LstmLayer(w_x, w_h, b))
         d_in = hidden
     head_w = rng.normal(0.0, 0.4, (hidden, 1))
     head_b = float(rng.normal(0.0, 0.1, (1,))[0])
     return LstmModel(config, built, head_w, head_b, scaler)
 
 
+def per_gate(fused: np.ndarray) -> dict:
+    """Slice a fused (..., 4H) tensor back into its GATES column blocks."""
+    return {g: block.tolist() for g, block in zip(GATES, np.split(fused, 4, axis=-1))}
+
+
 def as_oracle_params(model: LstmModel):
-    layers = [{"w": {g: layer.w[g].tolist() for g in GATES},
-               "u": {g: layer.u[g].tolist() for g in GATES},
-               "b": {g: layer.b[g].tolist() for g in GATES}}
+    layers = [{"w": per_gate(layer.w_x), "u": per_gate(layer.w_h), "b": per_gate(layer.b)}
               for layer in model.layers]
     return layers, model.head_w[:, 0].tolist(), model.head_b
 
@@ -80,11 +83,8 @@ class TestForwardAgainstOracle:
     def test_zero_weights_leave_only_head_bias(self):
         # With every weight zero the hidden state never leaves zero, so the
         # output is tanh(head bias) regardless of the window contents.
-        zero = {g: np.zeros((1, 4)) for g in GATES}
-        zero_u = {g: np.zeros((4, 4)) for g in GATES}
-        zero_b = {g: np.zeros(4) for g in GATES}
         model = LstmModel(LstmConfig(window=3, hidden_units=4),
-                          [LstmLayer(zero, zero_u, zero_b)],
+                          [LstmLayer(np.zeros((1, 16)), np.zeros((4, 16)), np.zeros(16))],
                           np.zeros((4, 1)), 0.7, IDENTITY)
         assert lstm_forward(model, [0.1, -0.9, 0.5]) == pytest.approx(math.tanh(0.7))
         assert lstm_forward(model, [1.0, 1.0, 1.0]) == pytest.approx(math.tanh(0.7))
@@ -93,11 +93,8 @@ class TestForwardAgainstOracle:
         # Raw units in, raw units out: the scaled-space value is tanh(bias),
         # mapped back through the target scaler.
         scaler = MinMaxScaler(0.0, 10.0, -0.8, 0.8)
-        zero = {g: np.zeros((1, 2)) for g in GATES}
-        zero_u = {g: np.zeros((2, 2)) for g in GATES}
-        zero_b = {g: np.zeros(2) for g in GATES}
         model = LstmModel(LstmConfig(window=2, hidden_units=2),
-                          [LstmLayer(zero, zero_u, zero_b)],
+                          [LstmLayer(np.zeros((1, 8)), np.zeros((2, 8)), np.zeros(8))],
                           np.zeros((2, 1)), 0.3, scaler)
         expected = scaler.inverse_transform(np.array([math.tanh(0.3)]))[0]
         assert lstm_forward(model, [4.0, 6.0]) == pytest.approx(expected)
@@ -108,58 +105,19 @@ class TestForwardAgainstOracle:
         x = rng.uniform(0.0, 200.0, (9, 5))
         batched = predict_windows(model, x)
         singles = [lstm_forward(model, row) for row in x]
-        np.testing.assert_allclose(batched, singles, atol=1e-12)
+        np.testing.assert_array_equal(batched, singles)
 
 
 def gradcheck_params(model: LstmModel, x, y, eps=1e-5):
-    """Yield (name, analytic, numeric) for every parameter tensor."""
-    layers, head_w, head_b = model.layers, model.head_w, model.head_b
-    _, grads = _loss_and_grads(layers, head_w, head_b, x, y)
-
-    def loss_with(mutate):
-        def f(p):
-            restore = mutate(p)
-            try:
-                loss, _ = _loss_and_grads(layers, head_w, head_b, x, y)
-            finally:
-                mutate(restore)
+    """Yield (name, analytic, numeric) for every fused parameter tensor."""
+    params = model.params
+    _, grads = _loss_and_grads(params, x, y)
+    names = [f"layer{i // 3}.{('w_x', 'w_h', 'b')[i % 3]}" for i in range(len(params) - 2)]
+    for i, name in enumerate(names + ["head_w", "head_b"]):
+        def f(p, i=i):
+            loss, _ = _loss_and_grads(params[:i] + [p] + params[i + 1:], x, y)
             return loss
-        return f
-
-    for li, layer in enumerate(layers):
-        for kind in ("w", "u", "b"):
-            store = getattr(layer, kind)
-            for g in GATES:
-                def swap(p, store=store, g=g):
-                    old = store[g]
-                    store[g] = p
-                    return old
-                numeric = finite_diff_gradient(loss_with(swap), store[g], eps)
-                yield f"layer{li}.{kind}.{g}", grads["layers"][li][kind][g], numeric
-
-    def swap_head_w(p):
-        nonlocal head_w
-        old = head_w
-        head_w = p
-        return old
-
-    # head_w is rebound locally, so re-close loss over the mutable cell
-    def f_head_w(p):
-        restore = swap_head_w(p)
-        try:
-            loss, _ = _loss_and_grads(layers, head_w, head_b, x, y)
-        finally:
-            swap_head_w(restore)
-        return loss
-
-    yield "head_w", grads["head_w"], finite_diff_gradient(f_head_w, head_w, eps)
-
-    def f_head_b(p):
-        loss, _ = _loss_and_grads(layers, head_w, float(p[0]), x, y)
-        return loss
-
-    numeric_b = finite_diff_gradient(f_head_b, np.array([head_b]), eps)
-    yield "head_b", np.array([grads["head_b"]]), numeric_b
+        yield name, grads[i], finite_diff_gradient(f, params[i], eps)
 
 
 class TestBackpropAgainstFiniteDifferences:
@@ -188,7 +146,7 @@ class TestBackpropAgainstFiniteDifferences:
         model = random_model(rng, 1, 3, 4)
         x = rng.uniform(-0.8, 0.8, (6, 4))
         y = rng.uniform(-0.8, 0.8, (6,))
-        loss, _ = _loss_and_grads(model.layers, model.head_w, model.head_b, x, y)
+        loss, _ = _loss_and_grads(model.params, x, y)
         preds = np.array([lstm_forward(model, row) for row in x])
         assert loss == pytest.approx(float(np.mean((preds - y) ** 2)), abs=1e-12)
 
@@ -213,12 +171,6 @@ class TestMakeWindows:
         np.testing.assert_array_equal(x[:, 0], np.arange(n - k))
         np.testing.assert_array_equal(y, np.arange(k, n))
 
-    def test_accepts_workload_series(self):
-        series = WorkloadSeries("svc", 0, np.array([5.0, 6.0, 7.0]))
-        x, y = make_windows(series, 1)
-        np.testing.assert_array_equal(x, [[5], [6]])
-        np.testing.assert_array_equal(y, [6, 7])
-
     def test_rejects_bad_window_size(self):
         with pytest.raises(ValidationError):
             make_windows(np.arange(10.0), 0)
@@ -226,20 +178,6 @@ class TestMakeWindows:
     def test_too_short_series_is_empty_dataset(self):
         with pytest.raises(EmptyDatasetError):
             make_windows(np.array([1.0, 2.0]), 2)
-
-
-class TestWorkloadSeries:
-    def test_rejects_negative_values(self):
-        with pytest.raises(ValidationError):
-            WorkloadSeries("svc", 0, np.array([1.0, -2.0]))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValidationError):
-            WorkloadSeries("svc", 0, np.array([1.0, np.nan]))
-
-    def test_rejects_matrix(self):
-        with pytest.raises(ValidationError):
-            WorkloadSeries("svc", 0, np.ones((2, 2)))
 
 
 class TestTraining:
@@ -274,13 +212,23 @@ class TestTraining:
         model_a, hist_a = train_lstm((x, y), (x, y), config)
         model_b, hist_b = train_lstm((x, y), (x, y), config)
         assert hist_a == hist_b
-        for la, lb in zip(model_a.layers, model_b.layers):
-            for g in GATES:
-                np.testing.assert_array_equal(la.w[g], lb.w[g])
-                np.testing.assert_array_equal(la.u[g], lb.u[g])
-                np.testing.assert_array_equal(la.b[g], lb.b[g])
-        np.testing.assert_array_equal(model_a.head_w, model_b.head_w)
-        assert model_a.head_b == model_b.head_b
+        for pa, pb in zip(model_a.params, model_b.params, strict=True):
+            np.testing.assert_array_equal(pa, pb)
+
+    def test_initial_weights_fuse_the_per_gate_draws(self):
+        # Fused blocks are the per-gate Glorot draws in GATES order, so the
+        # layout change leaves every initial weight bit-identical.
+        config = LstmConfig(window=3, layers=2, hidden_units=4, seed=13)
+        params = _init_params(config, Rng(13))
+        rng = Rng(13)
+        expected = []
+        for d_in in (1, 4):
+            expected.append(np.hstack([glorot_init(d_in, 4, rng) for _ in GATES]))
+            expected.append(np.hstack([glorot_init(4, 4, rng) for _ in GATES]))
+            expected.append(np.zeros(16))
+        expected += [glorot_init(4, 1, rng), np.zeros(1)]
+        for got, want in zip(params, expected, strict=True):
+            np.testing.assert_array_equal(got, want)
 
     def test_different_seeds_differ(self):
         values = 10.0 + np.arange(60.0) % 7
@@ -340,6 +288,8 @@ class TestSerialization:
     def test_rejects_wrong_schema(self):
         with pytest.raises(ValidationError):
             LstmModel.from_json_dict({"schema": "something-else"})
+        with pytest.raises(ValidationError):  # per-gate v1 files must be retrained
+            LstmModel.from_json_dict({"schema": "graph-phpa/lstm-model/v1"})
 
     def test_file_is_byte_stable(self, tmp_path):
         model = random_model(Rng(9), 1, 2, 3)

@@ -29,8 +29,9 @@ from graph_phpa.predict_gcn import (
     predict_resource,
     train_gcn,
 )
-from graph_phpa.tensor import MinMaxScaler, Rng, finite_diff_gradient
+from graph_phpa.tensor import MinMaxScaler, Rng
 from oracles import (
+    finite_diff_gradient,
     gcn_forward_oracle,
     normalized_adjacency_oracle,
     rel_err,
@@ -106,17 +107,8 @@ class TestNormalizeAdjacency:
 class TestServiceGraph:
     def test_from_edges_round_trip(self):
         g = ServiceGraph.from_edges(["a", "b", "c"], [("a", "b"), ("b", "c")])
-        assert g.edges() == [("a", "b"), ("b", "c")]
-        assert g.index("c") == 2
-        g2 = ServiceGraph.from_json_dict(g.to_json_dict())
-        np.testing.assert_array_equal(g.adjacency, g2.adjacency)
-
-    def test_save_load(self, tmp_path):
-        g = ServiceGraph.from_edges(["x", "y"], [("x", "y")])
-        p = tmp_path / "graph.json"
-        g.save(p)
-        g2 = ServiceGraph.load(p)
-        assert g2.nodes == ("x", "y")
+        assert g.nodes == ("a", "b", "c")
+        np.testing.assert_array_equal(g.adjacency, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
 
     def test_rejects_self_edge(self):
         with pytest.raises(ValidationError):
@@ -133,11 +125,6 @@ class TestServiceGraph:
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(ValidationError):
             ServiceGraph(nodes=("a",), adjacency=np.ones((1, 1)))
-
-    def test_unknown_service_lookup(self):
-        g = ServiceGraph.from_edges(["a"], [])
-        with pytest.raises(ValidationError):
-            g.index("nope")
 
 
 class TestForwardAgainstOracle:

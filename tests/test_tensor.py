@@ -3,50 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graph_phpa.errors import ShapeError, ValidationError
 from graph_phpa.tensor import (ACTIVATIONS, AdamState, MinMaxScaler, Rng, activation,
-                               adam_step, as_matrix, finite_diff_gradient, glorot_init,
-                               matmul, mix_seed, sigmoid)
-
-
-def naive_matmul(a, b):
-    """Pure-loop reference product, no numpy."""
-    rows, inner, cols = len(a), len(a[0]), len(b[0])
-    out = [[0.0] * cols for _ in range(rows)]
-    for i in range(rows):
-        for j in range(cols):
-            s = 0.0
-            for k in range(inner):
-                s += a[i][k] * b[k][j]
-            out[i][j] = s
-    return out
-
-
-class TestMatmul:
-    def test_matches_naive_oracle(self):
-        rng = Rng(3)
-        for _ in range(20):
-            m, k, n = rng.integers(1, 6), rng.integers(1, 6), rng.integers(1, 6)
-            a = rng.normal(size=(m, k))
-            b = rng.normal(size=(k, n))
-            expected = naive_matmul(a.tolist(), b.tolist())
-            assert np.allclose(matmul(a, b), expected, atol=1e-12)
-
-    def test_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\) x \(2, 3\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros(3), np.zeros((3, 2)))
-
-    def test_rejects_non_finite(self):
-        a = np.array([[np.inf, 0.0]])
-        with pytest.raises(ValidationError):
-            matmul(a, np.ones((2, 1)))
+                               adam_step, glorot_init, mix_seed, sigmoid)
+from oracles import finite_diff_gradient
 
 
 class TestActivations:
@@ -185,6 +148,7 @@ class TestGlorot:
 class TestMinMaxScaler:
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=30).filter(
         lambda values: max(values) > min(values)))
+    @example([0.0, 2.2250738585e-313])  # a subnormal range overflows the scale factor
     @settings(max_examples=100)
     def test_round_trip(self, values):
         scaler = MinMaxScaler.fit(np.array(values))
@@ -217,12 +181,3 @@ class TestMinMaxScaler:
         with pytest.raises(ValidationError):
             MinMaxScaler.fit(np.array([]))
 
-
-class TestAsMatrix:
-    def test_accepts_nested_lists(self):
-        m = as_matrix([[1, 2], [3, 4]])
-        assert m.dtype == np.float64 and m.shape == (2, 2)
-
-    def test_rejects_1d(self):
-        with pytest.raises(ShapeError):
-            as_matrix([1, 2, 3])
