@@ -5,8 +5,7 @@ demand with a graph convolutional network over the call graph, and size pod
 counts one minute ahead. A minute-resolution cluster simulator and a reactive
 threshold autoscaler provide the baseline for comparison.
 """
-from .autoscaler import (ScalingBounds, ScalingDecision, integrate_step, predict_demand,
-                         run_policy_step)
+from .autoscaler import ScalingBounds, ScalingDecision, integrate_step, predict_demand
 from .cluster_sim import (DemandModel, HpaConfig, PredictivePolicy, ReactivePolicy,
                           SimulationLog, run_simulation)
 from .config import ExperimentConfig
@@ -28,6 +27,6 @@ __all__ = [
     "TraceFormatError", "ValidationError", "WorkloadTrace", "build_resource_dataset",
     "gcn_forward", "generate_synthetic_trace", "integrate_step", "interpolate_to_minutes",
     "load_trace", "lstm_forward", "make_windows", "normalize_adjacency",
-    "predict_demand", "predict_resource", "run_policy_step", "run_simulation", "save_trace",
+    "predict_demand", "predict_resource", "run_simulation", "save_trace",
     "split_dataset", "train_gcn", "train_lstm",
 ]

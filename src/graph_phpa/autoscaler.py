@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
-from .forecast_lstm import LstmModel, lstm_forward
-from .predict_gcn import GcnModel, ServiceGraph, predict_resource
+from .forecast_lstm import LstmModel, predict_windows
+from .predict_gcn import GcnModel, ServiceGraph, predict_resource, resource_features
 
 
 @dataclass(frozen=True)
@@ -104,51 +105,29 @@ def predict_demand(lstm_models: Mapping[str, LstmModel],
                    gcn_model: GcnModel,
                    graph: ServiceGraph,
                    history: Mapping[str, Sequence[float]]
-                   ) -> tuple[dict[str, float], dict[str, float]]:
-    """Per-service (next-minute forecast, predicted vCPU demand).
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Next-minute forecasts and predicted vCPU demand for every k-window of history.
 
-    history carries each service's request rates up to and including now; the
-    last k feed the forecaster, the last k-1 plus the forecast feed the graph
-    predictor.
+    history carries each service's request rates, all of one length T >= k.
+    Row j of both (T-k+1, N) results, columns in graph.nodes order, belongs to
+    the window that ends at index j+k-1: the forecaster reads its k rates (the
+    forecast is clamped at zero), the graph predictor the last k-1 plus the
+    forecast. A history of exactly k rates is a batch of one.
     """
     k = gcn_model.config.window
-    features = np.empty((graph.size, k))
-    forecasts = {}
-    for ni, service in enumerate(graph.nodes):
+    columns = []
+    for service in graph.nodes:
         if service not in lstm_models:
             raise ValidationError(f"no forecaster for service {service!r}")
         series = np.asarray(history[service], dtype=np.float64)
         if len(series) < k:
             raise ValidationError(f"history for {service!r} has {len(series)} points, need {k}")
-        window = series[-k:]
-        ahead = max(lstm_forward(lstm_models[service], window), 0.0)
-        forecasts[service] = ahead
-        features[ni, :k - 1] = series[-(k - 1):]
-        features[ni, k - 1] = ahead
-
-    demand_vec = predict_resource(gcn_model, graph, features)
-    demand = {service: float(demand_vec[ni]) for ni, service in enumerate(graph.nodes)}
-    return forecasts, demand
-
-
-def run_policy_step(lstm_models: Mapping[str, LstmModel],
-                    gcn_model: GcnModel,
-                    graph: ServiceGraph,
-                    history: Mapping[str, Sequence[float]],
-                    current_r: Mapping[str, float],
-                    current_n: Mapping[str, int],
-                    bounds: Mapping[str, ScalingBounds]
-                    ) -> tuple[dict[str, ScalingDecision], dict[str, float], dict[str, float]]:
-    """Full prediction pipeline for one minute.
-
-    current_r is the allocation state the policy carries between minutes: each
-    decision's r_new is the next step's current_r. Seeding it from the clamped
-    first prediction avoids a spurious move on the first step; deriving it
-    fresh from pods * capacity every minute would re-open the gap the previous
-    decision just closed and make the count oscillate around any demand that
-    is not a whole number of pods. Returns the decisions plus the per-service
-    forecasts and demand predictions so callers can log them.
-    """
-    forecasts, demand = predict_demand(lstm_models, gcn_model, graph, history)
-    decisions = integrate_step(current_r, current_n, demand, bounds)
-    return decisions, forecasts, demand
+        columns.append(series)
+    if len({len(series) for series in columns}) != 1:
+        raise ValidationError("history lengths differ across services")
+    rates = np.column_stack(columns)
+    windows = sliding_window_view(rates, k, axis=0)  # (T-k+1, N, k)
+    forecasts = np.maximum(np.column_stack([predict_windows(lstm_models[s], windows[:, ni])
+                                            for ni, s in enumerate(graph.nodes)]), 0.0)
+    features = resource_features(rates, forecasts, graph.nodes, k)
+    return forecasts, predict_resource(gcn_model, graph, features)

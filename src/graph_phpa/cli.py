@@ -61,12 +61,17 @@ def _load_lstm_models(models_dir: Path, services) -> dict[str, LstmModel]:
     return models
 
 
-def _prepare_data(cfg: ExperimentConfig, base_dir: Path):
-    """Resolve the trace and derive per-service series shared by every command."""
+def _resolve_trace(cfg: ExperimentConfig, base_dir: Path):
     trace = cfg.trace.resolve(base_dir)
     if trace.resolution != 1:
         raise ValidationError("experiment trace must resolve to 1-minute bins; "
                               "set trace.interpolate for 5-minute inputs")
+    return trace
+
+
+def _prepare_data(cfg: ExperimentConfig, base_dir: Path):
+    """Resolve the trace and derive the per-service series both trainings use."""
+    trace = _resolve_trace(cfg, base_dir)
     rps, usage = cfg.demand.demand_series(trace.values, trace.start_minute, cfg.sim_seed)
     return trace, rps, usage
 
@@ -184,7 +189,7 @@ def _build_policy(cfg: ExperimentConfig, name: str, threshold: float | None,
 
 
 def _run_one(cfg: ExperimentConfig, base_dir: Path, policy, out_dir: Path):
-    trace, _, _ = _prepare_data(cfg, base_dir)
+    trace = _resolve_trace(cfg, base_dir)
     n = len(trace)
     _, i2 = _segment_bounds(n, cfg.train_frac, cfg.valid_frac)
     test_trace = slice_trace(trace, i2, n)

@@ -22,7 +22,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .autoscaler import ScalingBounds, predict_demand, run_policy_step
+from . import autoscaler
+from .autoscaler import ScalingBounds, predict_demand
 from .errors import ValidationError
 from .forecast_lstm import LstmModel
 from .predict_gcn import GcnModel, ServiceGraph
@@ -182,11 +183,16 @@ class ScalingPolicy(ABC):
     name: str = "policy"
     min_history: int = 0
 
-    def begin(self, services: tuple[str, ...]) -> None:
-        """Reset any per-run state."""
+    def begin(self, start_minute: int, rates: Mapping[str, np.ndarray]) -> None:
+        """Reset per-run state before the first minute.
+
+        rates holds each service's request rates over the whole run, index i
+        being minute start_minute + i; they never depend on the pods, so a
+        policy may compute everything it needs from them up front.
+        """
 
     @abstractmethod
-    def decide(self, minute: int, history: Mapping[str, list[float]],
+    def decide(self, minute: int, history: Mapping[str, np.ndarray],
                utilization: Mapping[str, float], pods: Mapping[str, int]
                ) -> tuple[dict[str, int], list["DecisionRow"]]:
         ...
@@ -201,8 +207,8 @@ class ReactivePolicy(ScalingPolicy):
         self.name = f"reactive@{config.scale_out:g}"
         self._below: dict[str, int] = {}
 
-    def begin(self, services):
-        self._below = {s: 0 for s in services}
+    def begin(self, start_minute, rates):
+        self._below = {s: 0 for s in rates}
 
     def decide(self, minute, history, utilization, pods):
         targets = {}
@@ -227,12 +233,14 @@ class ReactivePolicy(ScalingPolicy):
 class PredictivePolicy(ScalingPolicy):
     """Forecast next-minute workload, predict demand on the graph, size pods ahead.
 
-    Carries the clamped prediction forward as its allocation state; each
-    decision moves the pod count by the change in that state, so a steady
-    prediction leaves the count alone. The state is seeded from the first
-    prediction (no pod move on the first decision) rather than from pods times
-    capacity, which would manufacture a phantom change whenever the starting
-    allocation is not exactly the predicted demand.
+    Every forecast and demand prediction of a run comes from one batched
+    predict_demand call in begin; decide reads its minute's row. Carries the
+    clamped prediction forward as its allocation state; each decision moves
+    the pod count by the change in that state, so a steady prediction leaves
+    the count alone. The state is seeded from the first prediction (no pod
+    move on the first decision) rather than from pods times capacity, which
+    would manufacture a phantom change whenever the starting allocation is
+    not exactly the predicted demand.
     """
 
     name = "phpa"
@@ -245,31 +253,37 @@ class PredictivePolicy(ScalingPolicy):
         self.bounds = bounds
         self.min_history = gcn_model.config.window
         self._r: dict[str, float] | None = None
+        self._first_minute = 0
+        self._forecasts: list[list[float]] = []
+        self._demand: list[list[float]] = []
 
-    def begin(self, services):
+    def begin(self, start_minute, rates):
+        forecasts, demand = predict_demand(self.lstm_models, self.gcn_model, self.graph,
+                                           rates)
+        # Row j is predicted at the minute that ends the j-th k-window.
+        self._first_minute = start_minute + self.min_history - 1
+        self._forecasts, self._demand = forecasts.tolist(), demand.tolist()
         self._r = None
 
     def decide(self, minute, history, utilization, pods):
+        row = minute - self._first_minute
+        if not 0 <= row < len(self._demand):
+            raise ValidationError(f"no prediction for minute {minute}: begin covered "
+                                  f"{len(self._demand)} minutes from {self._first_minute}")
+        nodes = self.graph.nodes
+        demand = dict(zip(nodes, self._demand[row]))
         if self._r is None:
-            forecasts, demand = predict_demand(self.lstm_models, self.gcn_model,
-                                               self.graph, history)
             self._r = {s: min(max(demand[s], self.bounds[s].r_lb), self.bounds[s].r_ub)
-                       for s in self.graph.nodes}
-            records = [DecisionRow(minute=minute, service=s, forecast_rps=forecasts[s],
-                                   predicted_vcpu=demand[s], r_prev=self._r[s],
-                                   r_new=self._r[s], n_prev=pods[s], n_new=pods[s],
-                                   delta=0)
-                       for s in self.graph.nodes]
-            return dict(pods), records
-        decisions, forecasts, demand = run_policy_step(
-            self.lstm_models, self.gcn_model, self.graph, history, self._r, pods,
-            self.bounds)
+                       for s in nodes}
+        # Looked up on its module, so a patched autoscaler.integrate_step (as
+        # perfbench's tracing installs) sees the policy's calls.
+        decisions = autoscaler.integrate_step(self._r, pods, demand, self.bounds)
         self._r = {s: d.r_new for s, d in decisions.items()}
         targets = {s: d.n_new for s, d in decisions.items()}
-        records = [DecisionRow(minute=minute, service=s, forecast_rps=forecasts[s],
+        records = [DecisionRow(minute=minute, service=s, forecast_rps=forecast,
                                predicted_vcpu=demand[s], r_prev=d.r_prev, r_new=d.r_new,
                                n_prev=d.n_prev, n_new=d.n_new, delta=d.delta)
-                   for s, d in decisions.items()]
+                   for (s, d), forecast in zip(decisions.items(), self._forecasts[row])]
         return targets, records
 
 
@@ -403,13 +417,15 @@ def run_simulation(trace: WorkloadTrace, demand: DemandModel, policy: ScalingPol
     if sum(pods.values()) > max_total_pods:
         raise ValidationError(f"initial pods exceed cluster budget {max_total_pods}")
 
-    policy.begin(demand.services)
+    rps, _ = demand.demand_series(external, trace.start_minute, seed)
+    policy.begin(trace.start_minute, rps)
+    # Python floats, as propagate_workload returns them: write_csv uses repr.
+    series = {s: v.tolist() for s, v in rps.items()}
     log_ = SimulationLog(policy_name=policy.name, seed=seed,
                          trace_sha256=trace_digest(trace),
                          start_minute=trace.start_minute, horizon=len(external),
                          services=demand.services)
     pending: list[tuple[int, str, int]] = []  # (ready_minute, service, delta)
-    history: dict[str, list[float]] = {s: [] for s in demand.services}
 
     for i in range(len(external)):
         minute = trace.start_minute + i
@@ -419,14 +435,13 @@ def run_simulation(trace: WorkloadTrace, demand: DemandModel, policy: ScalingPol
         for _, s, delta in matured:
             pods[s] = min(max(pods[s] + delta, 1), bounds[s].max_pods)
 
-        rates = demand.propagate_workload(float(external[i]), minute, seed)
-        for s in demand.services:
-            history[s].append(rates[s])
+        rates = {s: series[s][i] for s in demand.services}
         utilization = _utilization_map(rates, pods, demand, bounds)
 
         deltas = {s: 0 for s in demand.services}
         records: list[DecisionRow] = []
         if i >= warm:
+            history = {s: v[:i + 1] for s, v in rps.items()}
             targets, records = policy.decide(minute, history, utilization, pods)
             pending_adds = sum(d for _, _, d in pending if d > 0)
             budget = max_total_pods - sum(pods.values()) - pending_adds

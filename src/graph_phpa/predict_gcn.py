@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DivergenceError, EmptyDatasetError, ShapeError, ValidationError
 from .tensor import AdamState, MinMaxScaler, Rng, activation, adam_step, glorot_init
@@ -202,27 +203,32 @@ def _forward_scaled(weights: list[np.ndarray], activations, a_hat: np.ndarray,
 
 
 def gcn_forward(model: GcnModel, graph: ServiceGraph, x: np.ndarray) -> np.ndarray:
-    """Layer-by-layer propagation of one scaled sample (N, D); returns (N, 1).
+    """Layer-by-layer propagation of scaled features.
 
-    Pure network evaluation: scalers do not apply here, they belong to
+    One sample (N, D) gives (N, 1); a batch (S, N, D) gives (S, N, 1). Pure
+    network evaluation: scalers do not apply here, they belong to
     predict_resource.
     """
     if tuple(graph.nodes) != model.nodes:
         raise ValidationError(f"graph nodes {graph.nodes} do not match model nodes {model.nodes}")
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (graph.size, model.weights[0].shape[0]):
+    if x.ndim not in (2, 3) or x.shape[-2:] != (graph.size, model.weights[0].shape[0]):
         raise ShapeError(f"features shape {x.shape}, expected "
-                         f"{(graph.size, model.weights[0].shape[0])}")
-    out, _ = _forward_scaled(model.weights, model.activations, graph.a_hat, x[None, :, :])
-    return out[0]
+                         f"{(graph.size, model.weights[0].shape[0])} or a batch of those")
+    out, _ = _forward_scaled(model.weights, model.activations, graph.a_hat, x)
+    return out
 
 
 def predict_resource(model: GcnModel, graph: ServiceGraph, features: np.ndarray) -> np.ndarray:
-    """Per-node demand in original units for one raw sample (N, k), clamped at zero."""
-    z = model.feature_scaler.transform(np.asarray(features, dtype=np.float64))
-    out = gcn_forward(model, graph, z)
-    raw = [float(s.inverse_transform(v)) for s, v in zip(model.target_scalers, out[:, 0])]
-    return np.maximum(np.asarray(raw), 0.0)
+    """Per-node demand in original units, clamped at zero.
+
+    features are raw samples (S, N, k), giving (S, N), or one sample (N, k),
+    giving (N,).
+    """
+    out = gcn_forward(model, graph, model.feature_scaler.transform(features))[..., 0]
+    raw = np.stack([s.inverse_transform(out[..., ni])
+                    for ni, s in enumerate(model.target_scalers)], axis=-1)
+    return np.maximum(raw, 0.0)
 
 
 def scale_targets(scalers, y: np.ndarray) -> np.ndarray:
@@ -262,20 +268,32 @@ def build_resource_dataset(workloads: dict[str, np.ndarray],
     if t_total < k + 1:
         raise EmptyDatasetError(f"series length {t_total} yields no samples for k={k}")
 
-    n = len(nodes)
-    count = t_total - k
-    x = np.empty((count, n, k))
-    y = np.empty((count, n, 1))
-    for s, t in enumerate(range(k - 1, t_total - 1)):
-        for ni, name in enumerate(nodes):
-            past = workloads[name][t - k + 2:t + 1]
-            ahead = forecasts[name][t + 1]
-            if not np.isfinite(ahead):
-                raise ValidationError(f"forecast for {name!r} at minute index {t + 1} is not finite")
-            x[s, ni, :k - 1] = past
-            x[s, ni, k - 1] = ahead
-            y[s, ni, 0] = np.max(resources[name][t - k + 2:t + 2])
-    return x, y
+    def stacked(table):
+        return np.column_stack([np.asarray(table[name], dtype=np.float64) for name in nodes])
+
+    x = resource_features(stacked(workloads), stacked(forecasts)[k:], nodes, k)
+    y = sliding_window_view(stacked(resources)[1:], k, axis=0).max(axis=-1)
+    return x, y[:, :, None]
+
+
+def resource_features(workloads: np.ndarray, ahead: np.ndarray,
+                      nodes: tuple[str, ...] | list[str], k: int) -> np.ndarray:
+    """Graph features (S, N, k) from request rates (T, N) and forecasts (S, N).
+
+    Sample s holds, per node, workloads[s+1 .. s+k-1] followed by ahead[s],
+    the forecast for minute index s+k; T must be at least S+k-1. Training
+    datasets and the replay's predictions both build their features here.
+    """
+    bad = np.argwhere(~np.isfinite(ahead))
+    if len(bad):
+        s, ni = bad[0]
+        raise ValidationError(f"forecast for {nodes[ni]!r} at minute index {s + k} "
+                              f"is not finite")
+    count = len(ahead)
+    x = np.empty((count, len(nodes), k))
+    x[:, :, :k - 1] = sliding_window_view(workloads[1:count + k - 1], k - 1, axis=0)
+    x[:, :, k - 1] = ahead
+    return x
 
 
 def _loss_and_grads(weights: list[np.ndarray], activations, a_hat: np.ndarray,

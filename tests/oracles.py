@@ -5,12 +5,17 @@ loops, and the math module: no numpy, no shared code with the package. Slow
 and simple beats fast and entangled, because these are the arbiters. The
 finite-difference gradient takes and returns numpy arrays, since it perturbs
 the package's own parameter tensors, but computes nothing with them beyond
-one entry at a time.
+one entry at a time. The resource-dataset loop and the per-minute predictive
+policy are the sample-by-sample and minute-by-minute forms of the batched
+code: they arbitrate the batching, not the arithmetic, so the policy reuses
+the package's predict_demand (as a batch of one) and integrate_step.
 """
 import math
 
 import numpy as np
 
+from graph_phpa.autoscaler import integrate_step, predict_demand
+from graph_phpa.cluster_sim import DecisionRow, ScalingPolicy
 from graph_phpa.errors import DivergenceError, ValidationError
 
 
@@ -157,3 +162,64 @@ def windowed_max_oracle(series, k):
                 best = v
         out.append(best)
     return out
+
+
+def resource_dataset_oracle(workloads, forecasts, resources, nodes, k):
+    """(features, targets) of build_resource_dataset, one sample and node at a time."""
+    t_total = len(workloads[nodes[0]])
+    count = t_total - k
+    x = np.empty((count, len(nodes), k))
+    y = np.empty((count, len(nodes), 1))
+    for s, t in enumerate(range(k - 1, t_total - 1)):
+        for ni, name in enumerate(nodes):
+            past = workloads[name][t - k + 2:t + 1]
+            ahead = forecasts[name][t + 1]
+            if not np.isfinite(ahead):
+                raise ValidationError(f"forecast for {name!r} at minute index {t + 1} is not finite")
+            x[s, ni, :k - 1] = past
+            x[s, ni, k - 1] = ahead
+            y[s, ni, 0] = np.max(resources[name][t - k + 2:t + 2])
+    return x, y
+
+
+class PerMinutePredictivePolicy(ScalingPolicy):
+    """The predictive policy with one predict_demand call per minute on the
+    last k rates, instead of one batched call over the run."""
+
+    name = "phpa"
+
+    def __init__(self, lstm_models, gcn_model, graph, bounds):
+        self.lstm_models = lstm_models
+        self.gcn_model = gcn_model
+        self.graph = graph
+        self.bounds = bounds
+        self.min_history = gcn_model.config.window
+        self._r = None
+
+    def begin(self, start_minute, rates):
+        self._r = None
+
+    def decide(self, minute, history, utilization, pods):
+        k = self.min_history
+        nodes = self.graph.nodes
+        window = {s: list(history[s][-k:]) for s in nodes}
+        forecasts, demand = predict_demand(self.lstm_models, self.gcn_model, self.graph,
+                                           window)
+        forecasts = {s: float(v) for s, v in zip(nodes, forecasts[0])}
+        demand = {s: float(v) for s, v in zip(nodes, demand[0])}
+        if self._r is None:
+            # The first decision only seeds the allocation state.
+            self._r = {s: min(max(demand[s], self.bounds[s].r_lb), self.bounds[s].r_ub)
+                       for s in nodes}
+            records = [DecisionRow(minute=minute, service=s, forecast_rps=forecasts[s],
+                                   predicted_vcpu=demand[s], r_prev=self._r[s],
+                                   r_new=self._r[s], n_prev=pods[s], n_new=pods[s], delta=0)
+                       for s in nodes]
+            return dict(pods), records
+        decisions = integrate_step(self._r, pods, demand, self.bounds)
+        self._r = {s: d.r_new for s, d in decisions.items()}
+        records = [DecisionRow(minute=minute, service=s, forecast_rps=forecasts[s],
+                               predicted_vcpu=demand[s], r_prev=d.r_prev, r_new=d.r_new,
+                               n_prev=d.n_prev, n_new=d.n_new, delta=d.delta)
+                   for s, d in decisions.items()]
+        return {s: d.n_new for s, d in decisions.items()}, records

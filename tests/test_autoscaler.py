@@ -14,12 +14,12 @@ from graph_phpa.autoscaler import (
     ScalingBounds,
     ScalingDecision,
     integrate_step,
-    run_policy_step,
+    predict_demand,
 )
 from graph_phpa.errors import ValidationError
 from graph_phpa.forecast_lstm import LstmConfig, LstmLayer, LstmModel
 from graph_phpa.predict_gcn import GcnConfig, GcnModel, ServiceGraph
-from graph_phpa.tensor import MinMaxScaler
+from graph_phpa.tensor import MinMaxScaler, Rng, glorot_init
 
 
 def single(decisions: dict) -> ScalingDecision:
@@ -166,7 +166,7 @@ class TestScalingBounds:
 def constant_forecaster(k: int, constant_scaled: float) -> LstmModel:
     """Zero-weight model that always emits tanh(bias), squashed by a scaler.
 
-    Gives run_policy_step a forecaster with a closed-form output so the whole
+    Gives predict_demand a forecaster with a closed-form output so the whole
     pipeline can be checked by hand.
     """
     hidden = 2
@@ -178,6 +178,9 @@ def constant_forecaster(k: int, constant_scaled: float) -> LstmModel:
 
 
 class TestRunPolicyStep:
+    """One policy step: predict_demand's row for the window ending now, then
+    integrate_step."""
+
     def setup_method(self):
         self.graph = ServiceGraph.from_edges(["a", "b"], [("a", "b")])
         self.k = 3
@@ -190,6 +193,12 @@ class TestRunPolicyStep:
         self.bounds = {"a": ScalingBounds(1.0, 8.0, 1.0, 8),
                        "b": ScalingBounds(1.0, 8.0, 1.0, 8)}
 
+    def step(self, models, history, current_r, current_n):
+        forecasts, demand = predict_demand(models, self.gcn, self.graph, history)
+        forecasts = dict(zip(self.graph.nodes, forecasts[-1].tolist()))
+        demand = dict(zip(self.graph.nodes, demand[-1].tolist()))
+        return integrate_step(current_r, current_n, demand, self.bounds), forecasts, demand
+
     def test_pipeline_arithmetic_by_hand(self):
         # Both forecasters emit 0.6; the GCN sees features [h1, h2, 0.6] per
         # node and outputs 2 * mean-of-neighbors(0.6) = 0.6 + 0.6 halves = 0.6
@@ -197,9 +206,8 @@ class TestRunPolicyStep:
         models = {"a": constant_forecaster(self.k, 0.6),
                   "b": constant_forecaster(self.k, 0.6)}
         history = {"a": [0.4, 0.5, 0.6, 0.7], "b": [0.1, 0.2, 0.3, 0.4]}
-        decisions, forecasts, demand = run_policy_step(
-            models, self.gcn, self.graph, history,
-            {"a": 1.0, "b": 1.0}, {"a": 1, "b": 1}, self.bounds)
+        decisions, forecasts, demand = self.step(models, history,
+                                                 {"a": 1.0, "b": 1.0}, {"a": 1, "b": 1})
         assert forecasts == {"a": pytest.approx(0.6), "b": pytest.approx(0.6)}
         assert demand["a"] == pytest.approx(1.2)
         assert demand["b"] == pytest.approx(1.2)
@@ -214,9 +222,7 @@ class TestRunPolicyStep:
         models = {"a": constant_forecaster(self.k, 0.6),
                   "b": constant_forecaster(self.k, 0.6)}
         history = {"a": [0.4, 0.5, 0.6, 0.7], "b": [0.1, 0.2, 0.3, 0.4]}
-        decisions, _, _ = run_policy_step(
-            models, self.gcn, self.graph, history,
-            {"a": 1.2, "b": 1.2}, {"a": 2, "b": 2}, self.bounds)
+        decisions, _, _ = self.step(models, history, {"a": 1.2, "b": 1.2}, {"a": 2, "b": 2})
         assert decisions["a"].delta == 0
         assert decisions["b"].delta == 0
         assert decisions["a"].r_new == pytest.approx(1.2)
@@ -225,37 +231,38 @@ class TestRunPolicyStep:
         models = {"a": constant_forecaster(self.k, -0.9),
                   "b": constant_forecaster(self.k, -0.9)}
         history = {"a": [1.0] * 5, "b": [1.0] * 5}
-        _, forecasts, demand = run_policy_step(models, self.gcn, self.graph, history,
-                                               {"a": 1.0, "b": 1.0}, {"a": 1, "b": 1},
-                                               self.bounds)
-        assert forecasts == {"a": 0.0, "b": 0.0}
+        forecasts, demand = predict_demand(models, self.gcn, self.graph, history)
+        # Every window's forecast is clamped, not only the latest one.
+        np.testing.assert_array_equal(forecasts, np.zeros((3, 2)))
         # Zero forecast, zero features in the demand slot: clamp to r_lb, stay put.
-        assert demand["a"] == 0.0
+        np.testing.assert_array_equal(demand, np.zeros((3, 2)))
+        decisions, _, _ = self.step(models, history, {"a": 1.0, "b": 1.0}, {"a": 1, "b": 1})
+        assert decisions["a"].r_new == 1.0 and decisions["a"].delta == 0
 
     def test_uses_only_last_k_history(self):
         models = {"a": constant_forecaster(self.k, 0.5),
                   "b": constant_forecaster(self.k, 0.5)}
         short = {"a": [0.7, 0.8, 0.9], "b": [0.7, 0.8, 0.9]}
         long = {"a": [99.0] * 40 + [0.7, 0.8, 0.9], "b": [99.0] * 40 + [0.7, 0.8, 0.9]}
-        out_short = run_policy_step(models, self.gcn, self.graph, short,
-                                    {"a": 1.0, "b": 1.0}, {"a": 1, "b": 1}, self.bounds)
-        out_long = run_policy_step(models, self.gcn, self.graph, long,
-                                   {"a": 1.0, "b": 1.0}, {"a": 1, "b": 1}, self.bounds)
+        out_short = self.step(models, short, {"a": 1.0, "b": 1.0}, {"a": 1, "b": 1})
+        out_long = self.step(models, long, {"a": 1.0, "b": 1.0}, {"a": 1, "b": 1})
         assert out_short[2] == out_long[2]
+        assert len(predict_demand(models, self.gcn, self.graph, short)[1]) == 1
+        assert len(predict_demand(models, self.gcn, self.graph, long)[1]) == 41
 
     def test_history_too_short_rejected(self):
         models = {"a": constant_forecaster(self.k, 0.5),
                   "b": constant_forecaster(self.k, 0.5)}
         with pytest.raises(ValidationError, match="history"):
-            run_policy_step(models, self.gcn, self.graph, {"a": [1.0], "b": [1.0]},
-                            {"a": 1.0, "b": 1.0}, {"a": 1, "b": 1}, self.bounds)
+            predict_demand(models, self.gcn, self.graph, {"a": [1.0], "b": [1.0]})
+        with pytest.raises(ValidationError, match="history lengths differ"):
+            predict_demand(models, self.gcn, self.graph, {"a": [1.0] * 4, "b": [1.0] * 3})
 
     def test_missing_forecaster_rejected(self):
         models = {"a": constant_forecaster(self.k, 0.5)}
         history = {"a": [1.0] * 4, "b": [1.0] * 4}
         with pytest.raises(ValidationError, match="no forecaster"):
-            run_policy_step(models, self.gcn, self.graph, history,
-                            {"a": 1.0, "b": 1.0}, {"a": 1, "b": 1}, self.bounds)
+            predict_demand(models, self.gcn, self.graph, history)
 
     def test_does_not_mutate_inputs(self):
         models = {"a": constant_forecaster(self.k, 0.5),
@@ -264,8 +271,47 @@ class TestRunPolicyStep:
         current_r = {"a": 2.0, "b": 3.0}
         current_n = {"a": 2, "b": 3}
         snapshot = {s: list(v) for s, v in history.items()}
-        run_policy_step(models, self.gcn, self.graph, history, current_r, current_n,
-                        self.bounds)
+        self.step(models, history, current_r, current_n)
         assert history == snapshot
         assert current_r == {"a": 2.0, "b": 3.0}
         assert current_n == {"a": 2, "b": 3}
+
+
+def random_pipeline(seed: int, k: int):
+    """Random forecasters and a two-layer graph predictor on a three-node chain."""
+    rng = Rng(seed)
+    graph = ServiceGraph.from_edges(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    hidden = 5
+    models = {}
+    for i, service in enumerate(graph.nodes):
+        r = rng.child(i)
+        layer = LstmLayer(r.normal(0.0, 0.5, (1, 4 * hidden)),
+                          r.normal(0.0, 0.5, (hidden, 4 * hidden)),
+                          r.normal(0.0, 0.1, (4 * hidden,)))
+        models[service] = LstmModel(LstmConfig(window=k, hidden_units=hidden), [layer],
+                                    r.normal(0.0, 0.5, (hidden, 1)), 0.1,
+                                    MinMaxScaler(0.0, 400.0))
+    weights = [glorot_init(k, 6, rng), glorot_init(6, 1, rng)]
+    gcn = GcnModel(GcnConfig(window=k, hidden=(6,), epochs=1), graph.nodes, weights,
+                   MinMaxScaler(0.0, 400.0, 0.0, 1.0),
+                   tuple(MinMaxScaler(0.0, 5.0, 0.0, 1.0) for _ in graph.nodes))
+    return models, gcn, graph
+
+
+class TestPredictDemandBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**16), k=st.integers(2, 6), extra=st.integers(0, 30),
+           data=st.data())
+    def test_each_row_matches_its_batch_of_one(self, seed, k, extra, data):
+        models, gcn, graph = random_pipeline(seed, k)
+        rates = st.lists(st.floats(0.0, 500.0), min_size=k + extra, max_size=k + extra)
+        history = {s: data.draw(rates, label=s) for s in graph.nodes}
+        forecasts, demand = predict_demand(models, gcn, graph, history)
+        assert forecasts.shape == demand.shape == (extra + 1, graph.size)
+        for j in range(extra + 1):
+            window = {s: v[j:j + k] for s, v in history.items()}
+            one_forecast, one_demand = predict_demand(models, gcn, graph, window)
+            for batched, single in ((forecasts[j], one_forecast[0]),
+                                    (demand[j], one_demand[0])):
+                scale = max(np.abs(single).max(), 1e-300)
+                np.testing.assert_allclose(batched, single, rtol=1e-12, atol=1e-12 * scale)

@@ -5,6 +5,7 @@ backends, one of which calls a third; every closed-form rate in these tests
 was worked out on paper from the fan-out multipliers.
 """
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,11 +24,13 @@ from graph_phpa.cluster_sim import (
     initial_pod_counts,
     run_simulation,
 )
+from graph_phpa.config import ExperimentConfig
 from graph_phpa.errors import ValidationError
 from graph_phpa.forecast_lstm import LstmConfig, LstmLayer, LstmModel
 from graph_phpa.predict_gcn import GcnConfig, GcnModel, ServiceGraph
 from graph_phpa.tensor import MinMaxScaler
-from graph_phpa.traces import WorkloadTrace
+from graph_phpa.traces import WorkloadTrace, slice_trace
+from oracles import PerMinutePredictivePolicy
 
 
 def bookinfo_demand(noise: float = 0.0) -> DemandModel:
@@ -171,7 +174,7 @@ class TestReactivePolicy:
         config = config or HpaConfig(scale_out=0.9, scale_in=0.3,
                                      stabilization_minutes=5)
         policy = ReactivePolicy(config, flat_bounds(("s",)))
-        policy.begin(("s",))
+        policy.begin(0, {"s": []})
         out = None
         for _ in range(minutes):
             targets, _ = policy.decide(0, {}, {"s": util}, {"s": pods})
@@ -190,7 +193,7 @@ class TestReactivePolicy:
 
     def test_middle_utilization_resets_the_calm_counter(self):
         policy = ReactivePolicy(HpaConfig(0.9, 0.3, 3), flat_bounds(("s",)))
-        policy.begin(("s",))
+        policy.begin(0, {"s": []})
         for util in (0.1, 0.1, 0.5, 0.1, 0.1):  # calm streak broken at step 3
             targets, _ = policy.decide(0, {}, {"s": util}, {"s": 4})
         assert targets["s"] == 4
@@ -199,7 +202,7 @@ class TestReactivePolicy:
 
     def test_breach_resets_the_calm_counter(self):
         policy = ReactivePolicy(HpaConfig(0.9, 0.3, 2), flat_bounds(("s",)))
-        policy.begin(("s",))
+        policy.begin(0, {"s": []})
         policy.decide(0, {}, {"s": 0.1}, {"s": 4})
         policy.decide(1, {}, {"s": 0.95}, {"s": 4})
         targets, _ = policy.decide(2, {}, {"s": 0.1}, {"s": 4})
@@ -212,13 +215,13 @@ class TestReactivePolicy:
 
     def test_scale_out_capped(self):
         policy = ReactivePolicy(HpaConfig(0.9, 0.3, 5), flat_bounds(("s",), q=4))
-        policy.begin(("s",))
+        policy.begin(0, {"s": []})
         targets, _ = policy.decide(0, {}, {"s": 2.0}, {"s": 4})
         assert targets["s"] == 4
 
     def test_scale_in_floors_at_one(self):
         policy = ReactivePolicy(HpaConfig(0.9, 0.3, 1), flat_bounds(("s",)))
-        policy.begin(("s",))
+        policy.begin(0, {"s": []})
         targets, _ = policy.decide(0, {}, {"s": 0.0}, {"s": 1})
         assert targets["s"] == 1
 
@@ -365,6 +368,20 @@ class TestRunSimulation:
                              ReactivePolicy(HpaConfig(), bounds), bounds, seed=8)
         for r in log.rows:
             assert r.service_rps == pytest.approx(rps[r.service][r.minute], rel=1e-12)
+
+    def test_rows_equal_per_minute_propagation(self):
+        # The whole window is propagated up front; every row must still carry
+        # exactly what propagate_workload gives for its own absolute minute.
+        demand = bookinfo_demand(noise=0.2)
+        bounds = flat_bounds(demand.services)
+        values = [100, 140, 90, 200, 170, 130]
+        log = run_simulation(stub_trace(values, start_minute=7), demand,
+                             ReactivePolicy(HpaConfig(), bounds), bounds, seed=8)
+        assert len(log.rows) == len(values) * len(demand.services)
+        for r in log.rows:
+            rates = demand.propagate_workload(float(values[r.minute - 7]), r.minute, 8)
+            assert type(r.service_rps) is float
+            assert r.service_rps == rates[r.service]
 
     def test_horizon_truncates_the_trace(self):
         demand = bookinfo_demand()
@@ -538,3 +555,44 @@ class TestPredictivePolicySimulation:
             assert [d.delta for d in steps].count(1) == 1
             pods = [r.pods for r in log.rows if r.service == s]
             assert pods == [1] * 10 + [2] * 6
+
+
+class TestBatchedPredictiveReplay:
+    def test_matches_per_minute_oracle_on_tiny_config(self, tiny_config_path,
+                                                      tiny_models_dir):
+        cfg, base_dir = ExperimentConfig.load(tiny_config_path)
+        trace = cfg.trace.resolve(base_dir)
+        n = len(trace)
+        test_trace = slice_trace(trace, int(n * cfg.train_frac) + int(n * cfg.valid_frac), n)
+        models = {s: LstmModel.load(Path(tiny_models_dir) / f"lstm_{s}.json")
+                  for s in cfg.graph.nodes}
+        gcn = GcnModel.load(Path(tiny_models_dir) / "gcn.json")
+
+        def replay(policy_cls):
+            policy = policy_cls(models, gcn, cfg.graph, cfg.bounds)
+            initial = initial_pod_counts(cfg.demand, float(test_trace.values[0]), cfg.bounds)
+            return run_simulation(test_trace, cfg.demand, policy, cfg.bounds,
+                                  seed=cfg.sim_seed, warmup=cfg.lstm.window,
+                                  startup_delay=cfg.startup_delay,
+                                  max_total_pods=cfg.max_total_pods, initial_pods=initial)
+
+        batched, oracle = replay(PredictivePolicy), replay(PerMinutePredictivePolicy)
+        assert batched.rows == oracle.rows
+        assert len(batched.decisions) == len(oracle.decisions) > 0
+        assert any(d.delta != 0 for d in batched.decisions)
+        for b, o in zip(batched.decisions, oracle.decisions):
+            assert (b.minute, b.service, b.n_prev, b.n_new, b.delta) == \
+                (o.minute, o.service, o.n_prev, o.n_new, o.delta)
+            for name in ("forecast_rps", "predicted_vcpu", "r_prev", "r_new"):
+                assert type(getattr(b, name)) is float
+                assert getattr(b, name) == pytest.approx(getattr(o, name), rel=1e-9, abs=0)
+
+    def test_minute_outside_the_prepass_rejected(self):
+        policy = TestPredictivePolicySimulation().make_policy(
+            slot=-1, feature_scaler=MinMaxScaler(0.0, 1.0, 0.0, 1.0))[0]
+        policy.begin(10, {"a": np.full(5, 100.0), "b": np.full(5, 100.0)})
+        pods = {"a": 1, "b": 1}
+        policy.decide(12, {}, {}, pods)
+        for minute in (11, 15):
+            with pytest.raises(ValidationError, match="no prediction"):
+                policy.decide(minute, {}, {}, pods)

@@ -35,6 +35,7 @@ from oracles import (
     gcn_forward_oracle,
     normalized_adjacency_oracle,
     rel_err,
+    resource_dataset_oracle,
     windowed_max_oracle,
 )
 
@@ -307,6 +308,35 @@ class TestBuildResourceDataset:
         f = {"a": np.array([0.0, 0.0, 0.0, np.nan, 0.0, 0.0])}
         with pytest.raises(ValidationError):
             build_resource_dataset(w, f, w, ("a",), 3)
+
+    @given(t_total=st.integers(3, 40), k=st.integers(2, 6), n=st.integers(1, 3),
+           seed=st.integers(0, 2**16), bad=st.none() | st.tuples(st.integers(0, 39),
+                                                                  st.integers(0, 2)))
+    @settings(max_examples=60)
+    def test_matches_per_sample_loop(self, t_total, k, n, seed, bad):
+        # Bitwise, including the NaN forecast_series leaves in the first k
+        # slots and the error a later non-finite forecast raises.
+        if t_total < k + 1:
+            return
+        rng = Rng(seed)
+        nodes = tuple(f"s{i}" for i in range(n))
+        w = {s: rng.uniform(0.0, 100.0, (t_total,)) for s in nodes}
+        f = {s: np.concatenate([np.full(k, np.nan), rng.uniform(0.0, 100.0, (t_total - k,))])
+             for s in nodes}
+        r = {s: rng.uniform(0.0, 4.0, (t_total,)) for s in nodes}
+        if bad is not None:
+            f[nodes[bad[1] % n]][k + bad[0] % (t_total - k)] = np.inf
+            with pytest.raises(ValidationError) as expected:
+                resource_dataset_oracle(w, f, r, nodes, k)
+            with pytest.raises(ValidationError, match="not finite") as got:
+                build_resource_dataset(w, f, r, nodes, k)
+            assert str(got.value) == str(expected.value)
+            return
+        x, y = build_resource_dataset(w, f, r, nodes, k)
+        x_loop, y_loop = resource_dataset_oracle(w, f, r, nodes, k)
+        assert x.shape == x_loop.shape and y.shape == y_loop.shape
+        np.testing.assert_array_equal(x, x_loop)
+        np.testing.assert_array_equal(y, y_loop)
 
     def test_missing_series_rejected(self):
         w = {"a": np.zeros(6)}
