@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
-from .forecast_lstm import LstmModel, predict_windows
+from .forecast_lstm import LstmModel, forecast_rates
 from .predict_gcn import GcnModel, ServiceGraph, predict_resource, resource_features
 
 
@@ -127,7 +127,7 @@ def predict_demand(lstm_models: Mapping[str, LstmModel],
         raise ValidationError("history lengths differ across services")
     rates = np.column_stack(columns)
     windows = sliding_window_view(rates, k, axis=0)  # (T-k+1, N, k)
-    forecasts = np.maximum(np.column_stack([predict_windows(lstm_models[s], windows[:, ni])
-                                            for ni, s in enumerate(graph.nodes)]), 0.0)
+    forecasts = np.column_stack([forecast_rates(lstm_models[s], windows[:, ni])
+                                 for ni, s in enumerate(graph.nodes)])
     features = resource_features(rates, forecasts, graph.nodes, k)
     return forecasts, predict_resource(gcn_model, graph, features)

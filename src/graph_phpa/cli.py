@@ -199,10 +199,11 @@ def _run_one(cfg: ExperimentConfig, base_dir: Path, policy, out_dir: Path):
                           max_total_pods=cfg.max_total_pods, initial_pods=initial)
     out_dir.mkdir(parents=True, exist_ok=True)
     log_.write_csv(out_dir / "sim.csv")
-    _write_json(out_dir / "summary.json", log_.summary())
+    summary = log_.summary()
+    _write_json(out_dir / "summary.json", summary)
     if log_.decisions:
         log_.write_decisions_csv(out_dir / "decisions.csv")
-    return log_
+    return log_, summary
 
 
 def cmd_simulate(args) -> int:
@@ -211,8 +212,8 @@ def cmd_simulate(args) -> int:
         cfg = replace(cfg, sim_seed=args.seed)
     models_dir = Path(args.models) if args.models else None
     policy = _build_policy(cfg, args.policy, args.threshold, models_dir)
-    log_ = _run_one(cfg, base_dir, policy, Path(args.out))
-    totals = log_.summary()["totals"]
+    log_, summary = _run_one(cfg, base_dir, policy, Path(args.out))
+    totals = summary["totals"]
     print(f"{log_.policy_name}: pod_minutes={totals['pod_minutes']} "
           f"overload_minutes={totals['overload_minutes']} "
           f"peak_total_pods={totals['peak_total_pods']}")
@@ -241,10 +242,10 @@ def cmd_experiment(args) -> int:
 
     logs = []
     phpa = _build_policy(cfg, "phpa", None, models_dir)
-    logs.append(_run_one(cfg, base_dir, phpa, out_dir / "runs" / "phpa"))
+    logs.append(_run_one(cfg, base_dir, phpa, out_dir / "runs" / "phpa")[0])
     for threshold in args.thresholds:
         policy = _build_policy(cfg, "reactive", threshold, None)
-        logs.append(_run_one(cfg, base_dir, policy, out_dir / "runs" / policy.name))
+        logs.append(_run_one(cfg, base_dir, policy, out_dir / "runs" / policy.name)[0])
 
     baseline = args.baseline or logs[-1].policy_name
     table = write_comparison(out_dir / "comparison", logs, baseline)

@@ -9,16 +9,18 @@ the whole cluster shares a hard pod budget.
 
 All randomness is keyed by (seed, absolute minute, service index), so the same
 minute of the same trace sees identical noise regardless of warmup, policy, or
-how much history was simulated before it.
+how much history was simulated before it. A window's noise is drawn in one
+pass and is bit for bit what minute-by-minute draws would give.
 """
 from __future__ import annotations
 
 import csv
+import io
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .autoscaler import ScalingBounds, predict_demand
 from .errors import ValidationError
 from .forecast_lstm import LstmModel
 from .predict_gcn import GcnModel, ServiceGraph
-from .tensor import Rng, mix_seed
+from .tensor import keyed_normals, mix_seed
 from .traces import WorkloadTrace, trace_digest
 
 SIM_COLUMNS = ("minute", "service", "external_rps", "service_rps", "pods",
@@ -97,36 +99,47 @@ class DemandModel:
 
     def propagate_workload(self, external_rps: float, minute: int, seed: int,
                            with_noise: bool = True) -> dict[str, float]:
-        """Per-service request rates for one minute of external arrivals."""
-        if external_rps < 0:
-            raise ValidationError(f"external_rps must be >= 0, got {external_rps}")
-        rates = {s: 0.0 for s in self.services}
-        rates[self.entry] = float(external_rps)
-        index = {s: i for i, s in enumerate(self.services)}
-        sigma = self.noise_sigma
-        for u in self._topo:
-            if with_noise and sigma > 0 and u != self.entry:
-                z = Rng(mix_seed(seed, minute, index[u])).normal()
-                rates[u] *= math.exp(sigma * z - 0.5 * sigma * sigma)
-            for v, mult in self.fan_out.get(u, {}).items():
-                rates[v] += rates[u] * mult
-        return rates
+        """Per-service request rates for one minute: demand_series over a window of one."""
+        rps, _ = self.demand_series([external_rps], minute, seed, with_noise)
+        return {s: float(v[0]) for s, v in rps.items()}
 
     def resource_usage(self, rates: Mapping[str, float]) -> dict[str, float]:
         return {s: rates[s] * self.cpu_per_request[s] for s in self.services}
 
-    def demand_series(self, external: np.ndarray, start_minute: int, seed: int,
+    def demand_series(self, external, start_minute: int, seed: int,
                       with_noise: bool = True) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-        """Whole-horizon (request rates, vCPU usage) per service."""
+        """Whole-horizon (request rates, vCPU usage) per service, index i being
+        minute start_minute + i.
+
+        Rates flow down the fan-out edges in topological order, one array
+        operation per edge. Each internal service's inbound rate at minute m is
+        scaled by exp(sigma * z - sigma**2 / 2), z the normal keyed by (seed, m,
+        service index). The exponential is math.exp per element: np.exp can
+        differ from it in the last bit, which would move every rate below it.
+        """
         external = np.asarray(external, dtype=np.float64)
-        rps = {s: np.empty(len(external)) for s in self.services}
-        usage = {s: np.empty(len(external)) for s in self.services}
-        for i, x in enumerate(external):
-            rates = self.propagate_workload(float(x), start_minute + i, seed, with_noise)
-            for s in self.services:
-                rps[s][i] = rates[s]
-                usage[s][i] = rates[s] * self.cpu_per_request[s]
-        return rps, usage
+        if np.any(external < 0):
+            raise ValidationError(f"external_rps must be >= 0, got "
+                                  f"{float(external[external < 0][0])}")
+        n = len(external)
+        rates = {s: np.zeros(n) for s in self.services}
+        rates[self.entry] = external.copy()
+        sigma = self.noise_sigma
+        noise = {}
+        if with_noise and sigma > 0:
+            index = np.array([i for i, s in enumerate(self.services) if s != self.entry])
+            minutes = np.arange(n, dtype=np.int64) + start_minute
+            z = keyed_normals(mix_seed(seed, minutes, index[:, None]))  # (services, n)
+            exponent = (sigma * z - 0.5 * sigma * sigma).ravel().tolist()
+            factors = np.fromiter(map(math.exp, exponent), dtype=np.float64, count=z.size)
+            noise = dict(zip((self.services[i] for i in index), factors.reshape(z.shape)))
+        for u in self._topo:
+            if u in noise:
+                rates[u] *= noise[u]
+            for v, mult in self.fan_out.get(u, {}).items():
+                rates[v] += rates[u] * mult
+        usage = {s: rates[s] * self.cpu_per_request[s] for s in self.services}
+        return rates, usage
 
 
 def compute_utilization(rps: float, cpu_per_request: float, pods: int,
@@ -287,8 +300,7 @@ class PredictivePolicy(ScalingPolicy):
         return targets, records
 
 
-@dataclass(frozen=True)
-class SimRow:
+class SimRow(NamedTuple):
     minute: int
     service: str
     external_rps: float
@@ -300,8 +312,7 @@ class SimRow:
     decision_delta: int
 
 
-@dataclass(frozen=True)
-class DecisionRow:
+class DecisionRow(NamedTuple):
     minute: int
     service: str
     forecast_rps: float
@@ -311,6 +322,16 @@ class DecisionRow:
     n_prev: int
     n_new: int
     delta: int
+
+
+class _CsvFields(dict):
+    """Text -> the field csv.writer would write for it, worked out once per text."""
+
+    def __missing__(self, text: str) -> str:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([text, ""])
+        self[text] = field_ = buf.getvalue()[:-2]
+        return field_
 
 
 @dataclass
@@ -363,22 +384,22 @@ class SimulationLog:
         }
 
     def write_csv(self, path: str | Path) -> None:
+        text = _CsvFields()
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(SIM_COLUMNS)
-            for r in self.rows:
-                writer.writerow([r.minute, r.service, repr(r.external_rps),
-                                 repr(r.service_rps), r.pods, repr(r.utilization),
-                                 int(r.overloaded), r.policy, r.decision_delta])
+            fh.write(",".join(SIM_COLUMNS) + "\n")
+            fh.writelines(f"{minute},{text[service]},{external!r},{rps!r},{pods},{util!r},"
+                          f"{overloaded:d},{text[policy]},{delta}\n"
+                          for minute, service, external, rps, pods, util, overloaded,
+                          policy, delta in self.rows)
 
     def write_decisions_csv(self, path: str | Path) -> None:
+        text = _CsvFields()
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(DECISION_COLUMNS)
-            for d in self.decisions:
-                writer.writerow([d.minute, d.service, repr(d.forecast_rps),
-                                 repr(d.predicted_vcpu), repr(d.r_prev), repr(d.r_new),
-                                 d.n_prev, d.n_new, d.delta])
+            fh.write(",".join(DECISION_COLUMNS) + "\n")
+            fh.writelines(f"{minute},{text[service]},{forecast!r},{vcpu!r},{r_prev!r},"
+                          f"{r_new!r},{n_prev},{n_new},{delta}\n"
+                          for minute, service, forecast, vcpu, r_prev, r_new, n_prev,
+                          n_new, delta in self.decisions)
 
 
 def run_simulation(trace: WorkloadTrace, demand: DemandModel, policy: ScalingPolicy,
@@ -457,12 +478,9 @@ def run_simulation(trace: WorkloadTrace, demand: DemandModel, policy: ScalingPol
                     pending.append((minute + 1, s, want))
                     deltas[s] = want
 
-        for s in demand.services:
-            log_.rows.append(SimRow(minute=minute, service=s,
-                                    external_rps=float(external[i]),
-                                    service_rps=rates[s], pods=pods[s],
-                                    utilization=utilization[s],
-                                    overloaded=utilization[s] > 1.0,
-                                    policy=policy.name, decision_delta=deltas[s]))
+        x = float(external[i])
+        log_.rows.extend(SimRow(minute, s, x, rates[s], pods[s], utilization[s],
+                                utilization[s] > 1.0, policy.name, deltas[s])
+                         for s in demand.services)
         log_.decisions.extend(records)
     return log_

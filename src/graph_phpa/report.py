@@ -11,7 +11,7 @@ import csv
 import json
 from pathlib import Path
 
-from .cluster_sim import SimRow, SimulationLog
+from .cluster_sim import SIM_COLUMNS, SimRow, SimulationLog
 from .errors import RunMismatchError, ValidationError
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
@@ -31,14 +31,19 @@ def load_run(run_dir: str | Path) -> SimulationLog:
                         start_minute=summary["start_minute"], horizon=summary["horizon"],
                         services=tuple(summary["service_order"]))
     with open(csv_path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            log.rows.append(SimRow(
-                minute=int(row["minute"]), service=row["service"],
-                external_rps=float(row["external_rps"]),
-                service_rps=float(row["service_rps"]), pods=int(row["pods"]),
-                utilization=float(row["utilization"]),
-                overloaded=bool(int(row["overloaded"])), policy=row["policy"],
-                decision_delta=int(row["decision_delta"])))
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(header) != SIM_COLUMNS:
+            raise ValidationError(f"{csv_path} has header {header}, expected "
+                                  f"{list(SIM_COLUMNS)}")
+        try:
+            log.rows.extend(
+                SimRow(int(minute), service, float(external), float(rps), int(pods),
+                       float(util), bool(int(overloaded)), policy, int(delta))
+                for minute, service, external, rps, pods, util, overloaded, policy, delta
+                in reader)
+        except ValueError as exc:
+            raise ValidationError(f"{csv_path} line {reader.line_num}: {exc}") from exc
     return log
 
 

@@ -19,19 +19,95 @@ _SPLITMIX64_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def _splitmix64(x: int) -> int:
+def _splitmix64(x):
+    """SplitMix64 finaliser of a Python int, or elementwise of a uint64 array."""
     x = (x + _SPLITMIX64_GAMMA) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (x ^ (x >> 31)) & _MASK64
 
 
-def mix_seed(seed: int, *streams: int) -> int:
-    """Derive an independent 64-bit seed from a base seed and stream indices."""
+def mix_seed(seed: int, *streams):
+    """Derive an independent 64-bit seed from a base seed and stream indices.
+
+    A stream may be an integer array, which yields a uint64 array of seeds,
+    element for element the seed its entries would give as Python ints.
+    """
     out = _splitmix64(seed & _MASK64)
     for s in streams:
-        out = _splitmix64(out ^ (s & _MASK64))
+        s = s.astype(np.uint64) if isinstance(s, np.ndarray) else s & _MASK64
+        out = _splitmix64(out ^ s)
     return out
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    out = [init]
+    for _ in range(count - 1):
+        out.append((out[-1] * mult) & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+# The running hash constants of numpy's SeedSequence (4-word pool): 16 hashes
+# mix the entropy into the pool, 8 more draw the output words.
+_SS_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 17)
+_SS_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hashmix(value: np.ndarray, hash_a: np.ndarray, hash_b: np.ndarray) -> np.ndarray:
+    value = (value ^ hash_a) * hash_b
+    return value ^ (value >> np.uint32(16))
+
+
+def _seed_sequence_state(seeds: np.ndarray) -> np.ndarray:
+    """SeedSequence(s).generate_state(4, np.uint64) for every seed s, as (4, n).
+
+    numpy's pool mixing and output hashing run on uint32 arrays, whose
+    products wrap like its uint32 scalars. A seed below 2**32 is one entropy
+    word, which mixes exactly like two words with a zero high word. Hashes of
+    one source word into the other three pool words are independent of each
+    other, so each source is one array step.
+    """
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    pool[0] = seeds & np.uint64(0xFFFFFFFF)
+    pool[1] = seeds >> np.uint64(32)
+    pool = _hashmix(pool, _SS_HASH_A[0:4], _SS_HASH_A[1:5])
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        j = 4 + 3 * src
+        hashed = _hashmix(pool[src], _SS_HASH_A[j:j + 3], _SS_HASH_A[j + 1:j + 4])
+        mixed = _SS_MIX_L * pool[dst] - _SS_MIX_R * hashed
+        pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    out = _hashmix(np.tile(pool, (2, 1)), _SS_HASH_B[0:8], _SS_HASH_B[1:9]).astype(np.uint64)
+    return out[0::2] | (out[1::2] << np.uint64(32))
+
+
+def keyed_normals(seeds) -> np.ndarray:
+    """Rng(s).normal() for every 64-bit seed s, bit for bit, in one pass.
+
+    The result has the shape of seeds.
+
+    Seeding a fresh Generator per seed is dominated by SeedSequence hashing.
+    Here the hashing runs vectorised over all seeds; PCG64's seeding (two
+    steps of its 128-bit LCG from the hashed words) runs on Python ints; and
+    one reusable Generator has its state set per seed before it draws. NEP 19
+    keeps the SeedSequence and PCG64 streams stable across numpy versions, and
+    the normal itself still comes from Generator.normal.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    words = _seed_sequence_state(seeds.ravel())
+    gen = np.random.Generator(np.random.PCG64(0))
+    bit_gen = gen.bit_generator
+    out = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*(w.tolist() for w in words)):
+        inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                         "has_uint32": 0, "uinteger": 0}
+        out.append(gen.normal())
+    return np.array(out, dtype=np.float64).reshape(seeds.shape)
 
 
 class Rng:

@@ -8,7 +8,9 @@ the package's own parameter tensors, but computes nothing with them beyond
 one entry at a time. The resource-dataset loop and the per-minute predictive
 policy are the sample-by-sample and minute-by-minute forms of the batched
 code: they arbitrate the batching, not the arithmetic, so the policy reuses
-the package's predict_demand (as a batch of one) and integrate_step.
+the package's predict_demand (as a batch of one) and integrate_step. The
+per-minute demand propagation likewise draws one freshly seeded Rng per
+service and minute and walks the demand model's own topological order.
 """
 import math
 
@@ -17,6 +19,7 @@ import numpy as np
 from graph_phpa.autoscaler import integrate_step, predict_demand
 from graph_phpa.cluster_sim import DecisionRow, ScalingPolicy
 from graph_phpa.errors import DivergenceError, ValidationError
+from graph_phpa.tensor import Rng, mix_seed
 
 
 def rel_err(a, b, floor=1e-12):
@@ -180,6 +183,25 @@ def resource_dataset_oracle(workloads, forecasts, resources, nodes, k):
             x[s, ni, k - 1] = ahead
             y[s, ni, 0] = np.max(resources[name][t - k + 2:t + 2])
     return x, y
+
+
+def propagate_minute_oracle(demand, external_rps, minute, seed, with_noise=True):
+    """One minute of DemandModel propagation in Python floats.
+
+    Each internal service's inbound rate is scaled by a lognormal factor whose
+    normal comes from Rng(mix_seed(seed, minute, service index)), a generator
+    seeded for that minute and service alone.
+    """
+    rates = {s: 0.0 for s in demand.services}
+    rates[demand.entry] = float(external_rps)
+    sigma = demand.noise_sigma
+    for u in demand._topo:
+        if with_noise and sigma > 0 and u != demand.entry:
+            z = Rng(mix_seed(seed, minute, demand.services.index(u))).normal()
+            rates[u] *= math.exp(sigma * z - 0.5 * sigma * sigma)
+        for v, mult in demand.fan_out.get(u, {}).items():
+            rates[v] += rates[u] * mult
+    return rates
 
 
 class PerMinutePredictivePolicy(ScalingPolicy):

@@ -1,9 +1,25 @@
 """Command-line workflow tests on a small configuration."""
 import json
+import math
 from pathlib import Path
 
-from conftest import run_cli
+import numpy as np
+
+from conftest import TINY_CONFIG, run_cli
+from graph_phpa import cli
+from graph_phpa.cluster_sim import SimulationLog
+from graph_phpa.forecast_lstm import LstmConfig, LstmLayer, LstmModel, predict_windows
 from graph_phpa.report import load_run
+from graph_phpa.tensor import MinMaxScaler
+
+
+def negative_forecaster(k: int) -> LstmModel:
+    """Zero-weight LSTM pinned to -0.9 in scaled units: -6.25 rps on a 0-100 scale."""
+    hidden = 2
+    layer = LstmLayer(np.zeros((1, 4 * hidden)), np.zeros((hidden, 4 * hidden)),
+                      np.zeros(4 * hidden))
+    return LstmModel(LstmConfig(window=k, hidden_units=hidden), [layer],
+                     np.zeros((hidden, 1)), math.atanh(-0.9), MinMaxScaler(0.0, 100.0))
 
 
 class TestGenTrace:
@@ -48,6 +64,30 @@ class TestTraining:
         assert metrics["train_mse_scaled"] >= 0.0
         assert set(metrics["test_mse_scaled_per_service"]) == {"front", "back"}
 
+    def test_training_features_clamp_negative_forecasts(self, tiny_config_path, tmp_path,
+                                                       monkeypatch):
+        # Replay clamps forecasts at zero, so the graph predictor must be
+        # trained on clamped forecasts too.
+        k = TINY_CONFIG["lstm"]["window"]
+        model = negative_forecaster(k)
+        assert np.all(predict_windows(model, np.full((3, k), 50.0)) < 0)
+        for service in TINY_CONFIG["graph"]["nodes"]:
+            model.save(tmp_path / f"lstm_{service}.json")
+        features = []
+        build = cli.build_resource_dataset
+
+        def recording(*args, **kwargs):
+            x, y = build(*args, **kwargs)
+            features.append(x)
+            return x, y
+
+        monkeypatch.setattr(cli, "build_resource_dataset", recording)
+        assert run_cli("train-resource", "--config", tiny_config_path,
+                       "--models", str(tmp_path), "--out", str(tmp_path / "out")) == 0
+        assert len(features) == 3  # train, valid and test segments
+        for x in features:
+            assert np.all(x[..., -1] == 0.0)
+
     def test_train_resource_without_models_fails_cleanly(self, tiny_config_path,
                                                          tmp_path, capsys):
         code = run_cli("train-resource", "--config", tiny_config_path,
@@ -69,6 +109,21 @@ class TestSimulate:
         assert log.start_minute == 320
         assert len(log.rows) == 160
         assert not (out / "decisions.csv").exists()
+
+    def test_summary_computed_once(self, tiny_config_path, tmp_path, monkeypatch, capsys):
+        calls = []
+        summary = SimulationLog.summary
+
+        def counting(self):
+            calls.append(self.policy_name)
+            return summary(self)
+
+        monkeypatch.setattr(SimulationLog, "summary", counting)
+        assert run_cli("simulate", "--config", tiny_config_path, "--policy", "reactive",
+                       "--out", str(tmp_path / "r")) == 0
+        assert calls == ["reactive@0.9"]
+        saved = json.loads((tmp_path / "r" / "summary.json").read_text(encoding="utf-8"))
+        assert f"pod_minutes={saved['totals']['pod_minutes']}" in capsys.readouterr().out
 
     def test_threshold_override_changes_policy_name(self, tiny_config_path, tmp_path):
         out = tmp_path / "run"

@@ -4,15 +4,21 @@ The hand-checkable demand model below mirrors a front service calling two
 backends, one of which calls a third; every closed-form rate in these tests
 was worked out on paper from the fan-out multipliers.
 """
+import csv
+import itertools
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graph_phpa.autoscaler import ScalingBounds
 from graph_phpa.cluster_sim import (
+    DECISION_COLUMNS,
     SIM_COLUMNS,
+    DecisionRow,
     DemandModel,
     HpaConfig,
     PredictivePolicy,
@@ -30,7 +36,7 @@ from graph_phpa.forecast_lstm import LstmConfig, LstmLayer, LstmModel
 from graph_phpa.predict_gcn import GcnConfig, GcnModel, ServiceGraph
 from graph_phpa.tensor import MinMaxScaler
 from graph_phpa.traces import WorkloadTrace, slice_trace
-from oracles import PerMinutePredictivePolicy
+from oracles import PerMinutePredictivePolicy, propagate_minute_oracle
 
 
 def bookinfo_demand(noise: float = 0.0) -> DemandModel:
@@ -91,14 +97,20 @@ class TestDemandModel:
         assert np.mean(vals) == pytest.approx(100.0, rel=0.01)
 
     def test_demand_series_matches_per_minute_calls(self):
-        demand = bookinfo_demand(noise=0.25)
-        external = np.array([100.0, 120.0, 90.0])
-        rps, usage = demand.demand_series(external, start_minute=40, seed=3)
-        for i in range(3):
-            rates = demand.propagate_workload(float(external[i]), 40 + i, 3)
-            for s in demand.services:
-                assert rps[s][i] == rates[s]
-                assert usage[s][i] == rates[s] * demand.cpu_per_request[s]
+        # The one-pass window must be bit for bit the per-minute propagation,
+        # each minute drawing from its own freshly seeded generator.
+        external = np.array([100.0, 120.0, 90.0, 0.0, 333.3, 57.25])
+        for sigma, with_noise, start in itertools.product((0.0, 0.1, 0.25), (True, False),
+                                                          (0, 40)):
+            demand = bookinfo_demand(noise=sigma)
+            rps, usage = demand.demand_series(external, start_minute=start, seed=3,
+                                              with_noise=with_noise)
+            for i, x in enumerate(external):
+                rates = propagate_minute_oracle(demand, x, start + i, 3, with_noise)
+                assert demand.propagate_workload(x, start + i, 3, with_noise) == rates
+                for s in demand.services:
+                    assert rps[s][i].tobytes() == np.float64(rates[s]).tobytes()
+                    assert usage[s][i] == rates[s] * demand.cpu_per_request[s]
 
     def test_conservation_without_noise(self):
         # Noise-free propagation is exactly linear in the external rate.
@@ -346,6 +358,32 @@ class TestRunSimulation:
                              bounds, seed=4)
         assert all(1 <= r.pods <= 3 for r in log.rows)
 
+    @given(budget=st.integers(4, 30), max_pods=st.integers(1, 12),
+           startup_delay=st.sampled_from([1, 2, 3]), reactive=st.booleans(),
+           plan=st.lists(st.lists(st.integers(0, 15), min_size=4, max_size=4),
+                         min_size=1, max_size=25),
+           values=st.lists(st.integers(0, 2000), min_size=1, max_size=25))
+    @settings(max_examples=80, deadline=None)
+    def test_budget_and_pod_limits_hold(self, budget, max_pods, startup_delay, reactive,
+                                        plan, values):
+        demand = bookinfo_demand(noise=0.3)
+        bounds = flat_bounds(demand.services, q=max_pods)
+        if reactive:
+            policy = ReactivePolicy(HpaConfig(0.6, 0.3, 1), bounds)
+        else:
+            # Targets outside [1, max_pods] on purpose: the simulator clips them.
+            policy = PinnedPolicy({m: dict(zip(demand.services, targets))
+                                   for m, targets in enumerate(plan)})
+        log = run_simulation(stub_trace(values), demand, policy, bounds, seed=5,
+                             warmup=0, startup_delay=startup_delay,
+                             max_total_pods=budget,
+                             initial_pods={s: 1 for s in demand.services})
+        totals = {}
+        for r in log.rows:
+            assert 1 <= r.pods <= max_pods
+            totals[r.minute] = totals.get(r.minute, 0) + r.pods
+        assert max(totals.values()) <= budget
+
     def test_same_seed_reproduces_the_log(self):
         demand = bookinfo_demand(noise=0.25)
         bounds = flat_bounds(demand.services)
@@ -371,17 +409,18 @@ class TestRunSimulation:
 
     def test_rows_equal_per_minute_propagation(self):
         # The whole window is propagated up front; every row must still carry
-        # exactly what propagate_workload gives for its own absolute minute.
-        demand = bookinfo_demand(noise=0.2)
-        bounds = flat_bounds(demand.services)
+        # exactly what per-minute propagation gives for its own absolute minute.
         values = [100, 140, 90, 200, 170, 130]
-        log = run_simulation(stub_trace(values, start_minute=7), demand,
-                             ReactivePolicy(HpaConfig(), bounds), bounds, seed=8)
-        assert len(log.rows) == len(values) * len(demand.services)
-        for r in log.rows:
-            rates = demand.propagate_workload(float(values[r.minute - 7]), r.minute, 8)
-            assert type(r.service_rps) is float
-            assert r.service_rps == rates[r.service]
+        for sigma in (0.0, 0.1, 0.25):
+            demand = bookinfo_demand(noise=sigma)
+            bounds = flat_bounds(demand.services)
+            log = run_simulation(stub_trace(values, start_minute=7), demand,
+                                 ReactivePolicy(HpaConfig(), bounds), bounds, seed=8)
+            assert len(log.rows) == len(values) * len(demand.services)
+            for r in log.rows:
+                rates = propagate_minute_oracle(demand, values[r.minute - 7], r.minute, 8)
+                assert type(r.service_rps) is float
+                assert r.service_rps == rates[r.service]
 
     def test_horizon_truncates_the_trace(self):
         demand = bookinfo_demand()
@@ -480,6 +519,44 @@ class TestSimulationLog:
         path = tmp_path / "sim.csv"
         self.make_log().write_csv(path)
         assert b"\r" not in path.read_bytes()
+
+    def test_rows_build_by_keyword_or_position_and_stay_immutable(self):
+        row = SimRow(0, "a", 10.0, 10.0, 2, 0.5, False, "p", 0)
+        assert row == SimRow(minute=0, service="a", external_rps=10.0, service_rps=10.0,
+                             pods=2, utilization=0.5, overloaded=False, policy="p",
+                             decision_delta=0)
+        assert row != row._replace(pods=3)
+        with pytest.raises(AttributeError):
+            row.pods = 3
+        decision = DecisionRow(1, "a", 2.0, 0.5, 1.0, 1.5, 1, 2, 1)
+        assert decision == DecisionRow(minute=1, service="a", forecast_rps=2.0,
+                                       predicted_vcpu=0.5, r_prev=1.0, r_new=1.5,
+                                       n_prev=1, n_new=2, delta=1)
+        with pytest.raises(AttributeError):
+            decision.delta = 0
+
+    def test_csv_bytes_equal_csv_writer(self, tmp_path):
+        # Names that csv must quote, and floats whose repr is long or special.
+        odd = ("a,b", 'q"x', "", "line\nbreak")
+        rows = [SimRow(m, name, 0.1 + m, 1 / 3, 2, 1e-300, m % 2 == 1, "pol,icy", -1)
+                for m, name in enumerate(odd)]
+        rows.append(SimRow(9, "a", float("inf"), 0.0, 1, float("nan"), True, "p", 0))
+        decisions = [DecisionRow(m, name, 2.5, 1 / 7, 1.0, 3.0, 1, 3, 2)
+                     for m, name in enumerate(odd)]
+        log = SimulationLog(policy_name="p", seed=1, trace_sha256="x", start_minute=0,
+                            horizon=len(odd), services=odd, rows=rows, decisions=decisions)
+        log.write_csv(tmp_path / "sim.csv")
+        log.write_decisions_csv(tmp_path / "decisions.csv")
+        for name, columns, records in (("sim.csv", SIM_COLUMNS, rows),
+                                       ("decisions.csv", DECISION_COLUMNS, decisions)):
+            ref = tmp_path / f"ref_{name}"
+            with open(ref, "w", encoding="utf-8", newline="\n") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(columns)
+                for r in records:
+                    writer.writerow([repr(v) if type(v) is float else
+                                     int(v) if type(v) is bool else v for v in r])
+            assert (tmp_path / name).read_bytes() == ref.read_bytes()
 
 
 def fixed_forecaster(k: int, value: float) -> LstmModel:

@@ -158,6 +158,30 @@ class TestWriteAndLoad:
         with pytest.raises(ValidationError, match="not a run directory"):
             load_run(tmp_path)
 
+    def test_load_run_rejects_a_foreign_header(self, tmp_path):
+        log = make_log("x", [2, 3])
+        log.write_csv(tmp_path / "sim.csv")
+        (tmp_path / "summary.json").write_text(
+            json.dumps(log.summary(), sort_keys=True), encoding="utf-8")
+        text = (tmp_path / "sim.csv").read_text(encoding="utf-8")
+        (tmp_path / "sim.csv").write_text(text.replace("pods,", "replicas,", 1),
+                                          encoding="utf-8")
+        with pytest.raises(ValidationError, match="sim.csv has header"):
+            load_run(tmp_path)
+        (tmp_path / "sim.csv").write_text("", encoding="utf-8")
+        with pytest.raises(ValidationError, match="sim.csv has header None"):
+            load_run(tmp_path)
+
+    def test_load_run_rejects_a_malformed_row(self, tmp_path):
+        log = make_log("x", [2, 3])
+        log.write_csv(tmp_path / "sim.csv")
+        (tmp_path / "summary.json").write_text(
+            json.dumps(log.summary(), sort_keys=True), encoding="utf-8")
+        with open(tmp_path / "sim.csv", "a", encoding="utf-8") as fh:
+            fh.write("2,a,100.0,100.0,two,1.0,0,x,0\n")
+        with pytest.raises(ValidationError, match="sim.csv line 6"):
+            load_run(tmp_path)
+
     def test_summary_recomputable_from_csv(self, tmp_path):
         # The invariant reporting relies on: totals in summary.json must be
         # derivable from sim.csv alone.

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from graph_phpa.errors import ShapeError, ValidationError
 from graph_phpa.tensor import (ACTIVATIONS, AdamState, MinMaxScaler, Rng, activation,
-                               adam_step, glorot_init, mix_seed, sigmoid)
+                               adam_step, glorot_init, keyed_normals, mix_seed, sigmoid)
 from oracles import finite_diff_gradient
 
 
@@ -129,6 +129,39 @@ class TestRngAndSeeds:
     def test_mix_seed_in_64_bit_range(self, seed, s1, s2):
         out = mix_seed(seed, s1, s2)
         assert 0 <= out < 2 ** 64
+
+    @given(st.integers(-2 ** 63, 2 ** 64 - 1),
+           st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), max_size=20),
+           st.integers(0, 2 ** 32))
+    @example(0, [0, 1, 2 ** 63 - 1, -1], 0)
+    @settings(max_examples=50)
+    def test_array_mix_seed_matches_scalar(self, seed, minutes, service):
+        out = mix_seed(seed, np.array(minutes, dtype=np.int64), service)
+        assert out.dtype == np.uint64
+        assert [int(v) for v in out] == [mix_seed(seed, m, service) for m in minutes]
+
+    def test_array_mix_seed_broadcasts_streams(self):
+        minutes = np.arange(5, dtype=np.uint64)
+        services = np.array([[0], [3]], dtype=np.uint64)
+        out = mix_seed(11, minutes, services)
+        assert out.shape == (2, 5)
+        assert [[int(v) for v in row] for row in out] == \
+            [[mix_seed(11, m, s) for m in range(5)] for s in (0, 3)]
+
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), max_size=30))
+    @example([0])
+    @example([1, 2 ** 32 - 1])        # one entropy word
+    @example([2 ** 32, 2 ** 63])      # two entropy words
+    @example([2 ** 64 - 1])
+    @settings(max_examples=60)
+    def test_keyed_normals_match_fresh_generators(self, seeds):
+        got = keyed_normals(np.array(seeds, dtype=np.uint64))
+        want = np.array([Rng(s).normal() for s in seeds], dtype=np.float64)
+        assert got.shape == (len(seeds),)
+        assert keyed_normals(np.array(seeds, dtype=np.uint64)[None, :]).shape == \
+            (1, len(seeds))
+        # Bitwise, so a signed zero or a last-bit difference cannot hide.
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 class TestGlorot:
