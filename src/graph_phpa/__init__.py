@@ -11,7 +11,7 @@ from .cluster_sim import (DemandModel, HpaConfig, PredictivePolicy, ReactivePoli
 from .config import ExperimentConfig
 from .errors import (ConfigError, DivergenceError, EmptyDatasetError, GraphPhpaError,
                      RunMismatchError, ShapeError, TraceFormatError, ValidationError)
-from .forecast_lstm import LstmConfig, LstmModel, lstm_forward, make_windows, train_lstm
+from .forecast_lstm import LstmConfig, LstmModel, make_windows, train_lstm
 from .predict_gcn import (GcnConfig, GcnModel, ServiceGraph, build_resource_dataset,
                           gcn_forward, normalize_adjacency, predict_resource, train_gcn)
 from .traces import (WorkloadTrace, generate_synthetic_trace, interpolate_to_minutes,
@@ -26,7 +26,7 @@ __all__ = [
     "ScalingBounds", "ScalingDecision", "ServiceGraph", "ShapeError", "SimulationLog",
     "TraceFormatError", "ValidationError", "WorkloadTrace", "build_resource_dataset",
     "gcn_forward", "generate_synthetic_trace", "integrate_step", "interpolate_to_minutes",
-    "load_trace", "lstm_forward", "make_windows", "normalize_adjacency",
+    "load_trace", "make_windows", "normalize_adjacency",
     "predict_demand", "predict_resource", "run_simulation", "save_trace",
     "split_dataset", "train_gcn", "train_lstm",
 ]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -34,6 +35,7 @@ from .traces import WorkloadTrace, trace_digest
 
 SIM_COLUMNS = ("minute", "service", "external_rps", "service_rps", "pods",
                "utilization", "overloaded", "policy", "decision_delta")
+GRID_COLUMNS = ("service_rps", "pods", "utilization", "decision_delta")
 DECISION_COLUMNS = ("minute", "service", "forecast_rps", "predicted_vcpu",
                     "r_prev", "r_new", "n_prev", "n_new", "delta")
 
@@ -150,14 +152,6 @@ def compute_utilization(rps: float, cpu_per_request: float, pods: int,
     if pod_capacity <= 0:
         raise ValidationError(f"pod_capacity must be positive, got {pod_capacity}")
     return rps * cpu_per_request / (pods * pod_capacity)
-
-
-def _utilization_map(rates: Mapping[str, float], pods: Mapping[str, int],
-                     demand: DemandModel,
-                     bounds: Mapping[str, ScalingBounds]) -> dict[str, float]:
-    return {s: compute_utilization(rates[s], demand.cpu_per_request[s], pods[s],
-                                   bounds[s].pod_capacity)
-            for s in demand.services}
 
 
 def initial_pod_counts(demand: DemandModel, first_external: float,
@@ -300,18 +294,6 @@ class PredictivePolicy(ScalingPolicy):
         return targets, records
 
 
-class SimRow(NamedTuple):
-    minute: int
-    service: str
-    external_rps: float
-    service_rps: float
-    pods: int
-    utilization: float
-    overloaded: bool
-    policy: str
-    decision_delta: int
-
-
 class DecisionRow(NamedTuple):
     minute: int
     service: str
@@ -325,49 +307,66 @@ class DecisionRow(NamedTuple):
 
 
 class _CsvFields(dict):
-    """Text -> the field csv.writer would write for it, worked out once per text."""
+    """Text -> the field csv.writer would write for it, worked out once per text.
+    The "\r\n" terminator makes it quote a "\r" too, so every name reads back."""
 
     def __missing__(self, text: str) -> str:
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow([text, ""])
-        self[text] = field_ = buf.getvalue()[:-2]
+        csv.writer(buf, lineterminator="\r\n").writerow([text, ""])
+        self[text] = field_ = buf.getvalue()[:-3]
         return field_
 
 
 @dataclass
 class SimulationLog:
+    """One replay held as (minute x service) columns: row i of each (T, S) array
+    is minute start_minute + i, column j is services[j]."""
+
     policy_name: str
     seed: int
     trace_sha256: str
     start_minute: int
-    horizon: int
     services: tuple[str, ...]
-    rows: list[SimRow] = field(default_factory=list)
+    external: np.ndarray        # (T,) float64 external requests per second
+    service_rps: np.ndarray     # (T, S) float64
+    pods: np.ndarray            # (T, S) int64 ready pods
+    utilization: np.ndarray     # (T, S) float64; above 1.0 is an overloaded minute
+    decision_delta: np.ndarray  # (T, S) int64 pods granted (+) or released (-)
     decisions: list[DecisionRow] = field(default_factory=list)
 
+    @property
+    def horizon(self) -> int:
+        return len(self.external)
+
+    @property
+    def overloaded(self) -> np.ndarray:
+        return self.utilization > 1.0
+
+    def _column(self, values: np.ndarray, service: str | None) -> np.ndarray:
+        return values if service is None else values[:, self.services.index(service)]
+
     def pod_minutes(self, service: str | None = None) -> int:
-        return sum(r.pods for r in self.rows if service is None or r.service == service)
+        return int(self._column(self.pods, service).sum())
 
     def overload_minutes(self, service: str | None = None) -> int:
-        return sum(1 for r in self.rows
-                   if r.overloaded and (service is None or r.service == service))
+        return int(np.count_nonzero(self._column(self.overloaded, service)))
+
+    def mean_utilization(self, service: str | None = None) -> float:
+        # Python's left-to-right sum in file (minute-major) order: np.sum's
+        # pairwise summation would move the last bits.
+        utils = self._column(self.utilization, service).ravel().tolist()
+        return sum(utils) / len(utils) if utils else 0.0
 
     def peak_total_pods(self) -> int:
-        totals: dict[int, int] = {}
-        for r in self.rows:
-            totals[r.minute] = totals.get(r.minute, 0) + r.pods
-        return max(totals.values()) if totals else 0
+        return int(self.pods.sum(axis=1).max()) if self.horizon else 0
 
     def summary(self) -> dict:
-        per_service = {}
-        for s in self.services:
-            utils = [r.utilization for r in self.rows if r.service == s]
-            per_service[s] = {
-                "pod_minutes": self.pod_minutes(s),
-                "overload_minutes": self.overload_minutes(s),
-                "mean_utilization": sum(utils) / len(utils) if utils else 0.0,
-                "max_utilization": max(utils) if utils else 0.0,
-            }
+        per_service = {s: {"pod_minutes": self.pod_minutes(s),
+                           "overload_minutes": self.overload_minutes(s),
+                           "mean_utilization": self.mean_utilization(s),
+                           "max_utilization": max(self._column(self.utilization, s).tolist(),
+                                                  default=0.0)}
+                       for s in self.services}
         return {
             "policy": self.policy_name,
             "seed": self.seed,
@@ -385,12 +384,22 @@ class SimulationLog:
 
     def write_csv(self, path: str | Path) -> None:
         text = _CsvFields()
+        services = [text[s] for s in self.services]
+        policy = text[self.policy_name]
+        width = len(services)
+        # Floats go through .tolist() so repr sees Python floats; each minute's
+        # external rate is formatted once for all its services. Flat lists keep
+        # the cyclic garbage collector out: they are one object each.
+        cells = zip(itertools.cycle(services), self.service_rps.ravel().tolist(),
+                    self.pods.ravel().tolist(), self.utilization.ravel().tolist(),
+                    self.decision_delta.ravel().tolist())
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(SIM_COLUMNS) + "\n")
-            fh.writelines(f"{minute},{text[service]},{external!r},{rps!r},{pods},{util!r},"
-                          f"{overloaded:d},{text[policy]},{delta}\n"
-                          for minute, service, external, rps, pods, util, overloaded,
-                          policy, delta in self.rows)
+            for minute, external in zip(itertools.count(self.start_minute),
+                                        map(repr, self.external.tolist())):
+                fh.write("".join(f"{minute},{service},{external},{r!r},{n},{u!r},{u > 1.0:d},"
+                                 f"{policy},{d}\n"
+                                 for service, r, n, u, d in itertools.islice(cells, width)))
 
     def write_decisions_csv(self, path: str | Path) -> None:
         text = _CsvFields()
@@ -438,49 +447,57 @@ def run_simulation(trace: WorkloadTrace, demand: DemandModel, policy: ScalingPol
     if sum(pods.values()) > max_total_pods:
         raise ValidationError(f"initial pods exceed cluster budget {max_total_pods}")
 
-    rps, _ = demand.demand_series(external, trace.start_minute, seed)
+    services, width = demand.services, len(demand.services)
+    rps, usage = demand.demand_series(external, trace.start_minute, seed)
     policy.begin(trace.start_minute, rps)
-    # Python floats, as propagate_workload returns them: write_csv uses repr.
-    series = {s: v.tolist() for s, v in rps.items()}
-    log_ = SimulationLog(policy_name=policy.name, seed=seed,
-                         trace_sha256=trace_digest(trace),
-                         start_minute=trace.start_minute, horizon=len(external),
-                         services=demand.services)
-    pending: list[tuple[int, str, int]] = []  # (ready_minute, service, delta)
+    # Utilization is usage / (pods * capacity), the same IEEE operations as
+    # compute_utilization; ScalingBounds already rejects a capacity <= 0, and
+    # pods are clipped to >= 1 wherever they change.
+    capacity = [bounds[s].pod_capacity for s in services]
+    # Flat minute-major lists: one object each, so the cyclic garbage collector
+    # is not triggered by a list per minute.
+    usage_cells = np.column_stack([usage[s] for s in services]).ravel().tolist()
+    pod_cells: list[int] = []
+    util_cells: list[float] = []
+    decision_delta = np.zeros((len(external), width), dtype=np.int64)
+    decisions: list[DecisionRow] = []
+    pending: dict[int, list[tuple[str, int]]] = {}  # ready minute -> (service, delta)
+    pending_adds = 0
 
     for i in range(len(external)):
         minute = trace.start_minute + i
-
-        matured = [p for p in pending if p[0] <= minute]
-        pending = [p for p in pending if p[0] > minute]
-        for _, s, delta in matured:
+        for s, delta in pending.pop(minute, ()):
             pods[s] = min(max(pods[s] + delta, 1), bounds[s].max_pods)
+            pending_adds -= max(delta, 0)
 
-        rates = {s: series[s][i] for s in demand.services}
-        utilization = _utilization_map(rates, pods, demand, bounds)
+        counts = [pods[s] for s in services]
+        utils = [u / (n * c) for u, n, c in zip(usage_cells[i * width:(i + 1) * width],
+                                                counts, capacity)]
+        pod_cells.extend(counts)
+        util_cells.extend(utils)
+        if i < warm:
+            continue
+        history = {s: v[:i + 1] for s, v in rps.items()}
+        targets, records = policy.decide(minute, history, dict(zip(services, utils)), pods)
+        decisions.extend(records)
+        budget = max_total_pods - sum(counts) - pending_adds
+        for j, s in enumerate(services):
+            want = targets.get(s, pods[s]) - pods[s]
+            if want > 0:
+                grant = min(want, budget)
+                budget -= grant
+                if grant > 0:
+                    pending.setdefault(minute + startup_delay, []).append((s, grant))
+                    pending_adds += grant
+                    decision_delta[i, j] = grant
+            elif want < 0:
+                pending.setdefault(minute + 1, []).append((s, want))
+                decision_delta[i, j] = want
 
-        deltas = {s: 0 for s in demand.services}
-        records: list[DecisionRow] = []
-        if i >= warm:
-            history = {s: v[:i + 1] for s, v in rps.items()}
-            targets, records = policy.decide(minute, history, utilization, pods)
-            pending_adds = sum(d for _, _, d in pending if d > 0)
-            budget = max_total_pods - sum(pods.values()) - pending_adds
-            for s in demand.services:
-                want = targets.get(s, pods[s]) - pods[s]
-                if want > 0:
-                    grant = min(want, budget)
-                    budget -= grant
-                    if grant > 0:
-                        pending.append((minute + startup_delay, s, grant))
-                        deltas[s] = grant
-                elif want < 0:
-                    pending.append((minute + 1, s, want))
-                    deltas[s] = want
-
-        x = float(external[i])
-        log_.rows.extend(SimRow(minute, s, x, rates[s], pods[s], utilization[s],
-                                utilization[s] > 1.0, policy.name, deltas[s])
-                         for s in demand.services)
-        log_.decisions.extend(records)
-    return log_
+    return SimulationLog(policy_name=policy.name, seed=seed,
+                         trace_sha256=trace_digest(trace), start_minute=trace.start_minute,
+                         services=services, external=external,
+                         service_rps=np.column_stack([rps[s] for s in services]),
+                         pods=np.array(pod_cells, dtype=np.int64).reshape(-1, width),
+                         utilization=np.array(util_cells).reshape(-1, width),
+                         decision_delta=decision_delta, decisions=decisions)

@@ -35,6 +35,18 @@ def _take(d: dict, allowed: dict, context: str) -> dict:
 _REQUIRED = object()
 
 
+def _check_same_call_graph(edges, fan_out: dict) -> None:
+    """The GCN's graph.edges and the simulator's demand.fan_out must be one
+    undirected edge set, or the models learn one cluster and replay another."""
+    pairs = {"graph.edges": [tuple(e) for e in edges],
+             "demand.fan_out": [(u, v) for u, targets in fan_out.items() for v in targets]}
+    for here, there in (("graph.edges", "demand.fan_out"), ("demand.fan_out", "graph.edges")):
+        for u, v in pairs[here]:
+            if {u, v} not in [set(e) for e in pairs[there]]:
+                raise ConfigError(f"{here} has {u!r}-{v!r} but {there} has no edge "
+                                  f"between them; both must describe the same call graph")
+
+
 @dataclass(frozen=True)
 class TraceSpec:
     """Where the external workload comes from: a CSV file or a generator."""
@@ -100,6 +112,7 @@ class ExperimentConfig:
                              cpu_per_request=demand_spec["cpu_per_request"],
                              fan_out=demand_spec["fan_out"],
                              noise_sigma=demand_spec["noise_sigma"])
+        _check_same_call_graph(graph_spec["edges"], demand.fan_out)
 
         if set(top["bounds"]) != set(graph.nodes):
             raise ConfigError("bounds must name exactly the graph nodes")

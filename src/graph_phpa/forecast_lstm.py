@@ -242,11 +242,6 @@ def predict_windows(model: LstmModel, x: np.ndarray) -> np.ndarray:
     return model.scaler.inverse_transform(yhat)
 
 
-def lstm_forward(model: LstmModel, window) -> float:
-    """One-step forecast for a single raw k-length window (a batch of one)."""
-    return float(predict_windows(model, np.asarray(window, dtype=np.float64)[None, :])[0])
-
-
 def forecast_rates(model: LstmModel, x: np.ndarray) -> np.ndarray:
     """Request-rate forecasts for raw k-length windows, clamped at zero.
 

@@ -8,17 +8,29 @@ given set of runs.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from pathlib import Path
 
-from .cluster_sim import SIM_COLUMNS, SimRow, SimulationLog
+import numpy as np
+
+from .cluster_sim import GRID_COLUMNS, SIM_COLUMNS, SimulationLog
 from .errors import RunMismatchError, ValidationError
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
 
+# sim.csv's columns as np.loadtxt parses them; names stay Python str objects.
+_SIM_DTYPE = np.dtype(list(zip(SIM_COLUMNS, "i8 O f8 f8 i8 f8 i8 O i8".split())))
+
+
 def load_run(run_dir: str | Path) -> SimulationLog:
-    """Rebuild a simulation log from a run directory's summary.json and sim.csv."""
+    """Rebuild a simulation log from a run directory's summary.json and sim.csv.
+
+    sim.csv must hold exactly the grid summary.json describes: minutes
+    start_minute .. start_minute + horizon - 1 in order, each with the
+    services in service_order, every row under the summary's policy.
+    """
     run_dir = Path(run_dir)
     summary_path = run_dir / "summary.json"
     csv_path = run_dir / "sim.csv"
@@ -26,10 +38,9 @@ def load_run(run_dir: str | Path) -> SimulationLog:
         raise ValidationError(f"{run_dir} is not a run directory "
                               f"(needs summary.json and sim.csv)")
     summary = json.loads(summary_path.read_text(encoding="utf-8"))
-    log = SimulationLog(policy_name=summary["policy"], seed=summary["seed"],
-                        trace_sha256=summary["trace_sha256"],
-                        start_minute=summary["start_minute"], horizon=summary["horizon"],
-                        services=tuple(summary["service_order"]))
+    services, policy = tuple(summary["service_order"]), summary["policy"]
+    if not services:
+        raise ValidationError(f"{summary_path} lists no services")
     with open(csv_path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -37,14 +48,43 @@ def load_run(run_dir: str | Path) -> SimulationLog:
             raise ValidationError(f"{csv_path} has header {header}, expected "
                                   f"{list(SIM_COLUMNS)}")
         try:
-            log.rows.extend(
-                SimRow(int(minute), service, float(external), float(rps), int(pods),
-                       float(util), bool(int(overloaded)), policy, int(delta))
-                for minute, service, external, rps, pods, util, overloaded, policy, delta
-                in reader)
+            table = np.loadtxt(fh, dtype=_SIM_DTYPE, delimiter=",", quotechar='"',
+                               comments=None, ndmin=1)
         except ValueError as exc:
+            fh.seek(0)  # only a failed load pays for finding the line, row by row
+            reader = csv.reader(fh)
+            next(reader)
+            for row in filter(None, reader):  # np.loadtxt skips blank lines too
+                try:
+                    np.array(tuple(row), dtype=_SIM_DTYPE)
+                except ValueError:
+                    break
             raise ValidationError(f"{csv_path} line {reader.line_num}: {exc}") from exc
-    return log
+
+    start, horizon, width = summary["start_minute"], summary["horizon"], len(services)
+    i = np.arange(min(len(table), horizon * width))
+    fits = ((table["minute"][:len(i)] == start + i // width)
+            & (table["service"][:len(i)] == np.array(services, dtype=object)[i % width])
+            & (table["policy"][:len(i)] == policy))
+    if not fits.all() or len(table) != horizon * width:
+        bad = int(np.argmin(fits)) if not fits.all() else len(i)
+        got = table[["minute", "service", "policy"]].tolist()
+        # Quoted names may span lines: count their newlines above the bad row.
+        line = 2 + bad + sum(s.count("\n") + p.count("\n") for _, s, p in got[:bad])
+        want = (_cell(start + bad // width, services[bad % width], policy)
+                if bad < horizon * width else "no row")
+        raise ValidationError(f"{csv_path} line {line}: expected {want} by "
+                              f"{summary_path.name}, got "
+                              f"{_cell(*got[bad]) if bad < len(got) else 'the end of the file'}")
+    shape = (horizon, width)
+    return SimulationLog(policy_name=policy, seed=summary["seed"],
+                         trace_sha256=summary["trace_sha256"], start_minute=start,
+                         services=services, external=table["external_rps"][::width].copy(),
+                         **{c: table[c].reshape(shape).copy() for c in GRID_COLUMNS})
+
+
+def _cell(minute, service, policy) -> str:
+    return f"minute {minute}, service {service!r}, policy {policy!r}"
 
 
 def check_runs_comparable(logs: list[SimulationLog]) -> None:
@@ -79,12 +119,11 @@ def comparison_table(logs: list[SimulationLog], baseline: str) -> dict:
         savings = None
         if log.policy_name != baseline and base_pm > 0:
             savings = (base_pm - pm) / base_pm * 100.0
-        utils = [r.utilization for r in log.rows]
         rows.append({
             "policy": log.policy_name,
             "pod_minutes": pm,
             "overload_minutes": log.overload_minutes(),
-            "mean_utilization": sum(utils) / len(utils) if utils else 0.0,
+            "mean_utilization": log.mean_utilization(),
             "peak_total_pods": log.peak_total_pods(),
             "savings_vs_baseline_pct": savings,
         })
@@ -120,24 +159,27 @@ def render_table_text(table: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _pods_by_minute(log: SimulationLog, service: str) -> list[tuple[int, int]]:
-    return [(r.minute, r.pods) for r in log.rows if r.service == service]
+@functools.lru_cache(maxsize=1)
+def _x_texts(span: int, count: int, left: int, plot_w: int) -> tuple[str, ...]:
+    """Formatted x of each minute offset, shared by every chart of a comparison."""
+    return tuple(f"{left + k / span * plot_w:.2f}" for k in range(count))
 
 
 def pods_chart_svg(logs: list[SimulationLog], service: str) -> str:
     """Step chart of pod counts over time, one polyline per policy."""
-    if service not in logs[0].services:
+    if any(service not in log.services for log in logs):
         raise ValidationError(f"unknown service {service!r}")
-    series = [(log.policy_name, _pods_by_minute(log, service)) for log in logs]
+    series = [(log, log.pods[:, log.services.index(service)].tolist()) for log in logs]
     width, height = 960, 320
     left, right, top, bottom = 60, 20, 36, 44
     plot_w, plot_h = width - left - right, height - top - bottom
 
-    minutes = [m for _, pts in series for m, _ in pts]
-    pods = [p for _, pts in series for _, p in pts]
-    m_lo, m_hi = min(minutes), max(minutes)
-    p_hi = max(pods) + 1
+    m_lo = min(log.start_minute for log, pods in series if pods)
+    m_hi = max(log.start_minute + len(pods) - 1 for log, pods in series if pods)
+    levels = set().union(*(pods for _, pods in series))
+    p_hi = max(levels) + 1
     m_span = max(m_hi - m_lo, 1)
+    x_text = _x_texts(m_span, m_hi - m_lo + 1, left, plot_w)
 
     def sx(m):
         return left + (m - m_lo) / m_span * plot_w
@@ -145,6 +187,7 @@ def pods_chart_svg(logs: list[SimulationLog], service: str) -> str:
     def sy(p):
         return top + (1.0 - p / p_hi) * plot_h
 
+    y_text = {p: f"{sy(p):.2f}" for p in levels}
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -167,14 +210,14 @@ def pods_chart_svg(logs: list[SimulationLog], service: str) -> str:
     parts.append(f'<text x="{left + plot_w / 2:.2f}" y="{height - 8}" '
                  f'font-family="sans-serif" font-size="12" text-anchor="middle">minute</text>')
 
-    for i, (name, pts) in enumerate(series):
+    for i, (log, pods) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
         coords = []
         prev_p = None
-        for m, p in pts:
+        for x, p in zip(x_text[log.start_minute - m_lo:], pods):
             if prev_p is not None and p != prev_p:
-                coords.append(f"{sx(m):.2f},{sy(prev_p):.2f}")
-            coords.append(f"{sx(m):.2f},{sy(p):.2f}")
+                coords.append(f"{x},{y_text[prev_p]}")
+            coords.append(f"{x},{y_text[p]}")
             prev_p = p
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                      f'points="{" ".join(coords)}"/>')
@@ -182,7 +225,7 @@ def pods_chart_svg(logs: list[SimulationLog], service: str) -> str:
         parts.append(f'<line x1="{lx}" y1="{top - 6}" x2="{lx + 22}" y2="{top - 6}" '
                      f'stroke="{color}" stroke-width="3"/>')
         parts.append(f'<text x="{lx + 28}" y="{top - 2}" font-family="sans-serif" '
-                     f'font-size="12">{name}</text>')
+                     f'font-size="12">{log.policy_name}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -10,14 +10,17 @@ policy are the sample-by-sample and minute-by-minute forms of the batched
 code: they arbitrate the batching, not the arithmetic, so the policy reuses
 the package's predict_demand (as a batch of one) and integrate_step. The
 per-minute demand propagation likewise draws one freshly seeded Rng per
-service and minute and walks the demand model's own topological order.
+service and minute and walks the demand model's own topological order. The
+simulation-log references see a log as one SimRow per (minute, service), in
+file order, and aggregate and chart it row by row.
 """
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from graph_phpa.autoscaler import integrate_step, predict_demand
-from graph_phpa.cluster_sim import DecisionRow, ScalingPolicy
+from graph_phpa.cluster_sim import DecisionRow, ScalingPolicy, SimulationLog
 from graph_phpa.errors import DivergenceError, ValidationError
 from graph_phpa.tensor import Rng, mix_seed
 
@@ -245,3 +248,139 @@ class PerMinutePredictivePolicy(ScalingPolicy):
                                n_prev=d.n_prev, n_new=d.n_new, delta=d.delta)
                    for s, d in decisions.items()]
         return {s: d.n_new for s, d in decisions.items()}, records
+
+
+class SimRow(NamedTuple):
+    minute: int
+    service: str
+    external_rps: float
+    service_rps: float
+    pods: int
+    utilization: float
+    overloaded: bool
+    policy: str
+    decision_delta: int
+
+
+def log_rows(log):
+    """A column log as one SimRow per (minute, service), minute-major like sim.csv."""
+    columns = (log.service_rps.tolist(), log.pods.tolist(), log.utilization.tolist(),
+               log.decision_delta.tolist())
+    return [SimRow(log.start_minute + i, s, x, rps[j], pods[j], util[j], util[j] > 1.0,
+                   log.policy_name, delta[j])
+            for i, (x, rps, pods, util, delta) in enumerate(zip(log.external.tolist(),
+                                                                *columns))
+            for j, s in enumerate(log.services)]
+
+
+def log_from_rows(rows, *, policy_name, services, start_minute, seed=1, trace_sha256="x",
+                  decisions=()):
+    """A column log from minute-major rows covering every (minute, service)."""
+    width = len(services)
+    shape = (len(rows) // width, width)
+    assert len(rows) == shape[0] * width
+    for i, r in enumerate(rows):
+        assert (r.minute, r.service) == (start_minute + i // width, services[i % width])
+        assert r.overloaded == (r.utilization > 1.0)
+
+    def grid(name):
+        return np.array([getattr(r, name) for r in rows]).reshape(shape)
+
+    return SimulationLog(policy_name=policy_name, seed=seed, trace_sha256=trace_sha256,
+                         start_minute=start_minute, services=services,
+                         external=np.array([r.external_rps for r in rows[::width]]),
+                         service_rps=grid("service_rps"), pods=grid("pods"),
+                         utilization=grid("utilization"),
+                         decision_delta=grid("decision_delta"), decisions=list(decisions))
+
+
+def summary_oracle(log):
+    """SimulationLog.summary computed by filtering the rows once per service."""
+    rows = log_rows(log)
+    per_service = {}
+    for s in log.services:
+        mine = [r for r in rows if r.service == s]
+        utils = [r.utilization for r in mine]
+        per_service[s] = {
+            "pod_minutes": sum(r.pods for r in mine),
+            "overload_minutes": sum(1 for r in mine if r.overloaded),
+            "mean_utilization": sum(utils) / len(utils) if utils else 0.0,
+            "max_utilization": max(utils) if utils else 0.0,
+        }
+    totals = {}
+    for r in rows:
+        totals[r.minute] = totals.get(r.minute, 0) + r.pods
+    return {
+        "policy": log.policy_name, "seed": log.seed, "trace_sha256": log.trace_sha256,
+        "start_minute": log.start_minute, "horizon": log.horizon,
+        "service_order": list(log.services), "services": per_service,
+        "totals": {"pod_minutes": sum(r.pods for r in rows),
+                   "overload_minutes": sum(1 for r in rows if r.overloaded),
+                   "peak_total_pods": max(totals.values()) if totals else 0},
+    }
+
+
+def mean_utilization_oracle(log):
+    """comparison_table's mean over every row, summed in file order."""
+    utils = [r.utilization for r in log_rows(log)]
+    return sum(utils) / len(utils) if utils else 0.0
+
+
+def pods_chart_svg_oracle(logs, service):
+    """The pods chart drawn point by point from each log's rows for the service."""
+    series = [(log.policy_name, [(r.minute, r.pods) for r in log_rows(log)
+                                 if r.service == service]) for log in logs]
+    width, height = 960, 320
+    left, right, top, bottom = 60, 20, 36, 44
+    plot_w, plot_h = width - left - right, height - top - bottom
+    minutes = [m for _, pts in series for m, _ in pts]
+    pods = [p for _, pts in series for _, p in pts]
+    m_lo, m_hi = min(minutes), max(minutes)
+    p_hi = max(pods) + 1
+    m_span = max(m_hi - m_lo, 1)
+
+    def sx(m):
+        return left + (m - m_lo) / m_span * plot_w
+
+    def sy(p):
+        return top + (1.0 - p / p_hi) * plot_h
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{left}" y="20" font-family="sans-serif" font-size="14">'
+        f'pods over time: {service}</text>',
+    ]
+    for tick in range(0, p_hi + 1, max(1, p_hi // 6)):
+        y = sy(tick)
+        parts.append(f'<line x1="{left}" y1="{y:.2f}" x2="{width - right}" y2="{y:.2f}" '
+                     f'stroke="#dddddd" stroke-width="1"/>')
+        parts.append(f'<text x="{left - 8}" y="{y + 4:.2f}" font-family="sans-serif" '
+                     f'font-size="11" text-anchor="end">{tick}</text>')
+    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
+        m = m_lo + frac * m_span
+        parts.append(f'<text x="{sx(m):.2f}" y="{height - bottom + 18}" '
+                     f'font-family="sans-serif" font-size="11" '
+                     f'text-anchor="middle">{int(round(m))}</text>')
+    parts.append(f'<text x="{left + plot_w / 2:.2f}" y="{height - 8}" '
+                 f'font-family="sans-serif" font-size="12" text-anchor="middle">minute</text>')
+    palette = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
+    for i, (name, pts) in enumerate(series):
+        color = palette[i % len(palette)]
+        coords = []
+        prev_p = None
+        for m, p in pts:
+            if prev_p is not None and p != prev_p:
+                coords.append(f"{sx(m):.2f},{sy(prev_p):.2f}")
+            coords.append(f"{sx(m):.2f},{sy(p):.2f}")
+            prev_p = p
+        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
+                     f'points="{" ".join(coords)}"/>')
+        lx = left + 10 + i * 180
+        parts.append(f'<line x1="{lx}" y1="{top - 6}" x2="{lx + 22}" y2="{top - 6}" '
+                     f'stroke="{color}" stroke-width="3"/>')
+        parts.append(f'<text x="{lx + 28}" y="{top - 2}" font-family="sans-serif" '
+                     f'font-size="12">{name}</text>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

@@ -107,7 +107,7 @@ class TestSimulate:
         # Test window of a 400-minute trace: the last 80 minutes, 2 services.
         assert log.horizon == 80
         assert log.start_minute == 320
-        assert len(log.rows) == 160
+        assert log.pods.shape == (80, 2)
         assert not (out / "decisions.csv").exists()
 
     def test_summary_computed_once(self, tiny_config_path, tmp_path, monkeypatch, capsys):
@@ -140,7 +140,7 @@ class TestSimulate:
         assert (out / "decisions.csv").exists()
         log = load_run(out)
         assert log.policy_name == "phpa"
-        assert all(1 <= r.pods <= 5 for r in log.rows)
+        assert log.pods.min() >= 1 and log.pods.max() <= 5
 
     def test_phpa_without_models_fails(self, tiny_config_path, tmp_path, capsys):
         code = run_cli("simulate", "--config", tiny_config_path, "--policy", "phpa",
@@ -232,4 +232,4 @@ class TestExperiment:
         logs = [load_run(out / "runs" / name) for name in ("phpa", "reactive@0.9")]
         assert logs[0].trace_sha256 == logs[1].trace_sha256
         assert logs[0].start_minute == logs[1].start_minute
-        assert {r.minute for r in logs[0].rows} == {r.minute for r in logs[1].rows}
+        assert logs[0].horizon == logs[1].horizon

@@ -24,8 +24,6 @@ from graph_phpa.cluster_sim import (
     PredictivePolicy,
     ReactivePolicy,
     ScalingPolicy,
-    SimulationLog,
-    SimRow,
     compute_utilization,
     initial_pod_counts,
     run_simulation,
@@ -36,7 +34,8 @@ from graph_phpa.forecast_lstm import LstmConfig, LstmLayer, LstmModel
 from graph_phpa.predict_gcn import GcnConfig, GcnModel, ServiceGraph
 from graph_phpa.tensor import MinMaxScaler
 from graph_phpa.traces import WorkloadTrace, slice_trace
-from oracles import PerMinutePredictivePolicy, propagate_minute_oracle
+from oracles import (PerMinutePredictivePolicy, SimRow, log_from_rows, log_rows,
+                     propagate_minute_oracle)
 
 
 def bookinfo_demand(noise: float = 0.0) -> DemandModel:
@@ -265,10 +264,11 @@ class TestRunSimulation:
         log = run_simulation(stub_trace([100] * 6), demand,
                              ReactivePolicy(HpaConfig(), flat_bounds(demand.services)),
                              flat_bounds(demand.services), seed=1)
-        assert len(log.rows) == 6 * 4
-        minutes = [r.minute for r in log.rows[::4]]
-        assert minutes == list(range(6))
-        assert all(r.policy == "reactive@0.9" for r in log.rows)
+        assert log.horizon == 6 and log.start_minute == 0
+        assert log.services == demand.services
+        for column in (log.service_rps, log.pods, log.utilization, log.decision_delta):
+            assert column.shape == (6, 4)
+        assert log.policy_name == "reactive@0.9"
 
     def test_startup_delay_defers_additions(self):
         # Plan: at minute 0 ask front for 3 more pods. With startup_delay=2
@@ -279,9 +279,8 @@ class TestRunSimulation:
         log = run_simulation(stub_trace([100] * 4), demand, policy, bounds,
                              seed=1, warmup=0, startup_delay=2,
                              initial_pods={s: 1 for s in demand.services})
-        front = [r for r in log.rows if r.service == "front"]
-        assert [r.pods for r in front] == [1, 1, 4, 4]
-        assert front[0].decision_delta == 3
+        assert log.pods[:, 0].tolist() == [1, 1, 4, 4]
+        assert log.decision_delta[0, 0] == 3
 
     def test_removals_land_next_minute(self):
         demand = bookinfo_demand()
@@ -290,9 +289,8 @@ class TestRunSimulation:
         log = run_simulation(stub_trace([100] * 3), demand, policy, bounds,
                              seed=1, warmup=0,
                              initial_pods={s: 4 for s in demand.services})
-        front = [r for r in log.rows if r.service == "front"]
-        assert [r.pods for r in front] == [4, 2, 2]
-        assert front[0].decision_delta == -2
+        assert log.pods[:, 0].tolist() == [4, 2, 2]
+        assert log.decision_delta[0, 0] == -2
 
     def test_warmup_suppresses_decisions(self):
         demand = bookinfo_demand()
@@ -301,9 +299,8 @@ class TestRunSimulation:
         log = run_simulation(stub_trace([100] * 6), demand, policy, bounds,
                              seed=1, warmup=4,
                              initial_pods={s: 1 for s in demand.services})
-        front = [r for r in log.rows if r.service == "front"]
         # First decision at minute 4, lands at minute 5.
-        assert [r.pods for r in front] == [1, 1, 1, 1, 1, 9]
+        assert log.pods[:, 0].tolist() == [1, 1, 1, 1, 1, 9]
 
     def test_policy_min_history_extends_warmup(self):
         class Needy(PinnedPolicy):
@@ -315,8 +312,7 @@ class TestRunSimulation:
         log = run_simulation(stub_trace([100] * 5), demand, policy, bounds,
                              seed=1, warmup=0,
                              initial_pods={s: 1 for s in demand.services})
-        front = [r for r in log.rows if r.service == "front"]
-        assert [r.pods for r in front] == [1, 1, 1, 1, 5]
+        assert log.pods[:, 0].tolist() == [1, 1, 1, 1, 5]
 
     def test_cluster_budget_caps_additions(self):
         demand = bookinfo_demand()
@@ -327,12 +323,20 @@ class TestRunSimulation:
         log = run_simulation(stub_trace([100] * 3), demand, policy, bounds,
                              seed=1, warmup=0, max_total_pods=30,
                              initial_pods={s: 1 for s in demand.services})
-        by_minute = {}
-        for r in log.rows:
-            by_minute.setdefault(r.minute, []).append(r.pods)
-        assert sum(by_minute[2]) <= 30
-        front_final = [r.pods for r in log.rows if r.service == "front"][-1]
-        assert front_final == 20  # first in node order got its full ask
+        assert log.pods[2].sum() <= 30
+        assert log.pods[-1, 0] == 20  # first in node order got its full ask
+
+    def test_matured_additions_leave_the_pending_budget(self):
+        # Pods added at minute 0 serve from minute 1 and stop counting as
+        # pending, so the minute-2 ask gets the last two pods of the budget.
+        demand = bookinfo_demand()
+        bounds = flat_bounds(demand.services)
+        policy = PinnedPolicy({0: {"front": 3}, 2: {"front": 5}})
+        log = run_simulation(stub_trace([100] * 4), demand, policy, bounds,
+                             seed=1, warmup=0, max_total_pods=8,
+                             initial_pods={s: 1 for s in demand.services})
+        assert log.pods[:, 0].tolist() == [1, 3, 3, 5]
+        assert log.decision_delta[:, 0].tolist() == [2, 0, 2, 0]
 
     def test_total_pods_never_exceed_budget(self):
         demand = bookinfo_demand(noise=0.2)
@@ -344,10 +348,7 @@ class TestRunSimulation:
                              ReactivePolicy(HpaConfig(0.5, 0.3, 2),
                                             bounds), bounds, seed=9,
                              max_total_pods=12)
-        totals = {}
-        for r in log.rows:
-            totals[r.minute] = totals.get(r.minute, 0) + r.pods
-        assert max(totals.values()) <= 12
+        assert log.pods.sum(axis=1).max() <= 12
 
     def test_pods_stay_within_service_limits(self):
         demand = bookinfo_demand(noise=0.3)
@@ -356,7 +357,7 @@ class TestRunSimulation:
         log = run_simulation(stub_trace(values), demand,
                              ReactivePolicy(HpaConfig(0.6, 0.3, 1), bounds),
                              bounds, seed=4)
-        assert all(1 <= r.pods <= 3 for r in log.rows)
+        assert log.pods.min() >= 1 and log.pods.max() <= 3
 
     @given(budget=st.integers(4, 30), max_pods=st.integers(1, 12),
            startup_delay=st.sampled_from([1, 2, 3]), reactive=st.booleans(),
@@ -378,11 +379,8 @@ class TestRunSimulation:
                              warmup=0, startup_delay=startup_delay,
                              max_total_pods=budget,
                              initial_pods={s: 1 for s in demand.services})
-        totals = {}
-        for r in log.rows:
-            assert 1 <= r.pods <= max_pods
-            totals[r.minute] = totals.get(r.minute, 0) + r.pods
-        assert max(totals.values()) <= budget
+        assert log.pods.min() >= 1 and log.pods.max() <= max_pods
+        assert log.pods.sum(axis=1).max() <= budget
 
     def test_same_seed_reproduces_the_log(self):
         demand = bookinfo_demand(noise=0.25)
@@ -392,7 +390,7 @@ class TestRunSimulation:
                                   demand,
                                   ReactivePolicy(HpaConfig(0.7, 0.3, 2), bounds),
                                   bounds, seed=31)
-        assert go().rows == go().rows
+        assert log_rows(go()) == log_rows(go())
 
     def test_noise_alignment_with_demand_series(self):
         # A simulation over the tail of a trace must see exactly the rates
@@ -404,7 +402,7 @@ class TestRunSimulation:
         tail = stub_trace(full[3:].astype(int), start_minute=3)
         log = run_simulation(tail, demand,
                              ReactivePolicy(HpaConfig(), bounds), bounds, seed=8)
-        for r in log.rows:
+        for r in log_rows(log):
             assert r.service_rps == pytest.approx(rps[r.service][r.minute], rel=1e-12)
 
     def test_rows_equal_per_minute_propagation(self):
@@ -416,10 +414,10 @@ class TestRunSimulation:
             bounds = flat_bounds(demand.services)
             log = run_simulation(stub_trace(values, start_minute=7), demand,
                                  ReactivePolicy(HpaConfig(), bounds), bounds, seed=8)
-            assert len(log.rows) == len(values) * len(demand.services)
-            for r in log.rows:
+            assert log.service_rps.shape == (len(values), len(demand.services))
+            assert log.service_rps.dtype == np.float64
+            for r in log_rows(log):
                 rates = propagate_minute_oracle(demand, values[r.minute - 7], r.minute, 8)
-                assert type(r.service_rps) is float
                 assert r.service_rps == rates[r.service]
 
     def test_horizon_truncates_the_trace(self):
@@ -429,7 +427,7 @@ class TestRunSimulation:
                              ReactivePolicy(HpaConfig(), bounds), bounds,
                              seed=1, horizon=4)
         assert log.horizon == 4
-        assert len(log.rows) == 4 * 4
+        assert log.pods.shape == (4, 4)
 
     def test_bad_horizon_rejected(self):
         demand = bookinfo_demand()
@@ -465,13 +463,18 @@ class TestRunSimulation:
                            initial_pods={s: 4 for s in demand.services})
 
     def test_overload_flag_matches_utilization(self):
+        # Every cell's utilization is compute_utilization bit for bit, and the
+        # overload flag is exactly utilization > 1.
         demand = bookinfo_demand(noise=0.2)
-        bounds = flat_bounds(demand.services)
+        bounds = flat_bounds(demand.services, v_p=0.7)
         values = [50, 800, 1000, 700, 60, 50]
         log = run_simulation(stub_trace(values), demand,
                              ReactivePolicy(HpaConfig(), bounds), bounds, seed=2)
-        for r in log.rows:
-            assert r.overloaded == (r.utilization > 1.0)
+        assert log.overloaded.any()
+        for r in log_rows(log):
+            assert r.utilization == compute_utilization(
+                r.service_rps, demand.cpu_per_request[r.service], r.pods, 0.7)
+        assert np.array_equal(log.overloaded, log.utilization > 1.0)
 
 
 class TestSimulationLog:
@@ -482,9 +485,7 @@ class TestSimulationLog:
             SimRow(1, "a", 12.0, 12.0, 3, 0.6, False, "p", 1),
             SimRow(1, "b", 12.0, 6.0, 1, 0.9, False, "p", 0),
         ]
-        return SimulationLog(policy_name="p", seed=1, trace_sha256="x",
-                             start_minute=0, horizon=2, services=("a", "b"),
-                             rows=rows)
+        return log_from_rows(rows, policy_name="p", services=("a", "b"), start_minute=0)
 
     def test_aggregates_by_hand(self):
         log = self.make_log()
@@ -521,13 +522,6 @@ class TestSimulationLog:
         assert b"\r" not in path.read_bytes()
 
     def test_rows_build_by_keyword_or_position_and_stay_immutable(self):
-        row = SimRow(0, "a", 10.0, 10.0, 2, 0.5, False, "p", 0)
-        assert row == SimRow(minute=0, service="a", external_rps=10.0, service_rps=10.0,
-                             pods=2, utilization=0.5, overloaded=False, policy="p",
-                             decision_delta=0)
-        assert row != row._replace(pods=3)
-        with pytest.raises(AttributeError):
-            row.pods = 3
         decision = DecisionRow(1, "a", 2.0, 0.5, 1.0, 1.5, 1, 2, 1)
         assert decision == DecisionRow(minute=1, service="a", forecast_rps=2.0,
                                        predicted_vcpu=0.5, r_prev=1.0, r_new=1.5,
@@ -538,13 +532,15 @@ class TestSimulationLog:
     def test_csv_bytes_equal_csv_writer(self, tmp_path):
         # Names that csv must quote, and floats whose repr is long or special.
         odd = ("a,b", 'q"x', "", "line\nbreak")
-        rows = [SimRow(m, name, 0.1 + m, 1 / 3, 2, 1e-300, m % 2 == 1, "pol,icy", -1)
-                for m, name in enumerate(odd)]
-        rows.append(SimRow(9, "a", float("inf"), 0.0, 1, float("nan"), True, "p", 0))
+        specials = [1e-300, 1.5, float("nan"), float("inf"), 5e-324, -0.0, 1 / 3, 1.0]
+        rows = [SimRow(m, name, (0.1 + m, float("inf"))[m], specials[4 * m + j], 2 - m,
+                       specials[-4 * m - j - 1], specials[-4 * m - j - 1] > 1.0,
+                       "pol,icy", m - j)
+                for m in range(2) for j, name in enumerate(odd)]
         decisions = [DecisionRow(m, name, 2.5, 1 / 7, 1.0, 3.0, 1, 3, 2)
                      for m, name in enumerate(odd)]
-        log = SimulationLog(policy_name="p", seed=1, trace_sha256="x", start_minute=0,
-                            horizon=len(odd), services=odd, rows=rows, decisions=decisions)
+        log = log_from_rows(rows, policy_name="pol,icy", services=odd, start_minute=0,
+                            decisions=decisions)
         log.write_csv(tmp_path / "sim.csv")
         log.write_decisions_csv(tmp_path / "decisions.csv")
         for name, columns, records in (("sim.csv", SIM_COLUMNS, rows),
@@ -603,7 +599,7 @@ class TestPredictivePolicySimulation:
         log = run_simulation(stub_trace([100] * 30), self.demand_ab(), policy,
                              bounds, seed=3, warmup=5)
         for s in ("a", "b"):
-            pods = [r.pods for r in log.rows if r.service == s]
+            pods = log.pods[:, log.services.index(s)].tolist()
             assert len(set(pods[10:])) == 1
         assert all(d.delta == 0 for d in log.decisions)
 
@@ -630,8 +626,7 @@ class TestPredictivePolicySimulation:
             for prev, cur in zip(steps, steps[1:]):
                 assert cur.r_prev == prev.r_new
             assert [d.delta for d in steps].count(1) == 1
-            pods = [r.pods for r in log.rows if r.service == s]
-            assert pods == [1] * 10 + [2] * 6
+            assert log.pods[:, log.services.index(s)].tolist() == [1] * 10 + [2] * 6
 
 
 class TestBatchedPredictiveReplay:
@@ -654,7 +649,7 @@ class TestBatchedPredictiveReplay:
                                   max_total_pods=cfg.max_total_pods, initial_pods=initial)
 
         batched, oracle = replay(PredictivePolicy), replay(PerMinutePredictivePolicy)
-        assert batched.rows == oracle.rows
+        assert log_rows(batched) == log_rows(oracle)
         assert len(batched.decisions) == len(oracle.decisions) > 0
         assert any(d.delta != 0 for d in batched.decisions)
         for b, o in zip(batched.decisions, oracle.decisions):

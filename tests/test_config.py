@@ -1,4 +1,5 @@
 """Experiment config parsing: strict keys, defaults, and source resolution."""
+import copy
 import json
 
 import pytest
@@ -75,6 +76,26 @@ class TestParsing:
         cfg = ExperimentConfig.from_json_dict(minimal_config())
         assert cfg.demand.services == ("front", "back")
         assert cfg.graph.nodes == ("front", "back")
+
+    def test_call_graphs_must_agree(self):
+        # The tiny test config with its edge dropped from graph.edges: it ran,
+        # and the GCN was trained on a graph the simulator never replays.
+        from conftest import TINY_CONFIG
+        d = copy.deepcopy(TINY_CONFIG)
+        d["graph"]["edges"] = []
+        with pytest.raises(ConfigError, match="demand.fan_out has 'front'-'back' but "
+                                              "graph.edges has no edge"):
+            ExperimentConfig.from_json_dict(d)
+        d = minimal_config(demand={"entry": "front",
+                                   "cpu_per_request": {"front": 0.01, "back": 0.005},
+                                   "fan_out": {}})
+        with pytest.raises(ConfigError, match="graph.edges has 'front'-'back' but "
+                                              "demand.fan_out has no edge"):
+            ExperimentConfig.from_json_dict(d)
+
+    def test_call_graph_edges_are_undirected(self):
+        d = minimal_config(graph={"nodes": ["front", "back"], "edges": [["back", "front"]]})
+        assert ExperimentConfig.from_json_dict(d).graph.nodes == ("front", "back")
 
     def test_non_object_section_rejected(self):
         with pytest.raises(ConfigError, match="lstm must be an object"):

@@ -22,7 +22,6 @@ from graph_phpa.forecast_lstm import (
     _loss_and_grads,
     evaluate,
     forecast_series,
-    lstm_forward,
     make_windows,
     predict_windows,
     train_lstm,
@@ -31,6 +30,11 @@ from graph_phpa.tensor import MinMaxScaler, Rng, glorot_init
 from oracles import finite_diff_gradient, lstm_forward_oracle, rel_err
 
 IDENTITY = MinMaxScaler(-1.0, 1.0, -1.0, 1.0)
+
+
+def forecast_one(model: LstmModel, window) -> float:
+    """One-step forecast for a single raw window, as a batch of one."""
+    return float(predict_windows(model, np.asarray(window, dtype=np.float64)[None, :])[0])
 
 
 def random_model(rng: Rng, layers: int, hidden: int, k: int,
@@ -69,7 +73,7 @@ class TestForwardAgainstOracle:
             model = random_model(rng.child(trial), 1, hidden, k)
             window = rng.uniform(-1.0, 1.0, (k,))
             expected = lstm_forward_oracle(*as_oracle_params(model), window.tolist())
-            assert lstm_forward(model, window) == pytest.approx(expected, abs=1e-12)
+            assert forecast_one(model, window) == pytest.approx(expected, abs=1e-12)
 
     def test_stacked_layers_match_loop_recurrence(self):
         rng = Rng(19)
@@ -78,7 +82,7 @@ class TestForwardAgainstOracle:
             model = random_model(rng.child(trial), layers, 3, 5)
             window = rng.uniform(-1.0, 1.0, (5,))
             expected = lstm_forward_oracle(*as_oracle_params(model), window.tolist())
-            assert lstm_forward(model, window) == pytest.approx(expected, abs=1e-12)
+            assert forecast_one(model, window) == pytest.approx(expected, abs=1e-12)
 
     def test_zero_weights_leave_only_head_bias(self):
         # With every weight zero the hidden state never leaves zero, so the
@@ -86,8 +90,8 @@ class TestForwardAgainstOracle:
         model = LstmModel(LstmConfig(window=3, hidden_units=4),
                           [LstmLayer(np.zeros((1, 16)), np.zeros((4, 16)), np.zeros(16))],
                           np.zeros((4, 1)), 0.7, IDENTITY)
-        assert lstm_forward(model, [0.1, -0.9, 0.5]) == pytest.approx(math.tanh(0.7))
-        assert lstm_forward(model, [1.0, 1.0, 1.0]) == pytest.approx(math.tanh(0.7))
+        assert forecast_one(model, [0.1, -0.9, 0.5]) == pytest.approx(math.tanh(0.7))
+        assert forecast_one(model, [1.0, 1.0, 1.0]) == pytest.approx(math.tanh(0.7))
 
     def test_scaler_wraps_the_recurrence(self):
         # Raw units in, raw units out: the scaled-space value is tanh(bias),
@@ -97,14 +101,14 @@ class TestForwardAgainstOracle:
                           [LstmLayer(np.zeros((1, 8)), np.zeros((2, 8)), np.zeros(8))],
                           np.zeros((2, 1)), 0.3, scaler)
         expected = scaler.inverse_transform(np.array([math.tanh(0.3)]))[0]
-        assert lstm_forward(model, [4.0, 6.0]) == pytest.approx(expected)
+        assert forecast_one(model, [4.0, 6.0]) == pytest.approx(expected)
 
     def test_predict_windows_matches_scalar_forward(self):
         rng = Rng(31)
         model = random_model(rng, 1, 4, 5, MinMaxScaler(0.0, 200.0))
         x = rng.uniform(0.0, 200.0, (9, 5))
         batched = predict_windows(model, x)
-        singles = [lstm_forward(model, row) for row in x]
+        singles = [forecast_one(model, row) for row in x]
         np.testing.assert_array_equal(batched, singles)
 
 
@@ -147,7 +151,7 @@ class TestBackpropAgainstFiniteDifferences:
         x = rng.uniform(-0.8, 0.8, (6, 4))
         y = rng.uniform(-0.8, 0.8, (6,))
         loss, _ = _loss_and_grads(model.params, x, y)
-        preds = np.array([lstm_forward(model, row) for row in x])
+        preds = np.array([forecast_one(model, row) for row in x])
         assert loss == pytest.approx(float(np.mean((preds - y) ** 2)), abs=1e-12)
 
 
@@ -188,7 +192,7 @@ class TestTraining:
         x, y = make_windows(values, 4)
         config = LstmConfig(window=4, hidden_units=3, epochs=1, seed=5)
         model, _ = train_lstm((x, y), None, config)
-        assert lstm_forward(model, values[:4]) == 25.0
+        assert forecast_one(model, values[:4]) == 25.0
 
     def test_learns_a_sine_wave(self):
         t = np.arange(240.0)
@@ -264,7 +268,7 @@ class TestForecastSeries:
         assert out.shape == values.shape
         assert np.all(np.isnan(out[:4]))
         for j in range(4, 15):
-            assert out[j] == pytest.approx(lstm_forward(model, values[j - 4:j]), abs=1e-12)
+            assert out[j] == pytest.approx(forecast_one(model, values[j - 4:j]), abs=1e-12)
 
     def test_too_short_raises(self):
         model = random_model(Rng(1), 1, 2, 5)
@@ -283,7 +287,7 @@ class TestSerialization:
         assert loaded.service_id == "details"
         assert loaded.config == model.config
         window = rng.uniform(0.0, 50.0, (4,))
-        assert lstm_forward(loaded, window) == lstm_forward(model, window)
+        assert forecast_one(loaded, window) == forecast_one(model, window)
 
     def test_rejects_wrong_schema(self):
         with pytest.raises(ValidationError):

@@ -1,9 +1,20 @@
-"""Comparison reporting: savings math, mismatch guards, chart structure."""
+"""Comparison reporting: savings math, mismatch guards, chart structure.
+
+The column log's aggregates, charts and CSV round trip are checked bit for
+bit against row-by-row references in oracles.py.
+"""
+import dataclasses
 import json
+import re
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from graph_phpa.cluster_sim import SimRow, SimulationLog
+from graph_phpa.cluster_sim import SimulationLog
 from graph_phpa.errors import RunMismatchError, ValidationError
 from graph_phpa.report import (
     check_runs_comparable,
@@ -13,6 +24,8 @@ from graph_phpa.report import (
     render_table_text,
     write_comparison,
 )
+from oracles import (SimRow, log_from_rows, log_rows, mean_utilization_oracle,
+                     pods_chart_svg_oracle, summary_oracle)
 
 
 def make_log(policy: str, pods_a, pods_b=None, seed=1, sha="t", start=0):
@@ -26,9 +39,8 @@ def make_log(policy: str, pods_a, pods_b=None, seed=1, sha="t", start=0):
                            util_a > 1.0, policy, 0))
         rows.append(SimRow(start + m, "b", 100.0, 50.0, pb, util_b,
                            util_b > 1.0, policy, 0))
-    return SimulationLog(policy_name=policy, seed=seed, trace_sha256=sha,
-                         start_minute=start, horizon=len(pods_a),
-                         services=("a", "b"), rows=rows)
+    return log_from_rows(rows, policy_name=policy, services=("a", "b"), start_minute=start,
+                         seed=seed, trace_sha256=sha)
 
 
 class TestComparability:
@@ -151,7 +163,7 @@ class TestWriteAndLoad:
             json.dumps(log.summary(), sort_keys=True), encoding="utf-8")
         loaded = load_run(tmp_path)
         assert loaded.policy_name == "x"
-        assert loaded.rows == log.rows
+        assert log_rows(loaded) == log_rows(log)
         assert loaded.summary() == log.summary()
 
     def test_load_run_rejects_non_run_dir(self, tmp_path):
@@ -194,3 +206,166 @@ class TestWriteAndLoad:
         assert loaded.pod_minutes() == saved["totals"]["pod_minutes"]
         assert loaded.overload_minutes() == saved["totals"]["overload_minutes"]
         assert loaded.peak_total_pods() == saved["totals"]["peak_total_pods"]
+
+
+def save_run(run_dir: Path, log) -> Path:
+    run_dir.mkdir(parents=True, exist_ok=True)
+    log.write_csv(run_dir / "sim.csv")
+    (run_dir / "summary.json").write_text(json.dumps(log.summary(), sort_keys=True),
+                                          encoding="utf-8")
+    return run_dir
+
+
+# Names csv must quote, and characters np.loadtxt would otherwise treat
+# specially (comments, surrounding blanks).
+NAMES = st.text(alphabet='ab,"\n\r# é', max_size=4)
+SPECIAL_FLOATS = st.sampled_from([float("inf"), -float("inf"), float("nan"), 1e-300,
+                                  5e-324, 2.2250738585072014e-308 / 3, -0.0, 1 / 3])
+
+
+def grids(elements, shape):
+    n = int(np.prod(shape))
+    return st.lists(elements, min_size=n, max_size=n).map(
+        lambda values: np.array(values).reshape(shape))
+
+
+@st.composite
+def column_logs(draw, floats=st.floats(allow_nan=False) | SPECIAL_FLOATS,
+                pods=st.integers(0, 10**6), horizon=st.integers(1, 6)):
+    services = tuple(draw(st.lists(NAMES, min_size=1, max_size=3, unique=True)))
+    shape = (draw(horizon), len(services))
+    return SimulationLog(policy_name=draw(NAMES), seed=draw(st.integers(0, 99)),
+                         trace_sha256="t", start_minute=draw(st.integers(0, 10**6)),
+                         services=services,
+                         external=draw(grids(floats, shape[:1])).astype(float),
+                         service_rps=draw(grids(floats, shape)).astype(float),
+                         pods=draw(grids(pods, shape)),
+                         utilization=draw(grids(floats, shape)).astype(float),
+                         decision_delta=draw(grids(st.integers(-50, 50), shape)))
+
+
+# Every name character that needs care, and every special float, in one log.
+AWKWARD_NAMES = ("a,b", 'q"x', "l\nb", "r\rq", "#c", " s ")
+AWKWARD_LOG = SimulationLog(
+    policy_name="p,\r\n#", seed=3, trace_sha256="t", start_minute=7, services=AWKWARD_NAMES,
+    external=np.array([float("inf"), 1e-300]),
+    service_rps=np.array([[float("nan"), 5e-324, -0.0, 1 / 3, 1e308, -1.5]] * 2),
+    pods=np.array([[1, 2, 3, 4, 5, 6], [0, 9, 9, 9, 9, 2**40]]),
+    utilization=np.array([[1.0, 1.0000000000000002, float("nan"), float("inf"), 0.0, 1e-320]] * 2),
+    decision_delta=np.array([[0, 1, -1, 2, -2, 3]] * 2))
+
+
+class TestColumnLog:
+    @given(log=column_logs())
+    @example(log=AWKWARD_LOG)
+    @settings(max_examples=60, deadline=None)
+    def test_csv_round_trip_is_bit_exact(self, log):
+        with tempfile.TemporaryDirectory() as d:
+            loaded = load_run(save_run(Path(d), log))
+        assert (loaded.policy_name, loaded.seed, loaded.trace_sha256, loaded.start_minute,
+                loaded.services) == (log.policy_name, log.seed, log.trace_sha256,
+                                     log.start_minute, log.services)
+        for name in ("external", "service_rps", "pods", "utilization", "decision_delta"):
+            a, b = getattr(loaded, name), getattr(log, name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), name
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_aggregates_match_the_row_oracle(self, data):
+        utils = st.floats(0.0, 1e6) | st.floats(0.0, 3.0)
+        pods = st.integers(1, 40)
+        # Long enough that np.sum's unrolled, pairwise order would differ.
+        log = data.draw(column_logs(floats=utils, pods=pods, horizon=st.integers(1, 40)))
+        logs = [dataclasses.replace(log, policy_name=f"p{i}",
+                                    pods=data.draw(grids(pods, log.pods.shape)),
+                                    utilization=data.draw(grids(utils, log.pods.shape)))
+                for i in range(3)]
+        table = comparison_table(logs, baseline="p0")
+        for row, log in zip(table["policies"], logs):
+            # json.dumps writes repr: equal text means bit-equal floats.
+            assert json.dumps(log.summary()) == json.dumps(summary_oracle(log))
+            assert repr(row["mean_utilization"]) == repr(mean_utilization_oracle(log))
+            totals = summary_oracle(log)["totals"]
+            assert (row["pod_minutes"], row["overload_minutes"], row["peak_total_pods"]) \
+                == (totals["pod_minutes"], totals["overload_minutes"],
+                    totals["peak_total_pods"])
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pods_chart_matches_the_row_oracle(self, data):
+        # Logs of different windows and lengths, with pod changes anywhere.
+        services = tuple(data.draw(st.lists(NAMES, min_size=1, max_size=3, unique=True)))
+        logs = []
+        for i in range(data.draw(st.integers(1, 3))):
+            shape = (data.draw(st.integers(1, 12)), len(services))
+            logs.append(SimulationLog(
+                policy_name=f"p{i}", seed=1, trace_sha256="t",
+                start_minute=data.draw(st.integers(0, 6)), services=services,
+                external=np.ones(shape[0]), service_rps=np.ones(shape),
+                pods=data.draw(grids(st.integers(1, 4), shape)), utilization=np.ones(shape),
+                decision_delta=np.zeros(shape)))
+        for service in services:
+            assert pods_chart_svg(logs, service) == pods_chart_svg_oracle(logs, service)
+
+    def test_pods_chart_of_a_single_minute(self):
+        logs = [make_log("x", [3]), make_log("y", [1], start=2)]
+        for service in ("a", "b"):
+            assert pods_chart_svg(logs, service) == pods_chart_svg_oracle(logs, service)
+
+
+class TestLoadRunRejects:
+    def corrupt(self, tmp_path, edit, log=None):
+        """Save a run, rewrite sim.csv's data lines with edit, and load it."""
+        log = log or make_log("x", [2, 3, 4], [1, 2, 1], start=10)
+        run_dir = save_run(tmp_path, log)
+        head, *lines = (run_dir / "sim.csv").read_text(encoding="utf-8").splitlines(True)
+        (run_dir / "sim.csv").write_text(head + "".join(edit(lines)), encoding="utf-8")
+        return lambda: load_run(run_dir)
+
+    def test_rows_out_of_service_order(self, tmp_path):
+        load = self.corrupt(tmp_path, lambda ls: ls[:2] + [ls[3], ls[2]] + ls[4:])
+        with pytest.raises(ValidationError, match=r"sim.csv line 4: expected minute 11, "
+                                                  r"service 'a', policy 'x' by "
+                                                  r"summary.json, got minute 11, "
+                                                  r"service 'b'"):
+            load()
+
+    def test_rows_out_of_minute_order(self, tmp_path):
+        load = self.corrupt(tmp_path, lambda ls: ls[2:4] + ls[:2] + ls[4:])
+        with pytest.raises(ValidationError, match="sim.csv line 2: expected minute 10"):
+            load()
+
+    def test_missing_and_extra_rows(self, tmp_path):
+        load = self.corrupt(tmp_path, lambda ls: ls[:-1])
+        with pytest.raises(ValidationError, match="line 7: .* got the end of the file"):
+            load()
+        load = self.corrupt(tmp_path, lambda ls: ls + ls[-2:])
+        with pytest.raises(ValidationError, match="line 8: expected no row by summary.json, "
+                                                  "got minute 12, service 'a'"):
+            load()
+
+    def test_policy_differs_from_summary(self, tmp_path):
+        load = self.corrupt(tmp_path, lambda ls: ls[:5] + [ls[5].replace(",x,", ",y,")])
+        with pytest.raises(ValidationError, match="line 7: .*policy 'x' by summary.json, "
+                                                  "got minute 12, service 'b', policy 'y'"):
+            load()
+
+    def test_summary_without_services(self, tmp_path):
+        run_dir = save_run(tmp_path, make_log("x", [2]))
+        summary = json.loads((run_dir / "summary.json").read_text(encoding="utf-8"))
+        summary["service_order"] = []
+        (run_dir / "summary.json").write_text(json.dumps(summary), encoding="utf-8")
+        with pytest.raises(ValidationError, match="summary.json lists no services"):
+            load_run(run_dir)
+
+    def test_line_counts_newlines_inside_quoted_names(self, tmp_path):
+        rows = [SimRow(m, s, 1.0, 1.0, 1, 0.5, False, "p", 0)
+                for m in range(2) for s in ("a\nb", "c")]
+        log = log_from_rows(rows, policy_name="p", services=("a\nb", "c"), start_minute=0)
+        # Each "a\nb" row spans two lines: the swapped minute-1 rows start on line 5.
+        load = self.corrupt(tmp_path, lambda ls: ls[:3] + [ls[5], ls[3], ls[4]], log)
+        with pytest.raises(ValidationError, match=re.escape(
+                "line 5: expected minute 1, service 'a\\nb', policy 'p' by summary.json, "
+                "got minute 1, service 'c'")):
+            load()
