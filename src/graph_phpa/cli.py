@@ -9,7 +9,9 @@
 
 Set PHPA_LOG=DEBUG (or INFO) for training progress on stderr. Output files
 are byte-stable: rerunning a command with the same config and seeds rewrites
-identical bytes.
+identical bytes. The per-service fits and forecasts run on one thread per
+usable core (limit the cores with taskset); each result is independent of the
+thread that computed it, so the bytes do not depend on the core count.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ import json
 import logging
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,7 +34,7 @@ from .forecast_lstm import (LstmConfig, LstmModel, evaluate, make_windows,
                             forecast_series, predict_windows, train_lstm)
 from .predict_gcn import (GcnModel, build_resource_dataset, evaluate_gcn,
                           evaluate_gcn_per_node, scale_targets, train_gcn)
-from .tensor import mix_seed
+from .tensor import mix_seed, one_blas_thread
 from .traces import (generate_synthetic_trace, save_trace, slice_trace, split_dataset,
                      trace_digest)
 
@@ -82,6 +85,26 @@ def _segment_bounds(n: int, train_frac: float, valid_frac: float) -> tuple[int, 
     return i1, i2
 
 
+def _worker_count(tasks: int) -> int:
+    """Threads for independent tasks: one per usable core, never more than tasks."""
+    return min(tasks, len(os.sched_getaffinity(0)))
+
+
+def _map_tasks(fn, tasks: list[tuple]) -> list:
+    """[fn(*task) for task in tasks], spread over worker threads.
+
+    OpenBLAS is pinned to one thread meanwhile, so the workers do not
+    oversubscribe the cores. Without an OpenBLAS to pin the tasks run one
+    after another. The first task to fail raises its error here.
+    """
+    with one_blas_thread() as pinned:
+        workers = _worker_count(len(tasks)) if pinned else 1
+        if workers <= 1:
+            return [fn(*task) for task in tasks]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(lambda task: fn(*task), tasks))
+
+
 def cmd_gen_trace(args) -> int:
     trace = generate_synthetic_trace(pattern=args.pattern, length=args.length,
                                      amplitude=args.amplitude, seed=args.seed,
@@ -94,36 +117,43 @@ def cmd_gen_trace(args) -> int:
     return 0
 
 
+def _fit_forecaster(cfg: ExperimentConfig, series: np.ndarray, idx: int, service: str):
+    """Train one service's forecaster and score it on the test segment."""
+    k = cfg.lstm.window
+    train_seg, valid_seg, test_seg = split_dataset(series, cfg.train_frac, cfg.valid_frac)
+    service_cfg = LstmConfig(window=k, layers=cfg.lstm.layers,
+                             hidden_units=cfg.lstm.hidden_units,
+                             learning_rate=cfg.lstm.learning_rate,
+                             epochs=cfg.lstm.epochs, batch_size=cfg.lstm.batch_size,
+                             seed=mix_seed(cfg.lstm.seed, idx))
+    model, history = train_lstm(make_windows(train_seg, k), make_windows(valid_seg, k),
+                                service_cfg, service_id=service)
+    x_test, y_test = make_windows(test_seg, k)
+    mse, mae = evaluate(predict_windows(model, x_test), y_test)
+    persistence_mse, _ = evaluate(x_test[:, -1], y_test)
+    return model, {
+        "test_mse": mse, "test_mae": mae, "persistence_mse": persistence_mse,
+        "mse_vs_persistence": mse / persistence_mse if persistence_mse > 0 else None,
+        "final_train_mse_scaled": history[-1][0],
+        "final_valid_mse_scaled": history[-1][1],
+    }
+
+
 def cmd_train_workload(args) -> int:
     cfg, base_dir = ExperimentConfig.load(args.config)
     trace, rps, _ = _prepare_data(cfg, base_dir)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    k = cfg.lstm.window
 
-    metrics: dict = {"window": k, "trace_sha256": trace_digest(trace), "services": {}}
-    for idx, service in enumerate(cfg.graph.nodes):
-        train_seg, valid_seg, test_seg = split_dataset(rps[service], cfg.train_frac,
-                                                       cfg.valid_frac)
-        service_cfg = LstmConfig(window=k, layers=cfg.lstm.layers,
-                                 hidden_units=cfg.lstm.hidden_units,
-                                 learning_rate=cfg.lstm.learning_rate,
-                                 epochs=cfg.lstm.epochs, batch_size=cfg.lstm.batch_size,
-                                 seed=mix_seed(cfg.lstm.seed, idx))
-        model, history = train_lstm(make_windows(train_seg, k), make_windows(valid_seg, k),
-                                    service_cfg, service_id=service)
-        x_test, y_test = make_windows(test_seg, k)
-        mse, mae = evaluate(predict_windows(model, x_test), y_test)
-        persistence_mse, _ = evaluate(x_test[:, -1], y_test)
+    fits = _map_tasks(lambda idx, service: _fit_forecaster(cfg, rps[service], idx, service),
+                      list(enumerate(cfg.graph.nodes)))
+    metrics: dict = {"window": cfg.lstm.window, "trace_sha256": trace_digest(trace),
+                     "services": {}}
+    for service, (model, scores) in zip(cfg.graph.nodes, fits):
         model.save(_lstm_path(out_dir, service))
-        metrics["services"][service] = {
-            "test_mse": mse, "test_mae": mae, "persistence_mse": persistence_mse,
-            "mse_vs_persistence": mse / persistence_mse if persistence_mse > 0 else None,
-            "final_train_mse_scaled": history[-1][0],
-            "final_valid_mse_scaled": history[-1][1],
-        }
+        metrics["services"][service] = scores
         log.info("trained forecaster for %s: test mse %.4f (persistence %.4f)",
-                 service, mse, persistence_mse)
+                 service, scores["test_mse"], scores["persistence_mse"])
     _write_json(out_dir / "workload_metrics.json", metrics)
     print(f"trained {len(cfg.graph.nodes)} forecasters into {out_dir}")
     return 0
@@ -141,11 +171,14 @@ def cmd_train_resource(args) -> int:
     n = len(trace)
     i1, i2 = _segment_bounds(n, cfg.train_frac, cfg.valid_frac)
     segments = [(0, i1), (i1, i2), (i2, n)]
+    tasks = [(lo, hi, s) for lo, hi in segments for s in cfg.graph.nodes]
+    forecasts = dict(zip(tasks, _map_tasks(
+        lambda lo, hi, s: forecast_series(lstm_models[s], rps[s][lo:hi]), tasks)))
     datasets = []
     for lo, hi in segments:
         seg_rps = {s: rps[s][lo:hi] for s in cfg.graph.nodes}
         seg_usage = {s: usage[s][lo:hi] for s in cfg.graph.nodes}
-        seg_fc = {s: forecast_series(lstm_models[s], seg_rps[s]) for s in cfg.graph.nodes}
+        seg_fc = {s: forecasts[lo, hi, s] for s in cfg.graph.nodes}
         datasets.append(build_resource_dataset(seg_rps, seg_fc, seg_usage,
                                                cfg.graph.nodes, k))
     train_set, valid_set, test_set = datasets

@@ -6,18 +6,26 @@ mini-batch Adam over backpropagation-through-time, fully deterministic for a
 given config seed. Inputs and targets are min-max scaled to [-0.8, 0.8] with
 statistics fitted on the training targets only, so the tanh head can reach
 every target.
+
+Training writes every per-batch array into one workspace allocated per fit,
+and inference walks the rows in bounded blocks, so neither allocates per
+batch or in proportion to the rows. Both round exactly like the plain
+allocating form of the same equations, which the tests keep as the oracle.
 """
 from __future__ import annotations
 
+import functools
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DivergenceError, EmptyDatasetError, ShapeError, ValidationError
-from .tensor import AdamState, MinMaxScaler, Rng, adam_step, ensure_finite, glorot_init, sigmoid
+from .tensor import AdamState, MinMaxScaler, Rng, adam_step, ensure_finite, glorot_init
 
 log = logging.getLogger(__name__)
 
@@ -154,83 +162,243 @@ def _init_params(config: LstmConfig, rng: Rng) -> list[np.ndarray]:
     return params + [glorot_init(hidden, 1, rng), np.zeros(1)]
 
 
-def _forward_scaled(params: list[np.ndarray], x_seq: np.ndarray, keep_cache: bool = False):
-    """Run the stacked recurrence on scaled windows (batch, k); returns (yhat, cache).
+def _carve(pool: np.ndarray, shapes) -> list[np.ndarray]:
+    """Contiguous views of consecutive stretches of a flat pool, one per shape."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(pool[start:start + size].reshape(shape))
+        start += size
+    return views
 
-    params is the LstmModel.params list. Sequences are time-major. With
-    keep_cache the cache holds, per layer, the input sequence (k, batch, d_in),
-    the hidden and cell states h, c (k+1, batch, H) with the zero initial state
-    at index 0, and the activated gates (k, batch, 4H).
+
+@functools.cache
+def _gate_scale(hidden: int) -> np.ndarray:
+    """Column factors that let one tanh over all four gate blocks give the
+    sigmoid gates as 0.5 * (1 + tanh(x / 2)) and the candidate as tanh(x)."""
+    scale = np.repeat([0.5, 0.5, 0.5, 1.0], hidden)
+    scale.flags.writeable = False
+    return scale
+
+
+def _input_product(x, w_x, out) -> None:
+    """The gates' input term x @ w_x, for one step (n, d_in) or a sequence (k, n, d_in)."""
+    if w_x.shape[0] == 1:
+        # One input feature: the product has a single term per entry, which a
+        # broadcast multiply computes exactly, and faster than matmul.
+        np.multiply(x, w_x, out=out)
+    else:
+        np.matmul(x, w_x, out=out)
+
+
+def _lstm_step(h_prev, c_prev, w_h, b, a, tmp, c_out, tanh_c, h_out) -> None:
+    """One fused-gate step for a batch, written into preallocated arrays.
+
+    a (n, 4H) holds the input term on entry (see _input_product) and the
+    activated gates on return; tanh_c (n, H) receives tanh of the new cell
+    state, and tmp (n, 4H) is scratch. c_out and h_out may be c_prev and
+    h_prev, which makes the step update a running state in place.
     """
-    batch, k = x_seq.shape
-    current = x_seq.T[:, :, None]  # (k, batch, 1)
-    cache = []
-    for li in range(0, len(params) - 2, 3):
-        w_x, w_h, b = params[li:li + 3]
-        hidden = w_h.shape[0]
-        h = np.zeros((k + 1, batch, hidden))
-        c = np.zeros((batch, hidden))
-        cells, gates = [c], []
+    hidden = w_h.shape[0]
+    np.matmul(h_prev, w_h, out=tmp)
+    a += tmp
+    a += b
+    a *= _gate_scale(hidden)
+    np.tanh(a, out=a)
+    sigmoids = a[:, :3 * hidden]
+    sigmoids += 1.0
+    sigmoids *= 0.5
+    gi, gf, go, gg = (a[:, j * hidden:(j + 1) * hidden] for j in range(4))
+    np.multiply(gi, gg, out=tmp[:, :hidden])
+    np.multiply(gf, c_prev, out=c_out)
+    c_out += tmp[:, :hidden]
+    np.tanh(c_out, out=tanh_c)
+    np.multiply(go, tanh_c, out=h_out)
+
+
+# Rows per inference block. A block is never smaller, except when the whole
+# input is: the remainder joins the last block, so every product runs on
+# OpenBLAS's general matrix path, as it would over all the rows at once.
+_INFER_BLOCK = 256
+
+
+def _blocks(n: int):
+    """(lo, hi) row ranges of _INFER_BLOCK rows; the last takes the remainder."""
+    lo = 0
+    while lo < n:
+        hi = lo + _INFER_BLOCK if n - lo >= 2 * _INFER_BLOCK else n
+        yield lo, hi
+        lo = hi
+
+
+def _forward_scaled(params: list[np.ndarray], x_seq: np.ndarray) -> np.ndarray:
+    """Scaled one-step forecasts (n,) for scaled windows (n, k).
+
+    params is the LstmModel.params list. The recurrence walks the rows in
+    blocks and keeps only each layer's running state; the head then reads the
+    top layer's last hidden state of every row in one product.
+    """
+    n, k = x_seq.shape
+    layers = [params[i:i + 3] for i in range(0, len(params) - 2, 3)]
+    hidden = [w_h.shape[0] for _, w_h, _ in layers]
+
+    def shapes(m):  # per layer: h, c, gates, step scratch, tanh(c)
+        return [s for hid in hidden
+                for s in ((m, hid), (m, hid), (m, 4 * hid), (m, 4 * hid), (m, hid))]
+
+    pool = np.empty(sum(math.prod(s) for s in shapes(min(n, 2 * _INFER_BLOCK - 1))))
+    top = np.empty((n, hidden[-1]))
+    for lo, hi in _blocks(n):
+        views = _carve(pool, shapes(hi - lo))
+        states = [views[i:i + 5] for i in range(0, len(views), 5)]
+        for h, c, *_ in states:
+            h.fill(0.0)
+            c.fill(0.0)
+        current = x_seq[lo:hi].T[:, :, None]  # (k, m, 1)
         for t in range(k):
-            a = current[t] @ w_x
-            a += h[t] @ w_h
-            a += b
-            a[:, :3 * hidden] = sigmoid(a[:, :3 * hidden])
-            np.tanh(a[:, 3 * hidden:], out=a[:, 3 * hidden:])
-            gi, gf, go, gg = a.reshape(batch, 4, hidden).swapaxes(0, 1)
-            c = gf * c + gi * gg
-            h[t + 1] = go * np.tanh(c)
-            if keep_cache:
-                cells.append(c)
-                gates.append(a)
-        if keep_cache:
-            cache.append((current, h, np.stack(cells), np.stack(gates)))
+            x_t = current[t]
+            for (w_x, w_h, b), (h, c, a, tmp, tanh_c) in zip(layers, states):
+                _input_product(x_t, w_x, a)
+                _lstm_step(h, c, w_h, b, a, tmp, c, tanh_c, h)
+                x_t = h
+        top[lo:hi] = states[-1][0]
+    head_w, head_b = params[-2:]
+    return np.tanh(top @ head_w + head_b)[:, 0]
+
+
+class _Batch(NamedTuple):
+    """The arrays of one training batch of n rows; see _Workspace."""
+
+    x: np.ndarray  # scaled windows (n, k)
+    y: np.ndarray  # scaled targets (n,)
+    x_tm: np.ndarray  # the windows time-major (k, n)
+    layers: list[tuple[np.ndarray, ...]]  # per layer: h, c, tanh(c), gates
+    forget: np.ndarray  # the forget gate, kept through the backward pass (k, n, H)
+    dh_above: np.ndarray  # upstream gradient of the layer's outputs (k, n, H)
+    scratch: np.ndarray  # (k, n, H)
+    tmp: np.ndarray  # forward step scratch (n, 4H)
+    dcdh: np.ndarray  # a backward step's dc, dc, dh, dc (n, 4, H)
+    dh_carry: np.ndarray  # backward step carries (n, H)
+    dc_carry: np.ndarray
+
+
+class _Workspace:
+    """Every array of a training batch, carved from one flat pool.
+
+    The pool is sized for a full batch. A smaller batch, the remainder of an
+    epoch, takes contiguous views of the pool's front, so each array has the
+    layout a freshly allocated one would, and the arithmetic is the same.
+    Per layer the forward pass keeps the hidden and cell states h, c
+    (k+1, n, H) with the zero initial state at index 0, tanh of the cell
+    states (k, n, H) and the activated gates (k, n, 4H).
+    """
+
+    def __init__(self, config: LstmConfig, rows: int):
+        self.config = config
+        self.pool = np.empty(sum(math.prod(s) for s in self._shapes(rows)))
+        self._batches: dict[int, _Batch] = {}
+
+    def _shapes(self, n: int) -> list[tuple[int, ...]]:
+        k, hid = self.config.window, self.config.hidden_units
+        seq, step = (k, n, hid), (n, hid)
+        per_layer = [(k + 1, n, hid), (k + 1, n, hid), seq, (k, n, 4 * hid)] * self.config.layers
+        return ([(n, k), (n,), (k, n)] + per_layer + [seq, seq, seq, (n, 4 * hid), (n, 4, hid)]
+                + [step] * 2)
+
+    def batch(self, n: int) -> _Batch:
+        if n not in self._batches:
+            views = _carve(self.pool, self._shapes(n))
+            top = 3 + 4 * self.config.layers
+            layers = [tuple(views[i:i + 4]) for i in range(3, top, 4)]
+            self._batches[n] = _Batch(*views[:3], layers, *views[top:])
+        return self._batches[n]
+
+
+def _loss_and_grads(params: list[np.ndarray], batch: _Batch,
+                    grads: list[np.ndarray]) -> float:
+    """Batch mean squared error; writes one gradient per entry of params into grads.
+
+    batch has the scaled windows and targets filled in. Sequences are
+    time-major.
+    """
+    x_seq, targets, x_tm, caches = batch.x, batch.y, batch.x_tm, batch.layers
+    forget, dh_above, scratch = batch.forget, batch.dh_above, batch.scratch
+    tmp, dcdh_buf, dh_carry, dc_carry = batch.tmp, batch.dcdh, batch.dh_carry, batch.dc_carry
+    n, k = x_seq.shape
+    n_layers = len(caches)
+    np.copyto(x_tm, x_seq.T)
+
+    current = x_seq.T[:, :, None]  # (k, n, 1)
+    for li, (h, c, tanh_c, gates) in enumerate(caches):
+        w_x, w_h, b = params[3 * li:3 * li + 3]
+        h[0] = 0.0
+        c[0] = 0.0
+        _input_product(current, w_x, gates)
+        for t in range(k):
+            _lstm_step(h[t], c[t], w_h, b, gates[t], tmp, c[t + 1], tanh_c[t], h[t + 1])
         current = h[1:]
     head_w, head_b = params[-2:]
     yhat = np.tanh(current[-1] @ head_w + head_b)[:, 0]
-    return yhat, cache
-
-
-def _loss_and_grads(params: list[np.ndarray], x_seq: np.ndarray, targets: np.ndarray):
-    """Mean squared error over the batch plus one gradient per entry of params."""
-    batch, k = x_seq.shape
-    yhat, cache = _forward_scaled(params, x_seq, keep_cache=True)
     err = yhat - targets
     loss = float(np.mean(err ** 2))
 
-    dz = (2.0 * err / batch * (1.0 - yhat ** 2))[:, None]  # (batch, 1)
-    head_w = params[-2]
-    grads = [cache[-1][1][-1].T @ dz, dz.sum(axis=0)]
+    dz = (2.0 * err / n * (1.0 - yhat ** 2))[:, None]  # (n, 1)
+    np.matmul(current[-1].T, dz, out=grads[-2])
+    np.sum(dz, axis=0, out=grads[-1])
     # Gradient flowing into each timestep's hidden output of the layer being
     # processed; starts as the head's contribution to the top layer.
-    dh_above = np.zeros((k, batch, head_w.shape[0]))
-    dh_above[-1] = dz @ head_w.T
+    dh_above[:-1] = 0.0
+    np.matmul(dz, head_w.T, out=dh_above[-1])
 
-    for li in range(len(cache) - 1, -1, -1):
+    for li in range(n_layers - 1, -1, -1):
         w_x, w_h, _ = params[3 * li:3 * li + 3]
-        x, h, c, gates = cache[li]
-        gi, gf, go, gg = np.moveaxis(gates.reshape(k, batch, 4, -1), 2, 0)
-        tanh_c = np.tanh(c[1:])
-        dc_dh = go * (1.0 - tanh_c ** 2)
-        # Gate pre-activation gradients per unit of dc (input, forget,
-        # candidate) or of dh (output).
-        local = np.concatenate([gg * gi * (1.0 - gi), c[:-1] * gf * (1.0 - gf),
-                                tanh_c * go * (1.0 - go), gi * (1.0 - gg ** 2)], axis=2)
-        da = np.empty_like(gates)
-        dh_carry = np.zeros((batch, w_h.shape[0]))
-        dc_carry = np.zeros((batch, w_h.shape[0]))
+        h, c, tanh_c, gates = caches[li]
+        hid = w_h.shape[0]
+        gi, gf, go, gg = (gates[..., j * hid:(j + 1) * hid] for j in range(4))
+        # In place, tanh(c) becomes dc/dh = go * (1 - tanh(c)**2), and the
+        # gates become the gate pre-activation gradients per unit of dc
+        # (input, forget, candidate) or of dh (output):
+        # gg*gi*(1-gi), c_prev*gf*(1-gf), tanh(c)*go*(1-go), gi*(1-gg**2).
+        np.copyto(forget, gf)
+        np.multiply(tanh_c, go, out=scratch)
+        dc_dh = tanh_c
+        np.square(tanh_c, out=dc_dh)
+        np.subtract(1.0, dc_dh, out=dc_dh)
+        dc_dh *= go
+        np.subtract(1.0, go, out=go)
+        go *= scratch
+        np.multiply(c[:-1], gf, out=scratch)
+        np.subtract(1.0, gf, out=gf)
+        gf *= scratch
+        np.multiply(gg, gi, out=scratch)
+        np.square(gg, out=gg)
+        np.subtract(1.0, gg, out=gg)
+        gg *= gi
+        np.subtract(1.0, gi, out=gi)
+        gi *= scratch
+        # Step by step, backwards, the derivatives become the gradients da:
+        # each gate block times dc, the output block times dh.
+        da = gates
+        dcdh = dcdh_buf.reshape(n, 4 * hid)
+        dh, dc = dcdh_buf[:, 2], dcdh_buf[:, 3]
+        dh_carry.fill(0.0)
+        dc_carry.fill(0.0)
         for t in range(k - 1, -1, -1):
-            dh = dh_above[t] + dh_carry
-            dc = dc_carry + dh * dc_dh[t]
-            np.multiply(np.concatenate([dc, dc, dh, dc], axis=1), local[t], out=da[t])
-            dc_carry = dc * gf[t]
-            dh_carry = da[t] @ w_h.T
-        # Layers are visited top-down; prepending keeps grads in params order.
-        grads[:0] = [np.tensordot(x, da, axes=([0, 1], [0, 1])),
-                     np.tensordot(h[:-1], da, axes=([0, 1], [0, 1])),
-                     da.sum(axis=(0, 1))]
-        dh_above = da @ w_x.T  # becomes the upstream gradient for the layer below
-    return loss, grads
+            np.add(dh_above[t], dh_carry, out=dh)
+            np.multiply(dh, dc_dh[t], out=dc)
+            dc += dc_carry
+            dcdh_buf[:, :2] = dc[:, None, :]
+            da[t] *= dcdh
+            np.multiply(dc, forget[t], out=dc_carry)
+            np.matmul(da[t], w_h.T, out=dh_carry)
+        layer_in = caches[li - 1][0][1:] if li else x_tm
+        flat_da = da.reshape(k * n, 4 * hid)
+        np.matmul(layer_in.reshape(k * n, w_x.shape[0]).T, flat_da, out=grads[3 * li])
+        np.matmul(h[:-1].reshape(k * n, hid).T, flat_da, out=grads[3 * li + 1])
+        np.sum(da, axis=(0, 1), out=grads[3 * li + 2])
+        if li:  # the bottom layer's input gradient has no reader
+            np.matmul(da, w_x.T, out=dh_above)
+    return loss
 
 
 def predict_windows(model: LstmModel, x: np.ndarray) -> np.ndarray:
@@ -238,7 +406,7 @@ def predict_windows(model: LstmModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.config.window:
         raise ShapeError(f"windows shape {x.shape} does not match model window {model.config.window}")
-    yhat, _ = _forward_scaled(model.params, model.scaler.transform(x))
+    yhat = _forward_scaled(model.params, model.scaler.transform(x))
     return model.scaler.inverse_transform(yhat)
 
 
@@ -288,27 +456,36 @@ def train_lstm(train: tuple[np.ndarray, np.ndarray],
         yv = scaler.transform(np.asarray(valid[1], dtype=np.float64))
 
     rng = Rng(config.seed)
-    params = _init_params(config, rng)
-    states = [AdamState.fresh(p, config.learning_rate) for p in params]
+    # Parameters, gradients and Adam moments each live in one flat array, so a
+    # batch takes one Adam step over all of them.
+    init = _init_params(config, rng)
+    flat = np.concatenate([p.ravel() for p in init])
+    params = _carve(flat, [p.shape for p in init])
+    flat_grad = np.empty_like(flat)
+    grads = _carve(flat_grad, [p.shape for p in init])
+    state = AdamState.fresh(flat, config.learning_rate)
     shuffle_rng = rng.child(1)
 
     n = len(xs)
+    workspace = _Workspace(config, min(n, config.batch_size))
     history: list[tuple[float, float | None]] = []
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n)
         sq_sum = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            loss, grads = _loss_and_grads(params, xs[idx], ys[idx])
+            batch = workspace.batch(len(idx))
+            np.take(xs, idx, axis=0, out=batch.x)
+            np.take(ys, idx, out=batch.y)
+            loss = _loss_and_grads(params, batch, grads)
             if not np.isfinite(loss):
                 raise DivergenceError(f"training loss diverged at epoch {epoch}", epoch=epoch)
             sq_sum += loss * len(idx)
-            for li in range(len(params)):
-                params[li], states[li] = adam_step(params[li], grads[li], states[li])
+            adam_step(flat, flat_grad, state)
         train_mse = sq_sum / n
         valid_mse = None
         if has_valid:
-            yhat, _ = _forward_scaled(params, xv)
+            yhat = _forward_scaled(params, xv)
             valid_mse = float(np.mean((yhat - yv) ** 2))
             if not np.isfinite(valid_mse):
                 raise DivergenceError(f"validation loss diverged at epoch {epoch}", epoch=epoch)

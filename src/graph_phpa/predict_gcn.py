@@ -313,8 +313,9 @@ def _loss_and_grads(weights: list[np.ndarray], activations, a_hat: np.ndarray,
         else:
             d_pre = d_out
         grads[li] = np.einsum("bnd,bno->do", entry["agg"], d_pre)
-        # a_hat is symmetric, so the transpose in the chain rule is itself.
-        d_out = np.matmul(a_hat, d_pre @ weights[li].T)
+        if li:  # the input features need no gradient
+            # a_hat is symmetric, so the transpose in the chain rule is itself.
+            d_out = np.matmul(a_hat, d_pre @ weights[li].T)
     return loss, grads
 
 
@@ -367,8 +368,8 @@ def train_gcn(train: tuple[np.ndarray, np.ndarray], graph: ServiceGraph, config:
             if not np.isfinite(loss):
                 raise DivergenceError(f"training loss diverged at epoch {epoch}", epoch=epoch)
             sq_sum += loss * len(idx)
-            for li in range(len(weights)):
-                weights[li], states[li] = adam_step(weights[li], grads[li], states[li])
+            for weight, grad, state in zip(weights, grads, states):
+                adam_step(weight, grad, state)
         train_mse = sq_sum / n
         valid_mse = None
         if has_valid:

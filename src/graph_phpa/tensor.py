@@ -1,13 +1,18 @@
 """Dense linear-algebra and optimization substrate shared by both predictive models.
 
 Matrices are 2-D float64 numpy arrays in row-major order. Every public
-operation is pure and deterministic: identical inputs (including RNG state)
-produce bit-identical outputs, and results are checked to be finite.
+operation is deterministic: identical inputs (including RNG state) produce
+bit-identical outputs, and results are checked to be finite. All are pure
+except adam_step, which updates its parameter and state in place, and
+one_blas_thread, which sets OpenBLAS's thread count for a block.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -166,7 +171,11 @@ def activation(m: np.ndarray, kind: str) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """Per-parameter optimizer state for bias-corrected Adam."""
+    """Per-parameter optimizer state for bias-corrected Adam.
+
+    scratch holds two parameter-shaped work arrays, so a step allocates
+    nothing.
+    """
 
     first_moment: np.ndarray
     second_moment: np.ndarray
@@ -175,6 +184,7 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
+    scratch: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
@@ -187,6 +197,8 @@ class AdamState:
             raise ShapeError(
                 f"moment shapes differ: {self.first_moment.shape} vs {self.second_moment.shape}"
             )
+        if self.scratch is None:
+            self.scratch = np.empty((2,) + self.first_moment.shape)
 
     @classmethod
     def fresh(cls, param: np.ndarray, learning_rate: float, beta1: float = 0.9,
@@ -195,24 +207,37 @@ class AdamState:
         return cls(z, z.copy(), 0, learning_rate, beta1, beta2, epsilon)
 
 
-def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; returns the new parameter and state."""
-    param = np.asarray(param, dtype=np.float64)
-    grad = np.asarray(grad, dtype=np.float64)
+def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
+    """One bias-corrected Adam update of param and state, in place.
+
+    Every operation rounds as in the textbook expressions
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+    param -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps).
+    """
     if param.shape != grad.shape or param.shape != state.first_moment.shape:
         raise ShapeError(
             f"adam_step shape mismatch: param {param.shape}, grad {grad.shape}, "
             f"moments {state.first_moment.shape}"
         )
     t = state.step + 1
-    m = state.beta1 * state.first_moment + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.second_moment + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    new_param = param - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    ensure_finite(new_param, "adam_step result")
-    new_state = AdamState(m, v, t, state.learning_rate, state.beta1, state.beta2, state.epsilon)
-    return new_param, new_state
+    m, v = state.first_moment, state.second_moment
+    tmp, den = state.scratch
+    m *= state.beta1
+    np.multiply(grad, 1.0 - state.beta1, out=tmp)
+    m += tmp
+    v *= state.beta2
+    np.multiply(grad, 1.0 - state.beta2, out=tmp)
+    tmp *= grad
+    v += tmp
+    np.divide(v, 1.0 - state.beta2 ** t, out=den)
+    np.sqrt(den, out=den)
+    den += state.epsilon
+    np.divide(m, 1.0 - state.beta1 ** t, out=tmp)
+    tmp *= state.learning_rate
+    tmp /= den
+    param -= tmp
+    state.step = t
+    ensure_finite(param, "adam_step result")
 
 
 def glorot_init(rows: int, cols: int, rng: Rng) -> np.ndarray:
@@ -272,3 +297,56 @@ class MinMaxScaler:
     @classmethod
     def from_dict(cls, d: dict) -> "MinMaxScaler":
         return cls(float(d["lo"]), float(d["hi"]), float(d["out_lo"]), float(d["out_hi"]))
+
+
+# (get, set) thread-count symbols of the OpenBLAS builds numpy ships or links.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_thread_api():
+    """The (get, set) thread-count functions of the OpenBLAS numpy loaded, or None."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get, set_ = getattr(handle, get_name, None), getattr(handle, set_name, None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Pin OpenBLAS to one thread for the block, then restore its thread count.
+
+    Yields True when it pinned, False when no OpenBLAS could be found (the
+    block then runs with whatever threading the BLAS has). Python threads that
+    each call BLAS need the pin, or every product forks onto all the cores
+    again and the threads oversubscribe them. The thread count is
+    process-wide, so enter the pin from one thread at a time.
+    """
+    api = _openblas_thread_api()
+    if api is None:
+        yield False
+        return
+    get, set_ = api
+    previous = get()
+    set_(1)
+    try:
+        yield True
+    finally:
+        set_(previous)

@@ -12,7 +12,11 @@ the package's predict_demand (as a batch of one) and integrate_step. The
 per-minute demand propagation likewise draws one freshly seeded Rng per
 service and minute and walks the demand model's own topological order. The
 simulation-log references see a log as one SimRow per (minute, service), in
-file order, and aggregate and chart it row by row.
+file order, and aggregate and chart it row by row. The allocating LSTM
+kernel, Adam and training loop are the package's earlier implementation,
+kept here to arbitrate the buffered one bit for bit: they allocate every
+array they return instead of writing into reused buffers, and run the
+recurrence over all rows at once.
 """
 import math
 from typing import NamedTuple
@@ -22,7 +26,8 @@ import numpy as np
 from graph_phpa.autoscaler import integrate_step, predict_demand
 from graph_phpa.cluster_sim import DecisionRow, ScalingPolicy, SimulationLog
 from graph_phpa.errors import DivergenceError, ValidationError
-from graph_phpa.tensor import Rng, mix_seed
+from graph_phpa.forecast_lstm import _init_params
+from graph_phpa.tensor import AdamState, MinMaxScaler, Rng, mix_seed, sigmoid
 
 
 def rel_err(a, b, floor=1e-12):
@@ -41,6 +46,13 @@ def _flatten(x):
     for item in x:
         out.extend(_flatten(item))
     return out
+
+
+def assert_bitwise_equal(actual, expected):
+    """Equal values, shapes and sign bits, so -0.0 and 0.0 count as different."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    np.testing.assert_array_equal(actual, expected, strict=True)
+    np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
 
 
 def finite_diff_gradient(f, param, eps):
@@ -384,3 +396,120 @@ def pods_chart_svg_oracle(logs, service):
                      f'font-size="12">{name}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def lstm_forward_scaled_oracle(params, x_seq, keep_cache=False):
+    """Run the stacked recurrence on scaled windows (batch, k); returns (yhat, cache).
+
+    params is the LstmModel.params list. Sequences are time-major. With
+    keep_cache the cache holds, per layer, the input sequence (k, batch, d_in),
+    the hidden and cell states h, c (k+1, batch, H) with the zero initial state
+    at index 0, and the activated gates (k, batch, 4H).
+    """
+    batch, k = x_seq.shape
+    current = x_seq.T[:, :, None]  # (k, batch, 1)
+    cache = []
+    for li in range(0, len(params) - 2, 3):
+        w_x, w_h, b = params[li:li + 3]
+        hidden = w_h.shape[0]
+        h = np.zeros((k + 1, batch, hidden))
+        c = np.zeros((batch, hidden))
+        cells, gates = [c], []
+        for t in range(k):
+            a = current[t] @ w_x
+            a += h[t] @ w_h
+            a += b
+            a[:, :3 * hidden] = sigmoid(a[:, :3 * hidden])
+            np.tanh(a[:, 3 * hidden:], out=a[:, 3 * hidden:])
+            gi, gf, go, gg = a.reshape(batch, 4, hidden).swapaxes(0, 1)
+            c = gf * c + gi * gg
+            h[t + 1] = go * np.tanh(c)
+            if keep_cache:
+                cells.append(c)
+                gates.append(a)
+        if keep_cache:
+            cache.append((current, h, np.stack(cells), np.stack(gates)))
+        current = h[1:]
+    head_w, head_b = params[-2:]
+    yhat = np.tanh(current[-1] @ head_w + head_b)[:, 0]
+    return yhat, cache
+
+
+def lstm_loss_and_grads_oracle(params, x_seq, targets):
+    """Mean squared error over the batch plus one gradient per entry of params."""
+    batch, k = x_seq.shape
+    yhat, cache = lstm_forward_scaled_oracle(params, x_seq, keep_cache=True)
+    err = yhat - targets
+    loss = float(np.mean(err ** 2))
+
+    dz = (2.0 * err / batch * (1.0 - yhat ** 2))[:, None]  # (batch, 1)
+    head_w = params[-2]
+    grads = [cache[-1][1][-1].T @ dz, dz.sum(axis=0)]
+    dh_above = np.zeros((k, batch, head_w.shape[0]))
+    dh_above[-1] = dz @ head_w.T
+
+    for li in range(len(cache) - 1, -1, -1):
+        w_x, w_h, _ = params[3 * li:3 * li + 3]
+        x, h, c, gates = cache[li]
+        gi, gf, go, gg = np.moveaxis(gates.reshape(k, batch, 4, -1), 2, 0)
+        tanh_c = np.tanh(c[1:])
+        dc_dh = go * (1.0 - tanh_c ** 2)
+        local = np.concatenate([gg * gi * (1.0 - gi), c[:-1] * gf * (1.0 - gf),
+                                tanh_c * go * (1.0 - go), gi * (1.0 - gg ** 2)], axis=2)
+        da = np.empty_like(gates)
+        dh_carry = np.zeros((batch, w_h.shape[0]))
+        dc_carry = np.zeros((batch, w_h.shape[0]))
+        for t in range(k - 1, -1, -1):
+            dh = dh_above[t] + dh_carry
+            dc = dc_carry + dh * dc_dh[t]
+            np.multiply(np.concatenate([dc, dc, dh, dc], axis=1), local[t], out=da[t])
+            dc_carry = dc * gf[t]
+            dh_carry = da[t] @ w_h.T
+        grads[:0] = [np.tensordot(x, da, axes=([0, 1], [0, 1])),
+                     np.tensordot(h[:-1], da, axes=([0, 1], [0, 1])),
+                     da.sum(axis=(0, 1))]
+        dh_above = da @ w_x.T
+    return loss, grads
+
+
+def adam_step_oracle(param, grad, state):
+    """One bias-corrected Adam update; returns a new parameter and a new state."""
+    t = state.step + 1
+    m = state.beta1 * state.first_moment + (1.0 - state.beta1) * grad
+    v = state.beta2 * state.second_moment + (1.0 - state.beta2) * grad * grad
+    m_hat = m / (1.0 - state.beta1 ** t)
+    v_hat = v / (1.0 - state.beta2 ** t)
+    new_param = param - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    return new_param, AdamState(m, v, t, state.learning_rate, state.beta1, state.beta2,
+                                state.epsilon)
+
+
+def train_lstm_oracle(train, valid, config):
+    """The training loop over the oracle kernel; returns (params, history)."""
+    x_train, y_train = (np.asarray(a, dtype=np.float64) for a in train)
+    scaler = MinMaxScaler.fit(y_train)
+    xs, ys = scaler.transform(x_train), scaler.transform(y_train)
+    has_valid = valid is not None and len(valid[0]) > 0
+    if has_valid:
+        xv, yv = (scaler.transform(np.asarray(a, dtype=np.float64)) for a in valid)
+    rng = Rng(config.seed)
+    params = _init_params(config, rng)
+    states = [AdamState.fresh(p, config.learning_rate) for p in params]
+    shuffle_rng = rng.child(1)
+    n = len(xs)
+    history = []
+    for _ in range(config.epochs):
+        order = shuffle_rng.permutation(n)
+        sq_sum = 0.0
+        for start in range(0, n, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            loss, grads = lstm_loss_and_grads_oracle(params, xs[idx], ys[idx])
+            sq_sum += loss * len(idx)
+            for li in range(len(params)):
+                params[li], states[li] = adam_step_oracle(params[li], grads[li], states[li])
+        valid_mse = None
+        if has_valid:
+            yhat, _ = lstm_forward_scaled_oracle(params, xv)
+            valid_mse = float(np.mean((yhat - yv) ** 2))
+        history.append((sq_sum / n, valid_mse))
+    return params, history

@@ -1,13 +1,17 @@
 """Command-line workflow tests on a small configuration."""
 import json
 import math
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from conftest import TINY_CONFIG, run_cli
-from graph_phpa import cli
+from graph_phpa import cli, tensor
 from graph_phpa.cluster_sim import SimulationLog
+from graph_phpa.errors import DivergenceError
 from graph_phpa.forecast_lstm import LstmConfig, LstmLayer, LstmModel, predict_windows
 from graph_phpa.report import load_run
 from graph_phpa.tensor import MinMaxScaler
@@ -94,6 +98,92 @@ class TestTraining:
                        "--models", str(tmp_path), "--out", str(tmp_path / "out"))
         assert code == 2
         assert "missing forecaster model" in capsys.readouterr().err
+
+
+def train_both(config: str, out: Path) -> dict[str, bytes]:
+    """train-workload then train-resource into out; every written file's bytes."""
+    assert run_cli("train-workload", "--config", config, "--out", str(out)) == 0
+    assert run_cli("train-resource", "--config", config, "--models", str(out),
+                   "--out", str(out)) == 0
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+class TestConcurrentTraining:
+    """The per-service fits and forecasts run on threads; results must not show it."""
+
+    def test_any_worker_count_writes_identical_files(self, tiny_config_path, tmp_path,
+                                                      monkeypatch):
+        # Four workers exceed the cores and the two forecasters; with a short
+        # switch interval the threads interleave as often as they can.
+        outputs = {}
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            for workers in (1, 2, 4):
+                monkeypatch.setattr(cli, "_worker_count",
+                                    lambda tasks, w=workers: min(tasks, w))
+                outputs[workers] = train_both(tiny_config_path, tmp_path / f"w{workers}")
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(outputs[1]) == 5  # two forecasters, the GCN and both metrics files
+        assert outputs[1] == outputs[2] == outputs[4]
+
+    def test_tasks_run_on_worker_threads_in_order(self, monkeypatch):
+        monkeypatch.setattr(cli, "_worker_count", lambda tasks: 2)
+        seen = []
+
+        def task(i):
+            seen.append(threading.get_ident())
+            return i * i
+
+        results = cli._map_tasks(task, [(i,) for i in range(6)])
+        assert results == [i * i for i in range(6)]
+        if tensor._openblas_thread_api() is not None:
+            assert threading.get_ident() not in seen
+
+    def test_blas_pin_restores_the_thread_count(self):
+        api = tensor._openblas_thread_api()
+        if api is None:
+            pytest.skip("numpy did not load an OpenBLAS")
+        get, set_ = api
+        before = get()
+        try:
+            set_(2)
+            with tensor.one_blas_thread() as pinned:
+                assert pinned
+                assert get() == 1
+            assert get() == 2
+            with pytest.raises(RuntimeError), tensor.one_blas_thread():
+                raise RuntimeError("boom")
+            assert get() == 2
+        finally:
+            set_(before)
+
+    def test_without_openblas_nothing_is_pinned_and_one_worker_runs(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_openblas_thread_api", lambda: None)
+        monkeypatch.setattr(cli, "_worker_count", lambda tasks: 2)
+        with tensor.one_blas_thread() as pinned:
+            assert not pinned
+        seen = []
+        cli._map_tasks(lambda i: seen.append(threading.get_ident()), [(i,) for i in range(4)])
+        assert seen == [threading.get_ident()] * 4
+
+    def test_a_failing_fit_exits_with_its_error(self, tiny_config_path, tmp_path,
+                                                monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_worker_count", lambda tasks: min(tasks, 2))
+        train = cli.train_lstm
+
+        def failing(train_set, valid_set, config, service_id=None):
+            if service_id == "back":
+                raise DivergenceError("training loss diverged at epoch 3", epoch=3)
+            return train(train_set, valid_set, config, service_id=service_id)
+
+        monkeypatch.setattr(cli, "train_lstm", failing)
+        code = run_cli("train-workload", "--config", tiny_config_path,
+                       "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "error: training loss diverged at epoch 3" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "workload_metrics.json").exists()
 
 
 class TestSimulate:

@@ -3,15 +3,19 @@
 The forward pass is checked against a plain-Python recurrence written from
 the gate equations, and backpropagation-through-time against central finite
 differences on every parameter. Neither reference shares code with the
-implementation.
+implementation. The buffered kernel, the blocked inference and training are
+also checked bit for bit against the allocating implementation kept in
+oracles.py.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graph_phpa import forecast_lstm
 from graph_phpa.errors import EmptyDatasetError, ShapeError, ValidationError
 from graph_phpa.forecast_lstm import (
     GATES,
@@ -20,6 +24,7 @@ from graph_phpa.forecast_lstm import (
     LstmModel,
     _init_params,
     _loss_and_grads,
+    _Workspace,
     evaluate,
     forecast_series,
     make_windows,
@@ -27,7 +32,9 @@ from graph_phpa.forecast_lstm import (
     train_lstm,
 )
 from graph_phpa.tensor import MinMaxScaler, Rng, glorot_init
-from oracles import finite_diff_gradient, lstm_forward_oracle, rel_err
+from oracles import (assert_bitwise_equal, finite_diff_gradient, lstm_forward_oracle,
+                     lstm_forward_scaled_oracle, lstm_loss_and_grads_oracle, rel_err,
+                     train_lstm_oracle)
 
 IDENTITY = MinMaxScaler(-1.0, 1.0, -1.0, 1.0)
 
@@ -112,14 +119,26 @@ class TestForwardAgainstOracle:
         np.testing.assert_array_equal(batched, singles)
 
 
+def loss_and_grads(params, x, y):
+    """The buffered kernel on one batch, through a workspace sized for it."""
+    n, k = x.shape
+    config = LstmConfig(window=k, layers=(len(params) - 2) // 3,
+                        hidden_units=params[1].shape[0], batch_size=n)
+    batch = _Workspace(config, n).batch(n)
+    batch.x[...] = x
+    batch.y[...] = y
+    grads = [np.full_like(p, np.nan) for p in params]
+    return _loss_and_grads(params, batch, grads), grads
+
+
 def gradcheck_params(model: LstmModel, x, y, eps=1e-5):
     """Yield (name, analytic, numeric) for every fused parameter tensor."""
     params = model.params
-    _, grads = _loss_and_grads(params, x, y)
+    _, grads = loss_and_grads(params, x, y)
     names = [f"layer{i // 3}.{('w_x', 'w_h', 'b')[i % 3]}" for i in range(len(params) - 2)]
     for i, name in enumerate(names + ["head_w", "head_b"]):
         def f(p, i=i):
-            loss, _ = _loss_and_grads(params[:i] + [p] + params[i + 1:], x, y)
+            loss, _ = loss_and_grads(params[:i] + [p] + params[i + 1:], x, y)
             return loss
         yield name, grads[i], finite_diff_gradient(f, params[i], eps)
 
@@ -150,9 +169,120 @@ class TestBackpropAgainstFiniteDifferences:
         model = random_model(rng, 1, 3, 4)
         x = rng.uniform(-0.8, 0.8, (6, 4))
         y = rng.uniform(-0.8, 0.8, (6,))
-        loss, _ = _loss_and_grads(model.params, x, y)
+        loss, _ = loss_and_grads(model.params, x, y)
         preds = np.array([forecast_one(model, row) for row in x])
         assert loss == pytest.approx(float(np.mean((preds - y) ** 2)), abs=1e-12)
+
+
+def random_params(rng: np.random.Generator, layers: int, hidden: int) -> list[np.ndarray]:
+    """Fused parameters in LstmModel.params order, some entries exactly zero."""
+    config = LstmConfig(window=1, layers=layers, hidden_units=hidden)
+    params = [rng.normal(0.0, 0.5, p.shape) for p in _init_params(config, Rng(0))]
+    for p in params:
+        p[rng.random(p.shape) < 0.05] = 0.0
+    return params
+
+
+def scaled_windows(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """Scaled inputs in [-0.8, 0.8], with exact zeros of both signs mixed in."""
+    x = rng.uniform(-0.8, 0.8, (n, k))
+    x[rng.random((n, k)) < 0.05] = 0.0
+    x[rng.random((n, k)) < 0.05] = -0.0
+    return x
+
+
+class TestBufferedKernelAgainstOracle:
+    """The buffered kernel rounds exactly like the allocating one in oracles.py."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), layers=st.integers(1, 3),
+           hidden=st.integers(1, 9), k=st.integers(1, 6), batch_size=st.integers(1, 24),
+           rows=st.sampled_from(["below", "at", "above"]))
+    def test_loss_and_every_gradient_match_bitwise(self, seed, layers, hidden, k,
+                                                    batch_size, rows):
+        rng = np.random.default_rng(seed)
+        n = {"below": max(1, batch_size // 2), "at": batch_size,
+             "above": 2 * batch_size + 1 + int(rng.integers(0, batch_size))}[rows]
+        params = random_params(rng, layers, hidden)
+        x, y = scaled_windows(rng, n, k), rng.uniform(-0.8, 0.8, n)
+        config = LstmConfig(window=k, layers=layers, hidden_units=hidden,
+                            batch_size=batch_size)
+        workspace = _Workspace(config, min(n, batch_size))
+        grads = [np.empty_like(p) for p in params]
+        for start in range(0, n, batch_size):  # the last batch may be a remainder
+            xb, yb = x[start:start + batch_size], y[start:start + batch_size]
+            batch = workspace.batch(len(xb))
+            batch.x[...] = xb
+            batch.y[...] = yb
+            loss = _loss_and_grads(params, batch, grads)
+            want_loss, want_grads = lstm_loss_and_grads_oracle(params, xb, yb)
+            assert_bitwise_equal(loss, want_loss)
+            for got, want in zip(grads, want_grads, strict=True):
+                assert_bitwise_equal(got, want)
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), layers=st.integers(1, 3),
+           hidden=st.integers(1, 8), batch_size=st.integers(3, 20),
+           rows=st.sampled_from(["below", "at", "above"]))
+    def test_three_epochs_of_training_match_bitwise(self, seed, layers, hidden, batch_size,
+                                                    rows):
+        rng = np.random.default_rng(seed)
+        k = 4
+        n = {"below": batch_size - 2, "at": batch_size, "above": 3 * batch_size + 2}[rows]
+        values = 50.0 + 20.0 * np.sin(np.arange(n + k + 8) / 5.0) + rng.normal(0, 2, n + k + 8)
+        x, y = make_windows(values, k)
+        train, valid = (x[:n], y[:n]), (x[n:], y[n:])
+        config = LstmConfig(window=k, layers=layers, hidden_units=hidden, epochs=3,
+                            batch_size=batch_size, seed=seed)
+        model, history = train_lstm(train, valid, config)
+        want_params, want_history = train_lstm_oracle(train, valid, config)
+        assert history == want_history
+        for got, want in zip(model.params, want_params, strict=True):
+            assert_bitwise_equal(got, want)
+
+
+BLOCK = forecast_lstm._INFER_BLOCK
+# One and two rows, and every block boundary with tails of 1-7 rows.
+BLOCK_ROWS = sorted({1, 2} | {j * BLOCK + r for j in (1, 2, 3) for r in range(-1, 8)})
+
+
+class TestBlockedInference:
+    """predict_windows walks rows in blocks yet equals one unblocked forward."""
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_equals_the_unblocked_oracle_at_every_boundary(self, layers):
+        rng = np.random.default_rng(layers)
+        params = random_params(rng, layers, 50)
+        scaler = MinMaxScaler(0.0, 400.0)
+        model = LstmModel.from_params(LstmConfig(window=10, layers=layers, hidden_units=50),
+                                      params, scaler)
+        x = rng.uniform(0.0, 400.0, (max(BLOCK_ROWS), 10))
+        for n in BLOCK_ROWS:
+            want, _ = lstm_forward_scaled_oracle(params, scaler.transform(x[:n]))
+            assert_bitwise_equal(predict_windows(model, x[:n]),
+                                 scaler.inverse_transform(want))
+
+    def test_no_block_is_small(self):
+        for n in BLOCK_ROWS:
+            sizes = [hi - lo for lo, hi in forecast_lstm._blocks(n)]
+            assert sum(sizes) == n
+            assert min(sizes) >= min(n, BLOCK)
+            assert max(sizes) < 2 * BLOCK
+
+    def test_long_forecast_memory_is_bounded(self):
+        # One train-resource segment of the bundled config: 2,160 windows of
+        # 10 minutes through 50 hidden units. The oracle's unblocked forward,
+        # which holds every row's hidden sequence, peaks at about 22 MB here.
+        model = random_model(Rng(3), 1, 50, 10, MinMaxScaler(0.0, 400.0))
+        values = Rng(4).uniform(0.0, 400.0, (2170,))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            forecast_series(model, values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6, f"forecast_series peaked at {peak / 1e6:.1f} MB"
 
 
 class TestMakeWindows:

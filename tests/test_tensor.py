@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from graph_phpa.errors import ShapeError, ValidationError
 from graph_phpa.tensor import (ACTIVATIONS, AdamState, MinMaxScaler, Rng, activation,
                                adam_step, glorot_init, keyed_normals, mix_seed, sigmoid)
-from oracles import finite_diff_gradient
+from oracles import adam_step_oracle, assert_bitwise_equal, finite_diff_gradient
 
 
 class TestActivations:
@@ -38,7 +38,8 @@ class TestAdam:
     def test_first_step_closed_form(self):
         # m_hat = g / |g| on step one, so the move is exactly lr / (1 + eps/|g|).
         state = AdamState.fresh(np.array([1.0]), learning_rate=0.01)
-        p, _ = adam_step(np.array([1.0]), np.array([1.0]), state)
+        p = np.array([1.0])
+        adam_step(p, np.array([1.0]), state)
         assert abs(p[0] - 0.99) < 1e-9
 
     def test_first_step_is_lr_times_sign(self):
@@ -46,7 +47,8 @@ class TestAdam:
         g = rng.normal(size=(3, 4))
         p0 = rng.normal(size=(3, 4))
         state = AdamState.fresh(p0, learning_rate=0.05)
-        p1, _ = adam_step(p0, g, state)
+        p1 = p0.copy()
+        adam_step(p1, g, state)
         assert np.allclose(p1, p0 - 0.05 * np.sign(g), atol=1e-6)
 
     def test_two_steps_match_hand_recurrence(self):
@@ -60,17 +62,38 @@ class TestAdam:
         p2 = p1 - lr * (m2 / (1 - b1 ** 2)) / (math.sqrt(v2 / (1 - b2 ** 2)) + eps)
 
         state = AdamState.fresh(np.array([p]), learning_rate=lr)
-        q1, state = adam_step(np.array([p]), np.array([g1]), state)
-        q2, state = adam_step(q1, np.array([g2]), state)
-        assert abs(q1[0] - p1) < 1e-12
-        assert abs(q2[0] - p2) < 1e-12
+        q = np.array([p])
+        adam_step(q, np.array([g1]), state)
+        assert abs(q[0] - p1) < 1e-12
+        adam_step(q, np.array([g2]), state)
+        assert abs(q[0] - p2) < 1e-12
         assert state.step == 2
 
-    def test_functional_state_not_mutated(self):
+    def test_updates_in_place(self):
         state = AdamState.fresh(np.zeros(2), learning_rate=0.01)
-        adam_step(np.zeros(2), np.ones(2), state)
-        assert state.step == 0
-        assert np.all(state.first_moment == 0)
+        param, moments = np.zeros(2), (state.first_moment, state.second_moment)
+        assert adam_step(param, np.ones(2), state) is None
+        assert state.step == 1
+        assert (state.first_moment, state.second_moment) == moments  # same arrays
+        assert np.all(param < 0) and np.all(state.first_moment > 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 4),
+           shape=st.sampled_from([(1,), (3,), (2, 5), (7, 4)]),
+           lr=st.floats(1e-4, 0.5))
+    def test_matches_the_allocating_oracle_bitwise(self, seed, steps, shape, lr):
+        rng = np.random.default_rng(seed)
+        param = rng.normal(size=shape)
+        state = AdamState.fresh(param, learning_rate=lr)
+        ref_param, ref_state = param.copy(), AdamState.fresh(param, learning_rate=lr)
+        for _ in range(steps):
+            grad = rng.normal(size=shape) * rng.choice([0.0, 1e-6, 1.0, 1e3], size=shape)
+            adam_step(param, grad, state)
+            ref_param, ref_state = adam_step_oracle(ref_param, grad, ref_state)
+            assert_bitwise_equal(param, ref_param)
+            assert_bitwise_equal(state.first_moment, ref_state.first_moment)
+            assert_bitwise_equal(state.second_moment, ref_state.second_moment)
+            assert state.step == ref_state.step
 
     def test_shape_mismatch(self):
         state = AdamState.fresh(np.zeros(2), learning_rate=0.01)
