@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks that turn a
+malformed model file into one of them instead of a bare KeyError or TypeError."""
+import json
+from pathlib import Path
 
 
 class GraphPhpaError(Exception):
@@ -43,3 +46,26 @@ class RunMismatchError(GraphPhpaError, ValueError):
     def __init__(self, message: str, field: str | None = None):
         super().__init__(message)
         self.field = field
+
+
+def check_keys(d, where: str, required=(), allowed=None) -> dict:
+    """d itself, once it is a JSON object that holds every required key and,
+    when allowed is given, no key outside it; else a ValidationError naming
+    the first offending key."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"{where} must be a JSON object, got {type(d).__name__}")
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise ValidationError(f"{where} is missing key {missing[0]!r}")
+    unknown = sorted(set(d) - set(allowed)) if allowed is not None else []
+    if unknown:
+        raise ValidationError(f"unknown key {unknown[0]!r} in {where}")
+    return d
+
+
+def read_json_file(path) -> object:
+    """The JSON document in a file; a file that does not parse is a ValidationError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from None

@@ -18,14 +18,16 @@ import functools
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DivergenceError, EmptyDatasetError, ShapeError, ValidationError
-from .tensor import AdamState, MinMaxScaler, Rng, adam_step, ensure_finite, glorot_init
+from .errors import (DivergenceError, EmptyDatasetError, ShapeError, ValidationError,
+                     check_keys, read_json_file)
+from .tensor import (AdamState, MinMaxScaler, Rng, adam_step, carve, ensure_finite,
+                     glorot_init)
 
 log = logging.getLogger(__name__)
 
@@ -59,7 +61,7 @@ class LstmConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LstmConfig":
-        return cls(**d)
+        return cls(**check_keys(d, "lstm config", allowed=[f.name for f in fields(cls)]))
 
 
 class LstmLayer:
@@ -122,9 +124,14 @@ class LstmModel:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LstmModel":
-        if d.get("schema") != LSTM_SCHEMA:
+        if check_keys(d, "lstm model").get("schema") != LSTM_SCHEMA:
             raise ValidationError(f"unexpected model schema {d.get('schema')!r}")
-        layers = [LstmLayer(e["w_x"], e["w_h"], e["b"]) for e in d["layers"]]
+        check_keys(d, "lstm model", required=("config", "scaler", "layers", "head_weight",
+                                              "head_bias"))
+        layers = []
+        for i, e in enumerate(d["layers"]):
+            check_keys(e, f"lstm layers[{i}]", required=("w_x", "w_h", "b"))
+            layers.append(LstmLayer(e["w_x"], e["w_h"], e["b"]))
         return cls(config=LstmConfig.from_dict(d["config"]), layers=layers,
                    head_w=np.asarray(d["head_weight"]), head_b=d["head_bias"],
                    scaler=MinMaxScaler.from_dict(d["scaler"]), service_id=d.get("service"))
@@ -135,7 +142,7 @@ class LstmModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "LstmModel":
-        return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls.from_json_dict(read_json_file(path))
 
 
 def make_windows(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -160,16 +167,6 @@ def _init_params(config: LstmConfig, rng: Rng) -> list[np.ndarray]:
         params.append(np.zeros(4 * hidden))
         d_in = hidden
     return params + [glorot_init(hidden, 1, rng), np.zeros(1)]
-
-
-def _carve(pool: np.ndarray, shapes) -> list[np.ndarray]:
-    """Contiguous views of consecutive stretches of a flat pool, one per shape."""
-    views, start = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(pool[start:start + size].reshape(shape))
-        start += size
-    return views
 
 
 @functools.cache
@@ -249,7 +246,7 @@ def _forward_scaled(params: list[np.ndarray], x_seq: np.ndarray) -> np.ndarray:
     pool = np.empty(sum(math.prod(s) for s in shapes(min(n, 2 * _INFER_BLOCK - 1))))
     top = np.empty((n, hidden[-1]))
     for lo, hi in _blocks(n):
-        views = _carve(pool, shapes(hi - lo))
+        views = carve(pool, shapes(hi - lo))
         states = [views[i:i + 5] for i in range(0, len(views), 5)]
         for h, c, *_ in states:
             h.fill(0.0)
@@ -307,7 +304,7 @@ class _Workspace:
 
     def batch(self, n: int) -> _Batch:
         if n not in self._batches:
-            views = _carve(self.pool, self._shapes(n))
+            views = carve(self.pool, self._shapes(n))
             top = 3 + 4 * self.config.layers
             layers = [tuple(views[i:i + 4]) for i in range(3, top, 4)]
             self._batches[n] = _Batch(*views[:3], layers, *views[top:])
@@ -460,9 +457,9 @@ def train_lstm(train: tuple[np.ndarray, np.ndarray],
     # batch takes one Adam step over all of them.
     init = _init_params(config, rng)
     flat = np.concatenate([p.ravel() for p in init])
-    params = _carve(flat, [p.shape for p in init])
+    params = carve(flat, [p.shape for p in init])
     flat_grad = np.empty_like(flat)
-    grads = _carve(flat_grad, [p.shape for p in init])
+    grads = carve(flat_grad, [p.shape for p in init])
     state = AdamState.fresh(flat, config.learning_rate)
     shuffle_rng = rng.child(1)
 

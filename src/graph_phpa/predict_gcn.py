@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DivergenceError, EmptyDatasetError, ShapeError, ValidationError
-from .tensor import AdamState, MinMaxScaler, Rng, activation, adam_step, glorot_init
+from .errors import (DivergenceError, EmptyDatasetError, ShapeError, ValidationError,
+                     check_keys, read_json_file)
+from .tensor import AdamState, MinMaxScaler, Rng, activation, adam_step, carve, glorot_init
 
 log = logging.getLogger(__name__)
 
@@ -120,7 +122,7 @@ class GcnConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GcnConfig":
-        d = dict(d)
+        d = dict(check_keys(d, "gcn config", allowed=[f.name for f in fields(cls)]))
         d["hidden"] = tuple(d.get("hidden", (32,)))
         return cls(**d)
 
@@ -139,6 +141,11 @@ class GcnModel:
         self.config = config
         self.nodes = tuple(nodes)
         self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
+        if not self.weights:
+            raise ShapeError("the model needs at least one weight matrix")
+        for idx, w in enumerate(self.weights):
+            if w.ndim != 2:
+                raise ShapeError(f"weights[{idx}] must be a matrix, got shape {w.shape}")
         self.activations = tuple(activations) if activations is not None else config.activations
         self.feature_scaler = feature_scaler
         self.target_scalers = tuple(target_scalers)
@@ -171,8 +178,10 @@ class GcnModel:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GcnModel":
-        if d.get("schema") != GCN_SCHEMA:
+        if check_keys(d, "gcn model").get("schema") != GCN_SCHEMA:
             raise ValidationError(f"unexpected model schema {d.get('schema')!r}")
+        check_keys(d, "gcn model", required=("config", "nodes", "weights", "activations",
+                                             "feature_scaler", "target_scalers"))
         return cls(config=GcnConfig.from_dict(d["config"]), nodes=tuple(d["nodes"]),
                    weights=[np.asarray(w) for w in d["weights"]],
                    feature_scaler=MinMaxScaler.from_dict(d["feature_scaler"]),
@@ -185,21 +194,38 @@ class GcnModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "GcnModel":
-        return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls.from_json_dict(read_json_file(path))
 
 
-def _forward_scaled(weights: list[np.ndarray], activations, a_hat: np.ndarray,
-                    z: np.ndarray, keep_cache: bool = False):
-    """Propagate scaled features (batch, N, D) through every layer."""
-    h = z
-    cache = [] if keep_cache else None
-    for w, kind in zip(weights, activations):
-        agg = np.matmul(a_hat, h)  # (batch, N, D_l)
-        pre = agg @ w
-        if keep_cache:
-            cache.append({"agg": agg, "pre": pre, "kind": kind})
-        h = activation(pre, kind)
-    return h, cache
+def _layer_buffers(weights: list[np.ndarray], samples: int, nodes: int):
+    """Empty per-layer arrays for a forward pass: each layer's aggregated
+    input (samples, nodes, D) and its output (samples, nodes, O)."""
+    return ([np.empty((samples, nodes, w.shape[0])) for w in weights],
+            [np.empty((samples, nodes, w.shape[1])) for w in weights])
+
+
+def _forward(weights: list[np.ndarray], activations, a_hat: np.ndarray,
+             agg: list[np.ndarray], out: list[np.ndarray]) -> np.ndarray:
+    """Propagate samples through every layer in place; returns out[-1] (S, N, 1).
+
+    agg[0] holds the input aggregation a_hat @ X of scaled features X
+    (S, N, D). Layer l writes its activated output into out[l] and, past the
+    first, its input aggregation a_hat @ out[l-1] into agg[l]. Every product
+    is one small product per sample. A single GEMM over all S*N rows would
+    round differently wherever the BLAS blocks rows across sample boundaries:
+    the OpenBLAS that numpy ships does for single-column weights, and for 16
+    or more inputs, whenever N is not a multiple of 4. Per sample, the forward
+    keeps the bits that every prediction was made with.
+    """
+    for li, (w, kind) in enumerate(zip(weights, activations)):
+        if li:
+            np.matmul(a_hat, out[li - 1], out=agg[li])
+        np.matmul(agg[li], w, out=out[li])
+        if kind == "relu":
+            np.maximum(out[li], 0.0, out=out[li])
+        elif kind != "linear":
+            out[li][...] = activation(out[li], kind)
+    return out[-1]
 
 
 def gcn_forward(model: GcnModel, graph: ServiceGraph, x: np.ndarray) -> np.ndarray:
@@ -215,8 +241,11 @@ def gcn_forward(model: GcnModel, graph: ServiceGraph, x: np.ndarray) -> np.ndarr
     if x.ndim not in (2, 3) or x.shape[-2:] != (graph.size, model.weights[0].shape[0]):
         raise ShapeError(f"features shape {x.shape}, expected "
                          f"{(graph.size, model.weights[0].shape[0])} or a batch of those")
-    out, _ = _forward_scaled(model.weights, model.activations, graph.a_hat, x)
-    return out
+    samples = x if x.ndim == 3 else x[None]
+    agg, out = _layer_buffers(model.weights, len(samples), graph.size)
+    np.matmul(graph.a_hat, samples, out=agg[0])
+    return _forward(model.weights, model.activations, graph.a_hat, agg, out).reshape(
+        x.shape[:-1] + (1,))
 
 
 def predict_resource(model: GcnModel, graph: ServiceGraph, features: np.ndarray) -> np.ndarray:
@@ -296,27 +325,64 @@ def resource_features(workloads: np.ndarray, ahead: np.ndarray,
     return x
 
 
-def _loss_and_grads(weights: list[np.ndarray], activations, a_hat: np.ndarray,
-                    z: np.ndarray, targets: np.ndarray):
-    """Batch MSE over all node outputs plus per-weight gradients."""
-    out, cache = _forward_scaled(weights, activations, a_hat, z, keep_cache=True)
-    err = out - targets
-    denom = err.size
-    loss = float(np.mean(err ** 2))
+class _Batch(NamedTuple):
+    """Every array of a training batch, each (samples, N, width).
 
-    d_out = 2.0 * err / denom
-    grads = [None] * len(weights)
+    agg and out are _forward's per-layer arrays, and delta[l] takes the loss
+    gradient of layer l's output. A fit allocates one _Batch for a full batch;
+    a shorter batch, the remainder of an epoch, takes the front of each array.
+    Allocated afresh every batch, these arrays made glibc hand their pages
+    back and fault them in again: about 55k minor faults per bundled-size
+    fit, against under 1.1k with the one allocation.
+    """
+
+    agg: list[np.ndarray]
+    out: list[np.ndarray]
+    delta: list[np.ndarray]
+    targets: np.ndarray
+
+    @classmethod
+    def allocate(cls, weights: list[np.ndarray], samples: int, nodes: int) -> "_Batch":
+        agg, out = _layer_buffers(weights, samples, nodes)
+        return cls(agg, out, [np.empty_like(o) for o in out], np.empty((samples, nodes, 1)))
+
+    def front(self, samples: int) -> "_Batch":
+        """Contiguous views of the first samples of every array."""
+        return _Batch(*([a[:samples] for a in arrays] for arrays in self[:3]),
+                      self.targets[:samples])
+
+
+def _loss_and_grads(weights: list[np.ndarray], activations, a_hat: np.ndarray,
+                    batch: _Batch, grads: list[np.ndarray]) -> float:
+    """Batch MSE over all node outputs; writes each weight's gradient into grads.
+
+    batch.agg[0] holds the batch's input aggregation a_hat @ X and
+    batch.targets its scaled targets. Each weight gradient is one
+    (D, S*N) @ (S*N, O) product over every node row of the batch.
+    """
+    out = _forward(weights, activations, a_hat, batch.agg, batch.out)
+    err = np.subtract(out, batch.targets, out=batch.delta[-1])
+    loss = float(np.mean(err ** 2))
+    err *= 2.0
+    err /= err.size
+    node_rows = err.shape[0] * err.shape[1]
     for li in range(len(weights) - 1, -1, -1):
-        entry = cache[li]
-        if entry["kind"] == "relu":
-            d_pre = d_out * (entry["pre"] > 0)
-        else:
-            d_pre = d_out
-        grads[li] = np.einsum("bnd,bno->do", entry["agg"], d_pre)
+        delta, agg = batch.delta[li], batch.agg[li]
+        if activations[li] == "relu":
+            delta *= batch.out[li] > 0  # positive exactly where the pre-activation was
+        np.matmul(agg.reshape(node_rows, -1).T, delta.reshape(node_rows, -1), out=grads[li])
         if li:  # the input features need no gradient
+            w = weights[li]
+            # agg is spent, so it takes delta @ w.T. With one output column
+            # every entry is a single product, and a broadcast multiply gives
+            # the same bits.
+            if w.shape[1] == 1:
+                np.multiply(delta, w[:, 0], out=agg)
+            else:
+                np.matmul(delta, w.T, out=agg)
             # a_hat is symmetric, so the transpose in the chain rule is itself.
-            d_out = np.matmul(a_hat, d_pre @ weights[li].T)
-    return loss, grads
+            np.matmul(a_hat, agg, out=batch.delta[li - 1])
+    return loss
 
 
 def train_gcn(train: tuple[np.ndarray, np.ndarray], graph: ServiceGraph, config: GcnConfig,
@@ -343,37 +409,50 @@ def train_gcn(train: tuple[np.ndarray, np.ndarray], graph: ServiceGraph, config:
     feature_scaler = MinMaxScaler.fit(x_train, out_lo=0.0, out_hi=1.0)
     target_scalers = tuple(MinMaxScaler.fit(y_train[:, ni, :], out_lo=0.0, out_hi=1.0)
                            for ni in range(graph.size))
-    xs = feature_scaler.transform(x_train)
+    # The input layer's aggregation a_hat @ X depends on the data alone, so
+    # each dataset is aggregated once instead of once per batch and epoch.
+    agg_train = np.matmul(graph.a_hat, feature_scaler.transform(x_train))
     ys = scale_targets(target_scalers, y_train)
     has_valid = valid is not None and len(valid[0]) > 0
-    if has_valid:
-        xv = feature_scaler.transform(np.asarray(valid[0], dtype=np.float64))
-        yv = scale_targets(target_scalers, np.asarray(valid[1], dtype=np.float64))
 
     rng = Rng(config.seed)
     widths = config.widths
-    weights = [glorot_init(widths[i], widths[i + 1], rng) for i in range(len(widths) - 1)]
-    states = [AdamState.fresh(w, config.learning_rate) for w in weights]
+    shapes = [(widths[i], widths[i + 1]) for i in range(len(widths) - 1)]
+    # Weights, gradients and Adam moments each live in one flat array, so a
+    # batch takes one Adam step over all of them.
+    flat = np.concatenate([glorot_init(*shape, rng).ravel() for shape in shapes])
+    weights = carve(flat, shapes)
+    flat_grad = np.empty_like(flat)
+    grads = carve(flat_grad, shapes)
+    state = AdamState.fresh(flat, config.learning_rate)
     shuffle_rng = rng.child(1)
 
-    n = len(xs)
+    if has_valid:
+        x_valid = feature_scaler.transform(np.asarray(valid[0], dtype=np.float64))
+        yv = scale_targets(target_scalers, np.asarray(valid[1], dtype=np.float64))
+        valid_agg, valid_out = _layer_buffers(weights, len(x_valid), graph.size)
+        np.matmul(graph.a_hat, x_valid, out=valid_agg[0])
+
+    n = len(agg_train)
+    workspace = _Batch.allocate(weights, min(n, config.batch_size), graph.size)
     history: list[tuple[float, float | None]] = []
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n)
         sq_sum = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            loss, grads = _loss_and_grads(weights, config.activations, graph.a_hat,
-                                          xs[idx], ys[idx])
+            batch = workspace.front(len(idx))
+            np.take(agg_train, idx, axis=0, out=batch.agg[0])
+            np.take(ys, idx, axis=0, out=batch.targets)
+            loss = _loss_and_grads(weights, config.activations, graph.a_hat, batch, grads)
             if not np.isfinite(loss):
                 raise DivergenceError(f"training loss diverged at epoch {epoch}", epoch=epoch)
             sq_sum += loss * len(idx)
-            for weight, grad, state in zip(weights, grads, states):
-                adam_step(weight, grad, state)
+            adam_step(flat, flat_grad, state)
         train_mse = sq_sum / n
         valid_mse = None
         if has_valid:
-            out, _ = _forward_scaled(weights, config.activations, graph.a_hat, xv)
+            out = _forward(weights, config.activations, graph.a_hat, valid_agg, valid_out)
             valid_mse = float(np.mean((out - yv) ** 2))
             if not np.isfinite(valid_mse):
                 raise DivergenceError(f"validation loss diverged at epoch {epoch}", epoch=epoch)
@@ -383,20 +462,21 @@ def train_gcn(train: tuple[np.ndarray, np.ndarray], graph: ServiceGraph, config:
     return model, history
 
 
+def _squared_errors(model: GcnModel, graph: ServiceGraph,
+                    dataset: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """(S, N, 1) squared errors in scaled units over a raw dataset."""
+    x = model.feature_scaler.transform(np.asarray(dataset[0], dtype=np.float64))
+    return (gcn_forward(model, graph, x) - scale_targets(model.target_scalers, dataset[1])) ** 2
+
+
 def evaluate_gcn(model: GcnModel, graph: ServiceGraph,
                  dataset: tuple[np.ndarray, np.ndarray]) -> float:
     """MSE in scaled units over a dataset, comparable with training history."""
-    x = model.feature_scaler.transform(np.asarray(dataset[0], dtype=np.float64))
-    y = scale_targets(model.target_scalers, dataset[1])
-    out, _ = _forward_scaled(model.weights, model.activations, graph.a_hat, x)
-    return float(np.mean((out - y) ** 2))
+    return float(np.mean(_squared_errors(model, graph, dataset)))
 
 
 def evaluate_gcn_per_node(model: GcnModel, graph: ServiceGraph,
                           dataset: tuple[np.ndarray, np.ndarray]) -> dict[str, float]:
     """Scaled MSE broken down by service."""
-    x = model.feature_scaler.transform(np.asarray(dataset[0], dtype=np.float64))
-    y = scale_targets(model.target_scalers, dataset[1])
-    out, _ = _forward_scaled(model.weights, model.activations, graph.a_hat, x)
-    sq = (out - y) ** 2
+    sq = _squared_errors(model, graph, dataset)
     return {node: float(np.mean(sq[:, ni, :])) for ni, node in enumerate(graph.nodes)}

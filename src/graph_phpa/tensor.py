@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError, ValidationError, check_keys
 
 ACTIVATIONS = ("tanh", "sigmoid", "relu", "linear")
 
@@ -240,6 +240,16 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     ensure_finite(param, "adam_step result")
 
 
+def carve(pool: np.ndarray, shapes) -> list[np.ndarray]:
+    """Contiguous views of consecutive stretches of a flat pool, one per shape."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(pool[start:start + size].reshape(shape))
+        start += size
+    return views
+
+
 def glorot_init(rows: int, cols: int, rng: Rng) -> np.ndarray:
     """Glorot-uniform matrix in +/- sqrt(6 / (rows + cols)), seeded."""
     if rows < 1 or cols < 1:
@@ -296,6 +306,7 @@ class MinMaxScaler:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MinMaxScaler":
+        check_keys(d, "scaler", required=("lo", "hi", "out_lo", "out_hi"))
         return cls(float(d["lo"]), float(d["hi"]), float(d["out_lo"]), float(d["out_hi"]))
 
 

@@ -16,7 +16,10 @@ file order, and aggregate and chart it row by row. The allocating LSTM
 kernel, Adam and training loop are the package's earlier implementation,
 kept here to arbitrate the buffered one bit for bit: they allocate every
 array they return instead of writing into reused buffers, and run the
-recurrence over all rows at once.
+recurrence over all rows at once. The GCN's per-sample kernel, with an
+einsum weight gradient and one Adam step per weight matrix, is likewise the
+package's earlier form, kept to arbitrate the buffered one: forward and loss bit
+for bit, gradients and training to rounding.
 """
 import math
 from typing import NamedTuple
@@ -27,7 +30,9 @@ from graph_phpa.autoscaler import integrate_step, predict_demand
 from graph_phpa.cluster_sim import DecisionRow, ScalingPolicy, SimulationLog
 from graph_phpa.errors import DivergenceError, ValidationError
 from graph_phpa.forecast_lstm import _init_params
-from graph_phpa.tensor import AdamState, MinMaxScaler, Rng, mix_seed, sigmoid
+from graph_phpa.predict_gcn import scale_targets
+from graph_phpa.tensor import (AdamState, MinMaxScaler, Rng, activation, glorot_init, mix_seed,
+                              sigmoid)
 
 
 def rel_err(a, b, floor=1e-12):
@@ -513,3 +518,75 @@ def train_lstm_oracle(train, valid, config):
             valid_mse = float(np.mean((yhat - yv) ** 2))
         history.append((sq_sum / n, valid_mse))
     return params, history
+
+
+def gcn_forward_scaled_oracle(weights, activations, a_hat, z, keep_cache=False):
+    """Propagate scaled features (batch, N, D) through every layer, per sample."""
+    h = z
+    cache = [] if keep_cache else None
+    for w, kind in zip(weights, activations):
+        agg = np.matmul(a_hat, h)  # (batch, N, D_l)
+        pre = agg @ w
+        if keep_cache:
+            cache.append({"agg": agg, "pre": pre, "kind": kind})
+        h = activation(pre, kind)
+    return h, cache
+
+
+def gcn_loss_and_grads_oracle(weights, activations, a_hat, z, targets):
+    """Batch MSE over all node outputs plus per-weight einsum gradients."""
+    out, cache = gcn_forward_scaled_oracle(weights, activations, a_hat, z, keep_cache=True)
+    err = out - targets
+    denom = err.size
+    loss = float(np.mean(err ** 2))
+
+    d_out = 2.0 * err / denom
+    grads = [None] * len(weights)
+    for li in range(len(weights) - 1, -1, -1):
+        entry = cache[li]
+        if entry["kind"] == "relu":
+            d_pre = d_out * (entry["pre"] > 0)
+        else:
+            d_pre = d_out
+        grads[li] = np.einsum("bnd,bno->do", entry["agg"], d_pre)
+        if li:
+            d_out = np.matmul(a_hat, d_pre @ weights[li].T)
+    return loss, grads
+
+
+def train_gcn_oracle(train, graph, config, valid=None):
+    """The GCN training loop over the oracle kernel, one Adam step per weight
+    matrix; returns (weights, history)."""
+    x_train, y_train = (np.asarray(a, dtype=np.float64) for a in train)
+    feature_scaler = MinMaxScaler.fit(x_train, out_lo=0.0, out_hi=1.0)
+    target_scalers = tuple(MinMaxScaler.fit(y_train[:, ni, :], out_lo=0.0, out_hi=1.0)
+                           for ni in range(graph.size))
+    xs = feature_scaler.transform(x_train)
+    ys = scale_targets(target_scalers, y_train)
+    has_valid = valid is not None and len(valid[0]) > 0
+    if has_valid:
+        xv = feature_scaler.transform(np.asarray(valid[0], dtype=np.float64))
+        yv = scale_targets(target_scalers, np.asarray(valid[1], dtype=np.float64))
+    rng = Rng(config.seed)
+    widths = config.widths
+    weights = [glorot_init(widths[i], widths[i + 1], rng) for i in range(len(widths) - 1)]
+    states = [AdamState.fresh(w, config.learning_rate) for w in weights]
+    shuffle_rng = rng.child(1)
+    n = len(xs)
+    history = []
+    for _ in range(config.epochs):
+        order = shuffle_rng.permutation(n)
+        sq_sum = 0.0
+        for start in range(0, n, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            loss, grads = gcn_loss_and_grads_oracle(weights, config.activations, graph.a_hat,
+                                                    xs[idx], ys[idx])
+            sq_sum += loss * len(idx)
+            for li in range(len(weights)):
+                weights[li], states[li] = adam_step_oracle(weights[li], grads[li], states[li])
+        valid_mse = None
+        if has_valid:
+            out, _ = gcn_forward_scaled_oracle(weights, config.activations, graph.a_hat, xv)
+            valid_mse = float(np.mean((out - yv) ** 2))
+        history.append((sq_sum / n, valid_mse))
+    return weights, history

@@ -15,18 +15,13 @@ import pytest
 
 from graph_phpa.autoscaler import ScalingBounds, integrate_step
 from graph_phpa.cli import main as cli_main
-from graph_phpa.predict_gcn import (
-    GcnConfig,
-    GcnModel,
-    ServiceGraph,
-    _loss_and_grads as gcn_loss_and_grads,
-    gcn_forward,
-)
+from graph_phpa.predict_gcn import GcnConfig, GcnModel, ServiceGraph, gcn_forward
 from graph_phpa.tensor import MinMaxScaler, Rng
 from graph_phpa.traces import WorkloadTrace, interpolate_to_minutes, split_dataset
 from conftest import run_cli
 from oracles import finite_diff_gradient, gcn_forward_oracle
 from test_forecast_lstm import gradcheck_params, random_model as random_lstm
+from test_predict_gcn import loss_and_grads as gcn_loss_and_grads
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG = ROOT / "configs" / "experiment.json"

@@ -1,6 +1,7 @@
 """Command-line workflow tests on a small configuration."""
 import json
 import math
+import shutil
 import sys
 import threading
 from pathlib import Path
@@ -98,6 +99,57 @@ class TestTraining:
                        "--models", str(tmp_path), "--out", str(tmp_path / "out"))
         assert code == 2
         assert "missing forecaster model" in capsys.readouterr().err
+
+
+class TestMalformedModelFiles:
+    """A corrupt model file exits with code 2 and a message naming the bad
+    key, never with a traceback."""
+
+    @staticmethod
+    def corrupt(models_dir: str, tmp_path: Path, name: str, edit) -> Path:
+        out = tmp_path / "models"
+        shutil.copytree(models_dir, out)
+        doc = json.loads((out / name).read_text(encoding="utf-8"))
+        edit(doc)
+        (out / name).write_text(json.dumps(doc), encoding="utf-8")
+        return out
+
+    def simulate_phpa(self, config: str, models: Path, tmp_path: Path) -> int:
+        return run_cli("simulate", "--config", config, "--policy", "phpa",
+                       "--models", str(models), "--out", str(tmp_path / "run"))
+
+    def test_vector_last_gcn_weight(self, tiny_config_path, tiny_models_dir, tmp_path,
+                                    capsys):
+        def flatten_last(doc):
+            doc["weights"][-1] = [row[0] for row in doc["weights"][-1]]
+        models = self.corrupt(tiny_models_dir, tmp_path, "gcn.json", flatten_last)
+        assert self.simulate_phpa(tiny_config_path, models, tmp_path) == 2
+        assert "weights[1] must be a matrix" in capsys.readouterr().err
+
+    def test_missing_scaler_key(self, tiny_config_path, tiny_models_dir, tmp_path, capsys):
+        models = self.corrupt(tiny_models_dir, tmp_path, "lstm_back.json",
+                              lambda doc: doc["scaler"].pop("hi"))
+        code = run_cli("train-resource", "--config", tiny_config_path,
+                       "--models", str(models), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "scaler is missing key 'hi'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, where", [("gcn.json", "gcn config"),
+                                             ("lstm_front.json", "lstm config")])
+    def test_unknown_config_key(self, tiny_config_path, tiny_models_dir, tmp_path, capsys,
+                                name, where):
+        models = self.corrupt(tiny_models_dir, tmp_path, name,
+                              lambda doc: doc["config"].update(dropout=0.5))
+        assert self.simulate_phpa(tiny_config_path, models, tmp_path) == 2
+        assert f"unknown key 'dropout' in {where}" in capsys.readouterr().err
+
+    def test_truncated_file(self, tiny_config_path, tiny_models_dir, tmp_path, capsys):
+        models = tmp_path / "models"
+        shutil.copytree(tiny_models_dir, models)
+        text = (models / "gcn.json").read_text(encoding="utf-8")
+        (models / "gcn.json").write_text(text[:len(text) // 2], encoding="utf-8")
+        assert self.simulate_phpa(tiny_config_path, models, tmp_path) == 2
+        assert "gcn.json is not valid JSON" in capsys.readouterr().err
 
 
 def train_both(config: str, out: Path) -> dict[str, bytes]:

@@ -20,6 +20,7 @@ from graph_phpa.predict_gcn import (
     GcnConfig,
     GcnModel,
     ServiceGraph,
+    _Batch,
     _loss_and_grads,
     build_resource_dataset,
     evaluate_gcn,
@@ -31,11 +32,15 @@ from graph_phpa.predict_gcn import (
 )
 from graph_phpa.tensor import MinMaxScaler, Rng
 from oracles import (
+    assert_bitwise_equal,
     finite_diff_gradient,
     gcn_forward_oracle,
+    gcn_forward_scaled_oracle,
+    gcn_loss_and_grads_oracle,
     normalized_adjacency_oracle,
     rel_err,
     resource_dataset_oracle,
+    train_gcn_oracle,
     windowed_max_oracle,
 )
 
@@ -61,6 +66,15 @@ def random_model(rng: Rng, nodes, window: int, hidden: tuple[int, ...]) -> GcnMo
     weights = [rng.normal(0.0, 0.5, (widths[i], widths[i + 1]))
                for i in range(len(widths) - 1)]
     return GcnModel(config, tuple(nodes), weights, UNIT, (UNIT,) * len(tuple(nodes)))
+
+
+def loss_and_grads(weights, activations, a_hat, x, y):
+    """The buffered kernel on one batch of scaled features, through buffers sized for it."""
+    batch = _Batch.allocate(weights, len(x), x.shape[1])
+    np.matmul(a_hat, x, out=batch.agg[0])
+    batch.targets[...] = y
+    grads = [np.full_like(w, np.nan) for w in weights]
+    return _loss_and_grads(weights, activations, a_hat, batch, grads), grads
 
 
 class TestNormalizeAdjacency:
@@ -240,13 +254,13 @@ class TestGradients:
                    for i in range(len(widths) - 1)]
         x = rng.uniform(0.0, 1.0, (6, 4, 3))
         y = rng.uniform(0.0, 1.0, (6, 4, 1))
-        _, grads = _loss_and_grads(weights, config.activations, graph.a_hat, x, y)
+        _, grads = loss_and_grads(weights, config.activations, graph.a_hat, x, y)
         for li in range(len(weights)):
             def f(p, li=li):
                 saved = weights[li]
                 weights[li] = p
                 try:
-                    loss, _ = _loss_and_grads(weights, config.activations, graph.a_hat, x, y)
+                    loss, _ = loss_and_grads(weights, config.activations, graph.a_hat, x, y)
                 finally:
                     weights[li] = saved
                 return loss
@@ -260,9 +274,75 @@ class TestGradients:
         model = random_model(rng.child(1), graph.nodes, 2, (2,))
         x = rng.uniform(0.0, 1.0, (5, 3, 2))
         y = rng.uniform(0.0, 1.0, (5, 3, 1))
-        loss, _ = _loss_and_grads(model.weights, model.activations, graph.a_hat, x, y)
+        loss, _ = loss_and_grads(model.weights, model.activations, graph.a_hat, x, y)
         per_sample = np.array([gcn_forward(model, graph, xi) for xi in x])
         assert loss == pytest.approx(float(np.mean((per_sample - y) ** 2)), abs=1e-12)
+
+
+def close(actual, expected, rtol):
+    """Norm-relative closeness of two same-shaped arrays."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    return np.linalg.norm(actual - expected) <= rtol * np.linalg.norm(expected)
+
+
+# Graphs of 1-6 nodes, 0-2 hidden layers (widths up to 40, so past the 16
+# inputs where BLAS kernels start to block rows differently) and batches
+# around the sizes whose remainders take other BLAS paths.
+kernel_cases = dict(n=st.integers(1, 6), hidden=st.lists(st.integers(1, 40), max_size=2),
+                    window=st.integers(2, 12), seed=st.integers(0, 2**16))
+BATCHES = (1, 2, 255, 256, 257)
+
+
+class TestKernelAgainstOracle:
+    """The kernel against the per-sample einsum kernel it replaced."""
+
+    @given(batch=st.sampled_from(BATCHES), **kernel_cases)
+    @settings(max_examples=60, deadline=None)
+    def test_forward_and_loss_bitwise_gradients_to_rounding(self, n, hidden, window, seed,
+                                                            batch):
+        rng = Rng(seed)
+        graph = random_graph(rng, n)
+        model = random_model(rng.child(1), graph.nodes, window, tuple(hidden))
+        x = rng.uniform(0.0, 1.0, (batch, n, window))
+        y = rng.uniform(0.0, 1.0, (batch, n, 1))
+        want_out, _ = gcn_forward_scaled_oracle(model.weights, model.activations,
+                                                graph.a_hat, x)
+        assert_bitwise_equal(gcn_forward(model, graph, x), want_out)
+        assert_bitwise_equal(gcn_forward(model, graph, x[0]), want_out[0])
+
+        want_loss, want_grads = gcn_loss_and_grads_oracle(model.weights, model.activations,
+                                                          graph.a_hat, x, y)
+        loss, grads = loss_and_grads(model.weights, model.activations, graph.a_hat, x, y)
+        assert_bitwise_equal(loss, want_loss)
+        for got, want in zip(grads, want_grads):
+            assert close(got, want, 1e-12)
+
+    @given(samples=st.sampled_from((1, 3, 40, 257, 300)),
+           batch_size=st.sampled_from(BATCHES + (64,)), **kernel_cases)
+    @settings(max_examples=25, deadline=None)
+    def test_training_matches_oracle_and_repeats(self, n, hidden, window, seed, samples,
+                                                 batch_size):
+        # Sample counts include ones that are no multiple of the batch size
+        # and ones below it, so the last batch is short or the only one.
+        rng = Rng(seed)
+        graph = random_graph(rng, n)
+        x = rng.uniform(0.0, 50.0, (samples + 7, n, window))
+        y = rng.uniform(0.0, 4.0, (samples + 7, n, 1))
+        config = GcnConfig(window=window, hidden=tuple(hidden), learning_rate=0.01,
+                           epochs=3, batch_size=batch_size, seed=seed)
+        train, valid = (x[:samples], y[:samples]), (x[samples:], y[samples:])
+        model, history = train_gcn(train, graph, config, valid)
+        want_weights, want_history = train_gcn_oracle(train, graph, config, valid)
+        for got, want in zip(model.weights, want_weights):
+            assert close(got, want, 1e-10)
+        for got, want in zip(history, want_history):
+            assert close(got, want, 1e-10)
+
+        again, again_history = train_gcn(train, graph, config, valid)
+        assert again_history == history
+        for got, want in zip(again.weights, model.weights):
+            assert_bitwise_equal(got, want)
 
 
 class TestBuildResourceDataset:
@@ -478,6 +558,11 @@ class TestModelValidation:
         with pytest.raises(ShapeError):
             GcnModel(GcnConfig(window=3, hidden=(), epochs=1), ("a",),
                      [np.zeros((3, 2))], UNIT, (UNIT,))
+
+    def test_needs_a_weight_matrix(self):
+        with pytest.raises(ShapeError, match="at least one weight"):
+            GcnModel(GcnConfig(window=3, hidden=(), epochs=1), ("a",), [], UNIT, (UNIT,),
+                     activations=())
 
     def test_activation_count_must_match(self):
         with pytest.raises(ShapeError):
