@@ -10,7 +10,10 @@ the whole cluster shares a hard pod budget.
 All randomness is keyed by (seed, absolute minute, service index), so the same
 minute of the same trace sees identical noise regardless of warmup, policy, or
 how much history was simulated before it. A window's noise is drawn in one
-pass and is bit for bit what minute-by-minute draws would give.
+array pass (tensor.keyed_normals: each key's first PCG64 output computed with
+uint64 arithmetic and numpy's ziggurat applied to all of them, with a
+Generator drawing only the ~1.5% of keys its fast path rejects) and is bit
+for bit what minute-by-minute draws from fresh generators would give.
 """
 from __future__ import annotations
 
@@ -116,8 +119,10 @@ class DemandModel:
         Rates flow down the fan-out edges in topological order, one array
         operation per edge. Each internal service's inbound rate at minute m is
         scaled by exp(sigma * z - sigma**2 / 2), z the normal keyed by (seed, m,
-        service index). The exponential is math.exp per element: np.exp can
-        differ from it in the last bit, which would move every rate below it.
+        service index), Rng(mix_seed(seed, m, index)).normal(); keyed_normals
+        draws every (service, minute) z of the window in one call. The
+        exponential is math.exp per element: np.exp can differ from it in the
+        last bit, which would move every rate below it.
         """
         external = np.asarray(external, dtype=np.float64)
         if np.any(external < 0):

@@ -1,7 +1,10 @@
 """Exception types shared across the package, and the checks that turn a
 malformed model file into one of them instead of a bare KeyError or TypeError."""
 import json
+import math
 from pathlib import Path
+
+import numpy as np
 
 
 class GraphPhpaError(Exception):
@@ -61,6 +64,36 @@ def check_keys(d, where: str, required=(), allowed=None) -> dict:
     if unknown:
         raise ValidationError(f"unknown key {unknown[0]!r} in {where}")
     return d
+
+
+def check_number(value, where: str, integer: bool = False):
+    """value itself, once it is a finite JSON number (an integer when integer
+    is set); else a ValidationError naming where."""
+    kinds = int if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds) or not math.isfinite(value):
+        raise ValidationError(f"{where} must be {'an integer' if integer else 'a finite number'}, "
+                              f"got {value!r}")
+    return value
+
+
+def check_list(value, where: str) -> list:
+    """value itself, once it is a JSON array; else a ValidationError naming where."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{where} must be a list, got {type(value).__name__}")
+    return value
+
+
+def float_array(value, where: str) -> np.ndarray:
+    """value as a float64 array; a ragged, non-numeric or non-finite value is
+    a ValidationError naming where."""
+    check_list(value, where)
+    try:
+        out = np.asarray(value, dtype=np.float64)
+        if np.all(np.isfinite(out)):
+            return out
+    except (TypeError, ValueError):
+        pass
+    raise ValidationError(f"{where} must be a rectangular array of finite numbers")
 
 
 def read_json_file(path) -> object:

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (DivergenceError, EmptyDatasetError, ShapeError, ValidationError,
-                     check_keys, read_json_file)
+                     check_keys, check_list, check_number, float_array, read_json_file)
 from .tensor import (AdamState, MinMaxScaler, Rng, adam_step, carve, ensure_finite,
                      glorot_init)
 
@@ -61,7 +61,10 @@ class LstmConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LstmConfig":
-        return cls(**check_keys(d, "lstm config", allowed=[f.name for f in fields(cls)]))
+        check_keys(d, "lstm config", allowed=[f.name for f in fields(cls)])
+        for name, value in d.items():
+            check_number(value, f"lstm config {name!r}", integer=name != "learning_rate")
+        return cls(**d)
 
 
 class LstmLayer:
@@ -94,6 +97,8 @@ class LstmModel:
         self.head_b = float(head_b)
         self.scaler = scaler
         self.service_id = service_id
+        if not layers:
+            raise ShapeError("the model needs at least one layer")
         if self.head_w.shape != (layers[-1].hidden, 1):
             raise ShapeError(f"head weight shape {self.head_w.shape} does not match "
                              f"hidden size {layers[-1].hidden}")
@@ -129,11 +134,13 @@ class LstmModel:
         check_keys(d, "lstm model", required=("config", "scaler", "layers", "head_weight",
                                               "head_bias"))
         layers = []
-        for i, e in enumerate(d["layers"]):
+        for i, e in enumerate(check_list(d["layers"], "lstm model 'layers'")):
             check_keys(e, f"lstm layers[{i}]", required=("w_x", "w_h", "b"))
-            layers.append(LstmLayer(e["w_x"], e["w_h"], e["b"]))
+            layers.append(LstmLayer(*(float_array(e[k], f"lstm layers[{i}] {k!r}")
+                                      for k in ("w_x", "w_h", "b"))))
         return cls(config=LstmConfig.from_dict(d["config"]), layers=layers,
-                   head_w=np.asarray(d["head_weight"]), head_b=d["head_bias"],
+                   head_w=float_array(d["head_weight"], "lstm model 'head_weight'"),
+                   head_b=check_number(d["head_bias"], "lstm model 'head_bias'"),
                    scaler=MinMaxScaler.from_dict(d["scaler"]), service_id=d.get("service"))
 
     def save(self, path: str | Path) -> None:

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (DivergenceError, EmptyDatasetError, ShapeError, ValidationError,
-                     check_keys, read_json_file)
+                     check_keys, check_list, check_number, float_array, read_json_file)
 from .tensor import AdamState, MinMaxScaler, Rng, activation, adam_step, carve, glorot_init
 
 log = logging.getLogger(__name__)
@@ -123,7 +123,13 @@ class GcnConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "GcnConfig":
         d = dict(check_keys(d, "gcn config", allowed=[f.name for f in fields(cls)]))
-        d["hidden"] = tuple(d.get("hidden", (32,)))
+        for name, value in d.items():
+            where = f"gcn config {name!r}"
+            if name == "hidden":
+                d[name] = tuple(check_number(h, where, integer=True)
+                                for h in check_list(value, where))
+            else:
+                check_number(value, where, integer=name != "learning_rate")
         return cls(**d)
 
 
@@ -182,11 +188,14 @@ class GcnModel:
             raise ValidationError(f"unexpected model schema {d.get('schema')!r}")
         check_keys(d, "gcn model", required=("config", "nodes", "weights", "activations",
                                              "feature_scaler", "target_scalers"))
-        return cls(config=GcnConfig.from_dict(d["config"]), nodes=tuple(d["nodes"]),
-                   weights=[np.asarray(w) for w in d["weights"]],
+        weights = check_list(d["weights"], "gcn model 'weights'")
+        return cls(config=GcnConfig.from_dict(d["config"]),
+                   nodes=tuple(check_list(d["nodes"], "gcn model 'nodes'")),
+                   weights=[float_array(w, f"gcn weights[{i}]") for i, w in enumerate(weights)],
                    feature_scaler=MinMaxScaler.from_dict(d["feature_scaler"]),
-                   target_scalers=[MinMaxScaler.from_dict(s) for s in d["target_scalers"]],
-                   activations=tuple(d["activations"]))
+                   target_scalers=[MinMaxScaler.from_dict(s) for s in
+                                   check_list(d["target_scalers"], "gcn model 'target_scalers'")],
+                   activations=tuple(check_list(d["activations"], "gcn model 'activations'")))
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict(), sort_keys=True) + "\n",

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError, check_keys
+from .errors import ShapeError, ValidationError, check_keys, check_number
 
 ACTIVATIONS = ("tanh", "sigmoid", "relu", "linear")
 
@@ -89,30 +89,148 @@ def _seed_sequence_state(seeds: np.ndarray) -> np.ndarray:
     return out[0::2] | (out[1::2] << np.uint64(32))
 
 
+_M_HI, _M_LO = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & _MASK64)
+_LOW32 = np.uint64(0xFFFFFFFF)
+# Bits 9..60 of a 64-bit output are the ziggurat's 52-bit magnitude.
+_RABS_END = 1 << 52
+
+
+def _mul_hi64(a: np.ndarray, b: np.uint64) -> np.ndarray:
+    """High 64 bits of the 128-bit products a * b, from 32-bit limbs."""
+    a0, a1 = a & _LOW32, a >> np.uint64(32)
+    b0, b1 = b & _LOW32, b >> np.uint64(32)
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> np.uint64(32)) + (p01 & _LOW32) + (p10 & _LOW32)
+    return a1 * b1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
+
+
+def _pcg64_step(hi, lo, inc_hi, inc_lo):
+    """state * MULT + inc mod 2**128 on (high, low) uint64 word arrays."""
+    prod_hi = _mul_hi64(lo, _M_LO) + lo * _M_HI + hi * _M_LO
+    lo = lo * _M_LO + inc_lo
+    return prod_hi + inc_hi + (lo < inc_lo), lo
+
+
+def _pcg64_first_outputs(seeds: np.ndarray) -> np.ndarray:
+    """PCG64(s).random_raw() for every 64-bit seed s of a 1-D array.
+
+    numpy seeds PCG64 from SeedSequence words (s_hi, s_lo, i_hi, i_lo) as
+    inc = i << 1 | 1 and state = (inc + s) * MULT + inc; a draw steps the LCG
+    once more and outputs XSL-RR, the xor of the state's halves rotated
+    right by its top 6 bits. The 128-bit words are (high, low) uint64 arrays.
+    """
+    s_hi, s_lo, i_hi, i_lo = _seed_sequence_state(seeds)
+    inc_hi = (i_hi << np.uint64(1)) | (i_lo >> np.uint64(63))
+    inc_lo = (i_lo << np.uint64(1)) | np.uint64(1)
+    lo = inc_lo + s_lo
+    hi = inc_hi + s_hi + (lo < inc_lo)
+    hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+    hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+    x, rot = hi ^ lo, hi >> np.uint64(58)
+    return (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+
+
+def _set_pcg64_state(bit_gen: np.random.PCG64, state: int, inc: int) -> None:
+    bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                     "has_uint32": 0, "uinteger": 0}
+
+
+@functools.cache
+def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
+    """(wi, ki): the installed numpy's 256-layer ziggurat tables for normals.
+
+    Generator.normal reads one 64-bit output r as idx = r & 0xff, sign bit 8
+    and a 52-bit magnitude rabs from bits 9-60, and returns +-rabs * wi[idx] at
+    once when rabs < ki[idx]; any other draw reads further outputs. Both
+    tables are probed out of Generator.normal itself, so they follow the
+    installed numpy. With inc 1, the state (r - 1) * MULT**-1 steps to r,
+    whose zero high word makes XSL-RR output r unrotated; so each probe
+    chooses r exactly, and a draw took the fast path when the state ends at
+    r. wi[idx] is the draw at rabs = 1 (0 where even that is slow, so
+    ki <= 1 and accepted draws are 0). ki[idx] is the first slow rabs: for
+    idx >= 3 the floor or ceiling of wi[idx-1] / wi[idx] * 2**52, confirmed
+    by two probes, and bisected over all 2**52 magnitudes where that fails
+    and for idx 0 to 2.
+    """
+    gen = np.random.Generator(np.random.PCG64(0))
+    m_inv = pow(_PCG64_MULT, -1, 1 << 128)
+
+    def draw(idx: int, rabs: int) -> tuple[float, bool]:
+        r = idx | rabs << 9
+        _set_pcg64_state(gen.bit_generator, (r - 1) * m_inv & _MASK128, 1)
+        z = gen.normal()
+        return z, gen.bit_generator.state["state"]["state"] == r
+
+    def first_slow(idx: int, guess: int | None) -> int:
+        # Probe the guess, then the neighbour that would confirm it, then bisect.
+        lo, hi, mid = 0, _RABS_END, guess  # every rabs below lo is fast; hi is slow or the end
+        while lo < hi:
+            if mid is None:
+                mid = (lo + hi) // 2
+            if draw(idx, mid)[1]:
+                lo, mid = mid + 1, (mid + 1 if mid == guess else None)
+            else:
+                hi, mid = mid, (mid - 1 if mid == guess else None)
+        return lo
+
+    wi = np.zeros(256)
+    for idx in range(256):
+        z, fast = draw(idx, 1)
+        wi[idx] = z if fast else 0.0
+    ki = np.zeros(256, dtype=np.uint64)
+    for idx in range(256):
+        guess = None
+        if idx >= 3 and wi[idx - 1] > 0 and wi[idx] > 0:
+            (n1, d1), (n2, d2) = (float(w).as_integer_ratio() for w in wi[idx - 1:idx + 1])
+            guess = min(n1 * d2 * _RABS_END // (d1 * n2), _RABS_END - 1)
+        ki[idx] = first_slow(idx, guess)
+    wi.setflags(write=False)
+    ki.setflags(write=False)
+    return wi, ki
+
+
+def _ziggurat_fast_path(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(z, accepted): Generator.normal() of a generator whose next output is r,
+    wherever accepted says its ziggurat returns without reading more.
+
+    z is +-rabs * wi[idx] plus 0.0, as normal's loc + scale * x turns -0.0
+    into +0.0; where accepted is False, z is meaningless.
+    """
+    wi, ki = _ziggurat_tables()
+    idx = (r & np.uint64(0xFF)).astype(np.intp)
+    rabs = (r >> np.uint64(9)) & np.uint64(_RABS_END - 1)
+    z = rabs.astype(np.float64) * wi[idx]
+    z = np.where((r >> np.uint64(8)) & np.uint64(1), -z, z) + 0.0
+    return z, rabs < ki[idx]
+
+
 def keyed_normals(seeds) -> np.ndarray:
     """Rng(s).normal() for every 64-bit seed s, bit for bit, in one pass.
 
     The result has the shape of seeds.
 
-    Seeding a fresh Generator per seed is dominated by SeedSequence hashing.
-    Here the hashing runs vectorised over all seeds; PCG64's seeding (two
-    steps of its 128-bit LCG from the hashed words) runs on Python ints; and
-    one reusable Generator has its state set per seed before it draws. NEP 19
-    keeps the SeedSequence and PCG64 streams stable across numpy versions, and
-    the normal itself still comes from Generator.normal.
+    Seeding a fresh Generator per seed is dominated by SeedSequence hashing
+    and PCG64 seeding; both run vectorised over all seeds, up to each seed's
+    first output, and numpy's ziggurat fast path turns about 98.5% of those
+    outputs into normals with one array operation per step. The rest read
+    further outputs: for them one reusable Generator has its state set to the
+    seeded PCG64 state (Python-int arithmetic) and draws. NEP 19 keeps the
+    SeedSequence and PCG64 streams stable across numpy versions, and the
+    ziggurat tables are probed out of the installed Generator.normal.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
-    words = _seed_sequence_state(seeds.ravel())
-    gen = np.random.Generator(np.random.PCG64(0))
-    bit_gen = gen.bit_generator
-    out = []
-    for s_hi, s_lo, i_hi, i_lo in zip(*(w.tolist() for w in words)):
-        inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                         "has_uint32": 0, "uinteger": 0}
-        out.append(gen.normal())
-    return np.array(out, dtype=np.float64).reshape(seeds.shape)
+    flat = seeds.ravel()
+    out, fast = _ziggurat_fast_path(_pcg64_first_outputs(flat))
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        gen = np.random.Generator(np.random.PCG64(0))
+        words = _seed_sequence_state(flat[slow])
+        for i, s_hi, s_lo, i_hi, i_lo in zip(slow.tolist(), *(w.tolist() for w in words)):
+            inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
+            state = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
+            _set_pcg64_state(gen.bit_generator, state, inc)
+            out[i] = gen.normal()
+    return out.reshape(seeds.shape)
 
 
 class Rng:
@@ -306,8 +424,9 @@ class MinMaxScaler:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MinMaxScaler":
-        check_keys(d, "scaler", required=("lo", "hi", "out_lo", "out_hi"))
-        return cls(float(d["lo"]), float(d["hi"]), float(d["out_lo"]), float(d["out_hi"]))
+        keys = ("lo", "hi", "out_lo", "out_hi")
+        check_keys(d, "scaler", required=keys)
+        return cls(*(float(check_number(d[k], f"scaler {k!r}")) for k in keys))
 
 
 # (get, set) thread-count symbols of the OpenBLAS builds numpy ships or links.

@@ -19,7 +19,9 @@ array they return instead of writing into reused buffers, and run the
 recurrence over all rows at once. The GCN's per-sample kernel, with an
 einsum weight gradient and one Adam step per weight matrix, is likewise the
 package's earlier form, kept to arbitrate the buffered one: forward and loss bit
-for bit, gradients and training to rounding.
+for bit, gradients and training to rounding. The normal drawn after a chosen
+64-bit output comes from numpy's own Generator, its PCG64 state inverted by
+hand so that the next output is the chosen one.
 """
 import math
 from typing import NamedTuple
@@ -203,6 +205,30 @@ def resource_dataset_oracle(workloads, forecasts, resources, nodes, k):
             x[s, ni, k - 1] = ahead
             y[s, ni, 0] = np.max(resources[name][t - k + 2:t + 2])
     return x, y
+
+
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def normal_after_output(r: int, max_reads: int = 64) -> tuple[float, int]:
+    """Generator.normal() of a PCG64 generator whose next 64-bit output is r,
+    and how many 64-bit outputs that draw read.
+
+    With increment 1, a state S steps to S * MULT + 1; when that new state has
+    a zero high word, XSL-RR outputs its low word unrotated. So the state
+    (r - 1) * MULT**-1 mod 2**128 outputs r next.
+    """
+    bit_gen = np.random.PCG64(0)
+    state = (r - 1) * pow(PCG64_MULT, -1, 2 ** 128) % 2 ** 128
+    bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": 1},
+                     "has_uint32": 0, "uinteger": 0}
+    z = np.random.Generator(bit_gen).normal()
+    end, state, reads = bit_gen.state["state"]["state"], r, 1
+    while state != end:
+        if reads == max_reads:
+            raise AssertionError(f"normal after output {r:#x} read over {max_reads} outputs")
+        state, reads = (state * PCG64_MULT + 1) % 2 ** 128, reads + 1
+    return z, reads
 
 
 def propagate_minute_oracle(demand, external_rps, minute, seed, with_noise=True):

@@ -143,6 +143,34 @@ class TestMalformedModelFiles:
         assert self.simulate_phpa(tiny_config_path, models, tmp_path) == 2
         assert f"unknown key 'dropout' in {where}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, edit, message", [
+        pytest.param("lstm_front.json", lambda doc: doc["config"].update(window="5"),
+                     "lstm config 'window' must be an integer, got '5'", id="lstm-window-string"),
+        pytest.param("lstm_front.json", lambda doc: doc.update(layers=5),
+                     "lstm model 'layers' must be a list", id="lstm-layers-number"),
+        pytest.param("lstm_front.json", lambda doc: doc.update(head_bias=[1.0]),
+                     "lstm model 'head_bias' must be a finite number", id="lstm-head-bias-list"),
+        pytest.param("lstm_back.json", lambda doc: doc["scaler"].update(lo="a"),
+                     "scaler 'lo' must be a finite number, got 'a'", id="scaler-lo-string"),
+        pytest.param("lstm_back.json", lambda doc: doc["scaler"].update(lo=float("nan")),
+                     "scaler 'lo' must be a finite number, got nan", id="scaler-lo-nan"),
+        pytest.param("lstm_back.json", lambda doc: doc["layers"][0]["w_h"][1].pop(),
+                     "lstm layers[0] 'w_h' must be a rectangular array", id="lstm-ragged-w_h"),
+        pytest.param("gcn.json", lambda doc: doc["config"].update(hidden=8),
+                     "gcn config 'hidden' must be a list", id="gcn-hidden-number"),
+        pytest.param("gcn.json", lambda doc: doc.update(weights=3),
+                     "gcn model 'weights' must be a list", id="gcn-weights-number"),
+        pytest.param("gcn.json", lambda doc: doc["weights"][0][2].pop(),
+                     "gcn weights[0] must be a rectangular array", id="gcn-ragged-weight"),
+        pytest.param("gcn.json", lambda doc: doc["feature_scaler"].update(hi=None),
+                     "scaler 'hi' must be a finite number, got None", id="scaler-hi-null"),
+    ])
+    def test_value_of_the_wrong_type(self, tiny_config_path, tiny_models_dir, tmp_path, capsys,
+                                     name, edit, message):
+        models = self.corrupt(tiny_models_dir, tmp_path, name, edit)
+        assert self.simulate_phpa(tiny_config_path, models, tmp_path) == 2
+        assert message in capsys.readouterr().err
+
     def test_truncated_file(self, tiny_config_path, tiny_models_dir, tmp_path, capsys):
         models = tmp_path / "models"
         shutil.copytree(tiny_models_dir, models)

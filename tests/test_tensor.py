@@ -7,9 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graph_phpa.errors import ShapeError, ValidationError
-from graph_phpa.tensor import (ACTIVATIONS, AdamState, MinMaxScaler, Rng, activation,
-                               adam_step, glorot_init, keyed_normals, mix_seed, sigmoid)
-from oracles import adam_step_oracle, assert_bitwise_equal, finite_diff_gradient
+from graph_phpa.tensor import (ACTIVATIONS, AdamState, MinMaxScaler, Rng, _pcg64_first_outputs,
+                               _ziggurat_fast_path, _ziggurat_tables, activation, adam_step,
+                               glorot_init, keyed_normals, mix_seed, sigmoid)
+from oracles import (adam_step_oracle, assert_bitwise_equal, finite_diff_gradient,
+                     normal_after_output)
 
 
 class TestActivations:
@@ -176,6 +178,15 @@ class TestRngAndSeeds:
     @example([1, 2 ** 32 - 1])        # one entropy word
     @example([2 ** 32, 2 ** 63])      # two entropy words
     @example([2 ** 64 - 1])
+    # Seeds whose first output misses the ziggurat's fast path, found by
+    # counting the outputs Rng(s).normal() reads: a layer-0 tail draw that
+    # the tail test accepts and one it rejects, a layer-66 wedge draw
+    # accepted and a layer-47 one rejected, and a layer-1 draw, which is
+    # never fast.
+    @example([3776761449563274206, 1])
+    @example([11259580008222089428])
+    @example([9307272605833099038, 5787139704452830716])
+    @example([10613814958378008413, 2 ** 63])
     @settings(max_examples=60)
     def test_keyed_normals_match_fresh_generators(self, seeds):
         got = keyed_normals(np.array(seeds, dtype=np.uint64))
@@ -185,6 +196,80 @@ class TestRngAndSeeds:
             (1, len(seeds))
         # Bitwise, so a signed zero or a last-bit difference cannot hide.
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def output(idx: int, rabs: int, sign: int = 0) -> int:
+    """The 64-bit output the ziggurat reads as layer idx, magnitude rabs and sign."""
+    return idx | sign << 8 | rabs << 9
+
+
+def fast_path(outputs) -> tuple[np.ndarray, np.ndarray]:
+    return _ziggurat_fast_path(np.array(outputs, dtype=np.uint64))
+
+
+class TestKeyedNormalKernel:
+    """keyed_normals in its two halves: seeds to first PCG64 outputs, and
+    outputs to normals through the ziggurat fast path, each against numpy."""
+
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), max_size=30))
+    @example([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1])
+    @settings(max_examples=60)
+    def test_first_outputs_match_random_raw(self, seeds):
+        got = _pcg64_first_outputs(np.array(seeds, dtype=np.uint64))
+        assert got.tolist() == [int(np.random.PCG64(s).random_raw()) for s in seeds]
+
+    def test_every_layer_boundary(self):
+        # For all 256 layers (0, 2, 3 and 255 included), rabs = ki - 1 draws
+        # exactly numpy's normal from one output, and rabs = ki reads more.
+        wi, ki = _ziggurat_tables()
+        fast_ends = [output(i, int(k) - 1, i & 1) for i, k in enumerate(ki) if k > 0]
+        z, accepted = fast_path(fast_ends)
+        assert accepted.all()
+        want = [normal_after_output(r) for r in fast_ends]
+        assert [reads for _, reads in want] == [1] * len(fast_ends)
+        assert_bitwise_equal(z, np.array([v for v, _ in want]))
+        slow_starts = [output(i, int(k)) for i, k in enumerate(ki) if k < 2 ** 52]
+        assert not fast_path(slow_starts)[1].any()
+        assert all(normal_after_output(r)[1] > 1 for r in slow_starts)
+
+    def test_zero_magnitude_with_sign_gives_positive_zero(self):
+        z, accepted = fast_path([output(3, 0, sign=1)])
+        v, reads = normal_after_output(output(3, 0, sign=1))
+        assert accepted[0] and reads == 1
+        assert z.view(np.uint64)[0] == np.float64(v).view(np.uint64) == 0
+
+    @given(st.integers(0, 2 ** 52 - 1), st.integers(0, 1))
+    @example(0, 0)
+    @example(1, 1)
+    @example(2 ** 52 - 1, 0)
+    @settings(max_examples=40)
+    def test_layer_one_is_never_fast(self, rabs, sign):
+        assert _ziggurat_tables()[1][1] == 0
+        assert not fast_path([output(1, rabs, sign)])[1][0]
+        assert normal_after_output(output(1, rabs, sign))[1] > 1
+
+    # Slow outputs found with normal_after_output, with the outputs each draw
+    # reads: the tail test takes two more, a wedge test one, and a rejection
+    # starts over with a fresh output.
+    @pytest.mark.parametrize("r, reads", [
+        (0x5EE7FADABF72BA00, 3),   # layer-0 tail, accepted
+        (0x1F47FB3B9D99C700, 5),   # layer-0 tail, rejected once
+        (0x3FD66014EDE93242, 2),   # layer-66 wedge, accepted
+        (0x5FEA1C9E95B9A12F, 3),   # layer-47 wedge, rejected
+    ])
+    def test_tail_and_wedge_draws_leave_the_fast_path(self, r, reads):
+        assert not fast_path([r])[1][0]
+        assert normal_after_output(r)[1] == reads
+
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=40))
+    @settings(max_examples=40)
+    def test_random_outputs(self, outputs):
+        z, accepted = fast_path(outputs)
+        want = [normal_after_output(r) for r in outputs]
+        assert accepted.tolist() == [reads == 1 for _, reads in want]
+        for got, (v, reads) in zip(z.tolist(), want):
+            if reads == 1:
+                assert np.float64(got).view(np.uint64) == np.float64(v).view(np.uint64)
 
 
 class TestGlorot:
