@@ -1,4 +1,4 @@
-"""Command-line entry points for training, simulation, and comparison.
+"""Command-line entry points over a library pipeline.
 
     graph-phpa gen-trace        synthesize a workload CSV
     graph-phpa train-workload   fit one forecaster per service
@@ -6,6 +6,10 @@
     graph-phpa simulate         replay the test window under one policy
     graph-phpa compare          tabulate finished runs against a baseline
     graph-phpa experiment       all of the above in one deterministic pass
+
+Each command is a thin wrapper over the library pipeline: prepare resolves the
+trace and its split once; train_workload, train_resource and replay take what
+it returns, write their files and return what they built.
 
 Set PHPA_LOG=DEBUG (or INFO) for training progress on stderr. Output files
 are byte-stable: rerunning a command with the same config and seeds rewrites
@@ -21,22 +25,23 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .cluster_sim import (HpaConfig, PredictivePolicy, ReactivePolicy,
-                          initial_pod_counts, run_simulation)
+from .cluster_sim import (PredictivePolicy, ReactivePolicy, ScalingPolicy, SimulationLog,
+                          run_simulation)
 from .config import ExperimentConfig
 from .errors import GraphPhpaError, ValidationError
-from .forecast_lstm import (LstmConfig, LstmModel, evaluate, make_windows,
-                            forecast_series, predict_windows, train_lstm)
+from .forecast_lstm import (LstmModel, evaluate, make_windows, forecast_series,
+                            predict_windows, train_lstm)
 from .predict_gcn import (GcnModel, build_resource_dataset, evaluate_gcn,
                           evaluate_gcn_per_node, scale_targets, train_gcn)
 from .tensor import mix_seed, one_blas_thread
-from .traces import (generate_synthetic_trace, save_trace, slice_trace, split_dataset,
-                     trace_digest)
+from .traces import (WorkloadTrace, generate_synthetic_trace, save_trace, slice_trace,
+                     split_dataset, trace_digest)
 
 log = logging.getLogger(__name__)
 
@@ -50,10 +55,6 @@ def _lstm_path(models_dir: Path, service: str) -> Path:
     return models_dir / f"lstm_{service}.json"
 
 
-def _gcn_path(models_dir: Path) -> Path:
-    return models_dir / "gcn.json"
-
-
 def _load_lstm_models(models_dir: Path, services) -> dict[str, LstmModel]:
     models = {}
     for service in services:
@@ -62,27 +63,6 @@ def _load_lstm_models(models_dir: Path, services) -> dict[str, LstmModel]:
             raise ValidationError(f"missing forecaster model {path}")
         models[service] = LstmModel.load(path)
     return models
-
-
-def _resolve_trace(cfg: ExperimentConfig, base_dir: Path):
-    trace = cfg.trace.resolve(base_dir)
-    if trace.resolution != 1:
-        raise ValidationError("experiment trace must resolve to 1-minute bins; "
-                              "set trace.interpolate for 5-minute inputs")
-    return trace
-
-
-def _prepare_data(cfg: ExperimentConfig, base_dir: Path):
-    """Resolve the trace and derive the per-service series both trainings use."""
-    trace = _resolve_trace(cfg, base_dir)
-    rps, usage = cfg.demand.demand_series(trace.values, trace.start_minute, cfg.sim_seed)
-    return trace, rps, usage
-
-
-def _segment_bounds(n: int, train_frac: float, valid_frac: float) -> tuple[int, int]:
-    i1 = int(n * train_frac)
-    i2 = i1 + int(n * valid_frac)
-    return i1, i2
 
 
 def _worker_count(tasks: int) -> int:
@@ -105,6 +85,124 @@ def _map_tasks(fn, tasks: list[tuple]) -> list:
             return list(pool.map(lambda task: fn(*task), tasks))
 
 
+@dataclass(frozen=True)
+class Prepared:
+    """One experiment's inputs: the config, its 1-minute trace and the
+    chronological (train, valid, test) segments as (lo, hi) minute indexes."""
+
+    cfg: ExperimentConfig
+    trace: WorkloadTrace
+    segments: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def series(self) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+        """Whole-trace (request rates, vCPU usage) per service, the training
+        data. Computed on first use: a replay never reads them."""
+        return self.cfg.demand.demand_series(self.trace.values, self.trace.start_minute,
+                                             self.cfg.sim_seed)
+
+
+def prepare(cfg: ExperimentConfig, base_dir: Path) -> Prepared:
+    """Resolve cfg's trace (paths relative to base_dir) and split it."""
+    trace = cfg.trace.resolve(base_dir)
+    if trace.resolution != 1:
+        raise ValidationError("experiment trace must resolve to 1-minute bins; "
+                              "set trace.interpolate for 5-minute inputs")
+    split = split_dataset(range(len(trace)), cfg.train_frac, cfg.valid_frac)
+    return Prepared(cfg, trace, tuple((r.start, r.stop) for r in split))
+
+
+def train_workload(prepared: Prepared, out: Path) -> dict[str, LstmModel]:
+    """Fit one forecaster per service; writes lstm_<service>.json and
+    workload_metrics.json into out and returns the forecasters by service."""
+    cfg = prepared.cfg
+    rps, _ = prepared.series
+
+    def fit(idx: int, service: str):
+        """Train one service's forecaster and score it on the test segment."""
+        train_set, valid_set, (x_test, y_test) = (
+            make_windows(rps[service][lo:hi], cfg.lstm.window) for lo, hi in prepared.segments)
+        model, history = train_lstm(train_set, valid_set,
+                                    replace(cfg.lstm, seed=mix_seed(cfg.lstm.seed, idx)),
+                                    service_id=service)
+        mse, mae = evaluate(predict_windows(model, x_test), y_test)
+        persistence_mse, _ = evaluate(x_test[:, -1], y_test)
+        return model, {
+            "test_mse": mse, "test_mae": mae, "persistence_mse": persistence_mse,
+            "mse_vs_persistence": mse / persistence_mse if persistence_mse > 0 else None,
+            "final_train_mse_scaled": history[-1][0],
+            "final_valid_mse_scaled": history[-1][1],
+        }
+
+    out.mkdir(parents=True, exist_ok=True)
+    fits = _map_tasks(fit, list(enumerate(cfg.graph.nodes)))
+    metrics: dict = {"window": cfg.lstm.window, "trace_sha256": trace_digest(prepared.trace),
+                     "services": {}}
+    for service, (model, scores) in zip(cfg.graph.nodes, fits):
+        model.save(_lstm_path(out, service))
+        metrics["services"][service] = scores
+        log.info("trained forecaster for %s: test mse %.4f (persistence %.4f)",
+                 service, scores["test_mse"], scores["persistence_mse"])
+    _write_json(out / "workload_metrics.json", metrics)
+    return {service: model for service, (model, _) in zip(cfg.graph.nodes, fits)}
+
+
+def train_resource(prepared: Prepared, models: dict[str, LstmModel],
+                   out: Path) -> tuple[GcnModel, dict]:
+    """Fit the graph demand predictor on the forecasters' own outputs; writes
+    gcn.json and resource_metrics.json into out and returns (model, metrics)."""
+    cfg = prepared.cfg
+    nodes, k = cfg.graph.nodes, cfg.gcn.window
+    rps, usage = prepared.series
+    out.mkdir(parents=True, exist_ok=True)
+    tasks = [(lo, hi, s) for lo, hi in prepared.segments for s in nodes]
+    forecasts = dict(zip(tasks, _map_tasks(
+        lambda lo, hi, s: forecast_series(models[s], rps[s][lo:hi]), tasks)))
+    train_set, valid_set, test_set = (
+        build_resource_dataset({s: rps[s][lo:hi] for s in nodes},
+                               {s: forecasts[lo, hi, s] for s in nodes},
+                               {s: usage[s][lo:hi] for s in nodes}, nodes, k)
+        for lo, hi in prepared.segments)
+
+    model, history = train_gcn(train_set, cfg.graph, cfg.gcn, valid_set)
+    train_mse = evaluate_gcn(model, cfg.graph, train_set)
+    test_mse = evaluate_gcn(model, cfg.graph, test_set)
+    target_variance = float(np.var(scale_targets(model.target_scalers, train_set[1])))
+    model.save(out / "gcn.json")
+    metrics = {
+        "window": k, "trace_sha256": trace_digest(prepared.trace),
+        "samples": {"train": len(train_set[0]), "valid": len(valid_set[0]),
+                    "test": len(test_set[0])},
+        "train_mse_scaled": train_mse,
+        "valid_mse_scaled": history[-1][1],
+        "test_mse_scaled": test_mse,
+        "test_mse_scaled_per_service": evaluate_gcn_per_node(model, cfg.graph, test_set),
+        "train_target_variance_scaled": target_variance,
+    }
+    _write_json(out / "resource_metrics.json", metrics)
+    log.info("trained demand predictor: train %.6f test %.6f var %.6f",
+             train_mse, test_mse, target_variance)
+    return model, metrics
+
+
+def replay(prepared: Prepared, policy: ScalingPolicy,
+           out: Path) -> tuple[SimulationLog, dict]:
+    """Replay the test segment under policy; writes sim.csv, summary.json and,
+    when the policy logged decisions, decisions.csv into out."""
+    cfg = prepared.cfg
+    test_trace = slice_trace(prepared.trace, *prepared.segments[2])
+    log_ = run_simulation(test_trace, cfg.demand, policy, cfg.bounds, seed=cfg.sim_seed,
+                          warmup=cfg.lstm.window, startup_delay=cfg.startup_delay,
+                          max_total_pods=cfg.max_total_pods)
+    out.mkdir(parents=True, exist_ok=True)
+    log_.write_csv(out / "sim.csv")
+    summary = log_.summary()
+    _write_json(out / "summary.json", summary)
+    if log_.decisions:
+        log_.write_decisions_csv(out / "decisions.csv")
+    return log_, summary
+
+
 def cmd_gen_trace(args) -> int:
     trace = generate_synthetic_trace(pattern=args.pattern, length=args.length,
                                      amplitude=args.amplitude, seed=args.seed,
@@ -117,135 +215,38 @@ def cmd_gen_trace(args) -> int:
     return 0
 
 
-def _fit_forecaster(cfg: ExperimentConfig, series: np.ndarray, idx: int, service: str):
-    """Train one service's forecaster and score it on the test segment."""
-    k = cfg.lstm.window
-    train_seg, valid_seg, test_seg = split_dataset(series, cfg.train_frac, cfg.valid_frac)
-    service_cfg = LstmConfig(window=k, layers=cfg.lstm.layers,
-                             hidden_units=cfg.lstm.hidden_units,
-                             learning_rate=cfg.lstm.learning_rate,
-                             epochs=cfg.lstm.epochs, batch_size=cfg.lstm.batch_size,
-                             seed=mix_seed(cfg.lstm.seed, idx))
-    model, history = train_lstm(make_windows(train_seg, k), make_windows(valid_seg, k),
-                                service_cfg, service_id=service)
-    x_test, y_test = make_windows(test_seg, k)
-    mse, mae = evaluate(predict_windows(model, x_test), y_test)
-    persistence_mse, _ = evaluate(x_test[:, -1], y_test)
-    return model, {
-        "test_mse": mse, "test_mae": mae, "persistence_mse": persistence_mse,
-        "mse_vs_persistence": mse / persistence_mse if persistence_mse > 0 else None,
-        "final_train_mse_scaled": history[-1][0],
-        "final_valid_mse_scaled": history[-1][1],
-    }
-
-
 def cmd_train_workload(args) -> int:
-    cfg, base_dir = ExperimentConfig.load(args.config)
-    trace, rps, _ = _prepare_data(cfg, base_dir)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    fits = _map_tasks(lambda idx, service: _fit_forecaster(cfg, rps[service], idx, service),
-                      list(enumerate(cfg.graph.nodes)))
-    metrics: dict = {"window": cfg.lstm.window, "trace_sha256": trace_digest(trace),
-                     "services": {}}
-    for service, (model, scores) in zip(cfg.graph.nodes, fits):
-        model.save(_lstm_path(out_dir, service))
-        metrics["services"][service] = scores
-        log.info("trained forecaster for %s: test mse %.4f (persistence %.4f)",
-                 service, scores["test_mse"], scores["persistence_mse"])
-    _write_json(out_dir / "workload_metrics.json", metrics)
-    print(f"trained {len(cfg.graph.nodes)} forecasters into {out_dir}")
+    prepared = prepare(*ExperimentConfig.load(args.config))
+    out = Path(args.out)
+    models = train_workload(prepared, out)
+    print(f"trained {len(models)} forecasters into {out}")
     return 0
 
 
 def cmd_train_resource(args) -> int:
-    cfg, base_dir = ExperimentConfig.load(args.config)
-    trace, rps, usage = _prepare_data(cfg, base_dir)
-    models_dir = Path(args.models)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    k = cfg.gcn.window
-    lstm_models = _load_lstm_models(models_dir, cfg.graph.nodes)
-
-    n = len(trace)
-    i1, i2 = _segment_bounds(n, cfg.train_frac, cfg.valid_frac)
-    segments = [(0, i1), (i1, i2), (i2, n)]
-    tasks = [(lo, hi, s) for lo, hi in segments for s in cfg.graph.nodes]
-    forecasts = dict(zip(tasks, _map_tasks(
-        lambda lo, hi, s: forecast_series(lstm_models[s], rps[s][lo:hi]), tasks)))
-    datasets = []
-    for lo, hi in segments:
-        seg_rps = {s: rps[s][lo:hi] for s in cfg.graph.nodes}
-        seg_usage = {s: usage[s][lo:hi] for s in cfg.graph.nodes}
-        seg_fc = {s: forecasts[lo, hi, s] for s in cfg.graph.nodes}
-        datasets.append(build_resource_dataset(seg_rps, seg_fc, seg_usage,
-                                               cfg.graph.nodes, k))
-    train_set, valid_set, test_set = datasets
-
-    model, history = train_gcn(train_set, cfg.graph, cfg.gcn, valid_set)
-    train_mse = evaluate_gcn(model, cfg.graph, train_set)
-    test_mse = evaluate_gcn(model, cfg.graph, test_set)
-    target_variance = float(np.var(scale_targets(model.target_scalers, train_set[1])))
-    model.save(_gcn_path(out_dir))
-    _write_json(out_dir / "resource_metrics.json", {
-        "window": k, "trace_sha256": trace_digest(trace),
-        "samples": {"train": len(train_set[0]), "valid": len(valid_set[0]),
-                    "test": len(test_set[0])},
-        "train_mse_scaled": train_mse,
-        "valid_mse_scaled": history[-1][1],
-        "test_mse_scaled": test_mse,
-        "test_mse_scaled_per_service": evaluate_gcn_per_node(model, cfg.graph, test_set),
-        "train_target_variance_scaled": target_variance,
-    })
-    log.info("trained demand predictor: train %.6f test %.6f var %.6f",
-             train_mse, test_mse, target_variance)
-    print(f"trained demand predictor into {out_dir} "
-          f"(train mse {train_mse:.6f}, test mse {test_mse:.6f})")
+    prepared = prepare(*ExperimentConfig.load(args.config))
+    models = _load_lstm_models(Path(args.models), prepared.cfg.graph.nodes)
+    out = Path(args.out)
+    _, metrics = train_resource(prepared, models, out)
+    print(f"trained demand predictor into {out} (train mse "
+          f"{metrics['train_mse_scaled']:.6f}, test mse {metrics['test_mse_scaled']:.6f})")
     return 0
-
-
-def _build_policy(cfg: ExperimentConfig, name: str, threshold: float | None,
-                  models_dir: Path | None):
-    if name == "phpa":
-        if models_dir is None:
-            raise ValidationError("phpa policy needs --models")
-        lstm_models = _load_lstm_models(models_dir, cfg.graph.nodes)
-        gcn = GcnModel.load(_gcn_path(models_dir))
-        return PredictivePolicy(lstm_models, gcn, cfg.graph, cfg.bounds)
-    if name == "reactive":
-        hpa = cfg.hpa if threshold is None else HpaConfig(
-            scale_out=threshold, scale_in=cfg.hpa.scale_in,
-            stabilization_minutes=cfg.hpa.stabilization_minutes)
-        return ReactivePolicy(hpa, cfg.bounds)
-    raise ValidationError(f"unknown policy {name!r}")
-
-
-def _run_one(cfg: ExperimentConfig, base_dir: Path, policy, out_dir: Path):
-    trace = _resolve_trace(cfg, base_dir)
-    n = len(trace)
-    _, i2 = _segment_bounds(n, cfg.train_frac, cfg.valid_frac)
-    test_trace = slice_trace(trace, i2, n)
-    initial = initial_pod_counts(cfg.demand, float(test_trace.values[0]), cfg.bounds)
-    log_ = run_simulation(test_trace, cfg.demand, policy, cfg.bounds, seed=cfg.sim_seed,
-                          warmup=cfg.lstm.window, startup_delay=cfg.startup_delay,
-                          max_total_pods=cfg.max_total_pods, initial_pods=initial)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    log_.write_csv(out_dir / "sim.csv")
-    summary = log_.summary()
-    _write_json(out_dir / "summary.json", summary)
-    if log_.decisions:
-        log_.write_decisions_csv(out_dir / "decisions.csv")
-    return log_, summary
 
 
 def cmd_simulate(args) -> int:
     cfg, base_dir = ExperimentConfig.load(args.config)
     if args.seed is not None:
         cfg = replace(cfg, sim_seed=args.seed)
-    models_dir = Path(args.models) if args.models else None
-    policy = _build_policy(cfg, args.policy, args.threshold, models_dir)
-    log_, summary = _run_one(cfg, base_dir, policy, Path(args.out))
+    if args.policy == "reactive":
+        hpa = cfg.hpa if args.threshold is None else replace(cfg.hpa, scale_out=args.threshold)
+        policy = ReactivePolicy(hpa, cfg.bounds)
+    elif args.models is None:
+        raise ValidationError("phpa policy needs --models")
+    else:
+        models_dir = Path(args.models)
+        policy = PredictivePolicy(_load_lstm_models(models_dir, cfg.graph.nodes),
+                                  GcnModel.load(models_dir / "gcn.json"), cfg.graph, cfg.bounds)
+    log_, summary = replay(prepare(cfg, base_dir), policy, Path(args.out))
     totals = summary["totals"]
     print(f"{log_.policy_name}: pod_minutes={totals['pod_minutes']} "
           f"overload_minutes={totals['overload_minutes']} "
@@ -263,25 +264,22 @@ def cmd_compare(args) -> int:
 
 def cmd_experiment(args) -> int:
     from .report import render_table_text, write_comparison
-    cfg, base_dir = ExperimentConfig.load(args.config)
-    out_dir = Path(args.out)
-    models_dir = out_dir / "models"
+    prepared = prepare(*ExperimentConfig.load(args.config))
+    out = Path(args.out)
+    models_dir = out / "models"
+    models = train_workload(prepared, models_dir)
+    print(f"trained {len(models)} forecasters into {models_dir}")
+    gcn, metrics = train_resource(prepared, models, models_dir)
+    print(f"trained demand predictor into {models_dir} (train mse "
+          f"{metrics['train_mse_scaled']:.6f}, test mse {metrics['test_mse_scaled']:.6f})")
 
-    ns = argparse.Namespace(config=args.config, out=str(models_dir))
-    cmd_train_workload(ns)
-    ns = argparse.Namespace(config=args.config, models=str(models_dir),
-                            out=str(models_dir))
-    cmd_train_resource(ns)
-
-    logs = []
-    phpa = _build_policy(cfg, "phpa", None, models_dir)
-    logs.append(_run_one(cfg, base_dir, phpa, out_dir / "runs" / "phpa")[0])
-    for threshold in args.thresholds:
-        policy = _build_policy(cfg, "reactive", threshold, None)
-        logs.append(_run_one(cfg, base_dir, policy, out_dir / "runs" / policy.name)[0])
-
+    cfg = prepared.cfg
+    policies = [PredictivePolicy(models, gcn, cfg.graph, cfg.bounds)]
+    policies += [ReactivePolicy(replace(cfg.hpa, scale_out=threshold), cfg.bounds)
+                 for threshold in args.thresholds]
+    logs = [replay(prepared, policy, out / "runs" / policy.name)[0] for policy in policies]
     baseline = args.baseline or logs[-1].policy_name
-    table = write_comparison(out_dir / "comparison", logs, baseline)
+    table = write_comparison(out / "comparison", logs, baseline)
     sys.stdout.write(render_table_text(table))
     return 0
 

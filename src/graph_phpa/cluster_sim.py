@@ -102,15 +102,6 @@ class DemandModel:
             raise ValidationError("fan_out graph has a cycle")
         return tuple(order)
 
-    def propagate_workload(self, external_rps: float, minute: int, seed: int,
-                           with_noise: bool = True) -> dict[str, float]:
-        """Per-service request rates for one minute: demand_series over a window of one."""
-        rps, _ = self.demand_series([external_rps], minute, seed, with_noise)
-        return {s: float(v[0]) for s, v in rps.items()}
-
-    def resource_usage(self, rates: Mapping[str, float]) -> dict[str, float]:
-        return {s: rates[s] * self.cpu_per_request[s] for s in self.services}
-
     def demand_series(self, external, start_minute: int, seed: int,
                       with_noise: bool = True) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
         """Whole-horizon (request rates, vCPU usage) per service, index i being
@@ -166,12 +157,12 @@ def initial_pod_counts(demand: DemandModel, first_external: float,
     Usage is clamped into the per-service resource band first, so a service
     whose guaranteed floor exceeds its opening demand starts at the floor.
     """
-    rates = demand.propagate_workload(first_external, minute=0, seed=0, with_noise=False)
+    _, usage = demand.demand_series([first_external], 0, 0, with_noise=False)
     counts = {}
     for s in demand.services:
         b = bounds[s]
-        usage = min(max(rates[s] * demand.cpu_per_request[s], b.r_lb), b.r_ub)
-        counts[s] = min(max(math.ceil(usage / b.pod_capacity), 1), b.max_pods)
+        clamped = min(max(float(usage[s][0]), b.r_lb), b.r_ub)
+        counts[s] = min(max(math.ceil(clamped / b.pod_capacity), 1), b.max_pods)
     return counts
 
 
@@ -204,8 +195,7 @@ class ScalingPolicy(ABC):
         """
 
     @abstractmethod
-    def decide(self, minute: int, history: Mapping[str, np.ndarray],
-               utilization: Mapping[str, float], pods: Mapping[str, int]
+    def decide(self, minute: int, utilization: Mapping[str, float], pods: Mapping[str, int]
                ) -> tuple[dict[str, int], list["DecisionRow"]]:
         ...
 
@@ -222,7 +212,7 @@ class ReactivePolicy(ScalingPolicy):
     def begin(self, start_minute, rates):
         self._below = {s: 0 for s in rates}
 
-    def decide(self, minute, history, utilization, pods):
+    def decide(self, minute, utilization, pods):
         targets = {}
         for s, util in utilization.items():
             n = pods[s]
@@ -277,7 +267,7 @@ class PredictivePolicy(ScalingPolicy):
         self._forecasts, self._demand = forecasts.tolist(), demand.tolist()
         self._r = None
 
-    def decide(self, minute, history, utilization, pods):
+    def decide(self, minute, utilization, pods):
         row = minute - self._first_minute
         if not 0 <= row < len(self._demand):
             raise ValidationError(f"no prediction for minute {minute}: begin covered "
@@ -482,8 +472,7 @@ def run_simulation(trace: WorkloadTrace, demand: DemandModel, policy: ScalingPol
         util_cells.extend(utils)
         if i < warm:
             continue
-        history = {s: v[:i + 1] for s, v in rps.items()}
-        targets, records = policy.decide(minute, history, dict(zip(services, utils)), pods)
+        targets, records = policy.decide(minute, dict(zip(services, utils)), pods=pods)
         decisions.extend(records)
         budget = max_total_pods - sum(counts) - pending_adds
         for j, s in enumerate(services):

@@ -135,6 +135,13 @@ class ExperimentConfig:
         sim_fields = _take(top["sim"], {"seed": 0, "startup_delay": 1,
                                         "max_total_pods": 79}, "sim")
         split_fields = _take(top["split"], {"train": 0.6, "valid": 0.2}, "split")
+        train_frac, valid_frac = float(split_fields["train"]), float(split_fields["valid"])
+        for key, frac in (("train", train_frac), ("valid", valid_frac)):
+            if not frac > 0:
+                raise ConfigError(f"split.{key} must be > 0, got {frac}")
+        if not train_frac + valid_frac < 1:
+            raise ConfigError(f"split.train + split.valid must be < 1 to leave a test "
+                              f"segment, got {train_frac} + {valid_frac}")
         if lstm_fields["window"] != gcn_fields["window"]:
             raise ConfigError(f"lstm.window {lstm_fields['window']} must equal "
                               f"gcn.window {gcn_fields['window']}")
@@ -145,8 +152,7 @@ class ExperimentConfig:
                    sim_seed=int(sim_fields["seed"]),
                    startup_delay=int(sim_fields["startup_delay"]),
                    max_total_pods=int(sim_fields["max_total_pods"]),
-                   train_frac=float(split_fields["train"]),
-                   valid_frac=float(split_fields["valid"]))
+                   train_frac=train_frac, valid_frac=valid_frac)
 
     @classmethod
     def load(cls, path: str | Path) -> tuple["ExperimentConfig", Path]:

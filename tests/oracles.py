@@ -252,7 +252,8 @@ def propagate_minute_oracle(demand, external_rps, minute, seed, with_noise=True)
 
 class PerMinutePredictivePolicy(ScalingPolicy):
     """The predictive policy with one predict_demand call per minute on the
-    last k rates, instead of one batched call over the run."""
+    last k rates, instead of one batched call over the run. Keeps the rates
+    begin hands it and reads each minute's window from them."""
 
     name = "phpa"
 
@@ -265,12 +266,14 @@ class PerMinutePredictivePolicy(ScalingPolicy):
         self._r = None
 
     def begin(self, start_minute, rates):
+        self._start_minute, self._rates = start_minute, rates
         self._r = None
 
-    def decide(self, minute, history, utilization, pods):
+    def decide(self, minute, utilization, pods):
         k = self.min_history
         nodes = self.graph.nodes
-        window = {s: list(history[s][-k:]) for s in nodes}
+        end = minute - self._start_minute + 1
+        window = {s: list(self._rates[s][end - k:end]) for s in nodes}
         forecasts, demand = predict_demand(self.lstm_models, self.gcn_model, self.graph,
                                            window)
         forecasts = {s: float(v) for s, v in zip(nodes, forecasts[0])}

@@ -12,6 +12,7 @@ import pytest
 from conftest import TINY_CONFIG, run_cli
 from graph_phpa import cli, tensor
 from graph_phpa.cluster_sim import SimulationLog
+from graph_phpa.config import ExperimentConfig, TraceSpec
 from graph_phpa.errors import DivergenceError
 from graph_phpa.forecast_lstm import LstmConfig, LstmLayer, LstmModel, predict_windows
 from graph_phpa.report import load_run
@@ -394,6 +395,48 @@ class TestExperiment:
         # Default baseline is the last reactive threshold given.
         assert table["baseline"] == "reactive@0.7"
         assert len(table["policies"]) == 3
+
+    def test_one_pass_writes_what_the_separate_commands_write(
+            self, tiny_config_path, tiny_models_dir, tmp_path, monkeypatch):
+        # experiment prepares once: one config load and one trace resolution
+        # for training, both replays and the comparison.
+        calls = []
+        load, resolve = ExperimentConfig.load, TraceSpec.resolve
+
+        def counting_load(path):
+            calls.append("load")
+            return load(path)
+
+        def counting_resolve(spec, base_dir):
+            calls.append("resolve")
+            return resolve(spec, base_dir)
+
+        monkeypatch.setattr(ExperimentConfig, "load", staticmethod(counting_load))
+        monkeypatch.setattr(TraceSpec, "resolve", counting_resolve)
+        exp = tmp_path / "exp"
+        assert run_cli("experiment", "--config", tiny_config_path, "--out", str(exp),
+                       "--thresholds", "0.9", "0.7") == 0
+        assert sorted(calls) == ["load", "resolve"]
+
+        # tiny_models_dir holds what train-workload and train-resource wrote.
+        sep = tmp_path / "sep"
+        shutil.copytree(tiny_models_dir, sep / "models")
+        runs = [sep / "runs" / name for name in ("phpa", "reactive@0.9", "reactive@0.7")]
+        assert run_cli("simulate", "--config", tiny_config_path, "--policy", "phpa",
+                       "--models", tiny_models_dir, "--out", str(runs[0])) == 0
+        for threshold, run in zip(("0.9", "0.7"), runs[1:]):
+            assert run_cli("simulate", "--config", tiny_config_path, "--policy", "reactive",
+                           "--threshold", threshold, "--out", str(run)) == 0
+        assert run_cli("compare", "--baseline", "reactive@0.7",
+                       "--out", str(sep / "comparison"), *map(str, runs)) == 0
+
+        def files(root: Path) -> dict:
+            return {p.relative_to(root): p.read_bytes()
+                    for p in sorted(root.rglob("*")) if p.is_file()}
+
+        written = files(exp)
+        assert len(written) == 16  # 5 model files, 3 + 2 + 2 in the runs, 4 compared
+        assert written == files(sep)
 
     def test_runs_share_the_same_window(self, tiny_config_path, tmp_path):
         out = tmp_path / "exp"

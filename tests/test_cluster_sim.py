@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graph_phpa import cli
 from graph_phpa.autoscaler import ScalingBounds
 from graph_phpa.cluster_sim import (
     DECISION_COLUMNS,
@@ -33,7 +34,7 @@ from graph_phpa.errors import ValidationError
 from graph_phpa.forecast_lstm import LstmConfig, LstmLayer, LstmModel
 from graph_phpa.predict_gcn import GcnConfig, GcnModel, ServiceGraph
 from graph_phpa.tensor import MinMaxScaler
-from graph_phpa.traces import WorkloadTrace, slice_trace
+from graph_phpa.traces import WorkloadTrace
 from oracles import (PerMinutePredictivePolicy, SimRow, log_from_rows, log_rows,
                      propagate_minute_oracle)
 
@@ -56,48 +57,48 @@ def flat_bounds(services, r_ub=10.0, v_p=1.0, q=10):
 
 class TestDemandModel:
     def test_propagation_by_hand(self):
-        rates = bookinfo_demand().propagate_workload(300.0, minute=0, seed=1)
-        assert rates == {"front": 300.0, "details": 300.0,
-                         "reviews": 300.0, "ratings": pytest.approx(200.0)}
+        rates, _ = bookinfo_demand().demand_series([300.0], start_minute=0, seed=1)
+        assert {s: v[0] for s, v in rates.items()} == {
+            "front": 300.0, "details": 300.0, "reviews": 300.0,
+            "ratings": pytest.approx(200.0)}
 
     def test_resource_usage_by_hand(self):
-        demand = bookinfo_demand()
-        usage = demand.resource_usage(
-            demand.propagate_workload(300.0, minute=0, seed=1))
-        assert usage["front"] == pytest.approx(3.0)
-        assert usage["details"] == pytest.approx(1.2)
-        assert usage["reviews"] == pytest.approx(1.8)
-        assert usage["ratings"] == pytest.approx(1.2)
+        _, usage = bookinfo_demand().demand_series([300.0], start_minute=0, seed=1)
+        assert usage["front"][0] == pytest.approx(3.0)
+        assert usage["details"][0] == pytest.approx(1.2)
+        assert usage["reviews"][0] == pytest.approx(1.8)
+        assert usage["ratings"][0] == pytest.approx(1.2)
 
     def test_zero_external_is_zero_everywhere(self):
-        rates = bookinfo_demand(noise=0.5).propagate_workload(0.0, minute=3, seed=9)
-        assert all(v == 0.0 for v in rates.values())
+        rates, usage = bookinfo_demand(noise=0.5).demand_series([0.0], start_minute=3, seed=9)
+        assert all(v[0] == 0.0 for v in rates.values())
+        assert all(v[0] == 0.0 for v in usage.values())
 
     def test_noise_only_hits_internal_services(self):
         demand = bookinfo_demand(noise=0.4)
-        rates = demand.propagate_workload(100.0, minute=7, seed=21)
-        assert rates["front"] == 100.0
-        assert rates["details"] != pytest.approx(100.0)
+        rates, _ = demand.demand_series([100.0], start_minute=7, seed=21)
+        assert rates["front"][0] == 100.0
+        assert rates["details"][0] != pytest.approx(100.0)
 
     def test_noise_is_keyed_by_absolute_minute(self):
         # The same absolute minute must see the same jitter no matter what
         # was simulated before it; this is what keeps warmup out of the data.
         demand = bookinfo_demand(noise=0.3)
-        a = demand.propagate_workload(100.0, minute=50, seed=5)
-        b = demand.propagate_workload(100.0, minute=50, seed=5)
-        assert a == b
-        c = demand.propagate_workload(100.0, minute=51, seed=5)
-        assert a != c
+        a, _ = demand.demand_series([100.0], start_minute=50, seed=5)
+        b, _ = demand.demand_series([100.0] * 3, start_minute=49, seed=5)
+        assert all(a[s][0] == b[s][1] for s in demand.services)
+        c, _ = demand.demand_series([100.0], start_minute=51, seed=5)
+        assert any(a[s][0] != c[s][0] for s in demand.services)
 
     def test_noise_mean_is_one_in_expectation(self):
         demand = bookinfo_demand(noise=0.2)
-        vals = [demand.propagate_workload(100.0, minute=m, seed=77)["details"]
-                for m in range(4000)]
-        assert np.mean(vals) == pytest.approx(100.0, rel=0.01)
+        rates, _ = demand.demand_series(np.full(4000, 100.0), start_minute=0, seed=77)
+        assert np.mean(rates["details"]) == pytest.approx(100.0, rel=0.01)
 
     def test_demand_series_matches_per_minute_calls(self):
         # The one-pass window must be bit for bit the per-minute propagation,
-        # each minute drawing from its own freshly seeded generator.
+        # each minute drawing from its own freshly seeded generator, and so
+        # must a window of one minute.
         external = np.array([100.0, 120.0, 90.0, 0.0, 333.3, 57.25])
         for sigma, with_noise, start in itertools.product((0.0, 0.1, 0.25), (True, False),
                                                           (0, 40)):
@@ -106,18 +107,18 @@ class TestDemandModel:
                                               with_noise=with_noise)
             for i, x in enumerate(external):
                 rates = propagate_minute_oracle(demand, x, start + i, 3, with_noise)
-                assert demand.propagate_workload(x, start + i, 3, with_noise) == rates
+                one, _ = demand.demand_series([x], start + i, 3, with_noise)
                 for s in demand.services:
                     assert rps[s][i].tobytes() == np.float64(rates[s]).tobytes()
+                    assert one[s][0].tobytes() == np.float64(rates[s]).tobytes()
                     assert usage[s][i] == rates[s] * demand.cpu_per_request[s]
 
     def test_conservation_without_noise(self):
         # Noise-free propagation is exactly linear in the external rate.
         demand = bookinfo_demand()
-        r1 = demand.propagate_workload(100.0, 0, 1, with_noise=False)
-        r2 = demand.propagate_workload(250.0, 0, 1, with_noise=False)
+        rates, _ = demand.demand_series([100.0, 250.0], 0, 1, with_noise=False)
         for s in demand.services:
-            assert r2[s] == pytest.approx(2.5 * r1[s])
+            assert rates[s][1] == pytest.approx(2.5 * rates[s][0])
 
     def test_cycle_rejected(self):
         with pytest.raises(ValidationError, match="cycle"):
@@ -137,7 +138,7 @@ class TestDemandModel:
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValidationError):
-            bookinfo_demand().propagate_workload(-1.0, 0, 1)
+            bookinfo_demand().demand_series([-1.0], 0, 1)
 
 
 class TestComputeUtilization:
@@ -188,7 +189,7 @@ class TestReactivePolicy:
         policy.begin(0, {"s": []})
         out = None
         for _ in range(minutes):
-            targets, _ = policy.decide(0, {}, {"s": util}, {"s": pods})
+            targets, _ = policy.decide(0, {"s": util}, {"s": pods})
             out = targets["s"]
         return out
 
@@ -206,17 +207,17 @@ class TestReactivePolicy:
         policy = ReactivePolicy(HpaConfig(0.9, 0.3, 3), flat_bounds(("s",)))
         policy.begin(0, {"s": []})
         for util in (0.1, 0.1, 0.5, 0.1, 0.1):  # calm streak broken at step 3
-            targets, _ = policy.decide(0, {}, {"s": util}, {"s": 4})
+            targets, _ = policy.decide(0, {"s": util}, {"s": 4})
         assert targets["s"] == 4
-        targets, _ = policy.decide(0, {}, {"s": 0.1}, {"s": 4})
+        targets, _ = policy.decide(0, {"s": 0.1}, {"s": 4})
         assert targets["s"] == 3
 
     def test_breach_resets_the_calm_counter(self):
         policy = ReactivePolicy(HpaConfig(0.9, 0.3, 2), flat_bounds(("s",)))
         policy.begin(0, {"s": []})
-        policy.decide(0, {}, {"s": 0.1}, {"s": 4})
-        policy.decide(1, {}, {"s": 0.95}, {"s": 4})
-        targets, _ = policy.decide(2, {}, {"s": 0.1}, {"s": 4})
+        policy.decide(0, {"s": 0.1}, {"s": 4})
+        policy.decide(1, {"s": 0.95}, {"s": 4})
+        targets, _ = policy.decide(2, {"s": 0.1}, {"s": 4})
         assert targets["s"] == 4  # counter restarted after the breach
 
     def test_never_out_and_in_same_minute(self):
@@ -227,13 +228,13 @@ class TestReactivePolicy:
     def test_scale_out_capped(self):
         policy = ReactivePolicy(HpaConfig(0.9, 0.3, 5), flat_bounds(("s",), q=4))
         policy.begin(0, {"s": []})
-        targets, _ = policy.decide(0, {}, {"s": 2.0}, {"s": 4})
+        targets, _ = policy.decide(0, {"s": 2.0}, {"s": 4})
         assert targets["s"] == 4
 
     def test_scale_in_floors_at_one(self):
         policy = ReactivePolicy(HpaConfig(0.9, 0.3, 1), flat_bounds(("s",)))
         policy.begin(0, {"s": []})
-        targets, _ = policy.decide(0, {}, {"s": 0.0}, {"s": 1})
+        targets, _ = policy.decide(0, {"s": 0.0}, {"s": 1})
         assert targets["s"] == 1
 
     def test_policy_name_carries_threshold(self):
@@ -254,7 +255,7 @@ class PinnedPolicy(ScalingPolicy):
     def __init__(self, plan):
         self.plan = plan  # {minute: {service: target}}
 
-    def decide(self, minute, history, utilization, pods):
+    def decide(self, minute, utilization, pods):
         return self.plan.get(minute, {}), []
 
 
@@ -631,22 +632,16 @@ class TestPredictivePolicySimulation:
 
 class TestBatchedPredictiveReplay:
     def test_matches_per_minute_oracle_on_tiny_config(self, tiny_config_path,
-                                                      tiny_models_dir):
-        cfg, base_dir = ExperimentConfig.load(tiny_config_path)
-        trace = cfg.trace.resolve(base_dir)
-        n = len(trace)
-        test_trace = slice_trace(trace, int(n * cfg.train_frac) + int(n * cfg.valid_frac), n)
+                                                      tiny_models_dir, tmp_path):
+        prepared = cli.prepare(*ExperimentConfig.load(tiny_config_path))
+        cfg = prepared.cfg
         models = {s: LstmModel.load(Path(tiny_models_dir) / f"lstm_{s}.json")
                   for s in cfg.graph.nodes}
         gcn = GcnModel.load(Path(tiny_models_dir) / "gcn.json")
 
         def replay(policy_cls):
             policy = policy_cls(models, gcn, cfg.graph, cfg.bounds)
-            initial = initial_pod_counts(cfg.demand, float(test_trace.values[0]), cfg.bounds)
-            return run_simulation(test_trace, cfg.demand, policy, cfg.bounds,
-                                  seed=cfg.sim_seed, warmup=cfg.lstm.window,
-                                  startup_delay=cfg.startup_delay,
-                                  max_total_pods=cfg.max_total_pods, initial_pods=initial)
+            return cli.replay(prepared, policy, tmp_path / policy_cls.__name__)[0]
 
         batched, oracle = replay(PredictivePolicy), replay(PerMinutePredictivePolicy)
         assert log_rows(batched) == log_rows(oracle)
@@ -664,7 +659,7 @@ class TestBatchedPredictiveReplay:
             slot=-1, feature_scaler=MinMaxScaler(0.0, 1.0, 0.0, 1.0))[0]
         policy.begin(10, {"a": np.full(5, 100.0), "b": np.full(5, 100.0)})
         pods = {"a": 1, "b": 1}
-        policy.decide(12, {}, {}, pods)
+        policy.decide(12, {}, pods)
         for minute in (11, 15):
             with pytest.raises(ValidationError, match="no prediction"):
-                policy.decide(minute, {}, {}, pods)
+                policy.decide(minute, {}, pods)

@@ -97,6 +97,26 @@ class TestParsing:
         d = minimal_config(graph={"nodes": ["front", "back"], "edges": [["back", "front"]]})
         assert ExperimentConfig.from_json_dict(d).graph.nodes == ("front", "back")
 
+    @pytest.mark.parametrize("split, message", [
+        # A negative valid fraction replayed minutes of the training window.
+        ({"valid": -0.3}, r"split\.valid must be > 0, got -0\.3"),
+        ({"train": -0.1}, r"split\.train must be > 0, got -0\.1"),
+        ({"train": 0}, r"split\.train must be > 0, got 0\.0"),
+        ({"valid": 0.0}, r"split\.valid must be > 0, got 0\.0"),
+        ({"train": float("nan")}, r"split\.train must be > 0, got nan"),
+        ({"train": 0.8, "valid": 0.2}, r"split\.train \+ split\.valid must be < 1"),
+        ({"train": 0.9, "valid": 0.5}, r"split\.train \+ split\.valid must be < 1"),
+    ])
+    def test_bad_split_fractions_rejected(self, split, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_json_dict(minimal_config(split=split))
+
+    @pytest.mark.parametrize("train, valid", [(0.6, 0.2), (0.1, 0.1)])
+    def test_split_fractions_in_use_load(self, train, valid):
+        cfg = ExperimentConfig.from_json_dict(minimal_config(split={"train": train,
+                                                                    "valid": valid}))
+        assert (cfg.train_frac, cfg.valid_frac) == (train, valid)
+
     def test_non_object_section_rejected(self):
         with pytest.raises(ConfigError, match="lstm must be an object"):
             ExperimentConfig.from_json_dict(minimal_config(lstm=[1, 2]))
