@@ -13,9 +13,11 @@ it returns, write their files and return what they built.
 
 Set PHPA_LOG=DEBUG (or INFO) for training progress on stderr. Output files
 are byte-stable: rerunning a command with the same config and seeds rewrites
-identical bytes. The per-service fits and forecasts run on one thread per
-usable core (limit the cores with taskset); each result is independent of the
-thread that computed it, so the bytes do not depend on the core count.
+identical bytes. The per-service fits and forecasts run on a pool of worker
+processes forked from the command, one per usable core (limit the cores with
+taskset); with one usable core, or no OpenBLAS to pin, they run in-process.
+Each result is independent of the process that computed it, so the bytes do
+not depend on the core count.
 """
 from __future__ import annotations
 
@@ -24,7 +26,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -56,33 +57,55 @@ def _lstm_path(models_dir: Path, service: str) -> Path:
 
 
 def _load_lstm_models(models_dir: Path, services) -> dict[str, LstmModel]:
-    models = {}
-    for service in services:
-        path = _lstm_path(models_dir, service)
-        if not path.exists():
-            raise ValidationError(f"missing forecaster model {path}")
-        models[service] = LstmModel.load(path)
-    return models
+    return {service: LstmModel.load(_lstm_path(models_dir, service)) for service in services}
 
 
 def _worker_count(tasks: int) -> int:
-    """Threads for independent tasks: one per usable core, never more than tasks."""
+    """Worker processes for independent tasks: one per usable core, never more
+    than tasks. At 1, as on a single usable core, the tasks run in-process."""
     return min(tasks, len(os.sched_getaffinity(0)))
 
 
-def _map_tasks(fn, tasks: list[tuple]) -> list:
-    """[fn(*task) for task in tasks], spread over worker threads.
+# (fn, tasks) of the _map_tasks call whose pool is running. Workers are forked
+# after it is set, so they read fn and the tasks from their copy of memory and
+# only the results are pickled: fn may be a closure.
+_job: tuple | None = None
 
-    OpenBLAS is pinned to one thread meanwhile, so the workers do not
-    oversubscribe the cores. Without an OpenBLAS to pin the tasks run one
-    after another. The first task to fail raises its error here.
+
+def _run_job_task(index: int):
+    fn, tasks = _job
+    return fn(*tasks[index])
+
+
+def _map_tasks(fn, tasks: list[tuple]) -> list:
+    """[fn(*task) for task in tasks], spread over forked worker processes.
+
+    OpenBLAS is pinned to one thread meanwhile, and the workers inherit the
+    pin, so they do not oversubscribe the cores. With one usable core, or
+    without an OpenBLAS to pin, the tasks run in this process one after
+    another. Every worker has exited when this returns. The first task to fail
+    raises its error here; a worker that dies raises BrokenProcessPool.
+
+    The pool forks all its workers before it starts its own management thread.
+    Nothing in the command may start a thread before then: forking a process
+    with threads can deadlock the child, and Python 3.12+ warns about it.
     """
+    global _job
     with one_blas_thread() as pinned:
         workers = _worker_count(len(tasks)) if pinned else 1
         if workers <= 1:
             return [fn(*task) for task in tasks]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda task: fn(*task), tasks))
+        # Imported here: a command that runs no pool does not load multiprocessing.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        fork = multiprocessing.get_context("fork")
+        _job = (fn, tasks)
+        try:
+            with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+                return list(pool.map(_run_job_task, range(len(tasks))))
+        finally:
+            _job = None
 
 
 @dataclass(frozen=True)

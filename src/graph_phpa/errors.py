@@ -97,8 +97,11 @@ def float_array(value, where: str) -> np.ndarray:
 
 
 def read_json_file(path) -> object:
-    """The JSON document in a file; a file that does not parse is a ValidationError."""
+    """The JSON document in a file; a file that is missing, cannot be read or
+    does not parse is a ValidationError naming it."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from None

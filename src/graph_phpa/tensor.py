@@ -464,10 +464,11 @@ def one_blas_thread():
     """Pin OpenBLAS to one thread for the block, then restore its thread count.
 
     Yields True when it pinned, False when no OpenBLAS could be found (the
-    block then runs with whatever threading the BLAS has). Python threads that
-    each call BLAS need the pin, or every product forks onto all the cores
-    again and the threads oversubscribe them. The thread count is
-    process-wide, so enter the pin from one thread at a time.
+    block then runs with whatever threading the BLAS has). Worker processes
+    forked inside the block inherit the pin; without it every product in every
+    worker would spread over all the cores and the workers would oversubscribe
+    them. The thread count is process-wide, so enter the pin from one thread
+    at a time.
     """
     api = _openblas_thread_api()
     if api is None:

@@ -1,9 +1,12 @@
 """Command-line workflow tests on a small configuration."""
 import json
 import math
+import multiprocessing
+import os
+import pickle
 import shutil
-import sys
-import threading
+import signal
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,7 @@ from conftest import TINY_CONFIG, run_cli
 from graph_phpa import cli, tensor
 from graph_phpa.cluster_sim import SimulationLog
 from graph_phpa.config import ExperimentConfig, TraceSpec
-from graph_phpa.errors import DivergenceError
+from graph_phpa.errors import DivergenceError, RunMismatchError, TraceFormatError
 from graph_phpa.forecast_lstm import LstmConfig, LstmLayer, LstmModel, predict_windows
 from graph_phpa.report import load_run
 from graph_phpa.tensor import MinMaxScaler
@@ -99,7 +102,7 @@ class TestTraining:
         code = run_cli("train-resource", "--config", tiny_config_path,
                        "--models", str(tmp_path), "--out", str(tmp_path / "out"))
         assert code == 2
-        assert "missing forecaster model" in capsys.readouterr().err
+        assert f"cannot read {tmp_path / 'lstm_front.json'}" in capsys.readouterr().err
 
 
 class TestMalformedModelFiles:
@@ -172,6 +175,13 @@ class TestMalformedModelFiles:
         assert self.simulate_phpa(tiny_config_path, models, tmp_path) == 2
         assert message in capsys.readouterr().err
 
+    def test_missing_file(self, tiny_config_path, tiny_models_dir, tmp_path, capsys):
+        models = tmp_path / "models"
+        shutil.copytree(tiny_models_dir, models)
+        (models / "gcn.json").unlink()
+        assert self.simulate_phpa(tiny_config_path, models, tmp_path) == 2
+        assert f"cannot read {models / 'gcn.json'}: No such file" in capsys.readouterr().err
+
     def test_truncated_file(self, tiny_config_path, tiny_models_dir, tmp_path, capsys):
         models = tmp_path / "models"
         shutil.copytree(tiny_models_dir, models)
@@ -190,37 +200,88 @@ def train_both(config: str, out: Path) -> dict[str, bytes]:
 
 
 class TestConcurrentTraining:
-    """The per-service fits and forecasts run on threads; results must not show it."""
+    """The per-service fits and forecasts run on worker processes; results must
+    not show it."""
 
     def test_any_worker_count_writes_identical_files(self, tiny_config_path, tmp_path,
                                                       monkeypatch):
-        # Four workers exceed the cores and the two forecasters; with a short
-        # switch interval the threads interleave as often as they can.
+        # Four workers exceed the cores and the two forecasters.
         outputs = {}
-        interval = sys.getswitchinterval()
-        try:
-            sys.setswitchinterval(1e-5)
-            for workers in (1, 2, 4):
-                monkeypatch.setattr(cli, "_worker_count",
-                                    lambda tasks, w=workers: min(tasks, w))
-                outputs[workers] = train_both(tiny_config_path, tmp_path / f"w{workers}")
-        finally:
-            sys.setswitchinterval(interval)
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(cli, "_worker_count", lambda tasks, w=workers: min(tasks, w))
+            outputs[workers] = train_both(tiny_config_path, tmp_path / f"w{workers}")
         assert len(outputs[1]) == 5  # two forecasters, the GCN and both metrics files
         assert outputs[1] == outputs[2] == outputs[4]
 
-    def test_tasks_run_on_worker_threads_in_order(self, monkeypatch):
+    @staticmethod
+    def needs_pool():
+        if tensor._openblas_thread_api() is None:
+            pytest.skip("numpy did not load an OpenBLAS, so the tasks run in-process")
+
+    def test_tasks_run_in_worker_processes_in_order(self, monkeypatch):
+        self.needs_pool()
         monkeypatch.setattr(cli, "_worker_count", lambda tasks: 2)
-        seen = []
+        results = cli._map_tasks(lambda i: (i * i, os.getpid()), [(i,) for i in range(6)])
+        assert [square for square, _ in results] == [i * i for i in range(6)]
+        assert os.getpid() not in {pid for _, pid in results}
+        assert multiprocessing.active_children() == []
 
-        def task(i):
-            seen.append(threading.get_ident())
-            return i * i
+        def failing(i):
+            if i == 3:
+                raise ValueError("task 3 failed")
+            return i
 
-        results = cli._map_tasks(task, [(i,) for i in range(6)])
-        assert results == [i * i for i in range(6)]
-        if tensor._openblas_thread_api() is not None:
-            assert threading.get_ident() not in seen
+        with pytest.raises(ValueError, match="task 3 failed"):
+            cli._map_tasks(failing, [(i,) for i in range(6)])
+        assert multiprocessing.active_children() == []
+        assert cli._job is None
+
+    def test_a_dying_worker_raises_instead_of_hanging(self, monkeypatch):
+        self.needs_pool()
+        monkeypatch.setattr(cli, "_worker_count", lambda tasks: 2)
+
+        def timed_out(signum, frame):
+            raise TimeoutError("_map_tasks hung after its worker died")
+
+        def dying(i):
+            if i == 1:
+                os._exit(3)
+            return i
+
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(60)
+        try:
+            with pytest.raises(BrokenProcessPool):
+                cli._map_tasks(dying, [(i,) for i in range(4)])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("error, field, value", [
+        (DivergenceError("training loss diverged at epoch 3", epoch=3), "epoch", 3),
+        (TraceFormatError("line 7: not a number", line=7), "line", 7),
+        (RunMismatchError("runs differ in horizon", field="horizon"), "field", "horizon"),
+    ], ids=["DivergenceError", "TraceFormatError", "RunMismatchError"])
+    def test_errors_keep_their_fields_across_processes(self, monkeypatch, error, field,
+                                                       value):
+        def check(copy):
+            assert type(copy) is type(error)
+            assert str(copy) == str(error)
+            assert getattr(copy, field) == value
+
+        check(pickle.loads(pickle.dumps(error)))
+        self.needs_pool()
+        monkeypatch.setattr(cli, "_worker_count", lambda tasks: 2)
+
+        def raising(i):
+            if i == 1:
+                raise error
+            return i
+
+        with pytest.raises(type(error)) as raised:
+            cli._map_tasks(raising, [(i,) for i in range(2)])
+        check(raised.value)
 
     def test_blas_pin_restores_the_thread_count(self):
         api = tensor._openblas_thread_api()
@@ -245,9 +306,7 @@ class TestConcurrentTraining:
         monkeypatch.setattr(cli, "_worker_count", lambda tasks: 2)
         with tensor.one_blas_thread() as pinned:
             assert not pinned
-        seen = []
-        cli._map_tasks(lambda i: seen.append(threading.get_ident()), [(i,) for i in range(4)])
-        assert seen == [threading.get_ident()] * 4
+        assert cli._map_tasks(lambda i: os.getpid(), [(i,) for i in range(4)]) == [os.getpid()] * 4
 
     def test_a_failing_fit_exits_with_its_error(self, tiny_config_path, tmp_path,
                                                 monkeypatch, capsys):
