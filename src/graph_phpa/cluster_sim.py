@@ -10,10 +10,10 @@ the whole cluster shares a hard pod budget.
 All randomness is keyed by (seed, absolute minute, service index), so the same
 minute of the same trace sees identical noise regardless of warmup, policy, or
 how much history was simulated before it. A window's noise is drawn in one
-array pass (tensor.keyed_normals: each key's first PCG64 output computed with
-uint64 arithmetic and numpy's ziggurat applied to all of them, with a
-Generator drawing only the ~1.5% of keys its fast path rejects) and is bit
-for bit what minute-by-minute draws from fresh generators would give.
+call (tensor.keyed_normals: each key's first PCG64 output computed with
+uint64 arithmetic and numpy's ziggurat applied to a block of them at a time,
+with a Generator drawing only the ~1.5% of keys its fast path rejects) and is
+bit for bit what minute-by-minute draws from fresh generators would give.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from .autoscaler import ScalingBounds, predict_demand
 from .errors import ValidationError
 from .forecast_lstm import LstmModel
 from .predict_gcn import GcnModel, ServiceGraph
-from .tensor import keyed_normals, mix_seed
+from .tensor import blocks, keyed_normals, mix_seed
 from .traces import WorkloadTrace, trace_digest
 
 SIM_COLUMNS = ("minute", "service", "external_rps", "service_rps", "pods",
@@ -128,9 +128,10 @@ class DemandModel:
             index = np.array([i for i, s in enumerate(self.services) if s != self.entry])
             minutes = np.arange(n, dtype=np.int64) + start_minute
             z = keyed_normals(mix_seed(seed, minutes, index[:, None]))  # (services, n)
-            exponent = (sigma * z - 0.5 * sigma * sigma).ravel().tolist()
-            factors = np.fromiter(map(math.exp, exponent), dtype=np.float64, count=z.size)
-            noise = dict(zip((self.services[i] for i in index), factors.reshape(z.shape)))
+            for i, row in zip(index, z):  # each row's factors replace its normals
+                exponent = (sigma * row - 0.5 * sigma * sigma).tolist()
+                row[:] = np.fromiter(map(math.exp, exponent), dtype=np.float64, count=n)
+                noise[self.services[i]] = row
         for u in self._topo:
             if u in noise:
                 rates[u] *= noise[u]
@@ -382,19 +383,22 @@ class SimulationLog:
         services = [text[s] for s in self.services]
         policy = text[self.policy_name]
         width = len(services)
-        # Floats go through .tolist() so repr sees Python floats; each minute's
-        # external rate is formatted once for all its services. Flat lists keep
-        # the cyclic garbage collector out: they are one object each.
-        cells = zip(itertools.cycle(services), self.service_rps.ravel().tolist(),
-                    self.pods.ravel().tolist(), self.utilization.ravel().tolist(),
-                    self.decision_delta.ravel().tolist())
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(SIM_COLUMNS) + "\n")
-            for minute, external in zip(itertools.count(self.start_minute),
-                                        map(repr, self.external.tolist())):
-                fh.write("".join(f"{minute},{service},{external},{r!r},{n},{u!r},{u > 1.0:d},"
-                                 f"{policy},{d}\n"
-                                 for service, r, n, u, d in itertools.islice(cells, width)))
+            for lo, hi in blocks(self.horizon):
+                # Floats go through .tolist() so repr sees Python floats; each
+                # minute's external rate is formatted once for all its services.
+                # Flat lists keep the cyclic garbage collector out: they are one
+                # object each.
+                cells = zip(itertools.cycle(services), self.service_rps[lo:hi].ravel().tolist(),
+                            self.pods[lo:hi].ravel().tolist(),
+                            self.utilization[lo:hi].ravel().tolist(),
+                            self.decision_delta[lo:hi].ravel().tolist())
+                for minute, external in zip(itertools.count(self.start_minute + lo),
+                                            map(repr, self.external[lo:hi].tolist())):
+                    fh.write("".join(f"{minute},{service},{external},{r!r},{n},{u!r},"
+                                     f"{u > 1.0:d},{policy},{d}\n"
+                                     for service, r, n, u, d in itertools.islice(cells, width)))
 
     def write_decisions_csv(self, path: str | Path) -> None:
         text = _CsvFields()
@@ -449,49 +453,54 @@ def run_simulation(trace: WorkloadTrace, demand: DemandModel, policy: ScalingPol
     # compute_utilization; ScalingBounds already rejects a capacity <= 0, and
     # pods are clipped to >= 1 wherever they change.
     capacity = [bounds[s].pod_capacity for s in services]
-    # Flat minute-major lists: one object each, so the cyclic garbage collector
-    # is not triggered by a list per minute.
-    usage_cells = np.column_stack([usage[s] for s in services]).ravel().tolist()
-    pod_cells: list[int] = []
-    util_cells: list[float] = []
+    pod_grid = np.empty((len(external), width), dtype=np.int64)
+    util_grid = np.empty((len(external), width))
     decision_delta = np.zeros((len(external), width), dtype=np.int64)
     decisions: list[DecisionRow] = []
     pending: dict[int, list[tuple[str, int]]] = {}  # ready minute -> (service, delta)
     pending_adds = 0
 
-    for i in range(len(external)):
-        minute = trace.start_minute + i
-        for s, delta in pending.pop(minute, ()):
-            pods[s] = min(max(pods[s] + delta, 1), bounds[s].max_pods)
-            pending_adds -= max(delta, 0)
+    for lo, hi in blocks(len(external)):
+        # A block's cells go through flat minute-major lists: one object each,
+        # so the cyclic garbage collector is not triggered by a list per minute.
+        usage_cells = np.column_stack([usage[s][lo:hi] for s in services]).ravel().tolist()
+        pod_cells: list[int] = []
+        util_cells: list[float] = []
+        for i in range(lo, hi):
+            minute = trace.start_minute + i
+            for s, delta in pending.pop(minute, ()):
+                pods[s] = min(max(pods[s] + delta, 1), bounds[s].max_pods)
+                pending_adds -= max(delta, 0)
 
-        counts = [pods[s] for s in services]
-        utils = [u / (n * c) for u, n, c in zip(usage_cells[i * width:(i + 1) * width],
-                                                counts, capacity)]
-        pod_cells.extend(counts)
-        util_cells.extend(utils)
-        if i < warm:
-            continue
-        targets, records = policy.decide(minute, dict(zip(services, utils)), pods=pods)
-        decisions.extend(records)
-        budget = max_total_pods - sum(counts) - pending_adds
-        for j, s in enumerate(services):
-            want = targets.get(s, pods[s]) - pods[s]
-            if want > 0:
-                grant = min(want, budget)
-                budget -= grant
-                if grant > 0:
-                    pending.setdefault(minute + startup_delay, []).append((s, grant))
-                    pending_adds += grant
-                    decision_delta[i, j] = grant
-            elif want < 0:
-                pending.setdefault(minute + 1, []).append((s, want))
-                decision_delta[i, j] = want
+            counts = [pods[s] for s in services]
+            cell = (i - lo) * width
+            utils = [u / (n * c) for u, n, c in zip(usage_cells[cell:cell + width],
+                                                    counts, capacity)]
+            pod_cells.extend(counts)
+            util_cells.extend(utils)
+            if i < warm:
+                continue
+            targets, records = policy.decide(minute, dict(zip(services, utils)), pods=pods)
+            decisions.extend(records)
+            budget = max_total_pods - sum(counts) - pending_adds
+            for j, s in enumerate(services):
+                want = targets.get(s, pods[s]) - pods[s]
+                if want > 0:
+                    grant = min(want, budget)
+                    budget -= grant
+                    if grant > 0:
+                        pending.setdefault(minute + startup_delay, []).append((s, grant))
+                        pending_adds += grant
+                        decision_delta[i, j] = grant
+                elif want < 0:
+                    pending.setdefault(minute + 1, []).append((s, want))
+                    decision_delta[i, j] = want
+        pod_grid[lo:hi].flat = pod_cells
+        util_grid[lo:hi].flat = util_cells
 
     return SimulationLog(policy_name=policy.name, seed=seed,
                          trace_sha256=trace_digest(trace), start_minute=trace.start_minute,
                          services=services, external=external,
                          service_rps=np.column_stack([rps[s] for s in services]),
-                         pods=np.array(pod_cells, dtype=np.int64).reshape(-1, width),
-                         utilization=np.array(util_cells).reshape(-1, width),
+                         pods=pod_grid, utilization=util_grid,
                          decision_delta=decision_delta, decisions=decisions)

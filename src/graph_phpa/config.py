@@ -2,7 +2,9 @@
 
 Parsing is strict. Unknown keys anywhere in the document raise ConfigError
 naming the offending key and where it sits, because a silently ignored typo in
-a threshold would invalidate a whole experiment.
+a threshold would invalidate a whole experiment. So does a value of the wrong
+type: a number must be a finite JSON number and not a bool, and a count an
+integer.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from pathlib import Path
 
 from .autoscaler import ScalingBounds
 from .cluster_sim import DemandModel, HpaConfig
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError, check_number
 from .forecast_lstm import LstmConfig
 from .predict_gcn import GcnConfig, ServiceGraph
 from .traces import (WorkloadTrace, generate_synthetic_trace, interpolate_to_minutes,
@@ -33,6 +35,31 @@ def _take(d: dict, allowed: dict, context: str) -> dict:
 
 
 _REQUIRED = object()
+
+
+def _numbers(fields: dict, context: str, integers=(), optional=()) -> dict:
+    """fields, once each value is a finite number, an integer under the keys
+    in integers, or None under those in optional; else a ConfigError naming
+    the key."""
+    for key, value in fields.items():
+        if not (value is None and key in optional):
+            _number(value, f"{context}.{key}", integer=key in integers)
+    return fields
+
+
+def _number(value, where: str, integer: bool = False):
+    try:
+        return check_number(value, where, integer)
+    except ValidationError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _typed(value, kind: type, where: str):
+    """value, once it is a JSON value of kind (list, dict, str or bool)."""
+    if not isinstance(value, kind):
+        names = {list: "a list", dict: "an object", str: "a string", bool: "true or false"}
+        raise ConfigError(f"{where} must be {names[kind]}, got {value!r}")
+    return value
 
 
 def _check_same_call_graph(edges, fan_out: dict) -> None:
@@ -68,6 +95,9 @@ class TraceSpec:
                 "seed": _REQUIRED, "base": 100.0, "period": None, "noise": 0.0,
                 "resolution": 1,
             }, "trace.synthetic")
+            _typed(spec["pattern"], str, "trace.synthetic.pattern")
+            _numbers({k: v for k, v in spec.items() if k != "pattern"}, "trace.synthetic",
+                     integers=("length", "seed", "resolution"), optional=("period",))
             trace = generate_synthetic_trace(**spec)
         if self.interpolate:
             trace = interpolate_to_minutes(trace)
@@ -79,6 +109,12 @@ class TraceSpec:
     def from_json_dict(cls, d: dict) -> "TraceSpec":
         fields = _take(d, {"file": None, "resolution": 1, "interpolate": False,
                            "rescale_peak": None, "synthetic": None}, "trace")
+        for key, kind in (("file", str), ("synthetic", dict)):
+            if fields[key] is not None:
+                _typed(fields[key], kind, f"trace.{key}")
+        _typed(fields["interpolate"], bool, "trace.interpolate")
+        _numbers({k: fields[k] for k in ("resolution", "rescale_peak")}, "trace",
+                 integers=("resolution",), optional=("rescale_peak",))
         return cls(**fields)
 
 
@@ -103,25 +139,36 @@ class ExperimentConfig:
                         "bounds": _REQUIRED, "lstm": {}, "gcn": {}, "hpa": {},
                         "sim": {}, "split": {}}, "config")
         graph_spec = _take(top["graph"], {"nodes": _REQUIRED, "edges": _REQUIRED}, "graph")
+        for i, node in enumerate(_typed(graph_spec["nodes"], list, "graph.nodes")):
+            _typed(node, str, f"graph.nodes[{i}]")
+        for i, edge in enumerate(_typed(graph_spec["edges"], list, "graph.edges")):
+            if not isinstance(edge, list) or len(edge) != 2:
+                raise ConfigError(f"graph.edges[{i}] must be a [from, to] pair, got {edge!r}")
         graph = ServiceGraph.from_edges(graph_spec["nodes"], graph_spec["edges"])
 
         demand_spec = _take(top["demand"], {
             "entry": _REQUIRED, "cpu_per_request": _REQUIRED,
             "fan_out": _REQUIRED, "noise_sigma": 0.0}, "demand")
+        _number(demand_spec["noise_sigma"], "demand.noise_sigma")
+        _numbers(_typed(demand_spec["cpu_per_request"], dict, "demand.cpu_per_request"),
+                 "demand.cpu_per_request")
+        for u, targets in _typed(demand_spec["fan_out"], dict, "demand.fan_out").items():
+            _numbers(_typed(targets, dict, f"demand.fan_out.{u}"), f"demand.fan_out.{u}")
         demand = DemandModel(services=graph.nodes, entry=demand_spec["entry"],
                              cpu_per_request=demand_spec["cpu_per_request"],
                              fan_out=demand_spec["fan_out"],
                              noise_sigma=demand_spec["noise_sigma"])
         _check_same_call_graph(graph_spec["edges"], demand.fan_out)
 
-        if set(top["bounds"]) != set(graph.nodes):
+        if set(_typed(top["bounds"], dict, "bounds")) != set(graph.nodes):
             raise ConfigError("bounds must name exactly the graph nodes")
         bounds = {}
         for service, spec in top["bounds"].items():
             fields = _take(spec, {"r_lb": _REQUIRED, "r_ub": _REQUIRED,
                                   "pod_capacity": 1.0, "max_pods": _REQUIRED},
                            f"bounds.{service}")
-            bounds[service] = ScalingBounds(**fields)
+            bounds[service] = ScalingBounds(**_numbers(fields, f"bounds.{service}",
+                                                       integers=("max_pods",)))
 
         lstm_fields = _take(top["lstm"], {
             "window": 10, "layers": 1, "hidden_units": 50, "learning_rate": 0.01,
@@ -129,16 +176,25 @@ class ExperimentConfig:
         gcn_fields = _take(top["gcn"], {
             "window": 10, "hidden": [32], "learning_rate": 0.001, "epochs": 100,
             "batch_size": 256, "seed": 42}, "gcn")
-        gcn_fields["hidden"] = tuple(gcn_fields["hidden"])
-        hpa_fields = _take(top["hpa"], {"scale_out": 0.9, "scale_in": 0.3,
-                                        "stabilization_minutes": 5}, "hpa")
+        gcn_fields["hidden"] = tuple(
+            _number(h, f"gcn.hidden[{i}]", integer=True)
+            for i, h in enumerate(_typed(gcn_fields["hidden"], list, "gcn.hidden")))
+        counts = ("window", "layers", "hidden_units", "epochs", "batch_size", "seed")
+        _numbers(lstm_fields, "lstm", integers=counts)
+        _numbers({k: v for k, v in gcn_fields.items() if k != "hidden"}, "gcn", integers=counts)
+        hpa_fields = _numbers(_take(top["hpa"], {"scale_out": 0.9, "scale_in": 0.3,
+                                                 "stabilization_minutes": 5}, "hpa"),
+                              "hpa", integers=("stabilization_minutes",))
         sim_fields = _take(top["sim"], {"seed": 0, "startup_delay": 1,
                                         "max_total_pods": 79}, "sim")
+        _numbers(sim_fields, "sim", integers=tuple(sim_fields))
         split_fields = _take(top["split"], {"train": 0.6, "valid": 0.2}, "split")
+        for key, frac in split_fields.items():
+            # The range check comes first, so that it also names a NaN.
+            if isinstance(frac, (int, float)) and not isinstance(frac, bool) and not frac > 0:
+                raise ConfigError(f"split.{key} must be > 0, got {float(frac)}")
+            _number(frac, f"split.{key}")
         train_frac, valid_frac = float(split_fields["train"]), float(split_fields["valid"])
-        for key, frac in (("train", train_frac), ("valid", valid_frac)):
-            if not frac > 0:
-                raise ConfigError(f"split.{key} must be > 0, got {frac}")
         if not train_frac + valid_frac < 1:
             raise ConfigError(f"split.train + split.valid must be < 1 to leave a test "
                               f"segment, got {train_frac} + {valid_frac}")
@@ -149,9 +205,8 @@ class ExperimentConfig:
         return cls(trace=TraceSpec.from_json_dict(top["trace"]), graph=graph,
                    demand=demand, bounds=bounds, lstm=LstmConfig(**lstm_fields),
                    gcn=GcnConfig(**gcn_fields), hpa=HpaConfig(**hpa_fields),
-                   sim_seed=int(sim_fields["seed"]),
-                   startup_delay=int(sim_fields["startup_delay"]),
-                   max_total_pods=int(sim_fields["max_total_pods"]),
+                   sim_seed=sim_fields["seed"], startup_delay=sim_fields["startup_delay"],
+                   max_total_pods=sim_fields["max_total_pods"],
                    train_frac=train_frac, valid_frac=valid_frac)
 
     @classmethod

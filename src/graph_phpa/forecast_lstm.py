@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import (DivergenceError, EmptyDatasetError, ShapeError, ValidationError,
                      check_keys, check_list, check_number, float_array, read_json_file)
-from .tensor import (AdamState, MinMaxScaler, Rng, adam_step, carve, ensure_finite,
-                     glorot_init)
+from .tensor import (BLOCK, AdamState, MinMaxScaler, Rng, adam_step, blocks, carve,
+                     ensure_finite, glorot_init)
 
 log = logging.getLogger(__name__)
 
@@ -220,21 +220,6 @@ def _lstm_step(h_prev, c_prev, w_h, b, a, tmp, c_out, tanh_c, h_out) -> None:
     np.multiply(go, tanh_c, out=h_out)
 
 
-# Rows per inference block. A block is never smaller, except when the whole
-# input is: the remainder joins the last block, so every product runs on
-# OpenBLAS's general matrix path, as it would over all the rows at once.
-_INFER_BLOCK = 256
-
-
-def _blocks(n: int):
-    """(lo, hi) row ranges of _INFER_BLOCK rows; the last takes the remainder."""
-    lo = 0
-    while lo < n:
-        hi = lo + _INFER_BLOCK if n - lo >= 2 * _INFER_BLOCK else n
-        yield lo, hi
-        lo = hi
-
-
 def _forward_scaled(params: list[np.ndarray], x_seq: np.ndarray) -> np.ndarray:
     """Scaled one-step forecasts (n,) for scaled windows (n, k).
 
@@ -250,9 +235,9 @@ def _forward_scaled(params: list[np.ndarray], x_seq: np.ndarray) -> np.ndarray:
         return [s for hid in hidden
                 for s in ((m, hid), (m, hid), (m, 4 * hid), (m, 4 * hid), (m, hid))]
 
-    pool = np.empty(sum(math.prod(s) for s in shapes(min(n, 2 * _INFER_BLOCK - 1))))
+    pool = np.empty(sum(math.prod(s) for s in shapes(min(n, 2 * BLOCK - 1))))
     top = np.empty((n, hidden[-1]))
-    for lo, hi in _blocks(n):
+    for lo, hi in blocks(n):
         views = carve(pool, shapes(hi - lo))
         states = [views[i:i + 5] for i in range(0, len(views), 5)]
         for h, c, *_ in states:

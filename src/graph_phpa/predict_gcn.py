@@ -20,7 +20,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (DivergenceError, EmptyDatasetError, ShapeError, ValidationError,
                      check_keys, check_list, check_number, float_array, read_json_file)
-from .tensor import AdamState, MinMaxScaler, Rng, activation, adam_step, carve, glorot_init
+from .tensor import (BLOCK, AdamState, MinMaxScaler, Rng, activation, adam_step, blocks, carve,
+                     glorot_init)
 
 log = logging.getLogger(__name__)
 
@@ -237,6 +238,33 @@ def _forward(weights: list[np.ndarray], activations, a_hat: np.ndarray,
     return out[-1]
 
 
+def _samples(model: GcnModel, graph: ServiceGraph, x: np.ndarray) -> np.ndarray:
+    """x, checked to be model input on graph, as a batch (S, N, D): one sample
+    (N, D) is a batch of one."""
+    if tuple(graph.nodes) != model.nodes:
+        raise ValidationError(f"graph nodes {graph.nodes} do not match model nodes {model.nodes}")
+    if x.ndim not in (2, 3) or x.shape[-2:] != (graph.size, model.weights[0].shape[0]):
+        raise ShapeError(f"features shape {x.shape}, expected "
+                         f"{(graph.size, model.weights[0].shape[0])} or a batch of those")
+    return x if x.ndim == 3 else x[None]
+
+
+def _forward_blocks(model: GcnModel, a_hat: np.ndarray, x: np.ndarray,
+                    transform=None) -> np.ndarray:
+    """Outputs (S, N, 1) of samples x (S, N, D), a block of samples at a time
+    through one set of layer buffers. transform, when given, maps each block
+    of raw features to scaled ones first."""
+    result = np.empty(x.shape[:2] + (1,))
+    agg, out = _layer_buffers(model.weights, min(len(x), 2 * BLOCK - 1), len(a_hat))
+    for lo, hi in blocks(len(x)):
+        block = x[lo:hi] if transform is None else transform(x[lo:hi])
+        front = [a[:hi - lo] for a in agg]
+        np.matmul(a_hat, block, out=front[0])
+        result[lo:hi] = _forward(model.weights, model.activations, a_hat, front,
+                                 [o[:hi - lo] for o in out])
+    return result
+
+
 def gcn_forward(model: GcnModel, graph: ServiceGraph, x: np.ndarray) -> np.ndarray:
     """Layer-by-layer propagation of scaled features.
 
@@ -244,16 +272,8 @@ def gcn_forward(model: GcnModel, graph: ServiceGraph, x: np.ndarray) -> np.ndarr
     network evaluation: scalers do not apply here, they belong to
     predict_resource.
     """
-    if tuple(graph.nodes) != model.nodes:
-        raise ValidationError(f"graph nodes {graph.nodes} do not match model nodes {model.nodes}")
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (2, 3) or x.shape[-2:] != (graph.size, model.weights[0].shape[0]):
-        raise ShapeError(f"features shape {x.shape}, expected "
-                         f"{(graph.size, model.weights[0].shape[0])} or a batch of those")
-    samples = x if x.ndim == 3 else x[None]
-    agg, out = _layer_buffers(model.weights, len(samples), graph.size)
-    np.matmul(graph.a_hat, samples, out=agg[0])
-    return _forward(model.weights, model.activations, graph.a_hat, agg, out).reshape(
+    return _forward_blocks(model, graph.a_hat, _samples(model, graph, x)).reshape(
         x.shape[:-1] + (1,))
 
 
@@ -437,13 +457,17 @@ def train_gcn(train: tuple[np.ndarray, np.ndarray], graph: ServiceGraph, config:
     shuffle_rng = rng.child(1)
 
     if has_valid:
-        x_valid = feature_scaler.transform(np.asarray(valid[0], dtype=np.float64))
+        agg_valid = np.matmul(graph.a_hat,
+                              feature_scaler.transform(np.asarray(valid[0], dtype=np.float64)))
         yv = scale_targets(target_scalers, np.asarray(valid[1], dtype=np.float64))
-        valid_agg, valid_out = _layer_buffers(weights, len(x_valid), graph.size)
-        np.matmul(graph.a_hat, x_valid, out=valid_agg[0])
+        sq_valid = np.empty_like(yv)
 
     n = len(agg_train)
     workspace = _Batch.allocate(weights, min(n, config.batch_size), graph.size)
+    # Validation walks blocks through the workspace. A block holds fewer than
+    # twice the size blocks() is given, so half the workspace, rounded up, is
+    # the largest size whose every block fits.
+    valid_block = (len(workspace.targets) + 1) // 2
     history: list[tuple[float, float | None]] = []
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n)
@@ -461,8 +485,12 @@ def train_gcn(train: tuple[np.ndarray, np.ndarray], graph: ServiceGraph, config:
         train_mse = sq_sum / n
         valid_mse = None
         if has_valid:
-            out = _forward(weights, config.activations, graph.a_hat, valid_agg, valid_out)
-            valid_mse = float(np.mean((out - yv) ** 2))
+            for lo, hi in blocks(len(agg_valid), valid_block):
+                batch = workspace.front(hi - lo)
+                out = _forward(weights, config.activations, graph.a_hat,
+                               [agg_valid[lo:hi], *batch.agg[1:]], batch.out)
+                np.subtract(out, yv[lo:hi], out=sq_valid[lo:hi])
+            valid_mse = float(np.mean(np.square(sq_valid, out=sq_valid)))
             if not np.isfinite(valid_mse):
                 raise DivergenceError(f"validation loss diverged at epoch {epoch}", epoch=epoch)
         history.append((train_mse, valid_mse))
@@ -474,8 +502,10 @@ def train_gcn(train: tuple[np.ndarray, np.ndarray], graph: ServiceGraph, config:
 def _squared_errors(model: GcnModel, graph: ServiceGraph,
                     dataset: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """(S, N, 1) squared errors in scaled units over a raw dataset."""
-    x = model.feature_scaler.transform(np.asarray(dataset[0], dtype=np.float64))
-    return (gcn_forward(model, graph, x) - scale_targets(model.target_scalers, dataset[1])) ** 2
+    x = np.asarray(dataset[0], dtype=np.float64)
+    out = _forward_blocks(model, graph.a_hat, _samples(model, graph, x),
+                          model.feature_scaler.transform).reshape(x.shape[:-1] + (1,))
+    return (out - scale_targets(model.target_scalers, dataset[1])) ** 2
 
 
 def evaluate_gcn(model: GcnModel, graph: ServiceGraph,

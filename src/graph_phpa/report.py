@@ -10,12 +10,14 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .cluster_sim import GRID_COLUMNS, SIM_COLUMNS, SimulationLog
-from .errors import RunMismatchError, ValidationError
+from .errors import RunMismatchError, ValidationError, check_number
+from .tensor import blocks
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
@@ -24,12 +26,52 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 _SIM_DTYPE = np.dtype(list(zip(SIM_COLUMNS, "i8 O f8 f8 i8 f8 i8 O i8".split())))
 
 
+def _loadtxt(fh, max_rows: int | None = None) -> np.ndarray:
+    """The next max_rows rows of an open sim.csv (all the rest when None), as
+    _SIM_DTYPE records; np.loadtxt leaves fh just past the last one read."""
+    with warnings.catch_warnings():
+        # Blank lines are skipped, and reading past the end gives no rows.
+        warnings.filterwarnings("ignore", "(Input line|loadtxt: input contained)",
+                                UserWarning)
+        return np.loadtxt(fh, dtype=_SIM_DTYPE, delimiter=",", quotechar='"',
+                          comments=None, ndmin=1, max_rows=max_rows)
+
+
+def _read_rows(fh, csv_path: Path, max_rows: int | None) -> np.ndarray:
+    """_loadtxt, or a ValidationError with the line of the first row in the
+    file that does not parse."""
+    try:
+        return _loadtxt(fh, max_rows)
+    except ValueError as exc:
+        error = exc
+    # Only a failed load pays for this. numpy numbers rows from where its call
+    # began, so the whole file is parsed again for its message; then the rows
+    # are tried one by one for the line.
+    fh.seek(0)
+    next(csv.reader(fh))
+    try:
+        _loadtxt(fh)
+    except ValueError as exc:
+        error = exc
+    fh.seek(0)
+    reader = csv.reader(fh)
+    next(reader)
+    for row in filter(None, reader):  # np.loadtxt skips blank lines too
+        try:
+            np.array(tuple(row), dtype=_SIM_DTYPE)
+        except ValueError:
+            break
+    raise ValidationError(f"{csv_path} line {reader.line_num}: {error}") from error
+
+
 def load_run(run_dir: str | Path) -> SimulationLog:
     """Rebuild a simulation log from a run directory's summary.json and sim.csv.
 
     sim.csv must hold exactly the grid summary.json describes: minutes
     start_minute .. start_minute + horizon - 1 in order, each with the
-    services in service_order, every row under the summary's policy.
+    services in service_order, every row under the summary's policy. Rows are
+    parsed a block of minutes at a time into the log's arrays. A row that
+    does not parse is reported ahead of one out of place, wherever it sits.
     """
     run_dir = Path(run_dir)
     summary_path = run_dir / "summary.json"
@@ -41,46 +83,52 @@ def load_run(run_dir: str | Path) -> SimulationLog:
     services, policy = tuple(summary["service_order"]), summary["policy"]
     if not services:
         raise ValidationError(f"{summary_path} lists no services")
+    start, horizon, width = summary["start_minute"], summary["horizon"], len(services)
+    if check_number(horizon, f"{summary_path} horizon", integer=True) < 0:
+        raise ValidationError(f"{summary_path} has a negative horizon {horizon}")
+    external = np.empty(horizon)
+    grid = {c: np.empty((horizon, width), dtype=_SIM_DTYPE[c]) for c in GRID_COLUMNS}
+    names = np.array(services, dtype=object)
+    bad = None  # (index of the first row out of place, that row or None at the end)
     with open(csv_path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(header) != SIM_COLUMNS:
             raise ValidationError(f"{csv_path} has header {header}, expected "
                                   f"{list(SIM_COLUMNS)}")
-        try:
-            table = np.loadtxt(fh, dtype=_SIM_DTYPE, delimiter=",", quotechar='"',
-                               comments=None, ndmin=1)
-        except ValueError as exc:
-            fh.seek(0)  # only a failed load pays for finding the line, row by row
-            reader = csv.reader(fh)
-            next(reader)
-            for row in filter(None, reader):  # np.loadtxt skips blank lines too
-                try:
-                    np.array(tuple(row), dtype=_SIM_DTYPE)
-                except ValueError:
-                    break
-            raise ValidationError(f"{csv_path} line {reader.line_num}: {exc}") from exc
-
-    start, horizon, width = summary["start_minute"], summary["horizon"], len(services)
-    i = np.arange(min(len(table), horizon * width))
-    fits = ((table["minute"][:len(i)] == start + i // width)
-            & (table["service"][:len(i)] == np.array(services, dtype=object)[i % width])
-            & (table["policy"][:len(i)] == policy))
-    if not fits.all() or len(table) != horizon * width:
-        bad = int(np.argmin(fits)) if not fits.all() else len(i)
-        got = table[["minute", "service", "policy"]].tolist()
-        # Quoted names may span lines: count their newlines above the bad row.
-        line = 2 + bad + sum(s.count("\n") + p.count("\n") for _, s, p in got[:bad])
-        want = (_cell(start + bad // width, services[bad % width], policy)
-                if bad < horizon * width else "no row")
+        for lo, hi in blocks(horizon):
+            table = _read_rows(fh, csv_path, (hi - lo) * width)
+            if bad is not None:
+                continue  # the rest must still parse
+            i = np.arange(lo * width, lo * width + len(table))
+            fits = ((table["minute"] == start + i // width)
+                    & (table["service"] == names[i % width]) & (table["policy"] == policy))
+            if not fits.all():
+                first = int(np.argmin(fits))
+                bad = lo * width + first, table[first]
+            elif len(table) < (hi - lo) * width:
+                bad = lo * width + len(table), None
+            else:
+                external[lo:hi] = table["external_rps"][::width]
+                for c in GRID_COLUMNS:
+                    grid[c][lo:hi] = table[c].reshape(hi - lo, width)
+        extra = _read_rows(fh, csv_path, None)  # rows past the grid, if any
+    if bad is None and len(extra):
+        bad = horizon * width, extra[0]
+    if bad is not None:
+        index, row = bad
+        minutes, j = divmod(index, width)
+        # Every row above the bad one is as expected: count its names' newlines.
+        line = (2 + index + sum(s.count("\n") for s in services[:j] + (policy,) * j)
+                + minutes * sum(s.count("\n") for s in services + (policy,) * width))
+        want = _cell(start + minutes, services[j], policy) if minutes < horizon else "no row"
+        got = ("the end of the file" if row is None
+               else _cell(*row[["minute", "service", "policy"]].tolist()))
         raise ValidationError(f"{csv_path} line {line}: expected {want} by "
-                              f"{summary_path.name}, got "
-                              f"{_cell(*got[bad]) if bad < len(got) else 'the end of the file'}")
-    shape = (horizon, width)
+                              f"{summary_path.name}, got {got}")
     return SimulationLog(policy_name=policy, seed=summary["seed"],
                          trace_sha256=summary["trace_sha256"], start_minute=start,
-                         services=services, external=table["external_rps"][::width].copy(),
-                         **{c: table[c].reshape(shape).copy() for c in GRID_COLUMNS})
+                         services=services, external=external, **grid)
 
 
 def _cell(minute, service, policy) -> str:

@@ -5,6 +5,9 @@ operation is deterministic: identical inputs (including RNG state) produce
 bit-identical outputs, and results are checked to be finite. All are pure
 except adam_step, which updates its parameter and state in place, and
 one_blas_thread, which sets OpenBLAS's thread count for a block.
+
+Passes over a whole window or dataset walk it in blocks (see blocks), so their
+working memory is bounded by the block size, not by the window's length.
 """
 from __future__ import annotations
 
@@ -22,6 +25,23 @@ ACTIVATIONS = ("tanh", "sigmoid", "relu", "linear")
 
 _SPLITMIX64_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+# Items per block of a whole-window pass. A block is never smaller, except when
+# the whole input is: the remainder joins the last block, so every product runs
+# on OpenBLAS's general matrix path, as it would over all the items at once.
+BLOCK = 256
+
+
+def blocks(n: int, size: int = BLOCK):
+    """(lo, hi) ranges that cover range(n) in order, size items each, except
+    that the last one takes the remainder: sizes lie in [size, 2 * size)
+    unless n itself is smaller."""
+    lo = 0
+    while lo < n:
+        hi = lo + size if n - lo >= 2 * size else n
+        yield lo, hi
+        lo = hi
 
 
 def _splitmix64(x):
@@ -204,32 +224,38 @@ def _ziggurat_fast_path(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return z, rabs < ki[idx]
 
 
+# Seeds per block of keyed_normals: its uint64 temporaries stay near 1 MB.
+_NOISE_BLOCK = 16 * BLOCK
+
+
 def keyed_normals(seeds) -> np.ndarray:
-    """Rng(s).normal() for every 64-bit seed s, bit for bit, in one pass.
+    """Rng(s).normal() for every 64-bit seed s, bit for bit, in array passes.
 
     The result has the shape of seeds.
 
     Seeding a fresh Generator per seed is dominated by SeedSequence hashing
-    and PCG64 seeding; both run vectorised over all seeds, up to each seed's
-    first output, and numpy's ziggurat fast path turns about 98.5% of those
-    outputs into normals with one array operation per step. The rest read
-    further outputs: for them one reusable Generator has its state set to the
-    seeded PCG64 state (Python-int arithmetic) and draws. NEP 19 keeps the
-    SeedSequence and PCG64 streams stable across numpy versions, and the
-    ziggurat tables are probed out of the installed Generator.normal.
+    and PCG64 seeding; both run vectorised over a block of seeds at a time, up
+    to each seed's first output, and numpy's ziggurat fast path turns about
+    98.5% of those outputs into normals with one array operation per step.
+    The rest read further outputs: for them one reusable Generator has its
+    state set to the seeded PCG64 state (Python-int arithmetic) and draws.
+    NEP 19 keeps the SeedSequence and PCG64 streams stable across numpy
+    versions, and the ziggurat tables are probed out of the installed
+    Generator.normal.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     flat = seeds.ravel()
-    out, fast = _ziggurat_fast_path(_pcg64_first_outputs(flat))
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        gen = np.random.Generator(np.random.PCG64(0))
-        words = _seed_sequence_state(flat[slow])
+    out = np.empty(flat.shape)
+    gen = np.random.Generator(np.random.PCG64(0))
+    for lo, hi in blocks(len(flat), _NOISE_BLOCK):
+        out[lo:hi], fast = _ziggurat_fast_path(_pcg64_first_outputs(flat[lo:hi]))
+        slow = np.flatnonzero(~fast)
+        words = _seed_sequence_state(flat[lo:hi][slow])
         for i, s_hi, s_lo, i_hi, i_lo in zip(slow.tolist(), *(w.tolist() for w in words)):
             inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
             state = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
             _set_pcg64_state(gen.bit_generator, state, inc)
-            out[i] = gen.normal()
+            out[lo + i] = gen.normal()
     return out.reshape(seeds.shape)
 
 

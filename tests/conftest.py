@@ -1,5 +1,7 @@
-"""Shared fixtures: a small, fast experiment config for end-to-end tests."""
+"""Shared fixtures: a small, fast experiment config for end-to-end tests, and a
+traced-memory probe for the memory bounds."""
 import json
+import tracemalloc
 
 import pytest
 
@@ -27,6 +29,18 @@ TINY_CONFIG = {
 
 def run_cli(*argv: str) -> int:
     return cli_main(list(argv))
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that Python and numpy held at once above their level when
+    fn() began."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

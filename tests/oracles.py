@@ -21,8 +21,10 @@ einsum weight gradient and one Adam step per weight matrix, is likewise the
 package's earlier form, kept to arbitrate the buffered one: forward and loss bit
 for bit, gradients and training to rounding. The normal drawn after a chosen
 64-bit output comes from numpy's own Generator, its PCG64 state inverted by
-hand so that the next output is the chosen one.
+hand so that the next output is the chosen one, and keyed noise from one fresh
+Generator per seed. CSV files are written row by row with csv.writer.
 """
+import csv
 import math
 from typing import NamedTuple
 
@@ -229,6 +231,21 @@ def normal_after_output(r: int, max_reads: int = 64) -> tuple[float, int]:
             raise AssertionError(f"normal after output {r:#x} read over {max_reads} outputs")
         state, reads = (state * PCG64_MULT + 1) % 2 ** 128, reads + 1
     return z, reads
+
+
+def fresh_normals_oracle(seeds) -> np.ndarray:
+    """Rng(s).normal() of a freshly seeded generator for every seed s."""
+    return np.array([Rng(int(s)).normal() for s in seeds], dtype=np.float64)
+
+
+def write_rows_oracle(path, columns, records) -> None:
+    """A header and one csv.writer line per record: floats as repr, bools as 0/1."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for r in records:
+            writer.writerow([repr(v) if type(v) is float else
+                             int(v) if type(v) is bool else v for v in r])
 
 
 def propagate_minute_oracle(demand, external_rps, minute, seed, with_noise=True):

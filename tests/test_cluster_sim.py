@@ -4,7 +4,6 @@ The hand-checkable demand model below mirrors a front service calling two
 backends, one of which calls a third; every closed-form rate in these tests
 was worked out on paper from the fan-out multipliers.
 """
-import csv
 import itertools
 import math
 from pathlib import Path
@@ -25,6 +24,7 @@ from graph_phpa.cluster_sim import (
     PredictivePolicy,
     ReactivePolicy,
     ScalingPolicy,
+    SimulationLog,
     compute_utilization,
     initial_pod_counts,
     run_simulation,
@@ -33,10 +33,10 @@ from graph_phpa.config import ExperimentConfig
 from graph_phpa.errors import ValidationError
 from graph_phpa.forecast_lstm import LstmConfig, LstmLayer, LstmModel
 from graph_phpa.predict_gcn import GcnConfig, GcnModel, ServiceGraph
-from graph_phpa.tensor import MinMaxScaler
+from graph_phpa.tensor import BLOCK, MinMaxScaler
 from graph_phpa.traces import WorkloadTrace
 from oracles import (PerMinutePredictivePolicy, SimRow, log_from_rows, log_rows,
-                     propagate_minute_oracle)
+                     propagate_minute_oracle, write_rows_oracle)
 
 
 def bookinfo_demand(noise: float = 0.0) -> DemandModel:
@@ -546,14 +546,25 @@ class TestSimulationLog:
         log.write_decisions_csv(tmp_path / "decisions.csv")
         for name, columns, records in (("sim.csv", SIM_COLUMNS, rows),
                                        ("decisions.csv", DECISION_COLUMNS, decisions)):
-            ref = tmp_path / f"ref_{name}"
-            with open(ref, "w", encoding="utf-8", newline="\n") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(columns)
-                for r in records:
-                    writer.writerow([repr(v) if type(v) is float else
-                                     int(v) if type(v) is bool else v for v in r])
-            assert (tmp_path / name).read_bytes() == ref.read_bytes()
+            write_rows_oracle(tmp_path / f"ref_{name}", columns, records)
+            assert (tmp_path / name).read_bytes() == (tmp_path / f"ref_{name}").read_bytes()
+
+    @pytest.mark.parametrize("horizon", [BLOCK - 1, 2 * BLOCK + 37, 3 * BLOCK + 1])
+    def test_csv_bytes_equal_csv_writer_across_blocks(self, tmp_path, horizon):
+        # write_csv walks blocks of minutes; horizons that are no multiple of
+        # the block end in a long last block.
+        rng = np.random.default_rng(horizon)
+        services = ("a,b", "line\nbreak", "c")
+        shape = (horizon, len(services))
+        log = SimulationLog(policy_name="p", seed=1, trace_sha256="t", start_minute=7,
+                            services=services, external=rng.random(horizon) * 300,
+                            service_rps=rng.random(shape) * 300,
+                            pods=rng.integers(1, 13, shape),
+                            utilization=rng.random(shape) * 1.2,
+                            decision_delta=rng.integers(-1, 2, shape))
+        log.write_csv(tmp_path / "sim.csv")
+        write_rows_oracle(tmp_path / "ref.csv", SIM_COLUMNS, log_rows(log))
+        assert (tmp_path / "sim.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def fixed_forecaster(k: int, value: float) -> LstmModel:

@@ -122,6 +122,50 @@ class TestParsing:
             ExperimentConfig.from_json_dict(minimal_config(lstm=[1, 2]))
 
 
+# One value of the tiny test config changed at a time. Each of these either
+# ended in a traceback (exit 1) or ran with a fractional, boolean or string
+# value taken for a number (exit 0).
+BAD_VALUES = [
+    (("bounds", "front", "r_lb"), "1.0", "bounds.front.r_lb"),
+    (("lstm", "epochs"), "8", "lstm.epochs"),
+    (("demand", "noise_sigma"), "0.05", "demand.noise_sigma"),
+    (("hpa", "scale_in"), "0.3", "hpa.scale_in"),
+    (("gcn", "hidden"), 8, "gcn.hidden"),
+    (("sim", "max_total_pods"), None, "sim.max_total_pods"),
+    (("demand", "cpu_per_request", "back"), None, "demand.cpu_per_request.back"),
+    (("graph", "edges"), "front-back", "graph.edges"),
+    (("demand", "fan_out"), [["front", "back"]], "demand.fan_out"),
+    (("bounds", "front", "max_pods"), 2.5, "bounds.front.max_pods"),
+    (("bounds", "front", "max_pods"), True, "bounds.front.max_pods"),
+    (("split", "train"), "0.6", "split.train"),
+]
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("path, value, key", BAD_VALUES,
+                             ids=[f"{key}={value!r}" for _, value, key in BAD_VALUES])
+    def test_wrong_type_exits_2_naming_the_key(self, path, value, key, tmp_path, capsys):
+        from conftest import TINY_CONFIG, run_cli
+        d = copy.deepcopy(TINY_CONFIG)
+        section = d
+        for name in path[:-1]:
+            section = section[name]
+        section[path[-1]] = value
+        config = tmp_path / "experiment.json"
+        config.write_text(json.dumps(d), encoding="utf-8")
+        code = run_cli("simulate", "--config", str(config), "--policy", "reactive",
+                       "--out", str(tmp_path / "run"))
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith(f"error: {key} must be "), err
+        assert not (tmp_path / "run").exists()
+
+    def test_integral_floats_are_not_counts(self):
+        d = minimal_config(sim={"seed": 3.0})
+        with pytest.raises(ConfigError, match="sim.seed must be an integer, got 3.0"):
+            ExperimentConfig.from_json_dict(d)
+
+
 class TestTraceSpec:
     def test_file_and_synthetic_are_exclusive(self, tmp_path):
         both = TraceSpec(file="x.csv", synthetic={"pattern": "sine"})

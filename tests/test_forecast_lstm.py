@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graph_phpa import forecast_lstm
+from graph_phpa import tensor
 from graph_phpa.errors import EmptyDatasetError, ShapeError, ValidationError
 from graph_phpa.forecast_lstm import (
     GATES,
@@ -241,7 +241,7 @@ class TestBufferedKernelAgainstOracle:
             assert_bitwise_equal(got, want)
 
 
-BLOCK = forecast_lstm._INFER_BLOCK
+BLOCK = tensor.BLOCK
 # One and two rows, and every block boundary with tails of 1-7 rows.
 BLOCK_ROWS = sorted({1, 2} | {j * BLOCK + r for j in (1, 2, 3) for r in range(-1, 8)})
 
@@ -264,7 +264,7 @@ class TestBlockedInference:
 
     def test_no_block_is_small(self):
         for n in BLOCK_ROWS:
-            sizes = [hi - lo for lo, hi in forecast_lstm._blocks(n)]
+            sizes = [hi - lo for lo, hi in tensor.blocks(n)]
             assert sum(sizes) == n
             assert min(sizes) >= min(n, BLOCK)
             assert max(sizes) < 2 * BLOCK

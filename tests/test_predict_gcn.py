@@ -30,7 +30,8 @@ from graph_phpa.predict_gcn import (
     predict_resource,
     train_gcn,
 )
-from graph_phpa.tensor import MinMaxScaler, Rng
+from graph_phpa.tensor import BLOCK, MinMaxScaler, Rng
+from conftest import traced_peak
 from oracles import (
     assert_bitwise_equal,
     finite_diff_gradient,
@@ -343,6 +344,51 @@ class TestKernelAgainstOracle:
         assert again_history == history
         for got, want in zip(again.weights, model.weights):
             assert_bitwise_equal(got, want)
+
+
+class TestBlockedEvaluation:
+    """Forward passes and evaluations walk blocks of samples through one set
+    of buffers, yet equal the whole-array oracle."""
+
+    @pytest.mark.parametrize("samples", [1, BLOCK, 3 * BLOCK - 1])
+    @pytest.mark.parametrize("hidden", [(), (32,), (7, 5)])
+    def test_forward_equals_the_whole_array_oracle(self, samples, hidden):
+        rng = Rng(samples)
+        graph = random_graph(rng, 4)
+        model = random_model(rng.child(1), graph.nodes, 10, hidden)
+        x = rng.uniform(0.0, 1.0, (samples, 4, 10))
+        want, _ = gcn_forward_scaled_oracle(model.weights, model.activations, graph.a_hat, x)
+        assert_bitwise_equal(gcn_forward(model, graph, x), want)
+
+    @pytest.mark.parametrize("train_samples, batch_size, valid_samples",
+                             [(1, 2, 2), (40, 8, 600), (300, 256, 2 * BLOCK + 3)])
+    def test_validation_history_equals_evaluation(self, train_samples, batch_size,
+                                                  valid_samples):
+        # Training validates in blocks that fit its batch workspace, however
+        # small; evaluate_gcn walks blocks of its own size. Both must give the
+        # final model's validation MSE bit for bit.
+        rng = Rng(train_samples)
+        graph = random_graph(rng, 3)
+        x = rng.uniform(0.0, 50.0, (train_samples + valid_samples, 3, 4))
+        y = rng.uniform(0.0, 4.0, (train_samples + valid_samples, 3, 1))
+        config = GcnConfig(window=4, hidden=(6,), epochs=2, batch_size=batch_size, seed=3)
+        valid = (x[train_samples:], y[train_samples:])
+        model, history = train_gcn((x[:train_samples], y[:train_samples]), graph, config, valid)
+        assert history[-1][1] == evaluate_gcn(model, graph, valid)
+
+    def test_memory_is_bounded(self):
+        # 5,000 samples of 4 nodes through 32 hidden units: the unblocked
+        # forward held every layer's buffers for all samples and peaked at
+        # 12 MB, and an evaluation at 13.6 MB.
+        rng = Rng(8)
+        graph = random_graph(rng, 4)
+        model = random_model(rng.child(1), graph.nodes, 10, (32,))
+        x = rng.uniform(0.0, 1.0, (5000, 4, 10))
+        y = rng.uniform(0.0, 1.0, (5000, 4, 1))
+        for name, run in (("gcn_forward", lambda: gcn_forward(model, graph, x)),
+                          ("evaluate_gcn", lambda: evaluate_gcn(model, graph, (x, y)))):
+            peak = traced_peak(run)
+            assert peak < 3e6, f"{name} peaked at {peak / 1e6:.1f} MB"
 
 
 class TestBuildResourceDataset:
