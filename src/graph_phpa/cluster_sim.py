@@ -141,16 +141,6 @@ class DemandModel:
         return rates, usage
 
 
-def compute_utilization(rps: float, cpu_per_request: float, pods: int,
-                        pod_capacity: float) -> float:
-    """Fraction of allocated vCPU in use; above 1.0 means overload."""
-    if pods < 1:
-        raise ValidationError(f"pods must be >= 1, got {pods}")
-    if pod_capacity <= 0:
-        raise ValidationError(f"pod_capacity must be positive, got {pod_capacity}")
-    return rps * cpu_per_request / (pods * pod_capacity)
-
-
 def initial_pod_counts(demand: DemandModel, first_external: float,
                        bounds: Mapping[str, ScalingBounds]) -> dict[str, int]:
     """Noise-free sizing for minute zero, shared by every policy.
@@ -185,7 +175,6 @@ class ScalingPolicy(ABC):
     """Produces target pod counts once per minute from current observations."""
 
     name: str = "policy"
-    min_history: int = 0
 
     def begin(self, start_minute: int, rates: Mapping[str, np.ndarray]) -> None:
         """Reset per-run state before the first minute.
@@ -254,7 +243,6 @@ class PredictivePolicy(ScalingPolicy):
         self.gcn_model = gcn_model
         self.graph = graph
         self.bounds = bounds
-        self.min_history = gcn_model.config.window
         self._r: dict[str, float] | None = None
         self._first_minute = 0
         self._forecasts: list[list[float]] = []
@@ -264,7 +252,7 @@ class PredictivePolicy(ScalingPolicy):
         forecasts, demand = predict_demand(self.lstm_models, self.gcn_model, self.graph,
                                            rates)
         # Row j is predicted at the minute that ends the j-th k-window.
-        self._first_minute = start_minute + self.min_history - 1
+        self._first_minute = start_minute + self.gcn_model.config.window - 1
         self._forecasts, self._demand = forecasts.tolist(), demand.tolist()
         self._r = None
 
@@ -411,16 +399,15 @@ class SimulationLog:
 
 
 def run_simulation(trace: WorkloadTrace, demand: DemandModel, policy: ScalingPolicy,
-                   bounds: Mapping[str, ScalingBounds], *, seed: int,
-                   horizon: int | None = None, warmup: int | None = None,
-                   startup_delay: int = 1, max_total_pods: int = 79,
-                   initial_pods: Mapping[str, int] | None = None) -> SimulationLog:
+                   bounds: Mapping[str, ScalingBounds], *, seed: int, warmup: int = 0,
+                   startup_delay: int = 1, max_total_pods: int = 79) -> SimulationLog:
     """Drive the cluster over a minute trace under one scaling policy.
 
     Decisions made at minute m schedule pod additions to become ready at
     m + startup_delay and removals at m + 1. No decisions are taken during the
-    first max(warmup, policy.min_history) minutes. The cluster-wide pod budget
-    is enforced when additions are scheduled, counting pods already pending.
+    first warmup minutes. Every service starts at its initial_pod_counts. The
+    cluster-wide pod budget is enforced when additions are scheduled, counting
+    pods already pending.
     """
     if trace.resolution != 1:
         raise ValidationError(f"simulation needs a 1-minute trace, got resolution "
@@ -429,29 +416,18 @@ def run_simulation(trace: WorkloadTrace, demand: DemandModel, policy: ScalingPol
         raise ValidationError("bounds keys must match demand services")
     if startup_delay < 1:
         raise ValidationError(f"startup_delay must be >= 1, got {startup_delay}")
-    if horizon is None:
-        horizon = len(trace)
-    if not 1 <= horizon <= len(trace):
-        raise ValidationError(f"horizon {horizon} outside [1, {len(trace)}]")
-    warm = max(warmup if warmup is not None else 0, policy.min_history)
 
-    external = trace.values[:horizon]
-    if initial_pods is None:
-        pods = initial_pod_counts(demand, float(external[0]), bounds)
-    else:
-        pods = {s: int(initial_pods[s]) for s in demand.services}
-        for s, n in pods.items():
-            if not 1 <= n <= bounds[s].max_pods:
-                raise ValidationError(f"initial pods for {s!r} out of range: {n}")
+    external = trace.values
+    pods = initial_pod_counts(demand, float(external[0]), bounds)
     if sum(pods.values()) > max_total_pods:
         raise ValidationError(f"initial pods exceed cluster budget {max_total_pods}")
 
     services, width = demand.services, len(demand.services)
     rps, usage = demand.demand_series(external, trace.start_minute, seed)
     policy.begin(trace.start_minute, rps)
-    # Utilization is usage / (pods * capacity), the same IEEE operations as
-    # compute_utilization; ScalingBounds already rejects a capacity <= 0, and
-    # pods are clipped to >= 1 wherever they change.
+    # Utilization is usage / (pods * capacity), above 1.0 an overload;
+    # ScalingBounds already rejects a capacity <= 0, and pods are clipped to
+    # >= 1 wherever they change.
     capacity = [bounds[s].pod_capacity for s in services]
     pod_grid = np.empty((len(external), width), dtype=np.int64)
     util_grid = np.empty((len(external), width))
@@ -478,7 +454,7 @@ def run_simulation(trace: WorkloadTrace, demand: DemandModel, policy: ScalingPol
                                                     counts, capacity)]
             pod_cells.extend(counts)
             util_cells.extend(utils)
-            if i < warm:
+            if i < warmup:
                 continue
             targets, records = policy.decide(minute, dict(zip(services, utils)), pods=pods)
             decisions.extend(records)

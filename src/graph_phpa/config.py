@@ -62,18 +62,6 @@ def _typed(value, kind: type, where: str):
     return value
 
 
-def _check_same_call_graph(edges, fan_out: dict) -> None:
-    """The GCN's graph.edges and the simulator's demand.fan_out must be one
-    undirected edge set, or the models learn one cluster and replay another."""
-    pairs = {"graph.edges": [tuple(e) for e in edges],
-             "demand.fan_out": [(u, v) for u, targets in fan_out.items() for v in targets]}
-    for here, there in (("graph.edges", "demand.fan_out"), ("demand.fan_out", "graph.edges")):
-        for u, v in pairs[here]:
-            if {u, v} not in [set(e) for e in pairs[there]]:
-                raise ConfigError(f"{here} has {u!r}-{v!r} but {there} has no edge "
-                                  f"between them; both must describe the same call graph")
-
-
 @dataclass(frozen=True)
 class TraceSpec:
     """Where the external workload comes from: a CSV file or a generator."""
@@ -138,13 +126,9 @@ class ExperimentConfig:
         top = _take(d, {"trace": _REQUIRED, "graph": _REQUIRED, "demand": _REQUIRED,
                         "bounds": _REQUIRED, "lstm": {}, "gcn": {}, "hpa": {},
                         "sim": {}, "split": {}}, "config")
-        graph_spec = _take(top["graph"], {"nodes": _REQUIRED, "edges": _REQUIRED}, "graph")
+        graph_spec = _take(top["graph"], {"nodes": _REQUIRED}, "graph")
         for i, node in enumerate(_typed(graph_spec["nodes"], list, "graph.nodes")):
             _typed(node, str, f"graph.nodes[{i}]")
-        for i, edge in enumerate(_typed(graph_spec["edges"], list, "graph.edges")):
-            if not isinstance(edge, list) or len(edge) != 2:
-                raise ConfigError(f"graph.edges[{i}] must be a [from, to] pair, got {edge!r}")
-        graph = ServiceGraph.from_edges(graph_spec["nodes"], graph_spec["edges"])
 
         demand_spec = _take(top["demand"], {
             "entry": _REQUIRED, "cpu_per_request": _REQUIRED,
@@ -154,11 +138,13 @@ class ExperimentConfig:
                  "demand.cpu_per_request")
         for u, targets in _typed(demand_spec["fan_out"], dict, "demand.fan_out").items():
             _numbers(_typed(targets, dict, f"demand.fan_out.{u}"), f"demand.fan_out.{u}")
-        demand = DemandModel(services=graph.nodes, entry=demand_spec["entry"],
+        demand = DemandModel(services=graph_spec["nodes"], entry=demand_spec["entry"],
                              cpu_per_request=demand_spec["cpu_per_request"],
                              fan_out=demand_spec["fan_out"],
                              noise_sigma=demand_spec["noise_sigma"])
-        _check_same_call_graph(graph_spec["edges"], demand.fan_out)
+        # The GCN's graph is the simulator's call graph, its edges undirected.
+        graph = ServiceGraph.from_edges(demand.services, [
+            (u, v) for u, targets in demand.fan_out.items() for v in targets])
 
         if set(_typed(top["bounds"], dict, "bounds")) != set(graph.nodes):
             raise ConfigError("bounds must name exactly the graph nodes")
@@ -174,7 +160,7 @@ class ExperimentConfig:
             "window": 10, "layers": 1, "hidden_units": 50, "learning_rate": 0.01,
             "epochs": 50, "batch_size": 64, "seed": 42}, "lstm")
         gcn_fields = _take(top["gcn"], {
-            "window": 10, "hidden": [32], "learning_rate": 0.001, "epochs": 100,
+            "hidden": [32], "learning_rate": 0.001, "epochs": 100,
             "batch_size": 256, "seed": 42}, "gcn")
         gcn_fields["hidden"] = tuple(
             _number(h, f"gcn.hidden[{i}]", integer=True)
@@ -198,13 +184,11 @@ class ExperimentConfig:
         if not train_frac + valid_frac < 1:
             raise ConfigError(f"split.train + split.valid must be < 1 to leave a test "
                               f"segment, got {train_frac} + {valid_frac}")
-        if lstm_fields["window"] != gcn_fields["window"]:
-            raise ConfigError(f"lstm.window {lstm_fields['window']} must equal "
-                              f"gcn.window {gcn_fields['window']}")
 
         return cls(trace=TraceSpec.from_json_dict(top["trace"]), graph=graph,
                    demand=demand, bounds=bounds, lstm=LstmConfig(**lstm_fields),
-                   gcn=GcnConfig(**gcn_fields), hpa=HpaConfig(**hpa_fields),
+                   gcn=GcnConfig(window=lstm_fields["window"], **gcn_fields),
+                   hpa=HpaConfig(**hpa_fields),
                    sim_seed=sim_fields["seed"], startup_delay=sim_fields["startup_delay"],
                    max_total_pods=sim_fields["max_total_pods"],
                    train_frac=train_frac, valid_frac=valid_frac)

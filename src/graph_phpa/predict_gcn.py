@@ -20,8 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (DivergenceError, EmptyDatasetError, ShapeError, ValidationError,
                      check_keys, check_list, check_number, float_array, read_json_file)
-from .tensor import (BLOCK, AdamState, MinMaxScaler, Rng, activation, adam_step, blocks, carve,
-                     glorot_init)
+from .tensor import BLOCK, AdamState, MinMaxScaler, Rng, adam_step, blocks, carve, glorot_init
 
 log = logging.getLogger(__name__)
 
@@ -114,6 +113,7 @@ class GcnConfig:
 
     @property
     def activations(self) -> tuple[str, ...]:
+        """What every layer applies to its output: _forward's fixed rule."""
         return ("relu",) * len(self.hidden) + ("linear",)
 
     def to_dict(self) -> dict:
@@ -140,37 +140,27 @@ class GcnModel:
     Features share one scaler (they mix through a_hat, so they must live on a
     common scale); targets get one scaler per node, because per-service usage
     magnitudes differ by multiples and the layers share weights across nodes.
+    The config fixes the layers: their widths and their activations.
     """
 
     def __init__(self, config: GcnConfig, nodes: tuple[str, ...], weights: list[np.ndarray],
-                 feature_scaler: MinMaxScaler, target_scalers,
-                 activations: tuple[str, ...] | None = None):
+                 feature_scaler: MinMaxScaler, target_scalers):
         self.config = config
         self.nodes = tuple(nodes)
         self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        if not self.weights:
-            raise ShapeError("the model needs at least one weight matrix")
         for idx, w in enumerate(self.weights):
             if w.ndim != 2:
                 raise ShapeError(f"weights[{idx}] must be a matrix, got shape {w.shape}")
-        self.activations = tuple(activations) if activations is not None else config.activations
         self.feature_scaler = feature_scaler
         self.target_scalers = tuple(target_scalers)
         if len(self.target_scalers) != len(self.nodes):
             raise ShapeError(f"{len(self.target_scalers)} target scalers for "
                              f"{len(self.nodes)} nodes")
-        if len(self.activations) != len(self.weights):
-            raise ShapeError(f"{len(self.weights)} weight matrices need as many "
-                             f"activations, got {len(self.activations)}")
-        if self.weights[0].shape[0] != config.window:
-            raise ShapeError(f"first weight expects {self.weights[0].shape[0]} features, "
-                             f"config window is {config.window}")
-        if self.weights[-1].shape[1] != 1:
-            raise ShapeError("last weight must map to a single output feature")
-        for idx in range(len(self.weights) - 1):
-            if self.weights[idx].shape[1] != self.weights[idx + 1].shape[0]:
-                raise ShapeError(f"weights {idx} and {idx + 1} do not chain: "
-                                 f"{self.weights[idx].shape} -> {self.weights[idx + 1].shape}")
+        shapes = [w.shape for w in self.weights]
+        widths = config.widths
+        if shapes != list(zip(widths, widths[1:])):
+            raise ShapeError(f"weight shapes {shapes} do not chain the config's layer "
+                             f"widths {widths}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -178,7 +168,7 @@ class GcnModel:
             "config": self.config.to_dict(),
             "nodes": list(self.nodes),
             "weights": [w.tolist() for w in self.weights],
-            "activations": list(self.activations),
+            "activations": list(self.config.activations),
             "feature_scaler": self.feature_scaler.to_dict(),
             "target_scalers": [s.to_dict() for s in self.target_scalers],
         }
@@ -190,13 +180,16 @@ class GcnModel:
         check_keys(d, "gcn model", required=("config", "nodes", "weights", "activations",
                                              "feature_scaler", "target_scalers"))
         weights = check_list(d["weights"], "gcn model 'weights'")
-        return cls(config=GcnConfig.from_dict(d["config"]),
+        config = GcnConfig.from_dict(d["config"])
+        if d["activations"] != list(config.activations):
+            raise ValidationError(f"gcn model 'activations' must be {list(config.activations)} "
+                                  f"for its config, got {d['activations']!r}")
+        return cls(config=config,
                    nodes=tuple(check_list(d["nodes"], "gcn model 'nodes'")),
                    weights=[float_array(w, f"gcn weights[{i}]") for i, w in enumerate(weights)],
                    feature_scaler=MinMaxScaler.from_dict(d["feature_scaler"]),
                    target_scalers=[MinMaxScaler.from_dict(s) for s in
-                                   check_list(d["target_scalers"], "gcn model 'target_scalers'")],
-                   activations=tuple(check_list(d["activations"], "gcn model 'activations'")))
+                                   check_list(d["target_scalers"], "gcn model 'target_scalers'")])
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict(), sort_keys=True) + "\n",
@@ -214,12 +207,13 @@ def _layer_buffers(weights: list[np.ndarray], samples: int, nodes: int):
             [np.empty((samples, nodes, w.shape[1])) for w in weights])
 
 
-def _forward(weights: list[np.ndarray], activations, a_hat: np.ndarray,
+def _forward(weights: list[np.ndarray], a_hat: np.ndarray,
              agg: list[np.ndarray], out: list[np.ndarray]) -> np.ndarray:
     """Propagate samples through every layer in place; returns out[-1] (S, N, 1).
 
     agg[0] holds the input aggregation a_hat @ X of scaled features X
-    (S, N, D). Layer l writes its activated output into out[l] and, past the
+    (S, N, D). Layer l writes its activated output into out[l] (relu on the
+    hidden layers, linear on the last: GcnConfig.activations) and, past the
     first, its input aggregation a_hat @ out[l-1] into agg[l]. Every product
     is one small product per sample. A single GEMM over all S*N rows would
     round differently wherever the BLAS blocks rows across sample boundaries:
@@ -227,14 +221,12 @@ def _forward(weights: list[np.ndarray], activations, a_hat: np.ndarray,
     or more inputs, whenever N is not a multiple of 4. Per sample, the forward
     keeps the bits that every prediction was made with.
     """
-    for li, (w, kind) in enumerate(zip(weights, activations)):
+    for li, w in enumerate(weights):
         if li:
             np.matmul(a_hat, out[li - 1], out=agg[li])
         np.matmul(agg[li], w, out=out[li])
-        if kind == "relu":
+        if li < len(weights) - 1:
             np.maximum(out[li], 0.0, out=out[li])
-        elif kind != "linear":
-            out[li][...] = activation(out[li], kind)
     return out[-1]
 
 
@@ -260,8 +252,7 @@ def _forward_blocks(model: GcnModel, a_hat: np.ndarray, x: np.ndarray,
         block = x[lo:hi] if transform is None else transform(x[lo:hi])
         front = [a[:hi - lo] for a in agg]
         np.matmul(a_hat, block, out=front[0])
-        result[lo:hi] = _forward(model.weights, model.activations, a_hat, front,
-                                 [o[:hi - lo] for o in out])
+        result[lo:hi] = _forward(model.weights, a_hat, front, [o[:hi - lo] for o in out])
     return result
 
 
@@ -381,15 +372,15 @@ class _Batch(NamedTuple):
                       self.targets[:samples])
 
 
-def _loss_and_grads(weights: list[np.ndarray], activations, a_hat: np.ndarray,
-                    batch: _Batch, grads: list[np.ndarray]) -> float:
+def _loss_and_grads(weights: list[np.ndarray], a_hat: np.ndarray, batch: _Batch,
+                    grads: list[np.ndarray]) -> float:
     """Batch MSE over all node outputs; writes each weight's gradient into grads.
 
     batch.agg[0] holds the batch's input aggregation a_hat @ X and
     batch.targets its scaled targets. Each weight gradient is one
     (D, S*N) @ (S*N, O) product over every node row of the batch.
     """
-    out = _forward(weights, activations, a_hat, batch.agg, batch.out)
+    out = _forward(weights, a_hat, batch.agg, batch.out)
     err = np.subtract(out, batch.targets, out=batch.delta[-1])
     loss = float(np.mean(err ** 2))
     err *= 2.0
@@ -397,8 +388,8 @@ def _loss_and_grads(weights: list[np.ndarray], activations, a_hat: np.ndarray,
     node_rows = err.shape[0] * err.shape[1]
     for li in range(len(weights) - 1, -1, -1):
         delta, agg = batch.delta[li], batch.agg[li]
-        if activations[li] == "relu":
-            delta *= batch.out[li] > 0  # positive exactly where the pre-activation was
+        if li < len(weights) - 1:  # relu: positive exactly where the pre-activation was
+            delta *= batch.out[li] > 0
         np.matmul(agg.reshape(node_rows, -1).T, delta.reshape(node_rows, -1), out=grads[li])
         if li:  # the input features need no gradient
             w = weights[li]
@@ -477,7 +468,7 @@ def train_gcn(train: tuple[np.ndarray, np.ndarray], graph: ServiceGraph, config:
             batch = workspace.front(len(idx))
             np.take(agg_train, idx, axis=0, out=batch.agg[0])
             np.take(ys, idx, axis=0, out=batch.targets)
-            loss = _loss_and_grads(weights, config.activations, graph.a_hat, batch, grads)
+            loss = _loss_and_grads(weights, graph.a_hat, batch, grads)
             if not np.isfinite(loss):
                 raise DivergenceError(f"training loss diverged at epoch {epoch}", epoch=epoch)
             sq_sum += loss * len(idx)
@@ -487,8 +478,8 @@ def train_gcn(train: tuple[np.ndarray, np.ndarray], graph: ServiceGraph, config:
         if has_valid:
             for lo, hi in blocks(len(agg_valid), valid_block):
                 batch = workspace.front(hi - lo)
-                out = _forward(weights, config.activations, graph.a_hat,
-                               [agg_valid[lo:hi], *batch.agg[1:]], batch.out)
+                out = _forward(weights, graph.a_hat, [agg_valid[lo:hi], *batch.agg[1:]],
+                               batch.out)
                 np.subtract(out, yv[lo:hi], out=sq_valid[lo:hi])
             valid_mse = float(np.mean(np.square(sq_valid, out=sq_valid)))
             if not np.isfinite(valid_mse):

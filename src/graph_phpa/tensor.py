@@ -21,8 +21,6 @@ import numpy as np
 
 from .errors import ShapeError, ValidationError, check_keys, check_number
 
-ACTIVATIONS = ("tanh", "sigmoid", "relu", "linear")
-
 _SPLITMIX64_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -287,30 +285,6 @@ def ensure_finite(m: np.ndarray, name: str = "result") -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValidationError(f"{name} contains non-finite entries")
     return m
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    # 0.5 * (1 + tanh(x / 2)) saturates cleanly at both ends, so it never
-    # overflows; one buffer keeps wide inference batches from holding two.
-    out = 0.5 * np.asarray(x, dtype=np.float64)
-    np.tanh(out, out=out)
-    out += 1.0
-    out *= 0.5
-    return out
-
-
-def activation(m: np.ndarray, kind: str) -> np.ndarray:
-    """Elementwise activation: tanh, sigmoid, relu (max(0, .)), or linear."""
-    m = np.asarray(m, dtype=np.float64)
-    if kind == "tanh":
-        return np.tanh(m)
-    if kind == "sigmoid":
-        return sigmoid(m)
-    if kind == "relu":
-        return np.maximum(m, 0.0)
-    if kind == "linear":
-        return m.copy()
-    raise ValidationError(f"unknown activation kind {kind!r}; expected one of {ACTIVATIONS}")
 
 
 @dataclass

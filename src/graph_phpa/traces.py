@@ -192,21 +192,27 @@ def generate_synthetic_trace(pattern: str, length: int, amplitude: float, seed: 
         period = 1440 if pattern == "diurnal" else 240
     rng = Rng(seed)
     t = np.arange(length, dtype=np.float64) * resolution
-    if pattern == "sine":
-        level = base + amplitude * np.sin(2.0 * np.pi * t / period)
-    elif pattern == "diurnal":
-        # Day-shaped: a fundamental plus a weaker half-day harmonic.
-        phase = 2.0 * np.pi * t / period
-        level = base + amplitude * (0.8 * np.sin(phase) + 0.2 * np.sin(2.0 * phase))
-    else:  # bursty
-        level = np.full(length, base)
-        n_bursts = max(1, length // 120)
-        starts = rng.integers(0, length, n_bursts)
-        durations = rng.integers(5, 30, n_bursts)
-        heights = rng.uniform(0.5, 1.0, n_bursts) * amplitude
-        for s, d, h in zip(starts, durations, heights):
-            level[int(s):int(s) + int(d)] += h
-    if noise > 0.0:
-        level = level * (1.0 + noise * rng.normal(size=length))
+    # A period of 0, -0.0 or a subnormal makes the phase infinite or NaN, and
+    # a huge base or amplitude overflows: the level is checked once below.
+    with np.errstate(all="ignore"):
+        if pattern == "sine":
+            level = base + amplitude * np.sin(2.0 * np.pi * t / period)
+        elif pattern == "diurnal":
+            # Day-shaped: a fundamental plus a weaker half-day harmonic.
+            phase = 2.0 * np.pi * t / period
+            level = base + amplitude * (0.8 * np.sin(phase) + 0.2 * np.sin(2.0 * phase))
+        else:  # bursty
+            level = np.full(length, base)
+            n_bursts = max(1, length // 120)
+            starts = rng.integers(0, length, n_bursts)
+            durations = rng.integers(5, 30, n_bursts)
+            heights = rng.uniform(0.5, 1.0, n_bursts) * amplitude
+            for s, d, h in zip(starts, durations, heights):
+                level[int(s):int(s) + int(d)] += h
+        if noise > 0.0:
+            level = level * (1.0 + noise * rng.normal(size=length))
+    if not np.all(np.isfinite(level)):
+        raise ValidationError(f"period {period} with base {base} and amplitude {amplitude} "
+                              f"gives a non-finite {pattern} level")
     counts = tuple(int(max(0, round(v))) for v in level)
     return WorkloadTrace(resolution=resolution, start_minute=0, counts=counts)

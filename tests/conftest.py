@@ -10,7 +10,7 @@ from graph_phpa.cli import main as cli_main
 TINY_CONFIG = {
     "trace": {"synthetic": {"pattern": "sine", "length": 400, "amplitude": 60.0,
                             "base": 120.0, "period": 120.0, "noise": 0.05, "seed": 9}},
-    "graph": {"nodes": ["front", "back"], "edges": [["front", "back"]]},
+    "graph": {"nodes": ["front", "back"]},
     "demand": {"entry": "front",
                "cpu_per_request": {"front": 0.01, "back": 0.005},
                "fan_out": {"front": {"back": 1.0}},
@@ -19,7 +19,7 @@ TINY_CONFIG = {
                "back": {"r_lb": 1.0, "r_ub": 5.0, "pod_capacity": 1.0, "max_pods": 5}},
     "lstm": {"window": 5, "hidden_units": 6, "epochs": 8, "batch_size": 32,
              "learning_rate": 0.01, "seed": 21},
-    "gcn": {"window": 5, "hidden": [8], "epochs": 40, "batch_size": 128,
+    "gcn": {"hidden": [8], "epochs": 40, "batch_size": 128,
             "learning_rate": 0.005, "seed": 21},
     "hpa": {"scale_out": 0.9, "scale_in": 0.3, "stabilization_minutes": 5},
     "sim": {"seed": 17, "startup_delay": 1, "max_total_pods": 20},

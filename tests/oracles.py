@@ -35,8 +35,7 @@ from graph_phpa.cluster_sim import DecisionRow, ScalingPolicy, SimulationLog
 from graph_phpa.errors import DivergenceError, ValidationError
 from graph_phpa.forecast_lstm import _init_params
 from graph_phpa.predict_gcn import scale_targets
-from graph_phpa.tensor import (AdamState, MinMaxScaler, Rng, activation, glorot_init, mix_seed,
-                              sigmoid)
+from graph_phpa.tensor import AdamState, MinMaxScaler, Rng, glorot_init, mix_seed
 
 
 def rel_err(a, b, floor=1e-12):
@@ -87,6 +86,20 @@ def _sigmoid(v):
         return 1.0 / (1.0 + math.exp(-v))
     e = math.exp(v)
     return e / (1.0 + e)
+
+
+def _sigmoid_array(x):
+    """0.5 * (1 + tanh(x / 2)) elementwise, the form the LSTM kernel uses."""
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
+def _activate_array(m, kind):
+    """A GCN layer's activation, elementwise on an array."""
+    if kind == "relu":
+        return np.maximum(m, 0.0)
+    if kind == "linear":
+        return m.copy()
+    raise AssertionError(f"oracle got unknown activation {kind}")
 
 
 def _dot(u, v):
@@ -279,7 +292,6 @@ class PerMinutePredictivePolicy(ScalingPolicy):
         self.gcn_model = gcn_model
         self.graph = graph
         self.bounds = bounds
-        self.min_history = gcn_model.config.window
         self._r = None
 
     def begin(self, start_minute, rates):
@@ -287,7 +299,7 @@ class PerMinutePredictivePolicy(ScalingPolicy):
         self._r = None
 
     def decide(self, minute, utilization, pods):
-        k = self.min_history
+        k = self.gcn_model.config.window
         nodes = self.graph.nodes
         end = minute - self._start_minute + 1
         window = {s: list(self._rates[s][end - k:end]) for s in nodes}
@@ -470,7 +482,7 @@ def lstm_forward_scaled_oracle(params, x_seq, keep_cache=False):
             a = current[t] @ w_x
             a += h[t] @ w_h
             a += b
-            a[:, :3 * hidden] = sigmoid(a[:, :3 * hidden])
+            a[:, :3 * hidden] = _sigmoid_array(a[:, :3 * hidden])
             np.tanh(a[:, 3 * hidden:], out=a[:, 3 * hidden:])
             gi, gf, go, gg = a.reshape(batch, 4, hidden).swapaxes(0, 1)
             c = gf * c + gi * gg
@@ -575,7 +587,7 @@ def gcn_forward_scaled_oracle(weights, activations, a_hat, z, keep_cache=False):
         pre = agg @ w
         if keep_cache:
             cache.append({"agg": agg, "pre": pre, "kind": kind})
-        h = activation(pre, kind)
+        h = _activate_array(pre, kind)
     return h, cache
 
 

@@ -102,7 +102,7 @@ def test_01_gcn_forward_matches_dense_oracle():
         got = gcn_forward(model, graph, x)
         want = np.asarray(gcn_forward_oracle(a.tolist(),
                                              [w.tolist() for w in weights],
-                                             model.activations, x.tolist()))
+                                             model.config.activations, x.tolist()))
         worst = max(worst, float(np.max(np.abs(got - want))))
     elapsed = time.perf_counter() - started
     report(1, "gcn_forward equals dense layer-by-layer oracle",
@@ -143,15 +143,14 @@ def test_02_gradient_checks():
                for i in range(len(widths) - 1)]
     gx = graph_rng.uniform(0.0, 1.0, (5, 4, 3))
     gy = graph_rng.uniform(0.0, 1.0, (5, 4, 1))
-    _, grads = gcn_loss_and_grads(weights, config.activations, graph.a_hat, gx, gy)
+    _, grads = gcn_loss_and_grads(weights, graph.a_hat, gx, gy)
     numerics = []
     for li in range(len(weights)):
         def f(p, li=li):
             saved = weights[li]
             weights[li] = p
             try:
-                loss, _ = gcn_loss_and_grads(weights, config.activations,
-                                             graph.a_hat, gx, gy)
+                loss, _ = gcn_loss_and_grads(weights, graph.a_hat, gx, gy)
             finally:
                 weights[li] = saved
             return loss

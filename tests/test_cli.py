@@ -53,6 +53,13 @@ class TestGenTrace:
                 "--amplitude", "30", "--noise", "0.1", "--seed", "2", "--out", str(b))
         assert a.read_bytes() != b.read_bytes()
 
+    @pytest.mark.parametrize("period", ["0", "-0.0", "1e-320"])
+    def test_degenerate_period_exits_2(self, tmp_path, capsys, period):
+        out = tmp_path / "t.csv"
+        assert run_cli("gen-trace", f"--period={period}", "--out", str(out)) == 2
+        assert "error: period " in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTraining:
     def test_train_workload_outputs(self, tiny_models_dir):
@@ -496,6 +503,29 @@ class TestExperiment:
         written = files(exp)
         assert len(written) == 16  # 5 model files, 3 + 2 + 2 in the runs, 4 compared
         assert written == files(sep)
+
+    @pytest.mark.parametrize("variant", [
+        # One service and no calls: the GCN's graph is a single node.
+        {"graph": {"nodes": ["front"]},
+         "demand": {"entry": "front", "cpu_per_request": {"front": 0.01}, "fan_out": {}},
+         "bounds": {"front": TINY_CONFIG["bounds"]["front"]}},
+        # A constant trace, then an all-zero one.
+        {"trace": {"synthetic": dict(TINY_CONFIG["trace"]["synthetic"],
+                                     amplitude=0.0, noise=0.0)}},
+        {"trace": {"synthetic": dict(TINY_CONFIG["trace"]["synthetic"],
+                                     amplitude=0.0, noise=0.0, base=0.0)}},
+    ], ids=["one-node-graph", "constant-trace", "all-zero-trace"])
+    def test_near_degenerate_data_runs_end_to_end(self, tmp_path, capsys, variant):
+        config = tmp_path / "experiment.json"
+        config.write_text(json.dumps({**TINY_CONFIG, **variant}), encoding="utf-8")
+        out = tmp_path / "exp"
+        assert run_cli("experiment", "--config", str(config), "--out", str(out)) == 0, \
+            capsys.readouterr().err
+        table = json.loads((out / "comparison" / "table.json").read_text(encoding="utf-8"))
+        assert [row["policy"] for row in table["policies"]] == [
+            "phpa", "reactive@0.9", "reactive@0.7"]
+        assert (out / "comparison" / "table.txt").read_text(encoding="utf-8") in \
+            capsys.readouterr().out
 
     def test_runs_share_the_same_window(self, tiny_config_path, tmp_path):
         out = tmp_path / "exp"

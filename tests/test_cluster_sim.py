@@ -25,7 +25,6 @@ from graph_phpa.cluster_sim import (
     ReactivePolicy,
     ScalingPolicy,
     SimulationLog,
-    compute_utilization,
     initial_pod_counts,
     run_simulation,
 )
@@ -142,19 +141,34 @@ class TestDemandModel:
 
 
 class TestComputeUtilization:
+    """A simulated minute's utilization: rps * cost / (pods * capacity)."""
+
+    @staticmethod
+    def two_minutes(rps: int, r_lb: float, r_ub: float = 10.0, policy=None):
+        """(utilization, pods) per minute of one service at 0.01 vCPU per
+        request over two minutes at rps; the resource band sets its starting
+        pods."""
+        demand = DemandModel(services=("s",), entry="s", cpu_per_request={"s": 0.01},
+                             fan_out={})
+        bounds = {"s": ScalingBounds(r_lb, r_ub, 1.0, 10)}
+        log = run_simulation(stub_trace([rps, rps]), demand,
+                             policy or ReactivePolicy(HpaConfig(), bounds), bounds, seed=1)
+        return log.utilization[:, 0].tolist(), log.pods[:, 0].tolist()
+
     def test_hand_values(self):
-        assert compute_utilization(100.0, 0.01, 1, 1.0) == pytest.approx(1.0)
-        assert compute_utilization(100.0, 0.01, 2, 1.0) == pytest.approx(0.5)
-        assert compute_utilization(0.0, 0.01, 3, 1.0) == 0.0
-        assert compute_utilization(300.0, 0.01, 2, 1.0) == pytest.approx(1.5)
+        assert self.two_minutes(100, 1.0)[0][0] == pytest.approx(1.0)
+        assert self.two_minutes(100, 2.0)[0][0] == pytest.approx(0.5)
+        assert self.two_minutes(0, 3.0)[0][0] == 0.0
+        assert self.two_minutes(300, 1.0, r_ub=2.0)[0][0] == pytest.approx(1.5)
 
     def test_rejects_zero_pods(self):
-        with pytest.raises(ValidationError):
-            compute_utilization(1.0, 0.01, 0, 1.0)
+        # A policy that asks for no pods keeps one, so utilization stays finite.
+        utils, pods = self.two_minutes(100, 1.0, policy=PinnedPolicy({0: {"s": 0}}))
+        assert pods == [1, 1] and utils == [1.0, 1.0]
 
     def test_rejects_zero_capacity(self):
-        with pytest.raises(ValidationError):
-            compute_utilization(1.0, 0.01, 1, 0.0)
+        with pytest.raises(ValidationError, match="pod_capacity must be positive"):
+            ScalingBounds(1.0, 5.0, 0.0, 3)
 
 
 class TestInitialPodCounts:
@@ -278,18 +292,17 @@ class TestRunSimulation:
         bounds = flat_bounds(demand.services)
         policy = PinnedPolicy({0: {"front": 4}})
         log = run_simulation(stub_trace([100] * 4), demand, policy, bounds,
-                             seed=1, warmup=0, startup_delay=2,
-                             initial_pods={s: 1 for s in demand.services})
+                             seed=1, warmup=0, startup_delay=2)
         assert log.pods[:, 0].tolist() == [1, 1, 4, 4]
         assert log.decision_delta[0, 0] == 3
 
     def test_removals_land_next_minute(self):
         demand = bookinfo_demand()
-        bounds = flat_bounds(demand.services)
+        # A 4 vCPU floor starts every service at 4 pods.
+        bounds = {s: ScalingBounds(4.0, 10.0, 1.0, 10) for s in demand.services}
         policy = PinnedPolicy({0: {"front": 2}})
         log = run_simulation(stub_trace([100] * 3), demand, policy, bounds,
-                             seed=1, warmup=0,
-                             initial_pods={s: 4 for s in demand.services})
+                             seed=1, warmup=0)
         assert log.pods[:, 0].tolist() == [4, 2, 2]
         assert log.decision_delta[0, 0] == -2
 
@@ -298,22 +311,9 @@ class TestRunSimulation:
         bounds = flat_bounds(demand.services)
         policy = PinnedPolicy({m: {"front": 9} for m in range(6)})
         log = run_simulation(stub_trace([100] * 6), demand, policy, bounds,
-                             seed=1, warmup=4,
-                             initial_pods={s: 1 for s in demand.services})
+                             seed=1, warmup=4)
         # First decision at minute 4, lands at minute 5.
         assert log.pods[:, 0].tolist() == [1, 1, 1, 1, 1, 9]
-
-    def test_policy_min_history_extends_warmup(self):
-        class Needy(PinnedPolicy):
-            min_history = 3
-
-        demand = bookinfo_demand()
-        bounds = flat_bounds(demand.services)
-        policy = Needy({m: {"front": 5} for m in range(6)})
-        log = run_simulation(stub_trace([100] * 5), demand, policy, bounds,
-                             seed=1, warmup=0,
-                             initial_pods={s: 1 for s in demand.services})
-        assert log.pods[:, 0].tolist() == [1, 1, 1, 1, 5]
 
     def test_cluster_budget_caps_additions(self):
         demand = bookinfo_demand()
@@ -322,8 +322,7 @@ class TestRunSimulation:
         # happen in node order until the budget runs out.
         policy = PinnedPolicy({0: {s: 20 for s in demand.services}})
         log = run_simulation(stub_trace([100] * 3), demand, policy, bounds,
-                             seed=1, warmup=0, max_total_pods=30,
-                             initial_pods={s: 1 for s in demand.services})
+                             seed=1, warmup=0, max_total_pods=30)
         assert log.pods[2].sum() <= 30
         assert log.pods[-1, 0] == 20  # first in node order got its full ask
 
@@ -334,8 +333,7 @@ class TestRunSimulation:
         bounds = flat_bounds(demand.services)
         policy = PinnedPolicy({0: {"front": 3}, 2: {"front": 5}})
         log = run_simulation(stub_trace([100] * 4), demand, policy, bounds,
-                             seed=1, warmup=0, max_total_pods=8,
-                             initial_pods={s: 1 for s in demand.services})
+                             seed=1, warmup=0, max_total_pods=8)
         assert log.pods[:, 0].tolist() == [1, 3, 3, 5]
         assert log.decision_delta[:, 0].tolist() == [2, 0, 2, 0]
 
@@ -369,7 +367,8 @@ class TestRunSimulation:
     def test_budget_and_pod_limits_hold(self, budget, max_pods, startup_delay, reactive,
                                         plan, values):
         demand = bookinfo_demand(noise=0.3)
-        bounds = flat_bounds(demand.services, q=max_pods)
+        # A 1 vCPU band starts every service at one pod, whatever the rate.
+        bounds = flat_bounds(demand.services, r_ub=1.0, q=max_pods)
         if reactive:
             policy = ReactivePolicy(HpaConfig(0.6, 0.3, 1), bounds)
         else:
@@ -378,8 +377,7 @@ class TestRunSimulation:
                                    for m, targets in enumerate(plan)})
         log = run_simulation(stub_trace(values), demand, policy, bounds, seed=5,
                              warmup=0, startup_delay=startup_delay,
-                             max_total_pods=budget,
-                             initial_pods={s: 1 for s in demand.services})
+                             max_total_pods=budget)
         assert log.pods.min() >= 1 and log.pods.max() <= max_pods
         assert log.pods.sum(axis=1).max() <= budget
 
@@ -421,23 +419,6 @@ class TestRunSimulation:
                 rates = propagate_minute_oracle(demand, values[r.minute - 7], r.minute, 8)
                 assert r.service_rps == rates[r.service]
 
-    def test_horizon_truncates_the_trace(self):
-        demand = bookinfo_demand()
-        bounds = flat_bounds(demand.services)
-        log = run_simulation(stub_trace([100] * 10), demand,
-                             ReactivePolicy(HpaConfig(), bounds), bounds,
-                             seed=1, horizon=4)
-        assert log.horizon == 4
-        assert log.pods.shape == (4, 4)
-
-    def test_bad_horizon_rejected(self):
-        demand = bookinfo_demand()
-        bounds = flat_bounds(demand.services)
-        with pytest.raises(ValidationError, match="horizon"):
-            run_simulation(stub_trace([100] * 3), demand,
-                           ReactivePolicy(HpaConfig(), bounds), bounds,
-                           seed=1, horizon=5)
-
     def test_five_minute_trace_rejected(self):
         demand = bookinfo_demand()
         bounds = flat_bounds(demand.services)
@@ -446,26 +427,18 @@ class TestRunSimulation:
             run_simulation(trace, demand, ReactivePolicy(HpaConfig(), bounds),
                            bounds, seed=1)
 
-    def test_initial_pods_validated(self):
-        demand = bookinfo_demand()
-        bounds = flat_bounds(demand.services, q=5)
-        with pytest.raises(ValidationError, match="initial pods"):
-            run_simulation(stub_trace([100] * 3), demand,
-                           ReactivePolicy(HpaConfig(), bounds), bounds,
-                           seed=1, initial_pods={s: 9 for s in demand.services})
-
     def test_initial_pods_over_budget_rejected(self):
         demand = bookinfo_demand()
-        bounds = flat_bounds(demand.services, q=10)
+        # A 4 vCPU floor starts all four services at 4 pods, 16 in all.
+        bounds = {s: ScalingBounds(4.0, 10.0, 1.0, 10) for s in demand.services}
         with pytest.raises(ValidationError, match="budget"):
             run_simulation(stub_trace([100] * 3), demand,
                            ReactivePolicy(HpaConfig(), bounds), bounds,
-                           seed=1, max_total_pods=10,
-                           initial_pods={s: 4 for s in demand.services})
+                           seed=1, max_total_pods=10)
 
     def test_overload_flag_matches_utilization(self):
-        # Every cell's utilization is compute_utilization bit for bit, and the
-        # overload flag is exactly utilization > 1.
+        # Every cell's utilization is rps * cost / (pods * capacity) bit for
+        # bit, and the overload flag is exactly utilization > 1.
         demand = bookinfo_demand(noise=0.2)
         bounds = flat_bounds(demand.services, v_p=0.7)
         values = [50, 800, 1000, 700, 60, 50]
@@ -473,8 +446,8 @@ class TestRunSimulation:
                              ReactivePolicy(HpaConfig(), bounds), bounds, seed=2)
         assert log.overloaded.any()
         for r in log_rows(log):
-            assert r.utilization == compute_utilization(
-                r.service_rps, demand.cpu_per_request[r.service], r.pods, 0.7)
+            assert r.utilization == (r.service_rps * demand.cpu_per_request[r.service]
+                                     / (r.pods * 0.7))
         assert np.array_equal(log.overloaded, log.utilization > 1.0)
 
 

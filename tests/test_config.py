@@ -12,7 +12,7 @@ def minimal_config(**overrides) -> dict:
     d = {
         "trace": {"synthetic": {"pattern": "sine", "length": 120,
                                 "amplitude": 40.0, "seed": 3}},
-        "graph": {"nodes": ["front", "back"], "edges": [["front", "back"]]},
+        "graph": {"nodes": ["front", "back"]},
         "demand": {"entry": "front",
                    "cpu_per_request": {"front": 0.01, "back": 0.005},
                    "fan_out": {"front": {"back": 1.0}}},
@@ -66,36 +66,51 @@ class TestParsing:
             ExperimentConfig.from_json_dict(d)
 
     def test_windows_must_agree(self):
-        d = minimal_config()
-        d["lstm"] = {"window": 8}
-        d["gcn"] = {"window": 10}
-        with pytest.raises(ConfigError, match="must equal"):
-            ExperimentConfig.from_json_dict(d)
+        # The GCN's window is lstm.window itself.
+        cfg = ExperimentConfig.from_json_dict(minimal_config(lstm={"window": 8}))
+        assert cfg.gcn.window == cfg.lstm.window == 8
 
     def test_demand_services_come_from_graph(self):
         cfg = ExperimentConfig.from_json_dict(minimal_config())
         assert cfg.demand.services == ("front", "back")
         assert cfg.graph.nodes == ("front", "back")
 
+    def test_call_graph_edges_are_undirected(self):
+        # Every call of demand.fan_out is an edge both ways in the GCN's graph.
+        from pathlib import Path
+        root = Path(__file__).resolve().parents[1]
+        cfg, _ = ExperimentConfig.load(root / "configs" / "experiment.json")
+        assert cfg.graph.nodes == ("productpage", "details", "reviews", "ratings")
+        assert cfg.graph.adjacency.tolist() == [[0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                                                [1.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]]
+
     def test_call_graphs_must_agree(self):
-        # The tiny test config with its edge dropped from graph.edges: it ran,
-        # and the GCN was trained on a graph the simulator never replays.
+        # The GCN's graph comes from demand.fan_out, so the models cannot learn
+        # one cluster and replay another: a call is an edge, and no call none.
         from conftest import TINY_CONFIG
-        d = copy.deepcopy(TINY_CONFIG)
-        d["graph"]["edges"] = []
-        with pytest.raises(ConfigError, match="demand.fan_out has 'front'-'back' but "
-                                              "graph.edges has no edge"):
-            ExperimentConfig.from_json_dict(d)
+        cfg = ExperimentConfig.from_json_dict(TINY_CONFIG)
+        assert cfg.graph.adjacency.tolist() == [[0.0, 1.0], [1.0, 0.0]]
         d = minimal_config(demand={"entry": "front",
                                    "cpu_per_request": {"front": 0.01, "back": 0.005},
                                    "fan_out": {}})
-        with pytest.raises(ConfigError, match="graph.edges has 'front'-'back' but "
-                                              "demand.fan_out has no edge"):
-            ExperimentConfig.from_json_dict(d)
+        assert ExperimentConfig.from_json_dict(d).graph.adjacency.tolist() == [[0.0, 0.0],
+                                                                              [0.0, 0.0]]
 
-    def test_call_graph_edges_are_undirected(self):
-        d = minimal_config(graph={"nodes": ["front", "back"], "edges": [["back", "front"]]})
-        assert ExperimentConfig.from_json_dict(d).graph.nodes == ("front", "back")
+    @pytest.mark.parametrize("section, key, value", [
+        ("graph", "edges", [["front", "back"]]),
+        ("gcn", "window", 5),
+    ])
+    def test_retired_keys_exit_2_naming_the_key(self, section, key, value, tmp_path, capsys):
+        # graph.edges restated demand.fan_out, and gcn.window restated lstm.window.
+        from conftest import TINY_CONFIG, run_cli
+        d = copy.deepcopy(TINY_CONFIG)
+        d[section][key] = value
+        config = tmp_path / "experiment.json"
+        config.write_text(json.dumps(d), encoding="utf-8")
+        code = run_cli("simulate", "--config", str(config), "--policy", "reactive",
+                       "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: unknown key {key!r} in {section}\n"
 
     @pytest.mark.parametrize("split, message", [
         # A negative valid fraction replayed minutes of the training window.
@@ -133,7 +148,6 @@ BAD_VALUES = [
     (("gcn", "hidden"), 8, "gcn.hidden"),
     (("sim", "max_total_pods"), None, "sim.max_total_pods"),
     (("demand", "cpu_per_request", "back"), None, "demand.cpu_per_request.back"),
-    (("graph", "edges"), "front-back", "graph.edges"),
     (("demand", "fan_out"), [["front", "back"]], "demand.fan_out"),
     (("bounds", "front", "max_pods"), 2.5, "bounds.front.max_pods"),
     (("bounds", "front", "max_pods"), True, "bounds.front.max_pods"),
@@ -159,6 +173,18 @@ class TestValueTypes:
         assert code == 2, err
         assert err.startswith(f"error: {key} must be "), err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("period", [0, -0.0, 1e-320])
+    def test_degenerate_synthetic_period_exits_2(self, period, tmp_path, capsys):
+        from conftest import TINY_CONFIG, run_cli
+        d = copy.deepcopy(TINY_CONFIG)
+        d["trace"]["synthetic"]["period"] = period
+        config = tmp_path / "experiment.json"
+        config.write_text(json.dumps(d), encoding="utf-8")
+        code = run_cli("simulate", "--config", str(config), "--policy", "reactive",
+                       "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: period {period} ")
 
     def test_integral_floats_are_not_counts(self):
         d = minimal_config(sim={"seed": 3.0})
@@ -238,3 +264,58 @@ class TestBundledConfigs:
         trace = cfg.trace.resolve(base)
         assert trace.resolution == 1
         assert len(trace) == 3600
+
+
+# Every value a mutation puts in place of a key or list element of TINY_CONFIG.
+MUTANT_VALUES = [None, "x", [], {}, True, -1, 0, 2.5]
+
+
+def _children(node):
+    if isinstance(node, dict):
+        return list(node.items())
+    return list(enumerate(node)) if isinstance(node, list) else []
+
+
+def config_mutations(node, path=()):
+    """(label, edit) for one change at a time under node: every key and list
+    element set to each of MUTANT_VALUES and dropped, and every object given
+    an extra key. edit(doc) applies the change to a copy of the document."""
+    label = ".".join(map(str, path)) or "config"
+    if isinstance(node, dict):
+        yield f"{label}+extra", lambda doc: _at(doc, path).update(extra=1)
+    for key, child in _children(node):
+        here = path + (key,)
+        name = ".".join(map(str, here))
+        for value in MUTANT_VALUES:
+            yield f"{name}={value!r}", lambda doc, k=key, v=value: _at(doc, path).__setitem__(k, v)
+        yield f"drop {name}", lambda doc, k=key: _at(doc, path).pop(k)
+        yield from config_mutations(child, here)
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+class TestMutationSweep:
+    def test_every_single_mutation_exits_0_or_2(self, tmp_path, capsys):
+        from conftest import TINY_CONFIG
+        from graph_phpa import cli
+        config, out = tmp_path / "experiment.json", tmp_path / "run"
+        faults = []
+        mutations = list(config_mutations(TINY_CONFIG))
+        for label, edit in mutations:
+            doc = copy.deepcopy(TINY_CONFIG)
+            edit(doc)
+            config.write_text(json.dumps(doc), encoding="utf-8")
+            try:
+                code = cli.main(["simulate", "--config", str(config), "--policy", "reactive",
+                                 "--out", str(out)])
+            except Exception as exc:  # collected: any exception is a fault
+                code = f"{type(exc).__name__}: {exc}"
+            if code not in (0, 2):
+                faults.append((label, code))
+            capsys.readouterr()
+        assert len(mutations) > 500
+        assert faults == []

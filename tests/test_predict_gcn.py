@@ -69,13 +69,13 @@ def random_model(rng: Rng, nodes, window: int, hidden: tuple[int, ...]) -> GcnMo
     return GcnModel(config, tuple(nodes), weights, UNIT, (UNIT,) * len(tuple(nodes)))
 
 
-def loss_and_grads(weights, activations, a_hat, x, y):
+def loss_and_grads(weights, a_hat, x, y):
     """The buffered kernel on one batch of scaled features, through buffers sized for it."""
     batch = _Batch.allocate(weights, len(x), x.shape[1])
     np.matmul(a_hat, x, out=batch.agg[0])
     batch.targets[...] = y
     grads = [np.full_like(w, np.nan) for w in weights]
-    return _loss_and_grads(weights, activations, a_hat, batch, grads), grads
+    return _loss_and_grads(weights, a_hat, batch, grads), grads
 
 
 class TestNormalizeAdjacency:
@@ -155,7 +155,7 @@ class TestForwardAgainstOracle:
             x = rng.uniform(-1.0, 1.0, (n, 3))
             expected = gcn_forward_oracle(graph.adjacency.tolist(),
                                           [w.tolist() for w in model.weights],
-                                          model.activations, x.tolist())
+                                          model.config.activations, x.tolist())
             out = gcn_forward(model, graph, x)
             assert out.shape == (n, 1)
             np.testing.assert_allclose(out, expected, atol=1e-12)
@@ -255,13 +255,13 @@ class TestGradients:
                    for i in range(len(widths) - 1)]
         x = rng.uniform(0.0, 1.0, (6, 4, 3))
         y = rng.uniform(0.0, 1.0, (6, 4, 1))
-        _, grads = loss_and_grads(weights, config.activations, graph.a_hat, x, y)
+        _, grads = loss_and_grads(weights, graph.a_hat, x, y)
         for li in range(len(weights)):
             def f(p, li=li):
                 saved = weights[li]
                 weights[li] = p
                 try:
-                    loss, _ = loss_and_grads(weights, config.activations, graph.a_hat, x, y)
+                    loss, _ = loss_and_grads(weights, graph.a_hat, x, y)
                 finally:
                     weights[li] = saved
                 return loss
@@ -275,7 +275,7 @@ class TestGradients:
         model = random_model(rng.child(1), graph.nodes, 2, (2,))
         x = rng.uniform(0.0, 1.0, (5, 3, 2))
         y = rng.uniform(0.0, 1.0, (5, 3, 1))
-        loss, _ = loss_and_grads(model.weights, model.activations, graph.a_hat, x, y)
+        loss, _ = loss_and_grads(model.weights, graph.a_hat, x, y)
         per_sample = np.array([gcn_forward(model, graph, xi) for xi in x])
         assert loss == pytest.approx(float(np.mean((per_sample - y) ** 2)), abs=1e-12)
 
@@ -307,14 +307,14 @@ class TestKernelAgainstOracle:
         model = random_model(rng.child(1), graph.nodes, window, tuple(hidden))
         x = rng.uniform(0.0, 1.0, (batch, n, window))
         y = rng.uniform(0.0, 1.0, (batch, n, 1))
-        want_out, _ = gcn_forward_scaled_oracle(model.weights, model.activations,
+        want_out, _ = gcn_forward_scaled_oracle(model.weights, model.config.activations,
                                                 graph.a_hat, x)
         assert_bitwise_equal(gcn_forward(model, graph, x), want_out)
         assert_bitwise_equal(gcn_forward(model, graph, x[0]), want_out[0])
 
-        want_loss, want_grads = gcn_loss_and_grads_oracle(model.weights, model.activations,
+        want_loss, want_grads = gcn_loss_and_grads_oracle(model.weights, model.config.activations,
                                                           graph.a_hat, x, y)
-        loss, grads = loss_and_grads(model.weights, model.activations, graph.a_hat, x, y)
+        loss, grads = loss_and_grads(model.weights, graph.a_hat, x, y)
         assert_bitwise_equal(loss, want_loss)
         for got, want in zip(grads, want_grads):
             assert close(got, want, 1e-12)
@@ -357,7 +357,8 @@ class TestBlockedEvaluation:
         graph = random_graph(rng, 4)
         model = random_model(rng.child(1), graph.nodes, 10, hidden)
         x = rng.uniform(0.0, 1.0, (samples, 4, 10))
-        want, _ = gcn_forward_scaled_oracle(model.weights, model.activations, graph.a_hat, x)
+        want, _ = gcn_forward_scaled_oracle(model.weights, model.config.activations,
+                                            graph.a_hat, x)
         assert_bitwise_equal(gcn_forward(model, graph, x), want)
 
     @pytest.mark.parametrize("train_samples, batch_size, valid_samples",
@@ -570,10 +571,21 @@ class TestSerialization:
         model.save(path)
         loaded = GcnModel.load(path)
         assert loaded.nodes == model.nodes
-        assert loaded.activations == model.activations
+        assert loaded.config.activations == model.config.activations
         x = rng.uniform(0.0, 1.0, (3, 3))
         np.testing.assert_array_equal(predict_resource(loaded, graph, x),
                                       predict_resource(model, graph, x))
+
+    @pytest.mark.parametrize("activations", [["relu", "relu"], ["linear"], "relu", None])
+    def test_activations_must_match_the_config(self, activations):
+        rng = Rng(61)
+        model = random_model(rng, ("a", "b"), 3, (4,))
+        doc = model.to_json_dict()
+        assert doc["activations"] == ["relu", "linear"]
+        doc["activations"] = activations
+        with pytest.raises(ValidationError, match=r"gcn model 'activations' must be "
+                                                  r"\['relu', 'linear'\] for its config"):
+            GcnModel.from_json_dict(doc)
 
     def test_rejects_wrong_schema(self):
         with pytest.raises(ValidationError):
@@ -606,14 +618,19 @@ class TestModelValidation:
                      [np.zeros((3, 2))], UNIT, (UNIT,))
 
     def test_needs_a_weight_matrix(self):
-        with pytest.raises(ShapeError, match="at least one weight"):
-            GcnModel(GcnConfig(window=3, hidden=(), epochs=1), ("a",), [], UNIT, (UNIT,),
-                     activations=())
+        with pytest.raises(ShapeError, match="do not chain"):
+            GcnModel(GcnConfig(window=3, hidden=(), epochs=1), ("a",), [], UNIT, (UNIT,))
 
     def test_activation_count_must_match(self):
-        with pytest.raises(ShapeError):
+        # The config's layers, one activation each, fix the number of weights.
+        with pytest.raises(ShapeError, match="do not chain"):
             GcnModel(GcnConfig(window=3, hidden=(), epochs=1), ("a",),
-                     [np.zeros((3, 1))], UNIT, (UNIT,), activations=("relu", "linear"))
+                     [np.zeros((3, 1)), np.zeros((1, 1))], UNIT, (UNIT,))
+
+    def test_hidden_widths_come_from_the_config(self):
+        with pytest.raises(ShapeError, match="do not chain"):
+            GcnModel(GcnConfig(window=3, hidden=(4,), epochs=1), ("a",),
+                     [np.zeros((3, 2)), np.zeros((2, 1))], UNIT, (UNIT,))
 
     def test_target_scaler_count_must_match_nodes(self):
         with pytest.raises(ShapeError):

@@ -7,35 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graph_phpa.errors import ShapeError, ValidationError
-from graph_phpa.tensor import (_NOISE_BLOCK, ACTIVATIONS, AdamState, MinMaxScaler, Rng,
+from graph_phpa.tensor import (_NOISE_BLOCK, AdamState, MinMaxScaler, Rng,
                                _pcg64_first_outputs, _ziggurat_fast_path, _ziggurat_tables,
-                               activation, adam_step, glorot_init, keyed_normals, mix_seed,
-                               sigmoid)
+                               adam_step, glorot_init, keyed_normals, mix_seed)
 from conftest import traced_peak
 from oracles import (adam_step_oracle, assert_bitwise_equal, finite_diff_gradient,
                      fresh_normals_oracle, normal_after_output)
-
-
-class TestActivations:
-    def test_values_match_math_module(self):
-        x = np.array([[-2.0, -0.5, 0.0, 0.5, 2.0]])
-        assert np.allclose(activation(x, "tanh"), [[math.tanh(v) for v in x[0]]])
-        assert np.allclose(activation(x, "sigmoid"),
-                           [[1 / (1 + math.exp(-v)) for v in x[0]]])
-        assert np.allclose(activation(x, "relu"), [[max(0.0, v) for v in x[0]]])
-        assert np.array_equal(activation(x, "linear"), x)
-
-    def test_sigmoid_stable_at_extremes(self):
-        out = sigmoid(np.array([-1000.0, 1000.0]))
-        assert out[0] == 0.0 and out[1] == 1.0
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValidationError):
-            activation(np.zeros((1, 1)), "softmax")
-
-    def test_all_kinds_listed(self):
-        for kind in ACTIVATIONS:
-            activation(np.zeros((2, 2)), kind)
 
 
 class TestAdam:

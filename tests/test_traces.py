@@ -203,6 +203,14 @@ class TestSyntheticGenerator:
         with pytest.raises(ValidationError):
             generate_synthetic_trace("square", 10, 1.0, seed=0)
 
+    @pytest.mark.parametrize("pattern", ["sine", "diurnal"])
+    @pytest.mark.parametrize("period", [0, -0.0, 1e-320])
+    def test_degenerate_period_rejected(self, pattern, period):
+        # The phase 2 pi t / period is NaN or infinite: its counts used to
+        # fail as a float NaN converted to an integer.
+        with pytest.raises(ValidationError, match=f"period {period} .* non-finite"):
+            generate_synthetic_trace(pattern, 10, 1.0, seed=0, period=period)
+
 
 class TestSliceAndDigest:
     def test_slice_preserves_absolute_minutes(self):
