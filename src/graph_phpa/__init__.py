@@ -7,15 +7,15 @@ threshold autoscaler provide the baseline for comparison.
 """
 from .autoscaler import ScalingBounds, ScalingDecision, integrate_step, predict_demand
 from .cluster_sim import (DemandModel, HpaConfig, PredictivePolicy, ReactivePolicy,
-                          SimulationLog, run_simulation)
+                          SimConfig, SimulationLog, run_simulation)
 from .config import ExperimentConfig
 from .errors import (ConfigError, DivergenceError, EmptyDatasetError, GraphPhpaError,
                      RunMismatchError, ShapeError, TraceFormatError, ValidationError)
 from .forecast_lstm import LstmConfig, LstmModel, make_windows, train_lstm
 from .predict_gcn import (GcnConfig, GcnModel, ServiceGraph, build_resource_dataset,
                           gcn_forward, normalize_adjacency, predict_resource, train_gcn)
-from .traces import (WorkloadTrace, generate_synthetic_trace, interpolate_to_minutes,
-                     load_trace, save_trace, split_dataset)
+from .traces import (Split, WorkloadTrace, generate_synthetic_trace,
+                     interpolate_to_minutes, load_trace, save_trace, split_dataset)
 
 __version__ = "0.1.0"
 
@@ -23,10 +23,10 @@ __all__ = [
     "ConfigError", "DemandModel", "DivergenceError", "EmptyDatasetError",
     "ExperimentConfig", "GcnConfig", "GcnModel", "GraphPhpaError", "HpaConfig",
     "LstmConfig", "LstmModel", "PredictivePolicy", "ReactivePolicy", "RunMismatchError",
-    "ScalingBounds", "ScalingDecision", "ServiceGraph", "ShapeError", "SimulationLog",
-    "TraceFormatError", "ValidationError", "WorkloadTrace", "build_resource_dataset",
-    "gcn_forward", "generate_synthetic_trace", "integrate_step", "interpolate_to_minutes",
-    "load_trace", "make_windows", "normalize_adjacency",
+    "ScalingBounds", "ScalingDecision", "ServiceGraph", "ShapeError", "SimConfig",
+    "SimulationLog", "Split", "TraceFormatError", "ValidationError", "WorkloadTrace",
+    "build_resource_dataset", "gcn_forward", "generate_synthetic_trace", "integrate_step",
+    "interpolate_to_minutes", "load_trace", "make_windows", "normalize_adjacency",
     "predict_demand", "predict_resource", "run_simulation", "save_trace",
     "split_dataset", "train_gcn", "train_lstm",
 ]

@@ -10,7 +10,7 @@ be fuzzed hard.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -27,8 +27,8 @@ class ScalingBounds:
 
     r_lb: float
     r_ub: float
-    pod_capacity: float
-    max_pods: int
+    pod_capacity: float = 1.0
+    max_pods: int = field(kw_only=True)
 
     def __post_init__(self):
         if self.r_lb <= 0:

@@ -56,8 +56,21 @@ def _lstm_path(models_dir: Path, service: str) -> Path:
     return models_dir / f"lstm_{service}.json"
 
 
-def _load_lstm_models(models_dir: Path, services) -> dict[str, LstmModel]:
-    return {service: LstmModel.load(_lstm_path(models_dir, service)) for service in services}
+def _load(cls, path: Path, cfg: ExperimentConfig):
+    """cls.load(path), once the model was trained for cfg's lstm.window and,
+    a GCN, for its graph.nodes; else a ValidationError naming the file."""
+    model = cls.load(path)
+    if model.config.window != cfg.lstm.window:
+        raise ValidationError(f"{path}: config.window {model.config.window} is not the "
+                              f"config's lstm.window {cfg.lstm.window}")
+    if cls is GcnModel and model.nodes != cfg.graph.nodes:
+        raise ValidationError(f"{path}: nodes {list(model.nodes)} are not the config's "
+                              f"graph.nodes {list(cfg.graph.nodes)}")
+    return model
+
+
+def _load_lstm_models(models_dir: Path, cfg: ExperimentConfig) -> dict[str, LstmModel]:
+    return {s: _load(LstmModel, _lstm_path(models_dir, s), cfg) for s in cfg.graph.nodes}
 
 
 def _worker_count(tasks: int) -> int:
@@ -122,7 +135,7 @@ class Prepared:
         """Whole-trace (request rates, vCPU usage) per service, the training
         data. Computed on first use: a replay never reads them."""
         return self.cfg.demand.demand_series(self.trace.values, self.trace.start_minute,
-                                             self.cfg.sim_seed)
+                                             self.cfg.sim.seed)
 
 
 def prepare(cfg: ExperimentConfig, base_dir: Path) -> Prepared:
@@ -131,7 +144,7 @@ def prepare(cfg: ExperimentConfig, base_dir: Path) -> Prepared:
     if trace.resolution != 1:
         raise ValidationError("experiment trace must resolve to 1-minute bins; "
                               "set trace.interpolate for 5-minute inputs")
-    split = split_dataset(range(len(trace)), cfg.train_frac, cfg.valid_frac)
+    split = split_dataset(range(len(trace)), cfg.split)
     return Prepared(cfg, trace, tuple((r.start, r.stop) for r in split))
 
 
@@ -214,9 +227,8 @@ def replay(prepared: Prepared, policy: ScalingPolicy,
     when the policy logged decisions, decisions.csv into out."""
     cfg = prepared.cfg
     test_trace = slice_trace(prepared.trace, *prepared.segments[2])
-    log_ = run_simulation(test_trace, cfg.demand, policy, cfg.bounds, seed=cfg.sim_seed,
-                          warmup=cfg.lstm.window, startup_delay=cfg.startup_delay,
-                          max_total_pods=cfg.max_total_pods)
+    log_ = run_simulation(test_trace, cfg.demand, policy, cfg.bounds, cfg.sim,
+                          warmup=cfg.lstm.window)
     out.mkdir(parents=True, exist_ok=True)
     log_.write_csv(out / "sim.csv")
     summary = log_.summary()
@@ -248,7 +260,7 @@ def cmd_train_workload(args) -> int:
 
 def cmd_train_resource(args) -> int:
     prepared = prepare(*ExperimentConfig.load(args.config))
-    models = _load_lstm_models(Path(args.models), prepared.cfg.graph.nodes)
+    models = _load_lstm_models(Path(args.models), prepared.cfg)
     out = Path(args.out)
     _, metrics = train_resource(prepared, models, out)
     print(f"trained demand predictor into {out} (train mse "
@@ -259,7 +271,7 @@ def cmd_train_resource(args) -> int:
 def cmd_simulate(args) -> int:
     cfg, base_dir = ExperimentConfig.load(args.config)
     if args.seed is not None:
-        cfg = replace(cfg, sim_seed=args.seed)
+        cfg = replace(cfg, sim=replace(cfg.sim, seed=args.seed))
     if args.policy == "reactive":
         hpa = cfg.hpa if args.threshold is None else replace(cfg.hpa, scale_out=args.threshold)
         policy = ReactivePolicy(hpa, cfg.bounds)
@@ -267,8 +279,9 @@ def cmd_simulate(args) -> int:
         raise ValidationError("phpa policy needs --models")
     else:
         models_dir = Path(args.models)
-        policy = PredictivePolicy(_load_lstm_models(models_dir, cfg.graph.nodes),
-                                  GcnModel.load(models_dir / "gcn.json"), cfg.graph, cfg.bounds)
+        policy = PredictivePolicy(_load_lstm_models(models_dir, cfg),
+                                  _load(GcnModel, models_dir / "gcn.json", cfg), cfg.graph,
+                                  cfg.bounds)
     log_, summary = replay(prepare(cfg, base_dir), policy, Path(args.out))
     totals = summary["totals"]
     print(f"{log_.policy_name}: pod_minutes={totals['pod_minutes']} "

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import autoscaler
 from .autoscaler import ScalingBounds, predict_demand
-from .errors import ValidationError
+from .errors import ValidationError, check_keys
 from .forecast_lstm import LstmModel
 from .predict_gcn import GcnModel, ServiceGraph
 from .tensor import blocks, keyed_normals, mix_seed
@@ -50,6 +50,8 @@ class DemandModel:
     fan_out[u][v] is the mean number of calls to v per request handled by u;
     the edge set must be acyclic. noise_sigma adds mean-one lognormal jitter
     to every internal service's inbound rate, compounding down the chain.
+    The services are the call graph's nodes, which an experiment config lists
+    as graph.nodes, so the messages that check against them name that key.
     """
 
     services: tuple[str, ...]
@@ -64,23 +66,24 @@ class DemandModel:
         if len(set(services)) != len(services) or not services:
             raise ValidationError("services must be non-empty and unique")
         if self.entry not in services:
-            raise ValidationError(f"entry service {self.entry!r} not in services")
-        if set(self.cpu_per_request) != set(services):
-            raise ValidationError("cpu_per_request must cover exactly the services")
-        if any(c <= 0 for c in self.cpu_per_request.values()):
-            raise ValidationError("cpu_per_request values must be positive")
+            raise ValidationError(f"entry {self.entry!r} is not in graph.nodes")
+        check_keys(self.cpu_per_request, "cpu_per_request, one key per service of graph.nodes",
+                   required=services, allowed=services)
+        for s, c in self.cpu_per_request.items():
+            if c <= 0:
+                raise ValidationError(f"cpu_per_request.{s} must be positive, got {c}")
         if self.noise_sigma < 0:
             raise ValidationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         for u, targets in self.fan_out.items():
             if u not in services:
-                raise ValidationError(f"fan_out source {u!r} not in services")
+                raise ValidationError(f"unknown key {u!r} in fan_out: not in graph.nodes")
             for v, mult in targets.items():
                 if v not in services:
-                    raise ValidationError(f"fan_out target {v!r} not in services")
+                    raise ValidationError(f"unknown key {v!r} in fan_out.{u}: not in graph.nodes")
                 if v == u:
-                    raise ValidationError(f"fan_out self loop on {u!r}")
+                    raise ValidationError(f"fan_out.{u}.{v} is a self loop")
                 if mult <= 0:
-                    raise ValidationError(f"fan_out multiplier {u!r}->{v!r} must be positive")
+                    raise ValidationError(f"fan_out.{u}.{v} must be positive, got {mult}")
         object.__setattr__(self, "_topo", self._toposort())
 
     def _toposort(self) -> tuple[str, ...]:
@@ -169,6 +172,21 @@ class HpaConfig:
                                   f"{self.scale_in} / {self.scale_out}")
         if self.stabilization_minutes < 1:
             raise ValidationError("stabilization_minutes must be >= 1")
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """The propagation noise seed, a new pod's minutes to ready, and the
+    cluster-wide pod budget."""
+
+    seed: int = 0
+    startup_delay: int = 1
+    max_total_pods: int = 79
+
+    def __post_init__(self):
+        for name in ("startup_delay", "max_total_pods"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 class ScalingPolicy(ABC):
@@ -399,8 +417,8 @@ class SimulationLog:
 
 
 def run_simulation(trace: WorkloadTrace, demand: DemandModel, policy: ScalingPolicy,
-                   bounds: Mapping[str, ScalingBounds], *, seed: int, warmup: int = 0,
-                   startup_delay: int = 1, max_total_pods: int = 79) -> SimulationLog:
+                   bounds: Mapping[str, ScalingBounds], sim: SimConfig, *,
+                   warmup: int = 0) -> SimulationLog:
     """Drive the cluster over a minute trace under one scaling policy.
 
     Decisions made at minute m schedule pod additions to become ready at
@@ -414,8 +432,7 @@ def run_simulation(trace: WorkloadTrace, demand: DemandModel, policy: ScalingPol
                               f"{trace.resolution}")
     if set(bounds) != set(demand.services):
         raise ValidationError("bounds keys must match demand services")
-    if startup_delay < 1:
-        raise ValidationError(f"startup_delay must be >= 1, got {startup_delay}")
+    seed, startup_delay, max_total_pods = sim.seed, sim.startup_delay, sim.max_total_pods
 
     external = trace.values
     pods = initial_pod_counts(demand, float(external[0]), bounds)

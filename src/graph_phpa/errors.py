@@ -1,7 +1,14 @@
-"""Exception types shared across the package, and the checks that turn a
-malformed model file into one of them instead of a bare KeyError or TypeError."""
+"""Exception types shared across the package, and the typed reader that
+turns a config section or a model file into the object it describes, or into
+one of these errors instead of a bare KeyError or TypeError."""
+import functools
+import inspect
 import json
 import math
+import re
+import reprlib
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -51,42 +58,88 @@ class RunMismatchError(GraphPhpaError, ValueError):
         self.field = field
 
 
-def check_keys(d, where: str, required=(), allowed=None) -> dict:
-    """d itself, once it is a JSON object that holds every required key and,
-    when allowed is given, no key outside it; else a ValidationError naming
-    the first offending key."""
-    if not isinstance(d, dict):
-        raise ValidationError(f"{where} must be a JSON object, got {type(d).__name__}")
-    missing = [k for k in required if k not in d]
-    if missing:
-        raise ValidationError(f"{where} is missing key {missing[0]!r}")
-    unknown = sorted(set(d) - set(allowed)) if allowed is not None else []
+def check_keys(d, where: str, required, allowed) -> dict:
+    """d itself, once it is a JSON object that holds every required key and no
+    key outside allowed; else a ValidationError naming the first offending
+    key."""
+    check_value(d, dict, where)
+    unknown = sorted(set(d) - set(allowed))
     if unknown:
         raise ValidationError(f"unknown key {unknown[0]!r} in {where}")
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise ValidationError(f"missing required key {missing[0]!r} in {where}")
     return d
 
 
-def check_number(value, where: str, integer: bool = False):
-    """value itself, once it is a finite JSON number (an integer when integer
-    is set); else a ValidationError naming where."""
-    kinds = int if integer else (int, float)
-    if isinstance(value, bool) or not isinstance(value, kinds) or not math.isfinite(value):
-        raise ValidationError(f"{where} must be {'an integer' if integer else 'a finite number'}, "
-                              f"got {value!r}")
+_KINDS = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string",
+          list: "a list", tuple: "a list", dict: "an object"}
+
+
+def check_value(value, annotation, where: str):
+    """value itself, once it is a JSON value of the annotated type; else a
+    ValidationError naming where, or the path of the element at fault. int is
+    an integer and float a finite number, neither of them a bool; X | None
+    also takes null, tuple[X, ...] is a list of Xs and dict[str, X] an object
+    of Xs."""
+    if type(annotation) is types.UnionType:  # X | None
+        if value is None:
+            return value
+        annotation = typing.get_args(annotation)[0]
+    kind = typing.get_origin(annotation) or annotation
+    if kind is float or kind is int:
+        ok = (isinstance(value, (int, float) if kind is float else int)
+              and not isinstance(value, bool) and -math.inf < value < math.inf)
+    else:
+        ok = isinstance(value, (list, tuple) if kind is tuple else kind)
+    if not ok:
+        raise ValidationError(f"{where} must be {_KINDS[kind]}, got {reprlib.repr(value)}")
+    args = typing.get_args(annotation)
+    if kind is tuple and args:
+        for i, item in enumerate(value):
+            check_value(item, args[0], f"{where}[{i}]")
+    elif kind is dict and args:
+        for key, item in value.items():
+            check_value(item, args[1], f"{where}.{key}")
     return value
 
 
-def check_list(value, where: str) -> list:
-    """value itself, once it is a JSON array; else a ValidationError naming where."""
-    if not isinstance(value, list):
-        raise ValidationError(f"{where} must be a list, got {type(value).__name__}")
-    return value
+@functools.cache
+def _parameters(target) -> tuple:
+    """(name, annotation, required) of every parameter of target."""
+    return tuple((p.name, p.annotation, p.default is p.empty)
+                 for p in inspect.signature(target, eval_str=True).parameters.values())
+
+
+def read(target, obj, where: str, **given):
+    """target(**given, **obj), once obj is a JSON object of target's other
+    parameters, no other key, holding each one without a default, every value
+    of its annotated type (check_value): a signature states each key, type and
+    default once. A ValidationError names the key by its dotted path under
+    where; one that target raises comes back with each parameter it names
+    written as its path, or else prefixed with where, unless it names where."""
+    params = [p for p in _parameters(target) if p[0] not in given]
+    names = [name for name, _, _ in params]
+    check_keys(obj, where, required=[name for name, _, required in params if required],
+               allowed=names)
+    for name, annotation, _ in params:
+        if name in obj:
+            check_value(obj[name], annotation, f"{where}.{name}")
+    try:
+        return target(**given, **obj)
+    except ValidationError as exc:
+        message = str(exc)
+        if where in message:
+            raise
+        named = re.sub(rf"(?<![\w.'\"])({'|'.join(names)})\b", lambda m: f"{where}.{m[0]}",
+                       message)
+        raise ValidationError(named if named != message else f"{where}: {message}") from None
 
 
 def float_array(value, where: str) -> np.ndarray:
     """value as a float64 array; a ragged, non-numeric or non-finite value is
     a ValidationError naming where."""
-    check_list(value, where)
+    check_value(value, list, where)
     try:
         out = np.asarray(value, dtype=np.float64)
         if np.all(np.isfinite(out)):
@@ -96,12 +149,17 @@ def float_array(value, where: str) -> np.ndarray:
     raise ValidationError(f"{where} must be a rectangular array of finite numbers")
 
 
-def read_json_file(path) -> object:
-    """The JSON document in a file; a file that is missing, cannot be read or
-    does not parse is a ValidationError naming it."""
+def read_json_file(path, parse):
+    """parse(the JSON document in a file). A file that is missing, cannot be
+    read or does not parse is a ValidationError naming it; a ValidationError
+    or ShapeError from parse comes back with the path in front."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from None
+    try:
+        return parse(doc)
+    except (ValidationError, ShapeError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None

@@ -18,14 +18,14 @@ import functools
 import json
 import logging
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (DivergenceError, EmptyDatasetError, ShapeError, ValidationError,
-                     check_keys, check_list, check_number, float_array, read_json_file)
+                     check_keys, check_value, float_array, read, read_json_file)
 from .tensor import (BLOCK, AdamState, MinMaxScaler, Rng, adam_step, blocks, carve,
                      ensure_finite, glorot_init)
 
@@ -53,18 +53,6 @@ class LstmConfig:
                 raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.learning_rate <= 0:
             raise ValidationError(f"learning_rate must be positive, got {self.learning_rate}")
-
-    def to_dict(self) -> dict:
-        return {"window": self.window, "layers": self.layers,
-                "hidden_units": self.hidden_units, "learning_rate": self.learning_rate,
-                "epochs": self.epochs, "batch_size": self.batch_size, "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LstmConfig":
-        check_keys(d, "lstm config", allowed=[f.name for f in fields(cls)])
-        for name, value in d.items():
-            check_number(value, f"lstm config {name!r}", integer=name != "learning_rate")
-        return cls(**d)
 
 
 class LstmLayer:
@@ -119,8 +107,8 @@ class LstmModel:
         return {
             "schema": LSTM_SCHEMA,
             "service": self.service_id,
-            "config": self.config.to_dict(),
-            "scaler": self.scaler.to_dict(),
+            "config": asdict(self.config),
+            "scaler": asdict(self.scaler),
             "layers": [{"w_x": layer.w_x.tolist(), "w_h": layer.w_h.tolist(),
                         "b": layer.b.tolist()} for layer in self.layers],
             "head_weight": self.head_w.tolist(),
@@ -129,19 +117,19 @@ class LstmModel:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LstmModel":
-        if check_keys(d, "lstm model").get("schema") != LSTM_SCHEMA:
-            raise ValidationError(f"unexpected model schema {d.get('schema')!r}")
-        check_keys(d, "lstm model", required=("config", "scaler", "layers", "head_weight",
-                                              "head_bias"))
-        layers = []
-        for i, e in enumerate(check_list(d["layers"], "lstm model 'layers'")):
-            check_keys(e, f"lstm layers[{i}]", required=("w_x", "w_h", "b"))
-            layers.append(LstmLayer(*(float_array(e[k], f"lstm layers[{i}] {k!r}")
-                                      for k in ("w_x", "w_h", "b"))))
-        return cls(config=LstmConfig.from_dict(d["config"]), layers=layers,
-                   head_w=float_array(d["head_weight"], "lstm model 'head_weight'"),
-                   head_b=check_number(d["head_bias"], "lstm model 'head_bias'"),
-                   scaler=MinMaxScaler.from_dict(d["scaler"]), service_id=d.get("service"))
+        if check_value(d, dict, "lstm model").get("schema") != LSTM_SCHEMA:
+            raise ValidationError(f"schema must be {LSTM_SCHEMA!r}, got {d.get('schema')!r}")
+        keys = ("schema", "config", "scaler", "layers", "head_weight", "head_bias")
+        check_keys(d, "lstm model", required=keys, allowed=keys + ("service",))
+        layers, arrays = [], ("w_x", "w_h", "b")
+        for i, e in enumerate(check_value(d["layers"], list, "layers")):
+            check_keys(e, f"layers[{i}]", required=arrays, allowed=arrays)
+            layers.append(LstmLayer(*(float_array(e[k], f"layers[{i}].{k}") for k in arrays)))
+        return cls(config=read(LstmConfig, d["config"], "config"), layers=layers,
+                   head_w=float_array(d["head_weight"], "head_weight"),
+                   head_b=check_value(d["head_bias"], float, "head_bias"),
+                   scaler=MinMaxScaler.from_dict(d["scaler"]),
+                   service_id=check_value(d.get("service"), str | None, "service"))
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict(), sort_keys=True) + "\n",
@@ -149,7 +137,7 @@ class LstmModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "LstmModel":
-        return cls.from_json_dict(read_json_file(path))
+        return read_json_file(path, cls.from_json_dict)
 
 
 def make_windows(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (DivergenceError, EmptyDatasetError, ShapeError, ValidationError,
-                     check_keys, check_list, check_number, float_array, read_json_file)
+                     check_keys, check_value, float_array, read, read_json_file)
 from .tensor import BLOCK, AdamState, MinMaxScaler, Rng, adam_step, blocks, carve, glorot_init
 
 log = logging.getLogger(__name__)
@@ -51,9 +51,9 @@ class ServiceGraph:
     def __post_init__(self):
         nodes = tuple(self.nodes)
         if len(nodes) == 0:
-            raise ValidationError("graph needs at least one node")
+            raise ValidationError("nodes must name at least one service")
         if len(set(nodes)) != len(nodes):
-            raise ValidationError("duplicate node names in graph")
+            raise ValidationError(f"nodes must be unique, got {list(nodes)}")
         a = np.asarray(self.adjacency, dtype=np.float64)
         if a.shape != (len(nodes), len(nodes)):
             raise ShapeError(f"adjacency shape {a.shape} does not match {len(nodes)} nodes")
@@ -72,7 +72,7 @@ class ServiceGraph:
         return len(self.nodes)
 
     @classmethod
-    def from_edges(cls, nodes, edges) -> "ServiceGraph":
+    def from_edges(cls, nodes: tuple[str, ...], edges) -> "ServiceGraph":
         nodes = tuple(nodes)
         a = np.zeros((len(nodes), len(nodes)))
         pos = {n: i for i, n in enumerate(nodes)}
@@ -99,8 +99,9 @@ class GcnConfig:
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if self.window < 2:
             raise ValidationError(f"window must be >= 2, got {self.window}")
-        if any(h < 1 for h in self.hidden):
-            raise ValidationError(f"hidden widths must be >= 1, got {self.hidden}")
+        for i, h in enumerate(self.hidden):
+            if h < 1:
+                raise ValidationError(f"hidden[{i}] must be >= 1, got {h}")
         if self.learning_rate <= 0:
             raise ValidationError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.epochs < 1 or self.batch_size < 1:
@@ -115,23 +116,6 @@ class GcnConfig:
     def activations(self) -> tuple[str, ...]:
         """What every layer applies to its output: _forward's fixed rule."""
         return ("relu",) * len(self.hidden) + ("linear",)
-
-    def to_dict(self) -> dict:
-        return {"window": self.window, "hidden": list(self.hidden),
-                "learning_rate": self.learning_rate, "epochs": self.epochs,
-                "batch_size": self.batch_size, "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GcnConfig":
-        d = dict(check_keys(d, "gcn config", allowed=[f.name for f in fields(cls)]))
-        for name, value in d.items():
-            where = f"gcn config {name!r}"
-            if name == "hidden":
-                d[name] = tuple(check_number(h, where, integer=True)
-                                for h in check_list(value, where))
-            else:
-                check_number(value, where, integer=name != "learning_rate")
-        return cls(**d)
 
 
 class GcnModel:
@@ -165,31 +149,32 @@ class GcnModel:
     def to_json_dict(self) -> dict:
         return {
             "schema": GCN_SCHEMA,
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "nodes": list(self.nodes),
             "weights": [w.tolist() for w in self.weights],
             "activations": list(self.config.activations),
-            "feature_scaler": self.feature_scaler.to_dict(),
-            "target_scalers": [s.to_dict() for s in self.target_scalers],
+            "feature_scaler": asdict(self.feature_scaler),
+            "target_scalers": [asdict(s) for s in self.target_scalers],
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GcnModel":
-        if check_keys(d, "gcn model").get("schema") != GCN_SCHEMA:
-            raise ValidationError(f"unexpected model schema {d.get('schema')!r}")
-        check_keys(d, "gcn model", required=("config", "nodes", "weights", "activations",
-                                             "feature_scaler", "target_scalers"))
-        weights = check_list(d["weights"], "gcn model 'weights'")
-        config = GcnConfig.from_dict(d["config"])
+        if check_value(d, dict, "gcn model").get("schema") != GCN_SCHEMA:
+            raise ValidationError(f"schema must be {GCN_SCHEMA!r}, got {d.get('schema')!r}")
+        keys = ("schema", "config", "nodes", "weights", "activations", "feature_scaler",
+                "target_scalers")
+        check_keys(d, "gcn model", required=keys, allowed=keys)
+        config = read(GcnConfig, d["config"], "config")
         if d["activations"] != list(config.activations):
-            raise ValidationError(f"gcn model 'activations' must be {list(config.activations)} "
+            raise ValidationError(f"activations must be {list(config.activations)} "
                                   f"for its config, got {d['activations']!r}")
-        return cls(config=config,
-                   nodes=tuple(check_list(d["nodes"], "gcn model 'nodes'")),
-                   weights=[float_array(w, f"gcn weights[{i}]") for i, w in enumerate(weights)],
-                   feature_scaler=MinMaxScaler.from_dict(d["feature_scaler"]),
-                   target_scalers=[MinMaxScaler.from_dict(s) for s in
-                                   check_list(d["target_scalers"], "gcn model 'target_scalers'")])
+        return cls(config=config, nodes=check_value(d["nodes"], tuple[str, ...], "nodes"),
+                   weights=[float_array(w, f"weights[{i}]")
+                            for i, w in enumerate(check_value(d["weights"], list, "weights"))],
+                   feature_scaler=MinMaxScaler.from_dict(d["feature_scaler"], "feature_scaler"),
+                   target_scalers=[MinMaxScaler.from_dict(s, f"target_scalers[{i}]")
+                                   for i, s in enumerate(check_value(d["target_scalers"], list,
+                                                                     "target_scalers"))])
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict(), sort_keys=True) + "\n",
@@ -197,7 +182,7 @@ class GcnModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "GcnModel":
-        return cls.from_json_dict(read_json_file(path))
+        return read_json_file(path, cls.from_json_dict)
 
 
 def _layer_buffers(weights: list[np.ndarray], samples: int, nodes: int):

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .cluster_sim import GRID_COLUMNS, SIM_COLUMNS, SimulationLog
-from .errors import RunMismatchError, ValidationError, check_number
+from .errors import RunMismatchError, ValidationError, check_value
 from .tensor import blocks
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
@@ -84,7 +84,7 @@ def load_run(run_dir: str | Path) -> SimulationLog:
     if not services:
         raise ValidationError(f"{summary_path} lists no services")
     start, horizon, width = summary["start_minute"], summary["horizon"], len(services)
-    if check_number(horizon, f"{summary_path} horizon", integer=True) < 0:
+    if check_value(horizon, int, f"{summary_path} horizon") < 0:
         raise ValidationError(f"{summary_path} has a negative horizon {horizon}")
     external = np.empty(horizon)
     grid = {c: np.empty((horizon, width), dtype=_SIM_DTYPE[c]) for c in GRID_COLUMNS}

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError, check_keys, check_number
+from .errors import ShapeError, ValidationError, check_keys, check_value
 
 _SPLITMIX64_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -419,14 +419,15 @@ class MinMaxScaler:
         scale = (self.hi - self.lo) / (self.out_hi - self.out_lo)
         return self.lo + (y - self.out_lo) * scale
 
-    def to_dict(self) -> dict:
-        return {"lo": self.lo, "hi": self.hi, "out_lo": self.out_lo, "out_hi": self.out_hi}
-
     @classmethod
-    def from_dict(cls, d: dict) -> "MinMaxScaler":
+    def from_dict(cls, d: dict, where: str = "scaler") -> "MinMaxScaler":
+        # All four are required: a GCN scaler's [0, 1] must not become ±0.8.
         keys = ("lo", "hi", "out_lo", "out_hi")
-        check_keys(d, "scaler", required=keys)
-        return cls(*(float(check_number(d[k], f"scaler {k!r}")) for k in keys))
+        check_keys(d, where, required=keys, allowed=keys)
+        lo, hi, out_lo, out_hi = (float(check_value(d[k], float, f"{where}.{k}")) for k in keys)
+        if not out_lo < out_hi:  # inverse_transform divides by the output range
+            raise ValidationError(f"{where}.out_lo {out_lo} must be below {where}.out_hi {out_hi}")
+        return cls(lo, hi, out_lo, out_hi)
 
 
 # (get, set) thread-count symbols of the OpenBLAS builds numpy ships or links.

@@ -166,18 +166,34 @@ def rescale_trace(trace: WorkloadTrace, target_peak: float) -> WorkloadTrace:
                          counts=counts)
 
 
-def split_dataset(samples, train_frac: float = 0.6, valid_frac: float = 0.2):
-    """Chronological train/valid/test split: floor(0.6n), floor(0.2n), remainder."""
+@dataclass(frozen=True)
+class Split:
+    """The fractions of a series that train and validate; the rest tests."""
+
+    train: float = 0.6
+    valid: float = 0.2
+
+    def __post_init__(self):
+        for name in ("train", "valid"):
+            if not getattr(self, name) > 0:
+                raise ValidationError(f"{name} must be > 0, got {float(getattr(self, name))}")
+        if not self.train + self.valid < 1:
+            raise ValidationError(f"train + valid must be < 1 to leave a test segment, "
+                                  f"got {float(self.train)} + {float(self.valid)}")
+
+
+def split_dataset(samples, split: Split = Split()):
+    """Chronological train/valid/test split: floor(n * train), floor(n * valid), the rest."""
     n = len(samples)
     if n < 5:
         raise ValidationError(f"need at least 5 samples to split, got {n}")
-    n_train = math.floor(n * train_frac)
-    n_valid = math.floor(n * valid_frac)
+    n_train = math.floor(n * split.train)
+    n_valid = math.floor(n * split.valid)
     return samples[:n_train], samples[n_train:n_train + n_valid], samples[n_train + n_valid:]
 
 
 def generate_synthetic_trace(pattern: str, length: int, amplitude: float, seed: int,
-                             base: float = 100.0, period: int | None = None,
+                             base: float = 100.0, period: float | None = None,
                              noise: float = 0.0, resolution: int = 1) -> WorkloadTrace:
     """Deterministic synthetic trace: 'sine', 'diurnal', or 'bursty'.
 
@@ -187,7 +203,9 @@ def generate_synthetic_trace(pattern: str, length: int, amplitude: float, seed: 
     if length < 1:
         raise ValidationError(f"length must be >= 1, got {length}")
     if pattern not in ("sine", "diurnal", "bursty"):
-        raise ValidationError(f"unknown pattern {pattern!r}")
+        raise ValidationError(f"pattern must be 'sine', 'diurnal' or 'bursty', got {pattern!r}")
+    if not noise >= 0:  # a NaN fails too
+        raise ValidationError(f"noise must be >= 0, got {noise}")
     if period is None:
         period = 1440 if pattern == "diurnal" else 240
     rng = Rng(seed)

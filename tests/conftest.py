@@ -31,6 +31,45 @@ def run_cli(*argv: str) -> int:
     return cli_main(list(argv))
 
 
+# Every value a mutation puts in place of a key or list element.
+MUTANT_VALUES = [None, "x", [], {}, True, -1, 0, 2.5]
+
+
+def key_path(path) -> str:
+    """A path of keys and list indexes as the error messages write it: a.b[0].c."""
+    out = ""
+    for key in path:
+        out += f"[{key}]" if isinstance(key, int) else f".{key}" if out else key
+    return out
+
+
+def mutations(node, first_elements=False, path=()):
+    """(label, path, edit) for one change at a time under node: every key and
+    list element (only the first of each list, with first_elements) set to each
+    of MUTANT_VALUES and dropped, and every object given an extra key. path is
+    the changed key's, or the object's for the extra key; edit(doc) applies
+    the change to a copy of the document."""
+    if isinstance(node, dict):
+        yield f"{key_path(path) or 'root'}+extra", path, lambda doc: _at(doc, path).update(extra=1)
+        children = list(node.items())
+    else:
+        children = list(enumerate(node))[:1 if first_elements else None] \
+            if isinstance(node, list) else []
+    for key, child in children:
+        here = path + (key,)
+        for value in MUTANT_VALUES:
+            yield (f"{key_path(here)}={value!r}", here,
+                   lambda doc, k=key, v=value: _at(doc, path).__setitem__(k, v))
+        yield f"drop {key_path(here)}", here, lambda doc, k=key: _at(doc, path).pop(k)
+        yield from mutations(child, first_elements, here)
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 def traced_peak(fn) -> int:
     """Peak bytes that Python and numpy held at once above their level when
     fn() began."""

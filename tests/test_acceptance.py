@@ -17,7 +17,7 @@ from graph_phpa.autoscaler import ScalingBounds, integrate_step
 from graph_phpa.cli import main as cli_main
 from graph_phpa.predict_gcn import GcnConfig, GcnModel, ServiceGraph, gcn_forward
 from graph_phpa.tensor import MinMaxScaler, Rng
-from graph_phpa.traces import WorkloadTrace, interpolate_to_minutes, split_dataset
+from graph_phpa.traces import Split, WorkloadTrace, interpolate_to_minutes, split_dataset
 from conftest import run_cli
 from oracles import finite_diff_gradient, gcn_forward_oracle
 from test_forecast_lstm import gradcheck_params, random_model as random_lstm
@@ -180,7 +180,7 @@ def test_03_pod_integration_example_and_fuzz():
         r_ub = r_lb + float(rng.uniform(0.0, 10.0))
         v_p = float(rng.uniform(0.1, 2.0))
         q = int(rng.integers(1, 25))
-        bounds = ScalingBounds(r_lb, r_ub, v_p, q)
+        bounds = ScalingBounds(r_lb, r_ub, v_p, max_pods=q)
         n_cur = int(rng.integers(1, q + 1))
         r_cur = float(rng.uniform(r_lb, r_ub))
         predicted = float(rng.uniform(-2.0, r_ub + 5.0))
@@ -229,7 +229,7 @@ def test_06_proactive_beats_reactive_direction(runs):
 
 
 def test_07_split_is_chronological_2400_800_800():
-    train, valid, test = split_dataset(np.arange(4000.0), 0.6, 0.2)
+    train, valid, test = split_dataset(np.arange(4000.0), Split(0.6, 0.2))
     ok = (len(train), len(valid), len(test)) == (2400, 800, 800) \
         and test[0] == 3200.0 and test[-1] == 3999.0 \
         and np.array_equal(test, np.arange(3200.0, 4000.0))

@@ -75,9 +75,9 @@ class TestIntegrateStep:
 
     def test_exact_pod_boundary_needs_no_extra(self):
         # A rise of exactly one capacity adds exactly one pod, not two.
-        d = step_one(2.0, 4, 2.5, ScalingBounds(1.0, 10.0, 0.5, 10))
+        d = step_one(2.0, 4, 2.5, ScalingBounds(1.0, 10.0, 0.5, max_pods=10))
         assert d.delta == 1
-        d = step_one(2.0, 4, 3.0, ScalingBounds(1.0, 10.0, 0.5, 10))
+        d = step_one(2.0, 4, 3.0, ScalingBounds(1.0, 10.0, 0.5, max_pods=10))
         assert d.delta == 2
 
     def test_fractional_rise_rounds_up(self):
@@ -85,7 +85,7 @@ class TestIntegrateStep:
         assert d.delta == 1
 
     def test_multiple_services_decided_independently(self):
-        bounds = {"a": BOUNDS, "b": ScalingBounds(1.0, 4.0, 1.0, 4)}
+        bounds = {"a": BOUNDS, "b": ScalingBounds(1.0, 4.0, 1.0, max_pods=4)}
         out = integrate_step({"a": 2.0, "b": 2.0}, {"a": 4, "b": 2},
                              {"a": 2.5, "b": 1.0}, bounds)
         assert out["a"].delta == 1
@@ -123,7 +123,7 @@ class TestIntegrateStep:
         r_ub = r_lb + data.draw(st.floats(0.0, 12.0), label="band")
         v_p = data.draw(st.floats(0.05, 3.0), label="pod_capacity")
         q = data.draw(st.integers(1, 30), label="max_pods")
-        b = ScalingBounds(r_lb, r_ub, v_p, q)
+        b = ScalingBounds(r_lb, r_ub, v_p, max_pods=q)
         n_cur = data.draw(st.integers(1, q), label="n_cur")
         r_cur = data.draw(st.floats(r_lb, r_ub), label="r_cur")
         predicted = data.draw(st.floats(-5.0, r_ub + 8.0), label="predicted")
@@ -148,19 +148,19 @@ class TestIntegrateStep:
 class TestScalingBounds:
     def test_rejects_zero_lower_bound(self):
         with pytest.raises(ValidationError):
-            ScalingBounds(0.0, 1.0, 1.0, 1)
+            ScalingBounds(0.0, 1.0, 1.0, max_pods=1)
 
     def test_rejects_inverted_band(self):
         with pytest.raises(ValidationError):
-            ScalingBounds(2.0, 1.0, 1.0, 1)
+            ScalingBounds(2.0, 1.0, 1.0, max_pods=1)
 
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValidationError):
-            ScalingBounds(1.0, 2.0, 0.0, 1)
+            ScalingBounds(1.0, 2.0, 0.0, max_pods=1)
 
     def test_rejects_zero_max_pods(self):
         with pytest.raises(ValidationError):
-            ScalingBounds(1.0, 2.0, 1.0, 0)
+            ScalingBounds(1.0, 2.0, 1.0, max_pods=0)
 
 
 def constant_forecaster(k: int, constant_scaled: float) -> LstmModel:
@@ -190,8 +190,8 @@ class TestRunPolicyStep:
         unit = MinMaxScaler(0.0, 1.0, 0.0, 1.0)
         self.gcn = GcnModel(GcnConfig(window=self.k, hidden=(), epochs=1),
                             ("a", "b"), [w], unit, (unit, unit))
-        self.bounds = {"a": ScalingBounds(1.0, 8.0, 1.0, 8),
-                       "b": ScalingBounds(1.0, 8.0, 1.0, 8)}
+        self.bounds = {"a": ScalingBounds(1.0, 8.0, 1.0, max_pods=8),
+                       "b": ScalingBounds(1.0, 8.0, 1.0, max_pods=8)}
 
     def step(self, models, history, current_r, current_n):
         forecasts, demand = predict_demand(models, self.gcn, self.graph, history)

@@ -1,4 +1,5 @@
 """Command-line workflow tests on a small configuration."""
+import copy
 import json
 import math
 import multiprocessing
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import TINY_CONFIG, run_cli
+from conftest import TINY_CONFIG, mutations, run_cli
 from graph_phpa import cli, tensor
 from graph_phpa.cluster_sim import SimulationLog
 from graph_phpa.config import ExperimentConfig, TraceSpec
@@ -58,6 +59,13 @@ class TestGenTrace:
         out = tmp_path / "t.csv"
         assert run_cli("gen-trace", f"--period={period}", "--out", str(out)) == 2
         assert "error: period " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_noise_exits_2(self, tmp_path, capsys):
+        # A negative jitter used to be skipped: a noise-free trace and exit 0.
+        out = tmp_path / "t.csv"
+        assert run_cli("gen-trace", "--noise", "-1", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: noise must be >= 0, got -1.0\n"
         assert not out.exists()
 
 
@@ -135,7 +143,7 @@ class TestMalformedModelFiles:
             doc["weights"][-1] = [row[0] for row in doc["weights"][-1]]
         models = self.corrupt(tiny_models_dir, tmp_path, "gcn.json", flatten_last)
         assert self.simulate_phpa(tiny_config_path, models, tmp_path) == 2
-        assert "weights[1] must be a matrix" in capsys.readouterr().err
+        assert f"{models / 'gcn.json'}: weights[1] must be a matrix" in capsys.readouterr().err
 
     def test_missing_scaler_key(self, tiny_config_path, tiny_models_dir, tmp_path, capsys):
         models = self.corrupt(tiny_models_dir, tmp_path, "lstm_back.json",
@@ -143,44 +151,54 @@ class TestMalformedModelFiles:
         code = run_cli("train-resource", "--config", tiny_config_path,
                        "--models", str(models), "--out", str(tmp_path / "out"))
         assert code == 2
-        assert "scaler is missing key 'hi'" in capsys.readouterr().err
+        assert (f"{models / 'lstm_back.json'}: missing required key 'hi' in scaler"
+                in capsys.readouterr().err)
 
-    @pytest.mark.parametrize("name, where", [("gcn.json", "gcn config"),
-                                             ("lstm_front.json", "lstm config")])
-    def test_unknown_config_key(self, tiny_config_path, tiny_models_dir, tmp_path, capsys,
-                                name, where):
+    @pytest.mark.parametrize("name", ["gcn.json", "lstm_front.json"])
+    def test_unknown_config_key(self, tiny_config_path, tiny_models_dir, tmp_path, capsys, name):
         models = self.corrupt(tiny_models_dir, tmp_path, name,
                               lambda doc: doc["config"].update(dropout=0.5))
         assert self.simulate_phpa(tiny_config_path, models, tmp_path) == 2
-        assert f"unknown key 'dropout' in {where}" in capsys.readouterr().err
+        assert f"{models / name}: unknown key 'dropout' in config" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, edit, message", [
         pytest.param("lstm_front.json", lambda doc: doc["config"].update(window="5"),
-                     "lstm config 'window' must be an integer, got '5'", id="lstm-window-string"),
+                     "config.window must be an integer, got '5'", id="lstm-window-string"),
         pytest.param("lstm_front.json", lambda doc: doc.update(layers=5),
-                     "lstm model 'layers' must be a list", id="lstm-layers-number"),
+                     "layers must be a list", id="lstm-layers-number"),
         pytest.param("lstm_front.json", lambda doc: doc.update(head_bias=[1.0]),
-                     "lstm model 'head_bias' must be a finite number", id="lstm-head-bias-list"),
+                     "head_bias must be a finite number", id="lstm-head-bias-list"),
         pytest.param("lstm_back.json", lambda doc: doc["scaler"].update(lo="a"),
-                     "scaler 'lo' must be a finite number, got 'a'", id="scaler-lo-string"),
+                     "scaler.lo must be a finite number, got 'a'", id="scaler-lo-string"),
         pytest.param("lstm_back.json", lambda doc: doc["scaler"].update(lo=float("nan")),
-                     "scaler 'lo' must be a finite number, got nan", id="scaler-lo-nan"),
+                     "scaler.lo must be a finite number, got nan", id="scaler-lo-nan"),
         pytest.param("lstm_back.json", lambda doc: doc["layers"][0]["w_h"][1].pop(),
-                     "lstm layers[0] 'w_h' must be a rectangular array", id="lstm-ragged-w_h"),
+                     "layers[0].w_h must be a rectangular array", id="lstm-ragged-w_h"),
         pytest.param("gcn.json", lambda doc: doc["config"].update(hidden=8),
-                     "gcn config 'hidden' must be a list", id="gcn-hidden-number"),
+                     "config.hidden must be a list", id="gcn-hidden-number"),
         pytest.param("gcn.json", lambda doc: doc.update(weights=3),
-                     "gcn model 'weights' must be a list", id="gcn-weights-number"),
+                     "weights must be a list", id="gcn-weights-number"),
         pytest.param("gcn.json", lambda doc: doc["weights"][0][2].pop(),
-                     "gcn weights[0] must be a rectangular array", id="gcn-ragged-weight"),
+                     "weights[0] must be a rectangular array", id="gcn-ragged-weight"),
         pytest.param("gcn.json", lambda doc: doc["feature_scaler"].update(hi=None),
-                     "scaler 'hi' must be a finite number, got None", id="scaler-hi-null"),
+                     "feature_scaler.hi must be a finite number, got None", id="scaler-hi-null"),
+        # Values of the right type the replay cannot use. These failed mid-replay
+        # without naming a file, or with a ZeroDivisionError.
+        pytest.param("lstm_front.json", lambda doc: doc["config"].update(window=6),
+                     "config.window 6 is not the config's lstm.window 5", id="lstm-other-window"),
+        pytest.param("gcn.json", lambda doc: doc.update(nodes=["back", "front"]),
+                     "nodes ['back', 'front'] are not the config's graph.nodes "
+                     "['front', 'back']", id="gcn-other-nodes"),
+        pytest.param("gcn.json", lambda doc: doc["target_scalers"][0].update(out_lo=1.0),
+                     "target_scalers[0].out_lo 1.0 must be below target_scalers[0].out_hi 1.0",
+                     id="scaler-empty-output-range"),
     ])
     def test_value_of_the_wrong_type(self, tiny_config_path, tiny_models_dir, tmp_path, capsys,
                                      name, edit, message):
+        # Every message starts with the file: one of N forecasters is at fault.
         models = self.corrupt(tiny_models_dir, tmp_path, name, edit)
         assert self.simulate_phpa(tiny_config_path, models, tmp_path) == 2
-        assert message in capsys.readouterr().err
+        assert f"{models / name}: {message}" in capsys.readouterr().err
 
     def test_missing_file(self, tiny_config_path, tiny_models_dir, tmp_path, capsys):
         models = tmp_path / "models"
@@ -196,6 +214,33 @@ class TestMalformedModelFiles:
         (models / "gcn.json").write_text(text[:len(text) // 2], encoding="utf-8")
         assert self.simulate_phpa(tiny_config_path, models, tmp_path) == 2
         assert "gcn.json is not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["gcn.json", "lstm_back.json"])
+    def test_every_single_mutation_exits_0_or_2_naming_the_file(
+            self, tiny_config_path, tiny_models_dir, tmp_path, capsys, name):
+        # Every key and the first element of every list, each set to each of
+        # MUTANT_VALUES and dropped, and an extra key in each object.
+        models = tmp_path / "models"
+        shutil.copytree(tiny_models_dir, models)
+        original = json.loads((models / name).read_text(encoding="utf-8"))
+        faults, unnamed = [], []
+        sweep = list(mutations(original, first_elements=True))
+        for label, _, edit in sweep:
+            doc = copy.deepcopy(original)
+            edit(doc)
+            (models / name).write_text(json.dumps(doc), encoding="utf-8")
+            try:
+                code = self.simulate_phpa(tiny_config_path, models, tmp_path)
+            except Exception as exc:  # collected: any exception is a fault
+                code = f"{type(exc).__name__}: {exc}"
+            err = capsys.readouterr().err
+            if code not in (0, 2):
+                faults.append((label, code))
+            elif code == 2 and not err.startswith(f"error: {models / name}: "):
+                unnamed.append((label, err))
+        assert len(sweep) > 200
+        assert faults == []
+        assert unnamed == []
 
 
 def train_both(config: str, out: Path) -> dict[str, bytes]:
@@ -408,7 +453,7 @@ class TestSimulate:
         code = run_cli("simulate", "--config", str(tmp_path / "nope.json"),
                        "--policy", "reactive", "--out", str(tmp_path / "run"))
         assert code == 2
-        assert "not found" in capsys.readouterr().err
+        assert f"cannot read {tmp_path / 'nope.json'}: No such file" in capsys.readouterr().err
 
 
 class TestCompare:

@@ -24,6 +24,7 @@ from graph_phpa.cluster_sim import (
     PredictivePolicy,
     ReactivePolicy,
     ScalingPolicy,
+    SimConfig,
     SimulationLog,
     initial_pod_counts,
     run_simulation,
@@ -51,7 +52,7 @@ def bookinfo_demand(noise: float = 0.0) -> DemandModel:
 
 
 def flat_bounds(services, r_ub=10.0, v_p=1.0, q=10):
-    return {s: ScalingBounds(1.0, r_ub, v_p, q) for s in services}
+    return {s: ScalingBounds(1.0, r_ub, v_p, max_pods=q) for s in services}
 
 
 class TestDemandModel:
@@ -150,9 +151,10 @@ class TestComputeUtilization:
         pods."""
         demand = DemandModel(services=("s",), entry="s", cpu_per_request={"s": 0.01},
                              fan_out={})
-        bounds = {"s": ScalingBounds(r_lb, r_ub, 1.0, 10)}
+        bounds = {"s": ScalingBounds(r_lb, r_ub, 1.0, max_pods=10)}
         log = run_simulation(stub_trace([rps, rps]), demand,
-                             policy or ReactivePolicy(HpaConfig(), bounds), bounds, seed=1)
+                             policy or ReactivePolicy(HpaConfig(), bounds), bounds,
+                             SimConfig(seed=1))
         return log.utilization[:, 0].tolist(), log.pods[:, 0].tolist()
 
     def test_hand_values(self):
@@ -168,7 +170,7 @@ class TestComputeUtilization:
 
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValidationError, match="pod_capacity must be positive"):
-            ScalingBounds(1.0, 5.0, 0.0, 3)
+            ScalingBounds(1.0, 5.0, 0.0, max_pods=3)
 
 
 class TestInitialPodCounts:
@@ -190,7 +192,7 @@ class TestInitialPodCounts:
     def test_resource_floor_raises_opening_allocation(self):
         # 100 rps puts every service below a 2.5 vCPU floor, so the floor wins.
         demand = bookinfo_demand()
-        bounds = {s: ScalingBounds(2.5, 10.0, 1.0, 10) for s in demand.services}
+        bounds = {s: ScalingBounds(2.5, 10.0, 1.0, max_pods=10) for s in demand.services}
         counts = initial_pod_counts(demand, 100.0, bounds)
         assert all(n == 3 for n in counts.values())
 
@@ -278,7 +280,7 @@ class TestRunSimulation:
         demand = bookinfo_demand()
         log = run_simulation(stub_trace([100] * 6), demand,
                              ReactivePolicy(HpaConfig(), flat_bounds(demand.services)),
-                             flat_bounds(demand.services), seed=1)
+                             flat_bounds(demand.services), SimConfig(seed=1))
         assert log.horizon == 6 and log.start_minute == 0
         assert log.services == demand.services
         for column in (log.service_rps, log.pods, log.utilization, log.decision_delta):
@@ -292,17 +294,17 @@ class TestRunSimulation:
         bounds = flat_bounds(demand.services)
         policy = PinnedPolicy({0: {"front": 4}})
         log = run_simulation(stub_trace([100] * 4), demand, policy, bounds,
-                             seed=1, warmup=0, startup_delay=2)
+                             SimConfig(seed=1, startup_delay=2), warmup=0)
         assert log.pods[:, 0].tolist() == [1, 1, 4, 4]
         assert log.decision_delta[0, 0] == 3
 
     def test_removals_land_next_minute(self):
         demand = bookinfo_demand()
         # A 4 vCPU floor starts every service at 4 pods.
-        bounds = {s: ScalingBounds(4.0, 10.0, 1.0, 10) for s in demand.services}
+        bounds = {s: ScalingBounds(4.0, 10.0, 1.0, max_pods=10) for s in demand.services}
         policy = PinnedPolicy({0: {"front": 2}})
         log = run_simulation(stub_trace([100] * 3), demand, policy, bounds,
-                             seed=1, warmup=0)
+                             SimConfig(seed=1), warmup=0)
         assert log.pods[:, 0].tolist() == [4, 2, 2]
         assert log.decision_delta[0, 0] == -2
 
@@ -311,7 +313,7 @@ class TestRunSimulation:
         bounds = flat_bounds(demand.services)
         policy = PinnedPolicy({m: {"front": 9} for m in range(6)})
         log = run_simulation(stub_trace([100] * 6), demand, policy, bounds,
-                             seed=1, warmup=4)
+                             SimConfig(seed=1), warmup=4)
         # First decision at minute 4, lands at minute 5.
         assert log.pods[:, 0].tolist() == [1, 1, 1, 1, 1, 9]
 
@@ -322,7 +324,7 @@ class TestRunSimulation:
         # happen in node order until the budget runs out.
         policy = PinnedPolicy({0: {s: 20 for s in demand.services}})
         log = run_simulation(stub_trace([100] * 3), demand, policy, bounds,
-                             seed=1, warmup=0, max_total_pods=30)
+                             SimConfig(seed=1, max_total_pods=30), warmup=0)
         assert log.pods[2].sum() <= 30
         assert log.pods[-1, 0] == 20  # first in node order got its full ask
 
@@ -333,7 +335,7 @@ class TestRunSimulation:
         bounds = flat_bounds(demand.services)
         policy = PinnedPolicy({0: {"front": 3}, 2: {"front": 5}})
         log = run_simulation(stub_trace([100] * 4), demand, policy, bounds,
-                             seed=1, warmup=0, max_total_pods=8)
+                             SimConfig(seed=1, max_total_pods=8), warmup=0)
         assert log.pods[:, 0].tolist() == [1, 3, 3, 5]
         assert log.decision_delta[:, 0].tolist() == [2, 0, 2, 0]
 
@@ -345,8 +347,7 @@ class TestRunSimulation:
                   + rng.uniform(0, 40, 80)).astype(int)
         log = run_simulation(stub_trace(values), demand,
                              ReactivePolicy(HpaConfig(0.5, 0.3, 2),
-                                            bounds), bounds, seed=9,
-                             max_total_pods=12)
+                                            bounds), bounds, SimConfig(seed=9, max_total_pods=12))
         assert log.pods.sum(axis=1).max() <= 12
 
     def test_pods_stay_within_service_limits(self):
@@ -355,7 +356,7 @@ class TestRunSimulation:
         values = [50, 400, 800, 1200, 900, 30, 10, 10, 10, 10, 10, 10]
         log = run_simulation(stub_trace(values), demand,
                              ReactivePolicy(HpaConfig(0.6, 0.3, 1), bounds),
-                             bounds, seed=4)
+                             bounds, SimConfig(seed=4))
         assert log.pods.min() >= 1 and log.pods.max() <= 3
 
     @given(budget=st.integers(4, 30), max_pods=st.integers(1, 12),
@@ -375,9 +376,9 @@ class TestRunSimulation:
             # Targets outside [1, max_pods] on purpose: the simulator clips them.
             policy = PinnedPolicy({m: dict(zip(demand.services, targets))
                                    for m, targets in enumerate(plan)})
-        log = run_simulation(stub_trace(values), demand, policy, bounds, seed=5,
-                             warmup=0, startup_delay=startup_delay,
-                             max_total_pods=budget)
+        log = run_simulation(stub_trace(values), demand, policy, bounds,
+                             SimConfig(seed=5, startup_delay=startup_delay,
+                                       max_total_pods=budget), warmup=0)
         assert log.pods.min() >= 1 and log.pods.max() <= max_pods
         assert log.pods.sum(axis=1).max() <= budget
 
@@ -388,7 +389,7 @@ class TestRunSimulation:
             return run_simulation(stub_trace([120, 180, 260, 300, 240, 150]),
                                   demand,
                                   ReactivePolicy(HpaConfig(0.7, 0.3, 2), bounds),
-                                  bounds, seed=31)
+                                  bounds, SimConfig(seed=31))
         assert log_rows(go()) == log_rows(go())
 
     def test_noise_alignment_with_demand_series(self):
@@ -400,7 +401,7 @@ class TestRunSimulation:
         rps, _ = demand.demand_series(full, start_minute=0, seed=8)
         tail = stub_trace(full[3:].astype(int), start_minute=3)
         log = run_simulation(tail, demand,
-                             ReactivePolicy(HpaConfig(), bounds), bounds, seed=8)
+                             ReactivePolicy(HpaConfig(), bounds), bounds, SimConfig(seed=8))
         for r in log_rows(log):
             assert r.service_rps == pytest.approx(rps[r.service][r.minute], rel=1e-12)
 
@@ -412,7 +413,7 @@ class TestRunSimulation:
             demand = bookinfo_demand(noise=sigma)
             bounds = flat_bounds(demand.services)
             log = run_simulation(stub_trace(values, start_minute=7), demand,
-                                 ReactivePolicy(HpaConfig(), bounds), bounds, seed=8)
+                                 ReactivePolicy(HpaConfig(), bounds), bounds, SimConfig(seed=8))
             assert log.service_rps.shape == (len(values), len(demand.services))
             assert log.service_rps.dtype == np.float64
             for r in log_rows(log):
@@ -425,16 +426,16 @@ class TestRunSimulation:
         trace = WorkloadTrace(resolution=5, start_minute=0, counts=(1, 2, 3))
         with pytest.raises(ValidationError, match="1-minute"):
             run_simulation(trace, demand, ReactivePolicy(HpaConfig(), bounds),
-                           bounds, seed=1)
+                           bounds, SimConfig(seed=1))
 
     def test_initial_pods_over_budget_rejected(self):
         demand = bookinfo_demand()
         # A 4 vCPU floor starts all four services at 4 pods, 16 in all.
-        bounds = {s: ScalingBounds(4.0, 10.0, 1.0, 10) for s in demand.services}
+        bounds = {s: ScalingBounds(4.0, 10.0, 1.0, max_pods=10) for s in demand.services}
         with pytest.raises(ValidationError, match="budget"):
             run_simulation(stub_trace([100] * 3), demand,
                            ReactivePolicy(HpaConfig(), bounds), bounds,
-                           seed=1, max_total_pods=10)
+                           SimConfig(seed=1, max_total_pods=10))
 
     def test_overload_flag_matches_utilization(self):
         # Every cell's utilization is rps * cost / (pods * capacity) bit for
@@ -443,7 +444,7 @@ class TestRunSimulation:
         bounds = flat_bounds(demand.services, v_p=0.7)
         values = [50, 800, 1000, 700, 60, 50]
         log = run_simulation(stub_trace(values), demand,
-                             ReactivePolicy(HpaConfig(), bounds), bounds, seed=2)
+                             ReactivePolicy(HpaConfig(), bounds), bounds, SimConfig(seed=2))
         assert log.overloaded.any()
         for r in log_rows(log):
             assert r.utilization == (r.service_rps * demand.cpu_per_request[r.service]
@@ -572,8 +573,8 @@ class TestPredictivePolicySimulation:
                        [w], feature_scaler, (unit, unit))
         models = {"a": fixed_forecaster(self.k, 0.6),
                   "b": fixed_forecaster(self.k, 0.6)}
-        bounds = {"a": ScalingBounds(1.0, 8.0, 1.0, 8),
-                  "b": ScalingBounds(1.0, 8.0, 1.0, 8)}
+        bounds = {"a": ScalingBounds(1.0, 8.0, 1.0, max_pods=8),
+                  "b": ScalingBounds(1.0, 8.0, 1.0, max_pods=8)}
         return PredictivePolicy(models, gcn, graph, bounds), bounds
 
     def test_constant_workload_reaches_a_fixed_point(self):
@@ -582,7 +583,7 @@ class TestPredictivePolicySimulation:
         policy, bounds = self.make_policy(slot=-1,
                                           feature_scaler=MinMaxScaler(0.0, 1.0, 0.0, 1.0))
         log = run_simulation(stub_trace([100] * 30), self.demand_ab(), policy,
-                             bounds, seed=3, warmup=5)
+                             bounds, SimConfig(seed=3), warmup=5)
         for s in ("a", "b"):
             pods = log.pods[:, log.services.index(s)].tolist()
             assert len(set(pods[10:])) == 1
@@ -592,7 +593,7 @@ class TestPredictivePolicySimulation:
         policy, bounds = self.make_policy(slot=-1,
                                           feature_scaler=MinMaxScaler(0.0, 1.0, 0.0, 1.0))
         log = run_simulation(stub_trace([100] * 12), self.demand_ab(), policy,
-                             bounds, seed=3, warmup=5)
+                             bounds, SimConfig(seed=3), warmup=5)
         first = log.decisions[0]
         assert first.delta == 0
         assert first.r_prev == first.r_new == pytest.approx(1.2)
@@ -605,7 +606,7 @@ class TestPredictivePolicySimulation:
         policy, bounds = self.make_policy(slot=0,
                                           feature_scaler=MinMaxScaler(0.0, 100.0, 0.0, 1.0))
         log = run_simulation(stub_trace([100] * 8 + [150] * 8), self.demand_ab(),
-                             policy, bounds, seed=3, warmup=4)
+                             policy, bounds, SimConfig(seed=3), warmup=4)
         for s in ("a", "b"):
             steps = [d for d in log.decisions if d.service == s]
             for prev, cur in zip(steps, steps[1:]):

@@ -583,7 +583,7 @@ class TestSerialization:
         doc = model.to_json_dict()
         assert doc["activations"] == ["relu", "linear"]
         doc["activations"] = activations
-        with pytest.raises(ValidationError, match=r"gcn model 'activations' must be "
+        with pytest.raises(ValidationError, match=r"activations must be "
                                                   r"\['relu', 'linear'\] for its config"):
             GcnModel.from_json_dict(doc)
 

@@ -1,5 +1,6 @@
 """Substrate tests: optimizer arithmetic, numerics, scaling, seeding."""
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -315,7 +316,7 @@ class TestMinMaxScaler:
 
     def test_dict_round_trip(self):
         scaler = MinMaxScaler(1.5, 9.0, 0.0, 1.0)
-        assert MinMaxScaler.from_dict(scaler.to_dict()) == scaler
+        assert MinMaxScaler.from_dict(asdict(scaler)) == scaler
 
     def test_empty_fit_rejected(self):
         with pytest.raises(ValidationError):

@@ -211,6 +211,11 @@ class TestSyntheticGenerator:
         with pytest.raises(ValidationError, match=f"period {period} .* non-finite"):
             generate_synthetic_trace(pattern, 10, 1.0, seed=0, period=period)
 
+    @pytest.mark.parametrize("noise", [-1.0, -1e-9, float("nan")])
+    def test_negative_noise_rejected(self, noise):
+        with pytest.raises(ValidationError, match="noise must be >= 0"):
+            generate_synthetic_trace("sine", 10, 1.0, seed=0, noise=noise)
+
 
 class TestSliceAndDigest:
     def test_slice_preserves_absolute_minutes(self):
