@@ -353,11 +353,24 @@ class SimulationLog:
     def overload_minutes(self, service: str | None = None) -> int:
         return int(np.count_nonzero(self._column(self.overloaded, service)))
 
+    def _utilization_blocks(self, service: str | None):
+        """The utilization cells in file (minute-major) order, as one list of
+        Python floats per block of minutes."""
+        utils = self._column(self.utilization, service)
+        return (utils[lo:hi].ravel().tolist() for lo, hi in blocks(self.horizon))
+
     def mean_utilization(self, service: str | None = None) -> float:
-        # Python's left-to-right sum in file (minute-major) order: np.sum's
+        # Python's left-to-right sum, carried from block to block: np.sum's
         # pairwise summation would move the last bits.
-        utils = self._column(self.utilization, service).ravel().tolist()
-        return sum(utils) / len(utils) if utils else 0.0
+        total = 0.0
+        for utils in self._utilization_blocks(service):
+            total = sum(utils, total)
+        cells = self.utilization.size if service is None else self.horizon
+        return total / cells if cells else 0.0
+
+    def max_utilization(self, service: str | None = None) -> float:
+        # Python's max, which keeps the first of equal cells and a leading NaN.
+        return max(map(max, self._utilization_blocks(service)), default=0.0)
 
     def peak_total_pods(self) -> int:
         return int(self.pods.sum(axis=1).max()) if self.horizon else 0
@@ -366,8 +379,7 @@ class SimulationLog:
         per_service = {s: {"pod_minutes": self.pod_minutes(s),
                            "overload_minutes": self.overload_minutes(s),
                            "mean_utilization": self.mean_utilization(s),
-                           "max_utilization": max(self._column(self.utilization, s).tolist(),
-                                                  default=0.0)}
+                           "max_utilization": self.max_utilization(s)}
                        for s in self.services}
         return {
             "policy": self.policy_name,
@@ -387,33 +399,38 @@ class SimulationLog:
     def write_csv(self, path: str | Path) -> None:
         text = _CsvFields()
         services = [text[s] for s in self.services]
-        policy = text[self.policy_name]
+        # One %-template per row, the policy's field in it; %r is repr and %d
+        # of a bool is 0 or 1.
+        row = f"%d,%s,%s,%r,%d,%r,%d,{text[self.policy_name].replace('%', '%%')},%d\n"
         width = len(services)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(SIM_COLUMNS) + "\n")
             for lo, hi in blocks(self.horizon):
                 # Floats go through .tolist() so repr sees Python floats; each
-                # minute's external rate is formatted once for all its services.
-                # Flat lists keep the cyclic garbage collector out: they are one
-                # object each.
-                cells = zip(itertools.cycle(services), self.service_rps[lo:hi].ravel().tolist(),
-                            self.pods[lo:hi].ravel().tolist(),
-                            self.utilization[lo:hi].ravel().tolist(),
-                            self.decision_delta[lo:hi].ravel().tolist())
-                for minute, external in zip(itertools.count(self.start_minute + lo),
-                                            map(repr, self.external[lo:hi].tolist())):
-                    fh.write("".join(f"{minute},{service},{external},{r!r},{n},{u!r},"
-                                     f"{u > 1.0:d},{policy},{d}\n"
-                                     for service, r, n, u, d in itertools.islice(cells, width)))
+                # minute and its external rate are formatted once for all its
+                # services.
+                utils = self.utilization[lo:hi].ravel()
+                fh.write("".join(map(row.__mod__, zip(
+                    _each_repeated(range(self.start_minute + lo, self.start_minute + hi), width),
+                    itertools.cycle(services),
+                    _each_repeated(map(repr, self.external[lo:hi].tolist()), width),
+                    self.service_rps[lo:hi].ravel().tolist(), self.pods[lo:hi].ravel().tolist(),
+                    utils.tolist(), (utils > 1.0).tolist(),
+                    self.decision_delta[lo:hi].ravel().tolist()))))
 
     def write_decisions_csv(self, path: str | Path) -> None:
         text = _CsvFields()
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(DECISION_COLUMNS) + "\n")
-            fh.writelines(f"{minute},{text[service]},{forecast!r},{vcpu!r},{r_prev!r},"
-                          f"{r_new!r},{n_prev},{n_new},{delta}\n"
-                          for minute, service, forecast, vcpu, r_prev, r_new, n_prev,
-                          n_new, delta in self.decisions)
+            for lo, hi in blocks(len(self.decisions)):
+                minute, service, *values = zip(*self.decisions[lo:hi])
+                fh.write("".join(map("%d,%s,%r,%r,%r,%r,%d,%d,%d\n".__mod__,
+                                     zip(minute, map(text.__getitem__, service), *values))))
+
+
+def _each_repeated(items, times: int):
+    """Each of items, times times in a row: a, a, b, b for times 2."""
+    return itertools.chain.from_iterable(map(itertools.repeat, items, itertools.repeat(times)))
 
 
 def run_simulation(trace: WorkloadTrace, demand: DemandModel, policy: ScalingPolicy,

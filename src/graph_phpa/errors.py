@@ -137,26 +137,39 @@ def read(target, obj, where: str, **given):
 
 
 def float_array(value, where: str) -> np.ndarray:
-    """value as a float64 array; a ragged, non-numeric or non-finite value is
-    a ValidationError naming where."""
+    """value as a float64 array; a ragged or non-finite value, or one with a
+    leaf that is not a JSON number, is a ValidationError naming where."""
     check_value(value, list, where)
     try:
         out = np.asarray(value, dtype=np.float64)
-        if np.all(np.isfinite(out)):
+        # float64 takes true for 1.0 and "2" for 2.0: the leaves' own types decide.
+        if (np.all(np.isfinite(out))
+                and set(map(type, np.asarray(value, dtype=object).flat)) <= {int, float}):
             return out
     except (TypeError, ValueError):
         pass
     raise ValidationError(f"{where} must be a rectangular array of finite numbers")
 
 
-def read_json_file(path, parse):
-    """parse(the JSON document in a file). A file that is missing, cannot be
-    read or does not parse is a ValidationError naming it; a ValidationError
-    or ShapeError from parse comes back with the path in front."""
+def read_text(path) -> str:
+    """The UTF-8 text of a file; one that is missing, cannot be read or is not
+    UTF-8 is a ValidationError naming it."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"cannot read {path}: byte {exc.start} is not UTF-8 "
+                              f"({exc.reason})") from None
+
+
+def read_json_file(path, parse):
+    """parse(the JSON document in a file). A file that read_text refuses or
+    that does not parse is a ValidationError naming it; a ValidationError or
+    ShapeError from parse comes back with the path in front."""
+    text = read_text(path)
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from None
     try:

@@ -8,7 +8,6 @@ given set of runs.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import warnings
 from pathlib import Path
@@ -16,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .cluster_sim import GRID_COLUMNS, SIM_COLUMNS, SimulationLog
-from .errors import RunMismatchError, ValidationError, check_value
+from .errors import (RunMismatchError, ValidationError, check_keys, check_value,
+                     read_json_file)
 from .tensor import blocks
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
@@ -79,18 +79,20 @@ def load_run(run_dir: str | Path) -> SimulationLog:
     if not summary_path.exists() or not csv_path.exists():
         raise ValidationError(f"{run_dir} is not a run directory "
                               f"(needs summary.json and sim.csv)")
-    summary = json.loads(summary_path.read_text(encoding="utf-8"))
+    summary = read_json_file(summary_path, _summary_fields)
     services, policy = tuple(summary["service_order"]), summary["policy"]
     if not services:
         raise ValidationError(f"{summary_path} lists no services")
     start, horizon, width = summary["start_minute"], summary["horizon"], len(services)
-    if check_value(horizon, int, f"{summary_path} horizon") < 0:
+    if horizon < 0:
         raise ValidationError(f"{summary_path} has a negative horizon {horizon}")
     external = np.empty(horizon)
     grid = {c: np.empty((horizon, width), dtype=_SIM_DTYPE[c]) for c in GRID_COLUMNS}
     names = np.array(services, dtype=object)
     bad = None  # (index of the first row out of place, that row or None at the end)
-    with open(csv_path, encoding="utf-8", newline="") as fh:
+    # A byte that is not UTF-8 reads as a lone surrogate, which no number
+    # parses as and no name in summary.json holds: its row is rejected by line.
+    with open(csv_path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(header) != SIM_COLUMNS:
@@ -129,6 +131,20 @@ def load_run(run_dir: str | Path) -> SimulationLog:
     return SimulationLog(policy_name=policy, seed=summary["seed"],
                          trace_sha256=summary["trace_sha256"], start_minute=start,
                          services=services, external=external, **grid)
+
+
+# The keys of summary.json that load_run reads, and their types.
+_SUMMARY_FIELDS = {"policy": str, "seed": int, "trace_sha256": str, "start_minute": int,
+                   "horizon": int, "service_order": tuple[str, ...]}
+
+
+def _summary_fields(doc) -> dict:
+    """doc, once it holds each of _SUMMARY_FIELDS with a value of its type;
+    the keys load_run does not read may hold anything."""
+    check_keys(doc, "summary", required=_SUMMARY_FIELDS, allowed=doc)
+    for key, kind in _SUMMARY_FIELDS.items():
+        check_value(doc[key], kind, key)
+    return doc
 
 
 def _cell(minute, service, policy) -> str:
@@ -207,12 +223,6 @@ def render_table_text(table: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-@functools.lru_cache(maxsize=1)
-def _x_texts(span: int, count: int, left: int, plot_w: int) -> tuple[str, ...]:
-    """Formatted x of each minute offset, shared by every chart of a comparison."""
-    return tuple(f"{left + k / span * plot_w:.2f}" for k in range(count))
-
-
 def pods_chart_svg(logs: list[SimulationLog], service: str) -> str:
     """Step chart of pod counts over time, one polyline per policy."""
     if any(service not in log.services for log in logs):
@@ -227,7 +237,10 @@ def pods_chart_svg(logs: list[SimulationLog], service: str) -> str:
     levels = set().union(*(pods for _, pods in series))
     p_hi = max(levels) + 1
     m_span = max(m_hi - m_lo, 1)
-    x_text = _x_texts(m_span, m_hi - m_lo + 1, left, plot_w)
+    # Formatted x of each minute offset; numpy's k / span * plot_w + left is
+    # Python's, operation for operation.
+    x_text = list(map("%.2f".__mod__,
+                      (np.arange(m_hi - m_lo + 1) / m_span * plot_w + left).tolist()))
 
     def sx(m):
         return left + (m - m_lo) / m_span * plot_w

@@ -1,21 +1,31 @@
 """Workload trace ingestion, rescaling, 5-minute replay preparation, and synthesis.
 
 Traces are integer request counts on a contiguous minute grid. All operations
-are pure; the synthetic generator is deterministic for a given seed.
+are pure; the synthetic generator is deterministic for a given seed. Traces
+are parsed, generated, rescaled and saved by whole-array numpy calls, not a
+Python statement per row.
 """
 from __future__ import annotations
 
 import hashlib
+import io
 import math
+import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import TraceFormatError, ValidationError
+from .errors import TraceFormatError, ValidationError, read_text
 from .tensor import Rng
 
 HEADER = "minute,requests"
+# A file whose body np.loadtxt parses as _parse_lines would: the header, then
+# only ASCII digits, signs, blanks, tabs, "," and "\n". Beyond these, int()
+# rejects some characters numpy accepts, such as "\x1f", and str.splitlines
+# breaks lines at some numpy does not, such as "\x0c".
+_BULK_FILE = re.compile(rf"[ \t]*{HEADER}[ \t]*\n([0-9+\- \t,\n]*)")
 
 
 @dataclass(frozen=True)
@@ -31,16 +41,18 @@ class WorkloadTrace:
             raise ValidationError(f"resolution must be >= 1, got {self.resolution}")
         if len(self.counts) == 0:
             raise ValidationError("trace has no bins")
-        for c in self.counts:
-            if c < 0:
-                raise ValidationError(f"negative request count {c}")
+        if min(self.counts) < 0:
+            raise ValidationError(f"negative request count "
+                                  f"{next(c for c in self.counts if c < 0)}")
 
     def __len__(self) -> int:
         return len(self.counts)
 
     @property
     def minutes(self) -> list[int]:
-        return [self.start_minute + i * self.resolution for i in range(len(self.counts))]
+        return list(range(self.start_minute,
+                          self.start_minute + len(self.counts) * self.resolution,
+                          self.resolution))
 
     @property
     def values(self) -> np.ndarray:
@@ -48,9 +60,38 @@ class WorkloadTrace:
 
 
 def load_trace(path: str | Path, resolution: int = 1) -> WorkloadTrace:
-    """Parse a `minute,requests` CSV into a validated trace."""
+    """Parse a `minute,requests` CSV into a validated trace.
+
+    The body is parsed by one np.loadtxt call. A file it refuses, or whose
+    rows break a rule, goes through _parse_lines instead, which accepts
+    what int() accepts and names the first bad line. A file unreadable or
+    not UTF-8 is a ValidationError naming it.
+    """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    text = read_text(path)
+    bulk = _BULK_FILE.fullmatch(text)
+    if bulk:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a body without rows
+                rows = np.loadtxt(io.StringIO(bulk[1]), dtype=np.int64, delimiter=",",
+                                  comments=None, ndmin=2)
+        except ValueError:  # a field outside int64, or a malformed row
+            rows = None
+        if rows is not None and rows.shape[1:] == (2,) and len(rows):
+            minutes, counts = rows.T
+            # Minutes within +-2**62 step without overflow.
+            if (counts.min() >= 0 and -2 ** 62 < minutes.min() and minutes.max() < 2 ** 62
+                    and np.all(np.diff(minutes) == resolution)):
+                return WorkloadTrace(resolution=resolution, start_minute=int(minutes[0]),
+                                     counts=tuple(counts.tolist()))
+    return _parse_lines(path, text, resolution)
+
+
+def _parse_lines(path: Path, text: str, resolution: int) -> WorkloadTrace:
+    """load_trace line by line with int(): the path of a file load_trace's
+    bulk parse refuses, and the one that names the line at fault."""
+    lines = text.splitlines()
     if not lines or lines[0].strip() != HEADER:
         raise TraceFormatError(f"{path}: first line must be '{HEADER}'", line=1)
     minutes: list[int] = []
@@ -84,9 +125,8 @@ def load_trace(path: str | Path, resolution: int = 1) -> WorkloadTrace:
 
 def save_trace(trace: WorkloadTrace, path: str | Path) -> None:
     """Write the trace as a `minute,requests` CSV with LF endings."""
-    rows = [HEADER]
-    rows.extend(f"{m},{c}" for m, c in zip(trace.minutes, trace.counts))
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
+    rows = "".join(map("%d,%d\n".__mod__, zip(trace.minutes, trace.counts)))
+    Path(path).write_text(f"{HEADER}\n{rows}", encoding="utf-8", newline="\n")
 
 
 def trace_digest(trace: WorkloadTrace) -> str:
@@ -160,10 +200,10 @@ def rescale_trace(trace: WorkloadTrace, target_peak: float) -> WorkloadTrace:
     peak = max(trace.counts)
     if peak == 0:
         raise ValidationError("cannot rescale an all-zero trace")
-    factor = target_peak / peak
-    counts = tuple(int(round(c * factor)) for c in trace.counts)
+    # rint rounds half to even, as round() does; int() keeps any size exact.
+    counts = np.rint(trace.values * (target_peak / peak)).tolist()
     return WorkloadTrace(resolution=trace.resolution, start_minute=trace.start_minute,
-                         counts=counts)
+                         counts=tuple(map(int, counts)))
 
 
 @dataclass(frozen=True)
@@ -204,8 +244,9 @@ def generate_synthetic_trace(pattern: str, length: int, amplitude: float, seed: 
         raise ValidationError(f"length must be >= 1, got {length}")
     if pattern not in ("sine", "diurnal", "bursty"):
         raise ValidationError(f"pattern must be 'sine', 'diurnal' or 'bursty', got {pattern!r}")
-    if not noise >= 0:  # a NaN fails too
-        raise ValidationError(f"noise must be >= 0, got {noise}")
+    for name, value in (("base", base), ("amplitude", amplitude), ("noise", noise)):
+        if not value >= 0:  # a NaN fails too
+            raise ValidationError(f"{name} must be >= 0, got {value}")
     if period is None:
         period = 1440 if pattern == "diurnal" else 240
     rng = Rng(seed)
@@ -232,5 +273,12 @@ def generate_synthetic_trace(pattern: str, length: int, amplitude: float, seed: 
     if not np.all(np.isfinite(level)):
         raise ValidationError(f"period {period} with base {base} and amplitude {amplitude} "
                               f"gives a non-finite {pattern} level")
-    counts = tuple(int(max(0, round(v))) for v in level)
-    return WorkloadTrace(resolution=resolution, start_minute=0, counts=counts)
+    # rint rounds half to even, as round() does. Counts above 2**53 are not
+    # all exact in float64, the simulator's type.
+    counts = np.maximum(np.rint(level), 0.0)
+    if counts.max() > 2 ** 53:
+        raise ValidationError(f"base {base}, amplitude {amplitude} and noise {noise} give "
+                              f"{pattern} counts above 2**53, more than float64 holds "
+                              f"exactly")
+    return WorkloadTrace(resolution=resolution, start_minute=0,
+                         counts=tuple(counts.astype(np.int64).tolist()))

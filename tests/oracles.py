@@ -22,20 +22,26 @@ package's earlier form, kept to arbitrate the buffered one: forward and loss bit
 for bit, gradients and training to rounding. The normal drawn after a chosen
 64-bit output comes from numpy's own Generator, its PCG64 state inverted by
 hand so that the next output is the chosen one, and keyed noise from one fresh
-Generator per seed. CSV files are written row by row with csv.writer.
+Generator per seed. CSV files are written row by row with csv.writer. The
+trace parser, writer, generator and rescaler are the package's earlier per-row
+forms, kept to arbitrate the whole-array ones: int() of each field of each
+line, an f-string per row, round() of each count.
 """
 import csv
+import io
 import math
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from graph_phpa.autoscaler import integrate_step, predict_demand
 from graph_phpa.cluster_sim import DecisionRow, ScalingPolicy, SimulationLog
-from graph_phpa.errors import DivergenceError, ValidationError
+from graph_phpa.errors import DivergenceError, TraceFormatError, ValidationError
 from graph_phpa.forecast_lstm import _init_params
 from graph_phpa.predict_gcn import scale_targets
 from graph_phpa.tensor import AdamState, MinMaxScaler, Rng, glorot_init, mix_seed
+from graph_phpa.traces import HEADER, WorkloadTrace
 
 
 def rel_err(a, b, floor=1e-12):
@@ -252,13 +258,102 @@ def fresh_normals_oracle(seeds) -> np.ndarray:
 
 
 def write_rows_oracle(path, columns, records) -> None:
-    """A header and one csv.writer line per record: floats as repr, bools as 0/1."""
+    """A header and one csv.writer line per record, ended by "\n": floats as
+    repr, bools as 0/1. Each line is written with the "\r\n" terminator,
+    which makes csv.writer quote a "\r" as well, and that terminator is then
+    replaced."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for r in records:
-            writer.writerow([repr(v) if type(v) is float else
-                             int(v) if type(v) is bool else v for v in r])
+        for r in [columns, *records]:
+            line = io.StringIO()
+            csv.writer(line, lineterminator="\r\n").writerow(
+                [repr(v) if type(v) is float else int(v) if type(v) is bool else v for v in r])
+            fh.write(line.getvalue()[:-2] + "\n")
+
+
+def load_trace_oracle(path, resolution: int = 1) -> WorkloadTrace:
+    """Parse a `minute,requests` CSV line by line with int()."""
+    path = Path(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0].strip() != HEADER:
+        raise TraceFormatError(f"{path}: first line must be '{HEADER}'", line=1)
+    minutes: list[int] = []
+    counts: list[int] = []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        parts = raw.split(",")
+        if len(parts) != 2:
+            raise TraceFormatError(f"{path}:{lineno}: expected 'minute,requests', got {raw!r}",
+                                   line=lineno)
+        try:
+            minute, count = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise TraceFormatError(f"{path}:{lineno}: non-integer field in {raw!r}",
+                                   line=lineno) from None
+        if count < 0:
+            raise TraceFormatError(f"{path}:{lineno}: negative request count {count}",
+                                   line=lineno)
+        if minutes and minute != minutes[-1] + resolution:
+            raise TraceFormatError(
+                f"{path}:{lineno}: non-contiguous minutes, gap between "
+                f"{minutes[-1]} and {minute} (expected stride {resolution})",
+                line=lineno)
+        minutes.append(minute)
+        counts.append(count)
+    if not counts:
+        raise TraceFormatError(f"{path}: trace contains no data rows", line=len(lines))
+    return WorkloadTrace(resolution=resolution, start_minute=minutes[0], counts=tuple(counts))
+
+
+def save_trace_oracle(trace: WorkloadTrace, path) -> None:
+    """The trace as a `minute,requests` CSV, one f-string per row, LF endings."""
+    rows = [HEADER]
+    rows.extend(f"{trace.start_minute + i * trace.resolution},{c}"
+                for i, c in enumerate(trace.counts))
+    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
+
+
+def rescaled_counts_oracle(counts, target_peak: float) -> tuple[int, ...]:
+    """Each count times target_peak / max(counts), round()ed."""
+    factor = target_peak / max(counts)
+    return tuple(int(round(c * factor)) for c in counts)
+
+
+def synthetic_counts_oracle(pattern: str, length: int, amplitude: float, seed: int,
+                            base: float = 100.0, period: float | None = None,
+                            noise: float = 0.0, resolution: int = 1) -> tuple[int, ...]:
+    """generate_synthetic_trace's counts, max(0, round(v)) of each level, with
+    only its checks on pattern, length, noise and a non-finite level."""
+    if length < 1:
+        raise ValidationError(f"length must be >= 1, got {length}")
+    if pattern not in ("sine", "diurnal", "bursty"):
+        raise ValidationError(f"pattern must be 'sine', 'diurnal' or 'bursty', got {pattern!r}")
+    if not noise >= 0:
+        raise ValidationError(f"noise must be >= 0, got {noise}")
+    if period is None:
+        period = 1440 if pattern == "diurnal" else 240
+    rng = Rng(seed)
+    t = np.arange(length, dtype=np.float64) * resolution
+    with np.errstate(all="ignore"):
+        if pattern == "sine":
+            level = base + amplitude * np.sin(2.0 * np.pi * t / period)
+        elif pattern == "diurnal":
+            phase = 2.0 * np.pi * t / period
+            level = base + amplitude * (0.8 * np.sin(phase) + 0.2 * np.sin(2.0 * phase))
+        else:
+            level = np.full(length, base)
+            n_bursts = max(1, length // 120)
+            starts = rng.integers(0, length, n_bursts)
+            durations = rng.integers(5, 30, n_bursts)
+            heights = rng.uniform(0.5, 1.0, n_bursts) * amplitude
+            for s, d, h in zip(starts, durations, heights):
+                level[int(s):int(s) + int(d)] += h
+        if noise > 0.0:
+            level = level * (1.0 + noise * rng.normal(size=length))
+    if not np.all(np.isfinite(level)):
+        raise ValidationError(f"period {period} with base {base} and amplitude {amplitude} "
+                              f"gives a non-finite {pattern} level")
+    return tuple(int(max(0, round(v))) for v in level)
 
 
 def propagate_minute_oracle(demand, external_rps, minute, seed, with_noise=True):

@@ -68,6 +68,20 @@ class TestGenTrace:
         assert capsys.readouterr().err == "error: noise must be >= 0, got -1.0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("option, message", [
+        # These ran to exit 0: a negative level clipped to 0, and counts past
+        # 2**53 that float64 cannot hold exactly.
+        ("--base=-1", "base must be >= 0, got -1.0"),
+        ("--amplitude=-1", "amplitude must be >= 0, got -1.0"),
+        ("--base=1e16", "base 1e+16, amplitude 140.0 and noise 0.0 give diurnal counts above "
+                        "2**53, more than float64 holds exactly"),
+    ])
+    def test_out_of_range_level_exits_2(self, tmp_path, capsys, option, message):
+        out = tmp_path / "t.csv"
+        assert run_cli("gen-trace", option, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestTraining:
     def test_train_workload_outputs(self, tiny_models_dir):
@@ -223,7 +237,7 @@ class TestMalformedModelFiles:
         models = tmp_path / "models"
         shutil.copytree(tiny_models_dir, models)
         original = json.loads((models / name).read_text(encoding="utf-8"))
-        faults, unnamed = [], []
+        faults, unnamed, admitted = [], [], []
         sweep = list(mutations(original, first_elements=True))
         for label, _, edit in sweep:
             doc = copy.deepcopy(original)
@@ -238,9 +252,14 @@ class TestMalformedModelFiles:
                 faults.append((label, code))
             elif code == 2 and not err.startswith(f"error: {models / name}: "):
                 unnamed.append((label, err))
+            elif code == 0:
+                admitted.append(label)
         assert len(sweep) > 200
         assert faults == []
         assert unnamed == []
+        # No key of a model file takes true or false. A true first weight
+        # used to load as 1.0 and run.
+        assert [label for label in admitted if label.endswith("=True")] == []
 
 
 def train_both(config: str, out: Path) -> dict[str, bytes]:
@@ -454,6 +473,83 @@ class TestSimulate:
                        "--policy", "reactive", "--out", str(tmp_path / "run"))
         assert code == 2
         assert f"cannot read {tmp_path / 'nope.json'}: No such file" in capsys.readouterr().err
+
+
+class TestUnreadableInputs:
+    """A file that is missing or not UTF-8 exits 2 with its path, never a traceback."""
+
+    def simulate(self, config: dict, tmp_path: Path) -> int:
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        return run_cli("simulate", "--config", str(path), "--policy", "reactive",
+                       "--out", str(tmp_path / "run"))
+
+    def test_missing_trace_file(self, tmp_path, capsys):
+        config = dict(TINY_CONFIG, trace={"file": "nope.csv"})
+        assert self.simulate(config, tmp_path) == 2
+        assert (f"cannot read {tmp_path / 'nope.csv'}: No such file"
+                in capsys.readouterr().err)
+
+    def test_trace_that_is_not_utf8(self, tmp_path, capsys):
+        (tmp_path / "t.csv").write_bytes(b"minute,requests\n0,5\n1,\xff\n")
+        config = dict(TINY_CONFIG, trace={"file": "t.csv"})
+        assert self.simulate(config, tmp_path) == 2
+        assert (f"cannot read {tmp_path / 't.csv'}: byte 22 is not UTF-8"
+                in capsys.readouterr().err)
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "experiment.json"
+        path.write_bytes(json.dumps(TINY_CONFIG).encode("utf-8")[:-1] + b', "\xff": 1}')
+        code = run_cli("simulate", "--config", str(path), "--policy", "reactive",
+                       "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert f"cannot read {path}: byte " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text.replace('"horizon"', '"horizons"'),
+         ": missing required key 'horizon' in summary"),
+        (lambda text: text[:len(text) // 2], " is not valid JSON: "),
+        (lambda text: text.replace('"seed": 17', '"seed": "17"'),
+         ": seed must be an integer, got '17'"),
+        (lambda text: text.replace('"policy": "reactive@0.9"', '"policy": null'),
+         ": policy must be a string, got None"),
+    ], ids=["no-horizon", "not-json", "string-seed", "null-policy"])
+    def test_compare_with_a_bad_summary(self, tiny_config_path, tmp_path, capsys, edit,
+                                        message):
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for run, threshold in zip(runs, ("0.9", "0.7")):
+            assert run_cli("simulate", "--config", tiny_config_path, "--policy", "reactive",
+                           "--threshold", threshold, "--out", str(run)) == 0
+        summary = runs[0] / "summary.json"
+        summary.write_text(edit(summary.read_text(encoding="utf-8")), encoding="utf-8")
+        capsys.readouterr()
+        code = run_cli("compare", "--baseline", "reactive@0.7", "--out", str(tmp_path / "cmp"),
+                       *map(str, runs))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {summary}{message}")
+
+    @pytest.mark.parametrize("old, new, message", [
+        (b",front,", b",fr\xffnt,",
+         "line 4: expected minute 321, service 'front', policy 'reactive@0.9' by summary.json, "
+         "got minute 321, service 'fr\\udcffnt'"),
+        (b",1,", b",\xff,", "line 4: could not convert string '\\udcff' to int64"),
+    ], ids=["in-a-name", "in-a-number"])
+    def test_compare_with_a_sim_csv_that_is_not_utf8(self, tiny_config_path, tmp_path, capsys,
+                                                     old, new, message):
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for run, threshold in zip(runs, ("0.9", "0.7")):
+            assert run_cli("simulate", "--config", tiny_config_path, "--policy", "reactive",
+                           "--threshold", threshold, "--out", str(run)) == 0
+        sim = runs[0] / "sim.csv"
+        lines = sim.read_bytes().split(b"\n")
+        assert lines[3].startswith(b"321,front,")
+        lines[3] = lines[3].replace(old, new, 1)
+        sim.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        code = run_cli("compare", "--baseline", "reactive@0.7", "--out", str(tmp_path / "cmp"),
+                       *map(str, runs))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {sim} {message}")
 
 
 class TestCompare:

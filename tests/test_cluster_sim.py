@@ -505,16 +505,17 @@ class TestSimulationLog:
             decision.delta = 0
 
     def test_csv_bytes_equal_csv_writer(self, tmp_path):
-        # Names that csv must quote, and floats whose repr is long or special.
-        odd = ("a,b", 'q"x', "", "line\nbreak")
+        # Names that csv must quote or that hold a %-format, and floats whose
+        # repr is long or special.
+        odd = ("a,b", 'q"x', "", "line\nbreak", "c\rr", "%d%%s")
         specials = [1e-300, 1.5, float("nan"), float("inf"), 5e-324, -0.0, 1 / 3, 1.0]
-        rows = [SimRow(m, name, (0.1 + m, float("inf"))[m], specials[4 * m + j], 2 - m,
-                       specials[-4 * m - j - 1], specials[-4 * m - j - 1] > 1.0,
-                       "pol,icy", m - j)
-                for m in range(2) for j, name in enumerate(odd)]
+        policy = 'p,"%s\r%%'
+        rows = [SimRow(m, name, (0.1 + m, float("inf"))[m], specials[k % 8], 2 - m,
+                       specials[~k % 8], specials[~k % 8] > 1.0, policy, m - j)
+                for m in range(2) for j, name in enumerate(odd) for k in [6 * m + j]]
         decisions = [DecisionRow(m, name, 2.5, 1 / 7, 1.0, 3.0, 1, 3, 2)
                      for m, name in enumerate(odd)]
-        log = log_from_rows(rows, policy_name="pol,icy", services=odd, start_minute=0,
+        log = log_from_rows(rows, policy_name=policy, services=odd, start_minute=0,
                             decisions=decisions)
         log.write_csv(tmp_path / "sim.csv")
         log.write_decisions_csv(tmp_path / "decisions.csv")

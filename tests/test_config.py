@@ -193,6 +193,20 @@ class TestValueTypes:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: trace.synthetic.period {period} ")
 
+    def test_counts_above_2_pow_53_exit_2_naming_the_keys(self, tmp_path, capsys):
+        from conftest import TINY_CONFIG, run_cli
+        d = copy.deepcopy(TINY_CONFIG)
+        d["trace"]["synthetic"]["base"] = 1e16
+        config = tmp_path / "experiment.json"
+        config.write_text(json.dumps(d), encoding="utf-8")
+        code = run_cli("simulate", "--config", str(config), "--policy", "reactive",
+                       "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: trace.synthetic.base 1e+16, trace.synthetic.amplitude 60.0 and "
+            "trace.synthetic.noise 0.05 give sine counts above 2**53, more than float64 "
+            "holds exactly\n")
+
     def test_integral_floats_are_not_counts(self):
         d = minimal_config(sim={"seed": 3.0})
         with pytest.raises(ConfigError, match="sim.seed must be an integer, got 3.0"):
@@ -291,7 +305,7 @@ class TestMutationSweep:
         from conftest import TINY_CONFIG, mutations
         from graph_phpa import cli
         config, out = tmp_path / "experiment.json", tmp_path / "run"
-        faults, unnamed = [], []
+        faults, unnamed, admitted = [], [], []
         sweep = list(mutations(TINY_CONFIG))
         for label, path, edit in sweep:
             doc = copy.deepcopy(TINY_CONFIG)
@@ -307,6 +321,13 @@ class TestMutationSweep:
                 faults.append((label, code))
             elif code == 2 and not names_key(err, label, path):
                 unnamed.append((label, err))
+            elif code == 0:
+                admitted.append(label)
         assert len(sweep) > 500
         assert faults == []
         assert unnamed == []
+        # Exit 0 only where the schema admits the value: no key of the tiny
+        # config takes true or false, and a synthetic level is never negative.
+        # A negative amplitude or base used to run.
+        assert [label for label in admitted if label.endswith("=True")] == []
+        assert {"trace.synthetic.amplitude=-1", "trace.synthetic.base=-1"}.isdisjoint(admitted)

@@ -218,9 +218,9 @@ def save_run(run_dir: Path, log) -> Path:
     return run_dir
 
 
-# Names csv must quote, and characters np.loadtxt would otherwise treat
-# specially (comments, surrounding blanks).
-NAMES = st.text(alphabet='ab,"\n\r# é', max_size=4)
+# Names csv must quote, characters np.loadtxt would otherwise treat
+# specially (comments, surrounding blanks), and %-formats.
+NAMES = st.text(alphabet='ab,"\n\r# é%d', max_size=4)
 SPECIAL_FLOATS = st.sampled_from([float("inf"), -float("inf"), float("nan"), 1e-300,
                                   5e-324, 2.2250738585072014e-308 / 3, -0.0, 1 / 3])
 
@@ -249,7 +249,7 @@ def column_logs(draw, floats=st.floats(allow_nan=False) | SPECIAL_FLOATS,
 # Every name character that needs care, and every special float, in one log.
 AWKWARD_NAMES = ("a,b", 'q"x', "l\nb", "r\rq", "#c", " s ")
 AWKWARD_LOG = SimulationLog(
-    policy_name="p,\r\n#", seed=3, trace_sha256="t", start_minute=7, services=AWKWARD_NAMES,
+    policy_name="p,\r\n#%d", seed=3, trace_sha256="t", start_minute=7, services=AWKWARD_NAMES,
     external=np.array([float("inf"), 1e-300]),
     service_rps=np.array([[float("nan"), 5e-324, -0.0, 1 / 3, 1e308, -1.5]] * 2),
     pods=np.array([[1, 2, 3, 4, 5, 6], [0, 9, 9, 9, 9, 2**40]]),

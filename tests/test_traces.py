@@ -1,13 +1,22 @@
-"""Trace ingestion, interpolation, splitting, and synthesis tests."""
+"""Trace ingestion, interpolation, splitting, and synthesis tests.
+
+The whole-array parser, writer, generator and rescaler are checked against
+the per-row forms in oracles.py: same trace, or same error and message.
+"""
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from graph_phpa import traces
 from graph_phpa.errors import TraceFormatError, ValidationError
 from graph_phpa.traces import (WorkloadTrace, generate_synthetic_trace,
                                interpolate_to_minutes, load_trace, rescale_trace,
                                save_trace, slice_trace, split_dataset, trace_digest)
+from oracles import (load_trace_oracle, rescaled_counts_oracle, save_trace_oracle,
+                     synthetic_counts_oracle)
 
 
 def write_trace_file(tmp_path, text, name="trace.csv"):
@@ -235,3 +244,128 @@ class TestSliceAndDigest:
         assert trace_digest(a) != trace_digest(b)
         assert trace_digest(a) != trace_digest(c)
         assert trace_digest(a) == trace_digest(WorkloadTrace(1, 0, (1, 2)))
+
+
+# Fields and lines that int() and np.loadtxt may read differently, or that
+# break one of load_trace's rules.
+ODD_FIELDS = ["+5", "-0", "05", " 7", "7 ", "\t7", "-3", "1_000", "\u0665", "\uff15", "1.0",
+              "#", "#5", "", " ", "+ 5", "--5", "5\x1f", "\x1f5", "\x0c5", "5\x0b", "5\x00",
+              "0x10", "1e3", "nan", str(2**63 - 1), str(2**63), str(-2**63), str(-2**63 - 1),
+              str(2**64), str(10**30)]
+ODD_LINES = ["", "  ", "\t", "7", "1,2,3", "1,2,", ",", "#,1", "# note", "\x0c", "5\x1c",
+             "\x85", "\u2028", "minute,requests"]
+HEADERS = ["minute,requests", " minute,requests\t", "minute,requests ", "minute, requests",
+           "time,reqs", "\ufeffminute,requests", "\x0cminute,requests", "minute,requests\x1f",
+           "minute,requests\x0c0,5", ""]
+STARTS = [0, 7, -12, 2**62 - 9, -2**62 + 1, 2**63 - 9, -2**63, 10**20]
+
+
+@st.composite
+def trace_files(draw, corrupt: bool):
+    """(resolution, text): a trace CSV, with odd headers, fields, lines, gaps
+    and line endings when corrupt."""
+    resolution = draw(st.sampled_from([1, 5]))
+    minute = draw(st.sampled_from(STARTS)) if corrupt else draw(st.integers(-10**6, 10**6))
+    lines = [draw(st.sampled_from(HEADERS)) if corrupt else "minute,requests"]
+    for _ in range(draw(st.integers(0 if corrupt else 1, 12))):
+        kind = (draw(st.sampled_from(["row", "row", "field", "line", "gap", "negative"]))
+                if corrupt else "row")
+        if kind == "line":
+            lines.append(draw(st.sampled_from(ODD_LINES)))
+            continue
+        if kind == "gap":
+            minute += draw(st.sampled_from([1, 2, -1, -resolution, 2**63]))
+        fields = [str(minute), str(draw(st.integers(0, 10**9)))]
+        if kind == "field":
+            fields[draw(st.integers(0, 1))] = draw(st.sampled_from(ODD_FIELDS))
+        elif kind == "negative":
+            fields[1] = str(-draw(st.integers(1, 10)))
+        lines.append(",".join(fields))
+        minute += resolution
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"])) if corrupt else "\n"
+    return resolution, end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+def outcome(load, path, resolution):
+    """What load makes of a file: the trace's fields, or its error."""
+    try:
+        trace = load(path, resolution)
+    except (TraceFormatError, ValidationError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return trace.resolution, trace.start_minute, trace.counts, {type(c) for c in trace.counts}
+
+
+class TestBulkTraceIO:
+    @given(file=trace_files(corrupt=False))
+    @settings(max_examples=100)
+    def test_valid_files_parse_in_bulk_as_the_oracle_does(self, tmp_path_factory, file):
+        resolution, text = file
+        path = tmp_path_factory.mktemp("bulk") / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(traces, "_parse_lines", side_effect=AssertionError):
+            got = outcome(load_trace, path, resolution)
+        assert got == outcome(load_trace_oracle, path, resolution)
+
+    @given(file=trace_files(corrupt=True))
+    @settings(max_examples=400)
+    @example(file=(1, "minute,requests\n0,5\x1f\n"))
+    @example(file=(1, f"minute,requests\n{2**63 - 1},1\n{-2**63},2\n"))
+    @example(file=(1, "\x0cminute,requests\n0,5\n"))
+    @example(file=(5, "minute,requests\n0,5\n5,-3\n"))
+    def test_corrupted_files_give_the_oracles_trace_or_error(self, tmp_path_factory, file):
+        resolution, text = file
+        path = tmp_path_factory.mktemp("odd") / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(load_trace, path, resolution) == outcome(load_trace_oracle, path,
+                                                                resolution)
+
+    @given(counts=st.lists(st.integers(0, 2**70), min_size=1, max_size=40),
+           start=st.integers(-2**70, 2**70), resolution=st.integers(1, 7))
+    @settings(max_examples=100)
+    def test_save_writes_the_oracles_bytes(self, tmp_path_factory, counts, start, resolution):
+        trace = WorkloadTrace(resolution=resolution, start_minute=start, counts=tuple(counts))
+        d = tmp_path_factory.mktemp("save")
+        save_trace(trace, d / "t.csv")
+        save_trace_oracle(trace, d / "ref.csv")
+        assert (d / "t.csv").read_bytes() == (d / "ref.csv").read_bytes()
+
+    @given(counts=st.lists(st.integers(0, 2**60), min_size=1, max_size=40),
+           peak=st.floats(1e-3, 1e300))
+    @settings(max_examples=100)
+    def test_rescale_gives_the_oracles_counts(self, counts, peak):
+        if max(counts) == 0:
+            counts[0] = 1
+        trace = WorkloadTrace(resolution=1, start_minute=0, counts=tuple(counts))
+        assert rescale_trace(trace, peak).counts == rescaled_counts_oracle(counts, peak)
+
+    @given(pattern=st.sampled_from(["sine", "diurnal", "bursty"]), length=st.integers(1, 400),
+           amplitude=st.sampled_from([0.0, 60.0, 1e3, -5.0, 1e16, 1e300])
+           | st.floats(-10.0, 1e4),
+           base=st.sampled_from([0.0, 2.5, 100.5, -1.0, 2.0**53, 1e17]) | st.floats(-10.0, 1e4),
+           noise=st.sampled_from([0.0, 0.05, 2.0, 1e20]) | st.floats(0.0, 3.0),
+           period=st.none() | st.floats(0.5, 3000.0), seed=st.integers(0, 2**32),
+           resolution=st.integers(1, 5))
+    @settings(max_examples=150)
+    @example(pattern="sine", length=3, amplitude=0.0, base=2.5, noise=0.0, period=None, seed=0,
+             resolution=1)  # round() rounds half to even
+    def test_generator_gives_the_oracles_counts(self, pattern, length, amplitude, base, noise,
+                                                period, seed, resolution):
+        args = dict(pattern=pattern, length=length, amplitude=amplitude, seed=seed, base=base,
+                    period=period, noise=noise, resolution=resolution)
+        try:
+            expected = synthetic_counts_oracle(**args)
+        except ValidationError as exc:
+            expected = exc
+        if base < 0 or amplitude < 0:
+            name = "base" if base < 0 else "amplitude"
+            with pytest.raises(ValidationError, match=f"^{name} must be >= 0, got "):
+                generate_synthetic_trace(**args)
+        elif isinstance(expected, ValidationError):
+            with pytest.raises(ValidationError) as err:
+                generate_synthetic_trace(**args)
+            assert str(err.value) == str(expected)
+        elif max(expected) > 2**53:
+            with pytest.raises(ValidationError, match="counts above 2\\*\\*53"):
+                generate_synthetic_trace(**args)
+        else:
+            assert generate_synthetic_trace(**args).counts == expected
