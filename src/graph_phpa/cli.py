@@ -36,10 +36,9 @@ from .cluster_sim import (PredictivePolicy, ReactivePolicy, ScalingPolicy, Simul
                           run_simulation)
 from .config import ExperimentConfig
 from .errors import GraphPhpaError, ValidationError
-from .forecast_lstm import (LstmModel, evaluate, make_windows, forecast_series,
+from .forecast_lstm import (LstmModel, evaluate, evaluate_lstm, make_windows, forecast_series,
                             predict_windows, train_lstm)
-from .predict_gcn import (GcnModel, build_resource_dataset, evaluate_gcn,
-                          evaluate_gcn_per_node, scale_targets, train_gcn)
+from .predict_gcn import GcnModel, build_resource_dataset, evaluate_gcn, scale_targets, train_gcn
 from .tensor import mix_seed, one_blas_thread
 from .traces import (WorkloadTrace, generate_synthetic_trace, save_trace, slice_trace,
                      split_dataset, trace_digest)
@@ -155,10 +154,11 @@ def train_workload(prepared: Prepared, out: Path) -> dict[str, LstmModel]:
     rps, _ = prepared.series
 
     def fit(idx: int, service: str):
-        """Train one service's forecaster and score it on the test segment."""
+        """Train one service's forecaster and score it on the validation and
+        test segments."""
         train_set, valid_set, (x_test, y_test) = (
             make_windows(rps[service][lo:hi], cfg.lstm.window) for lo, hi in prepared.segments)
-        model, history = train_lstm(train_set, valid_set,
+        model, history = train_lstm(train_set,
                                     replace(cfg.lstm, seed=mix_seed(cfg.lstm.seed, idx)),
                                     service_id=service)
         mse, mae = evaluate(predict_windows(model, x_test), y_test)
@@ -166,8 +166,8 @@ def train_workload(prepared: Prepared, out: Path) -> dict[str, LstmModel]:
         return model, {
             "test_mse": mse, "test_mae": mae, "persistence_mse": persistence_mse,
             "mse_vs_persistence": mse / persistence_mse if persistence_mse > 0 else None,
-            "final_train_mse_scaled": history[-1][0],
-            "final_valid_mse_scaled": history[-1][1],
+            "final_train_mse_scaled": history[-1],
+            "final_valid_mse_scaled": evaluate_lstm(model, valid_set),
         }
 
     out.mkdir(parents=True, exist_ok=True)
@@ -200,9 +200,9 @@ def train_resource(prepared: Prepared, models: dict[str, LstmModel],
                                {s: usage[s][lo:hi] for s in nodes}, nodes, k)
         for lo, hi in prepared.segments)
 
-    model, history = train_gcn(train_set, cfg.graph, cfg.gcn, valid_set)
-    train_mse = evaluate_gcn(model, cfg.graph, train_set)
-    test_mse = evaluate_gcn(model, cfg.graph, test_set)
+    model, _ = train_gcn(train_set, cfg.graph, cfg.gcn)
+    (train_mse, _), (valid_mse, _), (test_mse, test_per_service) = (
+        evaluate_gcn(model, cfg.graph, dataset) for dataset in (train_set, valid_set, test_set))
     target_variance = float(np.var(scale_targets(model.target_scalers, train_set[1])))
     model.save(out / "gcn.json")
     metrics = {
@@ -210,9 +210,9 @@ def train_resource(prepared: Prepared, models: dict[str, LstmModel],
         "samples": {"train": len(train_set[0]), "valid": len(valid_set[0]),
                     "test": len(test_set[0])},
         "train_mse_scaled": train_mse,
-        "valid_mse_scaled": history[-1][1],
+        "valid_mse_scaled": valid_mse,
         "test_mse_scaled": test_mse,
-        "test_mse_scaled_per_service": evaluate_gcn_per_node(model, cfg.graph, test_set),
+        "test_mse_scaled_per_service": test_per_service,
         "train_target_variance_scaled": target_variance,
     }
     _write_json(out / "resource_metrics.json", metrics)

@@ -378,13 +378,29 @@ def _loss_and_grads(params: list[np.ndarray], batch: _Batch,
     return loss
 
 
-def predict_windows(model: LstmModel, x: np.ndarray) -> np.ndarray:
-    """One-step forecasts in original units for each row of raw k-length windows."""
+def _forward_windows(model: LstmModel, x) -> np.ndarray:
+    """Scaled one-step forecasts for raw k-length windows."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.config.window:
         raise ShapeError(f"windows shape {x.shape} does not match model window {model.config.window}")
-    yhat = _forward_scaled(model.params, model.scaler.transform(x))
-    return model.scaler.inverse_transform(yhat)
+    return _forward_scaled(model.params, model.scaler.transform(x))
+
+
+def predict_windows(model: LstmModel, x: np.ndarray) -> np.ndarray:
+    """One-step forecasts in original units for each row of raw k-length windows."""
+    return model.scaler.inverse_transform(_forward_windows(model, x))
+
+
+def evaluate_lstm(model: LstmModel, dataset: tuple[np.ndarray, np.ndarray]) -> float:
+    """MSE in scaled units over raw (windows, targets), the units of the
+    training history; a non-finite MSE raises DivergenceError."""
+    yhat, y = _forward_windows(model, dataset[0]), model.scaler.transform(dataset[1])
+    if y.shape != yhat.shape:
+        raise ShapeError(f"targets shape {y.shape} != forecasts shape {yhat.shape}")
+    mse = float(np.mean((yhat - y) ** 2))
+    if not np.isfinite(mse):
+        raise DivergenceError(f"scaled MSE is {mse}, not finite")
+    return mse
 
 
 def forecast_rates(model: LstmModel, x: np.ndarray) -> np.ndarray:
@@ -409,15 +425,14 @@ def forecast_series(model: LstmModel, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def train_lstm(train: tuple[np.ndarray, np.ndarray],
-               valid: tuple[np.ndarray, np.ndarray] | None,
-               config: LstmConfig,
-               service_id: str | None = None) -> tuple[LstmModel, list[tuple[float, float | None]]]:
-    """Fit the forecaster with mini-batch Adam; returns the model and per-epoch losses.
+def train_lstm(train: tuple[np.ndarray, np.ndarray], config: LstmConfig,
+               service_id: str | None = None) -> tuple[LstmModel, list[float]]:
+    """Fit the forecaster with mini-batch Adam; returns the model and the
+    training MSE of every epoch, in scaled units.
 
-    Loss history entries are (train MSE, valid MSE or None), measured in scaled
-    units. The shuffle order is derived from the config seed, so identical
-    inputs give bit-identical histories and weights.
+    The shuffle order is derived from the config seed, so identical inputs
+    give bit-identical histories and weights. Score held-out data with
+    evaluate_lstm.
     """
     x_train, y_train = np.asarray(train[0], dtype=np.float64), np.asarray(train[1], dtype=np.float64)
     if x_train.ndim != 2 or x_train.shape[1] != config.window:
@@ -427,10 +442,6 @@ def train_lstm(train: tuple[np.ndarray, np.ndarray],
     scaler = MinMaxScaler.fit(y_train)
     xs = scaler.transform(x_train)
     ys = scaler.transform(y_train)
-    has_valid = valid is not None and len(valid[0]) > 0
-    if has_valid:
-        xv = scaler.transform(np.asarray(valid[0], dtype=np.float64))
-        yv = scaler.transform(np.asarray(valid[1], dtype=np.float64))
 
     rng = Rng(config.seed)
     # Parameters, gradients and Adam moments each live in one flat array, so a
@@ -445,7 +456,7 @@ def train_lstm(train: tuple[np.ndarray, np.ndarray],
 
     n = len(xs)
     workspace = _Workspace(config, min(n, config.batch_size))
-    history: list[tuple[float, float | None]] = []
+    history: list[float] = []
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n)
         sq_sum = 0.0
@@ -459,15 +470,8 @@ def train_lstm(train: tuple[np.ndarray, np.ndarray],
                 raise DivergenceError(f"training loss diverged at epoch {epoch}", epoch=epoch)
             sq_sum += loss * len(idx)
             adam_step(flat, flat_grad, state)
-        train_mse = sq_sum / n
-        valid_mse = None
-        if has_valid:
-            yhat = _forward_scaled(params, xv)
-            valid_mse = float(np.mean((yhat - yv) ** 2))
-            if not np.isfinite(valid_mse):
-                raise DivergenceError(f"validation loss diverged at epoch {epoch}", epoch=epoch)
-        history.append((train_mse, valid_mse))
-        log.debug("lstm epoch %d: train=%.6g valid=%s", epoch, train_mse, valid_mse)
+        history.append(sq_sum / n)
+        log.debug("lstm epoch %d: train=%.6g", epoch, history[-1])
     return LstmModel.from_params(config, params, scaler, service_id), history
 
 

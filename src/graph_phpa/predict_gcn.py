@@ -390,15 +390,15 @@ def _loss_and_grads(weights: list[np.ndarray], a_hat: np.ndarray, batch: _Batch,
     return loss
 
 
-def train_gcn(train: tuple[np.ndarray, np.ndarray], graph: ServiceGraph, config: GcnConfig,
-              valid: tuple[np.ndarray, np.ndarray] | None = None
-              ) -> tuple[GcnModel, list[tuple[float, float | None]]]:
-    """Fit the predictor with mini-batch Adam; returns model and per-epoch losses.
+def train_gcn(train: tuple[np.ndarray, np.ndarray], graph: ServiceGraph,
+              config: GcnConfig) -> tuple[GcnModel, list[float]]:
+    """Fit the predictor with mini-batch Adam; returns the model and the
+    training MSE of every epoch, in scaled units.
 
     Min-max scalers to [0, 1] are fitted on the training tensors: one shared
-    scaler for features, one per node for targets. History entries are
-    (train MSE, valid MSE or None) in scaled units, deterministic for a fixed
-    config seed.
+    scaler for features, one per node for targets. The history is
+    deterministic for a fixed config seed. Score held-out data with
+    evaluate_gcn.
     """
     x_train = np.asarray(train[0], dtype=np.float64)
     y_train = np.asarray(train[1], dtype=np.float64)
@@ -415,10 +415,9 @@ def train_gcn(train: tuple[np.ndarray, np.ndarray], graph: ServiceGraph, config:
     target_scalers = tuple(MinMaxScaler.fit(y_train[:, ni, :], out_lo=0.0, out_hi=1.0)
                            for ni in range(graph.size))
     # The input layer's aggregation a_hat @ X depends on the data alone, so
-    # each dataset is aggregated once instead of once per batch and epoch.
+    # it is computed once instead of once per batch and epoch.
     agg_train = np.matmul(graph.a_hat, feature_scaler.transform(x_train))
     ys = scale_targets(target_scalers, y_train)
-    has_valid = valid is not None and len(valid[0]) > 0
 
     rng = Rng(config.seed)
     widths = config.widths
@@ -432,19 +431,9 @@ def train_gcn(train: tuple[np.ndarray, np.ndarray], graph: ServiceGraph, config:
     state = AdamState.fresh(flat, config.learning_rate)
     shuffle_rng = rng.child(1)
 
-    if has_valid:
-        agg_valid = np.matmul(graph.a_hat,
-                              feature_scaler.transform(np.asarray(valid[0], dtype=np.float64)))
-        yv = scale_targets(target_scalers, np.asarray(valid[1], dtype=np.float64))
-        sq_valid = np.empty_like(yv)
-
     n = len(agg_train)
     workspace = _Batch.allocate(weights, min(n, config.batch_size), graph.size)
-    # Validation walks blocks through the workspace. A block holds fewer than
-    # twice the size blocks() is given, so half the workspace, rounded up, is
-    # the largest size whose every block fits.
-    valid_block = (len(workspace.targets) + 1) // 2
-    history: list[tuple[float, float | None]] = []
+    history: list[float] = []
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n)
         sq_sum = 0.0
@@ -458,40 +447,22 @@ def train_gcn(train: tuple[np.ndarray, np.ndarray], graph: ServiceGraph, config:
                 raise DivergenceError(f"training loss diverged at epoch {epoch}", epoch=epoch)
             sq_sum += loss * len(idx)
             adam_step(flat, flat_grad, state)
-        train_mse = sq_sum / n
-        valid_mse = None
-        if has_valid:
-            for lo, hi in blocks(len(agg_valid), valid_block):
-                batch = workspace.front(hi - lo)
-                out = _forward(weights, graph.a_hat, [agg_valid[lo:hi], *batch.agg[1:]],
-                               batch.out)
-                np.subtract(out, yv[lo:hi], out=sq_valid[lo:hi])
-            valid_mse = float(np.mean(np.square(sq_valid, out=sq_valid)))
-            if not np.isfinite(valid_mse):
-                raise DivergenceError(f"validation loss diverged at epoch {epoch}", epoch=epoch)
-        history.append((train_mse, valid_mse))
-        log.debug("gcn epoch %d: train=%.6g valid=%s", epoch, train_mse, valid_mse)
+        history.append(sq_sum / n)
+        log.debug("gcn epoch %d: train=%.6g", epoch, history[-1])
     model = GcnModel(config, graph.nodes, weights, feature_scaler, target_scalers)
     return model, history
 
 
-def _squared_errors(model: GcnModel, graph: ServiceGraph,
-                    dataset: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """(S, N, 1) squared errors in scaled units over a raw dataset."""
+def evaluate_gcn(model: GcnModel, graph: ServiceGraph, dataset: tuple[np.ndarray, np.ndarray]
+                 ) -> tuple[float, dict[str, float]]:
+    """MSE in scaled units over a raw dataset, the units of the training
+    history: over every node, and per service. A non-finite MSE raises
+    DivergenceError."""
     x = np.asarray(dataset[0], dtype=np.float64)
     out = _forward_blocks(model, graph.a_hat, _samples(model, graph, x),
                           model.feature_scaler.transform).reshape(x.shape[:-1] + (1,))
-    return (out - scale_targets(model.target_scalers, dataset[1])) ** 2
-
-
-def evaluate_gcn(model: GcnModel, graph: ServiceGraph,
-                 dataset: tuple[np.ndarray, np.ndarray]) -> float:
-    """MSE in scaled units over a dataset, comparable with training history."""
-    return float(np.mean(_squared_errors(model, graph, dataset)))
-
-
-def evaluate_gcn_per_node(model: GcnModel, graph: ServiceGraph,
-                          dataset: tuple[np.ndarray, np.ndarray]) -> dict[str, float]:
-    """Scaled MSE broken down by service."""
-    sq = _squared_errors(model, graph, dataset)
-    return {node: float(np.mean(sq[:, ni, :])) for ni, node in enumerate(graph.nodes)}
+    sq = (out - scale_targets(model.target_scalers, dataset[1])) ** 2
+    mse = float(np.mean(sq))
+    if not np.isfinite(mse):
+        raise DivergenceError(f"scaled MSE is {mse}, not finite")
+    return mse, {node: float(np.mean(sq[:, ni, :])) for ni, node in enumerate(graph.nodes)}

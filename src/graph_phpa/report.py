@@ -225,17 +225,18 @@ def render_table_text(table: dict) -> str:
 
 def pods_chart_svg(logs: list[SimulationLog], service: str) -> str:
     """Step chart of pod counts over time, one polyline per policy."""
-    if any(service not in log.services for log in logs):
-        raise ValidationError(f"unknown service {service!r}")
-    series = [(log, log.pods[:, log.services.index(service)].tolist()) for log in logs]
+    return next(_pods_charts(logs, [service]))
+
+
+def _pods_charts(logs: list[SimulationLog], services: list[str]):
+    """pods_chart_svg(logs, service) for each service in turn. The minute axis
+    is the same in every chart, so its coordinates are formatted once."""
     width, height = 960, 320
     left, right, top, bottom = 60, 20, 36, 44
     plot_w, plot_h = width - left - right, height - top - bottom
 
-    m_lo = min(log.start_minute for log, pods in series if pods)
-    m_hi = max(log.start_minute + len(pods) - 1 for log, pods in series if pods)
-    levels = set().union(*(pods for _, pods in series))
-    p_hi = max(levels) + 1
+    m_lo = min(log.start_minute for log in logs if log.horizon)
+    m_hi = max(log.start_minute + log.horizon - 1 for log in logs if log.horizon)
     m_span = max(m_hi - m_lo, 1)
     # Formatted x of each minute offset; numpy's k / span * plot_w + left is
     # Python's, operation for operation.
@@ -245,50 +246,57 @@ def pods_chart_svg(logs: list[SimulationLog], service: str) -> str:
     def sx(m):
         return left + (m - m_lo) / m_span * plot_w
 
-    def sy(p):
-        return top + (1.0 - p / p_hi) * plot_h
+    for service in services:
+        if any(service not in log.services for log in logs):
+            raise ValidationError(f"unknown service {service!r}")
+        series = [(log, log.pods[:, log.services.index(service)].tolist()) for log in logs]
+        levels = set().union(*(pods for _, pods in series))
+        p_hi = max(levels) + 1
 
-    y_text = {p: f"{sy(p):.2f}" for p in levels}
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{left}" y="20" font-family="sans-serif" font-size="14">'
-        f'pods over time: {service}</text>',
-    ]
-    for tick in range(0, p_hi + 1, max(1, p_hi // 6)):
-        y = sy(tick)
-        parts.append(f'<line x1="{left}" y1="{y:.2f}" x2="{width - right}" y2="{y:.2f}" '
-                     f'stroke="#dddddd" stroke-width="1"/>')
-        parts.append(f'<text x="{left - 8}" y="{y + 4:.2f}" font-family="sans-serif" '
-                     f'font-size="11" text-anchor="end">{tick}</text>')
-    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        m = m_lo + frac * m_span
-        x = sx(m)
-        parts.append(f'<text x="{x:.2f}" y="{height - bottom + 18}" '
-                     f'font-family="sans-serif" font-size="11" '
-                     f'text-anchor="middle">{int(round(m))}</text>')
-    parts.append(f'<text x="{left + plot_w / 2:.2f}" y="{height - 8}" '
-                 f'font-family="sans-serif" font-size="12" text-anchor="middle">minute</text>')
+        def sy(p):
+            return top + (1.0 - p / p_hi) * plot_h
 
-    for i, (log, pods) in enumerate(series):
-        color = _PALETTE[i % len(_PALETTE)]
-        coords = []
-        prev_p = None
-        for x, p in zip(x_text[log.start_minute - m_lo:], pods):
-            if prev_p is not None and p != prev_p:
-                coords.append(f"{x},{y_text[prev_p]}")
-            coords.append(f"{x},{y_text[p]}")
-            prev_p = p
-        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                     f'points="{" ".join(coords)}"/>')
-        lx = left + 10 + i * 180
-        parts.append(f'<line x1="{lx}" y1="{top - 6}" x2="{lx + 22}" y2="{top - 6}" '
-                     f'stroke="{color}" stroke-width="3"/>')
-        parts.append(f'<text x="{lx + 28}" y="{top - 2}" font-family="sans-serif" '
-                     f'font-size="12">{log.policy_name}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        y_text = {p: f"{sy(p):.2f}" for p in levels}
+        parts = [
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+            f'viewBox="0 0 {width} {height}">',
+            f'<rect width="{width}" height="{height}" fill="white"/>',
+            f'<text x="{left}" y="20" font-family="sans-serif" font-size="14">'
+            f'pods over time: {service}</text>',
+        ]
+        for tick in range(0, p_hi + 1, max(1, p_hi // 6)):
+            y = sy(tick)
+            parts.append(f'<line x1="{left}" y1="{y:.2f}" x2="{width - right}" y2="{y:.2f}" '
+                         f'stroke="#dddddd" stroke-width="1"/>')
+            parts.append(f'<text x="{left - 8}" y="{y + 4:.2f}" font-family="sans-serif" '
+                         f'font-size="11" text-anchor="end">{tick}</text>')
+        for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
+            m = m_lo + frac * m_span
+            x = sx(m)
+            parts.append(f'<text x="{x:.2f}" y="{height - bottom + 18}" '
+                         f'font-family="sans-serif" font-size="11" '
+                         f'text-anchor="middle">{int(round(m))}</text>')
+        parts.append(f'<text x="{left + plot_w / 2:.2f}" y="{height - 8}" '
+                     f'font-family="sans-serif" font-size="12" text-anchor="middle">minute</text>')
+
+        for i, (log, pods) in enumerate(series):
+            color = _PALETTE[i % len(_PALETTE)]
+            coords = []
+            prev_p = None
+            for x, p in zip(x_text[log.start_minute - m_lo:], pods):
+                if prev_p is not None and p != prev_p:
+                    coords.append(f"{x},{y_text[prev_p]}")
+                coords.append(f"{x},{y_text[p]}")
+                prev_p = p
+            parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
+                         f'points="{" ".join(coords)}"/>')
+            lx = left + 10 + i * 180
+            parts.append(f'<line x1="{lx}" y1="{top - 6}" x2="{lx + 22}" y2="{top - 6}" '
+                         f'stroke="{color}" stroke-width="3"/>')
+            parts.append(f'<text x="{lx + 28}" y="{top - 2}" font-family="sans-serif" '
+                         f'font-size="12">{log.policy_name}</text>')
+        parts.append("</svg>")
+        yield "\n".join(parts) + "\n"
 
 
 def write_comparison(out_dir: str | Path, logs: list[SimulationLog], baseline: str) -> dict:
@@ -300,7 +308,7 @@ def write_comparison(out_dir: str | Path, logs: list[SimulationLog], baseline: s
                                         encoding="utf-8", newline="\n")
     (out_dir / "table.txt").write_text(render_table_text(table),
                                        encoding="utf-8", newline="\n")
-    for service in logs[0].services:
-        svg = pods_chart_svg(logs, service)
+    services = logs[0].services
+    for service, svg in zip(services, _pods_charts(logs, services)):
         (out_dir / f"pods_{service}.svg").write_text(svg, encoding="utf-8", newline="\n")
     return table

@@ -642,14 +642,12 @@ def adam_step_oracle(param, grad, state):
                                 state.epsilon)
 
 
-def train_lstm_oracle(train, valid, config):
-    """The training loop over the oracle kernel; returns (params, history)."""
+def train_lstm_oracle(train, config):
+    """The training loop over the oracle kernel; returns (params, history),
+    history being the training MSE of every epoch."""
     x_train, y_train = (np.asarray(a, dtype=np.float64) for a in train)
     scaler = MinMaxScaler.fit(y_train)
     xs, ys = scaler.transform(x_train), scaler.transform(y_train)
-    has_valid = valid is not None and len(valid[0]) > 0
-    if has_valid:
-        xv, yv = (scaler.transform(np.asarray(a, dtype=np.float64)) for a in valid)
     rng = Rng(config.seed)
     params = _init_params(config, rng)
     states = [AdamState.fresh(p, config.learning_rate) for p in params]
@@ -665,11 +663,7 @@ def train_lstm_oracle(train, valid, config):
             sq_sum += loss * len(idx)
             for li in range(len(params)):
                 params[li], states[li] = adam_step_oracle(params[li], grads[li], states[li])
-        valid_mse = None
-        if has_valid:
-            yhat, _ = lstm_forward_scaled_oracle(params, xv)
-            valid_mse = float(np.mean((yhat - yv) ** 2))
-        history.append((sq_sum / n, valid_mse))
+        history.append(sq_sum / n)
     return params, history
 
 
@@ -707,19 +701,16 @@ def gcn_loss_and_grads_oracle(weights, activations, a_hat, z, targets):
     return loss, grads
 
 
-def train_gcn_oracle(train, graph, config, valid=None):
+def train_gcn_oracle(train, graph, config):
     """The GCN training loop over the oracle kernel, one Adam step per weight
-    matrix; returns (weights, history)."""
+    matrix; returns (weights, history), history being the training MSE of
+    every epoch."""
     x_train, y_train = (np.asarray(a, dtype=np.float64) for a in train)
     feature_scaler = MinMaxScaler.fit(x_train, out_lo=0.0, out_hi=1.0)
     target_scalers = tuple(MinMaxScaler.fit(y_train[:, ni, :], out_lo=0.0, out_hi=1.0)
                            for ni in range(graph.size))
     xs = feature_scaler.transform(x_train)
     ys = scale_targets(target_scalers, y_train)
-    has_valid = valid is not None and len(valid[0]) > 0
-    if has_valid:
-        xv = feature_scaler.transform(np.asarray(valid[0], dtype=np.float64))
-        yv = scale_targets(target_scalers, np.asarray(valid[1], dtype=np.float64))
     rng = Rng(config.seed)
     widths = config.widths
     weights = [glorot_init(widths[i], widths[i + 1], rng) for i in range(len(widths) - 1)]
@@ -737,9 +728,5 @@ def train_gcn_oracle(train, graph, config, valid=None):
             sq_sum += loss * len(idx)
             for li in range(len(weights)):
                 weights[li], states[li] = adam_step_oracle(weights[li], grads[li], states[li])
-        valid_mse = None
-        if has_valid:
-            out, _ = gcn_forward_scaled_oracle(weights, config.activations, graph.a_hat, xv)
-            valid_mse = float(np.mean((out - yv) ** 2))
-        history.append((sq_sum / n, valid_mse))
+        history.append(sq_sum / n)
     return weights, history

@@ -18,9 +18,12 @@ from graph_phpa import cli, tensor
 from graph_phpa.cluster_sim import SimulationLog
 from graph_phpa.config import ExperimentConfig, TraceSpec
 from graph_phpa.errors import DivergenceError, RunMismatchError, TraceFormatError
-from graph_phpa.forecast_lstm import LstmConfig, LstmLayer, LstmModel, predict_windows
+from graph_phpa.forecast_lstm import (LstmConfig, LstmLayer, LstmModel, forecast_series,
+                                      make_windows, predict_windows)
+from graph_phpa.predict_gcn import GcnModel, build_resource_dataset, scale_targets
 from graph_phpa.report import load_run
 from graph_phpa.tensor import MinMaxScaler
+from oracles import gcn_forward_scaled_oracle, lstm_forward_scaled_oracle
 
 
 def negative_forecaster(k: int) -> LstmModel:
@@ -101,6 +104,31 @@ class TestTraining:
         assert metrics["samples"]["train"] > metrics["samples"]["test"]
         assert metrics["train_mse_scaled"] >= 0.0
         assert set(metrics["test_mse_scaled_per_service"]) == {"front", "back"}
+
+    def test_validation_mse_equals_an_independent_evaluation(self, tiny_config_path,
+                                                             tiny_models_dir):
+        # Each fit's recorded validation MSE is its returned model's, scored on
+        # the validation segment through the oracles' forwards, bit for bit.
+        prepared = cli.prepare(*ExperimentConfig.load(tiny_config_path))
+        cfg, (lo, hi) = prepared.cfg, prepared.segments[1]
+        rps, usage = ({s: v[lo:hi] for s, v in table.items()} for table in prepared.series)
+        d = Path(tiny_models_dir)
+        workload = json.loads((d / "workload_metrics.json").read_text(encoding="utf-8"))
+        models = {s: LstmModel.load(d / f"lstm_{s}.json") for s in cfg.graph.nodes}
+        for service, model in models.items():
+            x, y = make_windows(rps[service], cfg.lstm.window)
+            yhat, _ = lstm_forward_scaled_oracle(model.params, model.scaler.transform(x))
+            assert workload["services"][service]["final_valid_mse_scaled"] == float(
+                np.mean((yhat - model.scaler.transform(y)) ** 2))
+
+        gcn = GcnModel.load(d / "gcn.json")
+        forecasts = {s: forecast_series(m, rps[s]) for s, m in models.items()}
+        x, y = build_resource_dataset(rps, forecasts, usage, cfg.graph.nodes, cfg.lstm.window)
+        out, _ = gcn_forward_scaled_oracle(gcn.weights, gcn.config.activations, cfg.graph.a_hat,
+                                           gcn.feature_scaler.transform(x))
+        resource = json.loads((d / "resource_metrics.json").read_text(encoding="utf-8"))
+        assert resource["valid_mse_scaled"] == float(
+            np.mean((out - scale_targets(gcn.target_scalers, y)) ** 2))
 
     def test_training_features_clamp_negative_forecasts(self, tiny_config_path, tmp_path,
                                                        monkeypatch):
@@ -384,10 +412,10 @@ class TestConcurrentTraining:
         monkeypatch.setattr(cli, "_worker_count", lambda tasks: min(tasks, 2))
         train = cli.train_lstm
 
-        def failing(train_set, valid_set, config, service_id=None):
+        def failing(train_set, config, service_id=None):
             if service_id == "back":
                 raise DivergenceError("training loss diverged at epoch 3", epoch=3)
-            return train(train_set, valid_set, config, service_id=service_id)
+            return train(train_set, config, service_id=service_id)
 
         monkeypatch.setattr(cli, "train_lstm", failing)
         code = run_cli("train-workload", "--config", tiny_config_path,

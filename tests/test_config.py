@@ -300,30 +300,47 @@ def names_key(message: str, label: str, path: tuple) -> bool:
             and any(key in message for key in ("demand.entry", "demand.cpu_per_request")))
 
 
+# Path prefixes of the config sections that only the trainings read: their
+# mutations go through train-workload and train-resource, the others through
+# simulate.
+MODEL_SECTIONS = (("lstm",), ("gcn",))
+
+
+def run_sweep(capsys, config, selected, run):
+    """Every single mutation of the tiny config whose path selected(path)
+    takes, written to config and run by run(); returns (count, faults,
+    unnamed, admitted): any exit but 0 or 2, exit-2 messages that do not name
+    the changed key, and the labels that exit 0."""
+    from conftest import TINY_CONFIG, mutations
+    faults, unnamed, admitted = [], [], []
+    sweep = [m for m in mutations(TINY_CONFIG) if selected(m[1])]
+    for label, path, edit in sweep:
+        doc = copy.deepcopy(TINY_CONFIG)
+        edit(doc)
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        try:
+            code = run()
+        except Exception as exc:  # collected: any exception is a fault
+            code = f"{type(exc).__name__}: {exc}"
+        err = capsys.readouterr().err
+        if code not in (0, 2):
+            faults.append((label, code))
+        elif code == 2 and not names_key(err, label, path):
+            unnamed.append((label, err))
+        elif code == 0:
+            admitted.append(label)
+    return len(sweep), faults, unnamed, admitted
+
+
 class TestMutationSweep:
     def test_every_single_mutation_exits_0_or_2(self, tmp_path, capsys):
-        from conftest import TINY_CONFIG, mutations
         from graph_phpa import cli
         config, out = tmp_path / "experiment.json", tmp_path / "run"
-        faults, unnamed, admitted = [], [], []
-        sweep = list(mutations(TINY_CONFIG))
-        for label, path, edit in sweep:
-            doc = copy.deepcopy(TINY_CONFIG)
-            edit(doc)
-            config.write_text(json.dumps(doc), encoding="utf-8")
-            try:
-                code = cli.main(["simulate", "--config", str(config), "--policy", "reactive",
-                                 "--out", str(out)])
-            except Exception as exc:  # collected: any exception is a fault
-                code = f"{type(exc).__name__}: {exc}"
-            err = capsys.readouterr().err
-            if code not in (0, 2):
-                faults.append((label, code))
-            elif code == 2 and not names_key(err, label, path):
-                unnamed.append((label, err))
-            elif code == 0:
-                admitted.append(label)
-        assert len(sweep) > 500
+        count, faults, unnamed, admitted = run_sweep(
+            capsys, config, lambda path: path[:1] not in MODEL_SECTIONS,
+            lambda: cli.main(["simulate", "--config", str(config), "--policy", "reactive",
+                              "--out", str(out)]))
+        assert count > 400
         assert faults == []
         assert unnamed == []
         # Exit 0 only where the schema admits the value: no key of the tiny
@@ -331,3 +348,23 @@ class TestMutationSweep:
         # A negative amplitude or base used to run.
         assert [label for label in admitted if label.endswith("=True")] == []
         assert {"trace.synthetic.amplitude=-1", "trace.synthetic.base=-1"}.isdisjoint(admitted)
+
+    def test_model_sections_exit_0_or_2_through_training(self, tmp_path, capsys):
+        # simulate --policy reactive never reads lstm or gcn, so their
+        # mutations run where they are used: train-workload, then
+        # train-resource on the forecasters it wrote. Among them are rates
+        # such as lstm.learning_rate=2.5, which reach the divergence checks.
+        from graph_phpa import cli
+        config, out = tmp_path / "experiment.json", tmp_path / "models"
+
+        def train():
+            code = cli.main(["train-workload", "--config", str(config), "--out", str(out)])
+            return code or cli.main(["train-resource", "--config", str(config),
+                                     "--models", str(out), "--out", str(out)])
+
+        count, faults, unnamed, admitted = run_sweep(
+            capsys, config, lambda path: path[:1] in MODEL_SECTIONS, train)
+        assert count > 100
+        assert faults == []
+        assert unnamed == []
+        assert [label for label in admitted if label.endswith("=True")] == []

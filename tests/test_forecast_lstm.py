@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graph_phpa import tensor
-from graph_phpa.errors import EmptyDatasetError, ShapeError, ValidationError
+from graph_phpa.errors import DivergenceError, EmptyDatasetError, ShapeError, ValidationError
 from graph_phpa.forecast_lstm import (
     GATES,
     LstmConfig,
@@ -26,6 +26,7 @@ from graph_phpa.forecast_lstm import (
     _loss_and_grads,
     _Workspace,
     evaluate,
+    evaluate_lstm,
     forecast_series,
     make_windows,
     predict_windows,
@@ -234,11 +235,15 @@ class TestBufferedKernelAgainstOracle:
         train, valid = (x[:n], y[:n]), (x[n:], y[n:])
         config = LstmConfig(window=k, layers=layers, hidden_units=hidden, epochs=3,
                             batch_size=batch_size, seed=seed)
-        model, history = train_lstm(train, valid, config)
-        want_params, want_history = train_lstm_oracle(train, valid, config)
+        model, history = train_lstm(train, config)
+        want_params, want_history = train_lstm_oracle(train, config)
         assert history == want_history
         for got, want in zip(model.params, want_params, strict=True):
             assert_bitwise_equal(got, want)
+        # Held-out windows score through the oracle's forward to the same bits.
+        yhat, _ = lstm_forward_scaled_oracle(want_params, model.scaler.transform(valid[0]))
+        want_mse = float(np.mean((yhat - model.scaler.transform(valid[1])) ** 2))
+        assert evaluate_lstm(model, valid) == want_mse
 
 
 BLOCK = tensor.BLOCK
@@ -321,7 +326,7 @@ class TestTraining:
         values = np.full(40, 25.0)
         x, y = make_windows(values, 4)
         config = LstmConfig(window=4, hidden_units=3, epochs=1, seed=5)
-        model, _ = train_lstm((x, y), None, config)
+        model, _ = train_lstm((x, y), config)
         assert forecast_one(model, values[:4]) == 25.0
 
     def test_learns_a_sine_wave(self):
@@ -329,9 +334,9 @@ class TestTraining:
         values = 100.0 + 50.0 * np.sin(2.0 * np.pi * t / 48.0)
         x, y = make_windows(values, 6)
         config = LstmConfig(window=6, hidden_units=8, epochs=120, batch_size=64, seed=3)
-        model, history = train_lstm((x, y), None, config)
-        first = history[0][0]
-        last = history[-1][0]
+        model, history = train_lstm((x, y), config)
+        first = history[0]
+        last = history[-1]
         assert last < 1e-3
         assert last < 0.1 * first
         # And the unscaled prediction tracks the series reasonably.
@@ -343,8 +348,8 @@ class TestTraining:
         values = 10.0 + np.arange(60.0) % 7
         x, y = make_windows(values, 3)
         config = LstmConfig(window=3, hidden_units=4, epochs=3, seed=11)
-        model_a, hist_a = train_lstm((x, y), (x, y), config)
-        model_b, hist_b = train_lstm((x, y), (x, y), config)
+        model_a, hist_a = train_lstm((x, y), config)
+        model_b, hist_b = train_lstm((x, y), config)
         assert hist_a == hist_b
         for pa, pb in zip(model_a.params, model_b.params, strict=True):
             np.testing.assert_array_equal(pa, pb)
@@ -367,26 +372,33 @@ class TestTraining:
     def test_different_seeds_differ(self):
         values = 10.0 + np.arange(60.0) % 7
         x, y = make_windows(values, 3)
-        model_a, _ = train_lstm((x, y), None, LstmConfig(window=3, hidden_units=4, epochs=1, seed=1))
-        model_b, _ = train_lstm((x, y), None, LstmConfig(window=3, hidden_units=4, epochs=1, seed=2))
+        model_a, _ = train_lstm((x, y), LstmConfig(window=3, hidden_units=4, epochs=1, seed=1))
+        model_b, _ = train_lstm((x, y), LstmConfig(window=3, hidden_units=4, epochs=1, seed=2))
         assert not np.array_equal(model_a.head_w, model_b.head_w)
 
-    def test_validation_loss_is_tracked(self):
+    def test_training_loss_is_tracked(self):
         values = np.arange(50.0)
         x, y = make_windows(values, 3)
-        _, history = train_lstm((x[:30], y[:30]), (x[30:], y[30:]),
+        _, history = train_lstm((x[:30], y[:30]),
                                 LstmConfig(window=3, hidden_units=3, epochs=2, seed=1))
         assert len(history) == 2
-        assert all(v is not None and v >= 0.0 for _, v in history)
+        assert all(type(v) is float and v >= 0.0 for v in history)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_validation_mse_raises(self):
+        x, y = make_windows(np.arange(50.0), 3)
+        model, _ = train_lstm((x, y), LstmConfig(window=3, hidden_units=3, epochs=1, seed=1))
+        with pytest.raises(DivergenceError, match="not finite"):
+            evaluate_lstm(model, (x[:4], np.array([1.0, 2.0, 1e308, 3.0])))
 
     def test_empty_training_set_raises(self):
         with pytest.raises(EmptyDatasetError):
-            train_lstm((np.empty((0, 3)), np.empty(0)), None, LstmConfig(window=3))
+            train_lstm((np.empty((0, 3)), np.empty(0)), LstmConfig(window=3))
 
     def test_window_mismatch_raises(self):
         x, y = make_windows(np.arange(30.0), 4)
         with pytest.raises(ShapeError):
-            train_lstm((x, y), None, LstmConfig(window=5))
+            train_lstm((x, y), LstmConfig(window=5))
 
 
 class TestForecastSeries:

@@ -24,10 +24,10 @@ from graph_phpa.predict_gcn import (
     _loss_and_grads,
     build_resource_dataset,
     evaluate_gcn,
-    evaluate_gcn_per_node,
     gcn_forward,
     normalize_adjacency,
     predict_resource,
+    scale_targets,
     train_gcn,
 )
 from graph_phpa.tensor import BLOCK, MinMaxScaler, Rng
@@ -328,19 +328,17 @@ class TestKernelAgainstOracle:
         # and ones below it, so the last batch is short or the only one.
         rng = Rng(seed)
         graph = random_graph(rng, n)
-        x = rng.uniform(0.0, 50.0, (samples + 7, n, window))
-        y = rng.uniform(0.0, 4.0, (samples + 7, n, 1))
+        train = (rng.uniform(0.0, 50.0, (samples, n, window)),
+                 rng.uniform(0.0, 4.0, (samples, n, 1)))
         config = GcnConfig(window=window, hidden=tuple(hidden), learning_rate=0.01,
                            epochs=3, batch_size=batch_size, seed=seed)
-        train, valid = (x[:samples], y[:samples]), (x[samples:], y[samples:])
-        model, history = train_gcn(train, graph, config, valid)
-        want_weights, want_history = train_gcn_oracle(train, graph, config, valid)
+        model, history = train_gcn(train, graph, config)
+        want_weights, want_history = train_gcn_oracle(train, graph, config)
         for got, want in zip(model.weights, want_weights):
             assert close(got, want, 1e-10)
-        for got, want in zip(history, want_history):
-            assert close(got, want, 1e-10)
+        assert close(history, want_history, 1e-10)
 
-        again, again_history = train_gcn(train, graph, config, valid)
+        again, again_history = train_gcn(train, graph, config)
         assert again_history == history
         for got, want in zip(again.weights, model.weights):
             assert_bitwise_equal(got, want)
@@ -365,17 +363,21 @@ class TestBlockedEvaluation:
                              [(1, 2, 2), (40, 8, 600), (300, 256, 2 * BLOCK + 3)])
     def test_validation_history_equals_evaluation(self, train_samples, batch_size,
                                                   valid_samples):
-        # Training validates in blocks that fit its batch workspace, however
-        # small; evaluate_gcn walks blocks of its own size. Both must give the
-        # final model's validation MSE bit for bit.
+        # The pipeline records a fit's validation MSE as evaluate_gcn of the
+        # returned model, which walks blocks of samples. It must equal the
+        # oracle's whole-array forward bit for bit, overall and per service.
         rng = Rng(train_samples)
         graph = random_graph(rng, 3)
         x = rng.uniform(0.0, 50.0, (train_samples + valid_samples, 3, 4))
         y = rng.uniform(0.0, 4.0, (train_samples + valid_samples, 3, 1))
         config = GcnConfig(window=4, hidden=(6,), epochs=2, batch_size=batch_size, seed=3)
         valid = (x[train_samples:], y[train_samples:])
-        model, history = train_gcn((x[:train_samples], y[:train_samples]), graph, config, valid)
-        assert history[-1][1] == evaluate_gcn(model, graph, valid)
+        model, _ = train_gcn((x[:train_samples], y[:train_samples]), graph, config)
+        out, _ = gcn_forward_scaled_oracle(model.weights, model.config.activations, graph.a_hat,
+                                           model.feature_scaler.transform(valid[0]))
+        sq = (out - scale_targets(model.target_scalers, valid[1])) ** 2
+        per_node = {node: float(np.mean(sq[:, i])) for i, node in enumerate(graph.nodes)}
+        assert evaluate_gcn(model, graph, valid) == (float(np.mean(sq)), per_node)
 
     def test_memory_is_bounded(self):
         # 5,000 samples of 4 nodes through 32 hidden units: the unblocked
@@ -511,17 +513,17 @@ class TestTraining:
         config = GcnConfig(window=4, hidden=(8,), learning_rate=0.02, epochs=200,
                            batch_size=64, seed=7)
         model, history = train_gcn((x, y), graph, config)
-        assert history[-1][0] < 1e-3
-        assert history[-1][0] < 0.1 * history[0][0]
-        assert evaluate_gcn(model, graph, (x, y)) < 2e-3
+        assert history[-1] < 1e-3
+        assert history[-1] < 0.1 * history[0]
+        assert evaluate_gcn(model, graph, (x, y))[0] < 2e-3
 
     def test_same_seed_bit_identical(self):
         rng = Rng(47)
         graph = ServiceGraph.from_edges(["a", "b"], [("a", "b")])
         x, y = self._toy_data(rng, graph, 3, 40)
         config = GcnConfig(window=3, hidden=(4,), epochs=3, seed=13)
-        model_a, hist_a = train_gcn((x, y), graph, config, valid=(x, y))
-        model_b, hist_b = train_gcn((x, y), graph, config, valid=(x, y))
+        model_a, hist_a = train_gcn((x, y), graph, config)
+        model_b, hist_b = train_gcn((x, y), graph, config)
         assert hist_a == hist_b
         for wa, wb in zip(model_a.weights, model_b.weights):
             np.testing.assert_array_equal(wa, wb)
@@ -535,6 +537,17 @@ class TestTraining:
         config = GcnConfig(window=2, hidden=(4,), learning_rate=1e150, epochs=30, seed=1)
         with pytest.raises(DivergenceError):
             train_gcn((x, y), graph, config)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_validation_mse_raises(self):
+        rng = Rng(53)
+        graph = ServiceGraph.from_edges(["a", "b"], [("a", "b")])
+        x, y = self._toy_data(rng, graph, 3, 20)
+        model, _ = train_gcn((x, y), graph, GcnConfig(window=3, hidden=(4,), epochs=1, seed=1))
+        y = y.copy()
+        y[5, 1, 0] = 1e308
+        with pytest.raises(DivergenceError, match="not finite"):
+            evaluate_gcn(model, graph, (x, y))
 
     def test_shape_validation(self):
         graph = ServiceGraph.from_edges(["a", "b"], [("a", "b")])
@@ -556,9 +569,8 @@ class TestTraining:
         graph = ServiceGraph.from_edges(["a", "b", "c"], [("a", "b"), ("b", "c")])
         x, y = self._toy_data(rng, graph, 3, 30)
         model, _ = train_gcn((x, y), graph, GcnConfig(window=3, hidden=(4,), epochs=2, seed=3))
-        per_node = evaluate_gcn_per_node(model, graph, (x, y))
+        total, per_node = evaluate_gcn(model, graph, (x, y))
         assert set(per_node) == {"a", "b", "c"}
-        total = evaluate_gcn(model, graph, (x, y))
         assert np.mean(list(per_node.values())) == pytest.approx(total, rel=1e-12)
 
 
