@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ValidationError
+from .errors import ShapeError, ValidationError
 from .forecast_lstm import LstmModel, forecast_rates
 from .predict_gcn import GcnModel, ServiceGraph, predict_resource, resource_features
 
@@ -104,28 +104,23 @@ def integrate_step(current_r: Mapping[str, float],
 def predict_demand(lstm_models: Mapping[str, LstmModel],
                    gcn_model: GcnModel,
                    graph: ServiceGraph,
-                   history: Mapping[str, Sequence[float]]
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Next-minute forecasts and predicted vCPU demand for every k-window of history.
+                   rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Next-minute forecasts and predicted vCPU demand for every k-window of rates.
 
-    history carries each service's request rates, all of one length T >= k.
-    Row j of both (T-k+1, N) results, columns in graph.nodes order, belongs to
-    the window that ends at index j+k-1: the forecaster reads its k rates (the
-    forecast is clamped at zero), the graph predictor the last k-1 plus the
-    forecast. A history of exactly k rates is a batch of one.
+    rates is a (T, N) grid of request rates, T >= k, column j being
+    graph.nodes[j]. Row j of both (T-k+1, N) results, in the same columns,
+    belongs to the window that ends at row j+k-1: the forecaster reads its k
+    rates (the forecast is clamped at zero), the graph predictor the last k-1
+    plus the forecast. A grid of exactly k rows is a batch of one.
     """
     k = gcn_model.config.window
-    columns = []
+    rates = np.asarray(rates, dtype=np.float64)
+    if rates.ndim != 2 or rates.shape[1] != graph.size or len(rates) < k:
+        raise ShapeError(f"history shape {rates.shape}, expected (T, {graph.size}) with "
+                         f"T >= {k}: the rates of graph.nodes {list(graph.nodes)}")
     for service in graph.nodes:
         if service not in lstm_models:
             raise ValidationError(f"no forecaster for service {service!r}")
-        series = np.asarray(history[service], dtype=np.float64)
-        if len(series) < k:
-            raise ValidationError(f"history for {service!r} has {len(series)} points, need {k}")
-        columns.append(series)
-    if len({len(series) for series in columns}) != 1:
-        raise ValidationError("history lengths differ across services")
-    rates = np.column_stack(columns)
     windows = sliding_window_view(rates, k, axis=0)  # (T-k+1, N, k)
     forecasts = np.column_stack([forecast_rates(lstm_models[s], windows[:, ni])
                                  for ni, s in enumerate(graph.nodes)])

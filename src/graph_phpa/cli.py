@@ -36,7 +36,7 @@ from .cluster_sim import (PredictivePolicy, ReactivePolicy, ScalingPolicy, Simul
                           run_simulation)
 from .config import ExperimentConfig
 from .errors import GraphPhpaError, ValidationError
-from .forecast_lstm import (LstmModel, evaluate, evaluate_lstm, make_windows, forecast_series,
+from .forecast_lstm import (LstmModel, evaluate, evaluate_lstm, forecast_rates, make_windows,
                             predict_windows, train_lstm)
 from .predict_gcn import GcnModel, build_resource_dataset, evaluate_gcn, scale_targets, train_gcn
 from .tensor import mix_seed, one_blas_thread
@@ -130,9 +130,10 @@ class Prepared:
     segments: tuple[tuple[int, int], ...]
 
     @cached_property
-    def series(self) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-        """Whole-trace (request rates, vCPU usage) per service, the training
-        data. Computed on first use: a replay never reads them."""
+    def series(self) -> tuple[np.ndarray, np.ndarray]:
+        """Whole-trace (request rates, vCPU usage) grids, the training data:
+        row i is the trace's minute i, column j is graph.nodes[j]. Computed
+        on first use: a replay never reads them."""
         return self.cfg.demand.demand_series(self.trace.values, self.trace.start_minute,
                                              self.cfg.sim.seed)
 
@@ -157,7 +158,7 @@ def train_workload(prepared: Prepared, out: Path) -> dict[str, LstmModel]:
         """Train one service's forecaster and score it on the validation and
         test segments."""
         train_set, valid_set, (x_test, y_test) = (
-            make_windows(rps[service][lo:hi], cfg.lstm.window) for lo, hi in prepared.segments)
+            make_windows(rps[lo:hi, idx], cfg.lstm.window) for lo, hi in prepared.segments)
         model, history = train_lstm(train_set,
                                     replace(cfg.lstm, seed=mix_seed(cfg.lstm.seed, idx)),
                                     service_id=service)
@@ -191,14 +192,16 @@ def train_resource(prepared: Prepared, models: dict[str, LstmModel],
     nodes, k = cfg.graph.nodes, cfg.gcn.window
     rps, usage = prepared.series
     out.mkdir(parents=True, exist_ok=True)
-    tasks = [(lo, hi, s) for lo, hi in prepared.segments for s in nodes]
-    forecasts = dict(zip(tasks, _map_tasks(
-        lambda lo, hi, s: forecast_series(models[s], rps[s][lo:hi]), tasks)))
+    # One task per (segment, service): the forecasts for the segment's minutes
+    # k onward, each from the k minutes before it.
+    width = len(nodes)
+    tasks = [(lo, hi, j) for lo, hi in prepared.segments for j in range(width)]
+    forecasts = _map_tasks(lambda lo, hi, j: forecast_rates(
+        models[nodes[j]], make_windows(rps[lo:hi, j], k)[0]), tasks)
     train_set, valid_set, test_set = (
-        build_resource_dataset({s: rps[s][lo:hi] for s in nodes},
-                               {s: forecasts[lo, hi, s] for s in nodes},
-                               {s: usage[s][lo:hi] for s in nodes}, nodes, k)
-        for lo, hi in prepared.segments)
+        build_resource_dataset(rps[lo:hi], np.column_stack(forecasts[i * width:(i + 1) * width]),
+                               usage[lo:hi], nodes, k)
+        for i, (lo, hi) in enumerate(prepared.segments))
 
     model, _ = train_gcn(train_set, cfg.graph, cfg.gcn)
     (train_mse, _), (valid_mse, _), (test_mse, test_per_service) = (

@@ -22,7 +22,7 @@ import io
 import itertools
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
@@ -105,10 +105,10 @@ class DemandModel:
             raise ValidationError("fan_out graph has a cycle")
         return tuple(order)
 
-    def demand_series(self, external, start_minute: int, seed: int,
-                      with_noise: bool = True) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-        """Whole-horizon (request rates, vCPU usage) per service, index i being
-        minute start_minute + i.
+    def demand_series(self, external, start_minute: int, seed: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+        """Whole-horizon (request rates, vCPU usage) as float64 (T, S) grids:
+        row i is minute start_minute + i, column j is services[j].
 
         Rates flow down the fan-out edges in topological order, one array
         operation per edge. Each internal service's inbound rate at minute m is
@@ -123,25 +123,25 @@ class DemandModel:
             raise ValidationError(f"external_rps must be >= 0, got "
                                   f"{float(external[external < 0][0])}")
         n = len(external)
-        rates = {s: np.zeros(n) for s in self.services}
-        rates[self.entry] = external.copy()
+        column = {s: j for j, s in enumerate(self.services)}
+        rates = np.zeros((n, len(self.services)))
+        rates[:, column[self.entry]] = external
         sigma = self.noise_sigma
         noise = {}
-        if with_noise and sigma > 0:
-            index = np.array([i for i, s in enumerate(self.services) if s != self.entry])
+        if sigma > 0:
+            index = np.array([j for j, s in enumerate(self.services) if s != self.entry])
             minutes = np.arange(n, dtype=np.int64) + start_minute
             z = keyed_normals(mix_seed(seed, minutes, index[:, None]))  # (services, n)
-            for i, row in zip(index, z):  # each row's factors replace its normals
+            for j, row in zip(index, z):  # each row's factors replace its normals
                 exponent = (sigma * row - 0.5 * sigma * sigma).tolist()
                 row[:] = np.fromiter(map(math.exp, exponent), dtype=np.float64, count=n)
-                noise[self.services[i]] = row
+                noise[self.services[j]] = row
         for u in self._topo:
             if u in noise:
-                rates[u] *= noise[u]
+                rates[:, column[u]] *= noise[u]
             for v, mult in self.fan_out.get(u, {}).items():
-                rates[v] += rates[u] * mult
-        usage = {s: rates[s] * self.cpu_per_request[s] for s in self.services}
-        return rates, usage
+                rates[:, column[v]] += rates[:, column[u]] * mult
+        return rates, rates * [self.cpu_per_request[s] for s in self.services]
 
 
 def initial_pod_counts(demand: DemandModel, first_external: float,
@@ -151,11 +151,11 @@ def initial_pod_counts(demand: DemandModel, first_external: float,
     Usage is clamped into the per-service resource band first, so a service
     whose guaranteed floor exceeds its opening demand starts at the floor.
     """
-    _, usage = demand.demand_series([first_external], 0, 0, with_noise=False)
+    _, usage = replace(demand, noise_sigma=0.0).demand_series([first_external], 0, 0)
     counts = {}
-    for s in demand.services:
+    for s, used in zip(demand.services, usage[0].tolist()):
         b = bounds[s]
-        clamped = min(max(float(usage[s][0]), b.r_lb), b.r_ub)
+        clamped = min(max(used, b.r_lb), b.r_ub)
         counts[s] = min(max(math.ceil(clamped / b.pod_capacity), 1), b.max_pods)
     return counts
 
@@ -194,12 +194,12 @@ class ScalingPolicy(ABC):
 
     name: str = "policy"
 
-    def begin(self, start_minute: int, rates: Mapping[str, np.ndarray]) -> None:
+    def begin(self, start_minute: int, services: tuple[str, ...], rates: np.ndarray) -> None:
         """Reset per-run state before the first minute.
 
-        rates holds each service's request rates over the whole run, index i
-        being minute start_minute + i; they never depend on the pods, so a
-        policy may compute everything it needs from them up front.
+        rates is the run's (T, S) grid of request rates, row i being minute
+        start_minute + i and column j services[j]; they never depend on the
+        pods, so a policy may compute everything it needs from them up front.
         """
 
     @abstractmethod
@@ -217,8 +217,8 @@ class ReactivePolicy(ScalingPolicy):
         self.name = f"reactive@{config.scale_out:g}"
         self._below: dict[str, int] = {}
 
-    def begin(self, start_minute, rates):
-        self._below = {s: 0 for s in rates}
+    def begin(self, start_minute, services, rates):
+        self._below = {s: 0 for s in services}
 
     def decide(self, minute, utilization, pods):
         targets = {}
@@ -266,7 +266,10 @@ class PredictivePolicy(ScalingPolicy):
         self._forecasts: list[list[float]] = []
         self._demand: list[list[float]] = []
 
-    def begin(self, start_minute, rates):
+    def begin(self, start_minute, services, rates):
+        if tuple(services) != self.graph.nodes:
+            raise ValidationError(f"simulated services {list(services)} are not graph.nodes "
+                                  f"{list(self.graph.nodes)} in order")
         forecasts, demand = predict_demand(self.lstm_models, self.gcn_model, self.graph,
                                            rates)
         # Row j is predicted at the minute that ends the j-th k-window.
@@ -458,7 +461,7 @@ def run_simulation(trace: WorkloadTrace, demand: DemandModel, policy: ScalingPol
 
     services, width = demand.services, len(demand.services)
     rps, usage = demand.demand_series(external, trace.start_minute, seed)
-    policy.begin(trace.start_minute, rps)
+    policy.begin(trace.start_minute, services, rps)
     # Utilization is usage / (pods * capacity), above 1.0 an overload;
     # ScalingBounds already rejects a capacity <= 0, and pods are clipped to
     # >= 1 wherever they change.
@@ -473,7 +476,7 @@ def run_simulation(trace: WorkloadTrace, demand: DemandModel, policy: ScalingPol
     for lo, hi in blocks(len(external)):
         # A block's cells go through flat minute-major lists: one object each,
         # so the cyclic garbage collector is not triggered by a list per minute.
-        usage_cells = np.column_stack([usage[s][lo:hi] for s in services]).ravel().tolist()
+        usage_cells = usage[lo:hi].ravel().tolist()
         pod_cells: list[int] = []
         util_cells: list[float] = []
         for i in range(lo, hi):
@@ -511,6 +514,6 @@ def run_simulation(trace: WorkloadTrace, demand: DemandModel, policy: ScalingPol
     return SimulationLog(policy_name=policy.name, seed=seed,
                          trace_sha256=trace_digest(trace), start_minute=trace.start_minute,
                          services=services, external=external,
-                         service_rps=np.column_stack([rps[s] for s in services]),
+                         service_rps=rps,
                          pods=pod_grid, utilization=util_grid,
                          decision_delta=decision_delta, decisions=decisions)

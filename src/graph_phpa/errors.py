@@ -136,6 +136,14 @@ def read(target, obj, where: str, **given):
         raise ValidationError(named if named != message else f"{where}: {message}") from None
 
 
+def check_name(name: str, where: str) -> None:
+    """A ValidationError naming where if name, which model files and charts
+    are named after, holds "/" or NUL."""
+    if "/" in name or "\0" in name:
+        raise ValidationError(f"{where} {name!r} must not contain '/' or NUL: "
+                              f"files are named after it")
+
+
 def float_array(value, where: str) -> np.ndarray:
     """value as a float64 array; a ragged or non-finite value, or one with a
     leaf that is not a JSON number, is a ValidationError naming where."""

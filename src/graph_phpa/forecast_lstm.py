@@ -406,23 +406,11 @@ def evaluate_lstm(model: LstmModel, dataset: tuple[np.ndarray, np.ndarray]) -> f
 def forecast_rates(model: LstmModel, x: np.ndarray) -> np.ndarray:
     """Request-rate forecasts for raw k-length windows, clamped at zero.
 
-    A rate cannot be negative. Training (forecast_series) and replay
+    A rate cannot be negative. Training (cli.train_resource) and replay
     (autoscaler.predict_demand) both forecast through here, so the graph
     predictor sees the same forecasts in both.
     """
     return np.maximum(predict_windows(model, x), 0.0)
-
-
-def forecast_series(model: LstmModel, values: np.ndarray) -> np.ndarray:
-    """Rate forecast for every index j >= k from the window ending at j-1.
-
-    Returns a full-length array with NaN in the first k slots.
-    """
-    k = model.config.window
-    x, _ = make_windows(values, k)
-    out = np.full(len(values), np.nan)
-    out[k:] = forecast_rates(model, x)
-    return out
 
 
 def train_lstm(train: tuple[np.ndarray, np.ndarray], config: LstmConfig,

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (DivergenceError, EmptyDatasetError, ShapeError, ValidationError,
-                     check_keys, check_value, float_array, read, read_json_file)
+                     check_keys, check_name, check_value, float_array, read, read_json_file)
 from .tensor import BLOCK, AdamState, MinMaxScaler, Rng, adam_step, blocks, carve, glorot_init
 
 log = logging.getLogger(__name__)
@@ -54,6 +54,8 @@ class ServiceGraph:
             raise ValidationError("nodes must name at least one service")
         if len(set(nodes)) != len(nodes):
             raise ValidationError(f"nodes must be unique, got {list(nodes)}")
+        for i, name in enumerate(nodes):
+            check_name(name, f"nodes[{i}]")
         a = np.asarray(self.adjacency, dtype=np.float64)
         if a.shape != (len(nodes), len(nodes)):
             raise ShapeError(f"adjacency shape {a.shape} does not match {len(nodes)} nodes")
@@ -274,39 +276,33 @@ def scale_targets(scalers, y: np.ndarray) -> np.ndarray:
                     axis=1)
 
 
-def build_resource_dataset(workloads: dict[str, np.ndarray],
-                           forecasts: dict[str, np.ndarray],
-                           resources: dict[str, np.ndarray],
-                           nodes: tuple[str, ...] | list[str],
+def build_resource_dataset(workloads: np.ndarray, forecasts: np.ndarray,
+                           resources: np.ndarray, nodes: tuple[str, ...] | list[str],
                            k: int) -> tuple[np.ndarray, np.ndarray]:
     """Assemble (features, targets) tensors for every timestep with full context.
 
-    For a reference minute t the node row holds workloads[t-k+2 .. t] followed
-    by the forecast for t+1, and the target is the windowed peak of the
-    resource series over [t-k+2 .. t+1]. Arrays must all have the same length
-    T >= k+1; the result holds T-k samples, shapes (S, N, k) and (S, N, 1).
+    workloads and resources are (T, N) grids, T >= k+1, and forecasts is
+    (T-k, N), its row i the forecast for minute index i+k; column j is
+    nodes[j] in all three. For a reference minute t the node row holds
+    workloads[t-k+2 .. t] followed by the forecast for t+1, and the target is
+    the windowed peak of the resource series over [t-k+2 .. t+1]. The result
+    holds T-k samples, shapes (S, N, k) and (S, N, 1).
     """
     nodes = tuple(nodes)
     if k < 2:
         raise ValidationError(f"window must be >= 2, got {k}")
-    lengths = set()
-    for name in nodes:
-        for table, label in ((workloads, "workload"), (forecasts, "forecast"),
-                             (resources, "resource")):
-            if name not in table:
-                raise ValidationError(f"missing {label} series for service {name!r}")
-            lengths.add(len(table[name]))
-    if len(lengths) != 1:
-        raise ValidationError(f"series lengths differ across services: {sorted(lengths)}")
-    t_total = lengths.pop()
+    workloads, forecasts, resources = (np.asarray(a, dtype=np.float64)
+                                       for a in (workloads, forecasts, resources))
+    t_total = len(workloads)
+    if (workloads.shape != (t_total, len(nodes)) or resources.shape != workloads.shape
+            or forecasts.shape != (max(t_total - k, 0), len(nodes))):
+        raise ShapeError(f"workloads {workloads.shape}, forecasts {forecasts.shape} and "
+                         f"resources {resources.shape} must be (T, {len(nodes)}), "
+                         f"(T-{k}, {len(nodes)}) and (T, {len(nodes)})")
     if t_total < k + 1:
         raise EmptyDatasetError(f"series length {t_total} yields no samples for k={k}")
-
-    def stacked(table):
-        return np.column_stack([np.asarray(table[name], dtype=np.float64) for name in nodes])
-
-    x = resource_features(stacked(workloads), stacked(forecasts)[k:], nodes, k)
-    y = sliding_window_view(stacked(resources)[1:], k, axis=0).max(axis=-1)
+    x = resource_features(workloads, forecasts, nodes, k)
+    y = sliding_window_view(resources[1:], k, axis=0).max(axis=-1)
     return x, y[:, :, None]
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .cluster_sim import GRID_COLUMNS, SIM_COLUMNS, SimulationLog
-from .errors import (RunMismatchError, ValidationError, check_keys, check_value,
+from .errors import (RunMismatchError, ValidationError, check_keys, check_name, check_value,
                      read_json_file)
 from .tensor import blocks
 
@@ -144,6 +144,8 @@ def _summary_fields(doc) -> dict:
     check_keys(doc, "summary", required=_SUMMARY_FIELDS, allowed=doc)
     for key, kind in _SUMMARY_FIELDS.items():
         check_value(doc[key], kind, key)
+    for i, name in enumerate(doc["service_order"]):
+        check_name(name, f"service_order[{i}]")
     return doc
 
 
@@ -223,14 +225,15 @@ def render_table_text(table: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def pods_chart_svg(logs: list[SimulationLog], service: str) -> str:
-    """Step chart of pod counts over time, one polyline per policy."""
-    return next(_pods_charts(logs, [service]))
+def _escape(name: str) -> str:
+    """name as SVG text (xml.sax.saxutils.escape, whose import loads urllib)."""
+    return name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _pods_charts(logs: list[SimulationLog], services: list[str]):
-    """pods_chart_svg(logs, service) for each service in turn. The minute axis
-    is the same in every chart, so its coordinates are formatted once."""
+    """For each service in turn, an SVG step chart of its pod counts over
+    time, one polyline per policy. The minute axis is the same in every chart,
+    so its coordinates are formatted once. Names are XML-escaped."""
     width, height = 960, 320
     left, right, top, bottom = 60, 20, 36, 44
     plot_w, plot_h = width - left - right, height - top - bottom
@@ -262,7 +265,7 @@ def _pods_charts(logs: list[SimulationLog], services: list[str]):
             f'viewBox="0 0 {width} {height}">',
             f'<rect width="{width}" height="{height}" fill="white"/>',
             f'<text x="{left}" y="20" font-family="sans-serif" font-size="14">'
-            f'pods over time: {service}</text>',
+            f'pods over time: {_escape(service)}</text>',
         ]
         for tick in range(0, p_hi + 1, max(1, p_hi // 6)):
             y = sy(tick)
@@ -294,7 +297,7 @@ def _pods_charts(logs: list[SimulationLog], services: list[str]):
             parts.append(f'<line x1="{lx}" y1="{top - 6}" x2="{lx + 22}" y2="{top - 6}" '
                          f'stroke="{color}" stroke-width="3"/>')
             parts.append(f'<text x="{lx + 28}" y="{top - 2}" font-family="sans-serif" '
-                         f'font-size="12">{log.policy_name}</text>')
+                         f'font-size="12">{_escape(log.policy_name)}</text>')
         parts.append("</svg>")
         yield "\n".join(parts) + "\n"
 

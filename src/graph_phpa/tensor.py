@@ -287,6 +287,12 @@ def ensure_finite(m: np.ndarray, name: str = "result") -> np.ndarray:
     return m
 
 
+# Adam's moment decay rates and denominator guard, the same for every fit.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
     """Per-parameter optimizer state for bias-corrected Adam.
@@ -299,16 +305,9 @@ class AdamState:
     second_moment: np.ndarray
     step: int = 0
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     scratch: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValidationError(f"betas must lie in (0,1), got {self.beta1}, {self.beta2}")
-        if self.epsilon <= 0.0:
-            raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
         if self.step < 0:
             raise ValidationError(f"step must be >= 0, got {self.step}")
         if self.first_moment.shape != self.second_moment.shape:
@@ -319,10 +318,9 @@ class AdamState:
             self.scratch = np.empty((2,) + self.first_moment.shape)
 
     @classmethod
-    def fresh(cls, param: np.ndarray, learning_rate: float, beta1: float = 0.9,
-              beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
+    def fresh(cls, param: np.ndarray, learning_rate: float) -> "AdamState":
         z = np.zeros_like(np.asarray(param, dtype=np.float64))
-        return cls(z, z.copy(), 0, learning_rate, beta1, beta2, epsilon)
+        return cls(z, z.copy(), 0, learning_rate)
 
 
 def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
@@ -330,7 +328,8 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
 
     Every operation rounds as in the textbook expressions
     m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
-    param -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps).
+    param -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps), with b1, b2
+    and eps the ADAM_ constants.
     """
     if param.shape != grad.shape or param.shape != state.first_moment.shape:
         raise ShapeError(
@@ -340,17 +339,17 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     t = state.step + 1
     m, v = state.first_moment, state.second_moment
     tmp, den = state.scratch
-    m *= state.beta1
-    np.multiply(grad, 1.0 - state.beta1, out=tmp)
+    m *= ADAM_BETA1
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=tmp)
     m += tmp
-    v *= state.beta2
-    np.multiply(grad, 1.0 - state.beta2, out=tmp)
+    v *= ADAM_BETA2
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=tmp)
     tmp *= grad
     v += tmp
-    np.divide(v, 1.0 - state.beta2 ** t, out=den)
+    np.divide(v, 1.0 - ADAM_BETA2 ** t, out=den)
     np.sqrt(den, out=den)
-    den += state.epsilon
-    np.divide(m, 1.0 - state.beta1 ** t, out=tmp)
+    den += ADAM_EPSILON
+    np.divide(m, 1.0 - ADAM_BETA1 ** t, out=tmp)
     tmp *= state.learning_rate
     tmp /= den
     param -= tmp

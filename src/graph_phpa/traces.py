@@ -21,6 +21,9 @@ from .errors import TraceFormatError, ValidationError, read_text
 from .tensor import Rng
 
 HEADER = "minute,requests"
+# The largest request count a trace holds: every count up to 2**53 is exact in
+# float64, the simulator's type, and not every one above it is.
+MAX_COUNT = 2 ** 53
 # A file whose body np.loadtxt parses as _parse_lines would: the header, then
 # only ASCII digits, signs, blanks, tabs, "," and "\n". Beyond these, int()
 # rejects some characters numpy accepts, such as "\x1f", and str.splitlines
@@ -44,6 +47,9 @@ class WorkloadTrace:
         if min(self.counts) < 0:
             raise ValidationError(f"negative request count "
                                   f"{next(c for c in self.counts if c < 0)}")
+        if max(self.counts) > MAX_COUNT:
+            raise ValidationError(f"request count {next(c for c in self.counts if c > MAX_COUNT)} "
+                                  f"is above 2**53, more than float64 holds exactly")
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -81,7 +87,8 @@ def load_trace(path: str | Path, resolution: int = 1) -> WorkloadTrace:
         if rows is not None and rows.shape[1:] == (2,) and len(rows):
             minutes, counts = rows.T
             # Minutes within +-2**62 step without overflow.
-            if (counts.min() >= 0 and -2 ** 62 < minutes.min() and minutes.max() < 2 ** 62
+            if (0 <= counts.min() and counts.max() <= MAX_COUNT
+                    and -2 ** 62 < minutes.min() and minutes.max() < 2 ** 62
                     and np.all(np.diff(minutes) == resolution)):
                 return WorkloadTrace(resolution=resolution, start_minute=int(minutes[0]),
                                      counts=tuple(counts.tolist()))
@@ -111,6 +118,9 @@ def _parse_lines(path: Path, text: str, resolution: int) -> WorkloadTrace:
         if count < 0:
             raise TraceFormatError(f"{path}:{lineno}: negative request count {count}",
                                    line=lineno)
+        if count > MAX_COUNT:
+            raise TraceFormatError(f"{path}:{lineno}: request count {count} is above 2**53, "
+                                   f"more than float64 holds exactly", line=lineno)
         if minutes and minute != minutes[-1] + resolution:
             raise TraceFormatError(
                 f"{path}:{lineno}: non-contiguous minutes, gap between "
@@ -144,53 +154,44 @@ def slice_trace(trace: WorkloadTrace, start: int, stop: int) -> WorkloadTrace:
                          counts=trace.counts[start:stop])
 
 
-def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
-    """Apportion an integer total across bins proportionally to weights."""
-    if total == 0:
-        return np.zeros(len(weights), dtype=np.int64)
-    wsum = float(weights.sum())
-    if wsum <= 0.0:
-        weights = np.ones_like(weights)
-        wsum = float(weights.sum())
-    quotas = weights * (total / wsum)
-    floors = np.floor(quotas).astype(np.int64)
-    leftover = total - int(floors.sum())
-    if leftover > 0:
-        remainders = quotas - floors
-        # Ties broken by position for determinism.
-        order = np.lexsort((np.arange(len(weights)), -remainders))
-        floors[order[:leftover]] += 1
-    return floors
-
-
 def interpolate_to_minutes(trace: WorkloadTrace) -> WorkloadTrace:
     """Spread each 5-minute bin over 5 minutes, conserving per-bin totals exactly.
 
     Per-minute weights follow a linear ramp between neighboring bin midpoints
-    (flat at the ends); integer counts come from largest-remainder rounding.
+    (flat at the ends); integer counts come from largest-remainder rounding,
+    remainder ties going to the earlier minute. Every bin is one row of a
+    (bins, 5) array, and each step is one array pass over all of them.
     """
     if trace.resolution != 5:
         raise ValidationError(f"interpolation expects 5-minute bins, got resolution {trace.resolution}")
-    n = len(trace.counts)
-    rates = trace.values / 5.0  # per-minute rate at each bin midpoint
-    out: list[int] = []
-    for i, total in enumerate(trace.counts):
-        prev_rate = rates[i - 1] if i > 0 else rates[i]
-        next_rate = rates[i + 1] if i < n - 1 else rates[i]
-        weights = np.empty(5, dtype=np.float64)
-        for j in range(5):
-            # Minute centers at offsets -2..+2 from the bin midpoint; the ramp
-            # pieces meet at the midpoint itself.
-            offset = j - 2
-            if offset < 0:
-                weights[j] = rates[i] + (rates[i] - prev_rate) * offset / 5.0
-            elif offset > 0:
-                weights[j] = rates[i] + (next_rate - rates[i]) * offset / 5.0
-            else:
-                weights[j] = rates[i]
-        weights = np.maximum(weights, 0.0)
-        out.extend(int(x) for x in _largest_remainder(weights, int(total)))
-    return WorkloadTrace(resolution=1, start_minute=trace.start_minute, counts=tuple(out))
+    totals = trace.values
+    rates = totals / 5.0  # per-minute rate at each bin midpoint
+    prev_rate = np.concatenate([rates[:1], rates[:-1]])
+    next_rate = np.concatenate([rates[1:], rates[-1:]])
+    # Minute centers at offsets -2..+2 from the bin midpoint; the ramp pieces
+    # meet at the midpoint itself.
+    weights = np.empty((len(rates), 5))
+    for j, offset in enumerate((-2, -1, 0, 1, 2)):
+        slope = rates - prev_rate if offset < 0 else next_rate - rates
+        weights[:, j] = rates + slope * offset / 5.0 if offset else rates
+    np.maximum(weights, 0.0, out=weights)
+    # A bin with requests has a positive middle weight, so only an empty bin
+    # can have no weight; it gets no requests.
+    wsum = (((weights[:, 0] + weights[:, 1]) + weights[:, 2]) + weights[:, 3]) + weights[:, 4]
+    scale = np.divide(totals, wsum, out=np.zeros_like(totals), where=totals > 0)
+    quotas = weights * scale[:, None]
+    floors = np.floor(quotas)
+    remainders = quotas - floors
+    counts = floors.astype(np.int64)
+    leftover = np.asarray(trace.counts) - counts.sum(axis=1)
+    # A minute's place in its bin's order: larger remainders first, equal
+    # ones by position. The first leftover minutes of that order get one more.
+    ahead = ((remainders[:, None, :] > remainders[:, :, None])
+             | ((remainders[:, None, :] == remainders[:, :, None])
+                & np.tri(5, k=-1, dtype=bool))).sum(axis=2)
+    counts += ahead < leftover[:, None]
+    return WorkloadTrace(resolution=1, start_minute=trace.start_minute,
+                         counts=tuple(counts.ravel().tolist()))
 
 
 def rescale_trace(trace: WorkloadTrace, target_peak: float) -> WorkloadTrace:
@@ -249,10 +250,12 @@ def generate_synthetic_trace(pattern: str, length: int, amplitude: float, seed: 
             raise ValidationError(f"{name} must be >= 0, got {value}")
     if period is None:
         period = 1440 if pattern == "diurnal" else 240
+    elif not period > 0:  # a NaN fails too
+        raise ValidationError(f"period must be > 0, got {period}")
     rng = Rng(seed)
     t = np.arange(length, dtype=np.float64) * resolution
-    # A period of 0, -0.0 or a subnormal makes the phase infinite or NaN, and
-    # a huge base or amplitude overflows: the level is checked once below.
+    # A subnormal period makes the phase infinite or NaN, and a huge base or
+    # amplitude overflows: the level is checked once below.
     with np.errstate(all="ignore"):
         if pattern == "sine":
             level = base + amplitude * np.sin(2.0 * np.pi * t / period)
@@ -273,10 +276,9 @@ def generate_synthetic_trace(pattern: str, length: int, amplitude: float, seed: 
     if not np.all(np.isfinite(level)):
         raise ValidationError(f"period {period} with base {base} and amplitude {amplitude} "
                               f"gives a non-finite {pattern} level")
-    # rint rounds half to even, as round() does. Counts above 2**53 are not
-    # all exact in float64, the simulator's type.
+    # rint rounds half to even, as round() does.
     counts = np.maximum(np.rint(level), 0.0)
-    if counts.max() > 2 ** 53:
+    if counts.max() > MAX_COUNT:
         raise ValidationError(f"base {base}, amplitude {amplitude} and noise {noise} give "
                               f"{pattern} counts above 2**53, more than float64 holds "
                               f"exactly")

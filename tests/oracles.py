@@ -23,9 +23,10 @@ for bit, gradients and training to rounding. The normal drawn after a chosen
 64-bit output comes from numpy's own Generator, its PCG64 state inverted by
 hand so that the next output is the chosen one, and keyed noise from one fresh
 Generator per seed. CSV files are written row by row with csv.writer. The
-trace parser, writer, generator and rescaler are the package's earlier per-row
-forms, kept to arbitrate the whole-array ones: int() of each field of each
-line, an f-string per row, round() of each count.
+trace parser, writer, generator, rescaler and 5-minute interpolation are the
+package's earlier per-row forms, kept to arbitrate the whole-array ones: int()
+of each field of each line, an f-string per row, round() of each count, and a
+ramp and a largest-remainder rounding per bin.
 """
 import csv
 import io
@@ -211,20 +212,22 @@ def windowed_max_oracle(series, k):
 
 
 def resource_dataset_oracle(workloads, forecasts, resources, nodes, k):
-    """(features, targets) of build_resource_dataset, one sample and node at a time."""
-    t_total = len(workloads[nodes[0]])
+    """(features, targets) of build_resource_dataset, one sample and node at a
+    time: workloads and resources are (T, N) grids, forecasts (T-k, N) with
+    row i the forecast for minute index i+k."""
+    t_total = len(workloads)
     count = t_total - k
     x = np.empty((count, len(nodes), k))
     y = np.empty((count, len(nodes), 1))
     for s, t in enumerate(range(k - 1, t_total - 1)):
         for ni, name in enumerate(nodes):
-            past = workloads[name][t - k + 2:t + 1]
-            ahead = forecasts[name][t + 1]
+            past = workloads[t - k + 2:t + 1, ni]
+            ahead = forecasts[t + 1 - k, ni]
             if not np.isfinite(ahead):
                 raise ValidationError(f"forecast for {name!r} at minute index {t + 1} is not finite")
             x[s, ni, :k - 1] = past
             x[s, ni, k - 1] = ahead
-            y[s, ni, 0] = np.max(resources[name][t - k + 2:t + 2])
+            y[s, ni, 0] = np.max(resources[t - k + 2:t + 2, ni])
     return x, y
 
 
@@ -293,6 +296,9 @@ def load_trace_oracle(path, resolution: int = 1) -> WorkloadTrace:
         if count < 0:
             raise TraceFormatError(f"{path}:{lineno}: negative request count {count}",
                                    line=lineno)
+        if count > 2 ** 53:
+            raise TraceFormatError(f"{path}:{lineno}: request count {count} is above 2**53, "
+                                   f"more than float64 holds exactly", line=lineno)
         if minutes and minute != minutes[-1] + resolution:
             raise TraceFormatError(
                 f"{path}:{lineno}: non-contiguous minutes, gap between "
@@ -356,7 +362,48 @@ def synthetic_counts_oracle(pattern: str, length: int, amplitude: float, seed: i
     return tuple(int(max(0, round(v))) for v in level)
 
 
-def propagate_minute_oracle(demand, external_rps, minute, seed, with_noise=True):
+def interpolate_to_minutes_oracle(trace: WorkloadTrace) -> WorkloadTrace:
+    """interpolate_to_minutes one bin and one minute at a time: a ramp weight
+    per minute, then largest-remainder rounding of the bin's total."""
+
+    def largest_remainder(weights, total):
+        if total == 0:
+            return np.zeros(len(weights), dtype=np.int64)
+        wsum = float(weights.sum())
+        if wsum <= 0.0:
+            weights = np.ones_like(weights)
+            wsum = float(weights.sum())
+        quotas = weights * (total / wsum)
+        floors = np.floor(quotas).astype(np.int64)
+        leftover = total - int(floors.sum())
+        if leftover > 0:
+            remainders = quotas - floors
+            # Ties broken by position for determinism.
+            order = np.lexsort((np.arange(len(weights)), -remainders))
+            floors[order[:leftover]] += 1
+        return floors
+
+    n = len(trace.counts)
+    rates = trace.values / 5.0
+    out = []
+    for i, total in enumerate(trace.counts):
+        prev_rate = rates[i - 1] if i > 0 else rates[i]
+        next_rate = rates[i + 1] if i < n - 1 else rates[i]
+        weights = np.empty(5, dtype=np.float64)
+        for j in range(5):
+            offset = j - 2
+            if offset < 0:
+                weights[j] = rates[i] + (rates[i] - prev_rate) * offset / 5.0
+            elif offset > 0:
+                weights[j] = rates[i] + (next_rate - rates[i]) * offset / 5.0
+            else:
+                weights[j] = rates[i]
+        weights = np.maximum(weights, 0.0)
+        out.extend(int(x) for x in largest_remainder(weights, int(total)))
+    return WorkloadTrace(resolution=1, start_minute=trace.start_minute, counts=tuple(out))
+
+
+def propagate_minute_oracle(demand, external_rps, minute, seed):
     """One minute of DemandModel propagation in Python floats.
 
     Each internal service's inbound rate is scaled by a lognormal factor whose
@@ -367,7 +414,7 @@ def propagate_minute_oracle(demand, external_rps, minute, seed, with_noise=True)
     rates[demand.entry] = float(external_rps)
     sigma = demand.noise_sigma
     for u in demand._topo:
-        if with_noise and sigma > 0 and u != demand.entry:
+        if sigma > 0 and u != demand.entry:
             z = Rng(mix_seed(seed, minute, demand.services.index(u))).normal()
             rates[u] *= math.exp(sigma * z - 0.5 * sigma * sigma)
         for v, mult in demand.fan_out.get(u, {}).items():
@@ -377,8 +424,8 @@ def propagate_minute_oracle(demand, external_rps, minute, seed, with_noise=True)
 
 class PerMinutePredictivePolicy(ScalingPolicy):
     """The predictive policy with one predict_demand call per minute on the
-    last k rates, instead of one batched call over the run. Keeps the rates
-    begin hands it and reads each minute's window from them."""
+    last k rates, instead of one batched call over the run. Keeps the rate
+    grid begin hands it and reads each minute's window from it."""
 
     name = "phpa"
 
@@ -389,7 +436,7 @@ class PerMinutePredictivePolicy(ScalingPolicy):
         self.bounds = bounds
         self._r = None
 
-    def begin(self, start_minute, rates):
+    def begin(self, start_minute, services, rates):
         self._start_minute, self._rates = start_minute, rates
         self._r = None
 
@@ -397,9 +444,8 @@ class PerMinutePredictivePolicy(ScalingPolicy):
         k = self.gcn_model.config.window
         nodes = self.graph.nodes
         end = minute - self._start_minute + 1
-        window = {s: list(self._rates[s][end - k:end]) for s in nodes}
         forecasts, demand = predict_demand(self.lstm_models, self.gcn_model, self.graph,
-                                           window)
+                                           self._rates[end - k:end])
         forecasts = {s: float(v) for s, v in zip(nodes, forecasts[0])}
         demand = {s: float(v) for s, v in zip(nodes, demand[0])}
         if self._r is None:
@@ -497,7 +543,12 @@ def mean_utilization_oracle(log):
 
 
 def pods_chart_svg_oracle(logs, service):
-    """The pods chart drawn point by point from each log's rows for the service."""
+    """The pods chart drawn point by point from each log's rows for the
+    service, with "&", "<" and ">" in names written as entities."""
+
+    def text(name):
+        return name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
     series = [(log.policy_name, [(r.minute, r.pods) for r in log_rows(log)
                                  if r.service == service]) for log in logs]
     width, height = 960, 320
@@ -520,7 +571,7 @@ def pods_chart_svg_oracle(logs, service):
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{left}" y="20" font-family="sans-serif" font-size="14">'
-        f'pods over time: {service}</text>',
+        f'pods over time: {text(service)}</text>',
     ]
     for tick in range(0, p_hi + 1, max(1, p_hi // 6)):
         y = sy(tick)
@@ -551,7 +602,7 @@ def pods_chart_svg_oracle(logs, service):
         parts.append(f'<line x1="{lx}" y1="{top - 6}" x2="{lx + 22}" y2="{top - 6}" '
                      f'stroke="{color}" stroke-width="3"/>')
         parts.append(f'<text x="{lx + 28}" y="{top - 2}" font-family="sans-serif" '
-                     f'font-size="12">{name}</text>')
+                     f'font-size="12">{text(name)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -632,14 +683,14 @@ def lstm_loss_and_grads_oracle(params, x_seq, targets):
 
 def adam_step_oracle(param, grad, state):
     """One bias-corrected Adam update; returns a new parameter and a new state."""
+    beta1, beta2, epsilon = 0.9, 0.999, 1e-8
     t = state.step + 1
-    m = state.beta1 * state.first_moment + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.second_moment + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    new_param = param - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    return new_param, AdamState(m, v, t, state.learning_rate, state.beta1, state.beta2,
-                                state.epsilon)
+    m = beta1 * state.first_moment + (1.0 - beta1) * grad
+    v = beta2 * state.second_moment + (1.0 - beta2) * grad * grad
+    m_hat = m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
+    new_param = param - state.learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)
+    return new_param, AdamState(m, v, t, state.learning_rate)
 
 
 def train_lstm_oracle(train, config):

@@ -16,7 +16,7 @@ from graph_phpa.autoscaler import (
     integrate_step,
     predict_demand,
 )
-from graph_phpa.errors import ValidationError
+from graph_phpa.errors import ShapeError, ValidationError
 from graph_phpa.forecast_lstm import LstmConfig, LstmLayer, LstmModel
 from graph_phpa.predict_gcn import GcnConfig, GcnModel, ServiceGraph
 from graph_phpa.tensor import MinMaxScaler, Rng, glorot_init
@@ -177,6 +177,11 @@ def constant_forecaster(k: int, constant_scaled: float) -> LstmModel:
                      np.zeros((hidden, 1)), bias, MinMaxScaler(-1.0, 1.0, -1.0, 1.0))
 
 
+def grid(a, b) -> np.ndarray:
+    """A (T, 2) rate grid from the columns of services a and b."""
+    return np.column_stack([a, b]).astype(np.float64)
+
+
 class TestRunPolicyStep:
     """One policy step: predict_demand's row for the window ending now, then
     integrate_step."""
@@ -205,7 +210,7 @@ class TestRunPolicyStep:
         # ... on K2 a_hat is all 0.5, so out = 0.5*(0.6+0.6)*2 = 1.2.
         models = {"a": constant_forecaster(self.k, 0.6),
                   "b": constant_forecaster(self.k, 0.6)}
-        history = {"a": [0.4, 0.5, 0.6, 0.7], "b": [0.1, 0.2, 0.3, 0.4]}
+        history = grid([0.4, 0.5, 0.6, 0.7], [0.1, 0.2, 0.3, 0.4])
         decisions, forecasts, demand = self.step(models, history,
                                                  {"a": 1.0, "b": 1.0}, {"a": 1, "b": 1})
         assert forecasts == {"a": pytest.approx(0.6), "b": pytest.approx(0.6)}
@@ -221,7 +226,7 @@ class TestRunPolicyStep:
         # remove a pod and re-add it forever around the fractional demand.
         models = {"a": constant_forecaster(self.k, 0.6),
                   "b": constant_forecaster(self.k, 0.6)}
-        history = {"a": [0.4, 0.5, 0.6, 0.7], "b": [0.1, 0.2, 0.3, 0.4]}
+        history = grid([0.4, 0.5, 0.6, 0.7], [0.1, 0.2, 0.3, 0.4])
         decisions, _, _ = self.step(models, history, {"a": 1.2, "b": 1.2}, {"a": 2, "b": 2})
         assert decisions["a"].delta == 0
         assert decisions["b"].delta == 0
@@ -230,7 +235,7 @@ class TestRunPolicyStep:
     def test_negative_forecast_clamped_to_zero(self):
         models = {"a": constant_forecaster(self.k, -0.9),
                   "b": constant_forecaster(self.k, -0.9)}
-        history = {"a": [1.0] * 5, "b": [1.0] * 5}
+        history = np.ones((5, 2))
         forecasts, demand = predict_demand(models, self.gcn, self.graph, history)
         # Every window's forecast is clamped, not only the latest one.
         np.testing.assert_array_equal(forecasts, np.zeros((3, 2)))
@@ -242,8 +247,8 @@ class TestRunPolicyStep:
     def test_uses_only_last_k_history(self):
         models = {"a": constant_forecaster(self.k, 0.5),
                   "b": constant_forecaster(self.k, 0.5)}
-        short = {"a": [0.7, 0.8, 0.9], "b": [0.7, 0.8, 0.9]}
-        long = {"a": [99.0] * 40 + [0.7, 0.8, 0.9], "b": [99.0] * 40 + [0.7, 0.8, 0.9]}
+        short = grid([0.7, 0.8, 0.9], [0.7, 0.8, 0.9])
+        long = grid([99.0] * 40 + [0.7, 0.8, 0.9], [99.0] * 40 + [0.7, 0.8, 0.9])
         out_short = self.step(models, short, {"a": 1.0, "b": 1.0}, {"a": 1, "b": 1})
         out_long = self.step(models, long, {"a": 1.0, "b": 1.0}, {"a": 1, "b": 1})
         assert out_short[2] == out_long[2]
@@ -253,26 +258,28 @@ class TestRunPolicyStep:
     def test_history_too_short_rejected(self):
         models = {"a": constant_forecaster(self.k, 0.5),
                   "b": constant_forecaster(self.k, 0.5)}
-        with pytest.raises(ValidationError, match="history"):
-            predict_demand(models, self.gcn, self.graph, {"a": [1.0], "b": [1.0]})
-        with pytest.raises(ValidationError, match="history lengths differ"):
-            predict_demand(models, self.gcn, self.graph, {"a": [1.0] * 4, "b": [1.0] * 3})
+        with pytest.raises(ShapeError, match="history"):
+            predict_demand(models, self.gcn, self.graph, grid([1.0], [1.0]))
+        # One column per service of the graph, no more and no fewer.
+        for history in (np.ones((4, 3)), np.ones((4, 1)), np.ones(4)):
+            with pytest.raises(ShapeError, match="history"):
+                predict_demand(models, self.gcn, self.graph, history)
 
     def test_missing_forecaster_rejected(self):
         models = {"a": constant_forecaster(self.k, 0.5)}
-        history = {"a": [1.0] * 4, "b": [1.0] * 4}
+        history = np.ones((4, 2))
         with pytest.raises(ValidationError, match="no forecaster"):
             predict_demand(models, self.gcn, self.graph, history)
 
     def test_does_not_mutate_inputs(self):
         models = {"a": constant_forecaster(self.k, 0.5),
                   "b": constant_forecaster(self.k, 0.5)}
-        history = {"a": [0.7, 0.8, 0.9], "b": [0.7, 0.8, 0.9]}
+        history = grid([0.7, 0.8, 0.9], [0.7, 0.8, 0.9])
         current_r = {"a": 2.0, "b": 3.0}
         current_n = {"a": 2, "b": 3}
-        snapshot = {s: list(v) for s, v in history.items()}
+        snapshot = history.copy()
         self.step(models, history, current_r, current_n)
-        assert history == snapshot
+        np.testing.assert_array_equal(history, snapshot)
         assert current_r == {"a": 2.0, "b": 3.0}
         assert current_n == {"a": 2, "b": 3}
 
@@ -305,12 +312,11 @@ class TestPredictDemandBatch:
     def test_each_row_matches_its_batch_of_one(self, seed, k, extra, data):
         models, gcn, graph = random_pipeline(seed, k)
         rates = st.lists(st.floats(0.0, 500.0), min_size=k + extra, max_size=k + extra)
-        history = {s: data.draw(rates, label=s) for s in graph.nodes}
+        history = np.column_stack([data.draw(rates, label=s) for s in graph.nodes])
         forecasts, demand = predict_demand(models, gcn, graph, history)
         assert forecasts.shape == demand.shape == (extra + 1, graph.size)
         for j in range(extra + 1):
-            window = {s: v[j:j + k] for s, v in history.items()}
-            one_forecast, one_demand = predict_demand(models, gcn, graph, window)
+            one_forecast, one_demand = predict_demand(models, gcn, graph, history[j:j + k])
             for batched, single in ((forecasts[j], one_forecast[0]),
                                     (demand[j], one_demand[0])):
                 scale = max(np.abs(single).max(), 1e-300)

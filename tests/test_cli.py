@@ -9,6 +9,7 @@ import shutil
 import signal
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from graph_phpa import cli, tensor
 from graph_phpa.cluster_sim import SimulationLog
 from graph_phpa.config import ExperimentConfig, TraceSpec
 from graph_phpa.errors import DivergenceError, RunMismatchError, TraceFormatError
-from graph_phpa.forecast_lstm import (LstmConfig, LstmLayer, LstmModel, forecast_series,
+from graph_phpa.forecast_lstm import (LstmConfig, LstmLayer, LstmModel, forecast_rates,
                                       make_windows, predict_windows)
 from graph_phpa.predict_gcn import GcnModel, build_resource_dataset, scale_targets
 from graph_phpa.report import load_run
@@ -57,7 +58,8 @@ class TestGenTrace:
                 "--amplitude", "30", "--noise", "0.1", "--seed", "2", "--out", str(b))
         assert a.read_bytes() != b.read_bytes()
 
-    @pytest.mark.parametrize("period", ["0", "-0.0", "1e-320"])
+    # A negative period used to write a time-reversed wave.
+    @pytest.mark.parametrize("period", ["0", "-0.0", "1e-320", "-240"])
     def test_degenerate_period_exits_2(self, tmp_path, capsys, period):
         out = tmp_path / "t.csv"
         assert run_cli("gen-trace", f"--period={period}", "--out", str(out)) == 2
@@ -111,18 +113,19 @@ class TestTraining:
         # the validation segment through the oracles' forwards, bit for bit.
         prepared = cli.prepare(*ExperimentConfig.load(tiny_config_path))
         cfg, (lo, hi) = prepared.cfg, prepared.segments[1]
-        rps, usage = ({s: v[lo:hi] for s, v in table.items()} for table in prepared.series)
+        rps, usage = (grid[lo:hi] for grid in prepared.series)
         d = Path(tiny_models_dir)
         workload = json.loads((d / "workload_metrics.json").read_text(encoding="utf-8"))
-        models = {s: LstmModel.load(d / f"lstm_{s}.json") for s in cfg.graph.nodes}
-        for service, model in models.items():
-            x, y = make_windows(rps[service], cfg.lstm.window)
+        models = [LstmModel.load(d / f"lstm_{s}.json") for s in cfg.graph.nodes]
+        for j, (service, model) in enumerate(zip(cfg.graph.nodes, models)):
+            x, y = make_windows(rps[:, j], cfg.lstm.window)
             yhat, _ = lstm_forward_scaled_oracle(model.params, model.scaler.transform(x))
             assert workload["services"][service]["final_valid_mse_scaled"] == float(
                 np.mean((yhat - model.scaler.transform(y)) ** 2))
 
         gcn = GcnModel.load(d / "gcn.json")
-        forecasts = {s: forecast_series(m, rps[s]) for s, m in models.items()}
+        forecasts = np.column_stack([forecast_rates(m, make_windows(rps[:, j], cfg.lstm.window)[0])
+                                     for j, m in enumerate(models)])
         x, y = build_resource_dataset(rps, forecasts, usage, cfg.graph.nodes, cfg.lstm.window)
         out, _ = gcn_forward_scaled_oracle(gcn.weights, gcn.config.activations, cfg.graph.a_hat,
                                            gcn.feature_scaler.transform(x))
@@ -615,6 +618,22 @@ class TestCompare:
 
 
 class TestExperiment:
+    def test_names_that_need_quoting_or_escaping(self, tmp_path, capsys):
+        # "a,b" needs CSV quoting; "<b&>" used to give a pods chart that is
+        # not well-formed XML.
+        names = ("a,b", "<b&>")
+        text = json.dumps(TINY_CONFIG)
+        for old, name in zip(('"front"', '"back"'), names):
+            text = text.replace(old, json.dumps(name))
+        config, out = tmp_path / "experiment.json", tmp_path / "exp"
+        config.write_text(text, encoding="utf-8")
+        assert run_cli("experiment", "--config", str(config), "--out", str(out)) == 0
+        for name in names:
+            assert (out / "models" / f"lstm_{name}.json").is_file()
+            root = ElementTree.parse(out / "comparison" / f"pods_{name}.svg").getroot()
+            assert f"pods over time: {name}" in [e.text for e in root.iter()]
+        assert load_run(out / "runs" / "phpa").services == names
+
     def test_full_pipeline_layout(self, tiny_config_path, tmp_path, capsys):
         out = tmp_path / "exp"
         code = run_cli("experiment", "--config", tiny_config_path, "--out", str(out),

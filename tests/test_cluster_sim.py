@@ -57,28 +57,32 @@ def flat_bounds(services, r_ub=10.0, v_p=1.0, q=10):
 
 class TestDemandModel:
     def test_propagation_by_hand(self):
-        rates, _ = bookinfo_demand().demand_series([300.0], start_minute=0, seed=1)
-        assert {s: v[0] for s, v in rates.items()} == {
+        demand = bookinfo_demand()
+        rates, _ = demand.demand_series([300.0], start_minute=0, seed=1)
+        assert rates.shape == (1, 4) and rates.dtype == np.float64
+        assert dict(zip(demand.services, rates[0])) == {
             "front": 300.0, "details": 300.0, "reviews": 300.0,
             "ratings": pytest.approx(200.0)}
 
     def test_resource_usage_by_hand(self):
         _, usage = bookinfo_demand().demand_series([300.0], start_minute=0, seed=1)
-        assert usage["front"][0] == pytest.approx(3.0)
-        assert usage["details"][0] == pytest.approx(1.2)
-        assert usage["reviews"][0] == pytest.approx(1.8)
-        assert usage["ratings"][0] == pytest.approx(1.2)
+        # Columns in services order: front, details, reviews, ratings.
+        assert usage.shape == (1, 4)
+        assert usage[0, 0] == pytest.approx(3.0)
+        assert usage[0, 1] == pytest.approx(1.2)
+        assert usage[0, 2] == pytest.approx(1.8)
+        assert usage[0, 3] == pytest.approx(1.2)
 
     def test_zero_external_is_zero_everywhere(self):
         rates, usage = bookinfo_demand(noise=0.5).demand_series([0.0], start_minute=3, seed=9)
-        assert all(v[0] == 0.0 for v in rates.values())
-        assert all(v[0] == 0.0 for v in usage.values())
+        assert np.all(rates[0] == 0.0)
+        assert np.all(usage[0] == 0.0)
 
     def test_noise_only_hits_internal_services(self):
         demand = bookinfo_demand(noise=0.4)
         rates, _ = demand.demand_series([100.0], start_minute=7, seed=21)
-        assert rates["front"][0] == 100.0
-        assert rates["details"][0] != pytest.approx(100.0)
+        assert rates[0, demand.services.index("front")] == 100.0
+        assert rates[0, demand.services.index("details")] != pytest.approx(100.0)
 
     def test_noise_is_keyed_by_absolute_minute(self):
         # The same absolute minute must see the same jitter no matter what
@@ -86,39 +90,37 @@ class TestDemandModel:
         demand = bookinfo_demand(noise=0.3)
         a, _ = demand.demand_series([100.0], start_minute=50, seed=5)
         b, _ = demand.demand_series([100.0] * 3, start_minute=49, seed=5)
-        assert all(a[s][0] == b[s][1] for s in demand.services)
+        assert np.all(a[0] == b[1])
         c, _ = demand.demand_series([100.0], start_minute=51, seed=5)
-        assert any(a[s][0] != c[s][0] for s in demand.services)
+        assert np.any(a[0] != c[0])
 
     def test_noise_mean_is_one_in_expectation(self):
         demand = bookinfo_demand(noise=0.2)
         rates, _ = demand.demand_series(np.full(4000, 100.0), start_minute=0, seed=77)
-        assert np.mean(rates["details"]) == pytest.approx(100.0, rel=0.01)
+        assert np.mean(rates[:, demand.services.index("details")]) == pytest.approx(100.0,
+                                                                                   rel=0.01)
 
     def test_demand_series_matches_per_minute_calls(self):
         # The one-pass window must be bit for bit the per-minute propagation,
         # each minute drawing from its own freshly seeded generator, and so
         # must a window of one minute.
         external = np.array([100.0, 120.0, 90.0, 0.0, 333.3, 57.25])
-        for sigma, with_noise, start in itertools.product((0.0, 0.1, 0.25), (True, False),
-                                                          (0, 40)):
+        for sigma, start in itertools.product((0.0, 0.1, 0.25), (0, 40)):
             demand = bookinfo_demand(noise=sigma)
-            rps, usage = demand.demand_series(external, start_minute=start, seed=3,
-                                              with_noise=with_noise)
+            rps, usage = demand.demand_series(external, start_minute=start, seed=3)
+            assert rps.shape == usage.shape == (len(external), len(demand.services))
             for i, x in enumerate(external):
-                rates = propagate_minute_oracle(demand, x, start + i, 3, with_noise)
-                one, _ = demand.demand_series([x], start + i, 3, with_noise)
-                for s in demand.services:
-                    assert rps[s][i].tobytes() == np.float64(rates[s]).tobytes()
-                    assert one[s][0].tobytes() == np.float64(rates[s]).tobytes()
-                    assert usage[s][i] == rates[s] * demand.cpu_per_request[s]
+                rates = propagate_minute_oracle(demand, x, start + i, 3)
+                one, _ = demand.demand_series([x], start + i, 3)
+                for j, s in enumerate(demand.services):
+                    assert rps[i, j].tobytes() == np.float64(rates[s]).tobytes()
+                    assert one[0, j].tobytes() == np.float64(rates[s]).tobytes()
+                    assert usage[i, j] == rates[s] * demand.cpu_per_request[s]
 
     def test_conservation_without_noise(self):
         # Noise-free propagation is exactly linear in the external rate.
-        demand = bookinfo_demand()
-        rates, _ = demand.demand_series([100.0, 250.0], 0, 1, with_noise=False)
-        for s in demand.services:
-            assert rates[s][1] == pytest.approx(2.5 * rates[s][0])
+        rates, _ = bookinfo_demand().demand_series([100.0, 250.0], 0, 1)
+        np.testing.assert_allclose(rates[1], 2.5 * rates[0])
 
     def test_cycle_rejected(self):
         with pytest.raises(ValidationError, match="cycle"):
@@ -202,7 +204,7 @@ class TestReactivePolicy:
         config = config or HpaConfig(scale_out=0.9, scale_in=0.3,
                                      stabilization_minutes=5)
         policy = ReactivePolicy(config, flat_bounds(("s",)))
-        policy.begin(0, {"s": []})
+        policy.begin(0, ("s",), np.empty((0, 1)))
         out = None
         for _ in range(minutes):
             targets, _ = policy.decide(0, {"s": util}, {"s": pods})
@@ -221,7 +223,7 @@ class TestReactivePolicy:
 
     def test_middle_utilization_resets_the_calm_counter(self):
         policy = ReactivePolicy(HpaConfig(0.9, 0.3, 3), flat_bounds(("s",)))
-        policy.begin(0, {"s": []})
+        policy.begin(0, ("s",), np.empty((0, 1)))
         for util in (0.1, 0.1, 0.5, 0.1, 0.1):  # calm streak broken at step 3
             targets, _ = policy.decide(0, {"s": util}, {"s": 4})
         assert targets["s"] == 4
@@ -230,7 +232,7 @@ class TestReactivePolicy:
 
     def test_breach_resets_the_calm_counter(self):
         policy = ReactivePolicy(HpaConfig(0.9, 0.3, 2), flat_bounds(("s",)))
-        policy.begin(0, {"s": []})
+        policy.begin(0, ("s",), np.empty((0, 1)))
         policy.decide(0, {"s": 0.1}, {"s": 4})
         policy.decide(1, {"s": 0.95}, {"s": 4})
         targets, _ = policy.decide(2, {"s": 0.1}, {"s": 4})
@@ -243,13 +245,13 @@ class TestReactivePolicy:
 
     def test_scale_out_capped(self):
         policy = ReactivePolicy(HpaConfig(0.9, 0.3, 5), flat_bounds(("s",), q=4))
-        policy.begin(0, {"s": []})
+        policy.begin(0, ("s",), np.empty((0, 1)))
         targets, _ = policy.decide(0, {"s": 2.0}, {"s": 4})
         assert targets["s"] == 4
 
     def test_scale_in_floors_at_one(self):
         policy = ReactivePolicy(HpaConfig(0.9, 0.3, 1), flat_bounds(("s",)))
-        policy.begin(0, {"s": []})
+        policy.begin(0, ("s",), np.empty((0, 1)))
         targets, _ = policy.decide(0, {"s": 0.0}, {"s": 1})
         assert targets["s"] == 1
 
@@ -403,7 +405,8 @@ class TestRunSimulation:
         log = run_simulation(tail, demand,
                              ReactivePolicy(HpaConfig(), bounds), bounds, SimConfig(seed=8))
         for r in log_rows(log):
-            assert r.service_rps == pytest.approx(rps[r.service][r.minute], rel=1e-12)
+            assert r.service_rps == pytest.approx(
+                rps[r.minute, demand.services.index(r.service)], rel=1e-12)
 
     def test_rows_equal_per_minute_propagation(self):
         # The whole window is propagated up front; every row must still carry
@@ -640,10 +643,27 @@ class TestBatchedPredictiveReplay:
                 assert type(getattr(b, name)) is float
                 assert getattr(b, name) == pytest.approx(getattr(o, name), rel=1e-9, abs=0)
 
+    def test_services_out_of_graph_order_rejected(self):
+        # Rate columns are matched to forecasters by position, so a grid whose
+        # services are not graph.nodes in order must not be read.
+        policy = TestPredictivePolicySimulation().make_policy(
+            slot=-1, feature_scaler=MinMaxScaler(0.0, 1.0, 0.0, 1.0))[0]
+        rates = np.full((5, 2), 100.0)
+        for services in (("b", "a"), ("a",), ("a", "b", "c")):
+            with pytest.raises(ValidationError, match="not graph.nodes"):
+                policy.begin(0, services, rates)
+        policy.begin(0, ("a", "b"), rates)
+        demand = DemandModel(services=("b", "a"), entry="a",
+                             cpu_per_request={"a": 0.01, "b": 0.01}, fan_out={"a": {"b": 1.0}})
+        bounds = {s: ScalingBounds(1.0, 8.0, 1.0, max_pods=8) for s in ("a", "b")}
+        with pytest.raises(ValidationError, match=r"\['b', 'a'\] are not graph.nodes"):
+            run_simulation(stub_trace([100] * 8), demand, policy, bounds, SimConfig(seed=3),
+                           warmup=4)
+
     def test_minute_outside_the_prepass_rejected(self):
         policy = TestPredictivePolicySimulation().make_policy(
             slot=-1, feature_scaler=MinMaxScaler(0.0, 1.0, 0.0, 1.0))[0]
-        policy.begin(10, {"a": np.full(5, 100.0), "b": np.full(5, 100.0)})
+        policy.begin(10, ("a", "b"), np.full((5, 2), 100.0))
         pods = {"a": 1, "b": 1}
         policy.decide(12, {}, pods)
         for minute in (11, 15):

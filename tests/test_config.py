@@ -191,7 +191,24 @@ class TestValueTypes:
         code = run_cli("simulate", "--config", str(config), "--policy", "reactive",
                        "--out", str(tmp_path / "run"))
         assert code == 2
-        assert capsys.readouterr().err.startswith(f"error: trace.synthetic.period {period} ")
+        # A zero period is not positive; a subnormal one overflows the phase.
+        assert capsys.readouterr().err.startswith(
+            f"error: trace.synthetic.period {period} " if period
+            else f"error: trace.synthetic.period must be > 0, got {period}\n")
+
+    @pytest.mark.parametrize("name", ["a/b", "/", "a\0b"])
+    def test_service_name_with_slash_or_nul_exits_2(self, name, tmp_path, capsys):
+        # Model files and charts are named after services: "a/b" used to fail
+        # with a FileNotFoundError traceback once the forecasters were trained.
+        from conftest import TINY_CONFIG, run_cli
+        d = json.loads(json.dumps(TINY_CONFIG).replace('"back"', json.dumps(name)))
+        config = tmp_path / "experiment.json"
+        config.write_text(json.dumps(d), encoding="utf-8")
+        code = run_cli("experiment", "--config", str(config), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: graph.nodes[1] {name!r} must not contain "
+                                           f"'/' or NUL: files are named after it\n")
+        assert not (tmp_path / "out").exists()
 
     def test_counts_above_2_pow_53_exit_2_naming_the_keys(self, tmp_path, capsys):
         from conftest import TINY_CONFIG, run_cli
@@ -348,6 +365,10 @@ class TestMutationSweep:
         # A negative amplitude or base used to run.
         assert [label for label in admitted if label.endswith("=True")] == []
         assert {"trace.synthetic.amplitude=-1", "trace.synthetic.base=-1"}.isdisjoint(admitted)
+        # A period must be positive; a negative one used to run. A call graph
+        # without edges is a valid one.
+        assert "trace.synthetic.period=-1" not in admitted
+        assert "demand.fan_out={}" in admitted
 
     def test_model_sections_exit_0_or_2_through_training(self, tmp_path, capsys):
         # simulate --policy reactive never reads lstm or gcn, so their

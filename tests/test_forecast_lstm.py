@@ -27,7 +27,7 @@ from graph_phpa.forecast_lstm import (
     _Workspace,
     evaluate,
     evaluate_lstm,
-    forecast_series,
+    forecast_rates,
     make_windows,
     predict_windows,
     train_lstm,
@@ -283,11 +283,11 @@ class TestBlockedInference:
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            forecast_series(model, values)
+            forecast_rates(model, make_windows(values, 10)[0])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 5e6, f"forecast_series peaked at {peak / 1e6:.1f} MB"
+        assert peak < 5e6, f"the forecast peaked at {peak / 1e6:.1f} MB"
 
 
 class TestMakeWindows:
@@ -402,20 +402,25 @@ class TestTraining:
 
 
 class TestForecastSeries:
-    def test_alignment_and_nan_prefix(self):
+    def test_too_short_raises(self):
+        # A series no longer than the model's window yields no forecast.
+        model = random_model(Rng(1), 1, 2, 5)
+        with pytest.raises(EmptyDatasetError):
+            forecast_rates(model, make_windows(np.arange(5.0), model.config.window)[0])
+
+
+class TestForecastRates:
+    def test_alignment_with_make_windows(self):
+        # Forecast i is for index i + k, from the k values before it: the
+        # forecasts train_resource feeds the graph predictor.
         rng = Rng(41)
         model = random_model(rng, 1, 3, 4, MinMaxScaler(0.0, 100.0))
         values = rng.uniform(0.0, 100.0, (15,))
-        out = forecast_series(model, values)
-        assert out.shape == values.shape
-        assert np.all(np.isnan(out[:4]))
+        out = forecast_rates(model, make_windows(values, 4)[0])
+        assert out.shape == (11,)
         for j in range(4, 15):
-            assert out[j] == pytest.approx(forecast_one(model, values[j - 4:j]), abs=1e-12)
-
-    def test_too_short_raises(self):
-        model = random_model(Rng(1), 1, 2, 5)
-        with pytest.raises(EmptyDatasetError):
-            forecast_series(model, np.arange(5.0))
+            assert out[j - 4] == pytest.approx(max(forecast_one(model, values[j - 4:j]), 0.0),
+                                               abs=1e-12)
 
 
 class TestSerialization:

@@ -394,13 +394,19 @@ class TestBlockedEvaluation:
             assert peak < 3e6, f"{name} peaked at {peak / 1e6:.1f} MB"
 
 
+def column(*values) -> np.ndarray:
+    """A one-node (T, 1) grid."""
+    return np.array(values, dtype=np.float64)[:, None]
+
+
 class TestBuildResourceDataset:
     def test_windowed_example_by_hand(self):
         # k=3, T=5: samples at reference minutes t=2,3. Row layout per node is
-        # [w[t-1], w[t], f[t+1]]; target is max r over [t-1 .. t+1].
-        w = {"a": np.array([10.0, 20.0, 30.0, 40.0, 50.0])}
-        f = {"a": np.array([11.0, 21.0, 31.0, 41.0, 51.0])}
-        r = {"a": np.array([1.0, 5.0, 2.0, 7.0, 3.0])}
+        # [w[t-1], w[t], f[t+1]]; target is max r over [t-1 .. t+1]. Forecast
+        # row i is for minute index i+k.
+        w = column(10.0, 20.0, 30.0, 40.0, 50.0)
+        f = column(41.0, 51.0)
+        r = column(1.0, 5.0, 2.0, 7.0, 3.0)
         x, y = build_resource_dataset(w, f, r, ("a",), 3)
         assert x.shape == (2, 1, 3)
         np.testing.assert_array_equal(x[0, 0], [20.0, 30.0, 41.0])
@@ -410,32 +416,31 @@ class TestBuildResourceDataset:
     def test_targets_match_loop_oracle(self):
         rng = Rng(41)
         t_total, k = 30, 5
-        r = rng.uniform(0.0, 4.0, (t_total,))
-        series = {"a": rng.uniform(0.0, 100.0, (t_total,))}
-        _, y = build_resource_dataset(series, series, {"a": r}, ("a",), k)
+        r = rng.uniform(0.0, 4.0, (t_total, 1))
+        series = rng.uniform(0.0, 100.0, (t_total, 1))
+        _, y = build_resource_dataset(series, series[k:], r, ("a",), k)
         # Sample s refers to minute t=k-1+s, target max over [t-k+2, t+1]:
         # exactly the k-window of r ending at t+1, i.e. oracle windows from
         # index 1 onward.
-        expected = windowed_max_oracle(r.tolist(), k)[1:]
+        expected = windowed_max_oracle(r[:, 0].tolist(), k)[1:]
         np.testing.assert_allclose(y[:, 0, 0], expected)
 
     def test_sample_count_is_t_minus_k(self):
-        series = {"a": np.arange(12.0)}
-        x, y = build_resource_dataset(series, series, series, ("a",), 4)
+        series = np.arange(12.0)[:, None]
+        x, y = build_resource_dataset(series, series[4:], series, ("a",), 4)
         assert len(x) == len(y) == 8
 
     def test_forecast_column_is_last(self):
-        w = {"a": np.zeros(6)}
-        f = {"a": np.full(6, 9.0)}
-        r = {"a": np.zeros(6)}
-        x, _ = build_resource_dataset(w, f, r, ("a",), 3)
+        w = np.zeros((6, 1))
+        f = np.full((3, 1), 9.0)
+        x, _ = build_resource_dataset(w, f, w, ("a",), 3)
         np.testing.assert_array_equal(x[:, 0, -1], 9.0)
         np.testing.assert_array_equal(x[:, 0, :-1], 0.0)
 
     def test_non_finite_forecast_rejected(self):
-        w = {"a": np.zeros(6)}
-        f = {"a": np.array([0.0, 0.0, 0.0, np.nan, 0.0, 0.0])}
-        with pytest.raises(ValidationError):
+        w = np.zeros((6, 1))
+        f = column(0.0, np.nan, 0.0)
+        with pytest.raises(ValidationError, match="'a' at minute index 4 is not finite"):
             build_resource_dataset(w, f, w, ("a",), 3)
 
     @given(t_total=st.integers(3, 40), k=st.integers(2, 6), n=st.integers(1, 3),
@@ -443,18 +448,16 @@ class TestBuildResourceDataset:
                                                                   st.integers(0, 2)))
     @settings(max_examples=60)
     def test_matches_per_sample_loop(self, t_total, k, n, seed, bad):
-        # Bitwise, including the NaN forecast_series leaves in the first k
-        # slots and the error a later non-finite forecast raises.
+        # Bitwise, including the error a non-finite forecast raises.
         if t_total < k + 1:
             return
         rng = Rng(seed)
         nodes = tuple(f"s{i}" for i in range(n))
-        w = {s: rng.uniform(0.0, 100.0, (t_total,)) for s in nodes}
-        f = {s: np.concatenate([np.full(k, np.nan), rng.uniform(0.0, 100.0, (t_total - k,))])
-             for s in nodes}
-        r = {s: rng.uniform(0.0, 4.0, (t_total,)) for s in nodes}
+        w = rng.uniform(0.0, 100.0, (t_total, n))
+        f = rng.uniform(0.0, 100.0, (t_total - k, n))
+        r = rng.uniform(0.0, 4.0, (t_total, n))
         if bad is not None:
-            f[nodes[bad[1] % n]][k + bad[0] % (t_total - k)] = np.inf
+            f[bad[0] % (t_total - k), bad[1] % n] = np.inf
             with pytest.raises(ValidationError) as expected:
                 resource_dataset_oracle(w, f, r, nodes, k)
             with pytest.raises(ValidationError, match="not finite") as got:
@@ -468,27 +471,34 @@ class TestBuildResourceDataset:
         np.testing.assert_array_equal(y, y_loop)
 
     def test_missing_series_rejected(self):
-        w = {"a": np.zeros(6)}
-        with pytest.raises(ValidationError):
-            build_resource_dataset(w, w, {}, ("a",), 3)
+        # A grid needs one column per node.
+        w = np.zeros((6, 1))
+        for workloads, forecasts, resources in ((w, w[3:], np.zeros((6, 0))),
+                                                (w, np.zeros((3, 0)), w),
+                                                (np.zeros(6), w[3:], w)):
+            with pytest.raises(ShapeError, match=r"must be \(T, 1\), \(T-3, 1\)"):
+                build_resource_dataset(workloads, forecasts, resources, ("a",), 3)
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            build_resource_dataset({"a": np.zeros(6)}, {"a": np.zeros(5)},
-                                   {"a": np.zeros(6)}, ("a",), 3)
+        with pytest.raises(ShapeError):
+            build_resource_dataset(np.zeros((6, 1)), np.zeros((2, 1)), np.zeros((6, 1)),
+                                   ("a",), 3)
+        with pytest.raises(ShapeError):
+            build_resource_dataset(np.zeros((6, 1)), np.zeros((3, 1)), np.zeros((5, 1)),
+                                   ("a",), 3)
 
     def test_too_short_rejected(self):
-        s = {"a": np.zeros(3)}
+        s = np.zeros((3, 1))
         with pytest.raises(EmptyDatasetError):
-            build_resource_dataset(s, s, s, ("a",), 3)
+            build_resource_dataset(s, s[3:], s, ("a",), 3)
 
     @given(t_total=st.integers(6, 40), k=st.integers(2, 5))
     @settings(max_examples=40)
     def test_count_property(self, t_total, k):
-        s = {"a": np.arange(float(t_total))}
+        s = np.arange(float(t_total))[:, None]
         if t_total < k + 1:
             return
-        x, y = build_resource_dataset(s, s, s, ("a",), k)
+        x, y = build_resource_dataset(s, s[k:], s, ("a",), k)
         assert x.shape == (t_total - k, 1, k)
         assert y.shape == (t_total - k, 1, 1)
 

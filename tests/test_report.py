@@ -8,6 +8,7 @@ import json
 import re
 import tempfile
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -17,10 +18,10 @@ from hypothesis import strategies as st
 from graph_phpa.cluster_sim import SimulationLog
 from graph_phpa.errors import RunMismatchError, ValidationError
 from graph_phpa.report import (
+    _pods_charts,
     check_runs_comparable,
     comparison_table,
     load_run,
-    pods_chart_svg,
     render_table_text,
     write_comparison,
 )
@@ -28,6 +29,11 @@ from graph_phpa.tensor import BLOCK
 from conftest import traced_peak
 from oracles import (SimRow, log_from_rows, log_rows, mean_utilization_oracle,
                      pods_chart_svg_oracle, summary_oracle)
+
+
+def pods_chart_svg(logs, service) -> str:
+    """The pods chart write_comparison writes for one service."""
+    return next(_pods_charts(logs, [service]))
 
 
 def make_log(policy: str, pods_a, pods_b=None, seed=1, sha="t", start=0):
@@ -137,6 +143,21 @@ class TestChart:
     def test_unknown_service(self):
         with pytest.raises(ValidationError, match="unknown service"):
             pods_chart_svg([make_log("x", [2])], "zzz")
+
+    def test_markup_in_names_is_escaped(self, tmp_path):
+        # A service or policy name with markup used to give a chart that is
+        # not well-formed XML.
+        services = ("<b&>", "c")
+        rows = [SimRow(m, s, 1.0, 1.0, 1 + m, 0.5, False, "p<&>", 0)
+                for m in range(2) for s in services]
+        log = log_from_rows(rows, policy_name="p<&>", services=services, start_minute=0)
+        logs = [log, dataclasses.replace(log, policy_name="q")]
+        write_comparison(tmp_path, logs, baseline="q")
+        svg = (tmp_path / "pods_<b&>.svg").read_text(encoding="utf-8")
+        texts = [e.text for e in ElementTree.fromstring(svg).iter(
+            "{http://www.w3.org/2000/svg}text")]
+        assert "pods over time: <b&>" in texts and "p<&>" in texts
+        assert svg == pods_chart_svg_oracle(logs, "<b&>")
 
 
 class TestWriteAndLoad:
@@ -359,6 +380,17 @@ class TestLoadRunRejects:
         summary["service_order"] = []
         (run_dir / "summary.json").write_text(json.dumps(summary), encoding="utf-8")
         with pytest.raises(ValidationError, match="summary.json lists no services"):
+            load_run(run_dir)
+
+    @pytest.mark.parametrize("name", ["a/b", "a\0b"])
+    def test_summary_with_a_service_name_with_slash_or_nul(self, tmp_path, name):
+        # compare writes a pods_<service>.svg per service.
+        run_dir = save_run(tmp_path, make_log("x", [2]))
+        summary = json.loads((run_dir / "summary.json").read_text(encoding="utf-8"))
+        summary["service_order"] = ["a", name]
+        (run_dir / "summary.json").write_text(json.dumps(summary), encoding="utf-8")
+        with pytest.raises(ValidationError, match=r"summary.json: service_order\[1\] .* must "
+                                                  r"not contain '/' or NUL"):
             load_run(run_dir)
 
     @pytest.mark.parametrize("horizon, message", [(-1, "has a negative horizon -1"),

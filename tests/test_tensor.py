@@ -82,12 +82,6 @@ class TestAdam:
         with pytest.raises(ShapeError):
             adam_step(np.zeros(3), np.zeros(3), state)
 
-    def test_invalid_hyperparams(self):
-        with pytest.raises(ValidationError):
-            AdamState.fresh(np.zeros(1), 0.01, beta1=1.0)
-        with pytest.raises(ValidationError):
-            AdamState.fresh(np.zeros(1), 0.01, epsilon=0.0)
-
 
 class TestFiniteDiff:
     def test_quadratic_gradient(self):

@@ -15,8 +15,8 @@ from graph_phpa.errors import TraceFormatError, ValidationError
 from graph_phpa.traces import (WorkloadTrace, generate_synthetic_trace,
                                interpolate_to_minutes, load_trace, rescale_trace,
                                save_trace, slice_trace, split_dataset, trace_digest)
-from oracles import (load_trace_oracle, rescaled_counts_oracle, save_trace_oracle,
-                     synthetic_counts_oracle)
+from oracles import (interpolate_to_minutes_oracle, load_trace_oracle, rescaled_counts_oracle,
+                     save_trace_oracle, synthetic_counts_oracle)
 
 
 def write_trace_file(tmp_path, text, name="trace.csv"):
@@ -33,6 +33,11 @@ class TestWorkloadTrace:
             WorkloadTrace(resolution=1, start_minute=0, counts=())
         with pytest.raises(ValidationError):
             WorkloadTrace(resolution=1, start_minute=0, counts=(1, -2))
+        # float64, the simulator's type, holds every count up to 2**53 exactly.
+        assert WorkloadTrace(1, 0, (2**53,)).values[0] == 2**53
+        with pytest.raises(ValidationError, match=r"^request count 9007199254740993 is above "
+                                                  r"2\*\*53, more than float64 holds exactly$"):
+            WorkloadTrace(resolution=1, start_minute=0, counts=(1, 2**53 + 1))
 
     def test_minutes_grid(self):
         t = WorkloadTrace(resolution=5, start_minute=10, counts=(1, 2, 3))
@@ -67,6 +72,15 @@ class TestLoadSave:
         path = write_trace_file(tmp_path, "minute,requests\n0,-1\n")
         with pytest.raises(TraceFormatError):
             load_trace(path)
+
+    @pytest.mark.parametrize("count", [2**53 + 1, 2**60 + 1, 2**63 - 1, 10**30])
+    def test_count_above_2_53_names_its_line(self, tmp_path, count):
+        # 2**60 + 1 used to load as 2**60, with no error.
+        path = write_trace_file(tmp_path, f"minute,requests\n0,1\n1,{2**53}\n2,{count}\n")
+        with pytest.raises(TraceFormatError, match=f"^{path}:4: request count {count} is "
+                                                   f"above 2\\*\\*53") as err:
+            load_trace(path)
+        assert err.value.line == 4
 
     def test_five_minute_resolution_stride(self, tmp_path):
         path = write_trace_file(tmp_path, "minute,requests\n0,10\n5,12\n10,3\n")
@@ -106,6 +120,23 @@ class TestInterpolation:
         out = np.array(interpolate_to_minutes(t).counts)
         middle = out[5:10]
         assert np.all(np.diff(middle) >= 0)
+
+    @given(counts=st.lists(st.sampled_from([0, 1, 2, 3, 5, 7, 10, 11, 12, 1000])
+                           | st.integers(0, 2**53), min_size=1, max_size=40),
+           start_bin=st.integers(-3, 10))
+    @settings(max_examples=300)
+    @example(counts=[10, 10, 11, 12, 3], start_bin=0)  # remainder ties within bins
+    @example(counts=[0, 0, 7, 0, 0], start_bin=1)  # zero bins, one beside requests
+    @example(counts=[0], start_bin=0)
+    @example(counts=[2**53, 1, 2**53 - 1], start_bin=0)
+    def test_matches_the_per_bin_loop(self, counts, start_bin):
+        # The array passes give the loop's counts, rounding and ties included;
+        # a bin with requests always has a positive middle weight, so only an
+        # empty bin has no weight at all.
+        trace = WorkloadTrace(resolution=5, start_minute=start_bin * 5, counts=tuple(counts))
+        got = interpolate_to_minutes(trace)
+        assert got == interpolate_to_minutes_oracle(trace)
+        assert {type(c) for c in got.counts} == {int}
 
     @given(st.lists(st.integers(0, 5000), min_size=1, max_size=40),
            st.integers(0, 10))
@@ -213,11 +244,15 @@ class TestSyntheticGenerator:
             generate_synthetic_trace("square", 10, 1.0, seed=0)
 
     @pytest.mark.parametrize("pattern", ["sine", "diurnal"])
-    @pytest.mark.parametrize("period", [0, -0.0, 1e-320])
+    @pytest.mark.parametrize("period", [0, -0.0, 1e-320, -240.0, float("nan")])
     def test_degenerate_period_rejected(self, pattern, period):
-        # The phase 2 pi t / period is NaN or infinite: its counts used to
-        # fail as a float NaN converted to an integer.
-        with pytest.raises(ValidationError, match=f"period {period} .* non-finite"):
+        # A period must be above 0: a negative one used to run, as a
+        # time-reversed wave. A subnormal one makes the phase 2 pi t / period
+        # infinite: its counts used to fail as a float NaN converted to an
+        # integer.
+        message = (f"period {period} .* non-finite" if period > 0
+                   else f"^period must be > 0, got {period}$")
+        with pytest.raises(ValidationError, match=message):
             generate_synthetic_trace(pattern, 10, 1.0, seed=0, period=period)
 
     @pytest.mark.parametrize("noise", [-1.0, -1e-9, float("nan")])
@@ -319,7 +354,7 @@ class TestBulkTraceIO:
         assert outcome(load_trace, path, resolution) == outcome(load_trace_oracle, path,
                                                                 resolution)
 
-    @given(counts=st.lists(st.integers(0, 2**70), min_size=1, max_size=40),
+    @given(counts=st.lists(st.integers(0, 2**53), min_size=1, max_size=40),
            start=st.integers(-2**70, 2**70), resolution=st.integers(1, 7))
     @settings(max_examples=100)
     def test_save_writes_the_oracles_bytes(self, tmp_path_factory, counts, start, resolution):
@@ -329,14 +364,20 @@ class TestBulkTraceIO:
         save_trace_oracle(trace, d / "ref.csv")
         assert (d / "t.csv").read_bytes() == (d / "ref.csv").read_bytes()
 
-    @given(counts=st.lists(st.integers(0, 2**60), min_size=1, max_size=40),
+    @given(counts=st.lists(st.integers(0, 2**53), min_size=1, max_size=40),
            peak=st.floats(1e-3, 1e300))
     @settings(max_examples=100)
+    @example(counts=[1, 2], peak=1e17)  # rescale_peak: 1e17 used to run
     def test_rescale_gives_the_oracles_counts(self, counts, peak):
         if max(counts) == 0:
             counts[0] = 1
         trace = WorkloadTrace(resolution=1, start_minute=0, counts=tuple(counts))
-        assert rescale_trace(trace, peak).counts == rescaled_counts_oracle(counts, peak)
+        expected = rescaled_counts_oracle(counts, peak)
+        if max(expected) > 2**53:  # more than a trace holds
+            with pytest.raises(ValidationError, match="above 2\\*\\*53"):
+                rescale_trace(trace, peak)
+        else:
+            assert rescale_trace(trace, peak).counts == expected
 
     @given(pattern=st.sampled_from(["sine", "diurnal", "bursty"]), length=st.integers(1, 400),
            amplitude=st.sampled_from([0.0, 60.0, 1e3, -5.0, 1e16, 1e300])
