@@ -5,7 +5,7 @@ demand with a graph convolutional network over the call graph, and size pod
 counts one minute ahead. A minute-resolution cluster simulator and a reactive
 threshold autoscaler provide the baseline for comparison.
 """
-from .autoscaler import ScalingBounds, ScalingDecision, integrate_step, predict_demand
+from .autoscaler import ScalingBounds, integrate_step, predict_demand
 from .cluster_sim import (DemandModel, HpaConfig, PredictivePolicy, ReactivePolicy,
                           SimConfig, SimulationLog, run_simulation)
 from .config import ExperimentConfig
@@ -23,8 +23,8 @@ __all__ = [
     "ConfigError", "DemandModel", "DivergenceError", "EmptyDatasetError",
     "ExperimentConfig", "GcnConfig", "GcnModel", "GraphPhpaError", "HpaConfig",
     "LstmConfig", "LstmModel", "PredictivePolicy", "ReactivePolicy", "RunMismatchError",
-    "ScalingBounds", "ScalingDecision", "ServiceGraph", "ShapeError", "SimConfig",
-    "SimulationLog", "Split", "TraceFormatError", "ValidationError", "WorkloadTrace",
+    "ScalingBounds", "ServiceGraph", "ShapeError", "SimConfig", "SimulationLog", "Split",
+    "TraceFormatError", "ValidationError", "WorkloadTrace",
     "build_resource_dataset", "gcn_forward", "generate_synthetic_trace", "integrate_step",
     "interpolate_to_minutes", "load_trace", "make_windows", "normalize_adjacency",
     "predict_demand", "predict_resource", "run_simulation", "save_trace",

@@ -41,64 +41,29 @@ class ScalingBounds:
             raise ValidationError(f"max_pods must be >= 1, got {self.max_pods}")
 
 
-@dataclass(frozen=True)
-class ScalingDecision:
-    service: str
-    r_prev: float
-    r_new: float
-    n_prev: int
-    n_new: int
-
-    @property
-    def delta(self) -> int:
-        return self.n_new - self.n_prev
-
-
-def _check_aligned(current_r, current_n, predicted, bounds):
-    keys = set(current_r)
-    for name, table in (("current_n", current_n), ("predicted", predicted),
-                        ("bounds", bounds)):
-        if set(table) != keys:
-            missing = sorted(keys.symmetric_difference(table))
-            raise ValidationError(f"{name} keys do not match current_r: {missing}")
-
-
-def integrate_step(current_r: Mapping[str, float],
-                   current_n: Mapping[str, int],
-                   predicted: Mapping[str, float],
-                   bounds: Mapping[str, ScalingBounds]) -> dict[str, ScalingDecision]:
-    """One scaling decision per service from predicted vCPU demand.
+def integrate_step(r_cur: float, n_cur: int, predicted: float,
+                   bounds: ScalingBounds) -> tuple[float, int]:
+    """One service's scaling step from its predicted vCPU demand: the new
+    allocation and pod count.
 
     The prediction is clamped to [r_lb, r_ub]; the pod count then moves by
-    ceil(|clamped - current| / pod_capacity) in the direction of the change,
+    ceil(|clamped - r_cur| / pod_capacity) in the direction of the change,
     bounded to [1, max_pods]. Equal demand leaves the count untouched.
     """
-    _check_aligned(current_r, current_n, predicted, bounds)
-    decisions = {}
-    for service in current_r:
-        b = bounds[service]
-        r_cur = float(current_r[service])
-        n_cur = int(current_n[service])
-        if not 1 <= n_cur <= b.max_pods:
-            raise ValidationError(f"current pod count for {service!r} outside "
-                                  f"[1, {b.max_pods}]: {n_cur}")
-        if not b.r_lb <= r_cur <= b.r_ub:
-            raise ValidationError(f"current allocation for {service!r} outside "
-                                  f"[{b.r_lb}, {b.r_ub}]: {r_cur}")
-        raw = float(predicted[service])
-        if not math.isfinite(raw):
-            raise ValidationError(f"predicted demand for {service!r} is not finite")
-        r_new = min(max(raw, b.r_lb), b.r_ub)
-        if r_new > r_cur:
-            n_new = min(n_cur + math.ceil((r_new - r_cur) / b.pod_capacity), b.max_pods)
-        elif r_new < r_cur:
-            n_new = max(n_cur - math.ceil((r_cur - r_new) / b.pod_capacity), 1)
-            n_new = min(n_new, b.max_pods)
-        else:
-            n_new = min(max(n_cur, 1), b.max_pods)
-        decisions[service] = ScalingDecision(service=service, r_prev=r_cur, r_new=r_new,
-                                             n_prev=n_cur, n_new=n_new)
-    return decisions
+    if not 1 <= n_cur <= bounds.max_pods:
+        raise ValidationError(f"current pod count outside [1, {bounds.max_pods}]: {n_cur}")
+    if not bounds.r_lb <= r_cur <= bounds.r_ub:
+        raise ValidationError(f"current allocation outside [{bounds.r_lb}, {bounds.r_ub}]: "
+                              f"{r_cur}")
+    if not math.isfinite(predicted):
+        raise ValidationError(f"predicted demand {predicted} is not finite")
+    r_new = min(max(predicted, bounds.r_lb), bounds.r_ub)
+    if r_new > r_cur:
+        return r_new, min(n_cur + math.ceil((r_new - r_cur) / bounds.pod_capacity),
+                          bounds.max_pods)
+    if r_new < r_cur:
+        return r_new, max(n_cur - math.ceil((r_cur - r_new) / bounds.pod_capacity), 1)
+    return r_new, n_cur
 
 
 def predict_demand(lstm_models: Mapping[str, LstmModel],

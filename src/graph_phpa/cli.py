@@ -302,8 +302,15 @@ def cmd_compare(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    from .report import render_table_text, write_comparison
+    from .report import check_policy_names, render_table_text, write_comparison
     prepared = prepare(*ExperimentConfig.load(args.config))
+    cfg = prepared.cfg
+    # The thresholds, policy names and baseline are checked before training.
+    reactive = [ReactivePolicy(replace(cfg.hpa, scale_out=threshold), cfg.bounds)
+                for threshold in args.thresholds]
+    names = [PredictivePolicy.name, *(policy.name for policy in reactive)]
+    baseline = args.baseline or names[-1]
+    check_policy_names(names, baseline)
     out = Path(args.out)
     models_dir = out / "models"
     models = train_workload(prepared, models_dir)
@@ -312,12 +319,8 @@ def cmd_experiment(args) -> int:
     print(f"trained demand predictor into {models_dir} (train mse "
           f"{metrics['train_mse_scaled']:.6f}, test mse {metrics['test_mse_scaled']:.6f})")
 
-    cfg = prepared.cfg
-    policies = [PredictivePolicy(models, gcn, cfg.graph, cfg.bounds)]
-    policies += [ReactivePolicy(replace(cfg.hpa, scale_out=threshold), cfg.bounds)
-                 for threshold in args.thresholds]
+    policies = [PredictivePolicy(models, gcn, cfg.graph, cfg.bounds), *reactive]
     logs = [replay(prepared, policy, out / "runs" / policy.name)[0] for policy in policies]
-    baseline = args.baseline or logs[-1].policy_name
     table = write_comparison(out / "comparison", logs, baseline)
     sys.stdout.write(render_table_text(table))
     return 0

@@ -22,9 +22,9 @@ import io
 import itertools
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
@@ -190,9 +190,14 @@ class SimConfig:
 
 
 class ScalingPolicy(ABC):
-    """Produces target pod counts once per minute from current observations."""
+    """Produces target pod counts once per minute from current observations.
+
+    Every per-service list it takes or returns is in the order begin received
+    the services."""
 
     name: str = "policy"
+    # The run's decision log, for a policy that keeps one.
+    decisions: DecisionLog | None = None
 
     def begin(self, start_minute: int, services: tuple[str, ...], rates: np.ndarray) -> None:
         """Reset per-run state before the first minute.
@@ -203,9 +208,9 @@ class ScalingPolicy(ABC):
         """
 
     @abstractmethod
-    def decide(self, minute: int, utilization: Mapping[str, float], pods: Mapping[str, int]
-               ) -> tuple[dict[str, int], list["DecisionRow"]]:
-        ...
+    def decide(self, minute: int, utilization: list[float], pods: list[int]) -> list[int]:
+        """Each service's target pod count for minute, from its utilization and
+        ready pods."""
 
 
 class ReactivePolicy(ScalingPolicy):
@@ -215,42 +220,57 @@ class ReactivePolicy(ScalingPolicy):
         self.config = config
         self.bounds = bounds
         self.name = f"reactive@{config.scale_out:g}"
-        self._below: dict[str, int] = {}
 
     def begin(self, start_minute, services, rates):
-        self._below = {s: 0 for s in services}
+        self._max_pods = [self.bounds[s].max_pods for s in services]
+        self._below = [0] * len(services)  # calm minutes in a row
 
     def decide(self, minute, utilization, pods):
-        targets = {}
-        for s, util in utilization.items():
-            n = pods[s]
-            if util > self.config.scale_out:
-                targets[s] = min(n + 1, self.bounds[s].max_pods)
-                self._below[s] = 0
-            elif util < self.config.scale_in:
-                self._below[s] += 1
-                if self._below[s] >= self.config.stabilization_minutes and n > 1:
-                    targets[s] = n - 1
-                    self._below[s] = 0
-                else:
-                    targets[s] = n
+        config, below = self.config, self._below
+        targets = []
+        for j, (util, n) in enumerate(zip(utilization, pods, strict=True)):
+            if util > config.scale_out:
+                n = min(n + 1, self._max_pods[j])
+                below[j] = 0
+            elif util < config.scale_in:
+                below[j] += 1
+                if below[j] >= config.stabilization_minutes and n > 1:
+                    n -= 1
+                    below[j] = 0
             else:
-                self._below[s] = 0
-                targets[s] = n
-        return targets, []
+                below[j] = 0
+            targets.append(n)
+        return targets
+
+
+@dataclass
+class DecisionLog:
+    """A predictive run's decisions as (D, S) grids: row i is minute
+    start_minute + i, column j the run's services[j]."""
+
+    start_minute: int
+    forecast_rps: np.ndarray    # (D, S) float64 forecast request rate
+    predicted_vcpu: np.ndarray  # (D, S) float64 predicted demand
+    r_prev: np.ndarray          # (D, S) float64 carried allocation before the step
+    r_new: np.ndarray           # (D, S) float64 and after it: the clamped prediction
+    n_prev: np.ndarray          # (D, S) int64 ready pods
+    n_new: np.ndarray           # (D, S) int64 target pods
+
+    def __len__(self) -> int:
+        return len(self.n_new)
 
 
 class PredictivePolicy(ScalingPolicy):
     """Forecast next-minute workload, predict demand on the graph, size pods ahead.
 
     Every forecast and demand prediction of a run comes from one batched
-    predict_demand call in begin; decide reads its minute's row. Carries the
-    clamped prediction forward as its allocation state; each decision moves
-    the pod count by the change in that state, so a steady prediction leaves
-    the count alone. The state is seeded from the first prediction (no pod
-    move on the first decision) rather than from pods times capacity, which
-    would manufacture a phantom change whenever the starting allocation is
-    not exactly the predicted demand.
+    predict_demand call in begin; decide reads its minute's row, and is called
+    once a minute in order. Carries the clamped prediction forward as its
+    allocation state; each decision moves the pod count by the change in that
+    state, so a steady prediction leaves the count alone. The state is seeded
+    from the first prediction (no pod move on the first decision) rather than
+    from pods times capacity, which would manufacture a phantom change
+    whenever the starting allocation is not exactly the predicted demand.
     """
 
     name = "phpa"
@@ -261,65 +281,83 @@ class PredictivePolicy(ScalingPolicy):
         self.gcn_model = gcn_model
         self.graph = graph
         self.bounds = bounds
-        self._r: dict[str, float] | None = None
-        self._first_minute = 0
-        self._forecasts: list[list[float]] = []
-        self._demand: list[list[float]] = []
+        self._bounds = [bounds[s] for s in graph.nodes]
 
     def begin(self, start_minute, services, rates):
-        if tuple(services) != self.graph.nodes:
+        nodes = self.graph.nodes
+        if tuple(services) != nodes:
             raise ValidationError(f"simulated services {list(services)} are not graph.nodes "
-                                  f"{list(self.graph.nodes)} in order")
-        forecasts, demand = predict_demand(self.lstm_models, self.gcn_model, self.graph,
-                                           rates)
+                                  f"{list(nodes)} in order")
+        self._forecasts, self._demand = predict_demand(self.lstm_models, self.gcn_model,
+                                                       self.graph, rates)
         # Row j is predicted at the minute that ends the j-th k-window.
         self._first_minute = start_minute + self.gcn_model.config.window - 1
-        self._forecasts, self._demand = forecasts.tolist(), demand.tolist()
-        self._r = None
+        bad = np.argwhere(~np.isfinite(self._demand))
+        if len(bad):
+            row, j = bad[0].tolist()
+            raise ValidationError(f"predicted demand for {nodes[j]!r} at minute "
+                                  f"{self._first_minute + row} is not finite")
+        self._demand_rows = self._demand.tolist()
+        # Flat minute-major cells of the rows decided from _first_row on: the
+        # allocation (with the seed in front), the ready pods and the targets.
+        self._first_row, self._r, self._pods, self._targets = 0, [], [], []
 
     def decide(self, minute, utilization, pods):
         row = minute - self._first_minute
         if not 0 <= row < len(self._demand):
             raise ValidationError(f"no prediction for minute {minute}: begin covered "
                                   f"{len(self._demand)} minutes from {self._first_minute}")
-        nodes = self.graph.nodes
-        demand = dict(zip(nodes, self._demand[row]))
-        if self._r is None:
-            self._r = {s: min(max(demand[s], self.bounds[s].r_lb), self.bounds[s].r_ub)
-                       for s in nodes}
+        demand, width = self._demand_rows[row], len(self._bounds)
+        if not self._r:
+            self._first_row = row
+            self._r = [min(max(d, b.r_lb), b.r_ub) for d, b in zip(demand, self._bounds)]
+        elif row != self._first_row + len(self._targets) // width:
+            raise ValidationError(f"decision for minute {minute} out of order: decide "
+                                  f"takes one minute after another")
         # Looked up on its module, so a patched autoscaler.integrate_step (as
         # perfbench's tracing installs) sees the policy's calls.
-        decisions = autoscaler.integrate_step(self._r, pods, demand, self.bounds)
-        self._r = {s: d.r_new for s, d in decisions.items()}
-        targets = {s: d.n_new for s, d in decisions.items()}
-        records = [DecisionRow(minute=minute, service=s, forecast_rps=forecast,
-                               predicted_vcpu=demand[s], r_prev=d.r_prev, r_new=d.r_new,
-                               n_prev=d.n_prev, n_new=d.n_new, delta=d.delta)
-                   for (s, d), forecast in zip(decisions.items(), self._forecasts[row])]
-        return targets, records
+        steps = list(map(autoscaler.integrate_step, self._r[-width:], pods, demand,
+                         self._bounds))
+        targets = [n for _, n in steps]
+        self._r.extend(r for r, _ in steps)
+        self._pods.extend(pods)
+        self._targets.extend(targets)
+        return targets
+
+    @property
+    def decisions(self) -> DecisionLog:
+        r, n_prev, n_new = (np.array(cells, dtype=dtype).reshape(-1, len(self._bounds))
+                            for cells, dtype in ((self._r, np.float64), (self._pods, np.int64),
+                                                 (self._targets, np.int64)))
+        rows = slice(self._first_row, self._first_row + len(n_new))
+        return DecisionLog(self._first_minute + rows.start, self._forecasts[rows],
+                           self._demand[rows], r[:-1], r[1:], n_prev, n_new)
 
 
-class DecisionRow(NamedTuple):
-    minute: int
-    service: str
-    forecast_rps: float
-    predicted_vcpu: float
-    r_prev: float
-    r_new: float
-    n_prev: int
-    n_new: int
-    delta: int
+def _csv_field(text: str) -> str:
+    """The field csv.writer writes for text. The "\r\n" terminator makes it
+    quote a "\r" too, so every name reads back."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow([text, ""])
+    return buf.getvalue()[:-3]
 
 
-class _CsvFields(dict):
-    """Text -> the field csv.writer would write for it, worked out once per text.
-    The "\r\n" terminator makes it quote a "\r" too, so every name reads back."""
-
-    def __missing__(self, text: str) -> str:
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\r\n").writerow([text, ""])
-        self[text] = field_ = buf.getvalue()[:-3]
-        return field_
+def _write_grids(path: str | Path, columns: tuple[str, ...], row: str, start_minute: int,
+                 services: tuple[str, ...], per_minute: list, grids: list) -> None:
+    """A header line, then row % (minute, service, *fields) for every (minute,
+    service) cell, minute-major, a block of minutes at a time. The fields are
+    the repr of each (T,) array of per_minute, formatted once per minute, then
+    the cell of each (T, S) grid, floats as Python floats so that %r is repr."""
+    names = list(map(_csv_field, services))
+    width = len(names)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for lo, hi in blocks(len(grids[0])):
+            fh.write("".join(map(row.__mod__, zip(
+                _each_repeated(range(start_minute + lo, start_minute + hi), width),
+                itertools.cycle(names),
+                *(_each_repeated(map(repr, x[lo:hi].tolist()), width) for x in per_minute),
+                *(grid[lo:hi].ravel().tolist() for grid in grids)))))
 
 
 @dataclass
@@ -337,7 +375,7 @@ class SimulationLog:
     pods: np.ndarray            # (T, S) int64 ready pods
     utilization: np.ndarray     # (T, S) float64; above 1.0 is an overloaded minute
     decision_delta: np.ndarray  # (T, S) int64 pods granted (+) or released (-)
-    decisions: list[DecisionRow] = field(default_factory=list)
+    decisions: DecisionLog | None = None  # a predictive run's, else None
 
     @property
     def horizon(self) -> int:
@@ -400,35 +438,18 @@ class SimulationLog:
         }
 
     def write_csv(self, path: str | Path) -> None:
-        text = _CsvFields()
-        services = [text[s] for s in self.services]
         # One %-template per row, the policy's field in it; %r is repr and %d
         # of a bool is 0 or 1.
-        row = f"%d,%s,%s,%r,%d,%r,%d,{text[self.policy_name].replace('%', '%%')},%d\n"
-        width = len(services)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(SIM_COLUMNS) + "\n")
-            for lo, hi in blocks(self.horizon):
-                # Floats go through .tolist() so repr sees Python floats; each
-                # minute and its external rate are formatted once for all its
-                # services.
-                utils = self.utilization[lo:hi].ravel()
-                fh.write("".join(map(row.__mod__, zip(
-                    _each_repeated(range(self.start_minute + lo, self.start_minute + hi), width),
-                    itertools.cycle(services),
-                    _each_repeated(map(repr, self.external[lo:hi].tolist()), width),
-                    self.service_rps[lo:hi].ravel().tolist(), self.pods[lo:hi].ravel().tolist(),
-                    utils.tolist(), (utils > 1.0).tolist(),
-                    self.decision_delta[lo:hi].ravel().tolist()))))
+        row = f"%d,%s,%s,%r,%d,%r,%d,{_csv_field(self.policy_name).replace('%', '%%')},%d\n"
+        _write_grids(path, SIM_COLUMNS, row, self.start_minute, self.services, [self.external],
+                     [self.service_rps, self.pods, self.utilization, self.overloaded,
+                      self.decision_delta])
 
     def write_decisions_csv(self, path: str | Path) -> None:
-        text = _CsvFields()
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(DECISION_COLUMNS) + "\n")
-            for lo, hi in blocks(len(self.decisions)):
-                minute, service, *values = zip(*self.decisions[lo:hi])
-                fh.write("".join(map("%d,%s,%r,%r,%r,%r,%d,%d,%d\n".__mod__,
-                                     zip(minute, map(text.__getitem__, service), *values))))
+        log = self.decisions
+        _write_grids(path, DECISION_COLUMNS, "%d,%s,%r,%r,%r,%r,%d,%d,%d\n", log.start_minute,
+                     self.services, [], [log.forecast_rps, log.predicted_vcpu, log.r_prev,
+                                         log.r_new, log.n_prev, log.n_new, log.n_new - log.n_prev])
 
 
 def _each_repeated(items, times: int):
@@ -455,22 +476,22 @@ def run_simulation(trace: WorkloadTrace, demand: DemandModel, policy: ScalingPol
     seed, startup_delay, max_total_pods = sim.seed, sim.startup_delay, sim.max_total_pods
 
     external = trace.values
-    pods = initial_pod_counts(demand, float(external[0]), bounds)
-    if sum(pods.values()) > max_total_pods:
+    pods = list(initial_pod_counts(demand, float(external[0]), bounds).values())
+    if sum(pods) > max_total_pods:
         raise ValidationError(f"initial pods exceed cluster budget {max_total_pods}")
 
     services, width = demand.services, len(demand.services)
     rps, usage = demand.demand_series(external, trace.start_minute, seed)
     policy.begin(trace.start_minute, services, rps)
-    # Utilization is usage / (pods * capacity), above 1.0 an overload;
-    # ScalingBounds already rejects a capacity <= 0, and pods are clipped to
-    # >= 1 wherever they change.
+    # Per-service values are lists in the order of services. Utilization is
+    # usage / (pods * capacity), above 1.0 an overload; ScalingBounds already
+    # rejects a capacity <= 0, and pods are clipped to >= 1 wherever they change.
     capacity = [bounds[s].pod_capacity for s in services]
+    max_pods = [bounds[s].max_pods for s in services]
     pod_grid = np.empty((len(external), width), dtype=np.int64)
     util_grid = np.empty((len(external), width))
     decision_delta = np.zeros((len(external), width), dtype=np.int64)
-    decisions: list[DecisionRow] = []
-    pending: dict[int, list[tuple[str, int]]] = {}  # ready minute -> (service, delta)
+    pending: dict[int, list[tuple[int, int]]] = {}  # ready minute -> (column, delta)
     pending_adds = 0
 
     for lo, hi in blocks(len(external)):
@@ -481,32 +502,30 @@ def run_simulation(trace: WorkloadTrace, demand: DemandModel, policy: ScalingPol
         util_cells: list[float] = []
         for i in range(lo, hi):
             minute = trace.start_minute + i
-            for s, delta in pending.pop(minute, ()):
-                pods[s] = min(max(pods[s] + delta, 1), bounds[s].max_pods)
+            for j, delta in pending.pop(minute, ()):
+                pods[j] = min(max(pods[j] + delta, 1), max_pods[j])
                 pending_adds -= max(delta, 0)
 
-            counts = [pods[s] for s in services]
             cell = (i - lo) * width
             utils = [u / (n * c) for u, n, c in zip(usage_cells[cell:cell + width],
-                                                    counts, capacity)]
-            pod_cells.extend(counts)
+                                                    pods, capacity)]
+            pod_cells.extend(pods)
             util_cells.extend(utils)
             if i < warmup:
                 continue
-            targets, records = policy.decide(minute, dict(zip(services, utils)), pods=pods)
-            decisions.extend(records)
-            budget = max_total_pods - sum(counts) - pending_adds
-            for j, s in enumerate(services):
-                want = targets.get(s, pods[s]) - pods[s]
+            targets = policy.decide(minute, utils, pods)
+            budget = max_total_pods - sum(pods) - pending_adds
+            for j, (target, n) in enumerate(zip(targets, pods, strict=True)):
+                want = target - n
                 if want > 0:
                     grant = min(want, budget)
                     budget -= grant
                     if grant > 0:
-                        pending.setdefault(minute + startup_delay, []).append((s, grant))
+                        pending.setdefault(minute + startup_delay, []).append((j, grant))
                         pending_adds += grant
                         decision_delta[i, j] = grant
                 elif want < 0:
-                    pending.setdefault(minute + 1, []).append((s, want))
+                    pending.setdefault(minute + 1, []).append((j, want))
                     decision_delta[i, j] = want
         pod_grid[lo:hi].flat = pod_cells
         util_grid[lo:hi].flat = util_cells
@@ -516,4 +535,4 @@ def run_simulation(trace: WorkloadTrace, demand: DemandModel, policy: ScalingPol
                          services=services, external=external,
                          service_rps=rps,
                          pods=pod_grid, utilization=util_grid,
-                         decision_delta=decision_delta, decisions=decisions)
+                         decision_delta=decision_delta, decisions=policy.decisions)

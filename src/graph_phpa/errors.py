@@ -136,12 +136,18 @@ def read(target, obj, where: str, **given):
         raise ValidationError(named if named != message else f"{where}: {message}") from None
 
 
+# "/" and the characters no UTF-8 file or XML chart can hold: NUL and the
+# other C0 controls but tab, LF and CR, and lone surrogates.
+_UNWRITABLE = re.compile("[/\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff]")
+
+
 def check_name(name: str, where: str) -> None:
     """A ValidationError naming where if name, which model files and charts
-    are named after, holds "/" or NUL."""
-    if "/" in name or "\0" in name:
-        raise ValidationError(f"{where} {name!r} must not contain '/' or NUL: "
-                              f"files are named after it")
+    are named after, holds a character of _UNWRITABLE."""
+    if _UNWRITABLE.search(name):
+        raise ValidationError(f"{where} {name!r} must not contain '/' or NUL, another control "
+                              f"character but tab, LF and CR, or a lone surrogate: files "
+                              f"are named after it")
 
 
 def float_array(value, where: str) -> np.ndarray:

@@ -153,14 +153,21 @@ def _cell(minute, service, policy) -> str:
     return f"minute {minute}, service {service!r}, policy {policy!r}"
 
 
+def check_policy_names(names: list[str], baseline: str | None = None) -> None:
+    """A RunMismatchError if two runs share a policy name, else a
+    ValidationError if baseline is given and names none of them."""
+    if len(set(names)) != len(names):
+        raise RunMismatchError(f"duplicate policy names in comparison: {names}",
+                               field="policy")
+    if baseline is not None and baseline not in names:
+        raise ValidationError(f"baseline policy {baseline!r} not among runs {sorted(names)}")
+
+
 def check_runs_comparable(logs: list[SimulationLog]) -> None:
     """All runs must share trace, window, propagation seed, and service set."""
     if len(logs) < 2:
         raise ValidationError("need at least two runs to compare")
-    names = [log.policy_name for log in logs]
-    if len(set(names)) != len(names):
-        raise RunMismatchError(f"duplicate policy names in comparison: {names}",
-                               field="policy")
+    check_policy_names([log.policy_name for log in logs])
     first = logs[0]
     for other in logs[1:]:
         for field_ in ("trace_sha256", "start_minute", "horizon", "seed", "services"):
@@ -175,9 +182,7 @@ def comparison_table(logs: list[SimulationLog], baseline: str) -> dict:
     """Totals per policy plus pod-minute savings relative to the baseline run."""
     check_runs_comparable(logs)
     by_name = {log.policy_name: log for log in logs}
-    if baseline not in by_name:
-        raise ValidationError(f"baseline policy {baseline!r} not among runs "
-                              f"{sorted(by_name)}")
+    check_policy_names(list(by_name), baseline)
     base_pm = by_name[baseline].pod_minutes()
     rows = []
     for log in logs:

@@ -12,7 +12,9 @@ the package's predict_demand (as a batch of one) and integrate_step. The
 per-minute demand propagation likewise draws one freshly seeded Rng per
 service and minute and walks the demand model's own topological order. The
 simulation-log references see a log as one SimRow per (minute, service), in
-file order, and aggregate and chart it row by row. The allocating LSTM
+file order, and aggregate and chart it row by row; a decision log is one
+DecisionRow per (minute, service), written with the package's earlier
+per-row template. The allocating LSTM
 kernel, Adam and training loop are the package's earlier implementation,
 kept here to arbitrate the buffered one bit for bit: they allocate every
 array they return instead of writing into reused buffers, and run the
@@ -37,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from graph_phpa.autoscaler import integrate_step, predict_demand
-from graph_phpa.cluster_sim import DecisionRow, ScalingPolicy, SimulationLog
+from graph_phpa.cluster_sim import DECISION_COLUMNS, DecisionLog, ScalingPolicy, SimulationLog
 from graph_phpa.errors import DivergenceError, TraceFormatError, ValidationError
 from graph_phpa.forecast_lstm import _init_params
 from graph_phpa.predict_gcn import scale_targets
@@ -422,10 +424,24 @@ def propagate_minute_oracle(demand, external_rps, minute, seed):
     return rates
 
 
+class DecisionRow(NamedTuple):
+    minute: int
+    service: str
+    forecast_rps: float
+    predicted_vcpu: float
+    r_prev: float
+    r_new: float
+    n_prev: int
+    n_new: int
+    delta: int
+
+
 class PerMinutePredictivePolicy(ScalingPolicy):
     """The predictive policy with one predict_demand call per minute on the
-    last k rates, instead of one batched call over the run. Keeps the rate
-    grid begin hands it and reads each minute's window from it."""
+    last k rates, instead of one batched call over the run, and one
+    integrate_step call per service. Keeps the rate grid begin hands it and
+    reads each minute's window from it; logs one DecisionRow per (minute,
+    service) in rows."""
 
     name = "phpa"
 
@@ -435,10 +451,12 @@ class PerMinutePredictivePolicy(ScalingPolicy):
         self.graph = graph
         self.bounds = bounds
         self._r = None
+        self.rows = []
 
     def begin(self, start_minute, services, rates):
         self._start_minute, self._rates = start_minute, rates
         self._r = None
+        self.rows = []
 
     def decide(self, minute, utilization, pods):
         k = self.gcn_model.config.window
@@ -446,24 +464,65 @@ class PerMinutePredictivePolicy(ScalingPolicy):
         end = minute - self._start_minute + 1
         forecasts, demand = predict_demand(self.lstm_models, self.gcn_model, self.graph,
                                            self._rates[end - k:end])
-        forecasts = {s: float(v) for s, v in zip(nodes, forecasts[0])}
-        demand = {s: float(v) for s, v in zip(nodes, demand[0])}
+        forecasts, demand = forecasts[0].tolist(), demand[0].tolist()
         if self._r is None:
             # The first decision only seeds the allocation state.
-            self._r = {s: min(max(demand[s], self.bounds[s].r_lb), self.bounds[s].r_ub)
-                       for s in nodes}
-            records = [DecisionRow(minute=minute, service=s, forecast_rps=forecasts[s],
-                                   predicted_vcpu=demand[s], r_prev=self._r[s],
-                                   r_new=self._r[s], n_prev=pods[s], n_new=pods[s], delta=0)
-                       for s in nodes]
-            return dict(pods), records
-        decisions = integrate_step(self._r, pods, demand, self.bounds)
-        self._r = {s: d.r_new for s, d in decisions.items()}
-        records = [DecisionRow(minute=minute, service=s, forecast_rps=forecasts[s],
-                               predicted_vcpu=demand[s], r_prev=d.r_prev, r_new=d.r_new,
-                               n_prev=d.n_prev, n_new=d.n_new, delta=d.delta)
-                   for s, d in decisions.items()]
-        return {s: d.n_new for s, d in decisions.items()}, records
+            self._r = [min(max(d, self.bounds[s].r_lb), self.bounds[s].r_ub)
+                       for s, d in zip(nodes, demand)]
+            self.rows += [DecisionRow(minute, s, f, d, r, r, n, n, 0)
+                          for s, f, d, r, n in zip(nodes, forecasts, demand, self._r, pods)]
+            return list(pods)
+        steps = [integrate_step(r, n, d, self.bounds[s])
+                 for s, r, n, d in zip(nodes, self._r, pods, demand)]
+        self.rows += [DecisionRow(minute, s, f, d, r, r_new, n, n_new, n_new - n)
+                      for s, f, d, r, n, (r_new, n_new)
+                      in zip(nodes, forecasts, demand, self._r, pods, steps)]
+        self._r = [r_new for r_new, _ in steps]
+        return [n_new for _, n_new in steps]
+
+
+def decision_rows(log):
+    """A log's decision grids as one DecisionRow per (minute, service), minute-major."""
+    d = log.decisions
+    columns = [g.tolist() for g in (d.forecast_rps, d.predicted_vcpu, d.r_prev, d.r_new,
+                                    d.n_prev, d.n_new)]
+    return [DecisionRow(d.start_minute + i, s, *(c[i][j] for c in columns),
+                        columns[5][i][j] - columns[4][i][j])
+            for i in range(len(d)) for j, s in enumerate(log.services)]
+
+
+def decision_log_from_rows(rows, services) -> DecisionLog:
+    """Decision grids from minute-major rows covering every (minute, service)."""
+    width = len(services)
+    assert len(rows) % width == 0
+    start = rows[0].minute if rows else 0
+    for i, r in enumerate(rows):
+        assert (r.minute, r.service) == (start + i // width, services[i % width])
+        assert r.delta == r.n_new - r.n_prev
+
+    def grid(name, dtype):
+        return np.array([getattr(r, name) for r in rows], dtype=dtype).reshape(-1, width)
+
+    floats = {name: grid(name, np.float64)
+              for name in ("forecast_rps", "predicted_vcpu", "r_prev", "r_new")}
+    return DecisionLog(start_minute=start, n_prev=grid("n_prev", np.int64),
+                       n_new=grid("n_new", np.int64), **floats)
+
+
+def write_decision_rows_oracle(path, rows) -> None:
+    """decisions.csv from one DecisionRow per (minute, service), as the
+    package wrote it from rows: one %-template per row (%r is a float's
+    repr), each service name as csv.writer writes it with the "\r\n"
+    terminator, which quotes a "\r" too."""
+    def field(name):
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\r\n").writerow([name, ""])
+        return line.getvalue()[:-3]
+
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(DECISION_COLUMNS) + "\n")
+        for minute, service, *values in rows:
+            fh.write("%d,%s,%r,%r,%r,%r,%d,%d,%d\n" % (minute, field(service), *values))
 
 
 class SimRow(NamedTuple):
@@ -490,7 +549,7 @@ def log_rows(log):
 
 
 def log_from_rows(rows, *, policy_name, services, start_minute, seed=1, trace_sha256="x",
-                  decisions=()):
+                  decisions=None):
     """A column log from minute-major rows covering every (minute, service)."""
     width = len(services)
     shape = (len(rows) // width, width)
@@ -507,7 +566,7 @@ def log_from_rows(rows, *, policy_name, services, start_minute, seed=1, trace_sh
                          external=np.array([r.external_rps for r in rows[::width]]),
                          service_rps=grid("service_rps"), pods=grid("pods"),
                          utilization=grid("utilization"),
-                         decision_delta=grid("decision_delta"), decisions=list(decisions))
+                         decision_delta=grid("decision_delta"), decisions=decisions)
 
 
 def summary_oracle(log):

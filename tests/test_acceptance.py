@@ -170,8 +170,8 @@ def test_02_gradient_checks():
 
 def test_03_pod_integration_example_and_fuzz():
     b = ScalingBounds(r_lb=1.0, r_ub=8.0, pod_capacity=0.5, max_pods=40)
-    d = integrate_step({"svc": 2.0}, {"svc": 4}, {"svc": 2.5}, {"svc": b})["svc"]
-    example_ok = d.n_new - d.n_prev == 1 and d.r_new == 2.5
+    r_new, n_new = integrate_step(2.0, 4, 2.5, b)
+    example_ok = n_new - 4 == 1 and r_new == 2.5
 
     rng = Rng(303)
     fuzz_ok = True
@@ -184,9 +184,8 @@ def test_03_pod_integration_example_and_fuzz():
         n_cur = int(rng.integers(1, q + 1))
         r_cur = float(rng.uniform(r_lb, r_ub))
         predicted = float(rng.uniform(-2.0, r_ub + 5.0))
-        out = integrate_step({"s": r_cur}, {"s": n_cur}, {"s": predicted},
-                             {"s": bounds})["s"]
-        if not (1 <= out.n_new <= q and r_lb <= out.r_new <= r_ub):
+        r_new, n_new = integrate_step(r_cur, n_cur, predicted, bounds)
+        if not (1 <= n_new <= q and r_lb <= r_new <= r_ub):
             fuzz_ok = False
             break
     report(3, "pod integration worked example and 1000-case fuzz",

@@ -4,32 +4,29 @@ integrate_step is pure arithmetic, so most of this file is hand-worked
 examples plus a hypothesis fuzz that re-states the update rule independently.
 """
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graph_phpa.autoscaler import (
-    ScalingBounds,
-    ScalingDecision,
-    integrate_step,
-    predict_demand,
-)
+from graph_phpa.autoscaler import ScalingBounds, integrate_step, predict_demand
 from graph_phpa.errors import ShapeError, ValidationError
 from graph_phpa.forecast_lstm import LstmConfig, LstmLayer, LstmModel
 from graph_phpa.predict_gcn import GcnConfig, GcnModel, ServiceGraph
 from graph_phpa.tensor import MinMaxScaler, Rng, glorot_init
 
 
-def single(decisions: dict) -> ScalingDecision:
-    assert len(decisions) == 1
-    return next(iter(decisions.values()))
+class Step(NamedTuple):
+    r_new: float
+    n_new: int
+    delta: int
 
 
-def step_one(r_cur, n_cur, predicted, bounds):
-    return single(integrate_step({"svc": r_cur}, {"svc": n_cur}, {"svc": predicted},
-                                 {"svc": bounds}))
+def step_one(r_cur, n_cur, predicted, bounds) -> Step:
+    r_new, n_new = integrate_step(r_cur, n_cur, predicted, bounds)
+    return Step(r_new, n_new, n_new - n_cur)
 
 
 BOUNDS = ScalingBounds(r_lb=1.0, r_ub=10.0, pod_capacity=0.5, max_pods=10)
@@ -85,20 +82,16 @@ class TestIntegrateStep:
         assert d.delta == 1
 
     def test_multiple_services_decided_independently(self):
-        bounds = {"a": BOUNDS, "b": ScalingBounds(1.0, 4.0, 1.0, max_pods=4)}
-        out = integrate_step({"a": 2.0, "b": 2.0}, {"a": 4, "b": 2},
-                             {"a": 2.5, "b": 1.0}, bounds)
-        assert out["a"].delta == 1
-        assert out["b"].delta == -1
+        # Each service steps under its own bounds; a policy calls the rule per column.
+        bounds = [BOUNDS, ScalingBounds(1.0, 4.0, 1.0, max_pods=4)]
+        out = list(map(step_one, [2.0, 2.0], [4, 2], [2.5, 1.0], bounds))
+        assert out[0].delta == 1
+        assert out[1].delta == -1
 
     def test_monotone_in_prediction(self):
         # More predicted demand can never mean fewer pods.
         lows = [step_one(3.0, 6, p, BOUNDS).n_new for p in np.linspace(0.0, 12.0, 60)]
         assert lows == sorted(lows)
-
-    def test_key_mismatch_rejected(self):
-        with pytest.raises(ValidationError, match="keys do not match"):
-            integrate_step({"a": 2.0}, {"a": 4, "b": 1}, {"a": 2.0}, {"a": BOUNDS})
 
     def test_non_finite_prediction_rejected(self):
         with pytest.raises(ValidationError, match="not finite"):
@@ -141,8 +134,6 @@ class TestIntegrateStep:
             expect = n_cur
         assert d.n_new == expect
         assert 1 <= d.n_new <= q
-        assert d.r_prev == r_cur
-        assert d.n_prev == n_cur
 
 
 class TestScalingBounds:
@@ -199,10 +190,13 @@ class TestRunPolicyStep:
                        "b": ScalingBounds(1.0, 8.0, 1.0, max_pods=8)}
 
     def step(self, models, history, current_r, current_n):
+        """(step per service, forecasts, demand), each keyed by service."""
         forecasts, demand = predict_demand(models, self.gcn, self.graph, history)
         forecasts = dict(zip(self.graph.nodes, forecasts[-1].tolist()))
         demand = dict(zip(self.graph.nodes, demand[-1].tolist()))
-        return integrate_step(current_r, current_n, demand, self.bounds), forecasts, demand
+        steps = {s: step_one(current_r[s], current_n[s], demand[s], self.bounds[s])
+                 for s in self.graph.nodes}
+        return steps, forecasts, demand
 
     def test_pipeline_arithmetic_by_hand(self):
         # Both forecasters emit 0.6; the GCN sees features [h1, h2, 0.6] per

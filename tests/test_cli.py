@@ -618,6 +618,21 @@ class TestCompare:
 
 
 class TestExperiment:
+    @pytest.mark.parametrize("args, message", [
+        (["--thresholds", "0.2"], "need 0 < scale_in < scale_out, got 0.3 / 0.2"),
+        (["--baseline", "nope"], "baseline policy 'nope' not among runs "
+                                 "['phpa', 'reactive@0.7', 'reactive@0.9']"),
+        (["--thresholds", "0.9", "0.9"], "duplicate policy names in comparison: "
+                                         "['phpa', 'reactive@0.9', 'reactive@0.9']"),
+    ], ids=["threshold-at-scale-in", "unknown-baseline", "duplicate-names"])
+    def test_bad_arguments_exit_2_before_training(self, tiny_config_path, tmp_path, capsys,
+                                                  args, message):
+        out = tmp_path / "exp"
+        assert run_cli("experiment", "--config", tiny_config_path, "--out", str(out),
+                       *args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "models").exists()
+
     def test_names_that_need_quoting_or_escaping(self, tmp_path, capsys):
         # "a,b" needs CSV quoting; "<b&>" used to give a pods chart that is
         # not well-formed XML.

@@ -18,7 +18,7 @@ from graph_phpa.autoscaler import ScalingBounds
 from graph_phpa.cluster_sim import (
     DECISION_COLUMNS,
     SIM_COLUMNS,
-    DecisionRow,
+    DecisionLog,
     DemandModel,
     HpaConfig,
     PredictivePolicy,
@@ -35,8 +35,9 @@ from graph_phpa.forecast_lstm import LstmConfig, LstmLayer, LstmModel
 from graph_phpa.predict_gcn import GcnConfig, GcnModel, ServiceGraph
 from graph_phpa.tensor import BLOCK, MinMaxScaler
 from graph_phpa.traces import WorkloadTrace
-from oracles import (PerMinutePredictivePolicy, SimRow, log_from_rows, log_rows,
-                     propagate_minute_oracle, write_rows_oracle)
+from oracles import (DecisionRow, PerMinutePredictivePolicy, SimRow, decision_log_from_rows,
+                     decision_rows, log_from_rows, log_rows, propagate_minute_oracle,
+                     write_decision_rows_oracle, write_rows_oracle)
 
 
 def bookinfo_demand(noise: float = 0.0) -> DemandModel:
@@ -207,8 +208,7 @@ class TestReactivePolicy:
         policy.begin(0, ("s",), np.empty((0, 1)))
         out = None
         for _ in range(minutes):
-            targets, _ = policy.decide(0, {"s": util}, {"s": pods})
-            out = targets["s"]
+            out, = policy.decide(0, [util], [pods])
         return out
 
     def test_breach_adds_one_pod(self):
@@ -225,18 +225,18 @@ class TestReactivePolicy:
         policy = ReactivePolicy(HpaConfig(0.9, 0.3, 3), flat_bounds(("s",)))
         policy.begin(0, ("s",), np.empty((0, 1)))
         for util in (0.1, 0.1, 0.5, 0.1, 0.1):  # calm streak broken at step 3
-            targets, _ = policy.decide(0, {"s": util}, {"s": 4})
-        assert targets["s"] == 4
-        targets, _ = policy.decide(0, {"s": 0.1}, {"s": 4})
-        assert targets["s"] == 3
+            targets = policy.decide(0, [util], [4])
+        assert targets == [4]
+        targets = policy.decide(0, [0.1], [4])
+        assert targets == [3]
 
     def test_breach_resets_the_calm_counter(self):
         policy = ReactivePolicy(HpaConfig(0.9, 0.3, 2), flat_bounds(("s",)))
         policy.begin(0, ("s",), np.empty((0, 1)))
-        policy.decide(0, {"s": 0.1}, {"s": 4})
-        policy.decide(1, {"s": 0.95}, {"s": 4})
-        targets, _ = policy.decide(2, {"s": 0.1}, {"s": 4})
-        assert targets["s"] == 4  # counter restarted after the breach
+        policy.decide(0, [0.1], [4])
+        policy.decide(1, [0.95], [4])
+        targets = policy.decide(2, [0.1], [4])
+        assert targets == [4]  # counter restarted after the breach
 
     def test_never_out_and_in_same_minute(self):
         # Boundary utilizations equal to a threshold trigger neither rule.
@@ -246,14 +246,14 @@ class TestReactivePolicy:
     def test_scale_out_capped(self):
         policy = ReactivePolicy(HpaConfig(0.9, 0.3, 5), flat_bounds(("s",), q=4))
         policy.begin(0, ("s",), np.empty((0, 1)))
-        targets, _ = policy.decide(0, {"s": 2.0}, {"s": 4})
-        assert targets["s"] == 4
+        targets = policy.decide(0, [2.0], [4])
+        assert targets == [4]
 
     def test_scale_in_floors_at_one(self):
         policy = ReactivePolicy(HpaConfig(0.9, 0.3, 1), flat_bounds(("s",)))
         policy.begin(0, ("s",), np.empty((0, 1)))
-        targets, _ = policy.decide(0, {"s": 0.0}, {"s": 1})
-        assert targets["s"] == 1
+        targets = policy.decide(0, [0.0], [1])
+        assert targets == [1]
 
     def test_policy_name_carries_threshold(self):
         assert ReactivePolicy(HpaConfig(0.7, 0.3, 5), {}).name == "reactive@0.7"
@@ -273,8 +273,12 @@ class PinnedPolicy(ScalingPolicy):
     def __init__(self, plan):
         self.plan = plan  # {minute: {service: target}}
 
+    def begin(self, start_minute, services, rates):
+        self.services = services
+
     def decide(self, minute, utilization, pods):
-        return self.plan.get(minute, {}), []
+        targets = self.plan.get(minute, {})
+        return [targets.get(s, n) for s, n in zip(self.services, pods)]
 
 
 class TestRunSimulation:
@@ -499,14 +503,6 @@ class TestSimulationLog:
         self.make_log().write_csv(path)
         assert b"\r" not in path.read_bytes()
 
-    def test_rows_build_by_keyword_or_position_and_stay_immutable(self):
-        decision = DecisionRow(1, "a", 2.0, 0.5, 1.0, 1.5, 1, 2, 1)
-        assert decision == DecisionRow(minute=1, service="a", forecast_rps=2.0,
-                                       predicted_vcpu=0.5, r_prev=1.0, r_new=1.5,
-                                       n_prev=1, n_new=2, delta=1)
-        with pytest.raises(AttributeError):
-            decision.delta = 0
-
     def test_csv_bytes_equal_csv_writer(self, tmp_path):
         # Names that csv must quote or that hold a %-format, and floats whose
         # repr is long or special.
@@ -516,10 +512,10 @@ class TestSimulationLog:
         rows = [SimRow(m, name, (0.1 + m, float("inf"))[m], specials[k % 8], 2 - m,
                        specials[~k % 8], specials[~k % 8] > 1.0, policy, m - j)
                 for m in range(2) for j, name in enumerate(odd) for k in [6 * m + j]]
-        decisions = [DecisionRow(m, name, 2.5, 1 / 7, 1.0, 3.0, 1, 3, 2)
-                     for m, name in enumerate(odd)]
+        decisions = [DecisionRow(m, name, 2.5 * m, 1 / 7, specials[j], 3.0, 1, 3, 2)
+                     for m in range(2) for j, name in enumerate(odd)]
         log = log_from_rows(rows, policy_name=policy, services=odd, start_minute=0,
-                            decisions=decisions)
+                            decisions=decision_log_from_rows(decisions, odd))
         log.write_csv(tmp_path / "sim.csv")
         log.write_decisions_csv(tmp_path / "decisions.csv")
         for name, columns, records in (("sim.csv", SIM_COLUMNS, rows),
@@ -543,6 +539,47 @@ class TestSimulationLog:
         log.write_csv(tmp_path / "sim.csv")
         write_rows_oracle(tmp_path / "ref.csv", SIM_COLUMNS, log_rows(log))
         assert (tmp_path / "sim.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+# Names that csv must quote or that hold a %-format, and names of any other
+# characters a service may hold.
+SERVICE_NAMES = (st.sampled_from(["a,b", 'q"x', "", "line\nbreak", "c\rr", "%d%%s"])
+                 | st.text(st.characters(blacklist_categories=("Cs",),
+                                         blacklist_characters="/\0"), max_size=5))
+# Floats whose repr is long or special, among any others.
+DECISION_FLOATS = (st.sampled_from([-0.0, 1e16, 5e-324, 1 / 3, float("nan")])
+                   | st.floats(allow_nan=True, allow_infinity=True))
+
+
+class TestDecisionsCsv:
+    @given(services=st.lists(SERVICE_NAMES, min_size=1, max_size=4, unique=True),
+           minutes=st.sampled_from([0, 1, 3, BLOCK - 1, 2 * BLOCK + 37]),
+           start=st.integers(-2**40, 2**40),
+           pool=st.lists(DECISION_FLOATS, min_size=1, max_size=8),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_grid_writer_bytes_equal_the_row_writer(self, tmp_path_factory, services,
+                                                    minutes, start, pool, seed):
+        # The grids take their cells from the drawn floats and -0.0, 1e16 and
+        # 5e-324, and cross the writer's blocks of minutes.
+        rng = np.random.default_rng(seed)
+        values = np.array(pool + [-0.0, 1e16, 5e-324])
+        shape = (minutes, len(services))
+        grids = DecisionLog(start, *(values[rng.integers(0, len(values), shape)]
+                                     for _ in range(4)),
+                            n_prev=rng.integers(1, 2**40, shape),
+                            n_new=rng.integers(1, 2**40, shape))
+        log = SimulationLog(policy_name="phpa", seed=1, trace_sha256="x", start_minute=start,
+                            services=tuple(services), external=np.zeros(0),
+                            service_rps=np.zeros((0, len(services))),
+                            pods=np.zeros((0, len(services)), dtype=np.int64),
+                            utilization=np.zeros((0, len(services))),
+                            decision_delta=np.zeros((0, len(services)), dtype=np.int64),
+                            decisions=grids)
+        d = tmp_path_factory.mktemp("decisions")
+        log.write_decisions_csv(d / "decisions.csv")
+        write_decision_rows_oracle(d / "ref.csv", decision_rows(log))
+        assert (d / "decisions.csv").read_bytes() == (d / "ref.csv").read_bytes()
 
 
 def fixed_forecaster(k: int, value: float) -> LstmModel:
@@ -591,14 +628,14 @@ class TestPredictivePolicySimulation:
         for s in ("a", "b"):
             pods = log.pods[:, log.services.index(s)].tolist()
             assert len(set(pods[10:])) == 1
-        assert all(d.delta == 0 for d in log.decisions)
+        assert all(d.delta == 0 for d in decision_rows(log))
 
     def test_first_decision_seeds_state_without_moving_pods(self):
         policy, bounds = self.make_policy(slot=-1,
                                           feature_scaler=MinMaxScaler(0.0, 1.0, 0.0, 1.0))
         log = run_simulation(stub_trace([100] * 12), self.demand_ab(), policy,
                              bounds, SimConfig(seed=3), warmup=5)
-        first = log.decisions[0]
+        first = decision_rows(log)[0]
         assert first.delta == 0
         assert first.r_prev == first.r_new == pytest.approx(1.2)
         assert first.n_prev == first.n_new
@@ -612,7 +649,7 @@ class TestPredictivePolicySimulation:
         log = run_simulation(stub_trace([100] * 8 + [150] * 8), self.demand_ab(),
                              policy, bounds, SimConfig(seed=3), warmup=4)
         for s in ("a", "b"):
-            steps = [d for d in log.decisions if d.service == s]
+            steps = [d for d in decision_rows(log) if d.service == s]
             for prev, cur in zip(steps, steps[1:]):
                 assert cur.r_prev == prev.r_new
             assert [d.delta for d in steps].count(1) == 1
@@ -628,19 +665,24 @@ class TestBatchedPredictiveReplay:
                   for s in cfg.graph.nodes}
         gcn = GcnModel.load(Path(tiny_models_dir) / "gcn.json")
 
-        def replay(policy_cls):
-            policy = policy_cls(models, gcn, cfg.graph, cfg.bounds)
-            return cli.replay(prepared, policy, tmp_path / policy_cls.__name__)[0]
+        def replay(policy):
+            return cli.replay(prepared, policy, tmp_path / type(policy).__name__)[0]
 
-        batched, oracle = replay(PredictivePolicy), replay(PerMinutePredictivePolicy)
+        oracle_policy = PerMinutePredictivePolicy(models, gcn, cfg.graph, cfg.bounds)
+        batched = replay(PredictivePolicy(models, gcn, cfg.graph, cfg.bounds))
+        oracle = replay(oracle_policy)
         assert log_rows(batched) == log_rows(oracle)
-        assert len(batched.decisions) == len(oracle.decisions) > 0
-        assert any(d.delta != 0 for d in batched.decisions)
-        for b, o in zip(batched.decisions, oracle.decisions):
+        grids = batched.decisions
+        for name in ("forecast_rps", "predicted_vcpu", "r_prev", "r_new"):
+            assert getattr(grids, name).dtype == np.float64
+        assert grids.n_prev.dtype == grids.n_new.dtype == np.int64
+        batched_rows, oracle_rows = decision_rows(batched), oracle_policy.rows
+        assert len(batched_rows) == len(oracle_rows) > 0
+        assert any(d.delta != 0 for d in batched_rows)
+        for b, o in zip(batched_rows, oracle_rows):
             assert (b.minute, b.service, b.n_prev, b.n_new, b.delta) == \
                 (o.minute, o.service, o.n_prev, o.n_new, o.delta)
             for name in ("forecast_rps", "predicted_vcpu", "r_prev", "r_new"):
-                assert type(getattr(b, name)) is float
                 assert getattr(b, name) == pytest.approx(getattr(o, name), rel=1e-9, abs=0)
 
     def test_services_out_of_graph_order_rejected(self):
@@ -660,12 +702,56 @@ class TestBatchedPredictiveReplay:
             run_simulation(stub_trace([100] * 8), demand, policy, bounds, SimConfig(seed=3),
                            warmup=4)
 
+    def test_non_finite_demand_rejected_naming_service_and_minute(self):
+        policy = TestPredictivePolicySimulation().make_policy(
+            slot=0, feature_scaler=MinMaxScaler(0.0, 1.0, 0.0, 1.0))[0]
+        rates = np.full((5, 2), 100.0)
+        # Slot 0 reads row 3 in the window that ends at row 4, predicted at
+        # minute 10 + 4; doubled, the rate overflows.
+        rates[3] = 1e308
+        with np.errstate(over="ignore"), pytest.raises(
+                ValidationError, match="predicted demand for 'a' at minute 14 is not finite"):
+            policy.begin(10, ("a", "b"), rates)
+
+    def test_decisions_come_one_minute_after_another(self):
+        policy = TestPredictivePolicySimulation().make_policy(
+            slot=-1, feature_scaler=MinMaxScaler(0.0, 1.0, 0.0, 1.0))[0]
+        policy.begin(10, ("a", "b"), np.full((6, 2), 100.0))
+        policy.decide(12, [0.5, 0.5], [1, 1])
+        for minute in (12, 14):
+            with pytest.raises(ValidationError, match=f"minute {minute} out of order"):
+                policy.decide(minute, [0.5, 0.5], [1, 1])
+        policy.decide(13, [0.5, 0.5], [2, 1])
+        assert policy.decisions.start_minute == 12
+        assert policy.decisions.n_prev.tolist() == [[1, 1], [2, 1]]
+
+    def test_decision_log_of_each_kind_of_run(self):
+        # A reactive run logs no decisions; a predictive run logs a grid, with
+        # no rows when warmup covers the whole trace.
+        maker = TestPredictivePolicySimulation()
+        demand = maker.demand_ab()
+        policy, bounds = maker.make_policy(slot=-1,
+                                           feature_scaler=MinMaxScaler(0.0, 1.0, 0.0, 1.0))
+        reactive = run_simulation(stub_trace([100] * 8), demand,
+                                  ReactivePolicy(HpaConfig(), bounds), bounds,
+                                  SimConfig(seed=3), warmup=4)
+        assert reactive.decisions is None
+        for warmup, rows in ((4, 4), (8, 0)):
+            log = run_simulation(stub_trace([100] * 8), demand, policy, bounds,
+                                 SimConfig(seed=3), warmup=warmup)
+            assert len(log.decisions) == rows
+            if rows:
+                assert log.decisions.start_minute == warmup
+            assert log.decisions.r_prev.shape == log.decisions.n_new.shape == (rows, 2)
+        assert log.decisions.forecast_rps.shape == (0, 2)
+        assert decision_rows(log) == []
+
     def test_minute_outside_the_prepass_rejected(self):
         policy = TestPredictivePolicySimulation().make_policy(
             slot=-1, feature_scaler=MinMaxScaler(0.0, 1.0, 0.0, 1.0))[0]
         policy.begin(10, ("a", "b"), np.full((5, 2), 100.0))
-        pods = {"a": 1, "b": 1}
-        policy.decide(12, {}, pods)
+        pods = [1, 1]
+        policy.decide(12, [0.5, 0.5], pods)
         for minute in (11, 15):
             with pytest.raises(ValidationError, match="no prediction"):
-                policy.decide(minute, {}, pods)
+                policy.decide(minute, [0.5, 0.5], pods)

@@ -196,19 +196,26 @@ class TestValueTypes:
             f"error: trace.synthetic.period {period} " if period
             else f"error: trace.synthetic.period must be > 0, got {period}\n")
 
-    @pytest.mark.parametrize("name", ["a/b", "/", "a\0b"])
+    @pytest.mark.parametrize("name", ["a/b", "/", "a\0b", "b\ud800", "b\x01"])
     def test_service_name_with_slash_or_nul_exits_2(self, name, tmp_path, capsys):
         # Model files and charts are named after services: "a/b" used to fail
-        # with a FileNotFoundError traceback once the forecasters were trained.
+        # with a FileNotFoundError traceback once the forecasters were trained,
+        # a lone surrogate with a UnicodeEncodeError traceback, and "b\x01"
+        # gave a pods chart that is not well-formed XML.
         from conftest import TINY_CONFIG, run_cli
         d = json.loads(json.dumps(TINY_CONFIG).replace('"back"', json.dumps(name)))
         config = tmp_path / "experiment.json"
         config.write_text(json.dumps(d), encoding="utf-8")
         code = run_cli("experiment", "--config", str(config), "--out", str(tmp_path / "out"))
         assert code == 2
-        assert capsys.readouterr().err == (f"error: graph.nodes[1] {name!r} must not contain "
-                                           f"'/' or NUL: files are named after it\n")
+        assert capsys.readouterr().err == (
+            f"error: graph.nodes[1] {name!r} must not contain '/' or NUL, another control "
+            f"character but tab, LF and CR, or a lone surrogate: files are named after it\n")
         assert not (tmp_path / "out").exists()
+        for command in (["simulate", "--policy", "reactive"], ["train-workload"]):
+            assert run_cli(*command, "--config", str(config),
+                           "--out", str(tmp_path / "out")) == 2
+            assert f"graph.nodes[1] {name!r}" in capsys.readouterr().err
 
     def test_counts_above_2_pow_53_exit_2_naming_the_keys(self, tmp_path, capsys):
         from conftest import TINY_CONFIG, run_cli

@@ -382,7 +382,7 @@ class TestLoadRunRejects:
         with pytest.raises(ValidationError, match="summary.json lists no services"):
             load_run(run_dir)
 
-    @pytest.mark.parametrize("name", ["a/b", "a\0b"])
+    @pytest.mark.parametrize("name", ["a/b", "a\0b", "b\ud800", "b\x01"])
     def test_summary_with_a_service_name_with_slash_or_nul(self, tmp_path, name):
         # compare writes a pods_<service>.svg per service.
         run_dir = save_run(tmp_path, make_log("x", [2]))
