@@ -366,8 +366,9 @@ def _loss_and_grads(params: list[np.ndarray], batch: _Batch,
             dc += dc_carry
             dcdh_buf[:, :2] = dc[:, None, :]
             da[t] *= dcdh
-            np.multiply(dc, forget[t], out=dc_carry)
-            np.matmul(da[t], w_h.T, out=dh_carry)
+            if t:  # step 0's carries would flow into the zero initial state
+                np.multiply(dc, forget[t], out=dc_carry)
+                np.matmul(da[t], w_h.T, out=dh_carry)
         layer_in = caches[li - 1][0][1:] if li else x_tm
         flat_da = da.reshape(k * n, 4 * hid)
         np.matmul(layer_in.reshape(k * n, w_x.shape[0]).T, flat_da, out=grads[3 * li])

@@ -411,8 +411,11 @@ def train_gcn(train: tuple[np.ndarray, np.ndarray], graph: ServiceGraph,
     target_scalers = tuple(MinMaxScaler.fit(y_train[:, ni, :], out_lo=0.0, out_hi=1.0)
                            for ni in range(graph.size))
     # The input layer's aggregation a_hat @ X depends on the data alone, so
-    # it is computed once instead of once per batch and epoch.
-    agg_train = np.matmul(graph.a_hat, feature_scaler.transform(x_train))
+    # it is computed once instead of once per batch and epoch, a block of
+    # samples at a time.
+    agg_train = np.empty(x_train.shape)
+    for lo, hi in blocks(len(x_train)):
+        np.matmul(graph.a_hat, feature_scaler.transform(x_train[lo:hi]), out=agg_train[lo:hi])
     ys = scale_targets(target_scalers, y_train)
 
     rng = Rng(config.seed)

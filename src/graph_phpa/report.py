@@ -86,6 +86,8 @@ def load_run(run_dir: str | Path) -> SimulationLog:
     start, horizon, width = summary["start_minute"], summary["horizon"], len(services)
     if horizon < 0:
         raise ValidationError(f"{summary_path} has a negative horizon {horizon}")
+    if horizon == 0:
+        raise ValidationError(f"{summary_path} has a zero horizon: its run has no minutes")
     external = np.empty(horizon)
     grid = {c: np.empty((horizon, width), dtype=_SIM_DTYPE[c]) for c in GRID_COLUMNS}
     names = np.array(services, dtype=object)
@@ -235,76 +237,88 @@ def _escape(name: str) -> str:
     return name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _pods_charts(logs: list[SimulationLog], services: list[str]):
-    """For each service in turn, an SVG step chart of its pod counts over
-    time, one polyline per policy. The minute axis is the same in every chart,
-    so its coordinates are formatted once. Names are XML-escaped."""
-    width, height = 960, 320
-    left, right, top, bottom = 60, 20, 36, 44
-    plot_w, plot_h = width - left - right, height - top - bottom
+# The pods charts' size and plot margins, in pixels.
+_WIDTH, _HEIGHT = 960, 320
+_LEFT, _RIGHT, _TOP, _BOTTOM = 60, 20, 36, 44
 
-    m_lo = min(log.start_minute for log in logs if log.horizon)
-    m_hi = max(log.start_minute + log.horizon - 1 for log in logs if log.horizon)
+
+def _minute_axis(logs: list[SimulationLog]) -> tuple[int, int, list[str]]:
+    """The minute axis every pods chart of logs shares: its first minute, its
+    span, and the formatted x of each minute from the first. numpy's
+    k / span * plot_w + left is Python's, operation for operation."""
+    m_lo = min(log.start_minute for log in logs)
+    m_hi = max(log.start_minute + log.horizon - 1 for log in logs)
     m_span = max(m_hi - m_lo, 1)
-    # Formatted x of each minute offset; numpy's k / span * plot_w + left is
-    # Python's, operation for operation.
-    x_text = list(map("%.2f".__mod__,
-                      (np.arange(m_hi - m_lo + 1) / m_span * plot_w + left).tolist()))
+    plot_w = _WIDTH - _LEFT - _RIGHT
+    return m_lo, m_span, list(map("%.2f".__mod__, (
+        np.arange(m_hi - m_lo + 1) / m_span * plot_w + _LEFT).tolist()))
+
+
+def _write_pods_chart(fh, logs: list[SimulationLog], service: str,
+                      axis: tuple[int, int, list[str]]) -> None:
+    """Write to fh an SVG step chart of the service's pod counts over time,
+    one polyline per policy, its points a block of minutes at a time. axis is
+    _minute_axis(logs). Names are XML-escaped."""
+    if any(service not in log.services for log in logs):
+        raise ValidationError(f"unknown service {service!r}")
+    width, height, left, right, top, bottom = _WIDTH, _HEIGHT, _LEFT, _RIGHT, _TOP, _BOTTOM
+    plot_w, plot_h = width - left - right, height - top - bottom
+    m_lo, m_span, x_text = axis
+    columns = [log.pods[:, log.services.index(service)] for log in logs]
+    levels = set().union(*(set(pods.tolist()) for pods in columns))
+    p_hi = max(levels) + 1
 
     def sx(m):
         return left + (m - m_lo) / m_span * plot_w
 
-    for service in services:
-        if any(service not in log.services for log in logs):
-            raise ValidationError(f"unknown service {service!r}")
-        series = [(log, log.pods[:, log.services.index(service)].tolist()) for log in logs]
-        levels = set().union(*(pods for _, pods in series))
-        p_hi = max(levels) + 1
+    def sy(p):
+        return top + (1.0 - p / p_hi) * plot_h
 
-        def sy(p):
-            return top + (1.0 - p / p_hi) * plot_h
+    y_text = {p: f"{sy(p):.2f}" for p in levels}
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{left}" y="20" font-family="sans-serif" font-size="14">'
+        f'pods over time: {_escape(service)}</text>',
+    ]
+    for tick in range(0, p_hi + 1, max(1, p_hi // 6)):
+        y = sy(tick)
+        parts.append(f'<line x1="{left}" y1="{y:.2f}" x2="{width - right}" y2="{y:.2f}" '
+                     f'stroke="#dddddd" stroke-width="1"/>')
+        parts.append(f'<text x="{left - 8}" y="{y + 4:.2f}" font-family="sans-serif" '
+                     f'font-size="11" text-anchor="end">{tick}</text>')
+    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
+        m = m_lo + frac * m_span
+        x = sx(m)
+        parts.append(f'<text x="{x:.2f}" y="{height - bottom + 18}" '
+                     f'font-family="sans-serif" font-size="11" '
+                     f'text-anchor="middle">{int(round(m))}</text>')
+    parts.append(f'<text x="{left + plot_w / 2:.2f}" y="{height - 8}" '
+                 f'font-family="sans-serif" font-size="12" text-anchor="middle">minute</text>')
+    fh.write("\n".join(parts))
 
-        y_text = {p: f"{sy(p):.2f}" for p in levels}
-        parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-            f'viewBox="0 0 {width} {height}">',
-            f'<rect width="{width}" height="{height}" fill="white"/>',
-            f'<text x="{left}" y="20" font-family="sans-serif" font-size="14">'
-            f'pods over time: {_escape(service)}</text>',
-        ]
-        for tick in range(0, p_hi + 1, max(1, p_hi // 6)):
-            y = sy(tick)
-            parts.append(f'<line x1="{left}" y1="{y:.2f}" x2="{width - right}" y2="{y:.2f}" '
-                         f'stroke="#dddddd" stroke-width="1"/>')
-            parts.append(f'<text x="{left - 8}" y="{y + 4:.2f}" font-family="sans-serif" '
-                         f'font-size="11" text-anchor="end">{tick}</text>')
-        for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-            m = m_lo + frac * m_span
-            x = sx(m)
-            parts.append(f'<text x="{x:.2f}" y="{height - bottom + 18}" '
-                         f'font-family="sans-serif" font-size="11" '
-                         f'text-anchor="middle">{int(round(m))}</text>')
-        parts.append(f'<text x="{left + plot_w / 2:.2f}" y="{height - 8}" '
-                     f'font-family="sans-serif" font-size="12" text-anchor="middle">minute</text>')
-
-        for i, (log, pods) in enumerate(series):
-            color = _PALETTE[i % len(_PALETTE)]
+    for i, (log, pods) in enumerate(zip(logs, columns)):
+        color = _PALETTE[i % len(_PALETTE)]
+        fh.write(f'\n<polyline fill="none" stroke="{color}" stroke-width="1.5" points="')
+        offset = log.start_minute - m_lo
+        prev_p = None  # carried across blocks, so a step's corner is drawn at its minute
+        for lo, hi in blocks(log.horizon):
             coords = []
-            prev_p = None
-            for x, p in zip(x_text[log.start_minute - m_lo:], pods):
+            for x, p in zip(x_text[offset + lo:offset + hi], pods[lo:hi].tolist()):
                 if prev_p is not None and p != prev_p:
                     coords.append(f"{x},{y_text[prev_p]}")
                 coords.append(f"{x},{y_text[p]}")
                 prev_p = p
-            parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                         f'points="{" ".join(coords)}"/>')
-            lx = left + 10 + i * 180
-            parts.append(f'<line x1="{lx}" y1="{top - 6}" x2="{lx + 22}" y2="{top - 6}" '
-                         f'stroke="{color}" stroke-width="3"/>')
-            parts.append(f'<text x="{lx + 28}" y="{top - 2}" font-family="sans-serif" '
-                         f'font-size="12">{_escape(log.policy_name)}</text>')
-        parts.append("</svg>")
-        yield "\n".join(parts) + "\n"
+            if lo:
+                fh.write(" ")
+            fh.write(" ".join(coords))
+        lx = left + 10 + i * 180
+        fh.write(f'"/>\n<line x1="{lx}" y1="{top - 6}" x2="{lx + 22}" y2="{top - 6}" '
+                 f'stroke="{color}" stroke-width="3"/>\n'
+                 f'<text x="{lx + 28}" y="{top - 2}" font-family="sans-serif" '
+                 f'font-size="12">{_escape(log.policy_name)}</text>')
+    fh.write("\n</svg>\n")
 
 
 def write_comparison(out_dir: str | Path, logs: list[SimulationLog], baseline: str) -> dict:
@@ -316,7 +330,8 @@ def write_comparison(out_dir: str | Path, logs: list[SimulationLog], baseline: s
                                         encoding="utf-8", newline="\n")
     (out_dir / "table.txt").write_text(render_table_text(table),
                                        encoding="utf-8", newline="\n")
-    services = logs[0].services
-    for service, svg in zip(services, _pods_charts(logs, services)):
-        (out_dir / f"pods_{service}.svg").write_text(svg, encoding="utf-8", newline="\n")
+    axis = _minute_axis(logs)
+    for service in logs[0].services:
+        with open(out_dir / f"pods_{service}.svg", "w", encoding="utf-8", newline="\n") as fh:
+            _write_pods_chart(fh, logs, service, axis)
     return table

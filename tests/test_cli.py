@@ -544,7 +544,8 @@ class TestUnreadableInputs:
          ": seed must be an integer, got '17'"),
         (lambda text: text.replace('"policy": "reactive@0.9"', '"policy": null'),
          ": policy must be a string, got None"),
-    ], ids=["no-horizon", "not-json", "string-seed", "null-policy"])
+        (lambda text: json.dumps(dict(json.loads(text), horizon=0)), " has a zero horizon"),
+    ], ids=["no-horizon", "not-json", "string-seed", "null-policy", "zero-horizon"])
     def test_compare_with_a_bad_summary(self, tiny_config_path, tmp_path, capsys, edit,
                                         message):
         runs = [tmp_path / "a", tmp_path / "b"]

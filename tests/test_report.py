@@ -4,6 +4,7 @@ The column log's aggregates, charts and CSV round trip are checked bit for
 bit against row-by-row references in oracles.py.
 """
 import dataclasses
+import io
 import json
 import re
 import tempfile
@@ -18,7 +19,8 @@ from hypothesis import strategies as st
 from graph_phpa.cluster_sim import SimulationLog
 from graph_phpa.errors import RunMismatchError, ValidationError
 from graph_phpa.report import (
-    _pods_charts,
+    _minute_axis,
+    _write_pods_chart,
     check_runs_comparable,
     comparison_table,
     load_run,
@@ -33,7 +35,9 @@ from oracles import (SimRow, log_from_rows, log_rows, mean_utilization_oracle,
 
 def pods_chart_svg(logs, service) -> str:
     """The pods chart write_comparison writes for one service."""
-    return next(_pods_charts(logs, [service]))
+    out = io.StringIO()
+    _write_pods_chart(out, logs, service, _minute_axis(logs))
+    return out.getvalue()
 
 
 def make_log(policy: str, pods_a, pods_b=None, seed=1, sha="t", start=0):
@@ -394,6 +398,7 @@ class TestLoadRunRejects:
             load_run(run_dir)
 
     @pytest.mark.parametrize("horizon, message", [(-1, "has a negative horizon -1"),
+                                                   (0, "has a zero horizon"),
                                                    ("3", "horizon must be an integer")])
     def test_summary_with_a_bad_horizon(self, tmp_path, horizon, message):
         run_dir = save_run(tmp_path, make_log("x", [2, 3, 4]))
@@ -470,3 +475,30 @@ class TestBlockedLoad:
         (tmp_path / "summary.json").write_text(json.dumps(log.summary()), encoding="utf-8")
         peak = traced_peak(lambda: load_run(tmp_path))
         assert peak < 3e6, f"load_run peaked at {peak / 1e6:.1f} MB"
+
+    def test_pods_charts_memory_is_bounded(self, tmp_path):
+        # Each chart is written a block of minutes at a time. Whole charts,
+        # each polyline's coordinate list and its join, peaked at 4.26 MB.
+        services = ("productpage", "details", "reviews", "ratings")
+        logs = [random_log(10_000, services, policy=p) for p in ("reactive@0.9", "reactive@0.7")]
+        peak = traced_peak(lambda: write_comparison(tmp_path, logs, baseline="reactive@0.7"))
+        assert peak < 1.5e6, f"write_comparison peaked at {peak / 1e6:.2f} MB"
+        assert len(list(tmp_path.glob("pods_*.svg"))) == len(services)
+
+
+class TestBlockedPodsCharts:
+    """Polyline points are written a block of minutes at a time, yet every
+    step corner lands where a whole-horizon pass put it."""
+
+    @pytest.mark.parametrize("horizon", [BLOCK - 1, BLOCK, 2 * BLOCK - 1, 2 * BLOCK])
+    def test_charts_across_the_block_edge(self, tmp_path, horizon):
+        # Service a changes level at minutes BLOCK - 1 and BLOCK, the last of
+        # the first block and the first of the second (at horizon 2 * BLOCK);
+        # service b holds its level across the edge.
+        pods_a = [3 if m < BLOCK - 1 else 5 if m == BLOCK - 1 else 4 for m in range(horizon)]
+        pods_b = [2 if m < BLOCK - 2 else 6 for m in range(horizon)]
+        logs = [make_log("x", pods_a, pods_b), make_log("y", pods_b, pods_a)]
+        write_comparison(tmp_path, logs, baseline="y")
+        for service in ("a", "b"):
+            svg = (tmp_path / f"pods_{service}.svg").read_text(encoding="utf-8")
+            assert svg == pods_chart_svg_oracle(logs, service)
