@@ -13,11 +13,13 @@ it returns, write their files and return what they built.
 
 Set PHPA_LOG=DEBUG (or INFO) for training progress on stderr. Output files
 are byte-stable: rerunning a command with the same config and seeds rewrites
-identical bytes. The per-service fits and forecasts run on a pool of worker
-processes forked from the command, one per usable core (limit the cores with
-taskset); with one usable core, or no OpenBLAS to pin, they run in-process.
-Each result is independent of the process that computed it, so the bytes do
-not depend on the core count.
+identical bytes. The per-service fits and forecasts run on worker processes
+forked from the command, one per usable core (limit the cores with taskset);
+with one usable core, or no OpenBLAS to pin, they run in-process. The tasks
+are dealt round robin: of W workers, worker w runs tasks w, w + W, ... and
+pipes its results back. A worker that dies raises ChildProcessError. Each
+result is independent of the process that computed it, so the bytes do not
+depend on the core count.
 """
 from __future__ import annotations
 
@@ -25,7 +27,10 @@ import argparse
 import json
 import logging
 import os
+import pickle
+import signal
 import sys
+import traceback
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -78,46 +83,103 @@ def _worker_count(tasks: int) -> int:
     return min(tasks, len(os.sched_getaffinity(0)))
 
 
-# (fn, tasks) of the _map_tasks call whose pool is running. Workers are forked
-# after it is set, so they read fn and the tasks from their copy of memory and
-# only the results are pickled: fn may be a closure.
-_job: tuple | None = None
-
-
-def _run_job_task(index: int):
-    fn, tasks = _job
-    return fn(*tasks[index])
-
-
 def _map_tasks(fn, tasks: list[tuple]) -> list:
     """[fn(*task) for task in tasks], spread over forked worker processes.
 
     OpenBLAS is pinned to one thread meanwhile, and the workers inherit the
     pin, so they do not oversubscribe the cores. With one usable core, or
     without an OpenBLAS to pin, the tasks run in this process one after
-    another. Every worker has exited when this returns. The first task to fail
-    raises its error here; a worker that dies raises BrokenProcessPool.
-
-    The pool forks all its workers before it starts its own management thread.
-    Nothing in the command may start a thread before then: forking a process
-    with threads can deadlock the child, and Python 3.12+ warns about it.
+    another. No worker is left when this returns or raises. The failing task
+    of lowest index raises its error here; a worker that dies before it sends
+    its results raises ChildProcessError.
     """
-    global _job
     with one_blas_thread() as pinned:
         workers = _worker_count(len(tasks)) if pinned else 1
         if workers <= 1:
             return [fn(*task) for task in tasks]
-        # Imported here: a command that runs no pool does not load multiprocessing.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        return _fork_map(fn, tasks, workers)
 
-        fork = multiprocessing.get_context("fork")
-        _job = (fn, tasks)
+
+def _fork_map(fn, tasks: list[tuple], workers: int) -> list:
+    """_map_tasks on workers forked processes: worker w runs tasks w, w +
+    workers, ... and sends back one pickle through its own pipe. A worker is a
+    copy of this process, so fn, which may be a closure, and the tasks are
+    never pickled; only what comes back is. The commands start no thread, so
+    no worker is forked holding a lock another thread took."""
+    pipes, running = [], []
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_worker(fn, tasks, range(w, len(tasks), workers), write_fd)
+            finally:
+                os.close(write_fd)
+            running.append(pid)
+        # A pipe reads to its end once its worker has exited.
+        payloads = [pipe.read() for pipe in pipes]
+        statuses = []
+        while running:  # a reaped worker leaves running at once
+            statuses.append(os.waitpid(running[0], 0)[1])
+            running.pop(0)
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in running:  # only on an error or interrupt in this process
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+    results, failures = [None] * len(tasks), []
+    for w, (payload, status) in enumerate(zip(payloads, statuses)):
         try:
-            with ProcessPoolExecutor(workers, mp_context=fork) as pool:
-                return list(pool.map(_run_job_task, range(len(tasks))))
-        finally:
-            _job = None
+            sent = pickle.loads(payload) if status == 0 else None
+        except (EOFError, pickle.UnpicklingError):
+            sent = None
+        if sent is None:
+            code = os.waitstatus_to_exitcode(status)
+            how = (f"was killed by {signal.Signals(-code).name}" if code < 0
+                   else f"exited with status {code}")
+            raise ChildProcessError(f"worker process {w} of {workers} {how} before it sent "
+                                    f"its results")
+        done, failure = sent
+        if failure is None:
+            results[w::workers] = done
+        else:
+            failures.append(failure)
+    if failures:
+        _, exc, trace = min(failures, key=lambda failure: failure[0])
+        raise exc from WorkerTraceback(trace)
+    return results
+
+
+class WorkerTraceback(Exception):
+    """The traceback, as text, of an error a forked worker raised: the cause
+    of that error once _fork_map raises it, shown should it go unhandled."""
+
+
+def _run_worker(fn, tasks: list[tuple], indexes: range, fd: int):
+    """In a forked worker: fn(*tasks[i]) for i in indexes, in order, stopping
+    at the first that raises. Writes one pickle to fd, (results, None) or
+    (None, (index, error, traceback text)), then ends the process; never
+    returns."""
+    status = 1
+    try:
+        results, failure = [], None
+        for i in indexes:
+            try:
+                results.append(fn(*tasks[i]))
+            except Exception as exc:
+                # The traceback is lost with the process; its text goes along.
+                trace = f"raised by task {i} in worker process {os.getpid()}:\n"
+                results, failure = None, (i, exc, trace + traceback.format_exc())
+                break
+        with open(fd, "wb") as pipe:
+            pickle.dump((results, failure), pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 @dataclass(frozen=True)
@@ -276,10 +338,14 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         cfg = replace(cfg, sim=replace(cfg.sim, seed=args.seed))
     if args.policy == "reactive":
+        if args.models is not None:
+            raise ValidationError("reactive policy takes no --models")
         hpa = cfg.hpa if args.threshold is None else replace(cfg.hpa, scale_out=args.threshold)
         policy = ReactivePolicy(hpa, cfg.bounds)
     elif args.models is None:
         raise ValidationError("phpa policy needs --models")
+    elif args.threshold is not None:
+        raise ValidationError("phpa policy takes no --threshold")
     else:
         models_dir = Path(args.models)
         policy = PredictivePolicy(_load_lstm_models(models_dir, cfg),

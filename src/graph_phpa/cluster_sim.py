@@ -33,7 +33,7 @@ from .autoscaler import ScalingBounds, predict_demand
 from .errors import ValidationError, check_keys
 from .forecast_lstm import LstmModel
 from .predict_gcn import GcnModel, ServiceGraph
-from .tensor import blocks, keyed_normals, mix_seed
+from .tensor import blocks, check_seed, keyed_normals, mix_seed
 from .traces import WorkloadTrace, trace_digest
 
 SIM_COLUMNS = ("minute", "service", "external_rps", "service_rps", "pods",
@@ -187,6 +187,7 @@ class SimConfig:
         for name in ("startup_delay", "max_total_pods"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
+        check_seed(self.seed)
 
 
 class ScalingPolicy(ABC):

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import (DivergenceError, EmptyDatasetError, ShapeError, ValidationError,
                      check_keys, check_value, float_array, read, read_json_file)
 from .tensor import (BLOCK, AdamState, MinMaxScaler, Rng, adam_step, blocks, carve,
-                     ensure_finite, glorot_init)
+                     check_seed, ensure_finite, glorot_init)
 
 log = logging.getLogger(__name__)
 
@@ -53,6 +53,7 @@ class LstmConfig:
                 raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.learning_rate <= 0:
             raise ValidationError(f"learning_rate must be positive, got {self.learning_rate}")
+        check_seed(self.seed)
 
 
 class LstmLayer:

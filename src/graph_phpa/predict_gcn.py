@@ -20,7 +20,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (DivergenceError, EmptyDatasetError, ShapeError, ValidationError,
                      check_keys, check_name, check_value, float_array, read, read_json_file)
-from .tensor import BLOCK, AdamState, MinMaxScaler, Rng, adam_step, blocks, carve, glorot_init
+from .tensor import (BLOCK, AdamState, MinMaxScaler, Rng, adam_step, blocks, carve,
+                     check_seed, glorot_init)
 
 log = logging.getLogger(__name__)
 
@@ -108,6 +109,7 @@ class GcnConfig:
             raise ValidationError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValidationError("epochs and batch_size must be >= 1")
+        check_seed(self.seed)
 
     @property
     def widths(self) -> tuple[int, ...]:

@@ -50,6 +50,14 @@ def _splitmix64(x):
     return (x ^ (x >> 31)) & _MASK64
 
 
+def check_seed(seed: int) -> None:
+    """A ValidationError naming seed unless it is in [0, 2**64): the random
+    streams take a seed as one 64-bit word, so one outside would run as
+    another seed while the outputs record it as given."""
+    if not 0 <= seed <= _MASK64:
+        raise ValidationError(f"seed must be in [0, 2**64), got {seed}")
+
+
 def mix_seed(seed: int, *streams):
     """Derive an independent 64-bit seed from a base seed and stream indices.
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import TraceFormatError, ValidationError, read_text
-from .tensor import Rng
+from .tensor import Rng, check_seed
 
 HEADER = "minute,requests"
 # The largest request count a trace holds: every count up to 2**53 is exact in
@@ -252,6 +252,7 @@ def generate_synthetic_trace(pattern: str, length: int, amplitude: float, seed: 
         period = 1440 if pattern == "diurnal" else 240
     elif not period > 0:  # a NaN fails too
         raise ValidationError(f"period must be > 0, got {period}")
+    check_seed(seed)
     rng = Rng(seed)
     t = np.arange(length, dtype=np.float64) * resolution
     # A subnormal period makes the phase infinite or NaN, and a huge base or

@@ -2,12 +2,13 @@
 import copy
 import json
 import math
-import multiprocessing
 import os
 import pickle
 import shutil
 import signal
-from concurrent.futures.process import BrokenProcessPool
+import subprocess
+import sys
+import time
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -86,6 +87,15 @@ class TestGenTrace:
         assert run_cli("gen-trace", option, "--out", str(out)) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, capsys, seed):
+        # --seed -1 used to write the trace of --seed 2**64 - 1.
+        out = tmp_path / "t.csv"
+        assert run_cli("gen-trace", "--seed", seed, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: seed must be in [0, 2**64), got {seed}\n"
+        assert not out.exists()
+        assert run_cli("gen-trace", "--seed", str(2**64 - 1), "--out", str(out)) == 0
 
 
 class TestTraining:
@@ -291,6 +301,9 @@ class TestMalformedModelFiles:
         # No key of a model file takes true or false. A true first weight
         # used to load as 1.0 and run.
         assert [label for label in admitted if label.endswith("=True")] == []
+        # A seed is a 64-bit word; -1 used to load.
+        assert "config.seed=-1" in [label for label, _, _ in sweep]
+        assert "config.seed=-1" not in admitted
 
 
 def train_both(config: str, out: Path) -> dict[str, bytes]:
@@ -320,13 +333,19 @@ class TestConcurrentTraining:
         if tensor._openblas_thread_api() is None:
             pytest.skip("numpy did not load an OpenBLAS, so the tasks run in-process")
 
+    @staticmethod
+    def assert_no_child_left():
+        """No child process of any kind remains, running or unreaped."""
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_tasks_run_in_worker_processes_in_order(self, monkeypatch):
         self.needs_pool()
         monkeypatch.setattr(cli, "_worker_count", lambda tasks: 2)
         results = cli._map_tasks(lambda i: (i * i, os.getpid()), [(i,) for i in range(6)])
         assert [square for square, _ in results] == [i * i for i in range(6)]
         assert os.getpid() not in {pid for _, pid in results}
-        assert multiprocessing.active_children() == []
+        self.assert_no_child_left()
 
         def failing(i):
             if i == 3:
@@ -335,8 +354,40 @@ class TestConcurrentTraining:
 
         with pytest.raises(ValueError, match="task 3 failed"):
             cli._map_tasks(failing, [(i,) for i in range(6)])
-        assert multiprocessing.active_children() == []
-        assert cli._job is None
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_results_beyond_a_pipe_buffer_come_back_in_order(self, monkeypatch, workers):
+        # Every worker sends several times the 64 KB a pipe buffers.
+        self.needs_pool()
+        monkeypatch.setattr(cli, "_worker_count", lambda tasks: workers)
+        results = cli._map_tasks(lambda i: bytes([i]) * 100_000, [(i,) for i in range(8)])
+        assert results == [bytes([i]) * 100_000 for i in range(8)]
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("failing, slow, expected", [
+        ({2, 3}, 2, 2),  # worker 1 fails at task 3 while worker 0 sleeps before task 2 fails
+        ({1, 4}, 4, 1),  # the later worker holds the lowest failing index
+    ], ids=["earlier-worker-fails-last", "later-worker-lower-index"])
+    def test_the_lowest_failing_index_raises(self, monkeypatch, failing, slow, expected):
+        self.needs_pool()
+        monkeypatch.setattr(cli, "_worker_count", lambda tasks: 2)
+
+        def task(i):
+            if i == slow:
+                time.sleep(0.3)
+            if i in failing:
+                raise ValueError(f"task {i} failed")
+            return i
+
+        with pytest.raises(ValueError) as raised:
+            cli._map_tasks(task, [(i,) for i in range(6)])
+        assert str(raised.value) == f"task {expected} failed"
+        # The worker's traceback comes along as the cause, on any Python >= 3.10.
+        assert type(raised.value.__cause__) is cli.WorkerTraceback
+        assert str(raised.value.__cause__).startswith(f"raised by task {expected} in worker")
+        assert f'ValueError(f"task {{i}} failed")' in str(raised.value.__cause__)
+        self.assert_no_child_left()
 
     def test_a_dying_worker_raises_instead_of_hanging(self, monkeypatch):
         self.needs_pool()
@@ -350,15 +401,72 @@ class TestConcurrentTraining:
                 os._exit(3)
             return i
 
+        def killed(i):
+            if i == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return i
+
         previous = signal.signal(signal.SIGALRM, timed_out)
         signal.alarm(60)
         try:
-            with pytest.raises(BrokenProcessPool):
+            with pytest.raises(ChildProcessError, match="worker process 1 of 2 exited with "
+                                                        "status 3"):
                 cli._map_tasks(dying, [(i,) for i in range(4)])
+            self.assert_no_child_left()
+            with pytest.raises(ChildProcessError, match="worker process 0 of 2 was killed by "
+                                                        "SIGKILL"):
+                cli._map_tasks(killed, [(i,) for i in range(4)])
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
-        assert multiprocessing.active_children() == []
+        self.assert_no_child_left()
+
+    def test_an_interrupt_kills_and_reaps_the_workers(self, monkeypatch):
+        self.needs_pool()
+        monkeypatch.setattr(cli, "_worker_count", lambda tasks: 2)
+
+        class Interrupt(Exception):
+            pass
+
+        def interrupt(signum, frame):
+            raise Interrupt
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        signal.setitimer(signal.ITIMER_REAL, 0.3)
+        started = time.monotonic()
+        try:
+            with pytest.raises(Interrupt):
+                cli._map_tasks(lambda i: time.sleep(60), [(i,) for i in range(4)])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - started < 30  # the sleeping workers were killed
+        self.assert_no_child_left()
+
+    def test_training_loads_no_pool_machinery_and_starts_no_thread(self, tiny_config_path,
+                                                                    tmp_path):
+        # A fresh interpreter: this one may have loaded the modules already.
+        self.needs_pool()
+        script = """
+import json, os, sys, threading
+from graph_phpa import cli
+cli._worker_count = lambda tasks: min(tasks, 2)
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+config, out = sys.argv[1:]
+assert cli.main(["train-workload", "--config", config, "--out", out]) == 0
+assert cli.main(["train-resource", "--config", config, "--models", out, "--out", out]) == 0
+print(json.dumps({"forks": len(forks), "threads": threading.active_count(),
+                  "loaded": [m for m in ("concurrent.futures", "multiprocessing")
+                             if m in sys.modules]}))
+"""
+        src = str(Path(cli.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", script, tiny_config_path,
+                               str(tmp_path / "out")], capture_output=True, text=True,
+                              timeout=300, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report == {"forks": 4, "threads": 1, "loaded": []}
 
     @pytest.mark.parametrize("error, field, value", [
         (DivergenceError("training loss diverged at epoch 3", epoch=3), "epoch", 3),
@@ -479,6 +587,31 @@ class TestSimulate:
                        "--out", str(tmp_path / "run"))
         assert code == 2
         assert "needs --models" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("policy, flag, message", [
+        ("phpa", ["--threshold", "0.5"], "phpa policy takes no --threshold"),
+        ("reactive", [], "reactive policy takes no --models"),
+    ])
+    def test_the_other_policys_flag_exits_2(self, tiny_config_path, tiny_models_dir,
+                                            tmp_path, capsys, policy, flag, message):
+        # Both used to exit 0, ignoring the flag.
+        out = tmp_path / "run"
+        code = run_cli("simulate", "--config", tiny_config_path, "--policy", policy,
+                       "--models", tiny_models_dir, *flag, "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64 + 3)])
+    def test_seed_override_outside_64_bits_exits_2(self, tiny_config_path, tmp_path, capsys,
+                                                    seed):
+        # 2**64 + 3 used to replay seed 3 while summary.json recorded 2**64 + 3.
+        out = tmp_path / "run"
+        code = run_cli("simulate", "--config", tiny_config_path, "--policy", "reactive",
+                       "--seed", seed, "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: seed must be in [0, 2**64), got {seed}\n"
+        assert not out.exists()
 
     def test_rerun_is_byte_identical(self, tiny_config_path, tiny_models_dir, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

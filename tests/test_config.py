@@ -159,6 +159,13 @@ BAD_VALUES = [
     (("lstm", "window"), 1, "lstm.window"),
     (("sim", "max_total_pods"), 0, "sim.max_total_pods"),
     (("trace", "synthetic", "noise"), -1, "trace.synthetic.noise"),
+    # A seed outside [0, 2**64) ran as the seed it equals modulo 2**64:
+    # sim.seed 2**64 + 3 wrote seed 3's sim.csv, and -1 exited 0.
+    (("sim", "seed"), -1, "sim.seed"),
+    (("sim", "seed"), 2**64 + 3, "sim.seed"),
+    (("lstm", "seed"), -1, "lstm.seed"),
+    (("gcn", "seed"), 2**64, "gcn.seed"),
+    (("trace", "synthetic", "seed"), -1, "trace.synthetic.seed"),
 ]
 
 
@@ -376,6 +383,8 @@ class TestMutationSweep:
         # without edges is a valid one.
         assert "trace.synthetic.period=-1" not in admitted
         assert "demand.fan_out={}" in admitted
+        # A seed is a 64-bit word; -1 used to run as 2**64 - 1.
+        assert {"sim.seed=-1", "trace.synthetic.seed=-1"}.isdisjoint(admitted)
 
     def test_model_sections_exit_0_or_2_through_training(self, tmp_path, capsys):
         # simulate --policy reactive never reads lstm or gcn, so their
@@ -396,3 +405,4 @@ class TestMutationSweep:
         assert faults == []
         assert unnamed == []
         assert [label for label in admitted if label.endswith("=True")] == []
+        assert {"lstm.seed=-1", "gcn.seed=-1"}.isdisjoint(admitted)
