@@ -5,7 +5,7 @@ demand with a graph convolutional network over the call graph, and size pod
 counts one minute ahead. A minute-resolution cluster simulator and a reactive
 threshold autoscaler provide the baseline for comparison.
 """
-from .autoscaler import ScalingBounds, integrate_step, predict_demand
+from .autoscaler import ScalingBounds, predict_demand, size_pods
 from .cluster_sim import (DemandModel, HpaConfig, PredictivePolicy, ReactivePolicy,
                           SimConfig, SimulationLog, run_simulation)
 from .config import ExperimentConfig
@@ -25,8 +25,8 @@ __all__ = [
     "LstmConfig", "LstmModel", "PredictivePolicy", "ReactivePolicy", "RunMismatchError",
     "ScalingBounds", "ServiceGraph", "ShapeError", "SimConfig", "SimulationLog", "Split",
     "TraceFormatError", "ValidationError", "WorkloadTrace",
-    "build_resource_dataset", "gcn_forward", "generate_synthetic_trace", "integrate_step",
+    "build_resource_dataset", "gcn_forward", "generate_synthetic_trace",
     "interpolate_to_minutes", "load_trace", "make_windows", "normalize_adjacency",
-    "predict_demand", "predict_resource", "run_simulation", "save_trace",
+    "predict_demand", "predict_resource", "run_simulation", "save_trace", "size_pods",
     "split_dataset", "train_gcn", "train_lstm",
 ]

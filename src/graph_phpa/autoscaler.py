@@ -1,17 +1,16 @@
-"""Proactive pod-count integration: turn predicted vCPU demand into replicas.
+"""Proactive pod sizing: turn predicted vCPU demand into replicas.
 
-The step is deliberately small. Clamp the predicted demand into the allowed
-resource band, compare it with what is currently allocated, and move the pod
-count by the number of whole pods needed to cover the difference, never below
-one and never above the per-service ceiling. Everything that knows about
-models or clusters lives elsewhere; this module is pure arithmetic so it can
-be fuzzed hard.
+The rule is deliberately small. Clamp each predicted demand into its
+service's resource band, and give the service the whole pods that cover it,
+never fewer than one and never more than the per-service ceiling. Nothing is
+carried from one minute to the next, so a minute's pods depend on its
+prediction alone. Everything that knows about models or clusters lives
+elsewhere; the rule is pure arithmetic so it can be fuzzed hard.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -41,29 +40,28 @@ class ScalingBounds:
             raise ValidationError(f"max_pods must be >= 1, got {self.max_pods}")
 
 
-def integrate_step(r_cur: float, n_cur: int, predicted: float,
-                   bounds: ScalingBounds) -> tuple[float, int]:
-    """One service's scaling step from its predicted vCPU demand: the new
-    allocation and pod count.
+def size_pods(predicted, bounds: Sequence[ScalingBounds]) -> tuple[np.ndarray, np.ndarray]:
+    """The allocation and pod count for a grid of predicted vCPU demand.
 
-    The prediction is clamped to [r_lb, r_ub]; the pod count then moves by
-    ceil(|clamped - r_cur| / pod_capacity) in the direction of the change,
-    bounded to [1, max_pods]. Equal demand leaves the count untouched.
+    Column j of predicted (its last axis) is sized under bounds[j]. The
+    allocation, float64, is the prediction clamped to [r_lb, r_ub]; the pods,
+    int64, are ceil(allocation / pod_capacity) bounded to [1, max_pods]. Both
+    have predicted's shape.
     """
-    if not 1 <= n_cur <= bounds.max_pods:
-        raise ValidationError(f"current pod count outside [1, {bounds.max_pods}]: {n_cur}")
-    if not bounds.r_lb <= r_cur <= bounds.r_ub:
-        raise ValidationError(f"current allocation outside [{bounds.r_lb}, {bounds.r_ub}]: "
-                              f"{r_cur}")
-    if not math.isfinite(predicted):
-        raise ValidationError(f"predicted demand {predicted} is not finite")
-    r_new = min(max(predicted, bounds.r_lb), bounds.r_ub)
-    if r_new > r_cur:
-        return r_new, min(n_cur + math.ceil((r_new - r_cur) / bounds.pod_capacity),
-                          bounds.max_pods)
-    if r_new < r_cur:
-        return r_new, max(n_cur - math.ceil((r_cur - r_new) / bounds.pod_capacity), 1)
-    return r_new, n_cur
+    predicted = np.asarray(predicted, dtype=np.float64)
+    if predicted.ndim == 0 or predicted.shape[-1] != len(bounds):
+        raise ShapeError(f"predicted demand shape {predicted.shape}, expected one column "
+                         f"per bounds entry ({len(bounds)})")
+    bad = np.argwhere(~np.isfinite(predicted))
+    if len(bad):
+        raise ValidationError(f"demand {predicted[tuple(bad[0])]} at "
+                              f"{tuple(bad[0].tolist())} is not finite")
+    r_lb, r_ub, capacity, max_pods = (np.array([getattr(b, name) for b in bounds],
+                                               dtype=np.float64)
+                                      for name in ("r_lb", "r_ub", "pod_capacity", "max_pods"))
+    allocation = np.minimum(np.maximum(predicted, r_lb), r_ub)
+    pods = np.minimum(np.maximum(np.ceil(allocation / capacity), 1.0), max_pods)
+    return allocation, pods.astype(np.int64)
 
 
 def predict_demand(lstm_models: Mapping[str, LstmModel],

@@ -28,8 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import autoscaler
-from .autoscaler import ScalingBounds, predict_demand
+from .autoscaler import ScalingBounds, predict_demand, size_pods
 from .errors import ValidationError, check_keys
 from .forecast_lstm import LstmModel
 from .predict_gcn import GcnModel, ServiceGraph
@@ -40,7 +39,7 @@ SIM_COLUMNS = ("minute", "service", "external_rps", "service_rps", "pods",
                "utilization", "overloaded", "policy", "decision_delta")
 GRID_COLUMNS = ("service_rps", "pods", "utilization", "decision_delta")
 DECISION_COLUMNS = ("minute", "service", "forecast_rps", "predicted_vcpu",
-                    "r_prev", "r_new", "n_prev", "n_new", "delta")
+                    "r_new", "n_prev", "n_new", "delta")
 
 
 @dataclass(frozen=True)
@@ -146,18 +145,15 @@ class DemandModel:
 
 def initial_pod_counts(demand: DemandModel, first_external: float,
                        bounds: Mapping[str, ScalingBounds]) -> dict[str, int]:
-    """Noise-free sizing for minute zero, shared by every policy.
+    """Noise-free sizing for minute zero, shared by every policy: the
+    autoscaler's size_pods rule applied to the opening usage.
 
     Usage is clamped into the per-service resource band first, so a service
     whose guaranteed floor exceeds its opening demand starts at the floor.
     """
     _, usage = replace(demand, noise_sigma=0.0).demand_series([first_external], 0, 0)
-    counts = {}
-    for s, used in zip(demand.services, usage[0].tolist()):
-        b = bounds[s]
-        clamped = min(max(used, b.r_lb), b.r_ub)
-        counts[s] = min(max(math.ceil(clamped / b.pod_capacity), 1), b.max_pods)
-    return counts
+    _, pods = size_pods(usage, [bounds[s] for s in demand.services])
+    return dict(zip(demand.services, pods[0].tolist()))
 
 
 @dataclass(frozen=True)
@@ -210,8 +206,9 @@ class ScalingPolicy(ABC):
 
     @abstractmethod
     def decide(self, minute: int, utilization: list[float], pods: list[int]) -> list[int]:
-        """Each service's target pod count for minute, from its utilization and
-        ready pods."""
+        """Each service's target pod count for minute, from its utilization,
+        which only ready pods serve, and its pods, ready or starting up. A
+        target counts both."""
 
 
 class ReactivePolicy(ScalingPolicy):
@@ -252,9 +249,8 @@ class DecisionLog:
     start_minute: int
     forecast_rps: np.ndarray    # (D, S) float64 forecast request rate
     predicted_vcpu: np.ndarray  # (D, S) float64 predicted demand
-    r_prev: np.ndarray          # (D, S) float64 carried allocation before the step
-    r_new: np.ndarray           # (D, S) float64 and after it: the clamped prediction
-    n_prev: np.ndarray          # (D, S) int64 ready pods
+    r_new: np.ndarray           # (D, S) float64 allocation: the clamped prediction
+    n_prev: np.ndarray          # (D, S) int64 pods, ready or starting up
     n_new: np.ndarray           # (D, S) int64 target pods
 
     def __len__(self) -> int:
@@ -265,13 +261,10 @@ class PredictivePolicy(ScalingPolicy):
     """Forecast next-minute workload, predict demand on the graph, size pods ahead.
 
     Every forecast and demand prediction of a run comes from one batched
-    predict_demand call in begin; decide reads its minute's row, and is called
-    once a minute in order. Carries the clamped prediction forward as its
-    allocation state; each decision moves the pod count by the change in that
-    state, so a steady prediction leaves the count alone. The state is seeded
-    from the first prediction (no pod move on the first decision) rather than
-    from pods times capacity, which would manufacture a phantom change
-    whenever the starting allocation is not exactly the predicted demand.
+    predict_demand call in begin, and size_pods turns the whole demand grid
+    into allocations and pod counts there too. decide, called once a minute in
+    order, returns its minute's row of pod counts. Nothing is carried from one
+    decision to the next: a minute's pods follow from its own prediction.
     """
 
     name = "phpa"
@@ -298,41 +291,32 @@ class PredictivePolicy(ScalingPolicy):
             row, j = bad[0].tolist()
             raise ValidationError(f"predicted demand for {nodes[j]!r} at minute "
                                   f"{self._first_minute + row} is not finite")
-        self._demand_rows = self._demand.tolist()
-        # Flat minute-major cells of the rows decided from _first_row on: the
-        # allocation (with the seed in front), the ready pods and the targets.
-        self._first_row, self._r, self._pods, self._targets = 0, [], [], []
+        self._allocation, self._targets = size_pods(self._demand, self._bounds)
+        self._target_rows = self._targets.tolist()
+        # The pods of the rows decided from _first_row on, as flat
+        # minute-major cells.
+        self._first_row, self._pods = 0, []
 
     def decide(self, minute, utilization, pods):
         row = minute - self._first_minute
         if not 0 <= row < len(self._demand):
             raise ValidationError(f"no prediction for minute {minute}: begin covered "
                                   f"{len(self._demand)} minutes from {self._first_minute}")
-        demand, width = self._demand_rows[row], len(self._bounds)
-        if not self._r:
+        if not self._pods:
             self._first_row = row
-            self._r = [min(max(d, b.r_lb), b.r_ub) for d, b in zip(demand, self._bounds)]
-        elif row != self._first_row + len(self._targets) // width:
+        elif row != self._first_row + len(self._pods) // len(self._bounds):
             raise ValidationError(f"decision for minute {minute} out of order: decide "
                                   f"takes one minute after another")
-        # Looked up on its module, so a patched autoscaler.integrate_step (as
-        # perfbench's tracing installs) sees the policy's calls.
-        steps = list(map(autoscaler.integrate_step, self._r[-width:], pods, demand,
-                         self._bounds))
-        targets = [n for _, n in steps]
-        self._r.extend(r for r, _ in steps)
         self._pods.extend(pods)
-        self._targets.extend(targets)
-        return targets
+        return self._target_rows[row]
 
     @property
     def decisions(self) -> DecisionLog:
-        r, n_prev, n_new = (np.array(cells, dtype=dtype).reshape(-1, len(self._bounds))
-                            for cells, dtype in ((self._r, np.float64), (self._pods, np.int64),
-                                                 (self._targets, np.int64)))
-        rows = slice(self._first_row, self._first_row + len(n_new))
+        n_prev = np.array(self._pods, dtype=np.int64).reshape(-1, len(self._bounds))
+        rows = slice(self._first_row, self._first_row + len(n_prev))
         return DecisionLog(self._first_minute + rows.start, self._forecasts[rows],
-                           self._demand[rows], r[:-1], r[1:], n_prev, n_new)
+                           self._demand[rows], self._allocation[rows], n_prev,
+                           self._targets[rows])
 
 
 def _csv_field(text: str) -> str:
@@ -448,9 +432,9 @@ class SimulationLog:
 
     def write_decisions_csv(self, path: str | Path) -> None:
         log = self.decisions
-        _write_grids(path, DECISION_COLUMNS, "%d,%s,%r,%r,%r,%r,%d,%d,%d\n", log.start_minute,
-                     self.services, [], [log.forecast_rps, log.predicted_vcpu, log.r_prev,
-                                         log.r_new, log.n_prev, log.n_new, log.n_new - log.n_prev])
+        _write_grids(path, DECISION_COLUMNS, "%d,%s,%r,%r,%r,%d,%d,%d\n", log.start_minute,
+                     self.services, [], [log.forecast_rps, log.predicted_vcpu, log.r_new,
+                                         log.n_prev, log.n_new, log.n_new - log.n_prev])
 
 
 def _each_repeated(items, times: int):
@@ -464,10 +448,12 @@ def run_simulation(trace: WorkloadTrace, demand: DemandModel, policy: ScalingPol
     """Drive the cluster over a minute trace under one scaling policy.
 
     Decisions made at minute m schedule pod additions to become ready at
-    m + startup_delay and removals at m + 1. No decisions are taken during the
-    first warmup minutes. Every service starts at its initial_pod_counts. The
-    cluster-wide pod budget is enforced when additions are scheduled, counting
-    pods already pending.
+    m + startup_delay and removals at m + 1. A policy sees, and its targets
+    count, each service's pending additions with its ready pods, so a target
+    repeated while pods start up is granted once. No decisions are taken
+    during the first warmup minutes. Every service starts at its
+    initial_pod_counts. The cluster-wide pod budget is enforced when additions
+    are scheduled, counting pods already pending.
     """
     if trace.resolution != 1:
         raise ValidationError(f"simulation needs a 1-minute trace, got resolution "
@@ -493,7 +479,7 @@ def run_simulation(trace: WorkloadTrace, demand: DemandModel, policy: ScalingPol
     util_grid = np.empty((len(external), width))
     decision_delta = np.zeros((len(external), width), dtype=np.int64)
     pending: dict[int, list[tuple[int, int]]] = {}  # ready minute -> (column, delta)
-    pending_adds = 0
+    planned = list(pods)  # each service's ready pods plus its additions not yet ready
 
     for lo, hi in blocks(len(external)):
         # A block's cells go through flat minute-major lists: one object each,
@@ -504,8 +490,9 @@ def run_simulation(trace: WorkloadTrace, demand: DemandModel, policy: ScalingPol
         for i in range(lo, hi):
             minute = trace.start_minute + i
             for j, delta in pending.pop(minute, ()):
-                pods[j] = min(max(pods[j] + delta, 1), max_pods[j])
-                pending_adds -= max(delta, 0)
+                n = min(max(pods[j] + delta, 1), max_pods[j])
+                planned[j] += n - pods[j] - max(delta, 0)
+                pods[j] = n
 
             cell = (i - lo) * width
             utils = [u / (n * c) for u, n, c in zip(usage_cells[cell:cell + width],
@@ -514,16 +501,16 @@ def run_simulation(trace: WorkloadTrace, demand: DemandModel, policy: ScalingPol
             util_cells.extend(utils)
             if i < warmup:
                 continue
-            targets = policy.decide(minute, utils, pods)
-            budget = max_total_pods - sum(pods) - pending_adds
-            for j, (target, n) in enumerate(zip(targets, pods, strict=True)):
+            targets = policy.decide(minute, utils, planned)
+            budget = max_total_pods - sum(planned)
+            for j, (target, n) in enumerate(zip(targets, planned, strict=True)):
                 want = target - n
                 if want > 0:
                     grant = min(want, budget)
                     budget -= grant
                     if grant > 0:
                         pending.setdefault(minute + startup_delay, []).append((j, grant))
-                        pending_adds += grant
+                        planned[j] += grant
                         decision_delta[i, j] = grant
                 elif want < 0:
                     pending.setdefault(minute + 1, []).append((j, want))

@@ -8,7 +8,8 @@ the package's own parameter tensors, but computes nothing with them beyond
 one entry at a time. The resource-dataset loop and the per-minute predictive
 policy are the sample-by-sample and minute-by-minute forms of the batched
 code: they arbitrate the batching, not the arithmetic, so the policy reuses
-the package's predict_demand (as a batch of one) and integrate_step. The
+the package's predict_demand (as a batch of one), and sizes each service's
+pods with size_pods_oracle, the sizing rule restated on Python floats. The
 per-minute demand propagation likewise draws one freshly seeded Rng per
 service and minute and walks the demand model's own topological order. The
 simulation-log references see a log as one SimRow per (minute, service), in
@@ -38,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from graph_phpa.autoscaler import integrate_step, predict_demand
+from graph_phpa.autoscaler import predict_demand
 from graph_phpa.cluster_sim import DECISION_COLUMNS, DecisionLog, ScalingPolicy, SimulationLog
 from graph_phpa.errors import DivergenceError, TraceFormatError, ValidationError
 from graph_phpa.forecast_lstm import _init_params
@@ -424,12 +425,19 @@ def propagate_minute_oracle(demand, external_rps, minute, seed):
     return rates
 
 
+def size_pods_oracle(predicted, bounds):
+    """(allocation, pods) for one service's predicted vCPU demand: the
+    prediction clamped to [r_lb, r_ub], and the whole pods that cover it,
+    from 1 to max_pods."""
+    allocation = min(max(predicted, bounds.r_lb), bounds.r_ub)
+    return allocation, min(max(math.ceil(allocation / bounds.pod_capacity), 1), bounds.max_pods)
+
+
 class DecisionRow(NamedTuple):
     minute: int
     service: str
     forecast_rps: float
     predicted_vcpu: float
-    r_prev: float
     r_new: float
     n_prev: int
     n_new: int
@@ -439,7 +447,7 @@ class DecisionRow(NamedTuple):
 class PerMinutePredictivePolicy(ScalingPolicy):
     """The predictive policy with one predict_demand call per minute on the
     last k rates, instead of one batched call over the run, and one
-    integrate_step call per service. Keeps the rate grid begin hands it and
+    size_pods_oracle call per service. Keeps the rate grid begin hands it and
     reads each minute's window from it; logs one DecisionRow per (minute,
     service) in rows."""
 
@@ -450,44 +458,33 @@ class PerMinutePredictivePolicy(ScalingPolicy):
         self.gcn_model = gcn_model
         self.graph = graph
         self.bounds = bounds
-        self._r = None
         self.rows = []
 
     def begin(self, start_minute, services, rates):
         self._start_minute, self._rates = start_minute, rates
-        self._r = None
         self.rows = []
 
     def decide(self, minute, utilization, pods):
         k = self.gcn_model.config.window
-        nodes = self.graph.nodes
         end = minute - self._start_minute + 1
         forecasts, demand = predict_demand(self.lstm_models, self.gcn_model, self.graph,
                                            self._rates[end - k:end])
-        forecasts, demand = forecasts[0].tolist(), demand[0].tolist()
-        if self._r is None:
-            # The first decision only seeds the allocation state.
-            self._r = [min(max(d, self.bounds[s].r_lb), self.bounds[s].r_ub)
-                       for s, d in zip(nodes, demand)]
-            self.rows += [DecisionRow(minute, s, f, d, r, r, n, n, 0)
-                          for s, f, d, r, n in zip(nodes, forecasts, demand, self._r, pods)]
-            return list(pods)
-        steps = [integrate_step(r, n, d, self.bounds[s])
-                 for s, r, n, d in zip(nodes, self._r, pods, demand)]
-        self.rows += [DecisionRow(minute, s, f, d, r, r_new, n, n_new, n_new - n)
-                      for s, f, d, r, n, (r_new, n_new)
-                      in zip(nodes, forecasts, demand, self._r, pods, steps)]
-        self._r = [r_new for r_new, _ in steps]
-        return [n_new for _, n_new in steps]
+        targets = []
+        for s, f, d, n in zip(self.graph.nodes, forecasts[0].tolist(), demand[0].tolist(),
+                              pods):
+            r_new, n_new = size_pods_oracle(d, self.bounds[s])
+            self.rows.append(DecisionRow(minute, s, f, d, r_new, n, n_new, n_new - n))
+            targets.append(n_new)
+        return targets
 
 
 def decision_rows(log):
     """A log's decision grids as one DecisionRow per (minute, service), minute-major."""
     d = log.decisions
-    columns = [g.tolist() for g in (d.forecast_rps, d.predicted_vcpu, d.r_prev, d.r_new,
-                                    d.n_prev, d.n_new)]
+    columns = [g.tolist() for g in (d.forecast_rps, d.predicted_vcpu, d.r_new, d.n_prev,
+                                    d.n_new)]
     return [DecisionRow(d.start_minute + i, s, *(c[i][j] for c in columns),
-                        columns[5][i][j] - columns[4][i][j])
+                        columns[4][i][j] - columns[3][i][j])
             for i in range(len(d)) for j, s in enumerate(log.services)]
 
 
@@ -504,7 +501,7 @@ def decision_log_from_rows(rows, services) -> DecisionLog:
         return np.array([getattr(r, name) for r in rows], dtype=dtype).reshape(-1, width)
 
     floats = {name: grid(name, np.float64)
-              for name in ("forecast_rps", "predicted_vcpu", "r_prev", "r_new")}
+              for name in ("forecast_rps", "predicted_vcpu", "r_new")}
     return DecisionLog(start_minute=start, n_prev=grid("n_prev", np.int64),
                        n_new=grid("n_new", np.int64), **floats)
 
@@ -522,7 +519,7 @@ def write_decision_rows_oracle(path, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(DECISION_COLUMNS) + "\n")
         for minute, service, *values in rows:
-            fh.write("%d,%s,%r,%r,%r,%r,%d,%d,%d\n" % (minute, field(service), *values))
+            fh.write("%d,%s,%r,%r,%r,%d,%d,%d\n" % (minute, field(service), *values))
 
 
 class SimRow(NamedTuple):

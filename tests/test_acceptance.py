@@ -7,13 +7,14 @@ trace) are built once per session by the fixtures below and shared.
 """
 import csv
 import json
+import math
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from graph_phpa.autoscaler import ScalingBounds, integrate_step
+from graph_phpa.autoscaler import ScalingBounds, size_pods
 from graph_phpa.cli import main as cli_main
 from graph_phpa.predict_gcn import GcnConfig, GcnModel, ServiceGraph, gcn_forward
 from graph_phpa.tensor import MinMaxScaler, Rng
@@ -170,8 +171,8 @@ def test_02_gradient_checks():
 
 def test_03_pod_integration_example_and_fuzz():
     b = ScalingBounds(r_lb=1.0, r_ub=8.0, pod_capacity=0.5, max_pods=40)
-    r_new, n_new = integrate_step(2.0, 4, 2.5, b)
-    example_ok = n_new - 4 == 1 and r_new == 2.5
+    allocation, pods = size_pods([[2.0], [2.5]], [b])
+    example_ok = pods.ravel().tolist() == [4, 5] and allocation[1, 0] == 2.5
 
     rng = Rng(303)
     fuzz_ok = True
@@ -181,16 +182,17 @@ def test_03_pod_integration_example_and_fuzz():
         v_p = float(rng.uniform(0.1, 2.0))
         q = int(rng.integers(1, 25))
         bounds = ScalingBounds(r_lb, r_ub, v_p, max_pods=q)
-        n_cur = int(rng.integers(1, q + 1))
-        r_cur = float(rng.uniform(r_lb, r_ub))
         predicted = float(rng.uniform(-2.0, r_ub + 5.0))
-        r_new, n_new = integrate_step(r_cur, n_cur, predicted, bounds)
-        if not (1 <= n_new <= q and r_lb <= r_new <= r_ub):
+        allocation, pods = size_pods([[predicted]], [bounds])
+        r_new, n_new = allocation.item(), pods.item()
+        need = math.ceil(r_new / v_p)
+        if not (1 <= n_new <= q and r_lb <= r_new <= r_ub
+                and (n_new == need or not 1 <= need <= q)):
             fuzz_ok = False
             break
-    report(3, "pod integration worked example and 1000-case fuzz",
+    report(3, "pod sizing worked example and 1000-case fuzz",
            example_ok and fuzz_ok,
-           "R 2.0 -> 2.5 at 0.5 vCPU/pod adds exactly one pod")
+           "2.5 vCPU at 0.5 vCPU/pod is 5 pods, one more than 2.0 vCPU's 4")
 
 
 def test_04_forecaster_beats_persistence(trained):

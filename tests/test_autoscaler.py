@@ -1,139 +1,128 @@
-"""Pod-count integration tests: clamping, ceilings, floors, and fuzzing.
+"""Pod sizing tests: clamping, ceilings, floors, and fuzzing.
 
-integrate_step is pure arithmetic, so most of this file is hand-worked
-examples plus a hypothesis fuzz that re-states the update rule independently.
+size_pods is pure arithmetic, so most of this file is hand-worked examples
+plus hypothesis fuzzes that re-state the sizing rule independently.
 """
 import math
-from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from graph_phpa.autoscaler import ScalingBounds, integrate_step, predict_demand
+from graph_phpa.autoscaler import ScalingBounds, predict_demand, size_pods
 from graph_phpa.errors import ShapeError, ValidationError
 from graph_phpa.forecast_lstm import LstmConfig, LstmLayer, LstmModel
 from graph_phpa.predict_gcn import GcnConfig, GcnModel, ServiceGraph
 from graph_phpa.tensor import MinMaxScaler, Rng, glorot_init
+from oracles import size_pods_oracle
 
 
-class Step(NamedTuple):
-    r_new: float
-    n_new: int
-    delta: int
-
-
-def step_one(r_cur, n_cur, predicted, bounds) -> Step:
-    r_new, n_new = integrate_step(r_cur, n_cur, predicted, bounds)
-    return Step(r_new, n_new, n_new - n_cur)
+def size_one(predicted, bounds) -> tuple[float, int]:
+    """One service's (allocation, pods) through size_pods, as Python numbers."""
+    allocation, pods = size_pods([[predicted]], [bounds])
+    return allocation.item(), pods.item()
 
 
 BOUNDS = ScalingBounds(r_lb=1.0, r_ub=10.0, pod_capacity=0.5, max_pods=10)
 
 
+@st.composite
+def scaling_bounds(draw):
+    r_lb = draw(st.floats(0.1, 4.0), label="r_lb")
+    r_ub = r_lb + draw(st.floats(0.0, 12.0), label="band")
+    return ScalingBounds(r_lb, r_ub, draw(st.floats(0.05, 3.0), label="pod_capacity"),
+                         max_pods=draw(st.integers(1, 30), label="max_pods"))
+
+
 class TestIntegrateStep:
+    """The pod sizing step, size_pods: each minute's pods follow from its own
+    predicted demand."""
+
     def test_worked_example_adds_one_pod(self):
-        # Demand rises from 2.0 to 2.5 vCPU with half-vCPU pods: one more pod.
-        d = step_one(2.0, 4, 2.5, BOUNDS)
-        assert d.n_new == 5
-        assert d.delta == 1
-        assert d.r_new == 2.5
+        # 2.5 vCPU at half a vCPU per pod is 5 pods, one more than 2.0 vCPU's 4.
+        assert size_one(2.0, BOUNDS) == (2.0, 4)
+        assert size_one(2.5, BOUNDS) == (2.5, 5)
 
     def test_rise_is_capped_at_max_pods(self):
         b = ScalingBounds(r_lb=1.0, r_ub=10.0, pod_capacity=1.0, max_pods=3)
-        d = step_one(1.0, 1, 3.2, b)
-        assert d.n_new == 3  # needs ceil(2.2)=3 more, cap stops it at 3 total
+        assert size_one(3.2, b) == (3.2, 3)  # needs ceil(3.2) = 4, the cap stops it at 3
 
     def test_fall_releases_pods(self):
-        d = step_one(5.0, 10, 2.0, BOUNDS)
-        # Drop of 3.0 vCPU at 0.5 per pod: release 6.
-        assert d.n_new == 4
-        assert d.delta == -6
+        # 5.0 vCPU takes 10 half-vCPU pods; 2.0 vCPU the minute after takes 4.
+        allocation, pods = size_pods([[5.0], [2.0]], [BOUNDS])
+        assert allocation.tolist() == [[5.0], [2.0]]
+        assert pods.tolist() == [[10], [4]]
 
     def test_fall_never_goes_below_one(self):
-        d = step_one(5.0, 2, 1.0, BOUNDS)
-        assert d.n_new == 1
+        # A floor so small that the allocation over the capacity rounds to 0.0.
+        b = ScalingBounds(r_lb=5e-324, r_ub=1.0, pod_capacity=2.0, max_pods=4)
+        assert size_one(0.0, b) == (5e-324, 1)
 
     def test_equal_demand_changes_nothing(self):
-        d = step_one(3.0, 6, 3.0, BOUNDS)
-        assert d.n_new == 6
-        assert d.delta == 0
+        # Equal predictions give equal pods, whatever came before them.
+        _, pods = size_pods([[3.0], [7.0], [3.0], [3.0]], [BOUNDS])
+        assert pods.ravel().tolist() == [6, 10, 6, 6]
 
     def test_prediction_clamped_to_upper_bound(self):
-        d = step_one(2.0, 4, 99.0, BOUNDS)
-        assert d.r_new == 10.0
-        assert d.n_new == min(4 + math.ceil(8.0 / 0.5), 10)
+        assert size_one(99.0, BOUNDS) == (10.0, 10)
 
     def test_prediction_clamped_to_lower_bound(self):
-        d = step_one(2.0, 4, 0.0, BOUNDS)
-        assert d.r_new == 1.0
-        assert d.n_new == 2  # shed ceil(1.0/0.5) = 2 pods
+        assert size_one(0.0, BOUNDS) == (1.0, 2)  # r_lb 1.0 at 0.5 per pod
+        assert size_one(-3.0, BOUNDS) == (1.0, 2)
 
     def test_exact_pod_boundary_needs_no_extra(self):
-        # A rise of exactly one capacity adds exactly one pod, not two.
-        d = step_one(2.0, 4, 2.5, ScalingBounds(1.0, 10.0, 0.5, max_pods=10))
-        assert d.delta == 1
-        d = step_one(2.0, 4, 3.0, ScalingBounds(1.0, 10.0, 0.5, max_pods=10))
-        assert d.delta == 2
+        # An allocation of exactly n capacities takes exactly n pods, not n + 1.
+        assert size_one(2.5, BOUNDS)[1] == 5
+        assert size_one(3.0, BOUNDS)[1] == 6
 
     def test_fractional_rise_rounds_up(self):
-        d = step_one(2.0, 4, 2.01, BOUNDS)
-        assert d.delta == 1
+        assert size_one(2.01, BOUNDS)[1] == 5
 
     def test_multiple_services_decided_independently(self):
-        # Each service steps under its own bounds; a policy calls the rule per column.
+        # Column j is sized under bounds[j].
         bounds = [BOUNDS, ScalingBounds(1.0, 4.0, 1.0, max_pods=4)]
-        out = list(map(step_one, [2.0, 2.0], [4, 2], [2.5, 1.0], bounds))
-        assert out[0].delta == 1
-        assert out[1].delta == -1
+        allocation, pods = size_pods(np.array([[2.5, 1.0], [2.5, 9.0]]), bounds)
+        assert allocation.tolist() == [[2.5, 1.0], [2.5, 4.0]]
+        assert pods.tolist() == [[5, 1], [5, 4]]
+        assert allocation.dtype == np.float64 and pods.dtype == np.int64
 
     def test_monotone_in_prediction(self):
         # More predicted demand can never mean fewer pods.
-        lows = [step_one(3.0, 6, p, BOUNDS).n_new for p in np.linspace(0.0, 12.0, 60)]
-        assert lows == sorted(lows)
+        _, pods = size_pods(np.linspace(0.0, 12.0, 60)[:, None], [BOUNDS])
+        assert pods.ravel().tolist() == sorted(pods.ravel().tolist())
 
     def test_non_finite_prediction_rejected(self):
-        with pytest.raises(ValidationError, match="not finite"):
-            step_one(2.0, 4, float("nan"), BOUNDS)
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValidationError, match=r"at \(1, 0\) is not finite"):
+                size_pods([[2.0], [bad]], [BOUNDS])
 
-    def test_pod_count_precondition(self):
-        with pytest.raises(ValidationError, match="pod count"):
-            step_one(2.0, 0, 2.5, BOUNDS)
-        with pytest.raises(ValidationError, match="pod count"):
-            step_one(2.0, 11, 2.5, BOUNDS)
-
-    def test_allocation_precondition(self):
-        with pytest.raises(ValidationError, match="allocation"):
-            step_one(0.5, 1, 2.5, BOUNDS)
-        with pytest.raises(ValidationError, match="allocation"):
-            step_one(10.5, 10, 2.5, BOUNDS)
+    def test_one_column_per_bounds_entry(self):
+        for shape in ((3, 2), (4,), ()):
+            with pytest.raises(ShapeError, match="one column per bounds entry"):
+                size_pods(np.ones(shape), [BOUNDS] * 3)
 
     @settings(max_examples=1000)
-    @given(data=st.data())
-    def test_fuzz_respects_the_update_rule(self, data):
-        r_lb = data.draw(st.floats(0.1, 4.0), label="r_lb")
-        r_ub = r_lb + data.draw(st.floats(0.0, 12.0), label="band")
-        v_p = data.draw(st.floats(0.05, 3.0), label="pod_capacity")
-        q = data.draw(st.integers(1, 30), label="max_pods")
-        b = ScalingBounds(r_lb, r_ub, v_p, max_pods=q)
-        n_cur = data.draw(st.integers(1, q), label="n_cur")
-        r_cur = data.draw(st.floats(r_lb, r_ub), label="r_cur")
-        predicted = data.draw(st.floats(-5.0, r_ub + 8.0), label="predicted")
+    @given(bounds=scaling_bounds(), predicted=st.floats(-5.0, 50.0))
+    def test_fuzz_respects_the_update_rule(self, bounds, predicted):
+        assert size_one(predicted, bounds) == size_pods_oracle(predicted, bounds)
 
-        d = step_one(r_cur, n_cur, predicted, b)
-
-        # Restate the rule from scratch.
-        r_new = min(max(predicted, r_lb), r_ub)
-        assert d.r_new == r_new
-        if r_new > r_cur:
-            expect = min(n_cur + math.ceil((r_new - r_cur) / v_p), q)
-        elif r_new < r_cur:
-            expect = min(max(n_cur - math.ceil((r_cur - r_new) / v_p), 1), q)
-        else:
-            expect = n_cur
-        assert d.n_new == expect
-        assert 1 <= d.n_new <= q
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), bounds=st.lists(scaling_bounds(), min_size=1, max_size=5),
+           rows=st.integers(0, 6))
+    def test_pods_cover_the_allocation_within_the_limits(self, data, bounds, rows):
+        predicted = data.draw(hnp.arrays(np.float64, (rows, len(bounds)),
+                                         elements=st.floats(-5.0, 60.0)), label="predicted")
+        allocation, pods = size_pods(predicted, bounds)
+        assert allocation.shape == pods.shape == predicted.shape
+        for j, b in enumerate(bounds):
+            assert np.all((b.r_lb <= allocation[:, j]) & (allocation[:, j] <= b.r_ub))
+            assert np.all((1 <= pods[:, j]) & (pods[:, j] <= b.max_pods))
+            for a, n in zip(allocation[:, j].tolist(), pods[:, j].tolist()):
+                need = math.ceil(a / b.pod_capacity)
+                if 1 <= need <= b.max_pods:  # neither clip binds
+                    assert n == need
 
 
 class TestScalingBounds:
@@ -175,7 +164,7 @@ def grid(a, b) -> np.ndarray:
 
 class TestRunPolicyStep:
     """One policy step: predict_demand's row for the window ending now, then
-    integrate_step."""
+    size_pods."""
 
     def setup_method(self):
         self.graph = ServiceGraph.from_edges(["a", "b"], [("a", "b")])
@@ -189,14 +178,13 @@ class TestRunPolicyStep:
         self.bounds = {"a": ScalingBounds(1.0, 8.0, 1.0, max_pods=8),
                        "b": ScalingBounds(1.0, 8.0, 1.0, max_pods=8)}
 
-    def step(self, models, history, current_r, current_n):
-        """(step per service, forecasts, demand), each keyed by service."""
+    def step(self, models, history):
+        """((allocation, pods) per service, forecasts, demand), each keyed by service."""
         forecasts, demand = predict_demand(models, self.gcn, self.graph, history)
-        forecasts = dict(zip(self.graph.nodes, forecasts[-1].tolist()))
-        demand = dict(zip(self.graph.nodes, demand[-1].tolist()))
-        steps = {s: step_one(current_r[s], current_n[s], demand[s], self.bounds[s])
-                 for s in self.graph.nodes}
-        return steps, forecasts, demand
+        allocation, pods = size_pods(demand[-1], [self.bounds[s] for s in self.graph.nodes])
+        sizes = dict(zip(self.graph.nodes, zip(allocation.tolist(), pods.tolist())))
+        return (sizes, dict(zip(self.graph.nodes, forecasts[-1].tolist())),
+                dict(zip(self.graph.nodes, demand[-1].tolist())))
 
     def test_pipeline_arithmetic_by_hand(self):
         # Both forecasters emit 0.6; the GCN sees features [h1, h2, 0.6] per
@@ -205,26 +193,13 @@ class TestRunPolicyStep:
         models = {"a": constant_forecaster(self.k, 0.6),
                   "b": constant_forecaster(self.k, 0.6)}
         history = grid([0.4, 0.5, 0.6, 0.7], [0.1, 0.2, 0.3, 0.4])
-        decisions, forecasts, demand = self.step(models, history,
-                                                 {"a": 1.0, "b": 1.0}, {"a": 1, "b": 1})
+        sizes, forecasts, demand = self.step(models, history)
         assert forecasts == {"a": pytest.approx(0.6), "b": pytest.approx(0.6)}
         assert demand["a"] == pytest.approx(1.2)
         assert demand["b"] == pytest.approx(1.2)
-        # Carried allocation 1.0 vCPU; demand 1.2 needs one more pod.
-        assert decisions["a"].n_new == 2
-        assert decisions["b"].n_new == 2
-
-    def test_carried_allocation_not_rederived_from_pods(self):
-        # Demand 1.2 with carried state already at 1.2: no move, whatever the
-        # pod count says. Re-deriving allocation as pods * capacity here would
-        # remove a pod and re-add it forever around the fractional demand.
-        models = {"a": constant_forecaster(self.k, 0.6),
-                  "b": constant_forecaster(self.k, 0.6)}
-        history = grid([0.4, 0.5, 0.6, 0.7], [0.1, 0.2, 0.3, 0.4])
-        decisions, _, _ = self.step(models, history, {"a": 1.2, "b": 1.2}, {"a": 2, "b": 2})
-        assert decisions["a"].delta == 0
-        assert decisions["b"].delta == 0
-        assert decisions["a"].r_new == pytest.approx(1.2)
+        # Demand 1.2 vCPU at one vCPU per pod needs two pods.
+        assert sizes["a"] == (pytest.approx(1.2), 2)
+        assert sizes["b"] == (pytest.approx(1.2), 2)
 
     def test_negative_forecast_clamped_to_zero(self):
         models = {"a": constant_forecaster(self.k, -0.9),
@@ -233,19 +208,19 @@ class TestRunPolicyStep:
         forecasts, demand = predict_demand(models, self.gcn, self.graph, history)
         # Every window's forecast is clamped, not only the latest one.
         np.testing.assert_array_equal(forecasts, np.zeros((3, 2)))
-        # Zero forecast, zero features in the demand slot: clamp to r_lb, stay put.
+        # Zero forecast, zero features in the demand slot: clamp to r_lb, one pod.
         np.testing.assert_array_equal(demand, np.zeros((3, 2)))
-        decisions, _, _ = self.step(models, history, {"a": 1.0, "b": 1.0}, {"a": 1, "b": 1})
-        assert decisions["a"].r_new == 1.0 and decisions["a"].delta == 0
+        sizes, _, _ = self.step(models, history)
+        assert sizes == {"a": (1.0, 1), "b": (1.0, 1)}
 
     def test_uses_only_last_k_history(self):
         models = {"a": constant_forecaster(self.k, 0.5),
                   "b": constant_forecaster(self.k, 0.5)}
         short = grid([0.7, 0.8, 0.9], [0.7, 0.8, 0.9])
         long = grid([99.0] * 40 + [0.7, 0.8, 0.9], [99.0] * 40 + [0.7, 0.8, 0.9])
-        out_short = self.step(models, short, {"a": 1.0, "b": 1.0}, {"a": 1, "b": 1})
-        out_long = self.step(models, long, {"a": 1.0, "b": 1.0}, {"a": 1, "b": 1})
-        assert out_short[2] == out_long[2]
+        out_short = self.step(models, short)
+        out_long = self.step(models, long)
+        assert out_short == out_long
         assert len(predict_demand(models, self.gcn, self.graph, short)[1]) == 1
         assert len(predict_demand(models, self.gcn, self.graph, long)[1]) == 41
 
@@ -269,13 +244,12 @@ class TestRunPolicyStep:
         models = {"a": constant_forecaster(self.k, 0.5),
                   "b": constant_forecaster(self.k, 0.5)}
         history = grid([0.7, 0.8, 0.9], [0.7, 0.8, 0.9])
-        current_r = {"a": 2.0, "b": 3.0}
-        current_n = {"a": 2, "b": 3}
         snapshot = history.copy()
-        self.step(models, history, current_r, current_n)
+        self.step(models, history)
         np.testing.assert_array_equal(history, snapshot)
-        assert current_r == {"a": 2.0, "b": 3.0}
-        assert current_n == {"a": 2, "b": 3}
+        predicted = np.array([[-1.0, 9.0], [2.5, 3.5]])
+        size_pods(predicted, [self.bounds["a"], self.bounds["b"]])
+        assert predicted.tolist() == [[-1.0, 9.0], [2.5, 3.5]]
 
 
 def random_pipeline(seed: int, k: int):

@@ -37,7 +37,7 @@ from graph_phpa.tensor import BLOCK, MinMaxScaler
 from graph_phpa.traces import WorkloadTrace
 from oracles import (DecisionRow, PerMinutePredictivePolicy, SimRow, decision_log_from_rows,
                      decision_rows, log_from_rows, log_rows, propagate_minute_oracle,
-                     write_decision_rows_oracle, write_rows_oracle)
+                     size_pods_oracle, write_decision_rows_oracle, write_rows_oracle)
 
 
 def bookinfo_demand(noise: float = 0.0) -> DemandModel:
@@ -199,6 +199,16 @@ class TestInitialPodCounts:
         counts = initial_pod_counts(demand, 100.0, bounds)
         assert all(n == 3 for n in counts.values())
 
+    @given(external=st.floats(0.0, 5000.0), r_lb=st.floats(0.1, 4.0),
+           band=st.floats(0.0, 20.0), v_p=st.floats(0.05, 3.0), q=st.integers(1, 30))
+    def test_is_the_sizing_rule_on_opening_usage(self, external, r_lb, band, v_p, q):
+        demand = bookinfo_demand()
+        bounds = {s: ScalingBounds(r_lb, r_lb + band, v_p, max_pods=q) for s in demand.services}
+        usage = {s: rate * demand.cpu_per_request[s]
+                 for s, rate in propagate_minute_oracle(demand, external, 0, 0).items()}
+        assert initial_pod_counts(demand, external, bounds) == \
+            {s: size_pods_oracle(usage[s], bounds[s])[1] for s in demand.services}
+
 
 class TestReactivePolicy:
     def decide_once(self, util, pods=4, minutes=1, config=None):
@@ -260,6 +270,21 @@ class TestReactivePolicy:
         assert ReactivePolicy(HpaConfig(0.9, 0.3, 5), {}).name == "reactive@0.9"
 
 
+def rate_following_phpa(demand: DemandModel, bounds, k: int = 2) -> PredictivePolicy:
+    """A predictive policy over demand's call graph whose predicted demand
+    follows the request rates: one graph layer reads each node's latest rate,
+    scaled 2000 rps -> 1.0, with weight 30."""
+    graph = ServiceGraph.from_edges(demand.services, [(u, v) for u, callees in
+                                                      demand.fan_out.items() for v in callees])
+    w = np.zeros((k, 1))
+    w[-2, 0] = 30.0
+    unit = MinMaxScaler(0.0, 1.0, 0.0, 1.0)
+    gcn = GcnModel(GcnConfig(window=k, hidden=(), epochs=1), graph.nodes, [w],
+                   MinMaxScaler(0.0, 2000.0, 0.0, 1.0), tuple(unit for _ in graph.nodes))
+    return PredictivePolicy({s: fixed_forecaster(k, 0.5) for s in graph.nodes}, gcn, graph,
+                            bounds)
+
+
 def stub_trace(values, start_minute=0):
     return WorkloadTrace(resolution=1, start_minute=start_minute,
                          counts=tuple(int(v) for v in values))
@@ -314,6 +339,18 @@ class TestRunSimulation:
         assert log.pods[:, 0].tolist() == [4, 2, 2]
         assert log.decision_delta[0, 0] == -2
 
+    def test_pending_additions_count_toward_the_target(self):
+        # A target held while its pods start up is granted once: front asks for
+        # 4 pods at minute 0 and gets 3 more, ready at minute 3, and the same
+        # target at minutes 1 and 2 finds them pending.
+        demand = bookinfo_demand()
+        bounds = flat_bounds(demand.services)
+        policy = PinnedPolicy({m: {"front": 4} for m in range(3)})
+        log = run_simulation(stub_trace([100] * 5), demand, policy, bounds,
+                             SimConfig(seed=1, startup_delay=3), warmup=0)
+        assert log.decision_delta[:, 0].tolist() == [3, 0, 0, 0, 0]
+        assert log.pods[:, 0].tolist() == [1, 1, 1, 4, 4]
+
     def test_warmup_suppresses_decisions(self):
         demand = bookinfo_demand()
         bounds = flat_bounds(demand.services)
@@ -366,25 +403,32 @@ class TestRunSimulation:
         assert log.pods.min() >= 1 and log.pods.max() <= 3
 
     @given(budget=st.integers(4, 30), max_pods=st.integers(1, 12),
-           startup_delay=st.sampled_from([1, 2, 3]), reactive=st.booleans(),
+           startup_delay=st.sampled_from([1, 2, 3]),
+           kind=st.sampled_from(["reactive", "pinned", "phpa"]),
            plan=st.lists(st.lists(st.integers(0, 15), min_size=4, max_size=4),
                          min_size=1, max_size=25),
            values=st.lists(st.integers(0, 2000), min_size=1, max_size=25))
     @settings(max_examples=80, deadline=None)
-    def test_budget_and_pod_limits_hold(self, budget, max_pods, startup_delay, reactive,
+    def test_budget_and_pod_limits_hold(self, budget, max_pods, startup_delay, kind,
                                         plan, values):
         demand = bookinfo_demand(noise=0.3)
         # A 1 vCPU band starts every service at one pod, whatever the rate.
         bounds = flat_bounds(demand.services, r_ub=1.0, q=max_pods)
-        if reactive:
+        warmup = 0
+        if kind == "reactive":
             policy = ReactivePolicy(HpaConfig(0.6, 0.3, 1), bounds)
-        else:
+        elif kind == "pinned":
             # Targets outside [1, max_pods] on purpose: the simulator clips them.
             policy = PinnedPolicy({m: dict(zip(demand.services, targets))
                                    for m, targets in enumerate(plan)})
+        else:
+            # Sized under its own wider bounds, so its targets pass max_pods too.
+            policy = rate_following_phpa(demand, flat_bounds(demand.services, 15.0, q=15))
+            warmup = policy.gcn_model.config.window - 1
+            values = values + values[-1:]  # at least one full window
         log = run_simulation(stub_trace(values), demand, policy, bounds,
                              SimConfig(seed=5, startup_delay=startup_delay,
-                                       max_total_pods=budget), warmup=0)
+                                       max_total_pods=budget), warmup=warmup)
         assert log.pods.min() >= 1 and log.pods.max() <= max_pods
         assert log.pods.sum(axis=1).max() <= budget
 
@@ -512,7 +556,7 @@ class TestSimulationLog:
         rows = [SimRow(m, name, (0.1 + m, float("inf"))[m], specials[k % 8], 2 - m,
                        specials[~k % 8], specials[~k % 8] > 1.0, policy, m - j)
                 for m in range(2) for j, name in enumerate(odd) for k in [6 * m + j]]
-        decisions = [DecisionRow(m, name, 2.5 * m, 1 / 7, specials[j], 3.0, 1, 3, 2)
+        decisions = [DecisionRow(m, name, 2.5 * m, 1 / 7, specials[j], 1, 3, 2)
                      for m in range(2) for j, name in enumerate(odd)]
         log = log_from_rows(rows, policy_name=policy, services=odd, start_minute=0,
                             decisions=decision_log_from_rows(decisions, odd))
@@ -566,7 +610,7 @@ class TestDecisionsCsv:
         values = np.array(pool + [-0.0, 1e16, 5e-324])
         shape = (minutes, len(services))
         grids = DecisionLog(start, *(values[rng.integers(0, len(values), shape)]
-                                     for _ in range(4)),
+                                     for _ in range(3)),
                             n_prev=rng.integers(1, 2**40, shape),
                             n_new=rng.integers(1, 2**40, shape))
         log = SimulationLog(policy_name="phpa", seed=1, trace_sha256="x", start_minute=start,
@@ -620,40 +664,31 @@ class TestPredictivePolicySimulation:
 
     def test_constant_workload_reaches_a_fixed_point(self):
         # Forecast slot, identity scaling: demand is 1.2 vCPU every minute, so
-        # after the first decision nothing may move, whatever the count is.
+        # the first decision sizes each service at 2 pods and nothing moves after.
         policy, bounds = self.make_policy(slot=-1,
                                           feature_scaler=MinMaxScaler(0.0, 1.0, 0.0, 1.0))
         log = run_simulation(stub_trace([100] * 30), self.demand_ab(), policy,
                              bounds, SimConfig(seed=3), warmup=5)
         for s in ("a", "b"):
-            pods = log.pods[:, log.services.index(s)].tolist()
-            assert len(set(pods[10:])) == 1
-        assert all(d.delta == 0 for d in decision_rows(log))
+            assert log.pods[:, log.services.index(s)].tolist() == [1] * 6 + [2] * 24
+        rows = decision_rows(log)
+        assert [d.delta for d in rows[:2]] == [1, 1]
+        assert all(d.delta == 0 and d.r_new == pytest.approx(1.2) for d in rows[2:])
 
-    def test_first_decision_seeds_state_without_moving_pods(self):
-        policy, bounds = self.make_policy(slot=-1,
-                                          feature_scaler=MinMaxScaler(0.0, 1.0, 0.0, 1.0))
-        log = run_simulation(stub_trace([100] * 12), self.demand_ab(), policy,
-                             bounds, SimConfig(seed=3), warmup=5)
-        first = decision_rows(log)[0]
-        assert first.delta == 0
-        assert first.r_prev == first.r_new == pytest.approx(1.2)
-        assert first.n_prev == first.n_new
-
-    def test_decisions_chain_the_allocation_state(self):
+    def test_step_up_sizes_pods_from_the_prediction(self):
         # Slot 0 reads the request rate one minute back, scaled 100 rps -> 1.0,
-        # so demand steps 2.0 -> 3.0 one minute after the trace steps up. That
-        # is one +1 pod move; the state must carry 3.0 forward, not fall back.
+        # so demand steps 2.0 -> 3.0 one minute after the trace steps up: the
+        # pods go from 2 to 3, each ready the minute after its decision.
         policy, bounds = self.make_policy(slot=0,
                                           feature_scaler=MinMaxScaler(0.0, 100.0, 0.0, 1.0))
         log = run_simulation(stub_trace([100] * 8 + [150] * 8), self.demand_ab(),
                              policy, bounds, SimConfig(seed=3), warmup=4)
         for s in ("a", "b"):
             steps = [d for d in decision_rows(log) if d.service == s]
-            for prev, cur in zip(steps, steps[1:]):
-                assert cur.r_prev == prev.r_new
-            assert [d.delta for d in steps].count(1) == 1
-            assert log.pods[:, log.services.index(s)].tolist() == [1] * 10 + [2] * 6
+            assert [d.r_new for d in steps] == pytest.approx([2.0] * 5 + [3.0] * 7)
+            assert [d.n_new for d in steps] == [2] * 5 + [3] * 7
+            assert [d.delta for d in steps] == [1, 0, 0, 0, 0, 1] + [0] * 6
+            assert log.pods[:, log.services.index(s)].tolist() == [1] * 5 + [2] * 5 + [3] * 6
 
 
 class TestBatchedPredictiveReplay:
@@ -673,7 +708,7 @@ class TestBatchedPredictiveReplay:
         oracle = replay(oracle_policy)
         assert log_rows(batched) == log_rows(oracle)
         grids = batched.decisions
-        for name in ("forecast_rps", "predicted_vcpu", "r_prev", "r_new"):
+        for name in ("forecast_rps", "predicted_vcpu", "r_new"):
             assert getattr(grids, name).dtype == np.float64
         assert grids.n_prev.dtype == grids.n_new.dtype == np.int64
         batched_rows, oracle_rows = decision_rows(batched), oracle_policy.rows
@@ -682,7 +717,7 @@ class TestBatchedPredictiveReplay:
         for b, o in zip(batched_rows, oracle_rows):
             assert (b.minute, b.service, b.n_prev, b.n_new, b.delta) == \
                 (o.minute, o.service, o.n_prev, o.n_new, o.delta)
-            for name in ("forecast_rps", "predicted_vcpu", "r_prev", "r_new"):
+            for name in ("forecast_rps", "predicted_vcpu", "r_new"):
                 assert getattr(b, name) == pytest.approx(getattr(o, name), rel=1e-9, abs=0)
 
     def test_services_out_of_graph_order_rejected(self):
@@ -725,6 +760,19 @@ class TestBatchedPredictiveReplay:
         assert policy.decisions.start_minute == 12
         assert policy.decisions.n_prev.tolist() == [[1, 1], [2, 1]]
 
+    def test_targets_do_not_depend_on_the_pods(self):
+        # Each minute's targets follow from its own prediction: whatever pods
+        # decide is handed, and whatever came before, the targets are the same.
+        policy = TestPredictivePolicySimulation().make_policy(
+            slot=0, feature_scaler=MinMaxScaler(0.0, 100.0, 0.0, 1.0))[0]
+        rates = np.array([[100.0, 100.0], [150.0, 150.0], [300.0, 300.0], [50.0, 50.0]])
+        runs = []
+        for pods in ([1, 1], [8, 3], [4, 8]):
+            policy.begin(10, ("a", "b"), rates)
+            runs.append([policy.decide(minute, [0.5, 0.5], pods) for minute in (12, 13)])
+            assert policy.decisions.n_prev.tolist() == [pods, pods]
+        assert runs[0] == runs[1] == runs[2] == [[3, 3], [6, 6]]
+
     def test_decision_log_of_each_kind_of_run(self):
         # A reactive run logs no decisions; a predictive run logs a grid, with
         # no rows when warmup covers the whole trace.
@@ -742,7 +790,7 @@ class TestBatchedPredictiveReplay:
             assert len(log.decisions) == rows
             if rows:
                 assert log.decisions.start_minute == warmup
-            assert log.decisions.r_prev.shape == log.decisions.n_new.shape == (rows, 2)
+            assert log.decisions.r_new.shape == log.decisions.n_new.shape == (rows, 2)
         assert log.decisions.forecast_rps.shape == (0, 2)
         assert decision_rows(log) == []
 
