@@ -213,8 +213,9 @@ def _forward_scaled(params: list[np.ndarray], x_seq: np.ndarray) -> np.ndarray:
     """Scaled one-step forecasts (n,) for scaled windows (n, k).
 
     params is the LstmModel.params list. The recurrence walks the rows in
-    blocks and keeps only each layer's running state; the head then reads the
-    top layer's last hidden state of every row in one product.
+    blocks and keeps only each layer's running state, carved from one pool
+    sized for a block of at most BLOCK rows; the head then reads the top
+    layer's last hidden state of every row in one product.
     """
     n, k = x_seq.shape
     layers = [params[i:i + 3] for i in range(0, len(params) - 2, 3)]
@@ -224,7 +225,7 @@ def _forward_scaled(params: list[np.ndarray], x_seq: np.ndarray) -> np.ndarray:
         return [s for hid in hidden
                 for s in ((m, hid), (m, hid), (m, 4 * hid), (m, 4 * hid), (m, hid))]
 
-    pool = np.empty(sum(math.prod(s) for s in shapes(min(n, 2 * BLOCK - 1))))
+    pool = np.empty(sum(math.prod(s) for s in shapes(min(n, BLOCK))))
     top = np.empty((n, hidden[-1]))
     for lo, hi in blocks(n):
         views = carve(pool, shapes(hi - lo))

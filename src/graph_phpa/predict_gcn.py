@@ -233,10 +233,11 @@ def _samples(model: GcnModel, graph: ServiceGraph, x: np.ndarray) -> np.ndarray:
 def _forward_blocks(model: GcnModel, a_hat: np.ndarray, x: np.ndarray,
                     transform=None) -> np.ndarray:
     """Outputs (S, N, 1) of samples x (S, N, D), a block of samples at a time
-    through one set of layer buffers. transform, when given, maps each block
-    of raw features to scaled ones first."""
+    through one set of layer buffers, sized for a block of at most BLOCK
+    samples. transform, when given, maps each block of raw features to scaled
+    ones first."""
     result = np.empty(x.shape[:2] + (1,))
-    agg, out = _layer_buffers(model.weights, min(len(x), 2 * BLOCK - 1), len(a_hat))
+    agg, out = _layer_buffers(model.weights, min(len(x), BLOCK), len(a_hat))
     for lo, hi in blocks(len(x)):
         block = x[lo:hi] if transform is None else transform(x[lo:hi])
         front = [a[:hi - lo] for a in agg]

@@ -25,21 +25,20 @@ _SPLITMIX64_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-# Items per block of a whole-window pass. A block is never smaller, except when
-# the whole input is: the remainder joins the last block, so every product runs
-# on OpenBLAS's general matrix path, as it would over all the items at once.
+# Items per block of a whole-window pass. A block holds at least half of it
+# unless the whole input is smaller, so a product over a block has at least
+# 128 rows: OpenBLAS takes its general matrix path for it, as it would over all
+# the items at once, not a path for one or a few rows.
 BLOCK = 256
 
 
 def blocks(n: int, size: int = BLOCK):
-    """(lo, hi) ranges that cover range(n) in order, size items each, except
-    that the last one takes the remainder: sizes lie in [size, 2 * size)
-    unless n itself is smaller."""
-    lo = 0
-    while lo < n:
-        hi = lo + size if n - lo >= 2 * size else n
-        yield lo, hi
-        lo = hi
+    """(lo, hi) ranges that cover range(n) in order: ceil(n / size) of them,
+    whose sizes differ by at most one, so none holds more than size items and,
+    unless n itself is smaller, none fewer than ceil(size / 2)."""
+    count = -(-n // size)
+    for i in range(count):
+        yield n * i // count, n * (i + 1) // count
 
 
 def _splitmix64(x):
@@ -230,7 +229,7 @@ def _ziggurat_fast_path(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return z, rabs < ki[idx]
 
 
-# Seeds per block of keyed_normals: its uint64 temporaries stay near 1 MB.
+# Seeds per block of keyed_normals: its uint64 temporaries stay under 1 MB.
 _NOISE_BLOCK = 16 * BLOCK
 
 

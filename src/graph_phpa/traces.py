@@ -265,7 +265,7 @@ def generate_synthetic_trace(pattern: str, length: int, amplitude: float, seed: 
             phase = 2.0 * np.pi * t / period
             level = base + amplitude * (0.8 * np.sin(phase) + 0.2 * np.sin(2.0 * phase))
         else:  # bursty
-            level = np.full(length, base)
+            level = np.full(length, base, dtype=np.float64)  # base may be a JSON integer
             n_bursts = max(1, length // 120)
             starts = rng.integers(0, length, n_bursts)
             durations = rng.integers(5, 30, n_bursts)

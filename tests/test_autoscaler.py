@@ -16,6 +16,7 @@ from graph_phpa.errors import ShapeError, ValidationError
 from graph_phpa.forecast_lstm import LstmConfig, LstmLayer, LstmModel
 from graph_phpa.predict_gcn import GcnConfig, GcnModel, ServiceGraph
 from graph_phpa.tensor import MinMaxScaler, Rng, glorot_init
+from conftest import traced_peak
 from oracles import size_pods_oracle
 
 
@@ -252,11 +253,17 @@ class TestRunPolicyStep:
         assert predicted.tolist() == [[-1.0, 9.0], [2.5, 3.5]]
 
 
-def random_pipeline(seed: int, k: int):
-    """Random forecasters and a two-layer graph predictor on a three-node chain."""
+CHAIN = ServiceGraph.from_edges(["a", "b", "c"], [("a", "b"), ("b", "c")])
+# The bundled storefront's graph; its models have 50 LSTM and 32 GCN hidden units.
+STOREFRONT = ServiceGraph.from_edges(
+    ["productpage", "details", "reviews", "ratings"],
+    [("productpage", "details"), ("productpage", "reviews"), ("reviews", "ratings")])
+
+
+def random_pipeline(seed: int, k: int, graph: ServiceGraph = CHAIN, hidden: int = 5,
+                    gcn_hidden: int = 6):
+    """Random one-layer forecasters and a two-layer graph predictor on graph."""
     rng = Rng(seed)
-    graph = ServiceGraph.from_edges(["a", "b", "c"], [("a", "b"), ("b", "c")])
-    hidden = 5
     models = {}
     for i, service in enumerate(graph.nodes):
         r = rng.child(i)
@@ -266,8 +273,8 @@ def random_pipeline(seed: int, k: int):
         models[service] = LstmModel(LstmConfig(window=k, hidden_units=hidden), [layer],
                                     r.normal(0.0, 0.5, (hidden, 1)), 0.1,
                                     MinMaxScaler(0.0, 400.0))
-    weights = [glorot_init(k, 6, rng), glorot_init(6, 1, rng)]
-    gcn = GcnModel(GcnConfig(window=k, hidden=(6,), epochs=1), graph.nodes, weights,
+    weights = [glorot_init(k, gcn_hidden, rng), glorot_init(gcn_hidden, 1, rng)]
+    gcn = GcnModel(GcnConfig(window=k, hidden=(gcn_hidden,), epochs=1), graph.nodes, weights,
                    MinMaxScaler(0.0, 400.0, 0.0, 1.0),
                    tuple(MinMaxScaler(0.0, 5.0, 0.0, 1.0) for _ in graph.nodes))
     return models, gcn, graph
@@ -289,3 +296,13 @@ class TestPredictDemandBatch:
                                     (demand[j], one_demand[0])):
                 scale = max(np.abs(single).max(), 1e-300)
                 np.testing.assert_allclose(batched, single, rtol=1e-12, atol=1e-12 * scale)
+
+    def test_held_out_window_memory_is_bounded(self):
+        # The bundled replay's held-out window: 720 minutes of 4 services, so
+        # 711 windows of 10 through the bundled model shapes. With blocks of up
+        # to 2 * BLOCK - 1 windows, the inference pool and the GCN layer
+        # buffers peaked at 2.81 MB together.
+        models, gcn, graph = random_pipeline(11, 10, STOREFRONT, hidden=50, gcn_hidden=32)
+        rates = Rng(12).uniform(0.0, 400.0, (720, graph.size))
+        peak = traced_peak(lambda: predict_demand(models, gcn, graph, rates))
+        assert peak < 2.2e6, f"predict_demand peaked at {peak / 1e6:.2f} MB"

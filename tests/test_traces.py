@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graph_phpa import traces
-from graph_phpa.errors import TraceFormatError, ValidationError
+from graph_phpa.errors import TraceFormatError, ValidationError, read
 from graph_phpa.traces import (WorkloadTrace, generate_synthetic_trace,
                                interpolate_to_minutes, load_trace, rescale_trace,
                                save_trace, slice_trace, split_dataset, trace_digest)
@@ -242,6 +242,15 @@ class TestSyntheticGenerator:
     def test_unknown_pattern(self):
         with pytest.raises(ValidationError):
             generate_synthetic_trace("square", 10, 1.0, seed=0)
+
+    @pytest.mark.parametrize("pattern", ["sine", "diurnal", "bursty"])
+    def test_integer_base_reads_as_its_float(self, pattern):
+        # A JSON integer base made the bursty level an int64 array, and
+        # adding the first burst to it raised numpy's UFuncTypeError.
+        spec = {"pattern": pattern, "length": 500, "amplitude": 450.0, "seed": 5}
+        as_int = read(generate_synthetic_trace, {**spec, "base": 350}, "trace.synthetic")
+        as_float = read(generate_synthetic_trace, {**spec, "base": 350.0}, "trace.synthetic")
+        assert as_int.counts == as_float.counts
 
     @pytest.mark.parametrize("pattern", ["sine", "diurnal"])
     @pytest.mark.parametrize("period", [0, -0.0, 1e-320, -240.0, float("nan")])
