@@ -1,7 +1,7 @@
 """Command-line entry points over a library pipeline.
 
     graph-phpa gen-trace        synthesize a workload CSV
-    graph-phpa train-workload   fit one forecaster per service
+    graph-phpa train-workload   fit the forecaster the services share
     graph-phpa train-resource   fit the graph demand predictor
     graph-phpa simulate         replay the test window under one policy
     graph-phpa compare          tabulate finished runs against a baseline
@@ -13,13 +13,9 @@ it returns, write their files and return what they built.
 
 Set PHPA_LOG=DEBUG (or INFO) for training progress on stderr. Output files
 are byte-stable: rerunning a command with the same config and seeds rewrites
-identical bytes. The per-service fits and forecasts run on worker processes
-forked from the command, one per usable core (limit the cores with taskset);
-with one usable core, or no OpenBLAS to pin, they run in-process. The tasks
-are dealt round robin: of W workers, worker w runs tasks w, w + W, ... and
-pipes its results back. A worker that dies raises ChildProcessError. Each
-result is independent of the process that computed it, so the bytes do not
-depend on the core count.
+identical bytes. Everything runs in the command's own process: train-workload
+fits one forecaster, on the entry service's request rates, and gives every
+service its own scaler over those weights.
 """
 from __future__ import annotations
 
@@ -27,10 +23,7 @@ import argparse
 import json
 import logging
 import os
-import pickle
-import signal
 import sys
-import traceback
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -41,10 +34,10 @@ from .cluster_sim import (PredictivePolicy, ReactivePolicy, ScalingPolicy, Simul
                           run_simulation)
 from .config import ExperimentConfig
 from .errors import GraphPhpaError, ValidationError
-from .forecast_lstm import (LstmModel, evaluate, evaluate_lstm, forecast_rates, make_windows,
-                            predict_windows, train_lstm)
+from .forecast_lstm import (LSTM_SCHEMA, LstmModel, evaluate, evaluate_lstm, forecast_rates,
+                            make_windows, predict_windows, train_lstm)
 from .predict_gcn import GcnModel, build_resource_dataset, evaluate_gcn, scale_targets, train_gcn
-from .tensor import mix_seed, one_blas_thread
+from .tensor import MinMaxScaler, mix_seed, one_blas_thread
 from .traces import (WorkloadTrace, generate_synthetic_trace, save_trace, slice_trace,
                      split_dataset, trace_digest)
 
@@ -56,130 +49,38 @@ def _write_json(path: Path, payload: dict) -> None:
                     encoding="utf-8", newline="\n")
 
 
-def _lstm_path(models_dir: Path, service: str) -> Path:
-    return models_dir / f"lstm_{service}.json"
-
-
-def _load(cls, path: Path, cfg: ExperimentConfig):
-    """cls.load(path), once the model was trained for cfg's lstm.window and,
-    a GCN, for its graph.nodes; else a ValidationError naming the file."""
-    model = cls.load(path)
-    if model.config.window != cfg.lstm.window:
-        raise ValidationError(f"{path}: config.window {model.config.window} is not the "
+def _check_window(path: Path, config, cfg: ExperimentConfig) -> None:
+    if config.window != cfg.lstm.window:
+        raise ValidationError(f"{path}: config.window {config.window} is not the "
                               f"config's lstm.window {cfg.lstm.window}")
-    if cls is GcnModel and model.nodes != cfg.graph.nodes:
-        raise ValidationError(f"{path}: nodes {list(model.nodes)} are not the config's "
-                              f"graph.nodes {list(cfg.graph.nodes)}")
-    return model
 
 
 def _load_lstm_models(models_dir: Path, cfg: ExperimentConfig) -> dict[str, LstmModel]:
-    return {s: _load(LstmModel, _lstm_path(models_dir, s), cfg) for s in cfg.graph.nodes}
+    """The forecasters of models_dir/lstm.json in graph.nodes order, once the
+    file was written for cfg's lstm.window and holds a scaler for each of
+    cfg's graph.nodes and no other; else a ValidationError naming the file."""
+    path = models_dir / "lstm.json"
+    if not path.exists():  # as in a directory of schema v2's per-service files
+        raise ValidationError(f"cannot read {path}: no such file; train-workload writes "
+                              f"the forecasters there as one {LSTM_SCHEMA} document")
+    models = LstmModel.load(path)
+    _check_window(path, next(iter(models.values())).config, cfg)
+    if sorted(models) != sorted(cfg.graph.nodes):
+        raise ValidationError(f"{path}: scalers for {sorted(models)} are not for the "
+                              f"config's graph.nodes {list(cfg.graph.nodes)}")
+    return {service: models[service] for service in cfg.graph.nodes}
 
 
-def _worker_count(tasks: int) -> int:
-    """Worker processes for independent tasks: one per usable core, never more
-    than tasks. At 1, as on a single usable core, the tasks run in-process."""
-    return min(tasks, len(os.sched_getaffinity(0)))
-
-
-def _map_tasks(fn, tasks: list[tuple]) -> list:
-    """[fn(*task) for task in tasks], spread over forked worker processes.
-
-    OpenBLAS is pinned to one thread meanwhile, and the workers inherit the
-    pin, so they do not oversubscribe the cores. With one usable core, or
-    without an OpenBLAS to pin, the tasks run in this process one after
-    another. No worker is left when this returns or raises. The failing task
-    of lowest index raises its error here; a worker that dies before it sends
-    its results raises ChildProcessError.
-    """
-    with one_blas_thread() as pinned:
-        workers = _worker_count(len(tasks)) if pinned else 1
-        if workers <= 1:
-            return [fn(*task) for task in tasks]
-        return _fork_map(fn, tasks, workers)
-
-
-def _fork_map(fn, tasks: list[tuple], workers: int) -> list:
-    """_map_tasks on workers forked processes: worker w runs tasks w, w +
-    workers, ... and sends back one pickle through its own pipe. A worker is a
-    copy of this process, so fn, which may be a closure, and the tasks are
-    never pickled; only what comes back is. The commands start no thread, so
-    no worker is forked holding a lock another thread took."""
-    pipes, running = [], []
-    try:
-        for w in range(workers):
-            read_fd, write_fd = os.pipe()
-            pipes.append(open(read_fd, "rb"))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _run_worker(fn, tasks, range(w, len(tasks), workers), write_fd)
-            finally:
-                os.close(write_fd)
-            running.append(pid)
-        # A pipe reads to its end once its worker has exited.
-        payloads = [pipe.read() for pipe in pipes]
-        statuses = []
-        while running:  # a reaped worker leaves running at once
-            statuses.append(os.waitpid(running[0], 0)[1])
-            running.pop(0)
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        for pid in running:  # only on an error or interrupt in this process
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-    results, failures = [None] * len(tasks), []
-    for w, (payload, status) in enumerate(zip(payloads, statuses)):
-        try:
-            sent = pickle.loads(payload) if status == 0 else None
-        except (EOFError, pickle.UnpicklingError):
-            sent = None
-        if sent is None:
-            code = os.waitstatus_to_exitcode(status)
-            how = (f"was killed by {signal.Signals(-code).name}" if code < 0
-                   else f"exited with status {code}")
-            raise ChildProcessError(f"worker process {w} of {workers} {how} before it sent "
-                                    f"its results")
-        done, failure = sent
-        if failure is None:
-            results[w::workers] = done
-        else:
-            failures.append(failure)
-    if failures:
-        _, exc, trace = min(failures, key=lambda failure: failure[0])
-        raise exc from WorkerTraceback(trace)
-    return results
-
-
-class WorkerTraceback(Exception):
-    """The traceback, as text, of an error a forked worker raised: the cause
-    of that error once _fork_map raises it, shown should it go unhandled."""
-
-
-def _run_worker(fn, tasks: list[tuple], indexes: range, fd: int):
-    """In a forked worker: fn(*tasks[i]) for i in indexes, in order, stopping
-    at the first that raises. Writes one pickle to fd, (results, None) or
-    (None, (index, error, traceback text)), then ends the process; never
-    returns."""
-    status = 1
-    try:
-        results, failure = [], None
-        for i in indexes:
-            try:
-                results.append(fn(*tasks[i]))
-            except Exception as exc:
-                # The traceback is lost with the process; its text goes along.
-                trace = f"raised by task {i} in worker process {os.getpid()}:\n"
-                results, failure = None, (i, exc, trace + traceback.format_exc())
-                break
-        with open(fd, "wb") as pipe:
-            pickle.dump((results, failure), pipe, pickle.HIGHEST_PROTOCOL)
-        status = 0
-    finally:
-        os._exit(status)
+def _load_gcn(models_dir: Path, cfg: ExperimentConfig) -> GcnModel:
+    """models_dir/gcn.json, once it was trained for cfg's lstm.window and
+    graph.nodes; else a ValidationError naming the file."""
+    path = models_dir / "gcn.json"
+    model = GcnModel.load(path)
+    _check_window(path, model.config, cfg)
+    if model.nodes != cfg.graph.nodes:
+        raise ValidationError(f"{path}: nodes {list(model.nodes)} are not the config's "
+                              f"graph.nodes {list(cfg.graph.nodes)}")
+    return model
 
 
 @dataclass(frozen=True)
@@ -211,39 +112,42 @@ def prepare(cfg: ExperimentConfig, base_dir: Path) -> Prepared:
 
 
 def train_workload(prepared: Prepared, out: Path) -> dict[str, LstmModel]:
-    """Fit one forecaster per service; writes lstm_<service>.json and
-    workload_metrics.json into out and returns the forecasters by service."""
-    cfg = prepared.cfg
-    rps, _ = prepared.series
+    """Fit one forecaster on the entry service's rates and give every service
+    its own scaler over its weights; writes lstm.json and workload_metrics.json
+    into out and returns the forecasters by service, in graph.nodes order.
 
-    def fit(idx: int, service: str):
-        """Train one service's forecaster and score it on the validation and
-        test segments."""
+    With demand.noise_sigma 0 every service's rates are a fixed multiple of
+    the entry's, so their scaled series are the entry's bit for bit.
+    """
+    cfg = prepared.cfg
+    nodes, k, entry = cfg.graph.nodes, cfg.lstm.window, cfg.demand.entry
+    rps, _ = prepared.series
+    lo, hi = prepared.segments[0]
+    column = nodes.index(entry)
+    with one_blas_thread():
+        fitted, history = train_lstm(make_windows(rps[lo:hi, column], k),
+                                     replace(cfg.lstm, seed=mix_seed(cfg.lstm.seed, column)))
+    models, scores = {}, {}
+    for j, service in enumerate(nodes):
         train_set, valid_set, (x_test, y_test) = (
-            make_windows(rps[lo:hi, idx], cfg.lstm.window) for lo, hi in prepared.segments)
-        model, history = train_lstm(train_set,
-                                    replace(cfg.lstm, seed=mix_seed(cfg.lstm.seed, idx)),
-                                    service_id=service)
+            make_windows(rps[lo:hi, j], k) for lo, hi in prepared.segments)
+        model = models[service] = fitted.with_scaler(MinMaxScaler.fit(train_set[1]))
         mse, mae = evaluate(predict_windows(model, x_test), y_test)
         persistence_mse, _ = evaluate(x_test[:, -1], y_test)
-        return model, {
+        scores[service] = {
             "test_mse": mse, "test_mae": mae, "persistence_mse": persistence_mse,
             "mse_vs_persistence": mse / persistence_mse if persistence_mse > 0 else None,
-            "final_train_mse_scaled": history[-1],
             "final_valid_mse_scaled": evaluate_lstm(model, valid_set),
         }
+        log.info("forecaster for %s: test mse %.4f (persistence %.4f)",
+                 service, mse, persistence_mse)
 
     out.mkdir(parents=True, exist_ok=True)
-    fits = _map_tasks(fit, list(enumerate(cfg.graph.nodes)))
-    metrics: dict = {"window": cfg.lstm.window, "trace_sha256": trace_digest(prepared.trace),
-                     "services": {}}
-    for service, (model, scores) in zip(cfg.graph.nodes, fits):
-        model.save(_lstm_path(out, service))
-        metrics["services"][service] = scores
-        log.info("trained forecaster for %s: test mse %.4f (persistence %.4f)",
-                 service, scores["test_mse"], scores["persistence_mse"])
-    _write_json(out / "workload_metrics.json", metrics)
-    return {service: model for service, (model, _) in zip(cfg.graph.nodes, fits)}
+    fitted.save(out / "lstm.json", {s: m.scaler for s, m in models.items()}, entry)
+    _write_json(out / "workload_metrics.json", {
+        "window": k, "trace_sha256": trace_digest(prepared.trace), "fitted_on": entry,
+        "final_train_mse_scaled": history[-1], "services": scores})
+    return models
 
 
 def train_resource(prepared: Prepared, models: dict[str, LstmModel],
@@ -254,16 +158,13 @@ def train_resource(prepared: Prepared, models: dict[str, LstmModel],
     nodes, k = cfg.graph.nodes, cfg.gcn.window
     rps, usage = prepared.series
     out.mkdir(parents=True, exist_ok=True)
-    # One task per (segment, service): the forecasts for the segment's minutes
-    # k onward, each from the k minutes before it.
-    width = len(nodes)
-    tasks = [(lo, hi, j) for lo, hi in prepared.segments for j in range(width)]
-    forecasts = _map_tasks(lambda lo, hi, j: forecast_rates(
-        models[nodes[j]], make_windows(rps[lo:hi, j], k)[0]), tasks)
+    # Each segment's forecasts for its minutes k onward, each from the k
+    # minutes before it.
     train_set, valid_set, test_set = (
-        build_resource_dataset(rps[lo:hi], np.column_stack(forecasts[i * width:(i + 1) * width]),
-                               usage[lo:hi], nodes, k)
-        for i, (lo, hi) in enumerate(prepared.segments))
+        build_resource_dataset(rps[lo:hi], np.column_stack([
+            forecast_rates(models[s], make_windows(rps[lo:hi, j], k)[0])
+            for j, s in enumerate(nodes)]), usage[lo:hi], nodes, k)
+        for lo, hi in prepared.segments)
 
     model, _ = train_gcn(train_set, cfg.graph, cfg.gcn)
     (train_mse, _), (valid_mse, _), (test_mse, test_per_service) = (
@@ -319,7 +220,7 @@ def cmd_train_workload(args) -> int:
     prepared = prepare(*ExperimentConfig.load(args.config))
     out = Path(args.out)
     models = train_workload(prepared, out)
-    print(f"trained {len(models)} forecasters into {out}")
+    print(f"trained one forecaster for {len(models)} services into {out}")
     return 0
 
 
@@ -349,8 +250,7 @@ def cmd_simulate(args) -> int:
     else:
         models_dir = Path(args.models)
         policy = PredictivePolicy(_load_lstm_models(models_dir, cfg),
-                                  _load(GcnModel, models_dir / "gcn.json", cfg), cfg.graph,
-                                  cfg.bounds)
+                                  _load_gcn(models_dir, cfg), cfg.graph, cfg.bounds)
     log_, summary = replay(prepare(cfg, base_dir), policy, Path(args.out))
     totals = summary["totals"]
     print(f"{log_.policy_name}: pod_minutes={totals['pod_minutes']} "
@@ -380,7 +280,7 @@ def cmd_experiment(args) -> int:
     out = Path(args.out)
     models_dir = out / "models"
     models = train_workload(prepared, models_dir)
-    print(f"trained {len(models)} forecasters into {models_dir}")
+    print(f"trained one forecaster for {len(models)} services into {models_dir}")
     gcn, metrics = train_resource(prepared, models, models_dir)
     print(f"trained demand predictor into {models_dir} (train mse "
           f"{metrics['train_mse_scaled']:.6f}, test mse {metrics['test_mse_scaled']:.6f})")
@@ -409,14 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_trace)
 
-    p = sub.add_parser("train-workload", help="fit per-service forecasters")
+    p = sub.add_parser("train-workload", help="fit the forecaster the services share")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_workload)
 
     p = sub.add_parser("train-resource", help="fit the graph demand predictor")
     p.add_argument("--config", required=True)
-    p.add_argument("--models", required=True, help="directory with lstm_<service>.json")
+    p.add_argument("--models", required=True, help="directory with lstm.json")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_resource)
 
@@ -425,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=("phpa", "reactive"), required=True)
     p.add_argument("--threshold", type=float, default=None,
                    help="scale-out threshold override for the reactive policy")
-    p.add_argument("--models", default=None, help="model directory (phpa only)")
+    p.add_argument("--models", default=None,
+                   help="directory with lstm.json and gcn.json (phpa only)")
     p.add_argument("--seed", type=int, default=None,
                    help="propagation noise seed override")
     p.add_argument("--out", required=True)

@@ -1,11 +1,12 @@
 """Sliding-window LSTM forecaster: next-minute workload per microservice.
 
-A model maps the last k workload observations of one service to a one-step
+A model maps the last k workload observations of a service to a one-step
 forecast through stacked LSTM layers and a tanh dense head. Training is
 mini-batch Adam over backpropagation-through-time, fully deterministic for a
 given config seed. Inputs and targets are min-max scaled to [-0.8, 0.8] with
 statistics fitted on the training targets only, so the tanh head can reach
-every target.
+every target. One fit can serve several services: each forecasts through the
+same weights under a scaler fitted on its own training targets.
 
 Training writes every per-batch array into one workspace allocated per fit,
 and inference walks the rows in bounded blocks, so neither allocates per
@@ -20,7 +21,7 @@ import logging
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -34,7 +35,7 @@ log = logging.getLogger(__name__)
 # Column order of the fused gate blocks in every layer's w_x, w_h and b.
 GATES = ("input", "forget", "output", "candidate")
 
-LSTM_SCHEMA = "graph-phpa/lstm-model/v2"
+LSTM_SCHEMA = "graph-phpa/lstm-model/v3"
 
 
 @dataclass(frozen=True)
@@ -76,16 +77,20 @@ class LstmLayer:
 
 
 class LstmModel:
-    """Trained workload forecaster for one service."""
+    """A trained workload forecaster: LSTM weights and one service's scaler.
+
+    One fit serves every service. with_scaler gives the other services their
+    forecasters, each sharing the fitted weights under its own scaler, and one
+    model file holds the weights once with every service's scaler.
+    """
 
     def __init__(self, config: LstmConfig, layers: list[LstmLayer], head_w: np.ndarray,
-                 head_b: float, scaler: MinMaxScaler, service_id: str | None = None):
+                 head_b: float, scaler: MinMaxScaler):
         self.config = config
         self.layers = layers
         self.head_w = np.asarray(head_w, dtype=np.float64)
         self.head_b = float(head_b)
         self.scaler = scaler
-        self.service_id = service_id
         if not layers:
             raise ShapeError("the model needs at least one layer")
         if self.head_w.shape != (layers[-1].hidden, 1):
@@ -99,17 +104,23 @@ class LstmModel:
         return out + [self.head_w, np.array([self.head_b])]
 
     @classmethod
-    def from_params(cls, config: LstmConfig, params: list[np.ndarray], scaler: MinMaxScaler,
-                    service_id: str | None = None) -> "LstmModel":
+    def from_params(cls, config: LstmConfig, params: list[np.ndarray],
+                    scaler: MinMaxScaler) -> "LstmModel":
         layers = [LstmLayer(*params[i:i + 3]) for i in range(0, len(params) - 2, 3)]
-        return cls(config, layers, params[-2], float(params[-1][0]), scaler, service_id)
+        return cls(config, layers, params[-2], float(params[-1][0]), scaler)
 
-    def to_json_dict(self) -> dict:
+    def with_scaler(self, scaler: MinMaxScaler) -> "LstmModel":
+        """This model's weights, the same arrays, under another scaler."""
+        return LstmModel(self.config, self.layers, self.head_w, self.head_b, scaler)
+
+    def to_json_dict(self, scalers: Mapping[str, MinMaxScaler], fitted_on: str) -> dict:
+        """The weights, with the scaler of every service that forecasts through
+        them; fitted_on names the service whose series they were fitted on."""
         return {
             "schema": LSTM_SCHEMA,
-            "service": self.service_id,
+            "fitted_on": fitted_on,
             "config": asdict(self.config),
-            "scaler": asdict(self.scaler),
+            "scalers": {service: asdict(scaler) for service, scaler in scalers.items()},
             "layers": [{"w_x": layer.w_x.tolist(), "w_h": layer.w_h.tolist(),
                         "b": layer.b.tolist()} for layer in self.layers],
             "head_weight": self.head_w.tolist(),
@@ -117,27 +128,35 @@ class LstmModel:
         }
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "LstmModel":
+    def from_json_dict(cls, d: dict) -> dict[str, "LstmModel"]:
+        """The forecaster of every service in the document, all sharing its weights."""
         if check_value(d, dict, "lstm model").get("schema") != LSTM_SCHEMA:
             raise ValidationError(f"schema must be {LSTM_SCHEMA!r}, got {d.get('schema')!r}")
-        keys = ("schema", "config", "scaler", "layers", "head_weight", "head_bias")
-        check_keys(d, "lstm model", required=keys, allowed=keys + ("service",))
+        keys = ("schema", "fitted_on", "config", "scalers", "layers", "head_weight", "head_bias")
+        check_keys(d, "lstm model", required=keys, allowed=keys)
         layers, arrays = [], ("w_x", "w_h", "b")
         for i, e in enumerate(check_value(d["layers"], list, "layers")):
             check_keys(e, f"layers[{i}]", required=arrays, allowed=arrays)
             layers.append(LstmLayer(*(float_array(e[k], f"layers[{i}].{k}") for k in arrays)))
-        return cls(config=read(LstmConfig, d["config"], "config"), layers=layers,
-                   head_w=float_array(d["head_weight"], "head_weight"),
-                   head_b=check_value(d["head_bias"], float, "head_bias"),
-                   scaler=MinMaxScaler.from_dict(d["scaler"]),
-                   service_id=check_value(d.get("service"), str | None, "service"))
+        scalers = {service: MinMaxScaler.from_dict(e, f"scalers.{service}")
+                   for service, e in check_value(d["scalers"], dict, "scalers").items()}
+        fitted_on = check_value(d["fitted_on"], str, "fitted_on")
+        if fitted_on not in scalers:
+            raise ValidationError(f"fitted_on {fitted_on!r} has no entry in scalers")
+        config = read(LstmConfig, d["config"], "config")
+        head_w = float_array(d["head_weight"], "head_weight")
+        head_b = check_value(d["head_bias"], float, "head_bias")
+        return {service: cls(config, layers, head_w, head_b, scaler)
+                for service, scaler in scalers.items()}
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), sort_keys=True) + "\n",
+    def save(self, path: str | Path, scalers: Mapping[str, MinMaxScaler],
+             fitted_on: str) -> None:
+        Path(path).write_text(json.dumps(self.to_json_dict(scalers, fitted_on),
+                                         sort_keys=True) + "\n",
                               encoding="utf-8", newline="\n")
 
     @classmethod
-    def load(cls, path: str | Path) -> "LstmModel":
+    def load(cls, path: str | Path) -> dict[str, "LstmModel"]:
         return read_json_file(path, cls.from_json_dict)
 
 
@@ -252,7 +271,6 @@ class _Batch(NamedTuple):
     y: np.ndarray  # scaled targets (n,)
     x_tm: np.ndarray  # the windows time-major (k, n)
     layers: list[tuple[np.ndarray, ...]]  # per layer: h, c, tanh(c), gates
-    forget: np.ndarray  # the forget gate, kept through the backward pass (k, n, H)
     dh_above: np.ndarray  # upstream gradient of the layer's outputs (k, n, H)
     scratch: np.ndarray  # (k, n, H)
     tmp: np.ndarray  # forward step scratch (n, 4H)
@@ -269,7 +287,8 @@ class _Workspace:
     layout a freshly allocated one would, and the arithmetic is the same.
     Per layer the forward pass keeps the hidden and cell states h, c
     (k+1, n, H) with the zero initial state at index 0, tanh of the cell
-    states (k, n, H) and the activated gates (k, n, 4H).
+    states (k, n, H) and the activated gates (k, n, 4H). The backward pass
+    writes the forget gate over c's first k states once it has read them.
     """
 
     def __init__(self, config: LstmConfig, rows: int):
@@ -281,7 +300,7 @@ class _Workspace:
         k, hid = self.config.window, self.config.hidden_units
         seq, step = (k, n, hid), (n, hid)
         per_layer = [(k + 1, n, hid), (k + 1, n, hid), seq, (k, n, 4 * hid)] * self.config.layers
-        return ([(n, k), (n,), (k, n)] + per_layer + [seq, seq, seq, (n, 4 * hid), (n, 4, hid)]
+        return ([(n, k), (n,), (k, n)] + per_layer + [seq, seq, (n, 4 * hid), (n, 4, hid)]
                 + [step] * 2)
 
     def batch(self, n: int) -> _Batch:
@@ -301,7 +320,7 @@ def _loss_and_grads(params: list[np.ndarray], batch: _Batch,
     time-major.
     """
     x_seq, targets, x_tm, caches = batch.x, batch.y, batch.x_tm, batch.layers
-    forget, dh_above, scratch = batch.forget, batch.dh_above, batch.scratch
+    dh_above, scratch = batch.dh_above, batch.scratch
     tmp, dcdh_buf, dh_carry, dc_carry = batch.tmp, batch.dcdh, batch.dh_carry, batch.dc_carry
     n, k = x_seq.shape
     n_layers = len(caches)
@@ -338,7 +357,6 @@ def _loss_and_grads(params: list[np.ndarray], batch: _Batch,
         # gates become the gate pre-activation gradients per unit of dc
         # (input, forget, candidate) or of dh (output):
         # gg*gi*(1-gi), c_prev*gf*(1-gf), tanh(c)*go*(1-go), gi*(1-gg**2).
-        np.copyto(forget, gf)
         np.multiply(tanh_c, go, out=scratch)
         dc_dh = tanh_c
         np.square(tanh_c, out=dc_dh)
@@ -347,6 +365,10 @@ def _loss_and_grads(params: list[np.ndarray], batch: _Batch,
         np.subtract(1.0, go, out=go)
         go *= scratch
         np.multiply(c[:-1], gf, out=scratch)
+        # That was the last read of the previous cell states: the forget
+        # gate, which the backward steps still need, takes their place.
+        forget = c[:-1]
+        np.copyto(forget, gf)
         np.subtract(1.0, gf, out=gf)
         gf *= scratch
         np.multiply(gg, gi, out=scratch)
@@ -416,8 +438,8 @@ def forecast_rates(model: LstmModel, x: np.ndarray) -> np.ndarray:
     return np.maximum(predict_windows(model, x), 0.0)
 
 
-def train_lstm(train: tuple[np.ndarray, np.ndarray], config: LstmConfig,
-               service_id: str | None = None) -> tuple[LstmModel, list[float]]:
+def train_lstm(train: tuple[np.ndarray, np.ndarray],
+               config: LstmConfig) -> tuple[LstmModel, list[float]]:
     """Fit the forecaster with mini-batch Adam; returns the model and the
     training MSE of every epoch, in scaled units.
 
@@ -463,7 +485,7 @@ def train_lstm(train: tuple[np.ndarray, np.ndarray], config: LstmConfig,
             adam_step(flat, flat_grad, state)
         history.append(sq_sum / n)
         log.debug("lstm epoch %d: train=%.6g", epoch, history[-1])
-    return LstmModel.from_params(config, params, scaler, service_id), history
+    return LstmModel.from_params(config, params, scaler), history
 
 
 def evaluate(predictions, truth) -> tuple[float, float]:

@@ -3,12 +3,8 @@ import copy
 import json
 import math
 import os
-import pickle
 import shutil
-import signal
-import subprocess
-import sys
-import time
+from dataclasses import replace
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -19,13 +15,13 @@ from conftest import TINY_CONFIG, mutations, run_cli
 from graph_phpa import cli, tensor
 from graph_phpa.cluster_sim import SimulationLog
 from graph_phpa.config import ExperimentConfig, TraceSpec
-from graph_phpa.errors import DivergenceError, RunMismatchError, TraceFormatError
+from graph_phpa.errors import DivergenceError
 from graph_phpa.forecast_lstm import (LstmConfig, LstmLayer, LstmModel, forecast_rates,
-                                      make_windows, predict_windows)
+                                      make_windows, predict_windows, train_lstm)
 from graph_phpa.predict_gcn import GcnModel, build_resource_dataset, scale_targets
 from graph_phpa.report import load_run
-from graph_phpa.tensor import MinMaxScaler
-from oracles import gcn_forward_scaled_oracle, lstm_forward_scaled_oracle
+from graph_phpa.tensor import MinMaxScaler, mix_seed
+from oracles import assert_bitwise_equal, gcn_forward_scaled_oracle, lstm_forward_scaled_oracle
 
 
 def negative_forecaster(k: int) -> LstmModel:
@@ -101,13 +97,53 @@ class TestGenTrace:
 class TestTraining:
     def test_train_workload_outputs(self, tiny_models_dir):
         d = Path(tiny_models_dir)
-        assert (d / "lstm_front.json").exists()
-        assert (d / "lstm_back.json").exists()
+        assert (d / "lstm.json").exists()
+        assert sorted(d.glob("lstm_*.json")) == []
+        doc = json.loads((d / "lstm.json").read_text(encoding="utf-8"))
+        assert doc["fitted_on"] == "front"
+        assert sorted(doc["scalers"]) == ["back", "front"]
         metrics = json.loads((d / "workload_metrics.json").read_text(encoding="utf-8"))
+        assert metrics["fitted_on"] == "front"
+        assert metrics["final_train_mse_scaled"] >= 0.0
         assert set(metrics["services"]) == {"front", "back"}
         for entry in metrics["services"].values():
             assert entry["test_mse"] >= 0.0
             assert entry["persistence_mse"] > 0.0
+            assert entry["mse_vs_persistence"] == entry["test_mse"] / entry["persistence_mse"]
+
+    def test_the_shared_fit_is_the_entry_services_own(self, tmp_path):
+        # The entry is graph.nodes[1] here, so its fit takes mix_seed(seed, 1).
+        config = tmp_path / "experiment.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "graph": {"nodes": ["back", "front"]}}),
+                          encoding="utf-8")
+        prepared = cli.prepare(*ExperimentConfig.load(config))
+        cfg, (lo, hi) = prepared.cfg, prepared.segments[0]
+        rps, k = prepared.series[0][lo:hi], cfg.lstm.window
+        models = cli.train_workload(prepared, tmp_path / "models")
+        own, _ = train_lstm(make_windows(rps[:, 1], k),
+                            replace(cfg.lstm, seed=mix_seed(cfg.lstm.seed, 1)))
+        assert models["front"].scaler == own.scaler
+        loaded = cli._load_lstm_models(tmp_path / "models", cfg)
+        assert list(models) == list(loaded) == ["back", "front"]
+        for j, service in enumerate(cfg.graph.nodes):
+            # Each service's own training targets fit its scaler.
+            scaler = MinMaxScaler.fit(make_windows(rps[:, j], k)[1])
+            for model in (models[service], loaded[service]):
+                assert model.scaler == scaler
+                for got, want in zip(model.params, own.params, strict=True):
+                    assert_bitwise_equal(got, want)
+
+    def test_a_failing_fit_exits_with_its_error(self, tiny_config_path, tmp_path,
+                                                monkeypatch, capsys):
+        def failing(train_set, config):
+            raise DivergenceError("training loss diverged at epoch 3", epoch=3)
+
+        monkeypatch.setattr(cli, "train_lstm", failing)
+        code = run_cli("train-workload", "--config", tiny_config_path,
+                       "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "error: training loss diverged at epoch 3" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "workload_metrics.json").exists()
 
     def test_train_resource_outputs(self, tiny_models_dir):
         d = Path(tiny_models_dir)
@@ -126,7 +162,7 @@ class TestTraining:
         rps, usage = (grid[lo:hi] for grid in prepared.series)
         d = Path(tiny_models_dir)
         workload = json.loads((d / "workload_metrics.json").read_text(encoding="utf-8"))
-        models = [LstmModel.load(d / f"lstm_{s}.json") for s in cfg.graph.nodes]
+        models = list(cli._load_lstm_models(d, cfg).values())
         for j, (service, model) in enumerate(zip(cfg.graph.nodes, models)):
             x, y = make_windows(rps[:, j], cfg.lstm.window)
             yhat, _ = lstm_forward_scaled_oracle(model.params, model.scaler.transform(x))
@@ -150,8 +186,8 @@ class TestTraining:
         k = TINY_CONFIG["lstm"]["window"]
         model = negative_forecaster(k)
         assert np.all(predict_windows(model, np.full((3, k), 50.0)) < 0)
-        for service in TINY_CONFIG["graph"]["nodes"]:
-            model.save(tmp_path / f"lstm_{service}.json")
+        model.save(tmp_path / "lstm.json",
+                   {service: model.scaler for service in TINY_CONFIG["graph"]["nodes"]}, "front")
         features = []
         build = cli.build_resource_dataset
 
@@ -172,7 +208,80 @@ class TestTraining:
         code = run_cli("train-resource", "--config", tiny_config_path,
                        "--models", str(tmp_path), "--out", str(tmp_path / "out"))
         assert code == 2
-        assert f"cannot read {tmp_path / 'lstm_front.json'}" in capsys.readouterr().err
+        assert f"cannot read {tmp_path / 'lstm.json'}: no such file" in capsys.readouterr().err
+
+    def test_per_service_forecaster_files_exit_2(self, tiny_config_path, tiny_models_dir,
+                                                 tmp_path, capsys):
+        # Schema v2 kept one lstm_<service>.json per service. Neither those
+        # files nor a v2 document named lstm.json is read; the message names
+        # the file and the schema train-workload writes now.
+        models = tmp_path / "models"
+        shutil.copytree(tiny_models_dir, models)
+        lstm = models / "lstm.json"
+        v2 = json.loads(lstm.read_text(encoding="utf-8"))
+        scalers = v2.pop("scalers")
+        v2.update(schema="graph-phpa/lstm-model/v2", scaler=scalers.pop(v2.pop("fitted_on")))
+        for service in TINY_CONFIG["graph"]["nodes"]:
+            (models / f"lstm_{service}.json").write_text(json.dumps(dict(v2, service=service)),
+                                                         encoding="utf-8")
+        lstm.unlink()
+        argvs = [("train-resource", "--config", tiny_config_path, "--models", str(models),
+                  "--out", str(tmp_path / "out")),
+                 ("simulate", "--config", tiny_config_path, "--policy", "phpa",
+                  "--models", str(models), "--out", str(tmp_path / "run"))]
+        for argv in argvs:
+            assert run_cli(*argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot read {lstm}: no such file")
+            assert "graph-phpa/lstm-model/v3" in err
+        shutil.copy(models / "lstm_front.json", lstm)
+        for argv in argvs:
+            assert run_cli(*argv) == 2
+            assert capsys.readouterr().err == (
+                f"error: {lstm}: schema must be 'graph-phpa/lstm-model/v3', "
+                f"got 'graph-phpa/lstm-model/v2'\n")
+        assert not (tmp_path / "out").exists() and not (tmp_path / "run").exists()
+
+
+class TestConcurrentTraining:
+    """The one fit runs in the command's process, on one BLAS thread where
+    numpy loaded OpenBLAS."""
+
+    def test_blas_pin_restores_the_thread_count(self):
+        api = tensor._openblas_thread_api()
+        if api is None:
+            pytest.skip("numpy did not load an OpenBLAS")
+        get, set_ = api
+        before = get()
+        try:
+            set_(2)
+            with tensor.one_blas_thread() as pinned:
+                assert pinned
+                assert get() == 1
+            assert get() == 2
+            with pytest.raises(RuntimeError), tensor.one_blas_thread():
+                raise RuntimeError("boom")
+            assert get() == 2
+        finally:
+            set_(before)
+
+    def test_without_openblas_nothing_is_pinned_and_one_worker_runs(self, tiny_config_path,
+                                                                    tmp_path, monkeypatch):
+        monkeypatch.setattr(tensor, "_openblas_thread_api", lambda: None)
+        with tensor.one_blas_thread() as pinned:
+            assert not pinned
+        train, fits = cli.train_lstm, []
+
+        def recording(train_set, config):
+            fits.append(os.getpid())
+            return train(train_set, config)
+
+        monkeypatch.setattr(cli, "train_lstm", recording)
+        assert run_cli("train-workload", "--config", tiny_config_path,
+                       "--out", str(tmp_path / "out")) == 0
+        # One fit for every service, in the command's own process.
+        assert fits == [os.getpid()]
+        assert (tmp_path / "out" / "lstm.json").exists()
 
 
 class TestMalformedModelFiles:
@@ -201,15 +310,15 @@ class TestMalformedModelFiles:
         assert f"{models / 'gcn.json'}: weights[1] must be a matrix" in capsys.readouterr().err
 
     def test_missing_scaler_key(self, tiny_config_path, tiny_models_dir, tmp_path, capsys):
-        models = self.corrupt(tiny_models_dir, tmp_path, "lstm_back.json",
-                              lambda doc: doc["scaler"].pop("hi"))
+        models = self.corrupt(tiny_models_dir, tmp_path, "lstm.json",
+                              lambda doc: doc["scalers"]["back"].pop("hi"))
         code = run_cli("train-resource", "--config", tiny_config_path,
                        "--models", str(models), "--out", str(tmp_path / "out"))
         assert code == 2
-        assert (f"{models / 'lstm_back.json'}: missing required key 'hi' in scaler"
+        assert (f"{models / 'lstm.json'}: missing required key 'hi' in scalers.back"
                 in capsys.readouterr().err)
 
-    @pytest.mark.parametrize("name", ["gcn.json", "lstm_front.json"])
+    @pytest.mark.parametrize("name", ["gcn.json", "lstm.json"])
     def test_unknown_config_key(self, tiny_config_path, tiny_models_dir, tmp_path, capsys, name):
         models = self.corrupt(tiny_models_dir, tmp_path, name,
                               lambda doc: doc["config"].update(dropout=0.5))
@@ -217,18 +326,26 @@ class TestMalformedModelFiles:
         assert f"{models / name}: unknown key 'dropout' in config" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, edit, message", [
-        pytest.param("lstm_front.json", lambda doc: doc["config"].update(window="5"),
+        pytest.param("lstm.json", lambda doc: doc["config"].update(window="5"),
                      "config.window must be an integer, got '5'", id="lstm-window-string"),
-        pytest.param("lstm_front.json", lambda doc: doc.update(layers=5),
+        pytest.param("lstm.json", lambda doc: doc.update(layers=5),
                      "layers must be a list", id="lstm-layers-number"),
-        pytest.param("lstm_front.json", lambda doc: doc.update(head_bias=[1.0]),
+        pytest.param("lstm.json", lambda doc: doc.update(head_bias=[1.0]),
                      "head_bias must be a finite number", id="lstm-head-bias-list"),
-        pytest.param("lstm_back.json", lambda doc: doc["scaler"].update(lo="a"),
-                     "scaler.lo must be a finite number, got 'a'", id="scaler-lo-string"),
-        pytest.param("lstm_back.json", lambda doc: doc["scaler"].update(lo=float("nan")),
-                     "scaler.lo must be a finite number, got nan", id="scaler-lo-nan"),
-        pytest.param("lstm_back.json", lambda doc: doc["layers"][0]["w_h"][1].pop(),
+        pytest.param("lstm.json", lambda doc: doc["scalers"]["back"].update(lo="a"),
+                     "scalers.back.lo must be a finite number, got 'a'", id="scaler-lo-string"),
+        pytest.param("lstm.json", lambda doc: doc["scalers"]["back"].update(lo=float("nan")),
+                     "scalers.back.lo must be a finite number, got nan", id="scaler-lo-nan"),
+        pytest.param("lstm.json", lambda doc: doc["layers"][0]["w_h"][1].pop(),
                      "layers[0].w_h must be a rectangular array", id="lstm-ragged-w_h"),
+        pytest.param("lstm.json", lambda doc: doc["scalers"].pop("back"),
+                     "scalers for ['front'] are not for the config's graph.nodes "
+                     "['front', 'back']", id="lstm-scalers-missing-a-node"),
+        pytest.param("lstm.json", lambda doc: doc["scalers"].update(side=doc["scalers"]["back"]),
+                     "scalers for ['back', 'front', 'side'] are not for the config's graph.nodes "
+                     "['front', 'back']", id="lstm-scalers-of-another-node"),
+        pytest.param("lstm.json", lambda doc: doc.update(fitted_on="side"),
+                     "fitted_on 'side' has no entry in scalers", id="lstm-fitted-on-no-scaler"),
         pytest.param("gcn.json", lambda doc: doc["config"].update(hidden=8),
                      "config.hidden must be a list", id="gcn-hidden-number"),
         pytest.param("gcn.json", lambda doc: doc.update(weights=3),
@@ -239,7 +356,7 @@ class TestMalformedModelFiles:
                      "feature_scaler.hi must be a finite number, got None", id="scaler-hi-null"),
         # Values of the right type the replay cannot use. These failed mid-replay
         # without naming a file, or with a ZeroDivisionError.
-        pytest.param("lstm_front.json", lambda doc: doc["config"].update(window=6),
+        pytest.param("lstm.json", lambda doc: doc["config"].update(window=6),
                      "config.window 6 is not the config's lstm.window 5", id="lstm-other-window"),
         pytest.param("gcn.json", lambda doc: doc.update(nodes=["back", "front"]),
                      "nodes ['back', 'front'] are not the config's graph.nodes "
@@ -270,7 +387,7 @@ class TestMalformedModelFiles:
         assert self.simulate_phpa(tiny_config_path, models, tmp_path) == 2
         assert "gcn.json is not valid JSON" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["gcn.json", "lstm_back.json"])
+    @pytest.mark.parametrize("name", ["gcn.json", "lstm.json"])
     def test_every_single_mutation_exits_0_or_2_naming_the_file(
             self, tiny_config_path, tiny_models_dir, tmp_path, capsys, name):
         # Every key and the first element of every list, each set to each of
@@ -304,236 +421,6 @@ class TestMalformedModelFiles:
         # A seed is a 64-bit word; -1 used to load.
         assert "config.seed=-1" in [label for label, _, _ in sweep]
         assert "config.seed=-1" not in admitted
-
-
-def train_both(config: str, out: Path) -> dict[str, bytes]:
-    """train-workload then train-resource into out; every written file's bytes."""
-    assert run_cli("train-workload", "--config", config, "--out", str(out)) == 0
-    assert run_cli("train-resource", "--config", config, "--models", str(out),
-                   "--out", str(out)) == 0
-    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-
-
-class TestConcurrentTraining:
-    """The per-service fits and forecasts run on worker processes; results must
-    not show it."""
-
-    def test_any_worker_count_writes_identical_files(self, tiny_config_path, tmp_path,
-                                                      monkeypatch):
-        # Four workers exceed the cores and the two forecasters.
-        outputs = {}
-        for workers in (1, 2, 4):
-            monkeypatch.setattr(cli, "_worker_count", lambda tasks, w=workers: min(tasks, w))
-            outputs[workers] = train_both(tiny_config_path, tmp_path / f"w{workers}")
-        assert len(outputs[1]) == 5  # two forecasters, the GCN and both metrics files
-        assert outputs[1] == outputs[2] == outputs[4]
-
-    @staticmethod
-    def needs_pool():
-        if tensor._openblas_thread_api() is None:
-            pytest.skip("numpy did not load an OpenBLAS, so the tasks run in-process")
-
-    @staticmethod
-    def assert_no_child_left():
-        """No child process of any kind remains, running or unreaped."""
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_tasks_run_in_worker_processes_in_order(self, monkeypatch):
-        self.needs_pool()
-        monkeypatch.setattr(cli, "_worker_count", lambda tasks: 2)
-        results = cli._map_tasks(lambda i: (i * i, os.getpid()), [(i,) for i in range(6)])
-        assert [square for square, _ in results] == [i * i for i in range(6)]
-        assert os.getpid() not in {pid for _, pid in results}
-        self.assert_no_child_left()
-
-        def failing(i):
-            if i == 3:
-                raise ValueError("task 3 failed")
-            return i
-
-        with pytest.raises(ValueError, match="task 3 failed"):
-            cli._map_tasks(failing, [(i,) for i in range(6)])
-        self.assert_no_child_left()
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_results_beyond_a_pipe_buffer_come_back_in_order(self, monkeypatch, workers):
-        # Every worker sends several times the 64 KB a pipe buffers.
-        self.needs_pool()
-        monkeypatch.setattr(cli, "_worker_count", lambda tasks: workers)
-        results = cli._map_tasks(lambda i: bytes([i]) * 100_000, [(i,) for i in range(8)])
-        assert results == [bytes([i]) * 100_000 for i in range(8)]
-        self.assert_no_child_left()
-
-    @pytest.mark.parametrize("failing, slow, expected", [
-        ({2, 3}, 2, 2),  # worker 1 fails at task 3 while worker 0 sleeps before task 2 fails
-        ({1, 4}, 4, 1),  # the later worker holds the lowest failing index
-    ], ids=["earlier-worker-fails-last", "later-worker-lower-index"])
-    def test_the_lowest_failing_index_raises(self, monkeypatch, failing, slow, expected):
-        self.needs_pool()
-        monkeypatch.setattr(cli, "_worker_count", lambda tasks: 2)
-
-        def task(i):
-            if i == slow:
-                time.sleep(0.3)
-            if i in failing:
-                raise ValueError(f"task {i} failed")
-            return i
-
-        with pytest.raises(ValueError) as raised:
-            cli._map_tasks(task, [(i,) for i in range(6)])
-        assert str(raised.value) == f"task {expected} failed"
-        # The worker's traceback comes along as the cause, on any Python >= 3.10.
-        assert type(raised.value.__cause__) is cli.WorkerTraceback
-        assert str(raised.value.__cause__).startswith(f"raised by task {expected} in worker")
-        assert f'ValueError(f"task {{i}} failed")' in str(raised.value.__cause__)
-        self.assert_no_child_left()
-
-    def test_a_dying_worker_raises_instead_of_hanging(self, monkeypatch):
-        self.needs_pool()
-        monkeypatch.setattr(cli, "_worker_count", lambda tasks: 2)
-
-        def timed_out(signum, frame):
-            raise TimeoutError("_map_tasks hung after its worker died")
-
-        def dying(i):
-            if i == 1:
-                os._exit(3)
-            return i
-
-        def killed(i):
-            if i == 2:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return i
-
-        previous = signal.signal(signal.SIGALRM, timed_out)
-        signal.alarm(60)
-        try:
-            with pytest.raises(ChildProcessError, match="worker process 1 of 2 exited with "
-                                                        "status 3"):
-                cli._map_tasks(dying, [(i,) for i in range(4)])
-            self.assert_no_child_left()
-            with pytest.raises(ChildProcessError, match="worker process 0 of 2 was killed by "
-                                                        "SIGKILL"):
-                cli._map_tasks(killed, [(i,) for i in range(4)])
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        self.assert_no_child_left()
-
-    def test_an_interrupt_kills_and_reaps_the_workers(self, monkeypatch):
-        self.needs_pool()
-        monkeypatch.setattr(cli, "_worker_count", lambda tasks: 2)
-
-        class Interrupt(Exception):
-            pass
-
-        def interrupt(signum, frame):
-            raise Interrupt
-
-        previous = signal.signal(signal.SIGALRM, interrupt)
-        signal.setitimer(signal.ITIMER_REAL, 0.3)
-        started = time.monotonic()
-        try:
-            with pytest.raises(Interrupt):
-                cli._map_tasks(lambda i: time.sleep(60), [(i,) for i in range(4)])
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
-        assert time.monotonic() - started < 30  # the sleeping workers were killed
-        self.assert_no_child_left()
-
-    def test_training_loads_no_pool_machinery_and_starts_no_thread(self, tiny_config_path,
-                                                                    tmp_path):
-        # A fresh interpreter: this one may have loaded the modules already.
-        self.needs_pool()
-        script = """
-import json, os, sys, threading
-from graph_phpa import cli
-cli._worker_count = lambda tasks: min(tasks, 2)
-forks, fork = [], os.fork
-os.fork = lambda: forks.append(1) or fork()
-config, out = sys.argv[1:]
-assert cli.main(["train-workload", "--config", config, "--out", out]) == 0
-assert cli.main(["train-resource", "--config", config, "--models", out, "--out", out]) == 0
-print(json.dumps({"forks": len(forks), "threads": threading.active_count(),
-                  "loaded": [m for m in ("concurrent.futures", "multiprocessing")
-                             if m in sys.modules]}))
-"""
-        src = str(Path(cli.__file__).parents[1])
-        proc = subprocess.run([sys.executable, "-c", script, tiny_config_path,
-                               str(tmp_path / "out")], capture_output=True, text=True,
-                              timeout=300, env={**os.environ, "PYTHONPATH": src})
-        assert proc.returncode == 0, proc.stderr
-        report = json.loads(proc.stdout.splitlines()[-1])
-        assert report == {"forks": 4, "threads": 1, "loaded": []}
-
-    @pytest.mark.parametrize("error, field, value", [
-        (DivergenceError("training loss diverged at epoch 3", epoch=3), "epoch", 3),
-        (TraceFormatError("line 7: not a number", line=7), "line", 7),
-        (RunMismatchError("runs differ in horizon", field="horizon"), "field", "horizon"),
-    ], ids=["DivergenceError", "TraceFormatError", "RunMismatchError"])
-    def test_errors_keep_their_fields_across_processes(self, monkeypatch, error, field,
-                                                       value):
-        def check(copy):
-            assert type(copy) is type(error)
-            assert str(copy) == str(error)
-            assert getattr(copy, field) == value
-
-        check(pickle.loads(pickle.dumps(error)))
-        self.needs_pool()
-        monkeypatch.setattr(cli, "_worker_count", lambda tasks: 2)
-
-        def raising(i):
-            if i == 1:
-                raise error
-            return i
-
-        with pytest.raises(type(error)) as raised:
-            cli._map_tasks(raising, [(i,) for i in range(2)])
-        check(raised.value)
-
-    def test_blas_pin_restores_the_thread_count(self):
-        api = tensor._openblas_thread_api()
-        if api is None:
-            pytest.skip("numpy did not load an OpenBLAS")
-        get, set_ = api
-        before = get()
-        try:
-            set_(2)
-            with tensor.one_blas_thread() as pinned:
-                assert pinned
-                assert get() == 1
-            assert get() == 2
-            with pytest.raises(RuntimeError), tensor.one_blas_thread():
-                raise RuntimeError("boom")
-            assert get() == 2
-        finally:
-            set_(before)
-
-    def test_without_openblas_nothing_is_pinned_and_one_worker_runs(self, monkeypatch):
-        monkeypatch.setattr(tensor, "_openblas_thread_api", lambda: None)
-        monkeypatch.setattr(cli, "_worker_count", lambda tasks: 2)
-        with tensor.one_blas_thread() as pinned:
-            assert not pinned
-        assert cli._map_tasks(lambda i: os.getpid(), [(i,) for i in range(4)]) == [os.getpid()] * 4
-
-    def test_a_failing_fit_exits_with_its_error(self, tiny_config_path, tmp_path,
-                                                monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_worker_count", lambda tasks: min(tasks, 2))
-        train = cli.train_lstm
-
-        def failing(train_set, config, service_id=None):
-            if service_id == "back":
-                raise DivergenceError("training loss diverged at epoch 3", epoch=3)
-            return train(train_set, config, service_id=service_id)
-
-        monkeypatch.setattr(cli, "train_lstm", failing)
-        code = run_cli("train-workload", "--config", tiny_config_path,
-                       "--out", str(tmp_path / "out"))
-        assert code == 2
-        assert "error: training loss diverged at epoch 3" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "workload_metrics.json").exists()
 
 
 class TestSimulate:
@@ -777,8 +664,9 @@ class TestExperiment:
         config, out = tmp_path / "experiment.json", tmp_path / "exp"
         config.write_text(text, encoding="utf-8")
         assert run_cli("experiment", "--config", str(config), "--out", str(out)) == 0
+        lstm = json.loads((out / "models" / "lstm.json").read_text(encoding="utf-8"))
+        assert sorted(lstm["scalers"]) == sorted(names)
         for name in names:
-            assert (out / "models" / f"lstm_{name}.json").is_file()
             root = ElementTree.parse(out / "comparison" / f"pods_{name}.svg").getroot()
             assert f"pods over time: {name}" in [e.text for e in root.iter()]
         assert load_run(out / "runs" / "phpa").services == names
@@ -838,7 +726,7 @@ class TestExperiment:
                     for p in sorted(root.rglob("*")) if p.is_file()}
 
         written = files(exp)
-        assert len(written) == 16  # 5 model files, 3 + 2 + 2 in the runs, 4 compared
+        assert len(written) == 15  # 4 model files, 3 + 2 + 2 in the runs, 4 compared
         assert written == files(sep)
 
     @pytest.mark.parametrize("variant", [
@@ -851,7 +739,13 @@ class TestExperiment:
                                      amplitude=0.0, noise=0.0)}},
         {"trace": {"synthetic": dict(TINY_CONFIG["trace"]["synthetic"],
                                      amplitude=0.0, noise=0.0, base=0.0)}},
-    ], ids=["one-node-graph", "constant-trace", "all-zero-trace"])
+        # A constant entry trace under strong demand noise: the forecaster is
+        # fitted on a constant series, while the service it also forecasts
+        # for varies.
+        {"trace": {"synthetic": dict(TINY_CONFIG["trace"]["synthetic"],
+                                     amplitude=0.0, noise=0.0)},
+         "demand": dict(TINY_CONFIG["demand"], noise_sigma=0.5)},
+    ], ids=["one-node-graph", "constant-trace", "all-zero-trace", "constant-entry-noisy-callee"])
     def test_near_degenerate_data_runs_end_to_end(self, tmp_path, capsys, variant):
         config = tmp_path / "experiment.json"
         config.write_text(json.dumps({**TINY_CONFIG, **variant}), encoding="utf-8")
@@ -863,6 +757,11 @@ class TestExperiment:
             "phpa", "reactive@0.9", "reactive@0.7"]
         assert (out / "comparison" / "table.txt").read_text(encoding="utf-8") in \
             capsys.readouterr().out
+        if variant.get("demand", {}).get("noise_sigma"):  # the premise of the last variant
+            scalers = json.loads((out / "models" / "lstm.json").read_text(encoding="utf-8"))[
+                "scalers"]
+            assert scalers["front"]["lo"] == scalers["front"]["hi"]
+            assert scalers["back"]["lo"] < scalers["back"]["hi"]
 
     def test_runs_share_the_same_window(self, tiny_config_path, tmp_path):
         out = tmp_path / "exp"

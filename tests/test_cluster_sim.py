@@ -696,8 +696,7 @@ class TestBatchedPredictiveReplay:
                                                       tiny_models_dir, tmp_path):
         prepared = cli.prepare(*ExperimentConfig.load(tiny_config_path))
         cfg = prepared.cfg
-        models = {s: LstmModel.load(Path(tiny_models_dir) / f"lstm_{s}.json")
-                  for s in cfg.graph.nodes}
+        models = LstmModel.load(Path(tiny_models_dir) / "lstm.json")
         gcn = GcnModel.load(Path(tiny_models_dir) / "gcn.json")
 
         def replay(policy):

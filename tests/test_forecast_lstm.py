@@ -7,6 +7,7 @@ implementation. The buffered kernel, the blocked inference and training are
 also checked bit for bit against the allocating implementation kept in
 oracles.py.
 """
+import json
 import math
 import tracemalloc
 
@@ -33,6 +34,7 @@ from graph_phpa.forecast_lstm import (
     train_lstm,
 )
 from graph_phpa.tensor import MinMaxScaler, Rng, glorot_init
+from conftest import traced_peak
 from oracles import (assert_bitwise_equal, finite_diff_gradient, lstm_forward_oracle,
                      lstm_forward_scaled_oracle, lstm_loss_and_grads_oracle, rel_err,
                      train_lstm_oracle)
@@ -322,6 +324,15 @@ class TestMakeWindows:
 
 
 class TestTraining:
+    def test_workspace_memory_is_bounded(self):
+        # One epoch at the bundled shapes: 2,150 windows of 10 minutes, 50
+        # hidden units, batches of 64. The workspace is about 2.6 MB of it;
+        # a separate (k, n, H) forget-gate buffer took the peak to 3.9 MB.
+        config = LstmConfig(window=10, hidden_units=50, batch_size=64, epochs=1)
+        x, y = make_windows(Rng(4).uniform(0.0, 400.0, (2160,)), 10)
+        peak = traced_peak(lambda: train_lstm((x, y), config))
+        assert peak < 3.75e6, f"the fit peaked at {peak / 1e6:.2f} MB"
+
     def test_constant_series_predicts_the_constant_exactly(self):
         # A constant target degenerates the scaler, whose inverse pins every
         # prediction to the constant no matter what the network emits.
@@ -429,26 +440,36 @@ class TestSerialization:
     def test_round_trip_preserves_predictions(self, tmp_path):
         rng = Rng(53)
         model = random_model(rng, 2, 3, 4, MinMaxScaler(0.0, 50.0))
-        model.service_id = "details"
-        path = tmp_path / "model.json"
-        model.save(path)
+        scalers = {"details": model.scaler, "ratings": MinMaxScaler(10.0, 20.0)}
+        path = tmp_path / "lstm.json"
+        model.save(path, scalers, fitted_on="details")
+        assert json.loads(path.read_text(encoding="utf-8"))["fitted_on"] == "details"
         loaded = LstmModel.load(path)
-        assert loaded.service_id == "details"
-        assert loaded.config == model.config
+        assert sorted(loaded) == ["details", "ratings"]
         window = rng.uniform(0.0, 50.0, (4,))
-        assert forecast_one(loaded, window) == forecast_one(model, window)
+        for service, scaler in scalers.items():
+            assert loaded[service].config == model.config
+            assert loaded[service].scaler == scaler
+            assert forecast_one(loaded[service], window) == \
+                forecast_one(model.with_scaler(scaler), window)
+        # The weights are held once: every service forecasts through the same arrays.
+        assert loaded["details"].layers is loaded["ratings"].layers
+        assert loaded["details"].head_w is loaded["ratings"].head_w
 
     def test_rejects_wrong_schema(self):
         with pytest.raises(ValidationError):
             LstmModel.from_json_dict({"schema": "something-else"})
         with pytest.raises(ValidationError):  # per-gate v1 files must be retrained
             LstmModel.from_json_dict({"schema": "graph-phpa/lstm-model/v1"})
+        # One v2 file per service must be retrained into one shared v3 file.
+        with pytest.raises(ValidationError, match="schema must be 'graph-phpa/lstm-model/v3'"):
+            LstmModel.from_json_dict({"schema": "graph-phpa/lstm-model/v2"})
 
     def test_file_is_byte_stable(self, tmp_path):
         model = random_model(Rng(9), 1, 2, 3)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        model.save(a)
-        model.save(b)
+        model.save(a, {"s": model.scaler}, "s")
+        model.save(b, {"s": model.scaler}, "s")
         assert a.read_bytes() == b.read_bytes()
         assert b"\r" not in a.read_bytes()
 
