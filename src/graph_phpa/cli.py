@@ -153,22 +153,26 @@ def train_workload(prepared: Prepared, out: Path) -> dict[str, LstmModel]:
 def train_resource(prepared: Prepared, models: dict[str, LstmModel],
                    out: Path) -> tuple[GcnModel, dict]:
     """Fit the graph demand predictor on the forecasters' own outputs; writes
-    gcn.json and resource_metrics.json into out and returns (model, metrics)."""
+    gcn.json and resource_metrics.json into out and returns (model, metrics).
+
+    The forecasts and the fit run on one OpenBLAS thread, as the LSTM fit
+    does (see tensor.one_blas_thread)."""
     cfg = prepared.cfg
     nodes, k = cfg.graph.nodes, cfg.gcn.window
     rps, usage = prepared.series
     out.mkdir(parents=True, exist_ok=True)
-    # Each segment's forecasts for its minutes k onward, each from the k
-    # minutes before it.
-    train_set, valid_set, test_set = (
-        build_resource_dataset(rps[lo:hi], np.column_stack([
-            forecast_rates(models[s], make_windows(rps[lo:hi, j], k)[0])
-            for j, s in enumerate(nodes)]), usage[lo:hi], nodes, k)
-        for lo, hi in prepared.segments)
-
-    model, _ = train_gcn(train_set, cfg.graph, cfg.gcn)
-    (train_mse, _), (valid_mse, _), (test_mse, test_per_service) = (
-        evaluate_gcn(model, cfg.graph, dataset) for dataset in (train_set, valid_set, test_set))
+    with one_blas_thread():
+        # Each segment's forecasts for its minutes k onward, each from the k
+        # minutes before it.
+        train_set, valid_set, test_set = (
+            build_resource_dataset(rps[lo:hi], np.column_stack([
+                forecast_rates(models[s], make_windows(rps[lo:hi, j], k)[0])
+                for j, s in enumerate(nodes)]), usage[lo:hi], nodes, k)
+            for lo, hi in prepared.segments)
+        model, _ = train_gcn(train_set, cfg.graph, cfg.gcn)
+        (train_mse, _), (valid_mse, _), (test_mse, test_per_service) = (
+            evaluate_gcn(model, cfg.graph, dataset)
+            for dataset in (train_set, valid_set, test_set))
     target_variance = float(np.var(scale_targets(model.target_scalers, train_set[1])))
     model.save(out / "gcn.json")
     metrics = {

@@ -150,19 +150,22 @@ def check_name(name: str, where: str) -> None:
                               f"are named after it")
 
 
-def float_array(value, where: str) -> np.ndarray:
-    """value as a float64 array; a ragged or non-finite value, or one with a
-    leaf that is not a JSON number, is a ValidationError naming where."""
+def float_array(value, where: str, dtype=np.float64) -> np.ndarray:
+    """value as an array of dtype; a ragged value, one with a leaf that is not
+    a JSON number, or one that is not finite in dtype (1e39 overflows float32)
+    is a ValidationError naming where."""
     check_value(value, list, where)
     try:
-        out = np.asarray(value, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            out = np.asarray(value, dtype=np.float64).astype(dtype, copy=False)
         # float64 takes true for 1.0 and "2" for 2.0: the leaves' own types decide.
         if (np.all(np.isfinite(out))
                 and set(map(type, np.asarray(value, dtype=object).flat)) <= {int, float}):
             return out
     except (TypeError, ValueError):
         pass
-    raise ValidationError(f"{where} must be a rectangular array of finite numbers")
+    raise ValidationError(f"{where} must be a rectangular array of finite "
+                          f"{np.dtype(dtype).name} numbers")
 
 
 def read_text(path) -> str:

@@ -1,10 +1,13 @@
 """Dense linear-algebra and optimization substrate shared by both predictive models.
 
-Matrices are 2-D float64 numpy arrays in row-major order. Every public
-operation is deterministic: identical inputs (including RNG state) produce
-bit-identical outputs, and results are checked to be finite. All are pure
-except adam_step, which updates its parameter and state in place, and
-one_blas_thread, which sets OpenBLAS's thread count for a block.
+Matrices are 2-D numpy arrays in row-major order, float64 unless a caller
+gives another floating dtype: adam_step updates its parameter in the
+parameter's own dtype, which lets the LSTM train in float32 while everything
+else stays float64. Every public operation is deterministic: identical
+inputs (including RNG state) produce bit-identical outputs, and results are
+checked to be finite. All are pure except adam_step, which updates its
+parameter and state in place, and one_blas_thread, which sets OpenBLAS's
+thread count for a block.
 
 Passes over a whole window or dataset walk it in blocks (see blocks), so their
 working memory is bounded by the block size, not by the window's length.
@@ -304,8 +307,8 @@ ADAM_EPSILON = 1e-8
 class AdamState:
     """Per-parameter optimizer state for bias-corrected Adam.
 
-    scratch holds two parameter-shaped work arrays, so a step allocates
-    nothing.
+    The moments and scratch have the parameter's dtype. scratch holds two
+    parameter-shaped work arrays, so a step allocates nothing.
     """
 
     first_moment: np.ndarray
@@ -322,11 +325,13 @@ class AdamState:
                 f"moment shapes differ: {self.first_moment.shape} vs {self.second_moment.shape}"
             )
         if self.scratch is None:
-            self.scratch = np.empty((2,) + self.first_moment.shape)
+            self.scratch = np.empty((2,) + self.first_moment.shape,
+                                    dtype=self.first_moment.dtype)
 
     @classmethod
     def fresh(cls, param: np.ndarray, learning_rate: float) -> "AdamState":
-        z = np.zeros_like(np.asarray(param, dtype=np.float64))
+        """Zero moments in param's dtype."""
+        z = np.zeros_like(np.asarray(param))
         return cls(z, z.copy(), 0, learning_rate)
 
 
@@ -336,7 +341,7 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     Every operation rounds as in the textbook expressions
     m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
     param -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps), with b1, b2
-    and eps the ADAM_ constants.
+    and eps the ADAM_ constants, in the dtype of param, grad and the moments.
     """
     if param.shape != grad.shape or param.shape != state.first_moment.shape:
         raise ShapeError(
@@ -471,12 +476,14 @@ def one_blas_thread():
     """Pin OpenBLAS to one thread for the block, then restore its thread count.
 
     Yields True when it pinned, False when no OpenBLAS could be found (the
-    block then runs with whatever threading the BLAS has). An LSTM fit's
-    products are small, (batch, H) by (H, 4H), so more threads do not speed
-    it up: on a 2-core host a 3-epoch fit of the bundled shapes took a median
-    0.66 s pinned and 0.64 s unpinned, each in 6 fresh processes, and the
-    pinned processes peaked about 0.2 MB lower. The thread count is
-    process-wide, so enter the pin from one thread at a time.
+    block then runs with whatever threading the BLAS has). The trainings'
+    products are small, (batch, H) by (H, 4H) in the float32 LSTM fit, so a
+    second thread costs more than it gives: on a 2-core host, in 8
+    alternating pairs of fresh processes, a 3-epoch fit of the bundled shapes
+    took a median 0.22 s pinned and 0.29 s unpinned, and the bundled
+    train_resource (forecasts and GCN fit) 0.42 s and 0.45 s, each pinned
+    faster in 7 of the 8 pairs. The thread count is process-wide, so enter
+    the pin from one thread at a time.
     """
     api = _openblas_thread_api()
     if api is None:

@@ -17,12 +17,13 @@ file order, and aggregate and chart it row by row; a decision log is one
 DecisionRow per (minute, service), written with the package's earlier
 per-row template. The allocating LSTM
 kernel, Adam and training loop are the package's earlier implementation,
-kept here to arbitrate the buffered one bit for bit: they allocate every
-array they return instead of writing into reused buffers, and run the
-recurrence over all rows at once. The GCN's per-sample kernel, with an
-einsum weight gradient and one Adam step per weight matrix, is likewise the
-package's earlier form, kept to arbitrate the buffered one: forward and loss bit
-for bit, gradients and training to rounding. The normal drawn after a chosen
+kept here to arbitrate the buffered one bit for bit, in the dtype of the
+weights they are given: they allocate every array they return instead of
+writing into reused buffers, and run the recurrence over all rows at once.
+The GCN's per-sample kernel, with an einsum weight gradient and one Adam
+step per weight matrix, is likewise the package's earlier form, kept to
+arbitrate the buffered one: forward and loss bit for bit, gradients and
+training to rounding. The normal drawn after a chosen
 64-bit output comes from numpy's own Generator, its PCG64 state inverted by
 hand so that the next output is the chosen one, and keyed noise from one fresh
 Generator per seed. CSV files are written row by row with csv.writer. The
@@ -666,19 +667,21 @@ def pods_chart_svg_oracle(logs, service):
 def lstm_forward_scaled_oracle(params, x_seq, keep_cache=False):
     """Run the stacked recurrence on scaled windows (batch, k); returns (yhat, cache).
 
-    params is the LstmModel.params list. Sequences are time-major. With
-    keep_cache the cache holds, per layer, the input sequence (k, batch, d_in),
-    the hidden and cell states h, c (k+1, batch, H) with the zero initial state
-    at index 0, and the activated gates (k, batch, 4H).
+    params is the LstmModel.params list; the recurrence runs in its dtype, to
+    which x_seq is cast. Sequences are time-major. With keep_cache the cache
+    holds, per layer, the input sequence (k, batch, d_in), the hidden and cell
+    states h, c (k+1, batch, H) with the zero initial state at index 0, and
+    the activated gates (k, batch, 4H).
     """
+    dtype = params[0].dtype
     batch, k = x_seq.shape
-    current = x_seq.T[:, :, None]  # (k, batch, 1)
+    current = np.asarray(x_seq, dtype=dtype).T[:, :, None]  # (k, batch, 1)
     cache = []
     for li in range(0, len(params) - 2, 3):
         w_x, w_h, b = params[li:li + 3]
         hidden = w_h.shape[0]
-        h = np.zeros((k + 1, batch, hidden))
-        c = np.zeros((batch, hidden))
+        h = np.zeros((k + 1, batch, hidden), dtype=dtype)
+        c = np.zeros((batch, hidden), dtype=dtype)
         cells, gates = [c], []
         for t in range(k):
             a = current[t] @ w_x
@@ -701,16 +704,18 @@ def lstm_forward_scaled_oracle(params, x_seq, keep_cache=False):
 
 
 def lstm_loss_and_grads_oracle(params, x_seq, targets):
-    """Mean squared error over the batch plus one gradient per entry of params."""
+    """Mean squared error over the batch plus one gradient per entry of params,
+    in the dtype of params, to which the windows and targets are cast."""
+    dtype = params[0].dtype
     batch, k = x_seq.shape
     yhat, cache = lstm_forward_scaled_oracle(params, x_seq, keep_cache=True)
-    err = yhat - targets
+    err = yhat - np.asarray(targets, dtype=dtype)
     loss = float(np.mean(err ** 2))
 
     dz = (2.0 * err / batch * (1.0 - yhat ** 2))[:, None]  # (batch, 1)
     head_w = params[-2]
     grads = [cache[-1][1][-1].T @ dz, dz.sum(axis=0)]
-    dh_above = np.zeros((k, batch, head_w.shape[0]))
+    dh_above = np.zeros((k, batch, head_w.shape[0]), dtype=dtype)
     dh_above[-1] = dz @ head_w.T
 
     for li in range(len(cache) - 1, -1, -1):
@@ -722,8 +727,8 @@ def lstm_loss_and_grads_oracle(params, x_seq, targets):
         local = np.concatenate([gg * gi * (1.0 - gi), c[:-1] * gf * (1.0 - gf),
                                 tanh_c * go * (1.0 - go), gi * (1.0 - gg ** 2)], axis=2)
         da = np.empty_like(gates)
-        dh_carry = np.zeros((batch, w_h.shape[0]))
-        dc_carry = np.zeros((batch, w_h.shape[0]))
+        dh_carry = np.zeros((batch, w_h.shape[0]), dtype=dtype)
+        dc_carry = np.zeros((batch, w_h.shape[0]), dtype=dtype)
         for t in range(k - 1, -1, -1):
             dh = dh_above[t] + dh_carry
             dc = dc_carry + dh * dc_dh[t]
@@ -749,14 +754,14 @@ def adam_step_oracle(param, grad, state):
     return new_param, AdamState(m, v, t, state.learning_rate)
 
 
-def train_lstm_oracle(train, config):
-    """The training loop over the oracle kernel; returns (params, history),
-    history being the training MSE of every epoch."""
+def train_lstm_oracle(train, config, dtype=np.float64):
+    """The training loop over the oracle kernel in dtype; returns (params,
+    history), history being the training MSE of every epoch."""
     x_train, y_train = (np.asarray(a, dtype=np.float64) for a in train)
     scaler = MinMaxScaler.fit(y_train)
-    xs, ys = scaler.transform(x_train), scaler.transform(y_train)
+    xs, ys = (scaler.transform(a).astype(dtype) for a in (x_train, y_train))
     rng = Rng(config.seed)
-    params = _init_params(config, rng)
+    params = [p.astype(dtype) for p in _init_params(config, rng)]
     states = [AdamState.fresh(p, config.learning_rate) for p in params]
     shuffle_rng = rng.child(1)
     n = len(xs)

@@ -261,15 +261,16 @@ STOREFRONT = ServiceGraph.from_edges(
 
 
 def random_pipeline(seed: int, k: int, graph: ServiceGraph = CHAIN, hidden: int = 5,
-                    gcn_hidden: int = 6):
-    """Random one-layer forecasters and a two-layer graph predictor on graph."""
+                    gcn_hidden: int = 6, dtype=np.float32):
+    """Random one-layer forecasters, computing in dtype, and a two-layer graph
+    predictor on graph."""
     rng = Rng(seed)
     models = {}
     for i, service in enumerate(graph.nodes):
         r = rng.child(i)
         layer = LstmLayer(r.normal(0.0, 0.5, (1, 4 * hidden)),
                           r.normal(0.0, 0.5, (hidden, 4 * hidden)),
-                          r.normal(0.0, 0.1, (4 * hidden,)))
+                          r.normal(0.0, 0.1, (4 * hidden,)), dtype=dtype)
         models[service] = LstmModel(LstmConfig(window=k, hidden_units=hidden), [layer],
                                     r.normal(0.0, 0.5, (hidden, 1)), 0.1,
                                     MinMaxScaler(0.0, 400.0))
@@ -280,22 +281,31 @@ def random_pipeline(seed: int, k: int, graph: ServiceGraph = CHAIN, hidden: int 
     return models, gcn, graph
 
 
+# Relative agreement of a batched row with its batch of one. BLAS takes
+# another path for one row than for many (gemv, not gemm), so the sums round
+# in another order: at float64's rounding in float64, and at float32's, about
+# 6e-8 relative per operation, in the float32 forecasters the package runs.
+BATCH_OF_ONE_RTOL = {np.float64: 1e-12, np.float32: 1e-5}
+
+
 class TestPredictDemandBatch:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**16), k=st.integers(2, 6), extra=st.integers(0, 30),
            data=st.data())
     def test_each_row_matches_its_batch_of_one(self, seed, k, extra, data):
-        models, gcn, graph = random_pipeline(seed, k)
         rates = st.lists(st.floats(0.0, 500.0), min_size=k + extra, max_size=k + extra)
-        history = np.column_stack([data.draw(rates, label=s) for s in graph.nodes])
-        forecasts, demand = predict_demand(models, gcn, graph, history)
-        assert forecasts.shape == demand.shape == (extra + 1, graph.size)
-        for j in range(extra + 1):
-            one_forecast, one_demand = predict_demand(models, gcn, graph, history[j:j + k])
-            for batched, single in ((forecasts[j], one_forecast[0]),
-                                    (demand[j], one_demand[0])):
-                scale = max(np.abs(single).max(), 1e-300)
-                np.testing.assert_allclose(batched, single, rtol=1e-12, atol=1e-12 * scale)
+        history = np.column_stack([data.draw(rates, label=s) for s in CHAIN.nodes])
+        for dtype, rtol in BATCH_OF_ONE_RTOL.items():
+            models, gcn, graph = random_pipeline(seed, k, dtype=dtype)
+            forecasts, demand = predict_demand(models, gcn, graph, history)
+            assert forecasts.shape == demand.shape == (extra + 1, graph.size)
+            for j in range(extra + 1):
+                one_forecast, one_demand = predict_demand(models, gcn, graph, history[j:j + k])
+                for batched, single in ((forecasts[j], one_forecast[0]),
+                                        (demand[j], one_demand[0])):
+                    scale = max(np.abs(single).max(), 1e-300)
+                    np.testing.assert_allclose(batched, single, rtol=rtol, atol=rtol * scale,
+                                               err_msg=f"forecasters in {dtype.__name__}")
 
     def test_held_out_window_memory_is_bounded(self):
         # The bundled replay's held-out window: 720 minutes of 4 services, so

@@ -33,6 +33,12 @@ def negative_forecaster(k: int) -> LstmModel:
                      np.zeros((hidden, 1)), math.atanh(-0.9), MinMaxScaler(0.0, 100.0))
 
 
+def zero_lstm_layer(d_in: int, hidden: int) -> dict:
+    """One model-file layer of zero weights with d_in inputs."""
+    return {"w_x": [[0.0] * (4 * hidden)] * d_in, "w_h": [[0.0] * (4 * hidden)] * hidden,
+            "b": [0.0] * (4 * hidden)}
+
+
 class TestGenTrace:
     def test_writes_deterministic_csv(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
@@ -233,13 +239,34 @@ class TestTraining:
             assert run_cli(*argv) == 2
             err = capsys.readouterr().err
             assert err.startswith(f"error: cannot read {lstm}: no such file")
-            assert "graph-phpa/lstm-model/v3" in err
+            assert "graph-phpa/lstm-model/v4" in err
         shutil.copy(models / "lstm_front.json", lstm)
         for argv in argvs:
             assert run_cli(*argv) == 2
             assert capsys.readouterr().err == (
-                f"error: {lstm}: schema must be 'graph-phpa/lstm-model/v3', "
+                f"error: {lstm}: schema must be 'graph-phpa/lstm-model/v4', "
                 f"got 'graph-phpa/lstm-model/v2'\n")
+        assert not (tmp_path / "out").exists() and not (tmp_path / "run").exists()
+
+    def test_float64_forecaster_file_exits_2(self, tiny_config_path, tiny_models_dir,
+                                             tmp_path, capsys):
+        # Schema v3 held float64 weights. Cast to float32 they would forecast
+        # differently without a word, so a v3 file must be retrained.
+        models = tmp_path / "models"
+        shutil.copytree(tiny_models_dir, models)
+        lstm = models / "lstm.json"
+        doc = json.loads(lstm.read_text(encoding="utf-8"))
+        assert doc["schema"] == "graph-phpa/lstm-model/v4"
+        lstm.write_text(json.dumps(dict(doc, schema="graph-phpa/lstm-model/v3")),
+                        encoding="utf-8")
+        for argv in [("train-resource", "--config", tiny_config_path, "--models", str(models),
+                      "--out", str(tmp_path / "out")),
+                     ("simulate", "--config", tiny_config_path, "--policy", "phpa",
+                      "--models", str(models), "--out", str(tmp_path / "run"))]:
+            assert run_cli(*argv) == 2
+            assert capsys.readouterr().err == (
+                f"error: {lstm}: schema must be 'graph-phpa/lstm-model/v4', "
+                f"got 'graph-phpa/lstm-model/v3'\n")
         assert not (tmp_path / "out").exists() and not (tmp_path / "run").exists()
 
 
@@ -261,6 +288,32 @@ class TestConcurrentTraining:
             assert get() == 2
             with pytest.raises(RuntimeError), tensor.one_blas_thread():
                 raise RuntimeError("boom")
+            assert get() == 2
+        finally:
+            set_(before)
+
+    def test_both_fits_run_on_one_blas_thread(self, tiny_config_path, tmp_path,
+                                              monkeypatch):
+        api = tensor._openblas_thread_api()
+        if api is None:
+            pytest.skip("numpy did not load an OpenBLAS")
+        get, set_ = api
+        threads = []
+
+        def recording(fit):
+            def run(*args, **kwargs):
+                threads.append((fit.__name__, get()))
+                return fit(*args, **kwargs)
+            return run
+
+        monkeypatch.setattr(cli, "train_lstm", recording(cli.train_lstm))
+        monkeypatch.setattr(cli, "train_gcn", recording(cli.train_gcn))
+        before = get()
+        try:
+            set_(2)
+            assert run_cli("experiment", "--config", tiny_config_path,
+                           "--out", str(tmp_path / "exp")) == 0
+            assert threads == [("train_lstm", 1), ("train_gcn", 1)]
             assert get() == 2
         finally:
             set_(before)
@@ -346,6 +399,30 @@ class TestMalformedModelFiles:
                      "['front', 'back']", id="lstm-scalers-of-another-node"),
         pytest.param("lstm.json", lambda doc: doc.update(fitted_on="side"),
                      "fitted_on 'side' has no entry in scalers", id="lstm-fitted-on-no-scaler"),
+        # Layers that do not chain, or that are not the config's. These loaded,
+        # and the replay ended in numpy's matmul ValueError.
+        pytest.param("lstm.json", lambda doc: (
+            doc["config"].update(hidden_units=50),
+            doc.update(layers=[zero_lstm_layer(1, 2), zero_lstm_layer(3, 2)],
+                       head_weight=[[0.0]] * 2)),
+                     "layer (input, hidden) sizes [(1, 2), (3, 2)] do not chain the config's "
+                     "layer widths (1, 50)", id="lstm-layers-not-chained"),
+        pytest.param("lstm.json", lambda doc: doc["layers"][0]["w_x"].append(
+            doc["layers"][0]["w_x"][0]),
+                     "layer (input, hidden) sizes [(2, 6)] do not chain the config's "
+                     "layer widths (1, 6)", id="lstm-first-layer-two-inputs"),
+        pytest.param("lstm.json", lambda doc: doc["layers"].append(zero_lstm_layer(6, 6)),
+                     "layer (input, hidden) sizes [(1, 6), (6, 6)] do not chain the config's "
+                     "layer widths (1, 6)", id="lstm-more-layers-than-config"),
+        pytest.param("lstm.json", lambda doc: doc["config"].update(layers=2),
+                     "layer (input, hidden) sizes [(1, 6)] do not chain the config's "
+                     "layer widths (1, 6, 6)", id="lstm-fewer-layers-than-config"),
+        pytest.param("lstm.json", lambda doc: doc["config"].update(hidden_units=7),
+                     "layer (input, hidden) sizes [(1, 6)] do not chain the config's "
+                     "layer widths (1, 7)", id="lstm-other-hidden-units"),
+        pytest.param("lstm.json", lambda doc: doc.update(head_bias=1e39),
+                     "head_bias must be a finite float32 number, got 1e+39",
+                     id="lstm-head-bias-beyond-float32"),
         pytest.param("gcn.json", lambda doc: doc["config"].update(hidden=8),
                      "config.hidden must be a list", id="gcn-hidden-number"),
         pytest.param("gcn.json", lambda doc: doc.update(weights=3),

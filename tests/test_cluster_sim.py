@@ -694,30 +694,36 @@ class TestPredictivePolicySimulation:
 class TestBatchedPredictiveReplay:
     def test_matches_per_minute_oracle_on_tiny_config(self, tiny_config_path,
                                                       tiny_models_dir, tmp_path):
+        # The per-minute oracle forecasts one window at a time, for which BLAS
+        # sums in another order than over many (see test_autoscaler's
+        # BATCH_OF_ONE_RTOL): its values agree to the forecasters' precision,
+        # in the package's float32 and in float64.
         prepared = cli.prepare(*ExperimentConfig.load(tiny_config_path))
         cfg = prepared.cfg
-        models = LstmModel.load(Path(tiny_models_dir) / "lstm.json")
         gcn = GcnModel.load(Path(tiny_models_dir) / "gcn.json")
-
-        def replay(policy):
-            return cli.replay(prepared, policy, tmp_path / type(policy).__name__)[0]
-
-        oracle_policy = PerMinutePredictivePolicy(models, gcn, cfg.graph, cfg.bounds)
-        batched = replay(PredictivePolicy(models, gcn, cfg.graph, cfg.bounds))
-        oracle = replay(oracle_policy)
-        assert log_rows(batched) == log_rows(oracle)
-        grids = batched.decisions
-        for name in ("forecast_rps", "predicted_vcpu", "r_new"):
-            assert getattr(grids, name).dtype == np.float64
-        assert grids.n_prev.dtype == grids.n_new.dtype == np.int64
-        batched_rows, oracle_rows = decision_rows(batched), oracle_policy.rows
-        assert len(batched_rows) == len(oracle_rows) > 0
-        assert any(d.delta != 0 for d in batched_rows)
-        for b, o in zip(batched_rows, oracle_rows):
-            assert (b.minute, b.service, b.n_prev, b.n_new, b.delta) == \
-                (o.minute, o.service, o.n_prev, o.n_new, o.delta)
+        loaded = LstmModel.load(Path(tiny_models_dir) / "lstm.json")
+        for dtype, rel in ((np.float32, 1e-5), (np.float64, 1e-9)):
+            models = {s: LstmModel.from_params(m.config, [p.astype(dtype) for p in m.params],
+                                               m.scaler) for s, m in loaded.items()}
+            oracle_policy = PerMinutePredictivePolicy(models, gcn, cfg.graph, cfg.bounds)
+            batched, oracle = (
+                cli.replay(prepared, policy, tmp_path / dtype.__name__ / type(policy).__name__)[0]
+                for policy in (PredictivePolicy(models, gcn, cfg.graph, cfg.bounds),
+                               oracle_policy))
+            assert log_rows(batched) == log_rows(oracle)
+            grids = batched.decisions
             for name in ("forecast_rps", "predicted_vcpu", "r_new"):
-                assert getattr(b, name) == pytest.approx(getattr(o, name), rel=1e-9, abs=0)
+                assert getattr(grids, name).dtype == np.float64
+            assert grids.n_prev.dtype == grids.n_new.dtype == np.int64
+            batched_rows, oracle_rows = decision_rows(batched), oracle_policy.rows
+            assert len(batched_rows) == len(oracle_rows) > 0
+            assert any(d.delta != 0 for d in batched_rows)
+            for b, o in zip(batched_rows, oracle_rows):
+                assert (b.minute, b.service, b.n_prev, b.n_new, b.delta) == \
+                    (o.minute, o.service, o.n_prev, o.n_new, o.delta)
+                for name in ("forecast_rps", "predicted_vcpu", "r_new"):
+                    assert getattr(b, name) == pytest.approx(getattr(o, name), rel=rel, abs=0), \
+                        f"{name} with forecasters in {dtype.__name__}"
 
     def test_services_out_of_graph_order_rejected(self):
         # Rate columns are matched to forecasters by position, so a grid whose

@@ -3,9 +3,10 @@
 The forward pass is checked against a plain-Python recurrence written from
 the gate equations, and backpropagation-through-time against central finite
 differences on every parameter. Neither reference shares code with the
-implementation. The buffered kernel, the blocked inference and training are
-also checked bit for bit against the allocating implementation kept in
-oracles.py.
+implementation. Both run on float64 weights. The buffered kernel, the
+blocked inference and training are also checked bit for bit against the
+allocating implementation kept in oracles.py, in float32, the precision the
+package fits and forecasts in, and in float64.
 """
 import json
 import math
@@ -19,7 +20,9 @@ from hypothesis import strategies as st
 from graph_phpa import tensor
 from graph_phpa.errors import DivergenceError, EmptyDatasetError, ShapeError, ValidationError
 from graph_phpa.forecast_lstm import (
+    DTYPE,
     GATES,
+    LSTM_SCHEMA,
     LstmConfig,
     LstmLayer,
     LstmModel,
@@ -40,6 +43,8 @@ from oracles import (assert_bitwise_equal, finite_diff_gradient, lstm_forward_or
                      train_lstm_oracle)
 
 IDENTITY = MinMaxScaler(-1.0, 1.0, -1.0, 1.0)
+# The kernels' dtypes: the package's own, and float64 for the references.
+DTYPES = [pytest.param(np.float32, id="float32"), pytest.param(np.float64, id="float64")]
 
 
 def forecast_one(model: LstmModel, window) -> float:
@@ -48,7 +53,7 @@ def forecast_one(model: LstmModel, window) -> float:
 
 
 def random_model(rng: Rng, layers: int, hidden: int, k: int,
-                 scaler: MinMaxScaler = IDENTITY) -> LstmModel:
+                 scaler: MinMaxScaler = IDENTITY, dtype=np.float64) -> LstmModel:
     config = LstmConfig(window=k, layers=layers, hidden_units=hidden, epochs=1)
     built = []
     d_in = 1
@@ -56,7 +61,7 @@ def random_model(rng: Rng, layers: int, hidden: int, k: int,
         w_x = np.hstack([rng.normal(0.0, 0.4, (d_in, hidden)) for _ in GATES])
         w_h = np.hstack([rng.normal(0.0, 0.4, (hidden, hidden)) for _ in GATES])
         b = np.hstack([rng.normal(0.0, 0.1, (hidden,)) for _ in GATES])
-        built.append(LstmLayer(w_x, w_h, b))
+        built.append(LstmLayer(w_x, w_h, b, dtype=dtype))
         d_in = hidden
     head_w = rng.normal(0.0, 0.4, (hidden, 1))
     head_b = float(rng.normal(0.0, 0.1, (1,))[0])
@@ -127,7 +132,7 @@ def loss_and_grads(params, x, y):
     n, k = x.shape
     config = LstmConfig(window=k, layers=(len(params) - 2) // 3,
                         hidden_units=params[1].shape[0], batch_size=n)
-    batch = _Workspace(config, n).batch(n)
+    batch = _Workspace(config, n, params[0].dtype).batch(n)
     batch.x[...] = x
     batch.y[...] = y
     grads = [np.full_like(p, np.nan) for p in params]
@@ -177,13 +182,14 @@ class TestBackpropAgainstFiniteDifferences:
         assert loss == pytest.approx(float(np.mean((preds - y) ** 2)), abs=1e-12)
 
 
-def random_params(rng: np.random.Generator, layers: int, hidden: int) -> list[np.ndarray]:
+def random_params(rng: np.random.Generator, layers: int, hidden: int,
+                  dtype=np.float64) -> list[np.ndarray]:
     """Fused parameters in LstmModel.params order, some entries exactly zero."""
     config = LstmConfig(window=1, layers=layers, hidden_units=hidden)
     params = [rng.normal(0.0, 0.5, p.shape) for p in _init_params(config, Rng(0))]
     for p in params:
         p[rng.random(p.shape) < 0.05] = 0.0
-    return params
+    return [p.astype(dtype) for p in params]
 
 
 def scaled_windows(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
@@ -197,20 +203,21 @@ def scaled_windows(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
 class TestBufferedKernelAgainstOracle:
     """The buffered kernel rounds exactly like the allocating one in oracles.py."""
 
+    @pytest.mark.parametrize("dtype", DTYPES)
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), layers=st.integers(1, 3),
            hidden=st.integers(1, 9), k=st.integers(1, 6), batch_size=st.integers(1, 24),
            rows=st.sampled_from(["below", "at", "above"]))
     def test_loss_and_every_gradient_match_bitwise(self, seed, layers, hidden, k,
-                                                    batch_size, rows):
+                                                    batch_size, rows, dtype):
         rng = np.random.default_rng(seed)
         n = {"below": max(1, batch_size // 2), "at": batch_size,
              "above": 2 * batch_size + 1 + int(rng.integers(0, batch_size))}[rows]
-        params = random_params(rng, layers, hidden)
+        params = random_params(rng, layers, hidden, dtype)
         x, y = scaled_windows(rng, n, k), rng.uniform(-0.8, 0.8, n)
         config = LstmConfig(window=k, layers=layers, hidden_units=hidden,
                             batch_size=batch_size)
-        workspace = _Workspace(config, min(n, batch_size))
+        workspace = _Workspace(config, min(n, batch_size), dtype)
         grads = [np.empty_like(p) for p in params]
         for start in range(0, n, batch_size):  # the last batch may be a remainder
             xb, yb = x[start:start + batch_size], y[start:start + batch_size]
@@ -223,12 +230,13 @@ class TestBufferedKernelAgainstOracle:
             for got, want in zip(grads, want_grads, strict=True):
                 assert_bitwise_equal(got, want)
 
+    @pytest.mark.parametrize("dtype", DTYPES)
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), layers=st.integers(1, 3),
            hidden=st.integers(1, 8), batch_size=st.integers(3, 20),
            rows=st.sampled_from(["below", "at", "above"]))
     def test_three_epochs_of_training_match_bitwise(self, seed, layers, hidden, batch_size,
-                                                    rows):
+                                                    rows, dtype):
         rng = np.random.default_rng(seed)
         k = 4
         n = {"below": batch_size - 2, "at": batch_size, "above": 3 * batch_size + 2}[rows]
@@ -237,8 +245,8 @@ class TestBufferedKernelAgainstOracle:
         train, valid = (x[:n], y[:n]), (x[n:], y[n:])
         config = LstmConfig(window=k, layers=layers, hidden_units=hidden, epochs=3,
                             batch_size=batch_size, seed=seed)
-        model, history = train_lstm(train, config)
-        want_params, want_history = train_lstm_oracle(train, config)
+        model, history = train_lstm(train, config, dtype)
+        want_params, want_history = train_lstm_oracle(train, config, dtype)
         assert history == want_history
         for got, want in zip(model.params, want_params, strict=True):
             assert_bitwise_equal(got, want)
@@ -256,10 +264,13 @@ BLOCK_ROWS = sorted({1, 2} | {j * BLOCK + r for j in (1, 2, 3) for r in range(-1
 class TestBlockedInference:
     """predict_windows walks rows in blocks yet equals one unblocked forward."""
 
-    @pytest.mark.parametrize("layers", [1, 2])
-    def test_equals_the_unblocked_oracle_at_every_boundary(self, layers):
+    # Plain ids run the package's dtype; float64 is the reference precision.
+    @pytest.mark.parametrize("layers, dtype", [
+        pytest.param(1, DTYPE, id="1"), pytest.param(2, DTYPE, id="2"),
+        pytest.param(1, np.float64, id="1-float64"), pytest.param(2, np.float64, id="2-float64")])
+    def test_equals_the_unblocked_oracle_at_every_boundary(self, layers, dtype):
         rng = np.random.default_rng(layers)
-        params = random_params(rng, layers, 50)
+        params = random_params(rng, layers, 50, dtype)
         scaler = MinMaxScaler(0.0, 400.0)
         model = LstmModel.from_params(LstmConfig(window=10, layers=layers, hidden_units=50),
                                       params, scaler)
@@ -280,9 +291,11 @@ class TestBlockedInference:
 
     def test_long_forecast_memory_is_bounded(self):
         # One train-resource segment of the bundled config: 2,160 windows of
-        # 10 minutes through 50 hidden units. The oracle's unblocked forward,
-        # which holds every row's hidden sequence, peaks at about 22 MB here.
-        model = random_model(Rng(3), 1, 50, 10, MinMaxScaler(0.0, 400.0))
+        # 10 minutes through 50 hidden units, in float32. It peaks at about
+        # 1.45 MB (2.4 MB in float64). The oracle's unblocked float64
+        # forward, which holds every row's hidden sequence, peaks at about
+        # 22 MB here.
+        model = random_model(Rng(3), 1, 50, 10, MinMaxScaler(0.0, 400.0), dtype=DTYPE)
         values = Rng(4).uniform(0.0, 400.0, (2170,))
         tracemalloc.start()
         try:
@@ -291,7 +304,7 @@ class TestBlockedInference:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3e6, f"the forecast peaked at {peak / 1e6:.2f} MB"
+        assert peak < 1.6e6, f"the forecast peaked at {peak / 1e6:.2f} MB"
 
 
 class TestMakeWindows:
@@ -326,12 +339,13 @@ class TestMakeWindows:
 class TestTraining:
     def test_workspace_memory_is_bounded(self):
         # One epoch at the bundled shapes: 2,150 windows of 10 minutes, 50
-        # hidden units, batches of 64. The workspace is about 2.6 MB of it;
-        # a separate (k, n, H) forget-gate buffer took the peak to 3.9 MB.
+        # hidden units, batches of 64. In float32 it peaks at about 1.87 MB,
+        # about 1.3 MB of it the workspace (3.62 MB in float64); a separate
+        # (k, n, H) forget-gate buffer took the float64 peak to 3.9 MB.
         config = LstmConfig(window=10, hidden_units=50, batch_size=64, epochs=1)
         x, y = make_windows(Rng(4).uniform(0.0, 400.0, (2160,)), 10)
         peak = traced_peak(lambda: train_lstm((x, y), config))
-        assert peak < 3.75e6, f"the fit peaked at {peak / 1e6:.2f} MB"
+        assert peak < 2.1e6, f"the fit peaked at {peak / 1e6:.2f} MB"
 
     def test_constant_series_predicts_the_constant_exactly(self):
         # A constant target degenerates the scaler, whose inverse pins every
@@ -414,6 +428,35 @@ class TestTraining:
             train_lstm((x, y), LstmConfig(window=5))
 
 
+class TestPrecision:
+    """The package forecasts in float32; the float64 kernel is the reference."""
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_float32_forecasts_agree_with_float64(self, layers):
+        # The same weights, rounded to float32, forecast 2,150 windows within
+        # 5e-6 of the float64 kernel in scaled units, where forecasts span
+        # [-0.8, 0.8]; the worst was 5.9e-7 (one layer) and 4.7e-7 (two).
+        rng = np.random.default_rng(layers)
+        params = random_params(rng, layers, 50)
+        scaler = MinMaxScaler(0.0, 400.0)
+        config = LstmConfig(window=10, layers=layers, hidden_units=50)
+        x = rng.uniform(0.0, 400.0, (2150, 10))
+        wide = predict_windows(LstmModel.from_params(config, params, scaler), x)
+        single = predict_windows(
+            LstmModel.from_params(config, [p.astype(np.float32) for p in params], scaler), x)
+        assert single.dtype == wide.dtype == np.float64
+        worst = float(np.max(np.abs(scaler.transform(single) - scaler.transform(wide))))
+        assert worst < 5e-6, f"float32 forecasts differ by up to {worst:.2e}"
+
+    def test_a_fit_runs_in_float32(self):
+        x, y = make_windows(50.0 + 20.0 * np.sin(np.arange(80.0) / 5.0), 4)
+        model, history = train_lstm((x, y), LstmConfig(window=4, hidden_units=3, epochs=2))
+        assert DTYPE == np.float32
+        assert {p.dtype for p in model.params} == {np.dtype(np.float32)}
+        assert all(type(v) is float for v in history)
+        assert predict_windows(model, x).dtype == np.float64
+
+
 class TestForecastSeries:
     def test_too_short_raises(self):
         # A series no longer than the model's window yields no forecast.
@@ -438,8 +481,10 @@ class TestForecastRates:
 
 class TestSerialization:
     def test_round_trip_preserves_predictions(self, tmp_path):
+        # float32 weights are written as the float64 values they are, which
+        # read back and cast to the same float32 bits.
         rng = Rng(53)
-        model = random_model(rng, 2, 3, 4, MinMaxScaler(0.0, 50.0))
+        model = random_model(rng, 2, 3, 4, MinMaxScaler(0.0, 50.0), dtype=DTYPE)
         scalers = {"details": model.scaler, "ratings": MinMaxScaler(10.0, 20.0)}
         path = tmp_path / "lstm.json"
         model.save(path, scalers, fitted_on="details")
@@ -450,8 +495,11 @@ class TestSerialization:
         for service, scaler in scalers.items():
             assert loaded[service].config == model.config
             assert loaded[service].scaler == scaler
-            assert forecast_one(loaded[service], window) == \
-                forecast_one(model.with_scaler(scaler), window)
+            for got, want in zip(loaded[service].params, model.params, strict=True):
+                assert got.dtype == DTYPE
+                assert_bitwise_equal(got, want)
+            assert_bitwise_equal(forecast_one(loaded[service], window),
+                                 forecast_one(model.with_scaler(scaler), window))
         # The weights are held once: every service forecasts through the same arrays.
         assert loaded["details"].layers is loaded["ratings"].layers
         assert loaded["details"].head_w is loaded["ratings"].head_w
@@ -461,9 +509,22 @@ class TestSerialization:
             LstmModel.from_json_dict({"schema": "something-else"})
         with pytest.raises(ValidationError):  # per-gate v1 files must be retrained
             LstmModel.from_json_dict({"schema": "graph-phpa/lstm-model/v1"})
-        # One v2 file per service must be retrained into one shared v3 file.
-        with pytest.raises(ValidationError, match="schema must be 'graph-phpa/lstm-model/v3'"):
-            LstmModel.from_json_dict({"schema": "graph-phpa/lstm-model/v2"})
+        # One v2 file per service must be retrained into one shared file, and
+        # v3's float64 weights into v4's float32 ones.
+        for old in ("graph-phpa/lstm-model/v2", "graph-phpa/lstm-model/v3"):
+            with pytest.raises(ValidationError,
+                               match=f"schema must be '{LSTM_SCHEMA}', got '{old}'"):
+                LstmModel.from_json_dict({"schema": old})
+
+    def test_weights_beyond_float32_are_rejected(self, tmp_path):
+        model = random_model(Rng(9), 1, 2, 3, dtype=DTYPE)
+        path = tmp_path / "lstm.json"
+        model.save(path, {"s": model.scaler}, "s")
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["layers"][0]["w_h"][0][0] = 1e39
+        with pytest.raises(ValidationError, match="layers\\[0\\].w_h must be a rectangular "
+                                                  "array of finite float32 numbers"):
+            LstmModel.from_json_dict(doc)
 
     def test_file_is_byte_stable(self, tmp_path):
         model = random_model(Rng(9), 1, 2, 3)
