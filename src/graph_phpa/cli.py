@@ -34,7 +34,7 @@ from .cluster_sim import (PredictivePolicy, ReactivePolicy, ScalingPolicy, Simul
                           run_simulation)
 from .config import ExperimentConfig
 from .errors import GraphPhpaError, ValidationError
-from .forecast_lstm import (LSTM_SCHEMA, LstmModel, evaluate, evaluate_lstm, forecast_rates,
+from .forecast_lstm import (LstmModel, evaluate, evaluate_lstm, forecast_rates,
                             make_windows, predict_windows, train_lstm)
 from .predict_gcn import GcnModel, build_resource_dataset, evaluate_gcn, scale_targets, train_gcn
 from .tensor import MinMaxScaler, mix_seed, one_blas_thread
@@ -60,9 +60,6 @@ def _load_lstm_models(models_dir: Path, cfg: ExperimentConfig) -> dict[str, Lstm
     file was written for cfg's lstm.window and holds a scaler for each of
     cfg's graph.nodes and no other; else a ValidationError naming the file."""
     path = models_dir / "lstm.json"
-    if not path.exists():  # as in a directory of schema v2's per-service files
-        raise ValidationError(f"cannot read {path}: no such file; train-workload writes "
-                              f"the forecasters there as one {LSTM_SCHEMA} document")
     models = LstmModel.load(path)
     _check_window(path, next(iter(models.values())).config, cfg)
     if sorted(models) != sorted(cfg.graph.nodes):

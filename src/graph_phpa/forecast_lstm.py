@@ -1,7 +1,7 @@
 """Sliding-window LSTM forecaster: next-minute workload per microservice.
 
 A model maps the last k workload observations of a service to a one-step
-forecast through stacked LSTM layers and a tanh dense head. Training is
+forecast through one LSTM layer and a tanh dense head. Training is
 mini-batch Adam over backpropagation-through-time, fully deterministic for a
 given config seed. Inputs and targets are min-max scaled to [-0.8, 0.8] with
 statistics fitted on the training targets only, so the tanh head can reach
@@ -39,12 +39,13 @@ from .tensor import (BLOCK, AdamState, MinMaxScaler, Rng, adam_step, blocks, car
 
 log = logging.getLogger(__name__)
 
-# Column order of the fused gate blocks in every layer's w_x, w_h and b.
+# Column order of the fused gate blocks in w_x, w_h and b.
 GATES = ("input", "forget", "output", "candidate")
 
-# v4 holds float32 weights; v3's float64 weights would forecast differently
-# once cast, so a v3 file must be retrained.
-LSTM_SCHEMA = "graph-phpa/lstm-model/v4"
+# v5 holds one layer's weights at the top level; v4 listed them per layer,
+# and v3's float64 weights would forecast differently once cast, so older
+# files must be retrained.
+LSTM_SCHEMA = "graph-phpa/lstm-model/v5"
 
 # The precision of every fit and forecast. float32 halves the recurrence's
 # time: a 2,150-row forward of the bundled shapes took 23 ms, against 48 ms
@@ -55,7 +56,6 @@ DTYPE = np.float32
 @dataclass(frozen=True)
 class LstmConfig:
     window: int = 10
-    layers: int = 1
     hidden_units: int = 50
     learning_rate: float = 0.01
     epochs: int = 50
@@ -63,7 +63,7 @@ class LstmConfig:
     seed: int = 42
 
     def __post_init__(self):
-        for name in ("window", "layers", "hidden_units", "epochs", "batch_size"):
+        for name in ("window", "hidden_units", "epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.learning_rate <= 0:
@@ -71,69 +71,55 @@ class LstmConfig:
         check_seed(self.seed)
 
 
-class LstmLayer:
-    """One LSTM layer with fused gates, the layout of PyTorch's nn.LSTM.
-
-    w_x (d_in, 4H), w_h (H, 4H) and b (4H,) hold the four gates side by side
-    in GATES order, so one product per step feeds every gate. They are cast
-    to dtype once, here.
-    """
-
-    def __init__(self, w_x, w_h, b, dtype=DTYPE):
-        self.w_x, self.w_h, self.b = (np.asarray(p, dtype=dtype) for p in (w_x, w_h, b))
-        hidden = self.w_h.shape[0] if self.w_h.ndim == 2 else 0
-        if hidden < 1 or self.w_x.ndim != 2 or self.w_x.shape[1] != 4 * hidden \
-                or self.w_h.shape != (hidden, 4 * hidden) or self.b.shape != (4 * hidden,):
-            raise ShapeError(f"inconsistent fused gate shapes in layer: w_x {self.w_x.shape}, "
-                             f"w_h {self.w_h.shape}, b {self.b.shape}")
-        self.hidden = hidden
-
-
 class LstmModel:
-    """A trained workload forecaster: LSTM weights and one service's scaler.
+    """A trained workload forecaster: one LSTM layer, a tanh head and one
+    service's scaler.
+
+    The layer has fused gates, the layout of PyTorch's nn.LSTM: w_x (1, 4H),
+    w_h (H, 4H) and b (4H,) hold the four gates side by side in GATES order,
+    so one product per step feeds every gate. The weights and the head
+    head_w (H, 1) are cast to dtype once, here, and head_b is a float that
+    dtype holds exactly.
 
     One fit serves every service. with_scaler gives the other services their
     forecasters, each sharing the fitted weights under its own scaler, and one
-    model file holds the weights once with every service's scaler. The head
-    takes the layers' dtype, and head_b is a float that dtype holds exactly.
+    model file holds the weights once with every service's scaler.
     """
 
-    def __init__(self, config: LstmConfig, layers: list[LstmLayer], head_w: np.ndarray,
-                 head_b: float, scaler: MinMaxScaler):
+    def __init__(self, config: LstmConfig, w_x, w_h, b, head_w, head_b: float,
+                 scaler: MinMaxScaler, dtype=DTYPE):
         self.config = config
-        self.layers = layers
-        if not layers:
-            raise ShapeError("the model needs at least one layer")
-        self.dtype = layers[0].w_x.dtype
-        self.head_w = np.asarray(head_w, dtype=self.dtype)
+        self.w_x, self.w_h, self.b, self.head_w = (np.asarray(p, dtype=dtype)
+                                                   for p in (w_x, w_h, b, head_w))
+        self.dtype = self.w_x.dtype
         self.head_b = float(self.dtype.type(head_b))
         self.scaler = scaler
-        widths = (1,) + (config.hidden_units,) * config.layers
-        sizes = [(layer.w_x.shape[0], layer.hidden) for layer in layers]
-        if sizes != list(zip(widths, widths[1:])):
-            raise ShapeError(f"layer (input, hidden) sizes {sizes} do not chain the config's "
-                             f"layer widths {widths}")
-        if self.head_w.shape != (layers[-1].hidden, 1):
-            raise ShapeError(f"head weight shape {self.head_w.shape} does not match "
-                             f"hidden size {layers[-1].hidden}")
+        hidden = config.hidden_units
+        for name, p, shape in (("w_x", self.w_x, (1, 4 * hidden)),
+                               ("w_h", self.w_h, (hidden, 4 * hidden)),
+                               ("b", self.b, (4 * hidden,)),
+                               ("head_weight", self.head_w, (hidden, 1))):
+            if p.shape != shape:
+                raise ShapeError(f"{name} shape {p.shape} is not {shape}: one input and "
+                                 f"the config's {hidden} hidden units")
 
     @property
     def params(self) -> list[np.ndarray]:
-        """[w_x, w_h, b] per layer, then head_w and head_b as a (1,) array."""
-        out = [p for layer in self.layers for p in (layer.w_x, layer.w_h, layer.b)]
-        return out + [self.head_w, np.array([self.head_b], dtype=self.dtype)]
+        """w_x, w_h, b, head_w, and head_b as a (1,) array."""
+        return [self.w_x, self.w_h, self.b, self.head_w,
+                np.array([self.head_b], dtype=self.dtype)]
 
     @classmethod
     def from_params(cls, config: LstmConfig, params: list[np.ndarray],
                     scaler: MinMaxScaler) -> "LstmModel":
         """The model of a params list, in the params' dtype."""
-        layers = [LstmLayer(*params[i:i + 3], dtype=params[0].dtype)
-                  for i in range(0, len(params) - 2, 3)]
-        return cls(config, layers, params[-2], float(params[-1][0]), scaler)
+        *weights, head_b = params
+        return cls(config, *weights, float(head_b[0]), scaler, dtype=params[0].dtype)
 
     def with_scaler(self, scaler: MinMaxScaler) -> "LstmModel":
         """This model's weights, the same arrays, under another scaler."""
-        return LstmModel(self.config, self.layers, self.head_w, self.head_b, scaler)
+        return LstmModel(self.config, self.w_x, self.w_h, self.b, self.head_w, self.head_b,
+                         scaler, dtype=self.dtype)
 
     def to_json_dict(self, scalers: Mapping[str, MinMaxScaler], fitted_on: str) -> dict:
         """The weights, with the scaler of every service that forecasts through
@@ -143,8 +129,9 @@ class LstmModel:
             "fitted_on": fitted_on,
             "config": asdict(self.config),
             "scalers": {service: asdict(scaler) for service, scaler in scalers.items()},
-            "layers": [{"w_x": layer.w_x.tolist(), "w_h": layer.w_h.tolist(),
-                        "b": layer.b.tolist()} for layer in self.layers],
+            "w_x": self.w_x.tolist(),
+            "w_h": self.w_h.tolist(),
+            "b": self.b.tolist(),
             "head_weight": self.head_w.tolist(),
             "head_bias": self.head_b,
         }
@@ -155,24 +142,20 @@ class LstmModel:
         weights, which are cast to DTYPE here."""
         if check_value(d, dict, "lstm model").get("schema") != LSTM_SCHEMA:
             raise ValidationError(f"schema must be {LSTM_SCHEMA!r}, got {d.get('schema')!r}")
-        keys = ("schema", "fitted_on", "config", "scalers", "layers", "head_weight", "head_bias")
+        arrays = ("w_x", "w_h", "b", "head_weight")
+        keys = ("schema", "fitted_on", "config", "scalers", *arrays, "head_bias")
         check_keys(d, "lstm model", required=keys, allowed=keys)
-        layers, arrays = [], ("w_x", "w_h", "b")
-        for i, e in enumerate(check_value(d["layers"], list, "layers")):
-            check_keys(e, f"layers[{i}]", required=arrays, allowed=arrays)
-            layers.append(LstmLayer(*(float_array(e[k], f"layers[{i}].{k}", DTYPE)
-                                      for k in arrays)))
+        weights = [float_array(d[k], k, DTYPE) for k in arrays]
         scalers = {service: MinMaxScaler.from_dict(e, f"scalers.{service}")
                    for service, e in check_value(d["scalers"], dict, "scalers").items()}
         fitted_on = check_value(d["fitted_on"], str, "fitted_on")
         if fitted_on not in scalers:
             raise ValidationError(f"fitted_on {fitted_on!r} has no entry in scalers")
         config = read(LstmConfig, d["config"], "config")
-        head_w = float_array(d["head_weight"], "head_weight", DTYPE)
         head_b = check_value(d["head_bias"], float, "head_bias")
         if abs(head_b) > float(np.finfo(DTYPE).max):
             raise ValidationError(f"head_bias must be a finite float32 number, got {head_b!r}")
-        return {service: cls(config, layers, head_w, head_b, scaler)
+        return {service: cls(config, *weights, head_b, scaler)
                 for service, scaler in scalers.items()}
 
     def save(self, path: str | Path, scalers: Mapping[str, MinMaxScaler],
@@ -199,15 +182,12 @@ def make_windows(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _init_params(config: LstmConfig, rng: Rng) -> list[np.ndarray]:
-    """Glorot draws per gate in GATES order, fused column-wise; zero biases."""
-    params = []
-    d_in, hidden = 1, config.hidden_units
-    for _ in range(config.layers):
-        params.append(np.hstack([glorot_init(d_in, hidden, rng) for _ in GATES]))
-        params.append(np.hstack([glorot_init(hidden, hidden, rng) for _ in GATES]))
-        params.append(np.zeros(4 * hidden))
-        d_in = hidden
-    return params + [glorot_init(hidden, 1, rng), np.zeros(1)]
+    """LstmModel.params of a fresh model: Glorot draws per gate in GATES
+    order, fused column-wise, zero biases, then the head."""
+    hidden = config.hidden_units
+    return [np.hstack([glorot_init(1, hidden, rng) for _ in GATES]),
+            np.hstack([glorot_init(hidden, hidden, rng) for _ in GATES]),
+            np.zeros(4 * hidden), glorot_init(hidden, 1, rng), np.zeros(1)]
 
 
 @functools.cache
@@ -219,23 +199,15 @@ def _gate_scale(hidden: int, dtype: np.dtype) -> np.ndarray:
     return scale
 
 
-def _input_product(x, w_x, out) -> None:
-    """The gates' input term x @ w_x, for one step (n, d_in) or a sequence (k, n, d_in)."""
-    if w_x.shape[0] == 1:
-        # One input feature: the product has a single term per entry, which a
-        # broadcast multiply computes exactly, and faster than matmul.
-        np.multiply(x, w_x, out=out)
-    else:
-        np.matmul(x, w_x, out=out)
-
-
 def _lstm_step(h_prev, c_prev, w_h, b, a, tmp, c_out, tanh_c, h_out) -> None:
     """One fused-gate step for a batch, written into preallocated arrays.
 
-    a (n, 4H) holds the input term on entry (see _input_product) and the
-    activated gates on return; tanh_c (n, H) receives tanh of the new cell
-    state, and tmp (n, 4H) is scratch. c_out and h_out may be c_prev and
-    h_prev, which makes the step update a running state in place.
+    a (n, 4H) holds the input term x * w_x on entry and the activated gates
+    on return; tanh_c (n, H) receives tanh of the new cell state, and tmp
+    (n, 4H) is scratch. c_out and h_out may be c_prev and h_prev, which makes
+    the step update a running state in place. With one input feature the
+    input term has a single product per entry, which a broadcast multiply
+    computes exactly, and faster than matmul.
     """
     hidden = w_h.shape[0]
     np.matmul(h_prev, w_h, out=tmp)
@@ -258,44 +230,37 @@ def _forward_scaled(params: list[np.ndarray], x_seq: np.ndarray) -> np.ndarray:
     """Scaled one-step forecasts (n,) for scaled windows (n, k).
 
     params is the LstmModel.params list, and the forecasts have its dtype.
-    The recurrence walks the rows in blocks and keeps only each layer's
-    running state, carved from one pool sized for a block of at most BLOCK
-    rows, next to the block's windows cast to the weights' dtype; the head
-    then reads the top layer's last hidden state of every row in one product.
+    The recurrence walks the rows in blocks and keeps only the running state,
+    carved from one pool sized for a block of at most BLOCK rows, next to the
+    block's windows cast to the weights' dtype; the head then reads the last
+    hidden state of every row in one product.
     """
     n, k = x_seq.shape
-    layers = [params[i:i + 3] for i in range(0, len(params) - 2, 3)]
-    hidden = [w_h.shape[0] for _, w_h, _ in layers]
+    w_x, w_h, b, head_w, head_b = params
+    hidden = w_h.shape[0]
 
-    def shapes(m):  # the windows time-major, then per layer: h, c, gates, step scratch, tanh(c)
-        return [(k, m)] + [s for hid in hidden
-                           for s in ((m, hid), (m, hid), (m, 4 * hid), (m, 4 * hid), (m, hid))]
+    def shapes(m):  # the windows time-major, h, c, gates, step scratch, tanh(c)
+        return [(k, m), (m, hidden), (m, hidden), (m, 4 * hidden), (m, 4 * hidden),
+                (m, hidden)]
 
-    dtype = params[0].dtype
+    dtype = w_x.dtype
     # Scaled inputs beyond the dtype's range saturate at its largest finite
     # values instead of overflowing to inf: the gates saturate as they would
     # in float64, and a zero weight still zeroes the input, where inf * 0
     # would give NaN.
     big = float(np.finfo(dtype).max)
     pool = np.empty(sum(math.prod(s) for s in shapes(min(n, BLOCK))), dtype=dtype)
-    top = np.empty((n, hidden[-1]), dtype=dtype)
+    last = np.empty((n, hidden), dtype=dtype)
     for lo, hi in blocks(n):
-        windows, *views = carve(pool, shapes(hi - lo))
+        windows, h, c, a, tmp, tanh_c = carve(pool, shapes(hi - lo))
         np.clip(x_seq[lo:hi].T, -big, big, out=windows)
-        states = [views[i:i + 5] for i in range(0, len(views), 5)]
-        for h, c, *_ in states:
-            h.fill(0.0)
-            c.fill(0.0)
-        current = windows[:, :, None]  # (k, m, 1)
+        h.fill(0.0)
+        c.fill(0.0)
         for t in range(k):
-            x_t = current[t]
-            for (w_x, w_h, b), (h, c, a, tmp, tanh_c) in zip(layers, states):
-                _input_product(x_t, w_x, a)
-                _lstm_step(h, c, w_h, b, a, tmp, c, tanh_c, h)
-                x_t = h
-        top[lo:hi] = states[-1][0]
-    head_w, head_b = params[-2:]
-    return np.tanh(top @ head_w + head_b)[:, 0]
+            np.multiply(windows[t, :, None], w_x, out=a)
+            _lstm_step(h, c, w_h, b, a, tmp, c, tanh_c, h)
+        last[lo:hi] = h
+    return np.tanh(last @ head_w + head_b)[:, 0]
 
 
 class _Batch(NamedTuple):
@@ -304,8 +269,11 @@ class _Batch(NamedTuple):
     x: np.ndarray  # scaled windows (n, k)
     y: np.ndarray  # scaled targets (n,)
     x_tm: np.ndarray  # the windows time-major (k, n)
-    layers: list[tuple[np.ndarray, ...]]  # per layer: h, c, tanh(c), gates
-    dh_above: np.ndarray  # upstream gradient of the layer's outputs (k, n, H)
+    h: np.ndarray  # hidden states (k+1, n, H)
+    c: np.ndarray  # cell states (k+1, n, H)
+    tanh_c: np.ndarray  # (k, n, H)
+    gates: np.ndarray  # activated gates (k, n, 4H)
+    dh_above: np.ndarray  # the head's gradient of the hidden outputs (k, n, H)
     scratch: np.ndarray  # (k, n, H)
     tmp: np.ndarray  # forward step scratch (n, 4H)
     dcdh: np.ndarray  # a backward step's dc, dc, dh, dc (n, 4, H)
@@ -320,10 +288,10 @@ class _Workspace:
     batch, the remainder of an epoch, takes contiguous views of the pool's
     front, so each array has the layout a freshly allocated one would, and the
     arithmetic is the same.
-    Per layer the forward pass keeps the hidden and cell states h, c
-    (k+1, n, H) with the zero initial state at index 0, tanh of the cell
-    states (k, n, H) and the activated gates (k, n, 4H). The backward pass
-    writes the forget gate over c's first k states once it has read them.
+    The forward pass keeps the hidden and cell states h, c (k+1, n, H) with
+    the zero initial state at index 0, tanh of the cell states (k, n, H) and
+    the activated gates (k, n, 4H). The backward pass writes the forget gate
+    over c's first k states once it has read them.
     """
 
     def __init__(self, config: LstmConfig, rows: int, dtype):
@@ -333,17 +301,13 @@ class _Workspace:
 
     def _shapes(self, n: int) -> list[tuple[int, ...]]:
         k, hid = self.config.window, self.config.hidden_units
-        seq, step = (k, n, hid), (n, hid)
-        per_layer = [(k + 1, n, hid), (k + 1, n, hid), seq, (k, n, 4 * hid)] * self.config.layers
-        return ([(n, k), (n,), (k, n)] + per_layer + [seq, seq, (n, 4 * hid), (n, 4, hid)]
-                + [step] * 2)
+        seq, state, step = (k, n, hid), (k + 1, n, hid), (n, hid)
+        return [(n, k), (n,), (k, n), state, state, seq, (k, n, 4 * hid), seq, seq,
+                (n, 4 * hid), (n, 4, hid), step, step]
 
     def batch(self, n: int) -> _Batch:
         if n not in self._batches:
-            views = carve(self.pool, self._shapes(n))
-            top = 3 + 4 * self.config.layers
-            layers = [tuple(views[i:i + 4]) for i in range(3, top, 4)]
-            self._batches[n] = _Batch(*views[:3], layers, *views[top:])
+            self._batches[n] = _Batch(*carve(self.pool, self._shapes(n)))
         return self._batches[n]
 
 
@@ -354,87 +318,77 @@ def _loss_and_grads(params: list[np.ndarray], batch: _Batch,
     batch has the scaled windows and targets filled in, in the dtype of
     params, in which every step computes. Sequences are time-major.
     """
-    x_seq, targets, x_tm, caches = batch.x, batch.y, batch.x_tm, batch.layers
+    w_x, w_h, b, head_w, head_b = params
+    x_seq, targets, x_tm = batch.x, batch.y, batch.x_tm
+    h, c, tanh_c, gates = batch.h, batch.c, batch.tanh_c, batch.gates
     dh_above, scratch = batch.dh_above, batch.scratch
     tmp, dcdh_buf, dh_carry, dc_carry = batch.tmp, batch.dcdh, batch.dh_carry, batch.dc_carry
     n, k = x_seq.shape
-    n_layers = len(caches)
+    hid = w_h.shape[0]
     np.copyto(x_tm, x_seq.T)
 
-    current = x_seq.T[:, :, None]  # (k, n, 1)
-    for li, (h, c, tanh_c, gates) in enumerate(caches):
-        w_x, w_h, b = params[3 * li:3 * li + 3]
-        h[0] = 0.0
-        c[0] = 0.0
-        _input_product(current, w_x, gates)
-        for t in range(k):
-            _lstm_step(h[t], c[t], w_h, b, gates[t], tmp, c[t + 1], tanh_c[t], h[t + 1])
-        current = h[1:]
-    head_w, head_b = params[-2:]
-    yhat = np.tanh(current[-1] @ head_w + head_b)[:, 0]
+    h[0] = 0.0
+    c[0] = 0.0
+    np.multiply(x_seq.T[:, :, None], w_x, out=gates)  # the input terms (k, n, 4H)
+    for t in range(k):
+        _lstm_step(h[t], c[t], w_h, b, gates[t], tmp, c[t + 1], tanh_c[t], h[t + 1])
+    yhat = np.tanh(h[-1] @ head_w + head_b)[:, 0]
     err = yhat - targets
     loss = float(np.mean(err ** 2))
 
     dz = (2.0 * err / n * (1.0 - yhat ** 2))[:, None]  # (n, 1)
-    np.matmul(current[-1].T, dz, out=grads[-2])
-    np.sum(dz, axis=0, out=grads[-1])
-    # Gradient flowing into each timestep's hidden output of the layer being
-    # processed; starts as the head's contribution to the top layer.
+    np.matmul(h[-1].T, dz, out=grads[3])
+    np.sum(dz, axis=0, out=grads[4])
+    # Gradient flowing into each timestep's hidden output: the head reads
+    # only the last one.
     dh_above[:-1] = 0.0
     np.matmul(dz, head_w.T, out=dh_above[-1])
 
-    for li in range(n_layers - 1, -1, -1):
-        w_x, w_h, _ = params[3 * li:3 * li + 3]
-        h, c, tanh_c, gates = caches[li]
-        hid = w_h.shape[0]
-        gi, gf, go, gg = (gates[..., j * hid:(j + 1) * hid] for j in range(4))
-        # In place, tanh(c) becomes dc/dh = go * (1 - tanh(c)**2), and the
-        # gates become the gate pre-activation gradients per unit of dc
-        # (input, forget, candidate) or of dh (output):
-        # gg*gi*(1-gi), c_prev*gf*(1-gf), tanh(c)*go*(1-go), gi*(1-gg**2).
-        np.multiply(tanh_c, go, out=scratch)
-        dc_dh = tanh_c
-        np.square(tanh_c, out=dc_dh)
-        np.subtract(1.0, dc_dh, out=dc_dh)
-        dc_dh *= go
-        np.subtract(1.0, go, out=go)
-        go *= scratch
-        np.multiply(c[:-1], gf, out=scratch)
-        # That was the last read of the previous cell states: the forget
-        # gate, which the backward steps still need, takes their place.
-        forget = c[:-1]
-        np.copyto(forget, gf)
-        np.subtract(1.0, gf, out=gf)
-        gf *= scratch
-        np.multiply(gg, gi, out=scratch)
-        np.square(gg, out=gg)
-        np.subtract(1.0, gg, out=gg)
-        gg *= gi
-        np.subtract(1.0, gi, out=gi)
-        gi *= scratch
-        # Step by step, backwards, the derivatives become the gradients da:
-        # each gate block times dc, the output block times dh.
-        da = gates
-        dcdh = dcdh_buf.reshape(n, 4 * hid)
-        dh, dc = dcdh_buf[:, 2], dcdh_buf[:, 3]
-        dh_carry.fill(0.0)
-        dc_carry.fill(0.0)
-        for t in range(k - 1, -1, -1):
-            np.add(dh_above[t], dh_carry, out=dh)
-            np.multiply(dh, dc_dh[t], out=dc)
-            dc += dc_carry
-            dcdh_buf[:, :2] = dc[:, None, :]
-            da[t] *= dcdh
-            if t:  # step 0's carries would flow into the zero initial state
-                np.multiply(dc, forget[t], out=dc_carry)
-                np.matmul(da[t], w_h.T, out=dh_carry)
-        layer_in = caches[li - 1][0][1:] if li else x_tm
-        flat_da = da.reshape(k * n, 4 * hid)
-        np.matmul(layer_in.reshape(k * n, w_x.shape[0]).T, flat_da, out=grads[3 * li])
-        np.matmul(h[:-1].reshape(k * n, hid).T, flat_da, out=grads[3 * li + 1])
-        np.sum(da, axis=(0, 1), out=grads[3 * li + 2])
-        if li:  # the bottom layer's input gradient has no reader
-            np.matmul(da, w_x.T, out=dh_above)
+    gi, gf, go, gg = (gates[..., j * hid:(j + 1) * hid] for j in range(4))
+    # In place, tanh(c) becomes dc/dh = go * (1 - tanh(c)**2), and the
+    # gates become the gate pre-activation gradients per unit of dc
+    # (input, forget, candidate) or of dh (output):
+    # gg*gi*(1-gi), c_prev*gf*(1-gf), tanh(c)*go*(1-go), gi*(1-gg**2).
+    np.multiply(tanh_c, go, out=scratch)
+    dc_dh = tanh_c
+    np.square(tanh_c, out=dc_dh)
+    np.subtract(1.0, dc_dh, out=dc_dh)
+    dc_dh *= go
+    np.subtract(1.0, go, out=go)
+    go *= scratch
+    np.multiply(c[:-1], gf, out=scratch)
+    # That was the last read of the previous cell states: the forget
+    # gate, which the backward steps still need, takes their place.
+    forget = c[:-1]
+    np.copyto(forget, gf)
+    np.subtract(1.0, gf, out=gf)
+    gf *= scratch
+    np.multiply(gg, gi, out=scratch)
+    np.square(gg, out=gg)
+    np.subtract(1.0, gg, out=gg)
+    gg *= gi
+    np.subtract(1.0, gi, out=gi)
+    gi *= scratch
+    # Step by step, backwards, the derivatives become the gradients da:
+    # each gate block times dc, the output block times dh.
+    da = gates
+    dcdh = dcdh_buf.reshape(n, 4 * hid)
+    dh, dc = dcdh_buf[:, 2], dcdh_buf[:, 3]
+    dh_carry.fill(0.0)
+    dc_carry.fill(0.0)
+    for t in range(k - 1, -1, -1):
+        np.add(dh_above[t], dh_carry, out=dh)
+        np.multiply(dh, dc_dh[t], out=dc)
+        dc += dc_carry
+        dcdh_buf[:, :2] = dc[:, None, :]
+        da[t] *= dcdh
+        if t:  # step 0's carries would flow into the zero initial state
+            np.multiply(dc, forget[t], out=dc_carry)
+            np.matmul(da[t], w_h.T, out=dh_carry)
+    flat_da = da.reshape(k * n, 4 * hid)
+    np.matmul(x_tm.reshape(k * n, 1).T, flat_da, out=grads[0])
+    np.matmul(h[:-1].reshape(k * n, hid).T, flat_da, out=grads[1])
+    np.sum(da, axis=(0, 1), out=grads[2])
     return loss
 
 

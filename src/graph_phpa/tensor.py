@@ -31,7 +31,10 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 # Items per block of a whole-window pass. A block holds at least half of it
 # unless the whole input is smaller, so a product over a block has at least
 # 128 rows: OpenBLAS takes its general matrix path for it, as it would over all
-# the items at once, not a path for one or a few rows.
+# the items at once, not a path for one or a few rows. An input under 128 rows
+# is one block of its own size, and there sgemm may round otherwise: products
+# of 2 and 7 rows gave other float32 bits than one of 300 rows (OpenBLAS
+# 0.3.31, x86-64), and numpy takes gemv for one row.
 BLOCK = 256
 
 
@@ -438,6 +441,8 @@ class MinMaxScaler:
         lo, hi, out_lo, out_hi = (float(check_value(d[k], float, f"{where}.{k}")) for k in keys)
         if not out_lo < out_hi:  # inverse_transform divides by the output range
             raise ValidationError(f"{where}.out_lo {out_lo} must be below {where}.out_hi {out_hi}")
+        if lo > hi:  # fit never writes one; it would forecast mirrored
+            raise ValidationError(f"{where}.lo {lo} must not be above {where}.hi {hi}")
         return cls(lo, hi, out_lo, out_hi)
 
 

@@ -121,36 +121,32 @@ def _column(matrix, j):
     return [row[j] for row in matrix]
 
 
-def lstm_forward_oracle(layers, head_w, head_b, window):
-    """Step-by-step stacked LSTM recurrence on one scaled window.
+def lstm_forward_oracle(layer, head_w, head_b, window):
+    """Step-by-step LSTM recurrence on one scaled window.
 
-    layers: list of dicts {"w": {gate: rows}, "u": {...}, "b": {...}} with
-    gates named input/forget/output/candidate; head_w is a column as a flat
-    list. Returns tanh(h_last . head_w + head_b).
+    layer: a dict {"w": {gate: rows}, "u": {...}, "b": {...}} with gates named
+    input/forget/output/candidate; head_w is a column as a flat list. Returns
+    tanh(h_last . head_w + head_b).
     """
-    xs = [[float(v)] for v in window]
-    for layer in layers:
-        hidden = len(layer["b"]["input"])
-        h = [0.0] * hidden
-        c = [0.0] * hidden
-        outputs = []
-        for x in xs:
-            gates = {}
-            for name in ("input", "forget", "output", "candidate"):
-                pre = [_dot(x, _column(layer["w"][name], j))
-                       + _dot(h, _column(layer["u"][name], j))
-                       + layer["b"][name][j]
-                       for j in range(hidden)]
-                if name == "candidate":
-                    gates[name] = [math.tanh(p) for p in pre]
-                else:
-                    gates[name] = [_sigmoid(p) for p in pre]
-            c = [gates["forget"][j] * c[j] + gates["input"][j] * gates["candidate"][j]
-                 for j in range(hidden)]
-            h = [gates["output"][j] * math.tanh(c[j]) for j in range(hidden)]
-            outputs.append(h)
-        xs = outputs
-    z = _dot(xs[-1], head_w) + head_b
+    hidden = len(layer["b"]["input"])
+    h = [0.0] * hidden
+    c = [0.0] * hidden
+    for v in window:
+        x = [float(v)]
+        gates = {}
+        for name in ("input", "forget", "output", "candidate"):
+            pre = [_dot(x, _column(layer["w"][name], j))
+                   + _dot(h, _column(layer["u"][name], j))
+                   + layer["b"][name][j]
+                   for j in range(hidden)]
+            if name == "candidate":
+                gates[name] = [math.tanh(p) for p in pre]
+            else:
+                gates[name] = [_sigmoid(p) for p in pre]
+        c = [gates["forget"][j] * c[j] + gates["input"][j] * gates["candidate"][j]
+             for j in range(hidden)]
+        h = [gates["output"][j] * math.tanh(c[j]) for j in range(hidden)]
+    z = _dot(h, head_w) + head_b
     return math.tanh(z)
 
 
@@ -665,81 +661,70 @@ def pods_chart_svg_oracle(logs, service):
 
 
 def lstm_forward_scaled_oracle(params, x_seq, keep_cache=False):
-    """Run the stacked recurrence on scaled windows (batch, k); returns (yhat, cache).
+    """Run the recurrence on scaled windows (batch, k); returns (yhat, cache).
 
     params is the LstmModel.params list; the recurrence runs in its dtype, to
     which x_seq is cast. Sequences are time-major. With keep_cache the cache
-    holds, per layer, the input sequence (k, batch, d_in), the hidden and cell
-    states h, c (k+1, batch, H) with the zero initial state at index 0, and
-    the activated gates (k, batch, 4H).
+    holds the input sequence (k, batch, 1), the hidden and cell states h, c
+    (k+1, batch, H) with the zero initial state at index 0, and the activated
+    gates (k, batch, 4H).
     """
-    dtype = params[0].dtype
+    w_x, w_h, b, head_w, head_b = params
+    dtype = w_x.dtype
     batch, k = x_seq.shape
-    current = np.asarray(x_seq, dtype=dtype).T[:, :, None]  # (k, batch, 1)
-    cache = []
-    for li in range(0, len(params) - 2, 3):
-        w_x, w_h, b = params[li:li + 3]
-        hidden = w_h.shape[0]
-        h = np.zeros((k + 1, batch, hidden), dtype=dtype)
-        c = np.zeros((batch, hidden), dtype=dtype)
-        cells, gates = [c], []
-        for t in range(k):
-            a = current[t] @ w_x
-            a += h[t] @ w_h
-            a += b
-            a[:, :3 * hidden] = _sigmoid_array(a[:, :3 * hidden])
-            np.tanh(a[:, 3 * hidden:], out=a[:, 3 * hidden:])
-            gi, gf, go, gg = a.reshape(batch, 4, hidden).swapaxes(0, 1)
-            c = gf * c + gi * gg
-            h[t + 1] = go * np.tanh(c)
-            if keep_cache:
-                cells.append(c)
-                gates.append(a)
+    x = np.asarray(x_seq, dtype=dtype).T[:, :, None]  # (k, batch, 1)
+    hidden = w_h.shape[0]
+    h = np.zeros((k + 1, batch, hidden), dtype=dtype)
+    c = np.zeros((batch, hidden), dtype=dtype)
+    cells, gates = [c], []
+    for t in range(k):
+        a = x[t] @ w_x
+        a += h[t] @ w_h
+        a += b
+        a[:, :3 * hidden] = _sigmoid_array(a[:, :3 * hidden])
+        np.tanh(a[:, 3 * hidden:], out=a[:, 3 * hidden:])
+        gi, gf, go, gg = a.reshape(batch, 4, hidden).swapaxes(0, 1)
+        c = gf * c + gi * gg
+        h[t + 1] = go * np.tanh(c)
         if keep_cache:
-            cache.append((current, h, np.stack(cells), np.stack(gates)))
-        current = h[1:]
-    head_w, head_b = params[-2:]
-    yhat = np.tanh(current[-1] @ head_w + head_b)[:, 0]
+            cells.append(c)
+            gates.append(a)
+    cache = (x, h, np.stack(cells), np.stack(gates)) if keep_cache else None
+    yhat = np.tanh(h[-1] @ head_w + head_b)[:, 0]
     return yhat, cache
 
 
 def lstm_loss_and_grads_oracle(params, x_seq, targets):
     """Mean squared error over the batch plus one gradient per entry of params,
     in the dtype of params, to which the windows and targets are cast."""
-    dtype = params[0].dtype
+    w_x, w_h, _, head_w, _ = params
+    dtype = w_x.dtype
     batch, k = x_seq.shape
-    yhat, cache = lstm_forward_scaled_oracle(params, x_seq, keep_cache=True)
+    yhat, (x, h, c, gates) = lstm_forward_scaled_oracle(params, x_seq, keep_cache=True)
     err = yhat - np.asarray(targets, dtype=dtype)
     loss = float(np.mean(err ** 2))
 
     dz = (2.0 * err / batch * (1.0 - yhat ** 2))[:, None]  # (batch, 1)
-    head_w = params[-2]
-    grads = [cache[-1][1][-1].T @ dz, dz.sum(axis=0)]
     dh_above = np.zeros((k, batch, head_w.shape[0]), dtype=dtype)
     dh_above[-1] = dz @ head_w.T
 
-    for li in range(len(cache) - 1, -1, -1):
-        w_x, w_h, _ = params[3 * li:3 * li + 3]
-        x, h, c, gates = cache[li]
-        gi, gf, go, gg = np.moveaxis(gates.reshape(k, batch, 4, -1), 2, 0)
-        tanh_c = np.tanh(c[1:])
-        dc_dh = go * (1.0 - tanh_c ** 2)
-        local = np.concatenate([gg * gi * (1.0 - gi), c[:-1] * gf * (1.0 - gf),
-                                tanh_c * go * (1.0 - go), gi * (1.0 - gg ** 2)], axis=2)
-        da = np.empty_like(gates)
-        dh_carry = np.zeros((batch, w_h.shape[0]), dtype=dtype)
-        dc_carry = np.zeros((batch, w_h.shape[0]), dtype=dtype)
-        for t in range(k - 1, -1, -1):
-            dh = dh_above[t] + dh_carry
-            dc = dc_carry + dh * dc_dh[t]
-            np.multiply(np.concatenate([dc, dc, dh, dc], axis=1), local[t], out=da[t])
-            dc_carry = dc * gf[t]
-            dh_carry = da[t] @ w_h.T
-        grads[:0] = [np.tensordot(x, da, axes=([0, 1], [0, 1])),
-                     np.tensordot(h[:-1], da, axes=([0, 1], [0, 1])),
-                     da.sum(axis=(0, 1))]
-        dh_above = da @ w_x.T
-    return loss, grads
+    gi, gf, go, gg = np.moveaxis(gates.reshape(k, batch, 4, -1), 2, 0)
+    tanh_c = np.tanh(c[1:])
+    dc_dh = go * (1.0 - tanh_c ** 2)
+    local = np.concatenate([gg * gi * (1.0 - gi), c[:-1] * gf * (1.0 - gf),
+                            tanh_c * go * (1.0 - go), gi * (1.0 - gg ** 2)], axis=2)
+    da = np.empty_like(gates)
+    dh_carry = np.zeros((batch, w_h.shape[0]), dtype=dtype)
+    dc_carry = np.zeros((batch, w_h.shape[0]), dtype=dtype)
+    for t in range(k - 1, -1, -1):
+        dh = dh_above[t] + dh_carry
+        dc = dc_carry + dh * dc_dh[t]
+        np.multiply(np.concatenate([dc, dc, dh, dc], axis=1), local[t], out=da[t])
+        dc_carry = dc * gf[t]
+        dh_carry = da[t] @ w_h.T
+    return loss, [np.tensordot(x, da, axes=([0, 1], [0, 1])),
+                  np.tensordot(h[:-1], da, axes=([0, 1], [0, 1])),
+                  da.sum(axis=(0, 1)), h[-1].T @ dz, dz.sum(axis=0)]
 
 
 def adam_step_oracle(param, grad, state):

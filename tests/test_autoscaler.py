@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from graph_phpa.autoscaler import ScalingBounds, predict_demand, size_pods
 from graph_phpa.errors import ShapeError, ValidationError
-from graph_phpa.forecast_lstm import LstmConfig, LstmLayer, LstmModel
+from graph_phpa.forecast_lstm import LstmConfig, LstmModel
 from graph_phpa.predict_gcn import GcnConfig, GcnModel, ServiceGraph
 from graph_phpa.tensor import MinMaxScaler, Rng, glorot_init
 from conftest import traced_peak
@@ -151,10 +151,9 @@ def constant_forecaster(k: int, constant_scaled: float) -> LstmModel:
     pipeline can be checked by hand.
     """
     hidden = 2
-    zeros = LstmLayer(np.zeros((1, 4 * hidden)), np.zeros((hidden, 4 * hidden)),
-                      np.zeros(4 * hidden))
     bias = math.atanh(constant_scaled)
-    return LstmModel(LstmConfig(window=k, hidden_units=hidden), [zeros],
+    return LstmModel(LstmConfig(window=k, hidden_units=hidden), np.zeros((1, 4 * hidden)),
+                     np.zeros((hidden, 4 * hidden)), np.zeros(4 * hidden),
                      np.zeros((hidden, 1)), bias, MinMaxScaler(-1.0, 1.0, -1.0, 1.0))
 
 
@@ -268,12 +267,12 @@ def random_pipeline(seed: int, k: int, graph: ServiceGraph = CHAIN, hidden: int 
     models = {}
     for i, service in enumerate(graph.nodes):
         r = rng.child(i)
-        layer = LstmLayer(r.normal(0.0, 0.5, (1, 4 * hidden)),
-                          r.normal(0.0, 0.5, (hidden, 4 * hidden)),
-                          r.normal(0.0, 0.1, (4 * hidden,)), dtype=dtype)
-        models[service] = LstmModel(LstmConfig(window=k, hidden_units=hidden), [layer],
+        models[service] = LstmModel(LstmConfig(window=k, hidden_units=hidden),
+                                    r.normal(0.0, 0.5, (1, 4 * hidden)),
+                                    r.normal(0.0, 0.5, (hidden, 4 * hidden)),
+                                    r.normal(0.0, 0.1, (4 * hidden,)),
                                     r.normal(0.0, 0.5, (hidden, 1)), 0.1,
-                                    MinMaxScaler(0.0, 400.0))
+                                    MinMaxScaler(0.0, 400.0), dtype=dtype)
     weights = [glorot_init(k, gcn_hidden, rng), glorot_init(gcn_hidden, 1, rng)]
     gcn = GcnModel(GcnConfig(window=k, hidden=(gcn_hidden,), epochs=1), graph.nodes, weights,
                    MinMaxScaler(0.0, 400.0, 0.0, 1.0),

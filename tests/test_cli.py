@@ -16,7 +16,7 @@ from graph_phpa import cli, tensor
 from graph_phpa.cluster_sim import SimulationLog
 from graph_phpa.config import ExperimentConfig, TraceSpec
 from graph_phpa.errors import DivergenceError
-from graph_phpa.forecast_lstm import (LstmConfig, LstmLayer, LstmModel, forecast_rates,
+from graph_phpa.forecast_lstm import (LstmConfig, LstmModel, forecast_rates,
                                       make_windows, predict_windows, train_lstm)
 from graph_phpa.predict_gcn import GcnModel, build_resource_dataset, scale_targets
 from graph_phpa.report import load_run
@@ -27,16 +27,9 @@ from oracles import assert_bitwise_equal, gcn_forward_scaled_oracle, lstm_forwar
 def negative_forecaster(k: int) -> LstmModel:
     """Zero-weight LSTM pinned to -0.9 in scaled units: -6.25 rps on a 0-100 scale."""
     hidden = 2
-    layer = LstmLayer(np.zeros((1, 4 * hidden)), np.zeros((hidden, 4 * hidden)),
-                      np.zeros(4 * hidden))
-    return LstmModel(LstmConfig(window=k, hidden_units=hidden), [layer],
+    return LstmModel(LstmConfig(window=k, hidden_units=hidden), np.zeros((1, 4 * hidden)),
+                     np.zeros((hidden, 4 * hidden)), np.zeros(4 * hidden),
                      np.zeros((hidden, 1)), math.atanh(-0.9), MinMaxScaler(0.0, 100.0))
-
-
-def zero_lstm_layer(d_in: int, hidden: int) -> dict:
-    """One model-file layer of zero weights with d_in inputs."""
-    return {"w_x": [[0.0] * (4 * hidden)] * d_in, "w_h": [[0.0] * (4 * hidden)] * hidden,
-            "b": [0.0] * (4 * hidden)}
 
 
 class TestGenTrace:
@@ -214,13 +207,14 @@ class TestTraining:
         code = run_cli("train-resource", "--config", tiny_config_path,
                        "--models", str(tmp_path), "--out", str(tmp_path / "out"))
         assert code == 2
-        assert f"cannot read {tmp_path / 'lstm.json'}: no such file" in capsys.readouterr().err
+        assert f"cannot read {tmp_path / 'lstm.json'}: No such file" in capsys.readouterr().err
 
     def test_per_service_forecaster_files_exit_2(self, tiny_config_path, tiny_models_dir,
                                                  tmp_path, capsys):
         # Schema v2 kept one lstm_<service>.json per service. Neither those
-        # files nor a v2 document named lstm.json is read; the message names
-        # the file and the schema train-workload writes now.
+        # files nor a v2 document named lstm.json is read: the first is a
+        # missing lstm.json, and the second names the schema train-workload
+        # writes now.
         models = tmp_path / "models"
         shutil.copytree(tiny_models_dir, models)
         lstm = models / "lstm.json"
@@ -237,15 +231,28 @@ class TestTraining:
                   "--models", str(models), "--out", str(tmp_path / "run"))]
         for argv in argvs:
             assert run_cli(*argv) == 2
-            err = capsys.readouterr().err
-            assert err.startswith(f"error: cannot read {lstm}: no such file")
-            assert "graph-phpa/lstm-model/v4" in err
+            assert capsys.readouterr().err == (
+                f"error: cannot read {lstm}: No such file or directory\n")
         shutil.copy(models / "lstm_front.json", lstm)
         for argv in argvs:
             assert run_cli(*argv) == 2
             assert capsys.readouterr().err == (
-                f"error: {lstm}: schema must be 'graph-phpa/lstm-model/v4', "
+                f"error: {lstm}: schema must be 'graph-phpa/lstm-model/v5', "
                 f"got 'graph-phpa/lstm-model/v2'\n")
+        assert not (tmp_path / "out").exists() and not (tmp_path / "run").exists()
+
+    @staticmethod
+    def assert_old_schema_exits_2(config, models: Path, tmp_path: Path, capsys, doc: dict):
+        lstm = models / "lstm.json"
+        lstm.write_text(json.dumps(doc), encoding="utf-8")
+        for argv in [("train-resource", "--config", config, "--models", str(models),
+                      "--out", str(tmp_path / "out")),
+                     ("simulate", "--config", config, "--policy", "phpa",
+                      "--models", str(models), "--out", str(tmp_path / "run"))]:
+            assert run_cli(*argv) == 2
+            assert capsys.readouterr().err == (
+                f"error: {lstm}: schema must be 'graph-phpa/lstm-model/v5', "
+                f"got {doc['schema']!r}\n")
         assert not (tmp_path / "out").exists() and not (tmp_path / "run").exists()
 
     def test_float64_forecaster_file_exits_2(self, tiny_config_path, tiny_models_dir,
@@ -254,20 +261,23 @@ class TestTraining:
         # differently without a word, so a v3 file must be retrained.
         models = tmp_path / "models"
         shutil.copytree(tiny_models_dir, models)
-        lstm = models / "lstm.json"
-        doc = json.loads(lstm.read_text(encoding="utf-8"))
-        assert doc["schema"] == "graph-phpa/lstm-model/v4"
-        lstm.write_text(json.dumps(dict(doc, schema="graph-phpa/lstm-model/v3")),
-                        encoding="utf-8")
-        for argv in [("train-resource", "--config", tiny_config_path, "--models", str(models),
-                      "--out", str(tmp_path / "out")),
-                     ("simulate", "--config", tiny_config_path, "--policy", "phpa",
-                      "--models", str(models), "--out", str(tmp_path / "run"))]:
-            assert run_cli(*argv) == 2
-            assert capsys.readouterr().err == (
-                f"error: {lstm}: schema must be 'graph-phpa/lstm-model/v4', "
-                f"got 'graph-phpa/lstm-model/v3'\n")
-        assert not (tmp_path / "out").exists() and not (tmp_path / "run").exists()
+        doc = json.loads((models / "lstm.json").read_text(encoding="utf-8"))
+        assert doc["schema"] == "graph-phpa/lstm-model/v5"
+        self.assert_old_schema_exits_2(tiny_config_path, models, tmp_path, capsys,
+                                       dict(doc, schema="graph-phpa/lstm-model/v3"))
+
+    def test_list_of_layers_file_exits_2(self, tiny_config_path, tiny_models_dir, tmp_path,
+                                         capsys):
+        # Schema v4 listed the weights per layer and its config named the
+        # number of layers; v5 holds its one layer's weights at the top level.
+        models = tmp_path / "models"
+        shutil.copytree(tiny_models_dir, models)
+        doc = json.loads((models / "lstm.json").read_text(encoding="utf-8"))
+        layer = {key: doc.pop(key) for key in ("w_x", "w_h", "b")}
+        doc["config"]["layers"] = 1
+        self.assert_old_schema_exits_2(tiny_config_path, models, tmp_path, capsys,
+                                       dict(doc, schema="graph-phpa/lstm-model/v4",
+                                            layers=[layer]))
 
 
 class TestConcurrentTraining:
@@ -382,15 +392,18 @@ class TestMalformedModelFiles:
         pytest.param("lstm.json", lambda doc: doc["config"].update(window="5"),
                      "config.window must be an integer, got '5'", id="lstm-window-string"),
         pytest.param("lstm.json", lambda doc: doc.update(layers=5),
-                     "layers must be a list", id="lstm-layers-number"),
+                     "unknown key 'layers' in lstm model", id="lstm-layers-number"),
         pytest.param("lstm.json", lambda doc: doc.update(head_bias=[1.0]),
                      "head_bias must be a finite number", id="lstm-head-bias-list"),
         pytest.param("lstm.json", lambda doc: doc["scalers"]["back"].update(lo="a"),
                      "scalers.back.lo must be a finite number, got 'a'", id="scaler-lo-string"),
         pytest.param("lstm.json", lambda doc: doc["scalers"]["back"].update(lo=float("nan")),
                      "scalers.back.lo must be a finite number, got nan", id="scaler-lo-nan"),
-        pytest.param("lstm.json", lambda doc: doc["layers"][0]["w_h"][1].pop(),
-                     "layers[0].w_h must be a rectangular array", id="lstm-ragged-w_h"),
+        pytest.param("lstm.json", lambda doc: doc["w_h"][1].pop(),
+                     "w_h must be a rectangular array", id="lstm-ragged-w_h"),
+        pytest.param("lstm.json", lambda doc: doc["w_x"][0].__setitem__(0, 1e39),
+                     "w_x must be a rectangular array of finite float32 numbers",
+                     id="lstm-weight-beyond-float32"),
         pytest.param("lstm.json", lambda doc: doc["scalers"].pop("back"),
                      "scalers for ['front'] are not for the config's graph.nodes "
                      "['front', 'back']", id="lstm-scalers-missing-a-node"),
@@ -399,27 +412,20 @@ class TestMalformedModelFiles:
                      "['front', 'back']", id="lstm-scalers-of-another-node"),
         pytest.param("lstm.json", lambda doc: doc.update(fitted_on="side"),
                      "fitted_on 'side' has no entry in scalers", id="lstm-fitted-on-no-scaler"),
-        # Layers that do not chain, or that are not the config's. These loaded,
-        # and the replay ended in numpy's matmul ValueError.
-        pytest.param("lstm.json", lambda doc: (
-            doc["config"].update(hidden_units=50),
-            doc.update(layers=[zero_lstm_layer(1, 2), zero_lstm_layer(3, 2)],
-                       head_weight=[[0.0]] * 2)),
-                     "layer (input, hidden) sizes [(1, 2), (3, 2)] do not chain the config's "
-                     "layer widths (1, 50)", id="lstm-layers-not-chained"),
-        pytest.param("lstm.json", lambda doc: doc["layers"][0]["w_x"].append(
-            doc["layers"][0]["w_x"][0]),
-                     "layer (input, hidden) sizes [(2, 6)] do not chain the config's "
-                     "layer widths (1, 6)", id="lstm-first-layer-two-inputs"),
-        pytest.param("lstm.json", lambda doc: doc["layers"].append(zero_lstm_layer(6, 6)),
-                     "layer (input, hidden) sizes [(1, 6), (6, 6)] do not chain the config's "
-                     "layer widths (1, 6)", id="lstm-more-layers-than-config"),
+        # Weights that are not one layer of the config's hidden units. These
+        # loaded, and the replay ended in numpy's matmul ValueError.
+        pytest.param("lstm.json", lambda doc: doc["w_x"].append(doc["w_x"][0]),
+                     "w_x shape (2, 24) is not (1, 24): one input and the config's 6 hidden "
+                     "units", id="lstm-first-layer-two-inputs"),
+        pytest.param("lstm.json", lambda doc: doc["w_x"][0].pop(),
+                     "w_x shape (1, 23) is not (1, 24)", id="lstm-w_x-wrong-width"),
+        pytest.param("lstm.json", lambda doc: doc["b"].pop(),
+                     "b shape (23,) is not (24,)", id="lstm-b-wrong-length"),
         pytest.param("lstm.json", lambda doc: doc["config"].update(layers=2),
-                     "layer (input, hidden) sizes [(1, 6)] do not chain the config's "
-                     "layer widths (1, 6, 6)", id="lstm-fewer-layers-than-config"),
+                     "unknown key 'layers' in config", id="lstm-fewer-layers-than-config"),
         pytest.param("lstm.json", lambda doc: doc["config"].update(hidden_units=7),
-                     "layer (input, hidden) sizes [(1, 6)] do not chain the config's "
-                     "layer widths (1, 7)", id="lstm-other-hidden-units"),
+                     "w_x shape (1, 24) is not (1, 28): one input and the config's 7 hidden "
+                     "units", id="lstm-other-hidden-units"),
         pytest.param("lstm.json", lambda doc: doc.update(head_bias=1e39),
                      "head_bias must be a finite float32 number, got 1e+39",
                      id="lstm-head-bias-beyond-float32"),
@@ -441,6 +447,13 @@ class TestMalformedModelFiles:
         pytest.param("gcn.json", lambda doc: doc["target_scalers"][0].update(out_lo=1.0),
                      "target_scalers[0].out_lo 1.0 must be below target_scalers[0].out_hi 1.0",
                      id="scaler-empty-output-range"),
+        # An inverted scaler loaded and forecast mirrored.
+        pytest.param("gcn.json", lambda doc: doc["target_scalers"][1].update(lo=5.0, hi=1.0),
+                     "target_scalers[1].lo 5.0 must not be above target_scalers[1].hi 1.0",
+                     id="scaler-inverted"),
+        pytest.param("lstm.json", lambda doc: doc["scalers"]["back"].update(lo=5.0, hi=1.0),
+                     "scalers.back.lo 5.0 must not be above scalers.back.hi 1.0",
+                     id="lstm-scaler-inverted"),
     ])
     def test_value_of_the_wrong_type(self, tiny_config_path, tiny_models_dir, tmp_path, capsys,
                                      name, edit, message):

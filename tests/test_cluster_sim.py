@@ -31,7 +31,7 @@ from graph_phpa.cluster_sim import (
 )
 from graph_phpa.config import ExperimentConfig
 from graph_phpa.errors import ValidationError
-from graph_phpa.forecast_lstm import LstmConfig, LstmLayer, LstmModel
+from graph_phpa.forecast_lstm import LstmConfig, LstmModel
 from graph_phpa.predict_gcn import GcnConfig, GcnModel, ServiceGraph
 from graph_phpa.tensor import BLOCK, MinMaxScaler
 from graph_phpa.traces import WorkloadTrace
@@ -629,9 +629,8 @@ class TestDecisionsCsv:
 def fixed_forecaster(k: int, value: float) -> LstmModel:
     """Zero-weight LSTM whose head bias pins the output to a constant."""
     hidden = 2
-    layer = LstmLayer(np.zeros((1, 4 * hidden)), np.zeros((hidden, 4 * hidden)),
-                      np.zeros(4 * hidden))
-    return LstmModel(LstmConfig(window=k, hidden_units=hidden), [layer],
+    return LstmModel(LstmConfig(window=k, hidden_units=hidden), np.zeros((1, 4 * hidden)),
+                     np.zeros((hidden, 4 * hidden)), np.zeros(4 * hidden),
                      np.zeros((hidden, 1)), math.atanh(value),
                      MinMaxScaler(-1.0, 1.0, -1.0, 1.0))
 

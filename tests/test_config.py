@@ -100,9 +100,11 @@ class TestParsing:
     @pytest.mark.parametrize("section, key, value", [
         ("graph", "edges", [["front", "back"]]),
         ("gcn", "window", 5),
+        ("lstm", "layers", 1),
     ])
     def test_retired_keys_exit_2_naming_the_key(self, section, key, value, tmp_path, capsys):
-        # graph.edges restated demand.fan_out, and gcn.window restated lstm.window.
+        # graph.edges restated demand.fan_out, gcn.window restated lstm.window,
+        # and the forecaster has one LSTM layer.
         from conftest import TINY_CONFIG, run_cli
         d = copy.deepcopy(TINY_CONFIG)
         d[section][key] = value

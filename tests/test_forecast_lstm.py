@@ -24,7 +24,6 @@ from graph_phpa.forecast_lstm import (
     GATES,
     LSTM_SCHEMA,
     LstmConfig,
-    LstmLayer,
     LstmModel,
     _init_params,
     _loss_and_grads,
@@ -52,20 +51,15 @@ def forecast_one(model: LstmModel, window) -> float:
     return float(predict_windows(model, np.asarray(window, dtype=np.float64)[None, :])[0])
 
 
-def random_model(rng: Rng, layers: int, hidden: int, k: int,
+def random_model(rng: Rng, hidden: int, k: int,
                  scaler: MinMaxScaler = IDENTITY, dtype=np.float64) -> LstmModel:
-    config = LstmConfig(window=k, layers=layers, hidden_units=hidden, epochs=1)
-    built = []
-    d_in = 1
-    for _ in range(layers):
-        w_x = np.hstack([rng.normal(0.0, 0.4, (d_in, hidden)) for _ in GATES])
-        w_h = np.hstack([rng.normal(0.0, 0.4, (hidden, hidden)) for _ in GATES])
-        b = np.hstack([rng.normal(0.0, 0.1, (hidden,)) for _ in GATES])
-        built.append(LstmLayer(w_x, w_h, b, dtype=dtype))
-        d_in = hidden
+    config = LstmConfig(window=k, hidden_units=hidden, epochs=1)
+    w_x = np.hstack([rng.normal(0.0, 0.4, (1, hidden)) for _ in GATES])
+    w_h = np.hstack([rng.normal(0.0, 0.4, (hidden, hidden)) for _ in GATES])
+    b = np.hstack([rng.normal(0.0, 0.1, (hidden,)) for _ in GATES])
     head_w = rng.normal(0.0, 0.4, (hidden, 1))
     head_b = float(rng.normal(0.0, 0.1, (1,))[0])
-    return LstmModel(config, built, head_w, head_b, scaler)
+    return LstmModel(config, w_x, w_h, b, head_w, head_b, scaler, dtype=dtype)
 
 
 def per_gate(fused: np.ndarray) -> dict:
@@ -74,9 +68,8 @@ def per_gate(fused: np.ndarray) -> dict:
 
 
 def as_oracle_params(model: LstmModel):
-    layers = [{"w": per_gate(layer.w_x), "u": per_gate(layer.w_h), "b": per_gate(layer.b)}
-              for layer in model.layers]
-    return layers, model.head_w[:, 0].tolist(), model.head_b
+    layer = {"w": per_gate(model.w_x), "u": per_gate(model.w_h), "b": per_gate(model.b)}
+    return layer, model.head_w[:, 0].tolist(), model.head_b
 
 
 class TestForwardAgainstOracle:
@@ -85,26 +78,16 @@ class TestForwardAgainstOracle:
         for trial in range(20):
             k = int(rng.integers(2, 8))
             hidden = int(rng.integers(1, 6))
-            model = random_model(rng.child(trial), 1, hidden, k)
+            model = random_model(rng.child(trial), hidden, k)
             window = rng.uniform(-1.0, 1.0, (k,))
-            expected = lstm_forward_oracle(*as_oracle_params(model), window.tolist())
-            assert forecast_one(model, window) == pytest.approx(expected, abs=1e-12)
-
-    def test_stacked_layers_match_loop_recurrence(self):
-        rng = Rng(19)
-        for trial in range(10):
-            layers = int(rng.integers(2, 4))
-            model = random_model(rng.child(trial), layers, 3, 5)
-            window = rng.uniform(-1.0, 1.0, (5,))
             expected = lstm_forward_oracle(*as_oracle_params(model), window.tolist())
             assert forecast_one(model, window) == pytest.approx(expected, abs=1e-12)
 
     def test_zero_weights_leave_only_head_bias(self):
         # With every weight zero the hidden state never leaves zero, so the
         # output is tanh(head bias) regardless of the window contents.
-        model = LstmModel(LstmConfig(window=3, hidden_units=4),
-                          [LstmLayer(np.zeros((1, 16)), np.zeros((4, 16)), np.zeros(16))],
-                          np.zeros((4, 1)), 0.7, IDENTITY)
+        model = LstmModel(LstmConfig(window=3, hidden_units=4), np.zeros((1, 16)),
+                          np.zeros((4, 16)), np.zeros(16), np.zeros((4, 1)), 0.7, IDENTITY)
         assert forecast_one(model, [0.1, -0.9, 0.5]) == pytest.approx(math.tanh(0.7))
         assert forecast_one(model, [1.0, 1.0, 1.0]) == pytest.approx(math.tanh(0.7))
 
@@ -112,15 +95,14 @@ class TestForwardAgainstOracle:
         # Raw units in, raw units out: the scaled-space value is tanh(bias),
         # mapped back through the target scaler.
         scaler = MinMaxScaler(0.0, 10.0, -0.8, 0.8)
-        model = LstmModel(LstmConfig(window=2, hidden_units=2),
-                          [LstmLayer(np.zeros((1, 8)), np.zeros((2, 8)), np.zeros(8))],
-                          np.zeros((2, 1)), 0.3, scaler)
+        model = LstmModel(LstmConfig(window=2, hidden_units=2), np.zeros((1, 8)),
+                          np.zeros((2, 8)), np.zeros(8), np.zeros((2, 1)), 0.3, scaler)
         expected = scaler.inverse_transform(np.array([math.tanh(0.3)]))[0]
         assert forecast_one(model, [4.0, 6.0]) == pytest.approx(expected)
 
     def test_predict_windows_matches_scalar_forward(self):
         rng = Rng(31)
-        model = random_model(rng, 1, 4, 5, MinMaxScaler(0.0, 200.0))
+        model = random_model(rng, 4, 5, MinMaxScaler(0.0, 200.0))
         x = rng.uniform(0.0, 200.0, (9, 5))
         batched = predict_windows(model, x)
         singles = [forecast_one(model, row) for row in x]
@@ -130,8 +112,7 @@ class TestForwardAgainstOracle:
 def loss_and_grads(params, x, y):
     """The buffered kernel on one batch, through a workspace sized for it."""
     n, k = x.shape
-    config = LstmConfig(window=k, layers=(len(params) - 2) // 3,
-                        hidden_units=params[1].shape[0], batch_size=n)
+    config = LstmConfig(window=k, hidden_units=params[1].shape[0], batch_size=n)
     batch = _Workspace(config, n, params[0].dtype).batch(n)
     batch.x[...] = x
     batch.y[...] = y
@@ -143,8 +124,7 @@ def gradcheck_params(model: LstmModel, x, y, eps=1e-5):
     """Yield (name, analytic, numeric) for every fused parameter tensor."""
     params = model.params
     _, grads = loss_and_grads(params, x, y)
-    names = [f"layer{i // 3}.{('w_x', 'w_h', 'b')[i % 3]}" for i in range(len(params) - 2)]
-    for i, name in enumerate(names + ["head_w", "head_b"]):
+    for i, name in enumerate(["w_x", "w_h", "b", "head_w", "head_b"]):
         def f(p, i=i):
             loss, _ = loss_and_grads(params[:i] + [p] + params[i + 1:], x, y)
             return loss
@@ -154,27 +134,16 @@ def gradcheck_params(model: LstmModel, x, y, eps=1e-5):
 class TestBackpropAgainstFiniteDifferences:
     def test_single_layer_gradcheck(self):
         rng = Rng(101)
-        model = random_model(rng, 1, 3, 4)
+        model = random_model(rng, 3, 4)
         x = rng.uniform(-0.8, 0.8, (5, 4))
         y = rng.uniform(-0.8, 0.8, (5,))
         for name, analytic, numeric in gradcheck_params(model, x, y):
             err = rel_err(np.asarray(analytic).tolist(), numeric.tolist())
             assert err < 1e-4, f"{name}: rel err {err:.3e}"
 
-    def test_stacked_layer_gradcheck(self):
-        # Exercises the inter-layer gradient hand-off, which the single-layer
-        # case never touches.
-        rng = Rng(103)
-        model = random_model(rng, 2, 2, 3)
-        x = rng.uniform(-0.8, 0.8, (4, 3))
-        y = rng.uniform(-0.8, 0.8, (4,))
-        for name, analytic, numeric in gradcheck_params(model, x, y):
-            err = rel_err(np.asarray(analytic).tolist(), numeric.tolist())
-            assert err < 1e-4, f"{name}: rel err {err:.3e}"
-
     def test_loss_is_mean_squared_error(self):
         rng = Rng(107)
-        model = random_model(rng, 1, 3, 4)
+        model = random_model(rng, 3, 4)
         x = rng.uniform(-0.8, 0.8, (6, 4))
         y = rng.uniform(-0.8, 0.8, (6,))
         loss, _ = loss_and_grads(model.params, x, y)
@@ -182,10 +151,9 @@ class TestBackpropAgainstFiniteDifferences:
         assert loss == pytest.approx(float(np.mean((preds - y) ** 2)), abs=1e-12)
 
 
-def random_params(rng: np.random.Generator, layers: int, hidden: int,
-                  dtype=np.float64) -> list[np.ndarray]:
+def random_params(rng: np.random.Generator, hidden: int, dtype=np.float64) -> list[np.ndarray]:
     """Fused parameters in LstmModel.params order, some entries exactly zero."""
-    config = LstmConfig(window=1, layers=layers, hidden_units=hidden)
+    config = LstmConfig(window=1, hidden_units=hidden)
     params = [rng.normal(0.0, 0.5, p.shape) for p in _init_params(config, Rng(0))]
     for p in params:
         p[rng.random(p.shape) < 0.05] = 0.0
@@ -205,18 +173,16 @@ class TestBufferedKernelAgainstOracle:
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), layers=st.integers(1, 3),
-           hidden=st.integers(1, 9), k=st.integers(1, 6), batch_size=st.integers(1, 24),
-           rows=st.sampled_from(["below", "at", "above"]))
-    def test_loss_and_every_gradient_match_bitwise(self, seed, layers, hidden, k,
-                                                    batch_size, rows, dtype):
+    @given(seed=st.integers(0, 2**32 - 1), hidden=st.integers(1, 9), k=st.integers(1, 6),
+           batch_size=st.integers(1, 24), rows=st.sampled_from(["below", "at", "above"]))
+    def test_loss_and_every_gradient_match_bitwise(self, seed, hidden, k, batch_size, rows,
+                                                    dtype):
         rng = np.random.default_rng(seed)
         n = {"below": max(1, batch_size // 2), "at": batch_size,
              "above": 2 * batch_size + 1 + int(rng.integers(0, batch_size))}[rows]
-        params = random_params(rng, layers, hidden, dtype)
+        params = random_params(rng, hidden, dtype)
         x, y = scaled_windows(rng, n, k), rng.uniform(-0.8, 0.8, n)
-        config = LstmConfig(window=k, layers=layers, hidden_units=hidden,
-                            batch_size=batch_size)
+        config = LstmConfig(window=k, hidden_units=hidden, batch_size=batch_size)
         workspace = _Workspace(config, min(n, batch_size), dtype)
         grads = [np.empty_like(p) for p in params]
         for start in range(0, n, batch_size):  # the last batch may be a remainder
@@ -232,19 +198,18 @@ class TestBufferedKernelAgainstOracle:
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @settings(max_examples=12, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), layers=st.integers(1, 3),
-           hidden=st.integers(1, 8), batch_size=st.integers(3, 20),
-           rows=st.sampled_from(["below", "at", "above"]))
-    def test_three_epochs_of_training_match_bitwise(self, seed, layers, hidden, batch_size,
-                                                    rows, dtype):
+    @given(seed=st.integers(0, 2**32 - 1), hidden=st.integers(1, 8),
+           batch_size=st.integers(3, 20), rows=st.sampled_from(["below", "at", "above"]))
+    def test_three_epochs_of_training_match_bitwise(self, seed, hidden, batch_size, rows,
+                                                    dtype):
         rng = np.random.default_rng(seed)
         k = 4
         n = {"below": batch_size - 2, "at": batch_size, "above": 3 * batch_size + 2}[rows]
         values = 50.0 + 20.0 * np.sin(np.arange(n + k + 8) / 5.0) + rng.normal(0, 2, n + k + 8)
         x, y = make_windows(values, k)
         train, valid = (x[:n], y[:n]), (x[n:], y[n:])
-        config = LstmConfig(window=k, layers=layers, hidden_units=hidden, epochs=3,
-                            batch_size=batch_size, seed=seed)
+        config = LstmConfig(window=k, hidden_units=hidden, epochs=3, batch_size=batch_size,
+                            seed=seed)
         model, history = train_lstm(train, config, dtype)
         want_params, want_history = train_lstm_oracle(train, config, dtype)
         assert history == want_history
@@ -264,16 +229,16 @@ BLOCK_ROWS = sorted({1, 2} | {j * BLOCK + r for j in (1, 2, 3) for r in range(-1
 class TestBlockedInference:
     """predict_windows walks rows in blocks yet equals one unblocked forward."""
 
-    # Plain ids run the package's dtype; float64 is the reference precision.
-    @pytest.mark.parametrize("layers, dtype", [
+    # Ids name the weights' seed; plain ids run the package's dtype, and
+    # float64 is the reference precision.
+    @pytest.mark.parametrize("seed, dtype", [
         pytest.param(1, DTYPE, id="1"), pytest.param(2, DTYPE, id="2"),
         pytest.param(1, np.float64, id="1-float64"), pytest.param(2, np.float64, id="2-float64")])
-    def test_equals_the_unblocked_oracle_at_every_boundary(self, layers, dtype):
-        rng = np.random.default_rng(layers)
-        params = random_params(rng, layers, 50, dtype)
+    def test_equals_the_unblocked_oracle_at_every_boundary(self, seed, dtype):
+        rng = np.random.default_rng(seed)
+        params = random_params(rng, 50, dtype)
         scaler = MinMaxScaler(0.0, 400.0)
-        model = LstmModel.from_params(LstmConfig(window=10, layers=layers, hidden_units=50),
-                                      params, scaler)
+        model = LstmModel.from_params(LstmConfig(window=10, hidden_units=50), params, scaler)
         x = rng.uniform(0.0, 400.0, (max(BLOCK_ROWS), 10))
         for n in BLOCK_ROWS:
             want, _ = lstm_forward_scaled_oracle(params, scaler.transform(x[:n]))
@@ -295,7 +260,7 @@ class TestBlockedInference:
         # 1.45 MB (2.4 MB in float64). The oracle's unblocked float64
         # forward, which holds every row's hidden sequence, peaks at about
         # 22 MB here.
-        model = random_model(Rng(3), 1, 50, 10, MinMaxScaler(0.0, 400.0), dtype=DTYPE)
+        model = random_model(Rng(3), 50, 10, MinMaxScaler(0.0, 400.0), dtype=DTYPE)
         values = Rng(4).uniform(0.0, 400.0, (2170,))
         tracemalloc.start()
         try:
@@ -384,15 +349,12 @@ class TestTraining:
     def test_initial_weights_fuse_the_per_gate_draws(self):
         # Fused blocks are the per-gate Glorot draws in GATES order, so the
         # layout change leaves every initial weight bit-identical.
-        config = LstmConfig(window=3, layers=2, hidden_units=4, seed=13)
+        config = LstmConfig(window=3, hidden_units=4, seed=13)
         params = _init_params(config, Rng(13))
         rng = Rng(13)
-        expected = []
-        for d_in in (1, 4):
-            expected.append(np.hstack([glorot_init(d_in, 4, rng) for _ in GATES]))
-            expected.append(np.hstack([glorot_init(4, 4, rng) for _ in GATES]))
-            expected.append(np.zeros(16))
-        expected += [glorot_init(4, 1, rng), np.zeros(1)]
+        expected = [np.hstack([glorot_init(1, 4, rng) for _ in GATES]),
+                    np.hstack([glorot_init(4, 4, rng) for _ in GATES]),
+                    np.zeros(16), glorot_init(4, 1, rng), np.zeros(1)]
         for got, want in zip(params, expected, strict=True):
             np.testing.assert_array_equal(got, want)
 
@@ -431,15 +393,15 @@ class TestTraining:
 class TestPrecision:
     """The package forecasts in float32; the float64 kernel is the reference."""
 
-    @pytest.mark.parametrize("layers", [1, 2])
-    def test_float32_forecasts_agree_with_float64(self, layers):
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_float32_forecasts_agree_with_float64(self, seed):
         # The same weights, rounded to float32, forecast 2,150 windows within
         # 5e-6 of the float64 kernel in scaled units, where forecasts span
-        # [-0.8, 0.8]; the worst was 5.9e-7 (one layer) and 4.7e-7 (two).
-        rng = np.random.default_rng(layers)
-        params = random_params(rng, layers, 50)
+        # [-0.8, 0.8]; the worst was 5.9e-7 (seed 1) and 5.1e-8 (seed 2).
+        rng = np.random.default_rng(seed)
+        params = random_params(rng, 50)
         scaler = MinMaxScaler(0.0, 400.0)
-        config = LstmConfig(window=10, layers=layers, hidden_units=50)
+        config = LstmConfig(window=10, hidden_units=50)
         x = rng.uniform(0.0, 400.0, (2150, 10))
         wide = predict_windows(LstmModel.from_params(config, params, scaler), x)
         single = predict_windows(
@@ -460,7 +422,7 @@ class TestPrecision:
 class TestForecastSeries:
     def test_too_short_raises(self):
         # A series no longer than the model's window yields no forecast.
-        model = random_model(Rng(1), 1, 2, 5)
+        model = random_model(Rng(1), 2, 5)
         with pytest.raises(EmptyDatasetError):
             forecast_rates(model, make_windows(np.arange(5.0), model.config.window)[0])
 
@@ -470,7 +432,7 @@ class TestForecastRates:
         # Forecast i is for index i + k, from the k values before it: the
         # forecasts train_resource feeds the graph predictor.
         rng = Rng(41)
-        model = random_model(rng, 1, 3, 4, MinMaxScaler(0.0, 100.0))
+        model = random_model(rng, 3, 4, MinMaxScaler(0.0, 100.0))
         values = rng.uniform(0.0, 100.0, (15,))
         out = forecast_rates(model, make_windows(values, 4)[0])
         assert out.shape == (11,)
@@ -484,7 +446,7 @@ class TestSerialization:
         # float32 weights are written as the float64 values they are, which
         # read back and cast to the same float32 bits.
         rng = Rng(53)
-        model = random_model(rng, 2, 3, 4, MinMaxScaler(0.0, 50.0), dtype=DTYPE)
+        model = random_model(rng, 3, 4, MinMaxScaler(0.0, 50.0), dtype=DTYPE)
         scalers = {"details": model.scaler, "ratings": MinMaxScaler(10.0, 20.0)}
         path = tmp_path / "lstm.json"
         model.save(path, scalers, fitted_on="details")
@@ -501,33 +463,35 @@ class TestSerialization:
             assert_bitwise_equal(forecast_one(loaded[service], window),
                                  forecast_one(model.with_scaler(scaler), window))
         # The weights are held once: every service forecasts through the same arrays.
-        assert loaded["details"].layers is loaded["ratings"].layers
-        assert loaded["details"].head_w is loaded["ratings"].head_w
+        for got, want in zip(loaded["details"].params[:4], loaded["ratings"].params[:4]):
+            assert got is want
 
     def test_rejects_wrong_schema(self):
         with pytest.raises(ValidationError):
             LstmModel.from_json_dict({"schema": "something-else"})
         with pytest.raises(ValidationError):  # per-gate v1 files must be retrained
             LstmModel.from_json_dict({"schema": "graph-phpa/lstm-model/v1"})
-        # One v2 file per service must be retrained into one shared file, and
-        # v3's float64 weights into v4's float32 ones.
-        for old in ("graph-phpa/lstm-model/v2", "graph-phpa/lstm-model/v3"):
+        # One v2 file per service must be retrained into one shared file,
+        # v3's float64 weights into float32 ones, and v4's list of layers
+        # into v5's one layer.
+        for old in ("graph-phpa/lstm-model/v2", "graph-phpa/lstm-model/v3",
+                    "graph-phpa/lstm-model/v4"):
             with pytest.raises(ValidationError,
                                match=f"schema must be '{LSTM_SCHEMA}', got '{old}'"):
                 LstmModel.from_json_dict({"schema": old})
 
     def test_weights_beyond_float32_are_rejected(self, tmp_path):
-        model = random_model(Rng(9), 1, 2, 3, dtype=DTYPE)
+        model = random_model(Rng(9), 2, 3, dtype=DTYPE)
         path = tmp_path / "lstm.json"
         model.save(path, {"s": model.scaler}, "s")
         doc = json.loads(path.read_text(encoding="utf-8"))
-        doc["layers"][0]["w_h"][0][0] = 1e39
-        with pytest.raises(ValidationError, match="layers\\[0\\].w_h must be a rectangular "
+        doc["w_h"][0][0] = 1e39
+        with pytest.raises(ValidationError, match="w_h must be a rectangular "
                                                   "array of finite float32 numbers"):
             LstmModel.from_json_dict(doc)
 
     def test_file_is_byte_stable(self, tmp_path):
-        model = random_model(Rng(9), 1, 2, 3)
+        model = random_model(Rng(9), 2, 3)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         model.save(a, {"s": model.scaler}, "s")
         model.save(b, {"s": model.scaler}, "s")

@@ -330,6 +330,15 @@ class TestMinMaxScaler:
         scaler = MinMaxScaler(1.5, 9.0, 0.0, 1.0)
         assert MinMaxScaler.from_dict(asdict(scaler)) == scaler
 
+    def test_dict_with_lo_above_hi_rejected(self):
+        # fit never writes one: it would forecast mirrored. lo == hi stays the
+        # degenerate scaler of a constant series.
+        with pytest.raises(ValidationError,
+                           match=r"^s\.lo 9\.0 must not be above s\.hi 1\.5$"):
+            MinMaxScaler.from_dict(asdict(MinMaxScaler(9.0, 1.5)), "s")
+        constant = MinMaxScaler(4.0, 4.0)
+        assert MinMaxScaler.from_dict(asdict(constant)) == constant
+
     def test_empty_fit_rejected(self):
         with pytest.raises(ValidationError):
             MinMaxScaler.fit(np.array([]))
