@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError, ValidationError
-from .forecast_lstm import LstmModel, forecast_rates
+from .forecast_lstm import LstmModel, forecast_services
 from .predict_gcn import GcnModel, ServiceGraph, predict_resource, resource_features
 
 
@@ -74,7 +74,9 @@ def predict_demand(lstm_models: Mapping[str, LstmModel],
     graph.nodes[j]. Row j of both (T-k+1, N) results, in the same columns,
     belongs to the window that ends at row j+k-1: the forecaster reads its k
     rates (the forecast is clamped at zero), the graph predictor the last k-1
-    plus the forecast. A grid of exactly k rows is a batch of one.
+    plus the forecast. A grid of exactly k rows is a batch of one. Every
+    service forecasts in one forecast_services call, so services whose
+    scaled windows are equal share one LSTM forward.
     """
     k = gcn_model.config.window
     rates = np.asarray(rates, dtype=np.float64)
@@ -85,7 +87,7 @@ def predict_demand(lstm_models: Mapping[str, LstmModel],
         if service not in lstm_models:
             raise ValidationError(f"no forecaster for service {service!r}")
     windows = sliding_window_view(rates, k, axis=0)  # (T-k+1, N, k)
-    forecasts = np.column_stack([forecast_rates(lstm_models[s], windows[:, ni])
-                                 for ni, s in enumerate(graph.nodes)])
+    forecasts = np.column_stack(forecast_services([lstm_models[s] for s in graph.nodes],
+                                                  [windows[:, ni] for ni in range(graph.size)]))
     features = resource_features(rates, forecasts, graph.nodes, k)
     return forecasts, predict_resource(gcn_model, graph, features)

@@ -34,8 +34,8 @@ from .cluster_sim import (PredictivePolicy, ReactivePolicy, ScalingPolicy, Simul
                           run_simulation)
 from .config import ExperimentConfig
 from .errors import GraphPhpaError, ValidationError
-from .forecast_lstm import (LstmModel, evaluate, evaluate_lstm, forecast_rates,
-                            make_windows, predict_windows, train_lstm)
+from .forecast_lstm import (LstmModel, evaluate, forecast_services, make_windows,
+                            scaled_mse, train_lstm)
 from .predict_gcn import GcnModel, build_resource_dataset, evaluate_gcn, scale_targets, train_gcn
 from .tensor import MinMaxScaler, mix_seed, one_blas_thread
 from .traces import (WorkloadTrace, generate_synthetic_trace, save_trace, slice_trace,
@@ -114,7 +114,8 @@ def train_workload(prepared: Prepared, out: Path) -> dict[str, LstmModel]:
     into out and returns the forecasters by service, in graph.nodes order.
 
     With demand.noise_sigma 0 every service's rates are a fixed multiple of
-    the entry's, so their scaled series are the entry's bit for bit.
+    the entry's, so their scaled windows are the entry's bit for bit, and
+    forecast_services scores every service with one forward per segment.
     """
     cfg = prepared.cfg
     nodes, k, entry = cfg.graph.nodes, cfg.lstm.window, cfg.demand.entry
@@ -124,27 +125,35 @@ def train_workload(prepared: Prepared, out: Path) -> dict[str, LstmModel]:
     with one_blas_thread():
         fitted, history = train_lstm(make_windows(rps[lo:hi, column], k),
                                      replace(cfg.lstm, seed=mix_seed(cfg.lstm.seed, column)))
-    models, scores = {}, {}
-    for j, service in enumerate(nodes):
-        train_set, valid_set, (x_test, y_test) = (
-            make_windows(rps[lo:hi, j], k) for lo, hi in prepared.segments)
-        model = models[service] = fitted.with_scaler(MinMaxScaler.fit(train_set[1]))
-        mse, mae = evaluate(predict_windows(model, x_test), y_test)
+    models = [fitted.with_scaler(MinMaxScaler.fit(make_windows(rps[lo:hi, j], k)[1]))
+              for j in range(len(nodes))]
+
+    def windows(segment):  # made as they are forecast, one service at a time
+        lo, hi = prepared.segments[segment]
+        return (make_windows(rps[lo:hi, j], k)[0] for j in range(len(nodes)))
+
+    valids = forecast_services(models, windows(1), "scaled")
+    tests = forecast_services(models, windows(2), "original")
+    scores = {}
+    for j, (service, model, valid, test) in enumerate(zip(nodes, models, valids, tests)):
+        (_, y_valid), (x_test, y_test) = (make_windows(rps[lo:hi, j], k)
+                                          for lo, hi in prepared.segments[1:])
+        mse, mae = evaluate(test, y_test)
         persistence_mse, _ = evaluate(x_test[:, -1], y_test)
         scores[service] = {
             "test_mse": mse, "test_mae": mae, "persistence_mse": persistence_mse,
             "mse_vs_persistence": mse / persistence_mse if persistence_mse > 0 else None,
-            "final_valid_mse_scaled": evaluate_lstm(model, valid_set),
+            "final_valid_mse_scaled": scaled_mse(model, valid, y_valid),
         }
         log.info("forecaster for %s: test mse %.4f (persistence %.4f)",
                  service, mse, persistence_mse)
 
     out.mkdir(parents=True, exist_ok=True)
-    fitted.save(out / "lstm.json", {s: m.scaler for s, m in models.items()}, entry)
+    fitted.save(out / "lstm.json", {s: m.scaler for s, m in zip(nodes, models)}, entry)
     _write_json(out / "workload_metrics.json", {
         "window": k, "trace_sha256": trace_digest(prepared.trace), "fitted_on": entry,
         "final_train_mse_scaled": history[-1], "services": scores})
-    return models
+    return dict(zip(nodes, models))
 
 
 def train_resource(prepared: Prepared, models: dict[str, LstmModel],
@@ -162,9 +171,10 @@ def train_resource(prepared: Prepared, models: dict[str, LstmModel],
         # Each segment's forecasts for its minutes k onward, each from the k
         # minutes before it.
         train_set, valid_set, test_set = (
-            build_resource_dataset(rps[lo:hi], np.column_stack([
-                forecast_rates(models[s], make_windows(rps[lo:hi, j], k)[0])
-                for j, s in enumerate(nodes)]), usage[lo:hi], nodes, k)
+            build_resource_dataset(rps[lo:hi], np.column_stack(forecast_services(
+                [models[s] for s in nodes],
+                (make_windows(rps[lo:hi, j], k)[0] for j in range(len(nodes))))),
+                usage[lo:hi], nodes, k)
             for lo, hi in prepared.segments)
         model, _ = train_gcn(train_set, cfg.graph, cfg.gcn)
         (train_mse, _), (valid_mse, _), (test_mse, test_per_service) = (

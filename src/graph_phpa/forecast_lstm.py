@@ -6,7 +6,9 @@ mini-batch Adam over backpropagation-through-time, fully deterministic for a
 given config seed. Inputs and targets are min-max scaled to [-0.8, 0.8] with
 statistics fitted on the training targets only, so the tanh head can reach
 every target. One fit can serve several services: each forecasts through the
-same weights under a scaler fitted on its own training targets.
+same weights under a scaler fitted on its own training targets, and
+forecast_services runs the LSTM once for services whose scaled windows are
+equal.
 
 The LSTM computes in float32 (DTYPE): the weights, the scaled windows and
 targets of a fit, its gradients and Adam state. The kernels compute in the
@@ -28,7 +30,7 @@ import logging
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -273,7 +275,7 @@ class _Batch(NamedTuple):
     c: np.ndarray  # cell states (k+1, n, H)
     tanh_c: np.ndarray  # (k, n, H)
     gates: np.ndarray  # activated gates (k, n, 4H)
-    dh_above: np.ndarray  # the head's gradient of the hidden outputs (k, n, H)
+    dh_head: np.ndarray  # the head's gradient of the last hidden output (n, H)
     scratch: np.ndarray  # (k, n, H)
     tmp: np.ndarray  # forward step scratch (n, 4H)
     dcdh: np.ndarray  # a backward step's dc, dc, dh, dc (n, 4, H)
@@ -302,7 +304,7 @@ class _Workspace:
     def _shapes(self, n: int) -> list[tuple[int, ...]]:
         k, hid = self.config.window, self.config.hidden_units
         seq, state, step = (k, n, hid), (k + 1, n, hid), (n, hid)
-        return [(n, k), (n,), (k, n), state, state, seq, (k, n, 4 * hid), seq, seq,
+        return [(n, k), (n,), (k, n), state, state, seq, (k, n, 4 * hid), step, seq,
                 (n, 4 * hid), (n, 4, hid), step, step]
 
     def batch(self, n: int) -> _Batch:
@@ -321,7 +323,7 @@ def _loss_and_grads(params: list[np.ndarray], batch: _Batch,
     w_x, w_h, b, head_w, head_b = params
     x_seq, targets, x_tm = batch.x, batch.y, batch.x_tm
     h, c, tanh_c, gates = batch.h, batch.c, batch.tanh_c, batch.gates
-    dh_above, scratch = batch.dh_above, batch.scratch
+    dh_head, scratch = batch.dh_head, batch.scratch
     tmp, dcdh_buf, dh_carry, dc_carry = batch.tmp, batch.dcdh, batch.dh_carry, batch.dc_carry
     n, k = x_seq.shape
     hid = w_h.shape[0]
@@ -339,10 +341,7 @@ def _loss_and_grads(params: list[np.ndarray], batch: _Batch,
     dz = (2.0 * err / n * (1.0 - yhat ** 2))[:, None]  # (n, 1)
     np.matmul(h[-1].T, dz, out=grads[3])
     np.sum(dz, axis=0, out=grads[4])
-    # Gradient flowing into each timestep's hidden output: the head reads
-    # only the last one.
-    dh_above[:-1] = 0.0
-    np.matmul(dz, head_w.T, out=dh_above[-1])
+    np.matmul(dz, head_w.T, out=dh_head)
 
     gi, gf, go, gg = (gates[..., j * hid:(j + 1) * hid] for j in range(4))
     # In place, tanh(c) becomes dc/dh = go * (1 - tanh(c)**2), and the
@@ -377,7 +376,9 @@ def _loss_and_grads(params: list[np.ndarray], batch: _Batch,
     dh_carry.fill(0.0)
     dc_carry.fill(0.0)
     for t in range(k - 1, -1, -1):
-        np.add(dh_above[t], dh_carry, out=dh)
+        # The head reads only the last hidden output; the earlier steps add
+        # 0.0, which turns a -0.0 carry into +0.0 as a zero gradient row does.
+        np.add(dh_head if t == k - 1 else 0.0, dh_carry, out=dh)
         np.multiply(dh, dc_dh[t], out=dc)
         dc += dc_carry
         dcdh_buf[:, :2] = dc[:, None, :]
@@ -392,39 +393,87 @@ def _loss_and_grads(params: list[np.ndarray], batch: _Batch,
     return loss
 
 
-def _forward_windows(model: LstmModel, x) -> np.ndarray:
-    """Scaled one-step forecasts for raw k-length windows."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.config.window:
-        raise ShapeError(f"windows shape {x.shape} does not match model window {model.config.window}")
-    return _forward_scaled(model.params, model.scaler.transform(x))
+def _same_weights(a: LstmModel, b: LstmModel) -> bool:
+    """Whether a and b forecast through the same weight arrays, in one dtype."""
+    return (a.dtype == b.dtype and a.head_b == b.head_b
+            and all(p is q for p, q in zip((a.w_x, a.w_h, a.b, a.head_w),
+                                           (b.w_x, b.w_h, b.b, b.head_w))))
+
+
+def forecast_services(models: Sequence[LstmModel], windows: Iterable,
+                      units: str = "rates") -> list[np.ndarray]:
+    """Each model's one-step forecasts for its own raw k-length windows.
+
+    windows may be a generator that makes each model's windows as it is
+    reached: only the scaled windows that ran a forward are kept.
+
+    units is "scaled" for the forecasts in the model's scaled units,
+    "original" for them through its scaler's inverse_transform, or "rates"
+    for those clamped at zero, since a request rate cannot be negative.
+
+    Each model scales its windows with its own scaler, and the LSTM runs once
+    per distinct pair of weights and scaled windows: a later model reuses an
+    earlier one's scaled forecasts when both hold the same weight arrays in
+    the same dtype (as with_scaler and LstmModel.load give them) and their
+    scaled windows are equal. Equal inputs of one shape walk the same row
+    blocks, so the shared forecasts are the bits a forward of its own would
+    give. With demand.noise_sigma 0 every service's scaled windows are the
+    entry's, and one forward serves them all. Models that share a forward
+    share its scaled array.
+    """
+    if units not in ("scaled", "original", "rates"):
+        raise ValueError(f"units must be 'scaled', 'original' or 'rates', got {units!r}")
+    done: list[tuple[LstmModel, np.ndarray, np.ndarray]] = []
+    scaled = []
+    for model, x in zip(models, windows, strict=True):
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != model.config.window:
+            raise ShapeError(f"windows shape {x.shape} does not match model window "
+                             f"{model.config.window}")
+        xs = model.scaler.transform(x)
+        for other, other_xs, yhat in done:
+            if _same_weights(model, other) and np.array_equal(xs, other_xs):
+                break
+        else:
+            yhat = _forward_scaled(model.params, xs)
+            done.append((model, xs, yhat))
+        scaled.append(yhat)
+    if units == "scaled":
+        return scaled
+    out = [m.scaler.inverse_transform(yhat) for m, yhat in zip(models, scaled)]
+    return [np.maximum(f, 0.0) for f in out] if units == "rates" else out
 
 
 def predict_windows(model: LstmModel, x: np.ndarray) -> np.ndarray:
     """One-step forecasts in original units for each row of raw k-length windows."""
-    return model.scaler.inverse_transform(_forward_windows(model, x))
+    return forecast_services([model], [x], "original")[0]
 
 
-def evaluate_lstm(model: LstmModel, dataset: tuple[np.ndarray, np.ndarray]) -> float:
-    """MSE in scaled units over raw (windows, targets), the units of the
-    training history; a non-finite MSE raises DivergenceError."""
-    yhat, y = _forward_windows(model, dataset[0]), model.scaler.transform(dataset[1])
-    if y.shape != yhat.shape:
-        raise ShapeError(f"targets shape {y.shape} != forecasts shape {yhat.shape}")
-    mse = float(np.mean((yhat - y) ** 2))
+def scaled_mse(model: LstmModel, forecasts: np.ndarray, targets) -> float:
+    """MSE of the model's scaled forecasts against raw targets, in scaled units,
+    the units of the training history; a non-finite MSE raises DivergenceError."""
+    y = model.scaler.transform(targets)
+    if y.shape != forecasts.shape:
+        raise ShapeError(f"targets shape {y.shape} != forecasts shape {forecasts.shape}")
+    mse = float(np.mean((forecasts - y) ** 2))
     if not np.isfinite(mse):
         raise DivergenceError(f"scaled MSE is {mse}, not finite")
     return mse
 
 
+def evaluate_lstm(model: LstmModel, dataset: tuple[np.ndarray, np.ndarray]) -> float:
+    """scaled_mse of the model's forecasts over raw (windows, targets)."""
+    return scaled_mse(model, forecast_services([model], [dataset[0]], "scaled")[0], dataset[1])
+
+
 def forecast_rates(model: LstmModel, x: np.ndarray) -> np.ndarray:
     """Request-rate forecasts for raw k-length windows, clamped at zero.
 
-    A rate cannot be negative. Training (cli.train_resource) and replay
-    (autoscaler.predict_demand) both forecast through here, so the graph
+    Training (cli.train_resource) and replay (autoscaler.predict_demand)
+    both forecast through forecast_services in these units, so the graph
     predictor sees the same forecasts in both.
     """
-    return np.maximum(predict_windows(model, x), 0.0)
+    return forecast_services([model], [x])[0]
 
 
 def train_lstm(train: tuple[np.ndarray, np.ndarray], config: LstmConfig,

@@ -1,10 +1,11 @@
-"""Shared fixtures: a small, fast experiment config for end-to-end tests, and a
-traced-memory probe for the memory bounds."""
+"""Shared fixtures: a small, fast experiment config for end-to-end tests, a
+traced-memory probe for the memory bounds and a counter of LSTM forwards."""
 import json
 import tracemalloc
 
 import pytest
 
+from graph_phpa import forecast_lstm
 from graph_phpa.cli import main as cli_main
 
 TINY_CONFIG = {
@@ -80,6 +81,19 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def counting_forwards(monkeypatch) -> list[int]:
+    """Route forecast_lstm's LSTM forwards through a wrapper; returns the row
+    count of every forward run from then on."""
+    forward, rows = forecast_lstm._forward_scaled, []
+
+    def counting(params, x):
+        rows.append(len(x))
+        return forward(params, x)
+
+    monkeypatch.setattr(forecast_lstm, "_forward_scaled", counting)
+    return rows
 
 
 @pytest.fixture(scope="session")

@@ -11,8 +11,8 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from conftest import TINY_CONFIG, mutations, run_cli
-from graph_phpa import cli, tensor
+from conftest import TINY_CONFIG, counting_forwards, mutations, run_cli
+from graph_phpa import autoscaler, cli, forecast_lstm, tensor
 from graph_phpa.cluster_sim import SimulationLog
 from graph_phpa.config import ExperimentConfig, TraceSpec
 from graph_phpa.errors import DivergenceError
@@ -345,6 +345,60 @@ class TestConcurrentTraining:
         # One fit for every service, in the command's own process.
         assert fits == [os.getpid()]
         assert (tmp_path / "out" / "lstm.json").exists()
+
+
+# Four services whose rates are the entry's times powers of two, so without
+# demand noise their scaled windows are the entry's bit for bit.
+FOUR_SERVICES = {
+    "graph": {"nodes": ["front", "cart", "stock", "db"]},
+    "demand": {"entry": "front",
+               "cpu_per_request": {"front": 0.01, "cart": 0.005, "stock": 0.004, "db": 0.002},
+               "fan_out": {"front": {"cart": 1.0, "stock": 0.5}, "cart": {"db": 2.0}},
+               "noise_sigma": 0.0},
+    "bounds": {s: TINY_CONFIG["bounds"]["front"] for s in ("front", "cart", "stock", "db")},
+    "sim": dict(TINY_CONFIG["sim"], max_total_pods=40),
+}
+
+
+class TestSharedForward:
+    """train_workload, train_resource and the replay's predict_demand forecast
+    every service through one forecast_services call, which runs one LSTM
+    forward per distinct scaled series."""
+
+    @pytest.mark.parametrize("noise_sigma, forwards", [(0.0, 1), (0.05, 4)],
+                             ids=["noise-free", "noisy"])
+    def test_one_forward_per_distinct_series(self, tmp_path, monkeypatch, noise_sigma,
+                                             forwards):
+        config = tmp_path / "experiment.json"
+        config.write_text(json.dumps({
+            **TINY_CONFIG, **FOUR_SERVICES,
+            "demand": dict(FOUR_SERVICES["demand"], noise_sigma=noise_sigma)}),
+            encoding="utf-8")
+        forward, shared, calls = forecast_lstm._forward_scaled, forecast_lstm.forecast_services, []
+        counted = counting_forwards(monkeypatch)
+
+        def recording(models, windows, units="rates"):
+            windows, before = list(windows), len(counted)
+            out = shared(models, windows, units)
+            calls.append((models, windows, units, out, len(counted) - before))
+            return out
+
+        for module in (cli, autoscaler):
+            monkeypatch.setattr(module, "forecast_services", recording)
+        assert run_cli("experiment", "--config", str(config), "--out",
+                       str(tmp_path / "exp"), "--thresholds", "0.9") == 0
+        # train_workload's validation and test forecasts, train_resource's
+        # three segments, then the replay.
+        assert [units for *_, units, _, _ in calls][:5] == ["scaled", "original"] + 3 * ["rates"]
+        assert len(calls) > 5
+        for models, windows, units, out, n in calls:
+            assert len(models) == 4
+            assert n == forwards
+            for model, x, got in zip(models, windows, out, strict=True):
+                want = {"scaled": lambda: forward(model.params, model.scaler.transform(x)),
+                        "original": lambda: predict_windows(model, x),
+                        "rates": lambda: forecast_rates(model, x)}[units]()
+                assert_bitwise_equal(got, want)
 
 
 class TestMalformedModelFiles:

@@ -31,12 +31,13 @@ from graph_phpa.forecast_lstm import (
     evaluate,
     evaluate_lstm,
     forecast_rates,
+    forecast_services,
     make_windows,
     predict_windows,
     train_lstm,
 )
 from graph_phpa.tensor import MinMaxScaler, Rng, glorot_init
-from conftest import traced_peak
+from conftest import counting_forwards, traced_peak
 from oracles import (assert_bitwise_equal, finite_diff_gradient, lstm_forward_oracle,
                      lstm_forward_scaled_oracle, lstm_loss_and_grads_oracle, rel_err,
                      train_lstm_oracle)
@@ -272,6 +273,61 @@ class TestBlockedInference:
         assert peak < 1.6e6, f"the forecast peaked at {peak / 1e6:.2f} MB"
 
 
+class TestSharedForward:
+    """forecast_services shares a forward only between models with the same
+    weight arrays, in one dtype, and equal scaled windows; each model's
+    forecasts are those of its own forward."""
+
+    def check(self, monkeypatch, models, windows, forwards):
+        want = [predict_windows(m, x) for m, x in zip(models, windows)]
+        rows = counting_forwards(monkeypatch)
+        got = forecast_services(models, windows, "original")
+        assert len(rows) == forwards
+        for g, w in zip(got, want, strict=True):
+            assert_bitwise_equal(g, w)
+
+    def test_one_fit_under_proportional_scalers_shares(self, monkeypatch):
+        model = random_model(Rng(5), 6, 4, MinMaxScaler(0.0, 100.0), dtype=DTYPE)
+        x = Rng(6).uniform(0.0, 100.0, (30, 4))
+        models = [model, model.with_scaler(MinMaxScaler(0.0, 50.0)),
+                  model.with_scaler(MinMaxScaler(0.0, 200.0))]
+        self.check(monkeypatch, models, [x, x / 2, x * 2], 1)
+
+    def test_other_weights_dtypes_or_windows_never_share(self, monkeypatch):
+        model = random_model(Rng(5), 6, 4, MinMaxScaler(0.0, 100.0), dtype=DTYPE)
+        x = Rng(6).uniform(0.0, 100.0, (30, 4))
+        other = random_model(Rng(7), 6, 4, model.scaler, dtype=DTYPE)
+        copied = LstmModel.from_params(model.config, [p.copy() for p in model.params],
+                                       model.scaler)
+        wide = LstmModel(model.config, model.w_x, model.w_h, model.b, model.head_w,
+                         model.head_b, model.scaler, dtype=np.float64)
+        # Equal scaled windows every time, but other weights, equal weights
+        # in other arrays, the same values in float64, and then one row fewer.
+        self.check(monkeypatch, [model, other, copied, wide, model], [x, x, x, x, x[1:]], 5)
+
+    def test_a_degenerate_scaler_shares_only_with_an_equal_array(self, monkeypatch):
+        model = random_model(Rng(5), 6, 4, MinMaxScaler(0.0, 100.0), dtype=DTYPE)
+        x = Rng(6).uniform(0.0, 100.0, (30, 4))
+        flat = model.with_scaler(MinMaxScaler(25.0, 25.0))
+        mid = np.full_like(x, 50.0)  # at the midpoint of the (0, 100) scaler
+        assert np.array_equal(model.scaler.transform(mid), flat.scaler.transform(x))
+        # The constant scaler's windows all scale to 0.0: they match the
+        # midpoint windows of the same shape, and neither x nor fewer rows.
+        self.check(monkeypatch, [flat, model, model, flat.with_scaler(MinMaxScaler(7.0, 7.0)),
+                                 flat], [x, x, mid, x, x[:3]], 3)
+        assert np.all(forecast_services([flat], [x], "original")[0] == 25.0)
+
+    def test_rates_clamp_each_model_at_zero(self):
+        model = random_model(Rng(5), 6, 4, MinMaxScaler(0.0, 100.0), dtype=DTYPE)
+        x = Rng(6).uniform(0.0, 100.0, (30, 4))
+        shifted = model.with_scaler(MinMaxScaler(-200.0, -100.0))
+        rates = forecast_services([model, shifted], [x, x - 200.0])
+        assert_bitwise_equal(rates[0], forecast_rates(model, x))
+        assert np.all(rates[1] == 0.0)
+        with pytest.raises(ValueError, match="units"):
+            forecast_services([model], [x], "rps")
+
+
 class TestMakeWindows:
     def test_enumerates_every_window(self):
         x, y = make_windows(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), 2)
@@ -304,13 +360,14 @@ class TestMakeWindows:
 class TestTraining:
     def test_workspace_memory_is_bounded(self):
         # One epoch at the bundled shapes: 2,150 windows of 10 minutes, 50
-        # hidden units, batches of 64. In float32 it peaks at about 1.87 MB,
-        # about 1.3 MB of it the workspace (3.62 MB in float64); a separate
-        # (k, n, H) forget-gate buffer took the float64 peak to 3.9 MB.
+        # hidden units, batches of 64. In float32 it peaks at about 1.76 MB,
+        # about 1.2 MB of it the workspace (3.40 MB in float64); a (k, n, H)
+        # head-gradient buffer took the float32 peak to 1.88 MB, and a
+        # separate (k, n, H) forget-gate buffer the float64 peak to 3.9 MB.
         config = LstmConfig(window=10, hidden_units=50, batch_size=64, epochs=1)
         x, y = make_windows(Rng(4).uniform(0.0, 400.0, (2160,)), 10)
         peak = traced_peak(lambda: train_lstm((x, y), config))
-        assert peak < 2.1e6, f"the fit peaked at {peak / 1e6:.2f} MB"
+        assert peak < 1.85e6, f"the fit peaked at {peak / 1e6:.2f} MB"
 
     def test_constant_series_predicts_the_constant_exactly(self):
         # A constant target degenerates the scaler, whose inverse pins every
