@@ -10,10 +10,10 @@ same weights under a scaler fitted on its own training targets, and
 forecast_services runs the LSTM once for services whose scaled windows are
 equal.
 
-The LSTM computes in float32 (DTYPE): the weights, the scaled windows and
-targets of a fit, its gradients and Adam state. The kernels compute in the
-dtype of the weights they are given, so the tests can drive them in float64
-too. The scalers and every array outside the recurrence stay float64:
+The LSTM computes in float32 (tensor.DTYPE): the weights, the scaled
+windows and targets of a fit, its gradients and Adam state. The kernels
+compute in the dtype of the weights they are given, so the tests can drive
+them in float64 too. The scalers and every array outside the recurrence stay float64:
 inference casts the scaled windows to the weights' dtype a block at a time
 and returns float64 forecasts.
 
@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import (DivergenceError, EmptyDatasetError, ShapeError, ValidationError,
                      check_keys, check_value, float_array, read, read_json_file)
-from .tensor import (BLOCK, AdamState, MinMaxScaler, Rng, adam_step, blocks, carve,
-                     check_seed, ensure_finite, glorot_init)
+from .tensor import (BLOCK, DTYPE, AdamState, MinMaxScaler, Rng, adam_step, blocks, carve,
+                     check_learning_rate, check_seed, ensure_finite, glorot_init)
 
 log = logging.getLogger(__name__)
 
@@ -48,11 +48,6 @@ GATES = ("input", "forget", "output", "candidate")
 # and v3's float64 weights would forecast differently once cast, so older
 # files must be retrained.
 LSTM_SCHEMA = "graph-phpa/lstm-model/v5"
-
-# The precision of every fit and forecast. float32 halves the recurrence's
-# time: a 2,150-row forward of the bundled shapes took 23 ms, against 48 ms
-# in float64, on a 2-core x86-64 host with OpenBLAS 0.3.31.
-DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -68,8 +63,7 @@ class LstmConfig:
         for name in ("window", "hidden_units", "epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.learning_rate <= 0:
-            raise ValidationError(f"learning_rate must be positive, got {self.learning_rate}")
+        check_learning_rate(self.learning_rate)
         check_seed(self.seed)
 
 
@@ -373,12 +367,13 @@ def _loss_and_grads(params: list[np.ndarray], batch: _Batch,
     da = gates
     dcdh = dcdh_buf.reshape(n, 4 * hid)
     dh, dc = dcdh_buf[:, 2], dcdh_buf[:, 3]
-    dh_carry.fill(0.0)
     dc_carry.fill(0.0)
     for t in range(k - 1, -1, -1):
-        # The head reads only the last hidden output; the earlier steps add
-        # 0.0, which turns a -0.0 carry into +0.0 as a zero gradient row does.
-        np.add(dh_head if t == k - 1 else 0.0, dh_carry, out=dh)
+        # The head reads only the last hidden output, and the earlier steps
+        # only the carry. The oracle adds each to a zero row, which would turn
+        # a -0.0 into +0.0, but both are matrix products, whose sums start
+        # from +0.0, so neither holds a -0.0.
+        np.copyto(dh, dh_head if t == k - 1 else dh_carry)
         np.multiply(dh, dc_dh[t], out=dc)
         dc += dc_carry
         dcdh_buf[:, :2] = dc[:, None, :]

@@ -6,6 +6,13 @@ minute; the target is the peak vCPU usage of the window that ends at the
 forecast minute. Layers propagate features through the symmetrically
 normalized adjacency (self loops added), so each service sees its neighbors'
 load, which is what makes cascaded demand visible before it arrives.
+
+The fit computes in float32 (tensor.DTYPE): the aggregated training features,
+the scaled targets, a_hat, the weights, their gradients and Adam state, and
+every per-batch array. A model holds its weights in float64, cast exactly from
+the fit's, so the forward pass of evaluation and of the replay computes in
+float64 as it always did. The kernels compute in the dtype of the weights they
+are given, so the tests can drive a fit in float64 too.
 """
 from __future__ import annotations
 
@@ -20,8 +27,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (DivergenceError, EmptyDatasetError, ShapeError, ValidationError,
                      check_keys, check_name, check_value, float_array, read, read_json_file)
-from .tensor import (BLOCK, AdamState, MinMaxScaler, Rng, adam_step, blocks, carve,
-                     check_seed, glorot_init)
+from .tensor import (BLOCK, DTYPE, AdamState, MinMaxScaler, Rng, adam_step, blocks, carve,
+                     check_learning_rate, check_seed, glorot_init)
 
 log = logging.getLogger(__name__)
 
@@ -105,8 +112,7 @@ class GcnConfig:
         for i, h in enumerate(self.hidden):
             if h < 1:
                 raise ValidationError(f"hidden[{i}] must be >= 1, got {h}")
-        if self.learning_rate <= 0:
-            raise ValidationError(f"learning_rate must be positive, got {self.learning_rate}")
+        check_learning_rate(self.learning_rate)
         if self.epochs < 1 or self.batch_size < 1:
             raise ValidationError("epochs and batch_size must be >= 1")
         check_seed(self.seed)
@@ -190,10 +196,12 @@ class GcnModel:
 
 
 def _layer_buffers(weights: list[np.ndarray], samples: int, nodes: int):
-    """Empty per-layer arrays for a forward pass: each layer's aggregated
-    input (samples, nodes, D) and its output (samples, nodes, O)."""
-    return ([np.empty((samples, nodes, w.shape[0])) for w in weights],
-            [np.empty((samples, nodes, w.shape[1])) for w in weights])
+    """Empty per-layer arrays for a forward pass, in the weights' dtype: each
+    layer's aggregated input (samples, nodes, D) and its output (samples,
+    nodes, O)."""
+    dtype = weights[0].dtype
+    return ([np.empty((samples, nodes, w.shape[0]), dtype) for w in weights],
+            [np.empty((samples, nodes, w.shape[1]), dtype) for w in weights])
 
 
 def _forward(weights: list[np.ndarray], a_hat: np.ndarray,
@@ -330,14 +338,16 @@ def resource_features(workloads: np.ndarray, ahead: np.ndarray,
 
 
 class _Batch(NamedTuple):
-    """Every array of a training batch, each (samples, N, width).
+    """Every array of a training batch, each (samples, N, width), in the
+    weights' dtype.
 
     agg and out are _forward's per-layer arrays, and delta[l] takes the loss
     gradient of layer l's output. A fit allocates one _Batch for a full batch;
-    a shorter batch, the remainder of an epoch, takes the front of each array.
-    Allocated afresh every batch, these arrays made glibc hand their pages
-    back and fault them in again: about 55k minor faults per bundled-size
-    fit, against under 1.1k with the one allocation.
+    a shorter batch, the remainder of an epoch, takes the front of each array,
+    and the fit builds those views once per batch size. Allocated afresh
+    every batch, these arrays made glibc hand their pages back and fault them
+    in again: about 55k minor faults per bundled-size fit, against under 1.1k
+    with the one allocation.
     """
 
     agg: list[np.ndarray]
@@ -348,7 +358,8 @@ class _Batch(NamedTuple):
     @classmethod
     def allocate(cls, weights: list[np.ndarray], samples: int, nodes: int) -> "_Batch":
         agg, out = _layer_buffers(weights, samples, nodes)
-        return cls(agg, out, [np.empty_like(o) for o in out], np.empty((samples, nodes, 1)))
+        return cls(agg, out, [np.empty_like(o) for o in out],
+                   np.empty((samples, nodes, 1), weights[0].dtype))
 
     def front(self, samples: int) -> "_Batch":
         """Contiguous views of the first samples of every array."""
@@ -361,8 +372,10 @@ def _loss_and_grads(weights: list[np.ndarray], a_hat: np.ndarray, batch: _Batch,
     """Batch MSE over all node outputs; writes each weight's gradient into grads.
 
     batch.agg[0] holds the batch's input aggregation a_hat @ X and
-    batch.targets its scaled targets. Each weight gradient is one
-    (D, S*N) @ (S*N, O) product over every node row of the batch.
+    batch.targets its scaled targets, every array in the dtype of weights and
+    a_hat, in which every step computes. Each weight gradient is one
+    (D, S*N) @ (S*N, O) product over every node row of the batch, and so is
+    each back-projection through a weight, (S*N, O) @ (O, D).
     """
     out = _forward(weights, a_hat, batch.agg, batch.out)
     err = np.subtract(out, batch.targets, out=batch.delta[-1])
@@ -376,28 +389,28 @@ def _loss_and_grads(weights: list[np.ndarray], a_hat: np.ndarray, batch: _Batch,
             delta *= batch.out[li] > 0
         np.matmul(agg.reshape(node_rows, -1).T, delta.reshape(node_rows, -1), out=grads[li])
         if li:  # the input features need no gradient
-            w = weights[li]
-            # agg is spent, so it takes delta @ w.T. With one output column
-            # every entry is a single product, and a broadcast multiply gives
-            # the same bits.
-            if w.shape[1] == 1:
-                np.multiply(delta, w[:, 0], out=agg)
-            else:
-                np.matmul(delta, w.T, out=agg)
+            # agg is spent, so it takes delta @ w.T, one product over every
+            # node row. With one output column each entry is a single
+            # product, which has the bits of the per-sample products.
+            np.dot(delta.reshape(node_rows, -1), weights[li].T,
+                   out=agg.reshape(node_rows, -1))
             # a_hat is symmetric, so the transpose in the chain rule is itself.
             np.matmul(a_hat, agg, out=batch.delta[li - 1])
     return loss
 
 
 def train_gcn(train: tuple[np.ndarray, np.ndarray], graph: ServiceGraph,
-              config: GcnConfig) -> tuple[GcnModel, list[float]]:
+              config: GcnConfig, dtype=DTYPE) -> tuple[GcnModel, list[float]]:
     """Fit the predictor with mini-batch Adam; returns the model and the
     training MSE of every epoch, in scaled units.
 
     Min-max scalers to [0, 1] are fitted on the training tensors: one shared
-    scaler for features, one per node for targets. The history is
-    deterministic for a fixed config seed. Score held-out data with
-    evaluate_gcn.
+    scaler for features, one per node for targets. The fit computes in dtype:
+    the aggregated features (scaled and aggregated in float64, then cast),
+    the scaled targets, a_hat, the weights, their gradients and the Adam
+    state. The model holds the fitted weights cast to float64, which is
+    exact. The history is deterministic for a fixed config seed. Score
+    held-out data with evaluate_gcn.
     """
     x_train = np.asarray(train[0], dtype=np.float64)
     y_train = np.asarray(train[1], dtype=np.float64)
@@ -416,17 +429,18 @@ def train_gcn(train: tuple[np.ndarray, np.ndarray], graph: ServiceGraph,
     # The input layer's aggregation a_hat @ X depends on the data alone, so
     # it is computed once instead of once per batch and epoch, a block of
     # samples at a time.
-    agg_train = np.empty(x_train.shape)
+    agg_train = np.empty(x_train.shape, dtype)
     for lo, hi in blocks(len(x_train)):
-        np.matmul(graph.a_hat, feature_scaler.transform(x_train[lo:hi]), out=agg_train[lo:hi])
-    ys = scale_targets(target_scalers, y_train)
+        agg_train[lo:hi] = graph.a_hat @ feature_scaler.transform(x_train[lo:hi])
+    ys = scale_targets(target_scalers, y_train).astype(dtype)
+    a_hat = graph.a_hat.astype(dtype)
 
     rng = Rng(config.seed)
     widths = config.widths
     shapes = [(widths[i], widths[i + 1]) for i in range(len(widths) - 1)]
     # Weights, gradients and Adam moments each live in one flat array, so a
     # batch takes one Adam step over all of them.
-    flat = np.concatenate([glorot_init(*shape, rng).ravel() for shape in shapes])
+    flat = np.concatenate([glorot_init(*shape, rng).ravel() for shape in shapes], dtype=dtype)
     weights = carve(flat, shapes)
     flat_grad = np.empty_like(flat)
     grads = carve(flat_grad, shapes)
@@ -434,17 +448,20 @@ def train_gcn(train: tuple[np.ndarray, np.ndarray], graph: ServiceGraph,
     shuffle_rng = rng.child(1)
 
     n = len(agg_train)
-    workspace = _Batch.allocate(weights, min(n, config.batch_size), graph.size)
+    size = config.batch_size
+    workspace = _Batch.allocate(weights, min(n, size), graph.size)
+    # Each batch size's views, built once: the full batch and the remainder.
+    views = {m: workspace.front(m) for m in {min(size, n - start) for start in range(0, n, size)}}
     history: list[float] = []
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n)
         sq_sum = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            batch = workspace.front(len(idx))
+        for start in range(0, n, size):
+            idx = order[start:start + size]
+            batch = views[len(idx)]
             np.take(agg_train, idx, axis=0, out=batch.agg[0])
             np.take(ys, idx, axis=0, out=batch.targets)
-            loss = _loss_and_grads(weights, graph.a_hat, batch, grads)
+            loss = _loss_and_grads(weights, a_hat, batch, grads)
             if not np.isfinite(loss):
                 raise DivergenceError(f"training loss diverged at epoch {epoch}", epoch=epoch)
             sq_sum += loss * len(idx)

@@ -2,7 +2,7 @@
 
 Matrices are 2-D numpy arrays in row-major order, float64 unless a caller
 gives another floating dtype: adam_step updates its parameter in the
-parameter's own dtype, which lets the LSTM train in float32 while everything
+parameter's own dtype, which lets both fits train in DTYPE while everything
 else stays float64. Every public operation is deterministic: identical
 inputs (including RNG state) produce bit-identical outputs, and results are
 checked to be finite. All are pure except adam_step, which updates its
@@ -37,6 +37,12 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 # 0.3.31, x86-64), and numpy takes gemv for one row.
 BLOCK = 256
 
+# The precision both fits compute in, and the LSTM forecasts in. float32
+# halves the LSTM recurrence's time: a 2,150-row forward of the bundled shapes
+# took 23 ms, against 48 ms in float64, on a 2-core x86-64 host with OpenBLAS
+# 0.3.31, and the bundled GCN fit took 0.135 s, against 0.19 s in float64.
+DTYPE = np.float32
+
 
 def blocks(n: int, size: int = BLOCK):
     """(lo, hi) ranges that cover range(n) in order: ceil(n / size) of them,
@@ -61,6 +67,19 @@ def check_seed(seed: int) -> None:
     another seed while the outputs record it as given."""
     if not 0 <= seed <= _MASK64:
         raise ValidationError(f"seed must be in [0, 2**64), got {seed}")
+
+
+def check_learning_rate(rate: float) -> None:
+    """A ValidationError naming learning_rate unless it is positive and finite
+    in DTYPE: Adam multiplies every step by the rate in the fit's dtype, where
+    a larger one would overflow to inf."""
+    if not rate > 0:
+        raise ValidationError(f"learning_rate must be positive, got {rate}")
+    with np.errstate(over="ignore"):
+        finite = bool(np.isfinite(DTYPE(rate)))
+    if not finite:
+        raise ValidationError(f"learning_rate must be finite in {np.dtype(DTYPE).name} "
+                              f"(at most {float(np.finfo(DTYPE).max):.9g}), got {rate}")
 
 
 def mix_seed(seed: int, *streams):

@@ -798,19 +798,22 @@ def gcn_loss_and_grads_oracle(weights, activations, a_hat, z, targets):
     return loss, grads
 
 
-def train_gcn_oracle(train, graph, config):
-    """The GCN training loop over the oracle kernel, one Adam step per weight
-    matrix; returns (weights, history), history being the training MSE of
-    every epoch."""
+def train_gcn_oracle(train, graph, config, dtype=np.float64):
+    """The GCN training loop over the oracle kernel in dtype, one Adam step per
+    weight matrix; returns (weights, history), history being the training MSE
+    of every epoch. The features and targets are scaled in float64 and then
+    cast, and so are a_hat and the initial weights."""
     x_train, y_train = (np.asarray(a, dtype=np.float64) for a in train)
     feature_scaler = MinMaxScaler.fit(x_train, out_lo=0.0, out_hi=1.0)
     target_scalers = tuple(MinMaxScaler.fit(y_train[:, ni, :], out_lo=0.0, out_hi=1.0)
                            for ni in range(graph.size))
-    xs = feature_scaler.transform(x_train)
-    ys = scale_targets(target_scalers, y_train)
+    xs = feature_scaler.transform(x_train).astype(dtype)
+    ys = scale_targets(target_scalers, y_train).astype(dtype)
+    a_hat = graph.a_hat.astype(dtype)
     rng = Rng(config.seed)
     widths = config.widths
-    weights = [glorot_init(widths[i], widths[i + 1], rng) for i in range(len(widths) - 1)]
+    weights = [glorot_init(widths[i], widths[i + 1], rng).astype(dtype)
+               for i in range(len(widths) - 1)]
     states = [AdamState.fresh(w, config.learning_rate) for w in weights]
     shuffle_rng = rng.child(1)
     n = len(xs)
@@ -820,7 +823,7 @@ def train_gcn_oracle(train, graph, config):
         sq_sum = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            loss, grads = gcn_loss_and_grads_oracle(weights, config.activations, graph.a_hat,
+            loss, grads = gcn_loss_and_grads_oracle(weights, config.activations, a_hat,
                                                     xs[idx], ys[idx])
             sq_sum += loss * len(idx)
             for li in range(len(weights)):

@@ -144,6 +144,22 @@ class TestTraining:
         assert "error: training loss diverged at epoch 3" in capsys.readouterr().err
         assert not (tmp_path / "out" / "workload_metrics.json").exists()
 
+    @pytest.mark.parametrize("section, command", [("lstm", "train-workload"),
+                                                  ("gcn", "train-resource")])
+    def test_a_learning_rate_beyond_float32_exits_2_naming_it(self, tiny_models_dir, tmp_path,
+                                                              capsys, section, command):
+        # lstm.learning_rate 1e39 used to warn of an overflow in a cast, then
+        # exit 2 with "adam_step result contains non-finite entries".
+        d = copy.deepcopy(TINY_CONFIG)
+        d[section]["learning_rate"] = 1e39
+        config, out = tmp_path / "experiment.json", tmp_path / "out"
+        config.write_text(json.dumps(d), encoding="utf-8")
+        models = ["--models", tiny_models_dir] if command == "train-resource" else []
+        assert run_cli(command, "--config", str(config), *models, "--out", str(out)) == 2
+        assert capsys.readouterr().err == (f"error: {section}.learning_rate must be finite in "
+                                           f"float32 (at most 3.40282347e+38), got 1e+39\n")
+        assert not out.exists()
+
     def test_train_resource_outputs(self, tiny_models_dir):
         d = Path(tiny_models_dir)
         assert (d / "gcn.json").exists()

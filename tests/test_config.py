@@ -1,6 +1,7 @@
 """Experiment config parsing: strict keys, defaults, and source resolution."""
 import copy
 import json
+import re
 
 import pytest
 
@@ -128,6 +129,25 @@ class TestParsing:
     def test_bad_split_fractions_rejected(self, split, message):
         with pytest.raises(ConfigError, match=message):
             ExperimentConfig.from_json_dict(minimal_config(split=split))
+
+    @pytest.mark.parametrize("section", ["lstm", "gcn"])
+    @pytest.mark.parametrize("rate", [1e39, 3.5e38])
+    def test_learning_rate_beyond_float32_rejected(self, section, rate):
+        # Both fits run Adam in float32, where such a rate overflows to inf:
+        # lstm.learning_rate 1e39 warned of an overflow in a cast and ended in
+        # "adam_step result contains non-finite entries", naming neither.
+        message = (f"{section}.learning_rate must be finite in float32 "
+                   f"(at most 3.40282347e+38), got {rate}")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ExperimentConfig.from_json_dict(minimal_config(**{section: {"learning_rate": rate}}))
+
+    @pytest.mark.parametrize("section", ["lstm", "gcn"])
+    def test_largest_float32_learning_rate_loads(self, section):
+        # 3.4028235e38 is above float32's largest finite value,
+        # 3.4028234663852886e38, but rounds to it.
+        cfg = ExperimentConfig.from_json_dict(minimal_config(**{section: {"learning_rate":
+                                                                          3.4028235e38}}))
+        assert getattr(cfg, section).learning_rate == 3.4028235e38
 
     @pytest.mark.parametrize("train, valid", [(0.6, 0.2), (0.1, 0.1)])
     def test_split_fractions_in_use_load(self, train, valid):

@@ -198,6 +198,29 @@ class TestBufferedKernelAgainstOracle:
                 assert_bitwise_equal(got, want)
 
     @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_a_zero_head_keeps_the_oracles_signed_zeros(self, n, k, dtype):
+        # With the head's weights exactly zero every forecast is tanh(0) = 0,
+        # below every target, so dz is negative on every row and dz * 0 is
+        # -0.0. The head's gradient dz @ head_w.T, every carry and every gate
+        # gradient are zeros, and each weight gradient is a sum of them. The
+        # oracle adds the head's gradient and the carries to zero rows, which
+        # would turn a -0.0 into +0.0; the kernel takes them as they are.
+        # Both give +0.0, because a matrix product sums from +0.0.
+        rng = np.random.default_rng(k)
+        params = random_params(rng, 4, dtype)
+        params[3][...] = 0.0
+        params[4][...] = 0.0
+        x, y = scaled_windows(rng, n, k), np.full(n, 0.5)
+        loss, grads = loss_and_grads(params, x, y)
+        want_loss, want_grads = lstm_loss_and_grads_oracle(params, x, y)
+        assert_bitwise_equal(loss, want_loss)
+        for got, want in zip(grads, want_grads, strict=True):
+            assert_bitwise_equal(got, want)
+        assert not np.any(grads[0]) and not np.any(grads[1]) and not np.any(grads[2])
+
+    @pytest.mark.parametrize("dtype", DTYPES)
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), hidden=st.integers(1, 8),
            batch_size=st.integers(3, 20), rows=st.sampled_from(["below", "at", "above"]))
