@@ -21,6 +21,7 @@ import csv
 import io
 import itertools
 import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -225,19 +226,18 @@ class ReactivePolicy(ScalingPolicy):
 
     def decide(self, minute, utilization, pods):
         config, below = self.config, self._below
-        targets = []
+        targets = list(pods)  # a service that does not move keeps its pods
         for j, (util, n) in enumerate(zip(utilization, pods, strict=True)):
             if util > config.scale_out:
-                n = min(n + 1, self._max_pods[j])
+                targets[j] = min(n + 1, self._max_pods[j])
                 below[j] = 0
             elif util < config.scale_in:
                 below[j] += 1
                 if below[j] >= config.stabilization_minutes and n > 1:
-                    n -= 1
+                    targets[j] = n - 1
                     below[j] = 0
             else:
                 below[j] = 0
-            targets.append(n)
         return targets
 
 
@@ -327,12 +327,25 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-3]
 
 
+def _fields(values: np.ndarray) -> list:
+    """values' cells in order as a list: each float64 cell as the repr of its
+    value, formatted once per distinct bit pattern of the array (so -0.0 and
+    0.0, and NaNs of other payloads, are told apart), any other cell as its
+    Python scalar."""
+    if values.dtype != np.float64:
+        return values.tolist()
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return text[inverse].tolist()
+
+
 def _write_grids(path: str | Path, columns: tuple[str, ...], row: str, start_minute: int,
                  services: tuple[str, ...], per_minute: list, grids: list) -> None:
     """A header line, then row % (minute, service, *fields) for every (minute,
     service) cell, minute-major, a block of minutes at a time. The fields are
-    the repr of each (T,) array of per_minute, formatted once per minute, then
-    the cell of each (T, S) grid, floats as Python floats so that %r is repr."""
+    each (T,) array of per_minute, formatted once per minute, then the cell of
+    each (T, S) grid, through _fields: a float is already its repr, which the
+    row's %s writes as it is, and an int or bool is a Python scalar for %d."""
     names = list(map(_csv_field, services))
     width = len(names)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -341,8 +354,8 @@ def _write_grids(path: str | Path, columns: tuple[str, ...], row: str, start_min
             fh.write("".join(map(row.__mod__, zip(
                 _each_repeated(range(start_minute + lo, start_minute + hi), width),
                 itertools.cycle(names),
-                *(_each_repeated(map(repr, x[lo:hi].tolist()), width) for x in per_minute),
-                *(grid[lo:hi].ravel().tolist() for grid in grids)))))
+                *(_each_repeated(_fields(x[lo:hi]), width) for x in per_minute),
+                *(_fields(grid[lo:hi].ravel()) for grid in grids)))))
 
 
 @dataclass
@@ -423,16 +436,16 @@ class SimulationLog:
         }
 
     def write_csv(self, path: str | Path) -> None:
-        # One %-template per row, the policy's field in it; %r is repr and %d
-        # of a bool is 0 or 1.
-        row = f"%d,%s,%s,%r,%d,%r,%d,{_csv_field(self.policy_name).replace('%', '%%')},%d\n"
+        # One %-template per row, the policy's field in it; each float field
+        # comes as its repr, and %d of a bool is 0 or 1.
+        row = f"%d,%s,%s,%s,%d,%s,%d,{_csv_field(self.policy_name).replace('%', '%%')},%d\n"
         _write_grids(path, SIM_COLUMNS, row, self.start_minute, self.services, [self.external],
                      [self.service_rps, self.pods, self.utilization, self.overloaded,
                       self.decision_delta])
 
     def write_decisions_csv(self, path: str | Path) -> None:
         log = self.decisions
-        _write_grids(path, DECISION_COLUMNS, "%d,%s,%r,%r,%r,%d,%d,%d\n", log.start_minute,
+        _write_grids(path, DECISION_COLUMNS, "%d,%s,%s,%s,%s,%d,%d,%d\n", log.start_minute,
                      self.services, [], [log.forecast_rps, log.predicted_vcpu, log.r_new,
                                          log.n_prev, log.n_new, log.n_new - log.n_prev])
 
@@ -475,6 +488,7 @@ def run_simulation(trace: WorkloadTrace, demand: DemandModel, policy: ScalingPol
     # rejects a capacity <= 0, and pods are clipped to >= 1 wherever they change.
     capacity = [bounds[s].pod_capacity for s in services]
     max_pods = [bounds[s].max_pods for s in services]
+    serving = [n * c for n, c in zip(pods, capacity)]  # pods * capacity, kept as pods change
     pod_grid = np.empty((len(external), width), dtype=np.int64)
     util_grid = np.empty((len(external), width))
     decision_delta = np.zeros((len(external), width), dtype=np.int64)
@@ -482,26 +496,28 @@ def run_simulation(trace: WorkloadTrace, demand: DemandModel, policy: ScalingPol
     planned = list(pods)  # each service's ready pods plus its additions not yet ready
 
     for lo, hi in blocks(len(external)):
-        # A block's cells go through flat minute-major lists: one object each,
-        # so the cyclic garbage collector is not triggered by a list per minute.
-        usage_cells = usage[lo:hi].ravel().tolist()
+        # A block's pods and utilization are kept in flat minute-major lists:
+        # one object each, so the cyclic garbage collector is not triggered by
+        # a list kept per minute. The block's usage rows come from one tolist.
         pod_cells: list[int] = []
         util_cells: list[float] = []
-        for i in range(lo, hi):
+        for i, usage_row in enumerate(usage[lo:hi].tolist(), lo):
             minute = trace.start_minute + i
-            for j, delta in pending.pop(minute, ()):
-                n = min(max(pods[j] + delta, 1), max_pods[j])
-                planned[j] += n - pods[j] - max(delta, 0)
-                pods[j] = n
+            if pending and minute in pending:
+                for j, delta in pending.pop(minute):
+                    n = min(max(pods[j] + delta, 1), max_pods[j])
+                    planned[j] += n - pods[j] - max(delta, 0)
+                    pods[j] = n
+                serving = [n * c for n, c in zip(pods, capacity)]
 
-            cell = (i - lo) * width
-            utils = [u / (n * c) for u, n, c in zip(usage_cells[cell:cell + width],
-                                                    pods, capacity)]
-            pod_cells.extend(pods)
-            util_cells.extend(utils)
+            utils = list(map(operator.truediv, usage_row, serving))
+            pod_cells += pods
+            util_cells += utils
             if i < warmup:
                 continue
             targets = policy.decide(minute, utils, planned)
+            if targets == planned:  # nothing to grant or release
+                continue
             budget = max_total_pods - sum(planned)
             for j, (target, n) in enumerate(zip(targets, planned, strict=True)):
                 want = target - n

@@ -465,7 +465,12 @@ def train_gcn(train: tuple[np.ndarray, np.ndarray], graph: ServiceGraph,
             if not np.isfinite(loss):
                 raise DivergenceError(f"training loss diverged at epoch {epoch}", epoch=epoch)
             sq_sum += loss * len(idx)
-            adam_step(flat, flat_grad, state)
+            try:
+                adam_step(flat, flat_grad, state)
+            except ValidationError as exc:  # the step overflowed a weight
+                raise DivergenceError(f"training diverged at epoch {epoch}: an Adam step left "
+                                      f"non-finite weights (learning_rate "
+                                      f"{config.learning_rate:g})", epoch=epoch) from exc
         history.append(sq_sum / n)
         log.debug("gcn epoch %d: train=%.6g", epoch, history[-1])
     model = GcnModel(config, graph.nodes, weights, feature_scaler, target_scalers)

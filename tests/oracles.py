@@ -15,7 +15,10 @@ service and minute and walks the demand model's own topological order. The
 simulation-log references see a log as one SimRow per (minute, service), in
 file order, and aggregate and chart it row by row; a decision log is one
 DecisionRow per (minute, service), written with the package's earlier
-per-row template. The allocating LSTM
+per-row template. The simulator's minute loop and the threshold rule are
+the package's earlier forms, kept to arbitrate the leaner ones bit for bit:
+one minute at a time over Python lists, with a list of targets built
+service by service. The allocating LSTM
 kernel, Adam and training loop are the package's earlier implementation,
 kept here to arbitrate the buffered one bit for bit, in the dtype of the
 weights they are given: they allocate every array they return instead of
@@ -41,12 +44,13 @@ from typing import NamedTuple
 import numpy as np
 
 from graph_phpa.autoscaler import predict_demand
-from graph_phpa.cluster_sim import DECISION_COLUMNS, DecisionLog, ScalingPolicy, SimulationLog
+from graph_phpa.cluster_sim import (DECISION_COLUMNS, DecisionLog, ScalingPolicy, SimulationLog,
+                                    initial_pod_counts)
 from graph_phpa.errors import DivergenceError, TraceFormatError, ValidationError
 from graph_phpa.forecast_lstm import _init_params
 from graph_phpa.predict_gcn import scale_targets
 from graph_phpa.tensor import AdamState, MinMaxScaler, Rng, glorot_init, mix_seed
-from graph_phpa.traces import HEADER, WorkloadTrace
+from graph_phpa.traces import HEADER, WorkloadTrace, trace_digest
 
 
 def rel_err(a, b, floor=1e-12):
@@ -517,6 +521,95 @@ def write_decision_rows_oracle(path, rows) -> None:
         fh.write(",".join(DECISION_COLUMNS) + "\n")
         for minute, service, *values in rows:
             fh.write("%d,%s,%r,%r,%r,%d,%d,%d\n" % (minute, field(service), *values))
+
+
+class ReactiveRuleOracle(ScalingPolicy):
+    """The threshold rule as the package wrote it: a new list of targets
+    built service by service, one pod out on breach (up to max_pods), one
+    pod in after stabilization_minutes calm minutes in a row (down to one)."""
+
+    def __init__(self, config, bounds):
+        self.config = config
+        self.bounds = bounds
+        self.name = f"reactive@{config.scale_out:g}"
+
+    def begin(self, start_minute, services, rates):
+        self._max_pods = [self.bounds[s].max_pods for s in services]
+        self._below = [0] * len(services)
+
+    def decide(self, minute, utilization, pods):
+        config, below = self.config, self._below
+        targets = []
+        for j, (util, n) in enumerate(zip(utilization, pods, strict=True)):
+            if util > config.scale_out:
+                n = min(n + 1, self._max_pods[j])
+                below[j] = 0
+            elif util < config.scale_in:
+                below[j] += 1
+                if below[j] >= config.stabilization_minutes and n > 1:
+                    n -= 1
+                    below[j] = 0
+            else:
+                below[j] = 0
+            targets.append(n)
+        return targets
+
+
+def run_simulation_oracle(trace, demand, policy, bounds, sim, *, warmup=0):
+    """run_simulation's minute loop as the package wrote it, one minute at a
+    time over Python lists: matured pending changes land first (clipped to
+    [1, max_pods]), then the minute's utilization is read, then, after
+    warmup, every service's target is granted in service order within the
+    cluster budget, additions ready startup_delay minutes later and removals
+    the next minute. Shares the demand grids, the opening sizing and the log
+    type with the package; arbitrates the loop."""
+    external = trace.values
+    services = demand.services
+    pods = list(initial_pod_counts(demand, float(external[0]), bounds).values())
+    rps, usage = demand.demand_series(external, trace.start_minute, sim.seed)
+    policy.begin(trace.start_minute, services, rps)
+    capacity = [bounds[s].pod_capacity for s in services]
+    max_pods = [bounds[s].max_pods for s in services]
+    usage_rows = usage.tolist()
+    pod_rows, util_rows, delta_rows = [], [], []
+    pending = {}  # ready minute -> [(column, delta)]
+    planned = list(pods)
+    for i, row in enumerate(usage_rows):
+        minute = trace.start_minute + i
+        for j, delta in pending.pop(minute, []):
+            n = min(max(pods[j] + delta, 1), max_pods[j])
+            planned[j] += n - pods[j] - max(delta, 0)
+            pods[j] = n
+        utils = [u / (n * c) for u, n, c in zip(row, pods, capacity)]
+        deltas = [0] * len(services)
+        pod_rows.append(list(pods))
+        util_rows.append(utils)
+        delta_rows.append(deltas)
+        if i < warmup:
+            continue
+        targets = policy.decide(minute, utils, planned)
+        budget = sim.max_total_pods - sum(planned)
+        for j, (target, n) in enumerate(zip(targets, planned, strict=True)):
+            want = target - n
+            if want > 0:
+                grant = min(want, budget)
+                budget -= grant
+                if grant > 0:
+                    pending.setdefault(minute + sim.startup_delay, []).append((j, grant))
+                    planned[j] += grant
+                    deltas[j] = grant
+            elif want < 0:
+                pending.setdefault(minute + 1, []).append((j, want))
+                deltas[j] = want
+
+    def grid(rows, dtype):
+        return np.array(rows, dtype=dtype).reshape(len(usage_rows), len(services))
+
+    return SimulationLog(policy_name=policy.name, seed=sim.seed,
+                         trace_sha256=trace_digest(trace), start_minute=trace.start_minute,
+                         services=services, external=external, service_rps=rps,
+                         pods=grid(pod_rows, np.int64), utilization=grid(util_rows, np.float64),
+                         decision_delta=grid(delta_rows, np.int64), decisions=policy.decisions)
 
 
 class SimRow(NamedTuple):

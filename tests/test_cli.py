@@ -160,6 +160,21 @@ class TestTraining:
                                            f"float32 (at most 3.40282347e+38), got 1e+39\n")
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_an_adam_step_past_float32_exits_2_naming_the_epoch(self, tiny_config_path,
+                                                                tmp_path, capsys):
+        # Float32 holds lstm.learning_rate 1e38, but the tanh-bounded loss
+        # stays finite while Adam's step overflows a weight; that used to exit
+        # 2 with "adam_step result contains non-finite entries".
+        d = copy.deepcopy(TINY_CONFIG)
+        d["lstm"]["learning_rate"] = 1e38
+        config, out = tmp_path / "experiment.json", tmp_path / "out"
+        config.write_text(json.dumps(d), encoding="utf-8")
+        assert run_cli("train-workload", "--config", str(config), "--out", str(out)) == 2
+        assert capsys.readouterr().err == ("error: training diverged at epoch 0: an Adam step "
+                                           "left non-finite weights (learning_rate 1e+38)\n")
+        assert not out.exists()
+
     def test_train_resource_outputs(self, tiny_models_dir):
         d = Path(tiny_models_dir)
         assert (d / "gcn.json").exists()

@@ -35,9 +35,10 @@ from graph_phpa.forecast_lstm import LstmConfig, LstmModel
 from graph_phpa.predict_gcn import GcnConfig, GcnModel, ServiceGraph
 from graph_phpa.tensor import BLOCK, MinMaxScaler
 from graph_phpa.traces import WorkloadTrace
-from oracles import (DecisionRow, PerMinutePredictivePolicy, SimRow, decision_log_from_rows,
-                     decision_rows, log_from_rows, log_rows, propagate_minute_oracle,
-                     size_pods_oracle, write_decision_rows_oracle, write_rows_oracle)
+from oracles import (DecisionRow, PerMinutePredictivePolicy, ReactiveRuleOracle, SimRow,
+                     assert_bitwise_equal, decision_log_from_rows, decision_rows, log_from_rows,
+                     log_rows, propagate_minute_oracle, run_simulation_oracle, size_pods_oracle,
+                     write_decision_rows_oracle, write_rows_oracle)
 
 
 def bookinfo_demand(noise: float = 0.0) -> DemandModel:
@@ -503,6 +504,84 @@ class TestRunSimulation:
         assert np.array_equal(log.overloaded, log.utilization > 1.0)
 
 
+def assert_logs_bitwise_equal(log, ref):
+    """Every field of two replays' logs, floats bit for bit."""
+    assert (log.policy_name, log.seed, log.trace_sha256, log.start_minute, log.services) == \
+        (ref.policy_name, ref.seed, ref.trace_sha256, ref.start_minute, ref.services)
+    for name in ("external", "service_rps", "pods", "utilization", "decision_delta"):
+        assert_bitwise_equal(getattr(log, name), getattr(ref, name))
+    assert (log.decisions is None) == (ref.decisions is None)
+    if ref.decisions is not None:
+        assert log.decisions.start_minute == ref.decisions.start_minute
+        for name in ("forecast_rps", "predicted_vcpu", "r_new", "n_prev", "n_new"):
+            assert_bitwise_equal(getattr(log.decisions, name), getattr(ref.decisions, name))
+
+
+class TestSimulationOracle:
+    """run_simulation against the minute loop and threshold rule kept in
+    oracles.py: the same log, field by field and bit for bit."""
+
+    @given(budget=st.integers(4, 30), max_pods=st.integers(1, 12),
+           startup_delay=st.integers(1, 3), warmup=st.integers(0, 4),
+           noise=st.sampled_from([0.0, 0.3]),
+           kind=st.sampled_from(["reactive", "pinned", "phpa"]),
+           hpa=st.tuples(st.sampled_from([0.5, 0.9]), st.sampled_from([0.1, 0.3]),
+                         st.integers(1, 4)),
+           plan=st.lists(st.lists(st.integers(-2, 15), min_size=4, max_size=4),
+                         min_size=1, max_size=25),
+           # Rates low enough to be calm at one pod, among any others.
+           values=st.lists(st.integers(0, 20) | st.integers(0, 2000), min_size=1, max_size=25),
+           long=st.sampled_from([0, 0, 0, BLOCK + 5]),
+           start=st.integers(0, 10_000), seed=st.integers(0, 2**16))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_minute_loop_oracle(self, budget, max_pods, startup_delay, warmup,
+                                            noise, kind, hpa, plan, values, long, start,
+                                            seed):
+        demand = bookinfo_demand(noise=noise)
+        # A 1 vCPU band starts every service at one pod, whatever the rate,
+        # so the budget and max_pods clip additions from the first minute.
+        bounds = flat_bounds(demand.services, r_ub=1.0, q=max_pods)
+        # A long trace repeats the drawn rates, crossing the loop's blocks.
+        values = (values * (long // len(values) + 1))[:long] if long else values
+        if kind == "reactive":
+            policy, ref = (cls(HpaConfig(*hpa), bounds)
+                           for cls in (ReactivePolicy, ReactiveRuleOracle))
+        elif kind == "pinned":
+            # Targets outside [1, max_pods] on purpose: the simulator clips them.
+            policy, ref = (PinnedPolicy({start + m: dict(zip(demand.services, targets))
+                                         for m, targets in enumerate(plan)})
+                           for _ in range(2))
+        else:
+            # Sized under its own wider bounds, so its targets pass max_pods too.
+            policy, ref = (rate_following_phpa(demand, flat_bounds(demand.services, 15.0, q=15))
+                           for _ in range(2))
+            warmup += policy.gcn_model.config.window - 1
+            values = values + [values[-1]] * warmup  # a decision after warmup
+        trace = stub_trace(values, start_minute=start)
+        sim = SimConfig(seed=seed, startup_delay=startup_delay, max_total_pods=budget)
+        assert_logs_bitwise_equal(
+            run_simulation(trace, demand, policy, bounds, sim, warmup=warmup),
+            run_simulation_oracle(trace, demand, ref, bounds, sim, warmup=warmup))
+
+
+# Bit patterns that repr alone does not tell apart, or that it writes long:
+# both zeros; NaNs of both signs, quiet and signalling, with other payloads;
+# both infinities; the least and greatest subnormals, and a negative one.
+SPECIAL_FLOATS = np.array([0x0, 0x8000000000000000, 0x7FF8000000000000, 0xFFF8000000000000,
+                           0x7FF8000000000001, 0x7FF0000000000001, 0xFFF00000DEAD0000,
+                           0x7FF0000000000000, 0xFFF0000000000000, 0x1, 0x000FFFFFFFFFFFFF,
+                           0x800123456789ABCD], dtype=np.uint64).view(np.float64)
+
+
+def special_cells(rng, shape) -> np.ndarray:
+    """Cells drawn from SPECIAL_FLOATS, with the middle half of the rows one
+    long run of a single one of them: with more than one block of minutes,
+    the run crosses a block edge."""
+    cells = SPECIAL_FLOATS[rng.integers(0, len(SPECIAL_FLOATS), shape)]
+    cells[shape[0] // 4:3 * shape[0] // 4] = SPECIAL_FLOATS[rng.integers(len(SPECIAL_FLOATS))]
+    return cells
+
+
 class TestSimulationLog:
     def make_log(self):
         rows = [
@@ -584,6 +663,23 @@ class TestSimulationLog:
         write_rows_oracle(tmp_path / "ref.csv", SIM_COLUMNS, log_rows(log))
         assert (tmp_path / "sim.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+    @pytest.mark.parametrize("horizon", [1, BLOCK - 1, 2 * BLOCK + 37])
+    def test_csv_bytes_equal_csv_writer_with_special_values(self, tmp_path, horizon):
+        # Zeros of both signs, NaNs of several payloads, infinities,
+        # subnormals and long runs share external and both float grids.
+        rng = np.random.default_rng(horizon)
+        services = ("a", "b,c", "d")
+        shape = (horizon, len(services))
+        log = SimulationLog(policy_name="p", seed=1, trace_sha256="t", start_minute=3,
+                            services=services, external=special_cells(rng, (horizon,)),
+                            service_rps=special_cells(rng, shape),
+                            pods=rng.integers(1, 13, shape),
+                            utilization=special_cells(rng, shape),
+                            decision_delta=rng.integers(-1, 2, shape))
+        log.write_csv(tmp_path / "sim.csv")
+        write_rows_oracle(tmp_path / "ref.csv", SIM_COLUMNS, log_rows(log))
+        assert (tmp_path / "sim.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
 
 # Names that csv must quote or that hold a %-format, and names of any other
 # characters a service may hold.
@@ -591,7 +687,8 @@ SERVICE_NAMES = (st.sampled_from(["a,b", 'q"x', "", "line\nbreak", "c\rr", "%d%%
                  | st.text(st.characters(blacklist_categories=("Cs",),
                                          blacklist_characters="/\0"), max_size=5))
 # Floats whose repr is long or special, among any others.
-DECISION_FLOATS = (st.sampled_from([-0.0, 1e16, 5e-324, 1 / 3, float("nan")])
+DECISION_FLOATS = (st.sampled_from([-0.0, 1e16, 5e-324, 1 / 3, float("nan"),
+                                    *SPECIAL_FLOATS.tolist()])
                    | st.floats(allow_nan=True, allow_infinity=True))
 
 
@@ -624,6 +721,24 @@ class TestDecisionsCsv:
         log.write_decisions_csv(d / "decisions.csv")
         write_decision_rows_oracle(d / "ref.csv", decision_rows(log))
         assert (d / "decisions.csv").read_bytes() == (d / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("minutes", [1, BLOCK - 1, 2 * BLOCK + 37])
+    def test_special_values_bytes_equal_the_row_writer(self, tmp_path, minutes):
+        # Zeros of both signs, NaNs of several payloads, infinities,
+        # subnormals and long runs share each float column.
+        rng = np.random.default_rng(minutes)
+        services = ("a", "b")
+        shape = (minutes, len(services))
+        grids = DecisionLog(11, *(special_cells(rng, shape) for _ in range(3)),
+                            n_prev=rng.integers(1, 9, shape), n_new=rng.integers(1, 9, shape))
+        log = SimulationLog(policy_name="phpa", seed=1, trace_sha256="x", start_minute=11,
+                            services=services, external=np.zeros(0),
+                            service_rps=np.zeros((0, 2)), pods=np.zeros((0, 2), dtype=np.int64),
+                            utilization=np.zeros((0, 2)),
+                            decision_delta=np.zeros((0, 2), dtype=np.int64), decisions=grids)
+        log.write_decisions_csv(tmp_path / "decisions.csv")
+        write_decision_rows_oracle(tmp_path / "ref.csv", decision_rows(log))
+        assert (tmp_path / "decisions.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def fixed_forecaster(k: int, value: float) -> LstmModel:

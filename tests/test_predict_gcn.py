@@ -18,6 +18,7 @@ from graph_phpa.errors import (
     ShapeError,
     ValidationError,
 )
+from graph_phpa import predict_gcn
 from graph_phpa.predict_gcn import (
     GcnConfig,
     GcnModel,
@@ -32,7 +33,7 @@ from graph_phpa.predict_gcn import (
     scale_targets,
     train_gcn,
 )
-from graph_phpa.tensor import BLOCK, DTYPE, MinMaxScaler, Rng
+from graph_phpa.tensor import BLOCK, DTYPE, MinMaxScaler, Rng, adam_step, ensure_finite
 from conftest import traced_peak
 from oracles import (
     assert_bitwise_equal,
@@ -598,6 +599,28 @@ class TestTraining:
         config = GcnConfig(window=2, hidden=(4,), learning_rate=1e30, epochs=30, seed=1)
         with pytest.raises(DivergenceError):
             train_gcn((x, y), graph, config)
+
+    def test_a_non_finite_adam_step_raises_naming_its_epoch(self, monkeypatch):
+        # The first step of the second epoch leaves an infinite weight, as an
+        # overflowing step would, while every loss stays finite.
+        rng = Rng(53)
+        graph = ServiceGraph.from_edges(["a", "b"], [("a", "b")])
+        x, y = self._toy_data(rng, graph, 3, 20)
+        steps = []
+
+        def overflowing(param, grad, state):
+            steps.append(state.step)
+            adam_step(param, grad, state)
+            if len(steps) == 3:  # two batches of 16 and 4 samples per epoch
+                param[0] = np.inf
+                ensure_finite(param, "adam_step result")
+
+        monkeypatch.setattr(predict_gcn, "adam_step", overflowing)
+        config = GcnConfig(window=3, hidden=(4,), epochs=3, batch_size=16, seed=1)
+        with pytest.raises(DivergenceError, match="^training diverged at epoch 1: an Adam "
+                                                  "step left non-finite weights") as info:
+            train_gcn((x, y), graph, config)
+        assert info.value.epoch == 1 and len(steps) == 3
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_validation_mse_raises(self):
