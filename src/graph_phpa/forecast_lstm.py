@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import json
-import logging
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -36,10 +35,8 @@ import numpy as np
 
 from .errors import (DivergenceError, EmptyDatasetError, ShapeError, ValidationError,
                      check_keys, check_value, float_array, read, read_json_file)
-from .tensor import (BLOCK, DTYPE, AdamState, MinMaxScaler, Rng, adam_step, blocks, carve,
-                     check_learning_rate, check_seed, ensure_finite, glorot_init)
-
-log = logging.getLogger(__name__)
+from .tensor import (BLOCK, DTYPE, MinMaxScaler, Rng, blocks, carve, check_learning_rate,
+                     check_seed, ensure_finite, fit_adam, glorot_init)
 
 # Column order of the fused gate blocks in w_x, w_h and b.
 GATES = ("input", "forget", "output", "candidate")
@@ -260,7 +257,7 @@ def _forward_scaled(params: list[np.ndarray], x_seq: np.ndarray) -> np.ndarray:
 
 
 class _Batch(NamedTuple):
-    """The arrays of one training batch of n rows; see _Workspace."""
+    """The arrays of one training batch of n rows; see _workspace."""
 
     x: np.ndarray  # scaled windows (n, k)
     y: np.ndarray  # scaled targets (n,)
@@ -277,34 +274,28 @@ class _Batch(NamedTuple):
     dc_carry: np.ndarray
 
 
-class _Workspace:
-    """Every array of a training batch, carved from one flat pool.
+def _workspace(config: LstmConfig, rows: int, dtype):
+    """A training workspace: the make_batch of fit_adam, which gives the
+    _Batch of n <= rows rows, every array carved from one flat pool.
 
-    The pool is sized for a full batch and has the weights' dtype. A smaller
-    batch, the remainder of an epoch, takes contiguous views of the pool's
-    front, so each array has the layout a freshly allocated one would, and the
+    The pool is sized for rows and has the weights' dtype. A smaller batch,
+    the remainder of an epoch, takes contiguous views of the pool's front, so
+    each array has the layout a freshly allocated one would, and the
     arithmetic is the same.
     The forward pass keeps the hidden and cell states h, c (k+1, n, H) with
     the zero initial state at index 0, tanh of the cell states (k, n, H) and
     the activated gates (k, n, 4H). The backward pass writes the forget gate
     over c's first k states once it has read them.
     """
+    k, hid = config.window, config.hidden_units
 
-    def __init__(self, config: LstmConfig, rows: int, dtype):
-        self.config = config
-        self.pool = np.empty(sum(math.prod(s) for s in self._shapes(rows)), dtype=dtype)
-        self._batches: dict[int, _Batch] = {}
-
-    def _shapes(self, n: int) -> list[tuple[int, ...]]:
-        k, hid = self.config.window, self.config.hidden_units
+    def shapes(n):
         seq, state, step = (k, n, hid), (k + 1, n, hid), (n, hid)
         return [(n, k), (n,), (k, n), state, state, seq, (k, n, 4 * hid), step, seq,
                 (n, 4 * hid), (n, 4, hid), step, step]
 
-    def batch(self, n: int) -> _Batch:
-        if n not in self._batches:
-            self._batches[n] = _Batch(*carve(self.pool, self._shapes(n)))
-        return self._batches[n]
+    pool = np.empty(sum(math.prod(s) for s in shapes(rows)), dtype=dtype)
+    return lambda n: _Batch(*carve(pool, shapes(n)))
 
 
 def _loss_and_grads(params: list[np.ndarray], batch: _Batch,
@@ -405,6 +396,8 @@ def forecast_services(models: Sequence[LstmModel], windows: Iterable,
     units is "scaled" for the forecasts in the model's scaled units,
     "original" for them through its scaler's inverse_transform, or "rates"
     for those clamped at zero, since a request rate cannot be negative.
+    Training (cli.train_resource) and replay (autoscaler.predict_demand) both
+    forecast in rates, so the graph predictor sees the same forecasts in both.
 
     Each model scales its windows with its own scaler, and the LSTM runs once
     per distinct pair of weights and scaled windows: a later model reuses an
@@ -439,11 +432,6 @@ def forecast_services(models: Sequence[LstmModel], windows: Iterable,
     return [np.maximum(f, 0.0) for f in out] if units == "rates" else out
 
 
-def predict_windows(model: LstmModel, x: np.ndarray) -> np.ndarray:
-    """One-step forecasts in original units for each row of raw k-length windows."""
-    return forecast_services([model], [x], "original")[0]
-
-
 def scaled_mse(model: LstmModel, forecasts: np.ndarray, targets) -> float:
     """MSE of the model's scaled forecasts against raw targets, in scaled units,
     the units of the training history; a non-finite MSE raises DivergenceError."""
@@ -456,31 +444,16 @@ def scaled_mse(model: LstmModel, forecasts: np.ndarray, targets) -> float:
     return mse
 
 
-def evaluate_lstm(model: LstmModel, dataset: tuple[np.ndarray, np.ndarray]) -> float:
-    """scaled_mse of the model's forecasts over raw (windows, targets)."""
-    return scaled_mse(model, forecast_services([model], [dataset[0]], "scaled")[0], dataset[1])
-
-
-def forecast_rates(model: LstmModel, x: np.ndarray) -> np.ndarray:
-    """Request-rate forecasts for raw k-length windows, clamped at zero.
-
-    Training (cli.train_resource) and replay (autoscaler.predict_demand)
-    both forecast through forecast_services in these units, so the graph
-    predictor sees the same forecasts in both.
-    """
-    return forecast_services([model], [x])[0]
-
-
 def train_lstm(train: tuple[np.ndarray, np.ndarray], config: LstmConfig,
                dtype=DTYPE) -> tuple[LstmModel, list[float]]:
-    """Fit the forecaster with mini-batch Adam; returns the model and the
+    """Fit the forecaster with tensor.fit_adam; returns the model and the
     training MSE of every epoch, in scaled units.
 
     The fit computes in dtype: the scaled windows and targets, the weights,
     their gradients and the Adam state; the model holds its weights in dtype.
     The shuffle order is derived from the config seed, so identical inputs
     give bit-identical histories and weights. Score held-out data with
-    evaluate_lstm.
+    scaled_mse over the "scaled" forecasts of forecast_services.
     """
     x_train, y_train = np.asarray(train[0], dtype=np.float64), np.asarray(train[1], dtype=np.float64)
     if x_train.ndim != 2 or x_train.shape[1] != config.window:
@@ -491,40 +464,15 @@ def train_lstm(train: tuple[np.ndarray, np.ndarray], config: LstmConfig,
     xs = scaler.transform(x_train).astype(dtype)
     ys = scaler.transform(y_train).astype(dtype)
 
-    rng = Rng(config.seed)
-    # Parameters, gradients and Adam moments each live in one flat array, so a
-    # batch takes one Adam step over all of them.
-    init = _init_params(config, rng)
-    flat = np.concatenate([p.ravel() for p in init], dtype=dtype)
-    params = carve(flat, [p.shape for p in init])
-    flat_grad = np.empty_like(flat)
-    grads = carve(flat_grad, [p.shape for p in init])
-    state = AdamState.fresh(flat, config.learning_rate)
-    shuffle_rng = rng.child(1)
+    def batch_loss(params, batch, idx, grads):
+        np.take(xs, idx, axis=0, out=batch.x)
+        np.take(ys, idx, out=batch.y)
+        return _loss_and_grads(params, batch, grads)
 
-    n = len(xs)
-    workspace = _Workspace(config, min(n, config.batch_size), dtype)
-    history: list[float] = []
-    for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(n)
-        sq_sum = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            batch = workspace.batch(len(idx))
-            np.take(xs, idx, axis=0, out=batch.x)
-            np.take(ys, idx, out=batch.y)
-            loss = _loss_and_grads(params, batch, grads)
-            if not np.isfinite(loss):
-                raise DivergenceError(f"training loss diverged at epoch {epoch}", epoch=epoch)
-            sq_sum += loss * len(idx)
-            try:
-                adam_step(flat, flat_grad, state)
-            except ValidationError as exc:  # the step overflowed a weight
-                raise DivergenceError(f"training diverged at epoch {epoch}: an Adam step left "
-                                      f"non-finite weights (learning_rate "
-                                      f"{config.learning_rate:g})", epoch=epoch) from exc
-        history.append(sq_sum / n)
-        log.debug("lstm epoch %d: train=%.6g", epoch, history[-1])
+    rng = Rng(config.seed)
+    init = [p.astype(dtype) for p in _init_params(config, rng)]
+    make_batch = _workspace(config, min(len(xs), config.batch_size), dtype)
+    params, history = fit_adam(init, len(xs), config, rng, make_batch, batch_loss, "lstm")
     return LstmModel.from_params(config, params, scaler), history
 
 

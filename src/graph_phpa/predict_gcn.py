@@ -17,7 +17,6 @@ are given, so the tests can drive a fit in float64 too.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -27,10 +26,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (DivergenceError, EmptyDatasetError, ShapeError, ValidationError,
                      check_keys, check_name, check_value, float_array, read, read_json_file)
-from .tensor import (BLOCK, DTYPE, AdamState, MinMaxScaler, Rng, adam_step, blocks, carve,
-                     check_learning_rate, check_seed, glorot_init)
-
-log = logging.getLogger(__name__)
+from .tensor import (BLOCK, DTYPE, MinMaxScaler, Rng, blocks, check_learning_rate, check_seed,
+                     fit_adam, glorot_init)
 
 GCN_SCHEMA = "graph-phpa/gcn-model/v1"
 
@@ -343,8 +340,8 @@ class _Batch(NamedTuple):
 
     agg and out are _forward's per-layer arrays, and delta[l] takes the loss
     gradient of layer l's output. A fit allocates one _Batch for a full batch;
-    a shorter batch, the remainder of an epoch, takes the front of each array,
-    and the fit builds those views once per batch size. Allocated afresh
+    a shorter batch, the remainder of an epoch, takes the front of each array
+    (tensor.fit_adam builds those views once per batch size). Allocated afresh
     every batch, these arrays made glibc hand their pages back and fault them
     in again: about 55k minor faults per bundled-size fit, against under 1.1k
     with the one allocation.
@@ -401,7 +398,7 @@ def _loss_and_grads(weights: list[np.ndarray], a_hat: np.ndarray, batch: _Batch,
 
 def train_gcn(train: tuple[np.ndarray, np.ndarray], graph: ServiceGraph,
               config: GcnConfig, dtype=DTYPE) -> tuple[GcnModel, list[float]]:
-    """Fit the predictor with mini-batch Adam; returns the model and the
+    """Fit the predictor with tensor.fit_adam; returns the model and the
     training MSE of every epoch, in scaled units.
 
     Min-max scalers to [0, 1] are fitted on the training tensors: one shared
@@ -435,44 +432,18 @@ def train_gcn(train: tuple[np.ndarray, np.ndarray], graph: ServiceGraph,
     ys = scale_targets(target_scalers, y_train).astype(dtype)
     a_hat = graph.a_hat.astype(dtype)
 
+    def batch_loss(weights, batch, idx, grads):
+        np.take(agg_train, idx, axis=0, out=batch.agg[0])
+        np.take(ys, idx, axis=0, out=batch.targets)
+        return _loss_and_grads(weights, a_hat, batch, grads)
+
     rng = Rng(config.seed)
     widths = config.widths
-    shapes = [(widths[i], widths[i + 1]) for i in range(len(widths) - 1)]
-    # Weights, gradients and Adam moments each live in one flat array, so a
-    # batch takes one Adam step over all of them.
-    flat = np.concatenate([glorot_init(*shape, rng).ravel() for shape in shapes], dtype=dtype)
-    weights = carve(flat, shapes)
-    flat_grad = np.empty_like(flat)
-    grads = carve(flat_grad, shapes)
-    state = AdamState.fresh(flat, config.learning_rate)
-    shuffle_rng = rng.child(1)
-
-    n = len(agg_train)
-    size = config.batch_size
-    workspace = _Batch.allocate(weights, min(n, size), graph.size)
-    # Each batch size's views, built once: the full batch and the remainder.
-    views = {m: workspace.front(m) for m in {min(size, n - start) for start in range(0, n, size)}}
-    history: list[float] = []
-    for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(n)
-        sq_sum = 0.0
-        for start in range(0, n, size):
-            idx = order[start:start + size]
-            batch = views[len(idx)]
-            np.take(agg_train, idx, axis=0, out=batch.agg[0])
-            np.take(ys, idx, axis=0, out=batch.targets)
-            loss = _loss_and_grads(weights, a_hat, batch, grads)
-            if not np.isfinite(loss):
-                raise DivergenceError(f"training loss diverged at epoch {epoch}", epoch=epoch)
-            sq_sum += loss * len(idx)
-            try:
-                adam_step(flat, flat_grad, state)
-            except ValidationError as exc:  # the step overflowed a weight
-                raise DivergenceError(f"training diverged at epoch {epoch}: an Adam step left "
-                                      f"non-finite weights (learning_rate "
-                                      f"{config.learning_rate:g})", epoch=epoch) from exc
-        history.append(sq_sum / n)
-        log.debug("gcn epoch %d: train=%.6g", epoch, history[-1])
+    init = [glorot_init(widths[i], widths[i + 1], rng).astype(dtype)
+            for i in range(len(widths) - 1)]
+    workspace = _Batch.allocate(init, min(len(agg_train), config.batch_size), graph.size)
+    weights, history = fit_adam(init, len(agg_train), config, rng, workspace.front,
+                                batch_loss, "gcn")
     model = GcnModel(config, graph.nodes, weights, feature_scaler, target_scalers)
     return model, history
 

@@ -6,8 +6,9 @@ parameter's own dtype, which lets both fits train in DTYPE while everything
 else stays float64. Every public operation is deterministic: identical
 inputs (including RNG state) produce bit-identical outputs, and results are
 checked to be finite. All are pure except adam_step, which updates its
-parameter and state in place, and one_blas_thread, which sets OpenBLAS's
-thread count for a block.
+parameter and state in place, fit_adam, which runs both fits' mini-batch Adam
+loop through the callbacks it is given, and one_blas_thread, which sets
+OpenBLAS's thread count for a block.
 
 Passes over a whole window or dataset walk it in blocks (see blocks), so their
 working memory is bounded by the block size, not by the window's length.
@@ -16,13 +17,16 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import logging
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError, check_keys, check_value
+from .errors import DivergenceError, ShapeError, ValidationError, check_keys, check_value
+
+log = logging.getLogger(__name__)
 
 _SPLITMIX64_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -399,6 +403,58 @@ def carve(pool: np.ndarray, shapes) -> list[np.ndarray]:
         views.append(pool[start:start + size].reshape(shape))
         start += size
     return views
+
+
+def fit_adam(init: list[np.ndarray], rows: int, config, rng: Rng, make_batch, batch_loss,
+             name: str) -> tuple[list[np.ndarray], list[float]]:
+    """Fit parameters with mini-batch Adam over rows training rows; returns
+    them and the training MSE of every epoch.
+
+    init holds the initial parameters in the dtype the fit computes in.
+    Parameters, gradients and Adam moments each live in one flat array, so a
+    batch takes one Adam step over all of them. config gives learning_rate,
+    epochs and batch_size. Each epoch visits the rows in an order drawn from
+    rng.child(1), batch_size rows at a time, the last batch taking what is
+    left, so a seeded rng gives bit-identical histories and parameters.
+
+    make_batch(m) returns the workspace of a batch of m rows, once for the
+    full batch size and once for a shorter remainder. batch_loss(params,
+    batch, idx, grads) takes the rows idx into batch, writes each parameter's
+    gradient into grads and returns the batch's mean squared error. A
+    non-finite loss, or a step that leaves a non-finite parameter, raises
+    DivergenceError naming the epoch; since both are checked, numpy's
+    overflow and invalid-value warnings are off during the fit. name labels
+    the debug log line of each epoch.
+    """
+    flat = np.concatenate([p.ravel() for p in init])
+    params = carve(flat, [p.shape for p in init])
+    flat_grad = np.empty_like(flat)
+    grads = carve(flat_grad, [p.shape for p in init])
+    state = AdamState.fresh(flat, config.learning_rate)
+    shuffle_rng = rng.child(1)
+    size = config.batch_size
+    batches = {m: make_batch(m) for m in {min(rows, size), rows % size or size}}
+    history: list[float] = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            order = shuffle_rng.permutation(rows)
+            sq_sum = 0.0
+            for start in range(0, rows, size):
+                idx = order[start:start + size]
+                loss = batch_loss(params, batches[len(idx)], idx, grads)
+                if not np.isfinite(loss):
+                    raise DivergenceError(f"training loss diverged at epoch {epoch}",
+                                          epoch=epoch)
+                sq_sum += loss * len(idx)
+                try:
+                    adam_step(flat, flat_grad, state)
+                except ValidationError as exc:  # the step overflowed a parameter
+                    raise DivergenceError(f"training diverged at epoch {epoch}: an Adam step "
+                                          f"left non-finite weights (learning_rate "
+                                          f"{config.learning_rate:g})", epoch=epoch) from exc
+            history.append(sq_sum / rows)
+            log.debug("%s epoch %d: train=%.6g", name, epoch, history[-1])
+    return params, history
 
 
 def glorot_init(rows: int, cols: int, rng: Rng) -> np.ndarray:

@@ -1,8 +1,11 @@
 """Shared fixtures: a small, fast experiment config for end-to-end tests, a
-traced-memory probe for the memory bounds and a counter of LSTM forwards."""
+traced-memory probe for the memory bounds, a counter of LSTM forwards, and
+the one-service forecasts and score the tests take through
+forecast_services."""
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from graph_phpa import forecast_lstm
@@ -94,6 +97,24 @@ def counting_forwards(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(forecast_lstm, "_forward_scaled", counting)
     return rows
+
+
+def predict_windows(model, x) -> np.ndarray:
+    """One-step forecasts in original units for each row of raw k-length windows."""
+    return forecast_lstm.forecast_services([model], [x], "original")[0]
+
+
+def forecast_rates(model, x) -> np.ndarray:
+    """Request-rate forecasts for raw k-length windows, clamped at zero: the
+    units train_resource and the replay forecast in."""
+    return forecast_lstm.forecast_services([model], [x])[0]
+
+
+def evaluate_lstm(model, dataset) -> float:
+    """scaled_mse of the model's forecasts over raw (windows, targets), as
+    train_workload scores a segment."""
+    forecasts = forecast_lstm.forecast_services([model], [dataset[0]], "scaled")[0]
+    return forecast_lstm.scaled_mse(model, forecasts, dataset[1])
 
 
 @pytest.fixture(scope="session")

@@ -857,12 +857,14 @@ def train_lstm_oracle(train, config, dtype=np.float64):
     return params, history
 
 
-def gcn_forward_scaled_oracle(weights, activations, a_hat, z, keep_cache=False):
-    """Propagate scaled features (batch, N, D) through every layer, per sample."""
+def gcn_forward_scaled_oracle(weights, activations, a_hat, z, keep_cache=False,
+                              first_agg=None):
+    """Propagate scaled features (batch, N, D) through every layer, per sample.
+    first_agg, when given, is the input layer's aggregation a_hat @ z."""
     h = z
     cache = [] if keep_cache else None
-    for w, kind in zip(weights, activations):
-        agg = np.matmul(a_hat, h)  # (batch, N, D_l)
+    for li, (w, kind) in enumerate(zip(weights, activations)):
+        agg = first_agg if li == 0 and first_agg is not None else np.matmul(a_hat, h)
         pre = agg @ w
         if keep_cache:
             cache.append({"agg": agg, "pre": pre, "kind": kind})
@@ -870,9 +872,10 @@ def gcn_forward_scaled_oracle(weights, activations, a_hat, z, keep_cache=False):
     return h, cache
 
 
-def gcn_loss_and_grads_oracle(weights, activations, a_hat, z, targets):
+def gcn_loss_and_grads_oracle(weights, activations, a_hat, z, targets, first_agg=None):
     """Batch MSE over all node outputs plus per-weight einsum gradients."""
-    out, cache = gcn_forward_scaled_oracle(weights, activations, a_hat, z, keep_cache=True)
+    out, cache = gcn_forward_scaled_oracle(weights, activations, a_hat, z, keep_cache=True,
+                                           first_agg=first_agg)
     err = out - targets
     denom = err.size
     loss = float(np.mean(err ** 2))
@@ -891,11 +894,13 @@ def gcn_loss_and_grads_oracle(weights, activations, a_hat, z, targets):
     return loss, grads
 
 
-def train_gcn_oracle(train, graph, config, dtype=np.float64):
+def train_gcn_oracle(train, graph, config, dtype=np.float64, aggregate_in_float64=False):
     """The GCN training loop over the oracle kernel in dtype, one Adam step per
     weight matrix; returns (weights, history), history being the training MSE
     of every epoch. The features and targets are scaled in float64 and then
-    cast, and so are a_hat and the initial weights."""
+    cast, and so are a_hat and the initial weights. With
+    aggregate_in_float64, the input layer's aggregation a_hat @ X is also
+    computed in float64 and then cast, as train_gcn computes it."""
     x_train, y_train = (np.asarray(a, dtype=np.float64) for a in train)
     feature_scaler = MinMaxScaler.fit(x_train, out_lo=0.0, out_hi=1.0)
     target_scalers = tuple(MinMaxScaler.fit(y_train[:, ni, :], out_lo=0.0, out_hi=1.0)
@@ -903,6 +908,7 @@ def train_gcn_oracle(train, graph, config, dtype=np.float64):
     xs = feature_scaler.transform(x_train).astype(dtype)
     ys = scale_targets(target_scalers, y_train).astype(dtype)
     a_hat = graph.a_hat.astype(dtype)
+    aggs = (graph.a_hat @ feature_scaler.transform(x_train)).astype(dtype)
     rng = Rng(config.seed)
     widths = config.widths
     weights = [glorot_init(widths[i], widths[i + 1], rng).astype(dtype)
@@ -916,8 +922,9 @@ def train_gcn_oracle(train, graph, config, dtype=np.float64):
         sq_sum = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            loss, grads = gcn_loss_and_grads_oracle(weights, config.activations, a_hat,
-                                                    xs[idx], ys[idx])
+            loss, grads = gcn_loss_and_grads_oracle(
+                weights, config.activations, a_hat, xs[idx], ys[idx],
+                first_agg=aggs[idx] if aggregate_in_float64 else None)
             sq_sum += loss * len(idx)
             for li in range(len(weights)):
                 weights[li], states[li] = adam_step_oracle(weights[li], grads[li], states[li])

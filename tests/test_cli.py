@@ -11,13 +11,13 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from conftest import TINY_CONFIG, counting_forwards, mutations, run_cli
+from conftest import (TINY_CONFIG, counting_forwards, forecast_rates, mutations, predict_windows,
+                      run_cli)
 from graph_phpa import autoscaler, cli, forecast_lstm, tensor
 from graph_phpa.cluster_sim import SimulationLog
 from graph_phpa.config import ExperimentConfig, TraceSpec
 from graph_phpa.errors import DivergenceError
-from graph_phpa.forecast_lstm import (LstmConfig, LstmModel, forecast_rates,
-                                      make_windows, predict_windows, train_lstm)
+from graph_phpa.forecast_lstm import LstmConfig, LstmModel, make_windows, train_lstm
 from graph_phpa.predict_gcn import GcnModel, build_resource_dataset, scale_targets
 from graph_phpa.report import load_run
 from graph_phpa.tensor import MinMaxScaler, mix_seed
@@ -160,7 +160,6 @@ class TestTraining:
                                            f"float32 (at most 3.40282347e+38), got 1e+39\n")
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_an_adam_step_past_float32_exits_2_naming_the_epoch(self, tiny_config_path,
                                                                 tmp_path, capsys):
         # Float32 holds lstm.learning_rate 1e38, but the tanh-bounded loss

@@ -27,17 +27,15 @@ from graph_phpa.forecast_lstm import (
     LstmModel,
     _init_params,
     _loss_and_grads,
-    _Workspace,
+    _workspace,
     evaluate,
-    evaluate_lstm,
-    forecast_rates,
     forecast_services,
     make_windows,
-    predict_windows,
     train_lstm,
 )
 from graph_phpa.tensor import MinMaxScaler, Rng, glorot_init
-from conftest import counting_forwards, traced_peak
+from conftest import (counting_forwards, evaluate_lstm, forecast_rates, predict_windows,
+                      traced_peak)
 from oracles import (assert_bitwise_equal, finite_diff_gradient, lstm_forward_oracle,
                      lstm_forward_scaled_oracle, lstm_loss_and_grads_oracle, rel_err,
                      train_lstm_oracle)
@@ -114,7 +112,7 @@ def loss_and_grads(params, x, y):
     """The buffered kernel on one batch, through a workspace sized for it."""
     n, k = x.shape
     config = LstmConfig(window=k, hidden_units=params[1].shape[0], batch_size=n)
-    batch = _Workspace(config, n, params[0].dtype).batch(n)
+    batch = _workspace(config, n, params[0].dtype)(n)
     batch.x[...] = x
     batch.y[...] = y
     grads = [np.full_like(p, np.nan) for p in params]
@@ -184,11 +182,11 @@ class TestBufferedKernelAgainstOracle:
         params = random_params(rng, hidden, dtype)
         x, y = scaled_windows(rng, n, k), rng.uniform(-0.8, 0.8, n)
         config = LstmConfig(window=k, hidden_units=hidden, batch_size=batch_size)
-        workspace = _Workspace(config, min(n, batch_size), dtype)
+        make_batch = _workspace(config, min(n, batch_size), dtype)
         grads = [np.empty_like(p) for p in params]
         for start in range(0, n, batch_size):  # the last batch may be a remainder
             xb, yb = x[start:start + batch_size], y[start:start + batch_size]
-            batch = workspace.batch(len(xb))
+            batch = make_batch(len(xb))
             batch.x[...] = xb
             batch.y[...] = yb
             loss = _loss_and_grads(params, batch, grads)
@@ -251,7 +249,7 @@ BLOCK_ROWS = sorted({1, 2} | {j * BLOCK + r for j in (1, 2, 3) for r in range(-1
 
 
 class TestBlockedInference:
-    """predict_windows walks rows in blocks yet equals one unblocked forward."""
+    """forecast_services walks rows in blocks yet equals one unblocked forward."""
 
     # Ids name the weights' seed; plain ids run the package's dtype, and
     # float64 is the reference precision.

@@ -1,16 +1,19 @@
 """Substrate tests: optimizer arithmetic, numerics, scaling, seeding."""
 import math
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graph_phpa.errors import ShapeError, ValidationError
+from graph_phpa import tensor
+from graph_phpa.errors import DivergenceError, ShapeError, ValidationError
 from graph_phpa.tensor import (_NOISE_BLOCK, AdamState, MinMaxScaler, Rng,
                                _pcg64_first_outputs, _ziggurat_fast_path, _ziggurat_tables,
-                               adam_step, blocks, glorot_init, keyed_normals, mix_seed)
+                               adam_step, blocks, ensure_finite, fit_adam, glorot_init,
+                               keyed_normals, mix_seed)
 from conftest import traced_peak
 from oracles import (adam_step_oracle, assert_bitwise_equal, finite_diff_gradient,
                      fresh_normals_oracle, normal_after_output)
@@ -81,6 +84,124 @@ class TestAdam:
         state = AdamState.fresh(np.zeros(2), learning_rate=0.01)
         with pytest.raises(ShapeError):
             adam_step(np.zeros(3), np.zeros(3), state)
+
+
+DTYPES = [pytest.param(np.float32, id="float32"), pytest.param(np.float64, id="float64")]
+
+
+class LinearFit:
+    """A least-squares fit of y = x @ w + b through fit_adam, recording the
+    batch sizes it builds and the rows of every batch."""
+
+    def __init__(self, rows: int, dtype, seed: int = 0):
+        rng = np.random.default_rng(seed)
+        self.x = rng.uniform(-1.0, 1.0, (rows, 3)).astype(dtype)
+        self.y = (self.x @ np.array([[0.5], [-1.0], [2.0]], dtype=dtype)
+                  + rng.normal(0.0, 0.1, (rows, 1)).astype(dtype))
+        self.init = [np.zeros((3, 1), dtype), np.zeros((1, 1), dtype)]
+        self.built: list[int] = []
+        self.batches: list[np.ndarray] = []
+
+    def make_batch(self, m: int):
+        self.built.append(m)
+        return np.empty((m, 3), self.x.dtype), np.empty((m, 1), self.x.dtype)
+
+    def loss_and_grads(self, params, x, y, grads):
+        w, b = params
+        err = x @ w + b - y
+        d_err = 2.0 * err / len(x)
+        np.matmul(x.T, d_err, out=grads[0])
+        np.sum(d_err, axis=0, keepdims=True, out=grads[1])
+        return float(np.mean(err ** 2))
+
+    def batch_loss(self, params, batch, idx, grads):
+        self.batches.append(idx.copy())
+        x, y = batch
+        np.take(self.x, idx, axis=0, out=x)
+        np.take(self.y, idx, axis=0, out=y)
+        return self.loss_and_grads(params, x, y, grads)
+
+    def fit(self, config, seed: int = 0):
+        return fit_adam(self.init, len(self.x), config, Rng(seed), self.make_batch,
+                        self.batch_loss, "linear")
+
+
+def adam_config(batch_size: int, epochs: int = 3, learning_rate: float = 0.05):
+    return SimpleNamespace(batch_size=batch_size, epochs=epochs, learning_rate=learning_rate)
+
+
+class TestFitAdam:
+    """The mini-batch Adam loop both models train with."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("rows, sizes", [(5, [5]), (8, [8]), (8 * 3, [8]),
+                                             (8 * 3 + 5, [5, 8])], ids=["below", "at",
+                                                                       "multiple", "above"])
+    def test_one_workspace_per_batch_size_and_a_plain_loops_bits(self, rows, sizes, dtype):
+        fit = LinearFit(rows, dtype)
+        params, history = fit.fit(adam_config(batch_size=8), seed=3)
+        assert sorted(fit.built) == sizes
+        # The same steps written out with the allocating Adam oracle: each
+        # epoch visits the rows in an order drawn from the rng's child stream
+        # 1, in batches of 8 and a remainder.
+        shuffle, visited = Rng(3).child(1), iter(fit.batches)
+        want = [p.copy() for p in fit.init]
+        states = [AdamState.fresh(p, 0.05) for p in want]
+        want_history = []
+        for _ in range(3):
+            order = shuffle.permutation(rows)
+            sq_sum = 0.0
+            for start in range(0, rows, 8):
+                idx = order[start:start + 8]
+                assert_bitwise_equal(next(visited), idx)
+                grads = [np.empty_like(p) for p in want]
+                sq_sum += fit.loss_and_grads(want, fit.x[idx], fit.y[idx], grads) * len(idx)
+                for i in range(len(want)):
+                    want[i], states[i] = adam_step_oracle(want[i], grads[i], states[i])
+            want_history.append(sq_sum / rows)
+        assert history == want_history and next(visited, None) is None
+        for got, expected in zip(params, want, strict=True):
+            assert got.dtype == dtype
+            assert_bitwise_equal(got, expected)
+
+    def test_a_non_finite_loss_raises_naming_its_epoch(self):
+        fit = LinearFit(20, np.float32)
+        batch_loss = fit.batch_loss
+
+        def failing(params, batch, idx, grads):
+            loss = batch_loss(params, batch, idx, grads)
+            return math.nan if len(fit.batches) == 4 else loss  # epoch 1's second batch
+
+        fit.batch_loss = failing
+        with pytest.raises(DivergenceError, match="^training loss diverged at epoch 1$") as info:
+            fit.fit(adam_config(batch_size=16))
+        assert info.value.epoch == 1 and len(fit.batches) == 4
+
+    def test_a_non_finite_adam_step_raises_naming_its_epoch(self, monkeypatch):
+        # The first step of the second epoch leaves an infinite weight, as an
+        # overflowing step would, while every loss stays finite.
+        steps = []
+
+        def overflowing(param, grad, state):
+            steps.append(state.step)
+            adam_step(param, grad, state)
+            if len(steps) == 3:  # two batches of 16 and 4 rows per epoch
+                param[0] = np.inf
+                ensure_finite(param, "adam_step result")
+
+        monkeypatch.setattr(tensor, "adam_step", overflowing)
+        with pytest.raises(DivergenceError, match="^training diverged at epoch 1: an Adam "
+                                                  "step left non-finite weights "
+                                                  r"\(learning_rate 0.05\)$") as info:
+            LinearFit(20, np.float32).fit(adam_config(batch_size=16))
+        assert info.value.epoch == 1 and len(steps) == 3
+
+    def test_an_overflowing_fit_raises_without_a_warning(self):
+        # Steps of 1e38 overflow float32 within a few batches. The loop checks
+        # the loss and the step itself, so numpy's overflow warnings, errors
+        # under this suite's filterwarnings, stay silent.
+        with pytest.raises(DivergenceError, match="diverged at epoch"):
+            LinearFit(20, np.float32).fit(adam_config(batch_size=4, learning_rate=1e38))
 
 
 class TestFiniteDiff:
