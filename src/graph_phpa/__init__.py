@@ -1,9 +1,10 @@
 """Proactive autoscaling testbed for microservice call graphs.
 
-Forecast per-service workload with small LSTMs, predict per-service vCPU
-demand with a graph convolutional network over the call graph, and size pod
-counts one minute ahead. A minute-resolution cluster simulator and a reactive
-threshold autoscaler provide the baseline for comparison.
+Forecast per-service workload with one small LSTM and a scaler per service,
+predict per-service vCPU demand with a graph convolutional network over the
+call graph, and size pod counts one minute ahead. A minute-resolution cluster
+simulator and a reactive threshold autoscaler provide the baseline for
+comparison.
 """
 from .autoscaler import ScalingBounds, predict_demand, size_pods
 from .cluster_sim import (DemandModel, HpaConfig, PredictivePolicy, ReactivePolicy,

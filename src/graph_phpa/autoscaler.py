@@ -10,7 +10,7 @@ elsewhere; the rule is pure arithmetic so it can be fuzzed hard.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -64,30 +64,27 @@ def size_pods(predicted, bounds: Sequence[ScalingBounds]) -> tuple[np.ndarray, n
     return allocation, pods.astype(np.int64)
 
 
-def predict_demand(lstm_models: Mapping[str, LstmModel],
-                   gcn_model: GcnModel,
-                   graph: ServiceGraph,
+def predict_demand(lstm: LstmModel, gcn_model: GcnModel, graph: ServiceGraph,
                    rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Next-minute forecasts and predicted vCPU demand for every k-window of rates.
 
     rates is a (T, N) grid of request rates, T >= k, column j being
     graph.nodes[j]. Row j of both (T-k+1, N) results, in the same columns,
     belongs to the window that ends at row j+k-1: the forecaster reads its k
-    rates (the forecast is clamped at zero), the graph predictor the last k-1
-    plus the forecast. A grid of exactly k rows is a batch of one. Every
-    service forecasts in one forecast_services call, so services whose
-    scaled windows are equal share one LSTM forward.
+    rates under the service's scaler (the forecast is clamped at zero), the
+    graph predictor the last k-1 plus the forecast. A grid of exactly k rows
+    is a batch of one. Every service forecasts in one forecast_services call
+    through the forecaster's one set of weights, so services whose scaled
+    windows are equal share one LSTM forward. A node without a scaler in the
+    forecaster is a ValidationError naming it.
     """
     k = gcn_model.config.window
     rates = np.asarray(rates, dtype=np.float64)
     if rates.ndim != 2 or rates.shape[1] != graph.size or len(rates) < k:
         raise ShapeError(f"history shape {rates.shape}, expected (T, {graph.size}) with "
                          f"T >= {k}: the rates of graph.nodes {list(graph.nodes)}")
-    for service in graph.nodes:
-        if service not in lstm_models:
-            raise ValidationError(f"no forecaster for service {service!r}")
     windows = sliding_window_view(rates, k, axis=0)  # (T-k+1, N, k)
-    forecasts = np.column_stack(forecast_services([lstm_models[s] for s in graph.nodes],
+    forecasts = np.column_stack(forecast_services(lstm, graph.nodes,
                                                   [windows[:, ni] for ni in range(graph.size)]))
     features = resource_features(rates, forecasts, graph.nodes, k)
     return forecasts, predict_resource(gcn_model, graph, features)

@@ -14,8 +14,8 @@ it returns, write their files and return what they built.
 Set PHPA_LOG=DEBUG (or INFO) for training progress on stderr. Output files
 are byte-stable: rerunning a command with the same config and seeds rewrites
 identical bytes. Everything runs in the command's own process: train-workload
-fits one forecaster, on the entry service's request rates, and gives every
-service its own scaler over those weights.
+fits one forecaster for every service, its weights on the entry service's
+request rates and a scaler for each service on that service's own.
 """
 from __future__ import annotations
 
@@ -33,11 +33,11 @@ import numpy as np
 from .cluster_sim import (PredictivePolicy, ReactivePolicy, ScalingPolicy, SimulationLog,
                           run_simulation)
 from .config import ExperimentConfig
-from .errors import GraphPhpaError, ValidationError
+from .errors import ConfigError, GraphPhpaError, ValidationError
 from .forecast_lstm import (LstmModel, evaluate, forecast_services, make_windows,
                             scaled_mse, train_lstm)
 from .predict_gcn import GcnModel, build_resource_dataset, evaluate_gcn, scale_targets, train_gcn
-from .tensor import MinMaxScaler, mix_seed, one_blas_thread
+from .tensor import mix_seed, one_blas_thread
 from .traces import (WorkloadTrace, generate_synthetic_trace, save_trace, slice_trace,
                      split_dataset, trace_digest)
 
@@ -55,17 +55,17 @@ def _check_window(path: Path, config, cfg: ExperimentConfig) -> None:
                               f"config's lstm.window {cfg.lstm.window}")
 
 
-def _load_lstm_models(models_dir: Path, cfg: ExperimentConfig) -> dict[str, LstmModel]:
-    """The forecasters of models_dir/lstm.json in graph.nodes order, once the
-    file was written for cfg's lstm.window and holds a scaler for each of
-    cfg's graph.nodes and no other; else a ValidationError naming the file."""
+def _load_lstm(models_dir: Path, cfg: ExperimentConfig) -> LstmModel:
+    """The forecaster of models_dir/lstm.json, once the file was written for
+    cfg's lstm.window and holds a scaler for each of cfg's graph.nodes and no
+    other; else a ValidationError naming the file."""
     path = models_dir / "lstm.json"
-    models = LstmModel.load(path)
-    _check_window(path, next(iter(models.values())).config, cfg)
-    if sorted(models) != sorted(cfg.graph.nodes):
-        raise ValidationError(f"{path}: scalers for {sorted(models)} are not for the "
+    model = LstmModel.load(path)
+    _check_window(path, model.config, cfg)
+    if sorted(model.scalers) != sorted(cfg.graph.nodes):
+        raise ValidationError(f"{path}: scalers for {sorted(model.scalers)} are not for the "
                               f"config's graph.nodes {list(cfg.graph.nodes)}")
-    return {service: models[service] for service in cfg.graph.nodes}
+    return model
 
 
 def _load_gcn(models_dir: Path, cfg: ExperimentConfig) -> GcnModel:
@@ -105,13 +105,17 @@ def prepare(cfg: ExperimentConfig, base_dir: Path) -> Prepared:
         raise ValidationError("experiment trace must resolve to 1-minute bins; "
                               "set trace.interpolate for 5-minute inputs")
     split = split_dataset(range(len(trace)), cfg.split)
+    for name, segment in zip(("train", "valid", "test"), split):
+        if len(segment) <= cfg.lstm.window:
+            raise ConfigError(f"split leaves the {name} segment {len(segment)} of the trace's "
+                              f"{len(trace)} minutes, fewer than lstm.window + 1 = "
+                              f"{cfg.lstm.window + 1}")
     return Prepared(cfg, trace, tuple((r.start, r.stop) for r in split))
 
 
-def train_workload(prepared: Prepared, out: Path) -> dict[str, LstmModel]:
-    """Fit one forecaster on the entry service's rates and give every service
-    its own scaler over its weights; writes lstm.json and workload_metrics.json
-    into out and returns the forecasters by service, in graph.nodes order.
+def train_workload(prepared: Prepared, out: Path) -> LstmModel:
+    """Fit the forecaster of every service, its weights on the entry service's
+    rates; writes lstm.json and workload_metrics.json into out and returns it.
 
     With demand.noise_sigma 0 every service's rates are a fixed multiple of
     the entry's, so their scaled windows are the entry's bit for bit, and
@@ -121,21 +125,19 @@ def train_workload(prepared: Prepared, out: Path) -> dict[str, LstmModel]:
     nodes, k, entry = cfg.graph.nodes, cfg.lstm.window, cfg.demand.entry
     rps, _ = prepared.series
     lo, hi = prepared.segments[0]
-    column = nodes.index(entry)
     with one_blas_thread():
-        fitted, history = train_lstm(make_windows(rps[lo:hi, column], k),
-                                     replace(cfg.lstm, seed=mix_seed(cfg.lstm.seed, column)))
-    models = [fitted.with_scaler(MinMaxScaler.fit(make_windows(rps[lo:hi, j], k)[1]))
-              for j in range(len(nodes))]
+        model, history = train_lstm(
+            {service: rps[lo:hi, j] for j, service in enumerate(nodes)}, entry,
+            replace(cfg.lstm, seed=mix_seed(cfg.lstm.seed, nodes.index(entry))))
 
     def windows(segment):  # made as they are forecast, one service at a time
         lo, hi = prepared.segments[segment]
         return (make_windows(rps[lo:hi, j], k)[0] for j in range(len(nodes)))
 
-    valids = forecast_services(models, windows(1), "scaled")
-    tests = forecast_services(models, windows(2), "original")
+    valids = forecast_services(model, nodes, windows(1), "scaled")
+    tests = forecast_services(model, nodes, windows(2), "original")
     scores = {}
-    for j, (service, model, valid, test) in enumerate(zip(nodes, models, valids, tests)):
+    for j, (service, valid, test) in enumerate(zip(nodes, valids, tests)):
         (_, y_valid), (x_test, y_test) = (make_windows(rps[lo:hi, j], k)
                                           for lo, hi in prepared.segments[1:])
         mse, mae = evaluate(test, y_test)
@@ -143,22 +145,22 @@ def train_workload(prepared: Prepared, out: Path) -> dict[str, LstmModel]:
         scores[service] = {
             "test_mse": mse, "test_mae": mae, "persistence_mse": persistence_mse,
             "mse_vs_persistence": mse / persistence_mse if persistence_mse > 0 else None,
-            "final_valid_mse_scaled": scaled_mse(model, valid, y_valid),
+            "final_valid_mse_scaled": scaled_mse(model.scalers[service], valid, y_valid),
         }
         log.info("forecaster for %s: test mse %.4f (persistence %.4f)",
                  service, mse, persistence_mse)
 
     out.mkdir(parents=True, exist_ok=True)
-    fitted.save(out / "lstm.json", {s: m.scaler for s, m in zip(nodes, models)}, entry)
+    model.save(out / "lstm.json")
     _write_json(out / "workload_metrics.json", {
         "window": k, "trace_sha256": trace_digest(prepared.trace), "fitted_on": entry,
         "final_train_mse_scaled": history[-1], "services": scores})
-    return dict(zip(nodes, models))
+    return model
 
 
-def train_resource(prepared: Prepared, models: dict[str, LstmModel],
+def train_resource(prepared: Prepared, lstm: LstmModel,
                    out: Path) -> tuple[GcnModel, dict]:
-    """Fit the graph demand predictor on the forecasters' own outputs; writes
+    """Fit the graph demand predictor on the forecaster's own outputs; writes
     gcn.json and resource_metrics.json into out and returns (model, metrics).
 
     The forecasts and the fit run on one OpenBLAS thread, as the LSTM fit
@@ -172,8 +174,7 @@ def train_resource(prepared: Prepared, models: dict[str, LstmModel],
         # minutes before it.
         train_set, valid_set, test_set = (
             build_resource_dataset(rps[lo:hi], np.column_stack(forecast_services(
-                [models[s] for s in nodes],
-                (make_windows(rps[lo:hi, j], k)[0] for j in range(len(nodes))))),
+                lstm, nodes, (make_windows(rps[lo:hi, j], k)[0] for j in range(len(nodes))))),
                 usage[lo:hi], nodes, k)
             for lo, hi in prepared.segments)
         model, _ = train_gcn(train_set, cfg.graph, cfg.gcn)
@@ -230,16 +231,16 @@ def cmd_gen_trace(args) -> int:
 def cmd_train_workload(args) -> int:
     prepared = prepare(*ExperimentConfig.load(args.config))
     out = Path(args.out)
-    models = train_workload(prepared, out)
-    print(f"trained one forecaster for {len(models)} services into {out}")
+    model = train_workload(prepared, out)
+    print(f"trained one forecaster for {len(model.scalers)} services into {out}")
     return 0
 
 
 def cmd_train_resource(args) -> int:
     prepared = prepare(*ExperimentConfig.load(args.config))
-    models = _load_lstm_models(Path(args.models), prepared.cfg)
+    lstm = _load_lstm(Path(args.models), prepared.cfg)
     out = Path(args.out)
-    _, metrics = train_resource(prepared, models, out)
+    _, metrics = train_resource(prepared, lstm, out)
     print(f"trained demand predictor into {out} (train mse "
           f"{metrics['train_mse_scaled']:.6f}, test mse {metrics['test_mse_scaled']:.6f})")
     return 0
@@ -260,7 +261,7 @@ def cmd_simulate(args) -> int:
         raise ValidationError("phpa policy takes no --threshold")
     else:
         models_dir = Path(args.models)
-        policy = PredictivePolicy(_load_lstm_models(models_dir, cfg),
+        policy = PredictivePolicy(_load_lstm(models_dir, cfg),
                                   _load_gcn(models_dir, cfg), cfg.graph, cfg.bounds)
     log_, summary = replay(prepare(cfg, base_dir), policy, Path(args.out))
     totals = summary["totals"]
@@ -290,13 +291,13 @@ def cmd_experiment(args) -> int:
     check_policy_names(names, baseline)
     out = Path(args.out)
     models_dir = out / "models"
-    models = train_workload(prepared, models_dir)
-    print(f"trained one forecaster for {len(models)} services into {models_dir}")
-    gcn, metrics = train_resource(prepared, models, models_dir)
+    lstm = train_workload(prepared, models_dir)
+    print(f"trained one forecaster for {len(lstm.scalers)} services into {models_dir}")
+    gcn, metrics = train_resource(prepared, lstm, models_dir)
     print(f"trained demand predictor into {models_dir} (train mse "
           f"{metrics['train_mse_scaled']:.6f}, test mse {metrics['test_mse_scaled']:.6f})")
 
-    policies = [PredictivePolicy(models, gcn, cfg.graph, cfg.bounds), *reactive]
+    policies = [PredictivePolicy(lstm, gcn, cfg.graph, cfg.bounds), *reactive]
     logs = [replay(prepared, policy, out / "runs" / policy.name)[0] for policy in policies]
     table = write_comparison(out / "comparison", logs, baseline)
     sys.stdout.write(render_table_text(table))

@@ -269,9 +269,9 @@ class PredictivePolicy(ScalingPolicy):
 
     name = "phpa"
 
-    def __init__(self, lstm_models: Mapping[str, LstmModel], gcn_model: GcnModel,
-                 graph: ServiceGraph, bounds: Mapping[str, ScalingBounds]):
-        self.lstm_models = dict(lstm_models)
+    def __init__(self, lstm: LstmModel, gcn_model: GcnModel, graph: ServiceGraph,
+                 bounds: Mapping[str, ScalingBounds]):
+        self.lstm = lstm
         self.gcn_model = gcn_model
         self.graph = graph
         self.bounds = bounds
@@ -282,8 +282,8 @@ class PredictivePolicy(ScalingPolicy):
         if tuple(services) != nodes:
             raise ValidationError(f"simulated services {list(services)} are not graph.nodes "
                                   f"{list(nodes)} in order")
-        self._forecasts, self._demand = predict_demand(self.lstm_models, self.gcn_model,
-                                                       self.graph, rates)
+        self._forecasts, self._demand = predict_demand(self.lstm, self.gcn_model, self.graph,
+                                                       rates)
         # Row j is predicted at the minute that ends the j-th k-window.
         self._first_minute = start_minute + self.gcn_model.config.window - 1
         bad = np.argwhere(~np.isfinite(self._demand))

@@ -33,9 +33,18 @@ class TraceSpec:
     rescale_peak: float | None = None
     synthetic: dict | None = None
 
-    def resolve(self, base_dir: Path) -> WorkloadTrace:
+    def __post_init__(self):
         if (self.file is None) == (self.synthetic is None):
-            raise ConfigError("trace needs exactly one of trace.file or trace.synthetic")
+            raise ValidationError("trace needs exactly one of trace.file or trace.synthetic")
+        if self.resolution < 1:
+            raise ValidationError(f"trace.resolution must be >= 1, got {self.resolution}")
+        if self.synthetic is not None and self.resolution != 1:
+            raise ValidationError(f"trace.resolution {self.resolution} is for trace.file; "
+                                  f"a generated trace takes trace.synthetic.resolution")
+        if self.rescale_peak is not None and not self.rescale_peak > 0:
+            raise ValidationError(f"trace.rescale_peak must be > 0, got {self.rescale_peak}")
+
+    def resolve(self, base_dir: Path) -> WorkloadTrace:
         if self.file is not None:
             trace = load_trace(base_dir / self.file, resolution=self.resolution)
         else:

@@ -5,10 +5,10 @@ forecast through one LSTM layer and a tanh dense head. Training is
 mini-batch Adam over backpropagation-through-time, fully deterministic for a
 given config seed. Inputs and targets are min-max scaled to [-0.8, 0.8] with
 statistics fitted on the training targets only, so the tanh head can reach
-every target. One fit can serve several services: each forecasts through the
-same weights under a scaler fitted on its own training targets, and
-forecast_services runs the LSTM once for services whose scaled windows are
-equal.
+every target. One model forecasts every service: train_lstm fits its weights
+on one service's series and a scaler for each service on that service's own
+training targets, and forecast_services runs the LSTM once for services whose
+scaled windows are equal.
 
 The LSTM computes in float32 (tensor.DTYPE): the weights, the scaled
 windows and targets of a fit, its gradients and Adam state. The kernels
@@ -65,8 +65,8 @@ class LstmConfig:
 
 
 class LstmModel:
-    """A trained workload forecaster: one LSTM layer, a tanh head and one
-    service's scaler.
+    """The trained workload forecaster of every service: one LSTM layer and a
+    tanh head, and each service's scaler, as lstm.json holds them.
 
     The layer has fused gates, the layout of PyTorch's nn.LSTM: w_x (1, 4H),
     w_h (H, 4H) and b (4H,) hold the four gates side by side in GATES order,
@@ -74,19 +74,21 @@ class LstmModel:
     head_w (H, 1) are cast to dtype once, here, and head_b is a float that
     dtype holds exactly.
 
-    One fit serves every service. with_scaler gives the other services their
-    forecasters, each sharing the fitted weights under its own scaler, and one
-    model file holds the weights once with every service's scaler.
+    Each service's windows and forecasts pass through scalers[service];
+    the weights were fitted on the series of fitted_on, which has a scaler.
     """
 
     def __init__(self, config: LstmConfig, w_x, w_h, b, head_w, head_b: float,
-                 scaler: MinMaxScaler, dtype=DTYPE):
+                 scalers: Mapping[str, MinMaxScaler], fitted_on: str, dtype=DTYPE):
         self.config = config
         self.w_x, self.w_h, self.b, self.head_w = (np.asarray(p, dtype=dtype)
                                                    for p in (w_x, w_h, b, head_w))
         self.dtype = self.w_x.dtype
         self.head_b = float(self.dtype.type(head_b))
-        self.scaler = scaler
+        self.scalers = dict(scalers)
+        self.fitted_on = fitted_on
+        if fitted_on not in self.scalers:
+            raise ValidationError(f"fitted_on {fitted_on!r} has no entry in scalers")
         hidden = config.hidden_units
         for name, p, shape in (("w_x", self.w_x, (1, 4 * hidden)),
                                ("w_h", self.w_h, (hidden, 4 * hidden)),
@@ -104,24 +106,18 @@ class LstmModel:
 
     @classmethod
     def from_params(cls, config: LstmConfig, params: list[np.ndarray],
-                    scaler: MinMaxScaler) -> "LstmModel":
+                    scalers: Mapping[str, MinMaxScaler], fitted_on: str) -> "LstmModel":
         """The model of a params list, in the params' dtype."""
         *weights, head_b = params
-        return cls(config, *weights, float(head_b[0]), scaler, dtype=params[0].dtype)
+        return cls(config, *weights, float(head_b[0]), scalers, fitted_on,
+                   dtype=params[0].dtype)
 
-    def with_scaler(self, scaler: MinMaxScaler) -> "LstmModel":
-        """This model's weights, the same arrays, under another scaler."""
-        return LstmModel(self.config, self.w_x, self.w_h, self.b, self.head_w, self.head_b,
-                         scaler, dtype=self.dtype)
-
-    def to_json_dict(self, scalers: Mapping[str, MinMaxScaler], fitted_on: str) -> dict:
-        """The weights, with the scaler of every service that forecasts through
-        them; fitted_on names the service whose series they were fitted on."""
+    def to_json_dict(self) -> dict:
         return {
             "schema": LSTM_SCHEMA,
-            "fitted_on": fitted_on,
+            "fitted_on": self.fitted_on,
             "config": asdict(self.config),
-            "scalers": {service: asdict(scaler) for service, scaler in scalers.items()},
+            "scalers": {service: asdict(scaler) for service, scaler in self.scalers.items()},
             "w_x": self.w_x.tolist(),
             "w_h": self.w_h.tolist(),
             "b": self.b.tolist(),
@@ -130,9 +126,8 @@ class LstmModel:
         }
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> dict[str, "LstmModel"]:
-        """The forecaster of every service in the document, all sharing its
-        weights, which are cast to DTYPE here."""
+    def from_json_dict(cls, d: dict) -> "LstmModel":
+        """The model of the document, its weights cast to DTYPE."""
         if check_value(d, dict, "lstm model").get("schema") != LSTM_SCHEMA:
             raise ValidationError(f"schema must be {LSTM_SCHEMA!r}, got {d.get('schema')!r}")
         arrays = ("w_x", "w_h", "b", "head_weight")
@@ -142,23 +137,18 @@ class LstmModel:
         scalers = {service: MinMaxScaler.from_dict(e, f"scalers.{service}")
                    for service, e in check_value(d["scalers"], dict, "scalers").items()}
         fitted_on = check_value(d["fitted_on"], str, "fitted_on")
-        if fitted_on not in scalers:
-            raise ValidationError(f"fitted_on {fitted_on!r} has no entry in scalers")
         config = read(LstmConfig, d["config"], "config")
         head_b = check_value(d["head_bias"], float, "head_bias")
         if abs(head_b) > float(np.finfo(DTYPE).max):
             raise ValidationError(f"head_bias must be a finite float32 number, got {head_b!r}")
-        return {service: cls(config, *weights, head_b, scaler)
-                for service, scaler in scalers.items()}
+        return cls(config, *weights, head_b, scalers, fitted_on)
 
-    def save(self, path: str | Path, scalers: Mapping[str, MinMaxScaler],
-             fitted_on: str) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(scalers, fitted_on),
-                                         sort_keys=True) + "\n",
+    def save(self, path: str | Path) -> None:
+        Path(path).write_text(json.dumps(self.to_json_dict(), sort_keys=True) + "\n",
                               encoding="utf-8", newline="\n")
 
     @classmethod
-    def load(cls, path: str | Path) -> dict[str, "LstmModel"]:
+    def load(cls, path: str | Path) -> "LstmModel":
         return read_json_file(path, cls.from_json_dict)
 
 
@@ -379,63 +369,59 @@ def _loss_and_grads(params: list[np.ndarray], batch: _Batch,
     return loss
 
 
-def _same_weights(a: LstmModel, b: LstmModel) -> bool:
-    """Whether a and b forecast through the same weight arrays, in one dtype."""
-    return (a.dtype == b.dtype and a.head_b == b.head_b
-            and all(p is q for p, q in zip((a.w_x, a.w_h, a.b, a.head_w),
-                                           (b.w_x, b.w_h, b.b, b.head_w))))
-
-
-def forecast_services(models: Sequence[LstmModel], windows: Iterable,
+def forecast_services(model: LstmModel, services: Sequence[str], windows: Iterable,
                       units: str = "rates") -> list[np.ndarray]:
-    """Each model's one-step forecasts for its own raw k-length windows.
+    """Each service's one-step forecasts for its own raw k-length windows.
 
-    windows may be a generator that makes each model's windows as it is
-    reached: only the scaled windows that ran a forward are kept.
+    windows may be a generator that makes each service's windows as it is
+    reached: only the scaled windows that ran a forward are kept. A service
+    without a scaler in the model is a ValidationError naming it.
 
-    units is "scaled" for the forecasts in the model's scaled units,
+    units is "scaled" for the forecasts in the service's scaled units,
     "original" for them through its scaler's inverse_transform, or "rates"
     for those clamped at zero, since a request rate cannot be negative.
     Training (cli.train_resource) and replay (autoscaler.predict_demand) both
     forecast in rates, so the graph predictor sees the same forecasts in both.
 
-    Each model scales its windows with its own scaler, and the LSTM runs once
-    per distinct pair of weights and scaled windows: a later model reuses an
-    earlier one's scaled forecasts when both hold the same weight arrays in
-    the same dtype (as with_scaler and LstmModel.load give them) and their
-    scaled windows are equal. Equal inputs of one shape walk the same row
-    blocks, so the shared forecasts are the bits a forward of its own would
-    give. With demand.noise_sigma 0 every service's scaled windows are the
-    entry's, and one forward serves them all. Models that share a forward
-    share its scaled array.
+    Each service's windows are scaled with its own scaler, and the LSTM runs
+    once per distinct scaled windows: a later service reuses an earlier one's
+    scaled forecasts when their scaled windows are equal. Equal inputs of one
+    shape walk the same row blocks, so the shared forecasts are the bits a
+    forward of its own would give. With demand.noise_sigma 0 every service's
+    scaled windows are the entry's, and one forward serves them all. Services
+    that share a forward share its scaled array.
     """
     if units not in ("scaled", "original", "rates"):
         raise ValueError(f"units must be 'scaled', 'original' or 'rates', got {units!r}")
-    done: list[tuple[LstmModel, np.ndarray, np.ndarray]] = []
+    for service in services:
+        if service not in model.scalers:
+            raise ValidationError(f"no scaler for service {service!r} in the forecaster")
+    k = model.config.window
+    done: list[tuple[np.ndarray, np.ndarray]] = []
     scaled = []
-    for model, x in zip(models, windows, strict=True):
+    for service, x in zip(services, windows, strict=True):
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != model.config.window:
-            raise ShapeError(f"windows shape {x.shape} does not match model window "
-                             f"{model.config.window}")
-        xs = model.scaler.transform(x)
-        for other, other_xs, yhat in done:
-            if _same_weights(model, other) and np.array_equal(xs, other_xs):
+        if x.ndim != 2 or x.shape[1] != k:
+            raise ShapeError(f"windows shape {x.shape} does not match model window {k}")
+        xs = model.scalers[service].transform(x)
+        for other_xs, yhat in done:
+            if np.array_equal(xs, other_xs):
                 break
         else:
             yhat = _forward_scaled(model.params, xs)
-            done.append((model, xs, yhat))
+            done.append((xs, yhat))
         scaled.append(yhat)
     if units == "scaled":
         return scaled
-    out = [m.scaler.inverse_transform(yhat) for m, yhat in zip(models, scaled)]
+    out = [model.scalers[s].inverse_transform(yhat) for s, yhat in zip(services, scaled)]
     return [np.maximum(f, 0.0) for f in out] if units == "rates" else out
 
 
-def scaled_mse(model: LstmModel, forecasts: np.ndarray, targets) -> float:
-    """MSE of the model's scaled forecasts against raw targets, in scaled units,
-    the units of the training history; a non-finite MSE raises DivergenceError."""
-    y = model.scaler.transform(targets)
+def scaled_mse(scaler: MinMaxScaler, forecasts: np.ndarray, targets) -> float:
+    """MSE of scaled forecasts against raw targets under their service's
+    scaler, in scaled units, the units of the training history; a non-finite
+    MSE raises DivergenceError."""
+    y = scaler.transform(targets)
     if y.shape != forecasts.shape:
         raise ShapeError(f"targets shape {y.shape} != forecasts shape {forecasts.shape}")
     mse = float(np.mean((forecasts - y) ** 2))
@@ -444,10 +430,15 @@ def scaled_mse(model: LstmModel, forecasts: np.ndarray, targets) -> float:
     return mse
 
 
-def train_lstm(train: tuple[np.ndarray, np.ndarray], config: LstmConfig,
+def train_lstm(series: Mapping[str, np.ndarray], fitted_on: str, config: LstmConfig,
                dtype=DTYPE) -> tuple[LstmModel, list[float]]:
-    """Fit the forecaster with tensor.fit_adam; returns the model and the
-    training MSE of every epoch, in scaled units.
+    """Fit the forecaster of every service in series with tensor.fit_adam;
+    returns the model and the training MSE of every epoch, in scaled units.
+
+    series maps each service to its raw training series. The weights are
+    fitted on the k-windows of series[fitted_on], and each service's scaler
+    on its own training targets; a fitted_on without a series is a
+    ValidationError naming it.
 
     The fit computes in dtype: the scaled windows and targets, the weights,
     their gradients and the Adam state; the model holds its weights in dtype.
@@ -455,14 +446,13 @@ def train_lstm(train: tuple[np.ndarray, np.ndarray], config: LstmConfig,
     give bit-identical histories and weights. Score held-out data with
     scaled_mse over the "scaled" forecasts of forecast_services.
     """
-    x_train, y_train = np.asarray(train[0], dtype=np.float64), np.asarray(train[1], dtype=np.float64)
-    if x_train.ndim != 2 or x_train.shape[1] != config.window:
-        raise ShapeError(f"train windows shape {x_train.shape} does not match k={config.window}")
-    if len(x_train) == 0:
-        raise EmptyDatasetError("training set is empty")
-    scaler = MinMaxScaler.fit(y_train)
-    xs = scaler.transform(x_train).astype(dtype)
-    ys = scaler.transform(y_train).astype(dtype)
+    if fitted_on not in series:
+        raise ValidationError(f"fitted_on {fitted_on!r} has no training series")
+    k = config.window
+    scalers = {service: MinMaxScaler.fit(make_windows(values, k)[1])
+               for service, values in series.items()}
+    xs, ys = (scalers[fitted_on].transform(a).astype(dtype)
+              for a in make_windows(series[fitted_on], k))
 
     def batch_loss(params, batch, idx, grads):
         np.take(xs, idx, axis=0, out=batch.x)
@@ -473,7 +463,7 @@ def train_lstm(train: tuple[np.ndarray, np.ndarray], config: LstmConfig,
     init = [p.astype(dtype) for p in _init_params(config, rng)]
     make_batch = _workspace(config, min(len(xs), config.batch_size), dtype)
     params, history = fit_adam(init, len(xs), config, rng, make_batch, batch_loss, "lstm")
-    return LstmModel.from_params(config, params, scaler), history
+    return LstmModel.from_params(config, params, scalers, fitted_on), history
 
 
 def evaluate(predictions, truth) -> tuple[float, float]:

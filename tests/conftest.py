@@ -99,22 +99,25 @@ def counting_forwards(monkeypatch) -> list[int]:
     return rows
 
 
-def predict_windows(model, x) -> np.ndarray:
-    """One-step forecasts in original units for each row of raw k-length windows."""
-    return forecast_lstm.forecast_services([model], [x], "original")[0]
+def predict_windows(model, x, service=None) -> np.ndarray:
+    """One-step forecasts in original units for each row of raw k-length
+    windows, under service's scaler, by default the fitted service's."""
+    return forecast_lstm.forecast_services(model, [service or model.fitted_on], [x],
+                                           "original")[0]
 
 
-def forecast_rates(model, x) -> np.ndarray:
+def forecast_rates(model, x, service=None) -> np.ndarray:
     """Request-rate forecasts for raw k-length windows, clamped at zero: the
     units train_resource and the replay forecast in."""
-    return forecast_lstm.forecast_services([model], [x])[0]
+    return forecast_lstm.forecast_services(model, [service or model.fitted_on], [x])[0]
 
 
-def evaluate_lstm(model, dataset) -> float:
+def evaluate_lstm(model, dataset, service=None) -> float:
     """scaled_mse of the model's forecasts over raw (windows, targets), as
     train_workload scores a segment."""
-    forecasts = forecast_lstm.forecast_services([model], [dataset[0]], "scaled")[0]
-    return forecast_lstm.scaled_mse(model, forecasts, dataset[1])
+    service = service or model.fitted_on
+    forecasts = forecast_lstm.forecast_services(model, [service], [dataset[0]], "scaled")[0]
+    return forecast_lstm.scaled_mse(model.scalers[service], forecasts, dataset[1])
 
 
 @pytest.fixture(scope="session")

@@ -454,8 +454,8 @@ class PerMinutePredictivePolicy(ScalingPolicy):
 
     name = "phpa"
 
-    def __init__(self, lstm_models, gcn_model, graph, bounds):
-        self.lstm_models = lstm_models
+    def __init__(self, lstm, gcn_model, graph, bounds):
+        self.lstm = lstm
         self.gcn_model = gcn_model
         self.graph = graph
         self.bounds = bounds
@@ -468,7 +468,7 @@ class PerMinutePredictivePolicy(ScalingPolicy):
     def decide(self, minute, utilization, pods):
         k = self.gcn_model.config.window
         end = minute - self._start_minute + 1
-        forecasts, demand = predict_demand(self.lstm_models, self.gcn_model, self.graph,
+        forecasts, demand = predict_demand(self.lstm, self.gcn_model, self.graph,
                                            self._rates[end - k:end])
         targets = []
         for s, f, d, n in zip(self.graph.nodes, forecasts[0].tolist(), demand[0].tolist(),

@@ -144,8 +144,9 @@ class TestScalingBounds:
             ScalingBounds(1.0, 2.0, 1.0, max_pods=0)
 
 
-def constant_forecaster(k: int, constant_scaled: float) -> LstmModel:
-    """Zero-weight model that always emits tanh(bias), squashed by a scaler.
+def constant_forecaster(k: int, constant_scaled: float, services=("a", "b")) -> LstmModel:
+    """Zero-weight model that always emits tanh(bias), squashed by an
+    identity scaler for each of services.
 
     Gives predict_demand a forecaster with a closed-form output so the whole
     pipeline can be checked by hand.
@@ -154,7 +155,8 @@ def constant_forecaster(k: int, constant_scaled: float) -> LstmModel:
     bias = math.atanh(constant_scaled)
     return LstmModel(LstmConfig(window=k, hidden_units=hidden), np.zeros((1, 4 * hidden)),
                      np.zeros((hidden, 4 * hidden)), np.zeros(4 * hidden),
-                     np.zeros((hidden, 1)), bias, MinMaxScaler(-1.0, 1.0, -1.0, 1.0))
+                     np.zeros((hidden, 1)), bias,
+                     {s: MinMaxScaler(-1.0, 1.0, -1.0, 1.0) for s in services}, services[0])
 
 
 def grid(a, b) -> np.ndarray:
@@ -178,9 +180,9 @@ class TestRunPolicyStep:
         self.bounds = {"a": ScalingBounds(1.0, 8.0, 1.0, max_pods=8),
                        "b": ScalingBounds(1.0, 8.0, 1.0, max_pods=8)}
 
-    def step(self, models, history):
+    def step(self, lstm, history):
         """((allocation, pods) per service, forecasts, demand), each keyed by service."""
-        forecasts, demand = predict_demand(models, self.gcn, self.graph, history)
+        forecasts, demand = predict_demand(lstm, self.gcn, self.graph, history)
         allocation, pods = size_pods(demand[-1], [self.bounds[s] for s in self.graph.nodes])
         sizes = dict(zip(self.graph.nodes, zip(allocation.tolist(), pods.tolist())))
         return (sizes, dict(zip(self.graph.nodes, forecasts[-1].tolist())),
@@ -190,10 +192,9 @@ class TestRunPolicyStep:
         # Both forecasters emit 0.6; the GCN sees features [h1, h2, 0.6] per
         # node and outputs 2 * mean-of-neighbors(0.6) = 0.6 + 0.6 halves = 0.6
         # ... on K2 a_hat is all 0.5, so out = 0.5*(0.6+0.6)*2 = 1.2.
-        models = {"a": constant_forecaster(self.k, 0.6),
-                  "b": constant_forecaster(self.k, 0.6)}
+        lstm = constant_forecaster(self.k, 0.6)
         history = grid([0.4, 0.5, 0.6, 0.7], [0.1, 0.2, 0.3, 0.4])
-        sizes, forecasts, demand = self.step(models, history)
+        sizes, forecasts, demand = self.step(lstm, history)
         assert forecasts == {"a": pytest.approx(0.6), "b": pytest.approx(0.6)}
         assert demand["a"] == pytest.approx(1.2)
         assert demand["b"] == pytest.approx(1.2)
@@ -202,50 +203,46 @@ class TestRunPolicyStep:
         assert sizes["b"] == (pytest.approx(1.2), 2)
 
     def test_negative_forecast_clamped_to_zero(self):
-        models = {"a": constant_forecaster(self.k, -0.9),
-                  "b": constant_forecaster(self.k, -0.9)}
+        lstm = constant_forecaster(self.k, -0.9)
         history = np.ones((5, 2))
-        forecasts, demand = predict_demand(models, self.gcn, self.graph, history)
+        forecasts, demand = predict_demand(lstm, self.gcn, self.graph, history)
         # Every window's forecast is clamped, not only the latest one.
         np.testing.assert_array_equal(forecasts, np.zeros((3, 2)))
         # Zero forecast, zero features in the demand slot: clamp to r_lb, one pod.
         np.testing.assert_array_equal(demand, np.zeros((3, 2)))
-        sizes, _, _ = self.step(models, history)
+        sizes, _, _ = self.step(lstm, history)
         assert sizes == {"a": (1.0, 1), "b": (1.0, 1)}
 
     def test_uses_only_last_k_history(self):
-        models = {"a": constant_forecaster(self.k, 0.5),
-                  "b": constant_forecaster(self.k, 0.5)}
+        lstm = constant_forecaster(self.k, 0.5)
         short = grid([0.7, 0.8, 0.9], [0.7, 0.8, 0.9])
         long = grid([99.0] * 40 + [0.7, 0.8, 0.9], [99.0] * 40 + [0.7, 0.8, 0.9])
-        out_short = self.step(models, short)
-        out_long = self.step(models, long)
+        out_short = self.step(lstm, short)
+        out_long = self.step(lstm, long)
         assert out_short == out_long
-        assert len(predict_demand(models, self.gcn, self.graph, short)[1]) == 1
-        assert len(predict_demand(models, self.gcn, self.graph, long)[1]) == 41
+        assert len(predict_demand(lstm, self.gcn, self.graph, short)[1]) == 1
+        assert len(predict_demand(lstm, self.gcn, self.graph, long)[1]) == 41
 
     def test_history_too_short_rejected(self):
-        models = {"a": constant_forecaster(self.k, 0.5),
-                  "b": constant_forecaster(self.k, 0.5)}
+        lstm = constant_forecaster(self.k, 0.5)
         with pytest.raises(ShapeError, match="history"):
-            predict_demand(models, self.gcn, self.graph, grid([1.0], [1.0]))
+            predict_demand(lstm, self.gcn, self.graph, grid([1.0], [1.0]))
         # One column per service of the graph, no more and no fewer.
         for history in (np.ones((4, 3)), np.ones((4, 1)), np.ones(4)):
             with pytest.raises(ShapeError, match="history"):
-                predict_demand(models, self.gcn, self.graph, history)
+                predict_demand(lstm, self.gcn, self.graph, history)
 
-    def test_missing_forecaster_rejected(self):
-        models = {"a": constant_forecaster(self.k, 0.5)}
+    def test_node_without_a_scaler_rejected(self):
+        lstm = constant_forecaster(self.k, 0.5, services=("a",))
         history = np.ones((4, 2))
-        with pytest.raises(ValidationError, match="no forecaster"):
-            predict_demand(models, self.gcn, self.graph, history)
+        with pytest.raises(ValidationError, match="no scaler for service 'b'"):
+            predict_demand(lstm, self.gcn, self.graph, history)
 
     def test_does_not_mutate_inputs(self):
-        models = {"a": constant_forecaster(self.k, 0.5),
-                  "b": constant_forecaster(self.k, 0.5)}
+        lstm = constant_forecaster(self.k, 0.5)
         history = grid([0.7, 0.8, 0.9], [0.7, 0.8, 0.9])
         snapshot = history.copy()
-        self.step(models, history)
+        self.step(lstm, history)
         np.testing.assert_array_equal(history, snapshot)
         predicted = np.array([[-1.0, 9.0], [2.5, 3.5]])
         size_pods(predicted, [self.bounds["a"], self.bounds["b"]])
@@ -261,23 +258,22 @@ STOREFRONT = ServiceGraph.from_edges(
 
 def random_pipeline(seed: int, k: int, graph: ServiceGraph = CHAIN, hidden: int = 5,
                     gcn_hidden: int = 6, dtype=np.float32):
-    """Random one-layer forecasters, computing in dtype, and a two-layer graph
-    predictor on graph."""
+    """A random one-layer forecaster, computing in dtype, with a scaler per
+    node, and a two-layer graph predictor on graph."""
     rng = Rng(seed)
-    models = {}
-    for i, service in enumerate(graph.nodes):
-        r = rng.child(i)
-        models[service] = LstmModel(LstmConfig(window=k, hidden_units=hidden),
-                                    r.normal(0.0, 0.5, (1, 4 * hidden)),
-                                    r.normal(0.0, 0.5, (hidden, 4 * hidden)),
-                                    r.normal(0.0, 0.1, (4 * hidden,)),
-                                    r.normal(0.0, 0.5, (hidden, 1)), 0.1,
-                                    MinMaxScaler(0.0, 400.0), dtype=dtype)
+    r = rng.child(0)
+    scalers = {s: MinMaxScaler(0.0, 100.0 * (i + 2)) for i, s in enumerate(graph.nodes)}
+    lstm = LstmModel(LstmConfig(window=k, hidden_units=hidden),
+                     r.normal(0.0, 0.5, (1, 4 * hidden)),
+                     r.normal(0.0, 0.5, (hidden, 4 * hidden)),
+                     r.normal(0.0, 0.1, (4 * hidden,)),
+                     r.normal(0.0, 0.5, (hidden, 1)), 0.1, scalers, graph.nodes[0],
+                     dtype=dtype)
     weights = [glorot_init(k, gcn_hidden, rng), glorot_init(gcn_hidden, 1, rng)]
     gcn = GcnModel(GcnConfig(window=k, hidden=(gcn_hidden,), epochs=1), graph.nodes, weights,
                    MinMaxScaler(0.0, 400.0, 0.0, 1.0),
                    tuple(MinMaxScaler(0.0, 5.0, 0.0, 1.0) for _ in graph.nodes))
-    return models, gcn, graph
+    return lstm, gcn, graph
 
 
 # Relative agreement of a batched row with its batch of one. BLAS takes
@@ -295,11 +291,11 @@ class TestPredictDemandBatch:
         rates = st.lists(st.floats(0.0, 500.0), min_size=k + extra, max_size=k + extra)
         history = np.column_stack([data.draw(rates, label=s) for s in CHAIN.nodes])
         for dtype, rtol in BATCH_OF_ONE_RTOL.items():
-            models, gcn, graph = random_pipeline(seed, k, dtype=dtype)
-            forecasts, demand = predict_demand(models, gcn, graph, history)
+            lstm, gcn, graph = random_pipeline(seed, k, dtype=dtype)
+            forecasts, demand = predict_demand(lstm, gcn, graph, history)
             assert forecasts.shape == demand.shape == (extra + 1, graph.size)
             for j in range(extra + 1):
-                one_forecast, one_demand = predict_demand(models, gcn, graph, history[j:j + k])
+                one_forecast, one_demand = predict_demand(lstm, gcn, graph, history[j:j + k])
                 for batched, single in ((forecasts[j], one_forecast[0]),
                                         (demand[j], one_demand[0])):
                     scale = max(np.abs(single).max(), 1e-300)
@@ -311,7 +307,7 @@ class TestPredictDemandBatch:
         # 711 windows of 10 through the bundled model shapes. With blocks of up
         # to 2 * BLOCK - 1 windows, the inference pool and the GCN layer
         # buffers peaked at 2.81 MB together.
-        models, gcn, graph = random_pipeline(11, 10, STOREFRONT, hidden=50, gcn_hidden=32)
+        lstm, gcn, graph = random_pipeline(11, 10, STOREFRONT, hidden=50, gcn_hidden=32)
         rates = Rng(12).uniform(0.0, 400.0, (720, graph.size))
-        peak = traced_peak(lambda: predict_demand(models, gcn, graph, rates))
+        peak = traced_peak(lambda: predict_demand(lstm, gcn, graph, rates))
         assert peak < 2.2e6, f"predict_demand peaked at {peak / 1e6:.2f} MB"

@@ -25,11 +25,14 @@ from oracles import assert_bitwise_equal, gcn_forward_scaled_oracle, lstm_forwar
 
 
 def negative_forecaster(k: int) -> LstmModel:
-    """Zero-weight LSTM pinned to -0.9 in scaled units: -6.25 rps on a 0-100 scale."""
+    """Zero-weight LSTM pinned to -0.9 in scaled units: -6.25 rps on a 0-100
+    scale, the scaler of every service of TINY_CONFIG."""
     hidden = 2
     return LstmModel(LstmConfig(window=k, hidden_units=hidden), np.zeros((1, 4 * hidden)),
                      np.zeros((hidden, 4 * hidden)), np.zeros(4 * hidden),
-                     np.zeros((hidden, 1)), math.atanh(-0.9), MinMaxScaler(0.0, 100.0))
+                     np.zeros((hidden, 1)), math.atanh(-0.9),
+                     {s: MinMaxScaler(0.0, 100.0) for s in TINY_CONFIG["graph"]["nodes"]},
+                     TINY_CONFIG["demand"]["entry"])
 
 
 class TestGenTrace:
@@ -118,23 +121,23 @@ class TestTraining:
         prepared = cli.prepare(*ExperimentConfig.load(config))
         cfg, (lo, hi) = prepared.cfg, prepared.segments[0]
         rps, k = prepared.series[0][lo:hi], cfg.lstm.window
-        models = cli.train_workload(prepared, tmp_path / "models")
-        own, _ = train_lstm(make_windows(rps[:, 1], k),
+        model = cli.train_workload(prepared, tmp_path / "models")
+        own, _ = train_lstm({"front": rps[:, 1]}, "front",
                             replace(cfg.lstm, seed=mix_seed(cfg.lstm.seed, 1)))
-        assert models["front"].scaler == own.scaler
-        loaded = cli._load_lstm_models(tmp_path / "models", cfg)
-        assert list(models) == list(loaded) == ["back", "front"]
-        for j, service in enumerate(cfg.graph.nodes):
-            # Each service's own training targets fit its scaler.
-            scaler = MinMaxScaler.fit(make_windows(rps[:, j], k)[1])
-            for model in (models[service], loaded[service]):
-                assert model.scaler == scaler
-                for got, want in zip(model.params, own.params, strict=True):
-                    assert_bitwise_equal(got, want)
+        assert model.scalers["front"] == own.scalers["front"]
+        loaded = cli._load_lstm(tmp_path / "models", cfg)
+        assert model.fitted_on == loaded.fitted_on == "front"
+        assert sorted(model.scalers) == sorted(loaded.scalers) == ["back", "front"]
+        for lstm in (model, loaded):
+            for j, service in enumerate(cfg.graph.nodes):
+                # Each service's own training targets fit its scaler.
+                assert lstm.scalers[service] == MinMaxScaler.fit(make_windows(rps[:, j], k)[1])
+            for got, want in zip(lstm.params, own.params, strict=True):
+                assert_bitwise_equal(got, want)
 
     def test_a_failing_fit_exits_with_its_error(self, tiny_config_path, tmp_path,
                                                 monkeypatch, capsys):
-        def failing(train_set, config):
+        def failing(series, fitted_on, config):
             raise DivergenceError("training loss diverged at epoch 3", epoch=3)
 
         monkeypatch.setattr(cli, "train_lstm", failing)
@@ -191,16 +194,18 @@ class TestTraining:
         rps, usage = (grid[lo:hi] for grid in prepared.series)
         d = Path(tiny_models_dir)
         workload = json.loads((d / "workload_metrics.json").read_text(encoding="utf-8"))
-        models = list(cli._load_lstm_models(d, cfg).values())
-        for j, (service, model) in enumerate(zip(cfg.graph.nodes, models)):
+        lstm = cli._load_lstm(d, cfg)
+        for j, service in enumerate(cfg.graph.nodes):
             x, y = make_windows(rps[:, j], cfg.lstm.window)
-            yhat, _ = lstm_forward_scaled_oracle(model.params, model.scaler.transform(x))
+            scaler = lstm.scalers[service]
+            yhat, _ = lstm_forward_scaled_oracle(lstm.params, scaler.transform(x))
             assert workload["services"][service]["final_valid_mse_scaled"] == float(
-                np.mean((yhat - model.scaler.transform(y)) ** 2))
+                np.mean((yhat - scaler.transform(y)) ** 2))
 
         gcn = GcnModel.load(d / "gcn.json")
-        forecasts = np.column_stack([forecast_rates(m, make_windows(rps[:, j], cfg.lstm.window)[0])
-                                     for j, m in enumerate(models)])
+        forecasts = np.column_stack([
+            forecast_rates(lstm, make_windows(rps[:, j], cfg.lstm.window)[0], service)
+            for j, service in enumerate(cfg.graph.nodes)])
         x, y = build_resource_dataset(rps, forecasts, usage, cfg.graph.nodes, cfg.lstm.window)
         out, _ = gcn_forward_scaled_oracle(gcn.weights, gcn.config.activations, cfg.graph.a_hat,
                                            gcn.feature_scaler.transform(x))
@@ -215,8 +220,7 @@ class TestTraining:
         k = TINY_CONFIG["lstm"]["window"]
         model = negative_forecaster(k)
         assert np.all(predict_windows(model, np.full((3, k), 50.0)) < 0)
-        model.save(tmp_path / "lstm.json",
-                   {service: model.scaler for service in TINY_CONFIG["graph"]["nodes"]}, "front")
+        model.save(tmp_path / "lstm.json")
         features = []
         build = cli.build_resource_dataset
 
@@ -365,9 +369,9 @@ class TestConcurrentTraining:
             assert not pinned
         train, fits = cli.train_lstm, []
 
-        def recording(train_set, config):
+        def recording(series, fitted_on, config):
             fits.append(os.getpid())
-            return train(train_set, config)
+            return train(series, fitted_on, config)
 
         monkeypatch.setattr(cli, "train_lstm", recording)
         assert run_cli("train-workload", "--config", tiny_config_path,
@@ -407,10 +411,10 @@ class TestSharedForward:
         forward, shared, calls = forecast_lstm._forward_scaled, forecast_lstm.forecast_services, []
         counted = counting_forwards(monkeypatch)
 
-        def recording(models, windows, units="rates"):
+        def recording(lstm, services, windows, units="rates"):
             windows, before = list(windows), len(counted)
-            out = shared(models, windows, units)
-            calls.append((models, windows, units, out, len(counted) - before))
+            out = shared(lstm, services, windows, units)
+            calls.append((lstm, services, windows, units, out, len(counted) - before))
             return out
 
         for module in (cli, autoscaler):
@@ -421,13 +425,14 @@ class TestSharedForward:
         # three segments, then the replay.
         assert [units for *_, units, _, _ in calls][:5] == ["scaled", "original"] + 3 * ["rates"]
         assert len(calls) > 5
-        for models, windows, units, out, n in calls:
-            assert len(models) == 4
+        for lstm, services, windows, units, out, n in calls:
+            assert list(services) == FOUR_SERVICES["graph"]["nodes"]
             assert n == forwards
-            for model, x, got in zip(models, windows, out, strict=True):
-                want = {"scaled": lambda: forward(model.params, model.scaler.transform(x)),
-                        "original": lambda: predict_windows(model, x),
-                        "rates": lambda: forecast_rates(model, x)}[units]()
+            for service, x, got in zip(services, windows, out, strict=True):
+                want = {"scaled": lambda: forward(lstm.params,
+                                                  lstm.scalers[service].transform(x)),
+                        "original": lambda: predict_windows(lstm, x, service),
+                        "rates": lambda: forecast_rates(lstm, x, service)}[units]()
                 assert_bitwise_equal(got, want)
 
 
@@ -827,6 +832,34 @@ class TestExperiment:
                        *args) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (out / "models").exists()
+
+    # A valid segment of 7 minutes used to run the whole LSTM fit before
+    # "series length 7 yields no windows"; a test segment of 8 minutes, fewer
+    # than the warmup, ran a reactive replay without a decision to exit 0.
+    @pytest.mark.parametrize("split, segment, minutes", [
+        ({"train": 0.01}, "train", 4), ({"valid": 0.01}, "valid", 4),
+        ({"valid": 0.39}, "test", 4)])
+    def test_a_split_leaving_a_segment_too_short_exits_2_before_training(
+            self, tmp_path, capsys, split, segment, minutes):
+        config, out = tmp_path / "experiment.json", tmp_path / "exp"
+        config.write_text(json.dumps(dict(TINY_CONFIG, split=dict(TINY_CONFIG["split"], **split))),
+                          encoding="utf-8")
+        message = (f"error: split leaves the {segment} segment {minutes} of the trace's 400 "
+                   f"minutes, fewer than lstm.window + 1 = 6\n")
+        assert run_cli("experiment", "--config", str(config), "--out", str(out)) == 2
+        assert capsys.readouterr().err == message
+        assert not (out / "models" / "lstm.json").exists()
+        assert run_cli("simulate", "--config", str(config), "--policy", "reactive",
+                       "--out", str(tmp_path / "run")) == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "run").exists()
+
+    def test_a_segment_of_window_plus_one_minutes_is_enough(self, tmp_path):
+        config = tmp_path / "experiment.json"
+        config.write_text(json.dumps(dict(TINY_CONFIG, split={"train": 0.6, "valid": 0.015})),
+                          encoding="utf-8")
+        prepared = cli.prepare(*ExperimentConfig.load(config))
+        assert [hi - lo for lo, hi in prepared.segments] == [240, 6, 154]
 
     def test_names_that_need_quoting_or_escaping(self, tmp_path, capsys):
         # "a,b" needs CSV quoting; "<b&>" used to give a pods chart that is

@@ -282,8 +282,7 @@ def rate_following_phpa(demand: DemandModel, bounds, k: int = 2) -> PredictivePo
     unit = MinMaxScaler(0.0, 1.0, 0.0, 1.0)
     gcn = GcnModel(GcnConfig(window=k, hidden=(), epochs=1), graph.nodes, [w],
                    MinMaxScaler(0.0, 2000.0, 0.0, 1.0), tuple(unit for _ in graph.nodes))
-    return PredictivePolicy({s: fixed_forecaster(k, 0.5) for s in graph.nodes}, gcn, graph,
-                            bounds)
+    return PredictivePolicy(fixed_forecaster(k, 0.5, graph.nodes), gcn, graph, bounds)
 
 
 def stub_trace(values, start_minute=0):
@@ -741,13 +740,14 @@ class TestDecisionsCsv:
         assert (tmp_path / "decisions.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-def fixed_forecaster(k: int, value: float) -> LstmModel:
-    """Zero-weight LSTM whose head bias pins the output to a constant."""
+def fixed_forecaster(k: int, value: float, services) -> LstmModel:
+    """Zero-weight LSTM whose head bias pins the output to a constant, with an
+    identity scaler for each of services."""
     hidden = 2
     return LstmModel(LstmConfig(window=k, hidden_units=hidden), np.zeros((1, 4 * hidden)),
                      np.zeros((hidden, 4 * hidden)), np.zeros(4 * hidden),
                      np.zeros((hidden, 1)), math.atanh(value),
-                     MinMaxScaler(-1.0, 1.0, -1.0, 1.0))
+                     {s: MinMaxScaler(-1.0, 1.0, -1.0, 1.0) for s in services}, services[0])
 
 
 class TestPredictivePolicySimulation:
@@ -763,18 +763,17 @@ class TestPredictivePolicySimulation:
                            cpu_per_request={"a": 0.01, "b": 0.01},
                            fan_out={"a": {"b": 1.0}})
 
-    def make_policy(self, slot: int, feature_scaler: MinMaxScaler):
+    def make_policy(self, slot: int, feature_scaler: MinMaxScaler, services=("a", "b")):
         graph = ServiceGraph.from_edges(["a", "b"], [("a", "b")])
         w = np.zeros((self.k, 1))
         w[slot, 0] = 2.0
         unit = MinMaxScaler(0.0, 1.0, 0.0, 1.0)
         gcn = GcnModel(GcnConfig(window=self.k, hidden=(), epochs=1), ("a", "b"),
                        [w], feature_scaler, (unit, unit))
-        models = {"a": fixed_forecaster(self.k, 0.6),
-                  "b": fixed_forecaster(self.k, 0.6)}
         bounds = {"a": ScalingBounds(1.0, 8.0, 1.0, max_pods=8),
                   "b": ScalingBounds(1.0, 8.0, 1.0, max_pods=8)}
-        return PredictivePolicy(models, gcn, graph, bounds), bounds
+        return PredictivePolicy(fixed_forecaster(self.k, 0.6, services), gcn, graph,
+                                bounds), bounds
 
     def test_constant_workload_reaches_a_fixed_point(self):
         # Forecast slot, identity scaling: demand is 1.2 vCPU every minute, so
@@ -817,12 +816,12 @@ class TestBatchedPredictiveReplay:
         gcn = GcnModel.load(Path(tiny_models_dir) / "gcn.json")
         loaded = LstmModel.load(Path(tiny_models_dir) / "lstm.json")
         for dtype, rel in ((np.float32, 1e-5), (np.float64, 1e-9)):
-            models = {s: LstmModel.from_params(m.config, [p.astype(dtype) for p in m.params],
-                                               m.scaler) for s, m in loaded.items()}
-            oracle_policy = PerMinutePredictivePolicy(models, gcn, cfg.graph, cfg.bounds)
+            lstm = LstmModel.from_params(loaded.config, [p.astype(dtype) for p in loaded.params],
+                                         loaded.scalers, loaded.fitted_on)
+            oracle_policy = PerMinutePredictivePolicy(lstm, gcn, cfg.graph, cfg.bounds)
             batched, oracle = (
                 cli.replay(prepared, policy, tmp_path / dtype.__name__ / type(policy).__name__)[0]
-                for policy in (PredictivePolicy(models, gcn, cfg.graph, cfg.bounds),
+                for policy in (PredictivePolicy(lstm, gcn, cfg.graph, cfg.bounds),
                                oracle_policy))
             assert log_rows(batched) == log_rows(oracle)
             grids = batched.decisions
@@ -855,6 +854,12 @@ class TestBatchedPredictiveReplay:
         with pytest.raises(ValidationError, match=r"\['b', 'a'\] are not graph.nodes"):
             run_simulation(stub_trace([100] * 8), demand, policy, bounds, SimConfig(seed=3),
                            warmup=4)
+
+    def test_a_node_without_a_scaler_rejected(self):
+        policy = TestPredictivePolicySimulation().make_policy(
+            slot=-1, feature_scaler=MinMaxScaler(0.0, 1.0, 0.0, 1.0), services=("b",))[0]
+        with pytest.raises(ValidationError, match="no scaler for service 'a'"):
+            policy.begin(0, ("a", "b"), np.full((5, 2), 100.0))
 
     def test_non_finite_demand_rejected_naming_service_and_minute(self):
         policy = TestPredictivePolicySimulation().make_policy(

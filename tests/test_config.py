@@ -7,7 +7,7 @@ import pytest
 
 from conftest import key_path
 from graph_phpa.config import ExperimentConfig, TraceSpec
-from graph_phpa.errors import ConfigError
+from graph_phpa.errors import ConfigError, ValidationError
 
 
 def minimal_config(**overrides) -> dict:
@@ -266,14 +266,43 @@ class TestValueTypes:
             ExperimentConfig.from_json_dict(d)
 
 
+SYNTHETIC = {"pattern": "sine", "length": 120, "amplitude": 40.0, "seed": 3}
+
+
 class TestTraceSpec:
-    def test_file_and_synthetic_are_exclusive(self, tmp_path):
-        both = TraceSpec(file="x.csv", synthetic={"pattern": "sine"})
-        with pytest.raises(ConfigError, match="exactly one"):
-            both.resolve(tmp_path)
-        neither = TraceSpec()
-        with pytest.raises(ConfigError, match="exactly one"):
-            neither.resolve(tmp_path)
+    def test_file_and_synthetic_are_exclusive(self):
+        for spec in ({"file": "x.csv", "synthetic": {"pattern": "sine"}}, {}):
+            with pytest.raises(ValidationError, match="exactly one"):
+                TraceSpec(**spec)
+
+    @pytest.mark.parametrize("trace, message", [
+        ({"file": "t.csv", "synthetic": SYNTHETIC},
+         "trace needs exactly one of trace.file or trace.synthetic"),
+        ({}, "trace needs exactly one of trace.file or trace.synthetic"),
+        # Resolution 0 used to read the file and then fail with
+        # "non-contiguous minutes ... (expected stride 0)".
+        ({"file": "t.csv", "resolution": 0}, "trace.resolution must be >= 1, got 0"),
+        ({"file": "t.csv", "resolution": -5}, "trace.resolution must be >= 1, got -5"),
+        # A peak of 0 used to fail with "target_peak must be positive".
+        ({"file": "t.csv", "rescale_peak": 0.0}, "trace.rescale_peak must be > 0, got 0.0"),
+        ({"file": "t.csv", "rescale_peak": -2}, "trace.rescale_peak must be > 0, got -2"),
+        # The generator has its own key; this one was silently ignored.
+        ({"synthetic": SYNTHETIC, "resolution": 5},
+         "trace.resolution 5 is for trace.file; a generated trace takes "
+         "trace.synthetic.resolution"),
+    ], ids=["both", "neither", "resolution-0", "resolution-negative", "rescale-peak-0",
+            "rescale-peak-negative", "resolution-beside-synthetic"])
+    def test_bad_fields_fail_the_load_naming_the_key(self, tmp_path, trace, message):
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps(minimal_config(trace=trace)), encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.load(path)
+        assert str(exc.value) == message
+
+    def test_resolution_1_beside_synthetic_loads(self):
+        cfg = ExperimentConfig.from_json_dict(minimal_config(
+            trace={"synthetic": SYNTHETIC, "resolution": 1}))
+        assert cfg.trace.resolution == 1
 
     def test_synthetic_resolution(self, tmp_path):
         spec = TraceSpec(synthetic={"pattern": "sine", "length": 60,

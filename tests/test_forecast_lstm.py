@@ -52,13 +52,22 @@ def forecast_one(model: LstmModel, window) -> float:
 
 def random_model(rng: Rng, hidden: int, k: int,
                  scaler: MinMaxScaler = IDENTITY, dtype=np.float64) -> LstmModel:
+    """Random weights forecasting one service, "s", under scaler."""
     config = LstmConfig(window=k, hidden_units=hidden, epochs=1)
     w_x = np.hstack([rng.normal(0.0, 0.4, (1, hidden)) for _ in GATES])
     w_h = np.hstack([rng.normal(0.0, 0.4, (hidden, hidden)) for _ in GATES])
     b = np.hstack([rng.normal(0.0, 0.1, (hidden,)) for _ in GATES])
     head_w = rng.normal(0.0, 0.4, (hidden, 1))
     head_b = float(rng.normal(0.0, 0.1, (1,))[0])
-    return LstmModel(config, w_x, w_h, b, head_w, head_b, scaler, dtype=dtype)
+    return LstmModel(config, w_x, w_h, b, head_w, head_b, {"s": scaler}, "s", dtype=dtype)
+
+
+def with_scalers(model: LstmModel, **scalers: tuple[float, float]) -> LstmModel:
+    """model's weights, the same arrays, under a MinMaxScaler(lo, hi) per
+    named service; the first one is fitted_on."""
+    return LstmModel.from_params(model.config, model.params,
+                                 {s: MinMaxScaler(*lo_hi) for s, lo_hi in scalers.items()},
+                                 next(iter(scalers)))
 
 
 def per_gate(fused: np.ndarray) -> dict:
@@ -86,7 +95,8 @@ class TestForwardAgainstOracle:
         # With every weight zero the hidden state never leaves zero, so the
         # output is tanh(head bias) regardless of the window contents.
         model = LstmModel(LstmConfig(window=3, hidden_units=4), np.zeros((1, 16)),
-                          np.zeros((4, 16)), np.zeros(16), np.zeros((4, 1)), 0.7, IDENTITY)
+                          np.zeros((4, 16)), np.zeros(16), np.zeros((4, 1)), 0.7,
+                          {"s": IDENTITY}, "s")
         assert forecast_one(model, [0.1, -0.9, 0.5]) == pytest.approx(math.tanh(0.7))
         assert forecast_one(model, [1.0, 1.0, 1.0]) == pytest.approx(math.tanh(0.7))
 
@@ -95,7 +105,8 @@ class TestForwardAgainstOracle:
         # mapped back through the target scaler.
         scaler = MinMaxScaler(0.0, 10.0, -0.8, 0.8)
         model = LstmModel(LstmConfig(window=2, hidden_units=2), np.zeros((1, 8)),
-                          np.zeros((2, 8)), np.zeros(8), np.zeros((2, 1)), 0.3, scaler)
+                          np.zeros((2, 8)), np.zeros(8), np.zeros((2, 1)), 0.3,
+                          {"s": scaler}, "s")
         expected = scaler.inverse_transform(np.array([math.tanh(0.3)]))[0]
         assert forecast_one(model, [4.0, 6.0]) == pytest.approx(expected)
 
@@ -232,14 +243,16 @@ class TestBufferedKernelAgainstOracle:
         train, valid = (x[:n], y[:n]), (x[n:], y[n:])
         config = LstmConfig(window=k, hidden_units=hidden, epochs=3, batch_size=batch_size,
                             seed=seed)
-        model, history = train_lstm(train, config, dtype)
+        # The first n + k values are the series of the first n windows.
+        model, history = train_lstm({"s": values[:n + k]}, "s", config, dtype)
         want_params, want_history = train_lstm_oracle(train, config, dtype)
         assert history == want_history
         for got, want in zip(model.params, want_params, strict=True):
             assert_bitwise_equal(got, want)
         # Held-out windows score through the oracle's forward to the same bits.
-        yhat, _ = lstm_forward_scaled_oracle(want_params, model.scaler.transform(valid[0]))
-        want_mse = float(np.mean((yhat - model.scaler.transform(valid[1])) ** 2))
+        scaler = model.scalers["s"]
+        yhat, _ = lstm_forward_scaled_oracle(want_params, scaler.transform(valid[0]))
+        want_mse = float(np.mean((yhat - scaler.transform(valid[1])) ** 2))
         assert evaluate_lstm(model, valid) == want_mse
 
 
@@ -260,7 +273,8 @@ class TestBlockedInference:
         rng = np.random.default_rng(seed)
         params = random_params(rng, 50, dtype)
         scaler = MinMaxScaler(0.0, 400.0)
-        model = LstmModel.from_params(LstmConfig(window=10, hidden_units=50), params, scaler)
+        model = LstmModel.from_params(LstmConfig(window=10, hidden_units=50), params,
+                                      {"s": scaler}, "s")
         x = rng.uniform(0.0, 400.0, (max(BLOCK_ROWS), 10))
         for n in BLOCK_ROWS:
             want, _ = lstm_forward_scaled_oracle(params, scaler.transform(x[:n]))
@@ -295,58 +309,65 @@ class TestBlockedInference:
 
 
 class TestSharedForward:
-    """forecast_services shares a forward only between models with the same
-    weight arrays, in one dtype, and equal scaled windows; each model's
-    forecasts are those of its own forward."""
+    """forecast_services shares a forward only between services whose scaled
+    windows are equal; each service's forecasts are those of its own forward."""
 
-    def check(self, monkeypatch, models, windows, forwards):
-        want = [predict_windows(m, x) for m, x in zip(models, windows)]
+    def check(self, monkeypatch, model, services, windows, forwards):
+        want = [predict_windows(model, x, s) for s, x in zip(services, windows)]
         rows = counting_forwards(monkeypatch)
-        got = forecast_services(models, windows, "original")
+        got = forecast_services(model, services, windows, "original")
         assert len(rows) == forwards
         for g, w in zip(got, want, strict=True):
             assert_bitwise_equal(g, w)
 
     def test_one_fit_under_proportional_scalers_shares(self, monkeypatch):
-        model = random_model(Rng(5), 6, 4, MinMaxScaler(0.0, 100.0), dtype=DTYPE)
+        model = with_scalers(random_model(Rng(5), 6, 4, dtype=DTYPE),
+                             a=(0.0, 100.0), b=(0.0, 50.0), c=(0.0, 200.0))
         x = Rng(6).uniform(0.0, 100.0, (30, 4))
-        models = [model, model.with_scaler(MinMaxScaler(0.0, 50.0)),
-                  model.with_scaler(MinMaxScaler(0.0, 200.0))]
-        self.check(monkeypatch, models, [x, x / 2, x * 2], 1)
+        self.check(monkeypatch, model, ["a", "b", "c"], [x, x / 2, x * 2], 1)
 
-    def test_other_weights_dtypes_or_windows_never_share(self, monkeypatch):
-        model = random_model(Rng(5), 6, 4, MinMaxScaler(0.0, 100.0), dtype=DTYPE)
+    def test_unequal_windows_or_row_counts_never_share(self, monkeypatch):
+        model = with_scalers(random_model(Rng(5), 6, 4, dtype=DTYPE),
+                             a=(0.0, 100.0), b=(0.0, 50.0))
         x = Rng(6).uniform(0.0, 100.0, (30, 4))
-        other = random_model(Rng(7), 6, 4, model.scaler, dtype=DTYPE)
-        copied = LstmModel.from_params(model.config, [p.copy() for p in model.params],
-                                       model.scaler)
-        wide = LstmModel(model.config, model.w_x, model.w_h, model.b, model.head_w,
-                         model.head_b, model.scaler, dtype=np.float64)
-        # Equal scaled windows every time, but other weights, equal weights
-        # in other arrays, the same values in float64, and then one row fewer.
-        self.check(monkeypatch, [model, other, copied, wide, model], [x, x, x, x, x[1:]], 5)
+        # x under b's scaler, one row fewer and one window moved by one rate
+        # each scale to other windows; x / 2 under b's scaler is a's x again.
+        moved = x.copy()
+        moved[7, 2] += 1.0
+        self.check(monkeypatch, model, ["a", "b", "a", "a", "b"],
+                   [x, x, x[1:], moved, x / 2], 4)
 
     def test_a_degenerate_scaler_shares_only_with_an_equal_array(self, monkeypatch):
-        model = random_model(Rng(5), 6, 4, MinMaxScaler(0.0, 100.0), dtype=DTYPE)
+        model = with_scalers(random_model(Rng(5), 6, 4, dtype=DTYPE),
+                             flat=(25.0, 25.0), m=(0.0, 100.0), seven=(7.0, 7.0))
         x = Rng(6).uniform(0.0, 100.0, (30, 4))
-        flat = model.with_scaler(MinMaxScaler(25.0, 25.0))
         mid = np.full_like(x, 50.0)  # at the midpoint of the (0, 100) scaler
-        assert np.array_equal(model.scaler.transform(mid), flat.scaler.transform(x))
+        assert np.array_equal(model.scalers["m"].transform(mid),
+                              model.scalers["flat"].transform(x))
         # The constant scaler's windows all scale to 0.0: they match the
         # midpoint windows of the same shape, and neither x nor fewer rows.
-        self.check(monkeypatch, [flat, model, model, flat.with_scaler(MinMaxScaler(7.0, 7.0)),
-                                 flat], [x, x, mid, x, x[:3]], 3)
-        assert np.all(forecast_services([flat], [x], "original")[0] == 25.0)
+        self.check(monkeypatch, model, ["flat", "m", "m", "seven", "flat"],
+                   [x, x, mid, x, x[:3]], 3)
+        assert np.all(forecast_services(model, ["flat"], [x], "original")[0] == 25.0)
 
-    def test_rates_clamp_each_model_at_zero(self):
-        model = random_model(Rng(5), 6, 4, MinMaxScaler(0.0, 100.0), dtype=DTYPE)
+    def test_rates_clamp_each_service_at_zero(self):
+        model = with_scalers(random_model(Rng(5), 6, 4, dtype=DTYPE),
+                             m=(0.0, 100.0), shifted=(-200.0, -100.0))
         x = Rng(6).uniform(0.0, 100.0, (30, 4))
-        shifted = model.with_scaler(MinMaxScaler(-200.0, -100.0))
-        rates = forecast_services([model, shifted], [x, x - 200.0])
+        rates = forecast_services(model, ["m", "shifted"], [x, x - 200.0])
         assert_bitwise_equal(rates[0], forecast_rates(model, x))
         assert np.all(rates[1] == 0.0)
         with pytest.raises(ValueError, match="units"):
-            forecast_services([model], [x], "rps")
+            forecast_services(model, ["m"], [x], "rps")
+
+    def test_a_service_without_a_scaler_is_named(self, monkeypatch):
+        model = with_scalers(random_model(Rng(5), 6, 4, dtype=DTYPE), m=(0.0, 100.0))
+        x = Rng(6).uniform(0.0, 100.0, (30, 4))
+        rows = counting_forwards(monkeypatch)
+        for units in ("scaled", "original", "rates"):
+            with pytest.raises(ValidationError, match="no scaler for service 'ghost'"):
+                forecast_services(model, ["m", "ghost"], [x, x], units)
+        assert rows == []  # rejected before any forward runs
 
 
 class TestMakeWindows:
@@ -386,17 +407,16 @@ class TestTraining:
         # head-gradient buffer took the float32 peak to 1.88 MB, and a
         # separate (k, n, H) forget-gate buffer the float64 peak to 3.9 MB.
         config = LstmConfig(window=10, hidden_units=50, batch_size=64, epochs=1)
-        x, y = make_windows(Rng(4).uniform(0.0, 400.0, (2160,)), 10)
-        peak = traced_peak(lambda: train_lstm((x, y), config))
+        series = {"s": Rng(4).uniform(0.0, 400.0, (2160,))}
+        peak = traced_peak(lambda: train_lstm(series, "s", config))
         assert peak < 1.85e6, f"the fit peaked at {peak / 1e6:.2f} MB"
 
     def test_constant_series_predicts_the_constant_exactly(self):
         # A constant target degenerates the scaler, whose inverse pins every
         # prediction to the constant no matter what the network emits.
         values = np.full(40, 25.0)
-        x, y = make_windows(values, 4)
         config = LstmConfig(window=4, hidden_units=3, epochs=1, seed=5)
-        model, _ = train_lstm((x, y), config)
+        model, _ = train_lstm({"s": values}, "s", config)
         assert forecast_one(model, values[:4]) == 25.0
 
     def test_learns_a_sine_wave(self):
@@ -404,7 +424,7 @@ class TestTraining:
         values = 100.0 + 50.0 * np.sin(2.0 * np.pi * t / 48.0)
         x, y = make_windows(values, 6)
         config = LstmConfig(window=6, hidden_units=8, epochs=120, batch_size=64, seed=3)
-        model, history = train_lstm((x, y), config)
+        model, history = train_lstm({"s": values}, "s", config)
         first = history[0]
         last = history[-1]
         assert last < 1e-3
@@ -416,10 +436,9 @@ class TestTraining:
 
     def test_same_seed_is_bit_identical(self):
         values = 10.0 + np.arange(60.0) % 7
-        x, y = make_windows(values, 3)
         config = LstmConfig(window=3, hidden_units=4, epochs=3, seed=11)
-        model_a, hist_a = train_lstm((x, y), config)
-        model_b, hist_b = train_lstm((x, y), config)
+        model_a, hist_a = train_lstm({"s": values}, "s", config)
+        model_b, hist_b = train_lstm({"s": values}, "s", config)
         assert hist_a == hist_b
         for pa, pb in zip(model_a.params, model_b.params, strict=True):
             np.testing.assert_array_equal(pa, pb)
@@ -437,35 +456,49 @@ class TestTraining:
             np.testing.assert_array_equal(got, want)
 
     def test_different_seeds_differ(self):
-        values = 10.0 + np.arange(60.0) % 7
-        x, y = make_windows(values, 3)
-        model_a, _ = train_lstm((x, y), LstmConfig(window=3, hidden_units=4, epochs=1, seed=1))
-        model_b, _ = train_lstm((x, y), LstmConfig(window=3, hidden_units=4, epochs=1, seed=2))
+        series = {"s": 10.0 + np.arange(60.0) % 7}
+        model_a, _ = train_lstm(series, "s", LstmConfig(window=3, hidden_units=4, epochs=1, seed=1))
+        model_b, _ = train_lstm(series, "s", LstmConfig(window=3, hidden_units=4, epochs=1, seed=2))
         assert not np.array_equal(model_a.head_w, model_b.head_w)
 
     def test_training_loss_is_tracked(self):
-        values = np.arange(50.0)
-        x, y = make_windows(values, 3)
-        _, history = train_lstm((x[:30], y[:30]),
+        _, history = train_lstm({"s": np.arange(33.0)}, "s",
                                 LstmConfig(window=3, hidden_units=3, epochs=2, seed=1))
         assert len(history) == 2
         assert all(type(v) is float and v >= 0.0 for v in history)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_validation_mse_raises(self):
-        x, y = make_windows(np.arange(50.0), 3)
-        model, _ = train_lstm((x, y), LstmConfig(window=3, hidden_units=3, epochs=1, seed=1))
+        x, _ = make_windows(np.arange(50.0), 3)
+        model, _ = train_lstm({"s": np.arange(50.0)}, "s",
+                              LstmConfig(window=3, hidden_units=3, epochs=1, seed=1))
         with pytest.raises(DivergenceError, match="not finite"):
             evaluate_lstm(model, (x[:4], np.array([1.0, 2.0, 1e308, 3.0])))
 
     def test_empty_training_set_raises(self):
-        with pytest.raises(EmptyDatasetError):
-            train_lstm((np.empty((0, 3)), np.empty(0)), LstmConfig(window=3))
+        # A series of k values has no window, the fitted one or another.
+        for series in ({"s": np.arange(3.0)}, {"s": np.arange(9.0), "t": np.arange(3.0)}):
+            with pytest.raises(EmptyDatasetError, match="series length 3 yields no windows"):
+                train_lstm(series, "s", LstmConfig(window=3))
 
-    def test_window_mismatch_raises(self):
-        x, y = make_windows(np.arange(30.0), 4)
-        with pytest.raises(ShapeError):
-            train_lstm((x, y), LstmConfig(window=5))
+    def test_fitted_on_without_a_series_is_named(self):
+        with pytest.raises(ValidationError, match="fitted_on 'front' has no training series"):
+            train_lstm({"back": np.arange(30.0)}, "front", LstmConfig(window=4))
+
+    def test_each_service_scales_by_its_own_targets_over_the_fitted_weights(self):
+        # The weights are those of a fit on the fitted service alone, bit for
+        # bit; each scaler is fitted on its own service's training targets.
+        rng = Rng(8)
+        series = {"back": rng.uniform(0.0, 40.0, (60,)), "front": rng.uniform(0.0, 90.0, (60,))}
+        config = LstmConfig(window=4, hidden_units=3, epochs=2, seed=6)
+        model, history = train_lstm(series, "front", config)
+        alone, alone_history = train_lstm({"front": series["front"]}, "front", config)
+        assert history == alone_history
+        assert model.fitted_on == "front" and list(model.scalers) == ["back", "front"]
+        for got, want in zip(model.params, alone.params, strict=True):
+            assert_bitwise_equal(got, want)
+        for service, values in series.items():
+            assert model.scalers[service] == MinMaxScaler.fit(make_windows(values, 4)[1])
 
 
 class TestPrecision:
@@ -481,16 +514,18 @@ class TestPrecision:
         scaler = MinMaxScaler(0.0, 400.0)
         config = LstmConfig(window=10, hidden_units=50)
         x = rng.uniform(0.0, 400.0, (2150, 10))
-        wide = predict_windows(LstmModel.from_params(config, params, scaler), x)
-        single = predict_windows(
-            LstmModel.from_params(config, [p.astype(np.float32) for p in params], scaler), x)
+        wide = predict_windows(LstmModel.from_params(config, params, {"s": scaler}, "s"), x)
+        single = predict_windows(LstmModel.from_params(
+            config, [p.astype(np.float32) for p in params], {"s": scaler}, "s"), x)
         assert single.dtype == wide.dtype == np.float64
         worst = float(np.max(np.abs(scaler.transform(single) - scaler.transform(wide))))
         assert worst < 5e-6, f"float32 forecasts differ by up to {worst:.2e}"
 
     def test_a_fit_runs_in_float32(self):
-        x, y = make_windows(50.0 + 20.0 * np.sin(np.arange(80.0) / 5.0), 4)
-        model, history = train_lstm((x, y), LstmConfig(window=4, hidden_units=3, epochs=2))
+        values = 50.0 + 20.0 * np.sin(np.arange(80.0) / 5.0)
+        x, _ = make_windows(values, 4)
+        model, history = train_lstm({"s": values}, "s",
+                                    LstmConfig(window=4, hidden_units=3, epochs=2))
         assert DTYPE == np.float32
         assert {p.dtype for p in model.params} == {np.dtype(np.float32)}
         assert all(type(v) is float for v in history)
@@ -524,25 +559,34 @@ class TestSerialization:
         # float32 weights are written as the float64 values they are, which
         # read back and cast to the same float32 bits.
         rng = Rng(53)
-        model = random_model(rng, 3, 4, MinMaxScaler(0.0, 50.0), dtype=DTYPE)
-        scalers = {"details": model.scaler, "ratings": MinMaxScaler(10.0, 20.0)}
+        model = with_scalers(random_model(rng, 3, 4, dtype=DTYPE),
+                             details=(0.0, 50.0), ratings=(10.0, 20.0))
         path = tmp_path / "lstm.json"
-        model.save(path, scalers, fitted_on="details")
+        model.save(path)
         assert json.loads(path.read_text(encoding="utf-8"))["fitted_on"] == "details"
         loaded = LstmModel.load(path)
-        assert sorted(loaded) == ["details", "ratings"]
-        window = rng.uniform(0.0, 50.0, (4,))
-        for service, scaler in scalers.items():
-            assert loaded[service].config == model.config
-            assert loaded[service].scaler == scaler
-            for got, want in zip(loaded[service].params, model.params, strict=True):
-                assert got.dtype == DTYPE
-                assert_bitwise_equal(got, want)
-            assert_bitwise_equal(forecast_one(loaded[service], window),
-                                 forecast_one(model.with_scaler(scaler), window))
-        # The weights are held once: every service forecasts through the same arrays.
-        for got, want in zip(loaded["details"].params[:4], loaded["ratings"].params[:4]):
-            assert got is want
+        assert (loaded.config, loaded.fitted_on) == (model.config, "details")
+        assert loaded.scalers == model.scalers
+        for got, want in zip(loaded.params, model.params, strict=True):
+            assert got.dtype == DTYPE
+            assert_bitwise_equal(got, want)
+        window = rng.uniform(0.0, 50.0, (1, 4))
+        for service in ("details", "ratings"):
+            assert_bitwise_equal(predict_windows(loaded, window, service),
+                                 predict_windows(model, window, service))
+
+    def test_fitted_on_needs_a_scaler(self, tmp_path):
+        model = with_scalers(random_model(Rng(9), 2, 3, dtype=DTYPE), s=(0.0, 1.0))
+        with pytest.raises(ValidationError, match="fitted_on 'side' has no entry in scalers"):
+            LstmModel(model.config, model.w_x, model.w_h, model.b, model.head_w, model.head_b,
+                      model.scalers, "side")
+        path = tmp_path / "lstm.json"
+        model.save(path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps(dict(doc, fitted_on="side")), encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"{path}: fitted_on 'side' has no entry in "
+                                                  f"scalers"):
+            LstmModel.load(path)
 
     def test_rejects_wrong_schema(self):
         with pytest.raises(ValidationError):
@@ -561,7 +605,7 @@ class TestSerialization:
     def test_weights_beyond_float32_are_rejected(self, tmp_path):
         model = random_model(Rng(9), 2, 3, dtype=DTYPE)
         path = tmp_path / "lstm.json"
-        model.save(path, {"s": model.scaler}, "s")
+        model.save(path)
         doc = json.loads(path.read_text(encoding="utf-8"))
         doc["w_h"][0][0] = 1e39
         with pytest.raises(ValidationError, match="w_h must be a rectangular "
@@ -571,8 +615,8 @@ class TestSerialization:
     def test_file_is_byte_stable(self, tmp_path):
         model = random_model(Rng(9), 2, 3)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        model.save(a, {"s": model.scaler}, "s")
-        model.save(b, {"s": model.scaler}, "s")
+        model.save(a)
+        model.save(b)
         assert a.read_bytes() == b.read_bytes()
         assert b"\r" not in a.read_bytes()
 
