@@ -1,11 +1,18 @@
-"""Proactive pod sizing: turn predicted vCPU demand into replicas.
+"""Proactive pod sizing: from request rates to predicted vCPU demand, and
+from that demand to replicas.
 
-The rule is deliberately small. Clamp each predicted demand into its
+forecast_features is the one place that builds the graph predictor's
+features from request rates: per node, a window's last k-1 rates followed by
+the forecaster's forecast for the next minute. Training
+(build_resource_dataset) and replay (predict_demand) both call it, so the
+GCN predicts from inputs built exactly as the ones it was trained on.
+
+The sizing rule is deliberately small. Clamp each predicted demand into its
 service's resource band, and give the service the whole pods that cover it,
 never fewer than one and never more than the per-service ceiling. Nothing is
 carried from one minute to the next, so a minute's pods depend on its
-prediction alone. Everything that knows about models or clusters lives
-elsewhere; the rule is pure arithmetic so it can be fuzzed hard.
+prediction alone. The rule knows nothing of models or clusters; it is pure
+arithmetic so it can be fuzzed hard.
 """
 from __future__ import annotations
 
@@ -15,9 +22,9 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ShapeError, ValidationError
+from .errors import EmptyDatasetError, ShapeError, ValidationError
 from .forecast_lstm import LstmModel, forecast_services
-from .predict_gcn import GcnModel, ServiceGraph, predict_resource, resource_features
+from .predict_gcn import GcnModel, ServiceGraph, predict_resource
 
 
 @dataclass(frozen=True)
@@ -64,21 +71,23 @@ def size_pods(predicted, bounds: Sequence[ScalingBounds]) -> tuple[np.ndarray, n
     return allocation, pods.astype(np.int64)
 
 
-def predict_demand(lstm: LstmModel, gcn_model: GcnModel, graph: ServiceGraph,
-                   rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Next-minute forecasts and predicted vCPU demand for every k-window of rates.
+def forecast_features(lstm: LstmModel, graph: ServiceGraph,
+                      rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Next-minute forecasts and graph predictor features for every k-window
+    of rates, k being the forecaster's window.
 
     rates is a (T, N) grid of request rates, T >= k, column j being
-    graph.nodes[j]. Row j of both (T-k+1, N) results, in the same columns,
-    belongs to the window that ends at row j+k-1: the forecaster reads its k
-    rates under the service's scaler (the forecast is clamped at zero), the
-    graph predictor the last k-1 plus the forecast. A grid of exactly k rows
-    is a batch of one. Every service forecasts in one forecast_services call
-    through the forecaster's one set of weights, so services whose scaled
-    windows are equal share one LSTM forward. A node without a scaler in the
-    forecaster is a ValidationError naming it.
+    graph.nodes[j]. Row s of the (T-k+1, N) forecasts and of the
+    (T-k+1, N, k) features belongs to the window of rows s .. s+k-1. The
+    forecaster reads those k rates under the service's scaler and forecasts
+    row s+k, clamped at zero; the features are the window's last k-1 rates
+    followed by that forecast. Every service forecasts in one
+    forecast_services call through the forecaster's one set of weights, so
+    services whose scaled windows are equal share one LSTM forward. A node
+    without a scaler in the forecaster is a ValidationError naming it, and so
+    is a forecast that is not finite, with its minute index.
     """
-    k = gcn_model.config.window
+    k = lstm.config.window
     rates = np.asarray(rates, dtype=np.float64)
     if rates.ndim != 2 or rates.shape[1] != graph.size or len(rates) < k:
         raise ShapeError(f"history shape {rates.shape}, expected (T, {graph.size}) with "
@@ -86,5 +95,40 @@ def predict_demand(lstm: LstmModel, gcn_model: GcnModel, graph: ServiceGraph,
     windows = sliding_window_view(rates, k, axis=0)  # (T-k+1, N, k)
     forecasts = np.column_stack(forecast_services(lstm, graph.nodes,
                                                   [windows[:, ni] for ni in range(graph.size)]))
-    features = resource_features(rates, forecasts, graph.nodes, k)
+    bad = np.argwhere(~np.isfinite(forecasts))
+    if len(bad):
+        s, ni = bad[0]
+        raise ValidationError(f"forecast for {graph.nodes[ni]!r} at minute index {s + k} "
+                              f"is not finite")
+    return forecasts, np.concatenate([windows[:, :, 1:], forecasts[:, :, None]], axis=2)
+
+
+def predict_demand(lstm: LstmModel, gcn_model: GcnModel, graph: ServiceGraph,
+                   rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """forecast_features' forecasts and the predicted vCPU demand of its
+    features, both (T-k+1, N) for a (T, N) grid of rates. A grid of exactly k
+    rows is a batch of one."""
+    forecasts, features = forecast_features(lstm, graph, rates)
     return forecasts, predict_resource(gcn_model, graph, features)
+
+
+def build_resource_dataset(lstm: LstmModel, graph: ServiceGraph, rates: np.ndarray,
+                           usage: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The graph predictor's training (features, targets), (T-k, N, k) and
+    (T-k, N, 1), from a segment's (T, N) grids of request rates and vCPU
+    usage, T > k.
+
+    Every k-window of rates gives a sample but the last, whose forecast minute
+    lies past the segment. The features are forecast_features', as the
+    replay predicts from, and each target is the node's peak usage over the k
+    minutes that end at the forecast minute.
+    """
+    k = lstm.config.window
+    rates, usage = (np.asarray(a, dtype=np.float64) for a in (rates, usage))
+    if rates.ndim != 2 or usage.shape != rates.shape:
+        raise ShapeError(f"rates {rates.shape} and usage {usage.shape} must be "
+                         f"(T, {graph.size}) grids of one shape")
+    if len(rates) <= k:
+        raise EmptyDatasetError(f"{len(rates)} minutes yield no samples for k={k}")
+    _, features = forecast_features(lstm, graph, rates[:-1])
+    return features, sliding_window_view(usage[1:], k, axis=0).max(axis=-1)[:, :, None]

@@ -30,13 +30,14 @@ from pathlib import Path
 
 import numpy as np
 
+from .autoscaler import build_resource_dataset
 from .cluster_sim import (PredictivePolicy, ReactivePolicy, ScalingPolicy, SimulationLog,
                           run_simulation)
 from .config import ExperimentConfig
 from .errors import ConfigError, GraphPhpaError, ValidationError
 from .forecast_lstm import (LstmModel, evaluate, forecast_services, make_windows,
                             scaled_mse, train_lstm)
-from .predict_gcn import GcnModel, build_resource_dataset, evaluate_gcn, scale_targets, train_gcn
+from .predict_gcn import GcnModel, evaluate_gcn, scale_targets, train_gcn
 from .tensor import mix_seed, one_blas_thread
 from .traces import (WorkloadTrace, generate_synthetic_trace, save_trace, slice_trace,
                      split_dataset, trace_digest)
@@ -101,9 +102,6 @@ class Prepared:
 def prepare(cfg: ExperimentConfig, base_dir: Path) -> Prepared:
     """Resolve cfg's trace (paths relative to base_dir) and split it."""
     trace = cfg.trace.resolve(base_dir)
-    if trace.resolution != 1:
-        raise ValidationError("experiment trace must resolve to 1-minute bins; "
-                              "set trace.interpolate for 5-minute inputs")
     split = split_dataset(range(len(trace)), cfg.split)
     for name, segment in zip(("train", "valid", "test"), split):
         if len(segment) <= cfg.lstm.window:
@@ -160,22 +158,18 @@ def train_workload(prepared: Prepared, out: Path) -> LstmModel:
 
 def train_resource(prepared: Prepared, lstm: LstmModel,
                    out: Path) -> tuple[GcnModel, dict]:
-    """Fit the graph demand predictor on the forecaster's own outputs; writes
+    """Fit the graph demand predictor on the forecaster's own outputs, built
+    as the replay builds them (autoscaler.build_resource_dataset); writes
     gcn.json and resource_metrics.json into out and returns (model, metrics).
 
     The forecasts and the fit run on one OpenBLAS thread, as the LSTM fit
     does (see tensor.one_blas_thread)."""
     cfg = prepared.cfg
-    nodes, k = cfg.graph.nodes, cfg.gcn.window
     rps, usage = prepared.series
     out.mkdir(parents=True, exist_ok=True)
     with one_blas_thread():
-        # Each segment's forecasts for its minutes k onward, each from the k
-        # minutes before it.
         train_set, valid_set, test_set = (
-            build_resource_dataset(rps[lo:hi], np.column_stack(forecast_services(
-                lstm, nodes, (make_windows(rps[lo:hi, j], k)[0] for j in range(len(nodes))))),
-                usage[lo:hi], nodes, k)
+            build_resource_dataset(lstm, cfg.graph, rps[lo:hi], usage[lo:hi])
             for lo, hi in prepared.segments)
         model, _ = train_gcn(train_set, cfg.graph, cfg.gcn)
         (train_mse, _), (valid_mse, _), (test_mse, test_per_service) = (
@@ -184,7 +178,7 @@ def train_resource(prepared: Prepared, lstm: LstmModel,
     target_variance = float(np.var(scale_targets(model.target_scalers, train_set[1])))
     model.save(out / "gcn.json")
     metrics = {
-        "window": k, "trace_sha256": trace_digest(prepared.trace),
+        "window": cfg.gcn.window, "trace_sha256": trace_digest(prepared.trace),
         "samples": {"train": len(train_set[0]), "valid": len(valid_set[0]),
                     "test": len(test_set[0])},
         "train_mse_scaled": train_mse,

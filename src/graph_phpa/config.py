@@ -43,6 +43,16 @@ class TraceSpec:
                                   f"a generated trace takes trace.synthetic.resolution")
         if self.rescale_peak is not None and not self.rescale_peak > 0:
             raise ValidationError(f"trace.rescale_peak must be > 0, got {self.rescale_peak}")
+        # The experiment runs on 1-minute bins: a trace is one, or 5-minute
+        # bins spread over minutes by trace.interpolate.
+        key, resolution = (("trace.resolution", self.resolution) if self.synthetic is None else
+                           ("trace.synthetic.resolution", self.synthetic.get("resolution", 1)))
+        if self.interpolate and resolution != 5:
+            raise ValidationError(f"trace.interpolate spreads 5-minute bins, but {key} is "
+                                  f"{resolution!r}")
+        if not self.interpolate and resolution != 1:
+            raise ValidationError(f"{key} {resolution!r} needs trace.interpolate: the "
+                                  f"experiment runs on 1-minute bins")
 
     def resolve(self, base_dir: Path) -> WorkloadTrace:
         if self.file is not None:

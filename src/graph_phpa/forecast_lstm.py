@@ -380,8 +380,9 @@ def forecast_services(model: LstmModel, services: Sequence[str], windows: Iterab
     units is "scaled" for the forecasts in the service's scaled units,
     "original" for them through its scaler's inverse_transform, or "rates"
     for those clamped at zero, since a request rate cannot be negative.
-    Training (cli.train_resource) and replay (autoscaler.predict_demand) both
-    forecast in rates, so the graph predictor sees the same forecasts in both.
+    Training and replay both forecast in rates, through
+    autoscaler.forecast_features, so the graph predictor sees the same
+    forecasts in both.
 
     Each service's windows are scaled with its own scaler, and the LSTM runs
     once per distinct scaled windows: a later service reuses an earlier one's

@@ -1,11 +1,12 @@
 """Graph-convolutional predictor of per-service resource demand.
 
-Every microservice is a node in an undirected call graph. A sample stacks, per
-node, the last k-1 observed request rates plus the forecast for the next
-minute; the target is the peak vCPU usage of the window that ends at the
-forecast minute. Layers propagate features through the symmetrically
-normalized adjacency (self loops added), so each service sees its neighbors'
-load, which is what makes cascaded demand visible before it arrives.
+Every microservice is a node in an undirected call graph. A sample holds k
+features per node, which autoscaler.forecast_features builds from request
+rates and their forecasts, and its target is each node's vCPU demand. Layers
+propagate features through the symmetrically normalized adjacency (self loops
+added), so each service sees its neighbors' load, which is what makes
+cascaded demand visible before it arrives. This module is the model alone:
+the graph, config, model, forward pass, fit and evaluation.
 
 The fit computes in float32 (tensor.DTYPE): the aggregated training features,
 the scaled targets, a_hat, the weights, their gradients and Adam state, and
@@ -22,7 +23,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (DivergenceError, EmptyDatasetError, ShapeError, ValidationError,
                      check_keys, check_name, check_value, float_array, read, read_json_file)
@@ -224,53 +224,30 @@ def _forward(weights: list[np.ndarray], a_hat: np.ndarray,
     return out[-1]
 
 
-def _samples(model: GcnModel, graph: ServiceGraph, x: np.ndarray) -> np.ndarray:
-    """x, checked to be model input on graph, as a batch (S, N, D): one sample
-    (N, D) is a batch of one."""
+def _forward_blocks(model: GcnModel, graph: ServiceGraph, features) -> np.ndarray:
+    """Outputs (S, N, 1) of raw features (S, N, k), once they are checked to
+    be model input on graph: each block of at most BLOCK samples is scaled and
+    propagated through one set of layer buffers, sized for one block."""
     if tuple(graph.nodes) != model.nodes:
         raise ValidationError(f"graph nodes {graph.nodes} do not match model nodes {model.nodes}")
-    if x.ndim not in (2, 3) or x.shape[-2:] != (graph.size, model.weights[0].shape[0]):
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 3 or x.shape[1:] != (graph.size, model.config.window):
         raise ShapeError(f"features shape {x.shape}, expected "
-                         f"{(graph.size, model.weights[0].shape[0])} or a batch of those")
-    return x if x.ndim == 3 else x[None]
-
-
-def _forward_blocks(model: GcnModel, a_hat: np.ndarray, x: np.ndarray,
-                    transform=None) -> np.ndarray:
-    """Outputs (S, N, 1) of samples x (S, N, D), a block of samples at a time
-    through one set of layer buffers, sized for a block of at most BLOCK
-    samples. transform, when given, maps each block of raw features to scaled
-    ones first."""
+                         f"(S, {graph.size}, {model.config.window})")
     result = np.empty(x.shape[:2] + (1,))
-    agg, out = _layer_buffers(model.weights, min(len(x), BLOCK), len(a_hat))
+    agg, out = _layer_buffers(model.weights, min(len(x), BLOCK), graph.size)
     for lo, hi in blocks(len(x)):
-        block = x[lo:hi] if transform is None else transform(x[lo:hi])
         front = [a[:hi - lo] for a in agg]
-        np.matmul(a_hat, block, out=front[0])
-        result[lo:hi] = _forward(model.weights, a_hat, front, [o[:hi - lo] for o in out])
+        np.matmul(graph.a_hat, model.feature_scaler.transform(x[lo:hi]), out=front[0])
+        result[lo:hi] = _forward(model.weights, graph.a_hat, front, [o[:hi - lo] for o in out])
     return result
 
 
-def gcn_forward(model: GcnModel, graph: ServiceGraph, x: np.ndarray) -> np.ndarray:
-    """Layer-by-layer propagation of scaled features.
-
-    One sample (N, D) gives (N, 1); a batch (S, N, D) gives (S, N, 1). Pure
-    network evaluation: scalers do not apply here, they belong to
-    predict_resource.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    return _forward_blocks(model, graph.a_hat, _samples(model, graph, x)).reshape(
-        x.shape[:-1] + (1,))
-
-
 def predict_resource(model: GcnModel, graph: ServiceGraph, features: np.ndarray) -> np.ndarray:
-    """Per-node demand in original units, clamped at zero.
-
-    features are raw samples (S, N, k), giving (S, N), or one sample (N, k),
-    giving (N,).
-    """
-    out = gcn_forward(model, graph, model.feature_scaler.transform(features))[..., 0]
-    raw = np.stack([s.inverse_transform(out[..., ni])
+    """Per-node demand (S, N) in original units, clamped at zero, of raw
+    features (S, N, k)."""
+    out = _forward_blocks(model, graph, features)[..., 0]
+    raw = np.stack([s.inverse_transform(out[:, ni])
                     for ni, s in enumerate(model.target_scalers)], axis=-1)
     return np.maximum(raw, 0.0)
 
@@ -282,56 +259,6 @@ def scale_targets(scalers, y: np.ndarray) -> np.ndarray:
         raise ShapeError(f"targets shape {y.shape}, expected (S, {len(scalers)}, 1)")
     return np.stack([scalers[ni].transform(y[:, ni, :]) for ni in range(len(scalers))],
                     axis=1)
-
-
-def build_resource_dataset(workloads: np.ndarray, forecasts: np.ndarray,
-                           resources: np.ndarray, nodes: tuple[str, ...] | list[str],
-                           k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble (features, targets) tensors for every timestep with full context.
-
-    workloads and resources are (T, N) grids, T >= k+1, and forecasts is
-    (T-k, N), its row i the forecast for minute index i+k; column j is
-    nodes[j] in all three. For a reference minute t the node row holds
-    workloads[t-k+2 .. t] followed by the forecast for t+1, and the target is
-    the windowed peak of the resource series over [t-k+2 .. t+1]. The result
-    holds T-k samples, shapes (S, N, k) and (S, N, 1).
-    """
-    nodes = tuple(nodes)
-    if k < 2:
-        raise ValidationError(f"window must be >= 2, got {k}")
-    workloads, forecasts, resources = (np.asarray(a, dtype=np.float64)
-                                       for a in (workloads, forecasts, resources))
-    t_total = len(workloads)
-    if (workloads.shape != (t_total, len(nodes)) or resources.shape != workloads.shape
-            or forecasts.shape != (max(t_total - k, 0), len(nodes))):
-        raise ShapeError(f"workloads {workloads.shape}, forecasts {forecasts.shape} and "
-                         f"resources {resources.shape} must be (T, {len(nodes)}), "
-                         f"(T-{k}, {len(nodes)}) and (T, {len(nodes)})")
-    if t_total < k + 1:
-        raise EmptyDatasetError(f"series length {t_total} yields no samples for k={k}")
-    x = resource_features(workloads, forecasts, nodes, k)
-    y = sliding_window_view(resources[1:], k, axis=0).max(axis=-1)
-    return x, y[:, :, None]
-
-
-def resource_features(workloads: np.ndarray, ahead: np.ndarray,
-                      nodes: tuple[str, ...] | list[str], k: int) -> np.ndarray:
-    """Graph features (S, N, k) from request rates (T, N) and forecasts (S, N).
-
-    Sample s holds, per node, workloads[s+1 .. s+k-1] followed by ahead[s],
-    the forecast for minute index s+k; T must be at least S+k-1. Training
-    datasets and the replay's predictions both build their features here.
-    """
-    bad = np.argwhere(~np.isfinite(ahead))
-    if len(bad):
-        s, ni = bad[0]
-        raise ValidationError(f"forecast for {nodes[ni]!r} at minute index {s + k} "
-                              f"is not finite")
-    count = len(ahead)
-    x = np.empty((count, len(nodes), k))
-    x[:, :, :k - 1] = sliding_window_view(workloads[1:count + k - 1], k - 1, axis=0)
-    x[:, :, k - 1] = ahead
-    return x
 
 
 class _Batch(NamedTuple):
@@ -453,9 +380,7 @@ def evaluate_gcn(model: GcnModel, graph: ServiceGraph, dataset: tuple[np.ndarray
     """MSE in scaled units over a raw dataset, the units of the training
     history: over every node, and per service. A non-finite MSE raises
     DivergenceError."""
-    x = np.asarray(dataset[0], dtype=np.float64)
-    out = _forward_blocks(model, graph.a_hat, _samples(model, graph, x),
-                          model.feature_scaler.transform).reshape(x.shape[:-1] + (1,))
+    out = _forward_blocks(model, graph, dataset[0])
     sq = (out - scale_targets(model.target_scalers, dataset[1])) ** 2
     mse = float(np.mean(sq))
     if not np.isfinite(mse):

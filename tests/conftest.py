@@ -1,15 +1,16 @@
 """Shared fixtures: a small, fast experiment config for end-to-end tests, a
-traced-memory probe for the memory bounds, a counter of LSTM forwards, and
-the one-service forecasts and score the tests take through
-forecast_services."""
+traced-memory probe for the memory bounds, a counter of LSTM forwards, the
+one-service forecasts and score the tests take through forecast_services,
+and the graph predictor's network alone on scaled features."""
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from graph_phpa import forecast_lstm
+from graph_phpa import forecast_lstm, predict_gcn
 from graph_phpa.cli import main as cli_main
+from graph_phpa.tensor import MinMaxScaler
 
 TINY_CONFIG = {
     "trace": {"synthetic": {"pattern": "sine", "length": 400, "amplitude": 60.0,
@@ -118,6 +119,17 @@ def evaluate_lstm(model, dataset, service=None) -> float:
     service = service or model.fitted_on
     forecasts = forecast_lstm.forecast_services(model, [service], [dataset[0]], "scaled")[0]
     return forecast_lstm.scaled_mse(model.scalers[service], forecasts, dataset[1])
+
+
+def gcn_forward(model, graph, x) -> np.ndarray:
+    """The graph predictor's outputs (S, N, 1) for scaled features (S, N, D),
+    with no scaler applied: the blocked forward predict_resource and
+    evaluate_gcn run, under an identity feature scaler. That scaler's
+    0.0 + (x - 0.0) * 1.0 keeps every feature but a negative zero."""
+    unit = MinMaxScaler(0.0, 1.0, 0.0, 1.0)
+    return predict_gcn._forward_blocks(
+        predict_gcn.GcnModel(model.config, model.nodes, model.weights, unit,
+                             model.target_scalers), graph, x)
 
 
 @pytest.fixture(scope="session")

@@ -216,9 +216,10 @@ def windowed_max_oracle(series, k):
 
 
 def resource_dataset_oracle(workloads, forecasts, resources, nodes, k):
-    """(features, targets) of build_resource_dataset, one sample and node at a
-    time: workloads and resources are (T, N) grids, forecasts (T-k, N) with
-    row i the forecast for minute index i+k."""
+    """(features, targets) of autoscaler.build_resource_dataset for the given
+    forecasts, one sample and node at a time: workloads and resources are
+    (T, N) grids, forecasts (T-k, N) with row i the forecast for minute index
+    i+k."""
     t_total = len(workloads)
     count = t_total - k
     x = np.empty((count, len(nodes), k))

@@ -16,10 +16,10 @@ import pytest
 
 from graph_phpa.autoscaler import ScalingBounds, size_pods
 from graph_phpa.cli import main as cli_main
-from graph_phpa.predict_gcn import GcnConfig, GcnModel, ServiceGraph, gcn_forward
+from graph_phpa.predict_gcn import GcnConfig, GcnModel, ServiceGraph
 from graph_phpa.tensor import MinMaxScaler, Rng
 from graph_phpa.traces import Split, WorkloadTrace, interpolate_to_minutes, split_dataset
-from conftest import run_cli
+from conftest import gcn_forward, run_cli
 from oracles import finite_diff_gradient, gcn_forward_oracle
 from test_forecast_lstm import gradcheck_params, random_model as random_lstm
 from test_predict_gcn import loss_and_grads as gcn_loss_and_grads
@@ -98,12 +98,12 @@ def test_01_gcn_forward_matches_dense_oracle():
         weights = [rng.normal(0.0, 0.6, (widths[i], widths[i + 1]))
                    for i in range(len(widths) - 1)]
         model = GcnModel(config, graph.nodes, weights, unit, (unit,) * n)
-        x = rng.uniform(-1.0, 1.0, (n, d_in))
+        x = rng.uniform(-1.0, 1.0, (1, n, d_in))
 
-        got = gcn_forward(model, graph, x)
+        got = gcn_forward(model, graph, x)[0]
         want = np.asarray(gcn_forward_oracle(a.tolist(),
                                              [w.tolist() for w in weights],
-                                             model.config.activations, x.tolist()))
+                                             model.config.activations, x[0].tolist()))
         worst = max(worst, float(np.max(np.abs(got - want))))
     elapsed = time.perf_counter() - started
     report(1, "gcn_forward equals dense layer-by-layer oracle",

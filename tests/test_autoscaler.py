@@ -1,4 +1,6 @@
-"""Pod sizing tests: clamping, ceilings, floors, and fuzzing.
+"""Pod sizing tests: clamping, ceilings, floors, and fuzzing; and the one
+path from request rates to the graph predictor's features, in training and
+in replay.
 
 size_pods is pure arithmetic, so most of this file is hand-worked examples
 plus hypothesis fuzzes that re-state the sizing rule independently.
@@ -7,17 +9,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from graph_phpa.autoscaler import ScalingBounds, predict_demand, size_pods
-from graph_phpa.errors import ShapeError, ValidationError
-from graph_phpa.forecast_lstm import LstmConfig, LstmModel
-from graph_phpa.predict_gcn import GcnConfig, GcnModel, ServiceGraph
+from graph_phpa import autoscaler
+from graph_phpa.autoscaler import (ScalingBounds, build_resource_dataset, forecast_features,
+                                   predict_demand, size_pods)
+from graph_phpa.errors import EmptyDatasetError, ShapeError, ValidationError
+from graph_phpa.forecast_lstm import LstmConfig, LstmModel, make_windows
+from graph_phpa.predict_gcn import GcnConfig, GcnModel, ServiceGraph, predict_resource
 from graph_phpa.tensor import MinMaxScaler, Rng, glorot_init
-from conftest import traced_peak
-from oracles import size_pods_oracle
+from conftest import forecast_rates, traced_peak
+from oracles import (assert_bitwise_equal, resource_dataset_oracle, size_pods_oracle,
+                     windowed_max_oracle)
 
 
 def size_one(predicted, bounds) -> tuple[float, int]:
@@ -311,3 +316,111 @@ class TestPredictDemandBatch:
         rates = Rng(12).uniform(0.0, 400.0, (720, graph.size))
         peak = traced_peak(lambda: predict_demand(lstm, gcn, graph, rates))
         assert peak < 2.2e6, f"predict_demand peaked at {peak / 1e6:.2f} MB"
+
+
+class TestForecastFeatures:
+    def test_predict_demand_predicts_from_the_features(self):
+        lstm, gcn, graph = random_pipeline(13, 4)
+        rates = Rng(14).uniform(0.0, 500.0, (9, graph.size))
+        forecasts, features = forecast_features(lstm, graph, rates)
+        assert features.shape == (6, graph.size, 4)
+        # Window s is rates[s .. s+3]: its last three rates, then its forecast.
+        for s in range(6):
+            assert_bitwise_equal(features[s, :, :-1], rates[s + 1:s + 4].T)
+        assert_bitwise_equal(features[..., -1], forecasts)
+        want = predict_resource(gcn, graph, features)
+        got_forecasts, demand = predict_demand(lstm, gcn, graph, rates)
+        assert_bitwise_equal(got_forecasts, forecasts)
+        assert_bitwise_equal(demand, want)
+
+
+def column(*values) -> np.ndarray:
+    """A one-node (T, 1) grid."""
+    return np.array(values, dtype=np.float64)[:, None]
+
+
+SOLO = ServiceGraph.from_edges(["a"], [])
+
+
+class TestBuildResourceDataset:
+    """The graph predictor's training set: forecast_features over every
+    window of a segment but the last, and each window's peak usage."""
+
+    def test_windowed_example_by_hand(self, monkeypatch):
+        # k=3, T=5: samples at reference minutes t=2,3. Row layout per node is
+        # [w[t-1], w[t], f[t+1]]; target is max r over [t-1 .. t+1]. The stub
+        # forecasts each window's last rate plus one. The last window's
+        # forecast minute, 5, lies past the segment, so it gives no sample.
+        monkeypatch.setattr(autoscaler, "forecast_services",
+                            lambda lstm, services, windows: [w[:, -1] + 1.0 for w in windows])
+        lstm, _, graph = random_pipeline(0, 3, SOLO)
+        x, y = build_resource_dataset(lstm, graph, column(10.0, 20.0, 30.0, 40.0, 50.0),
+                                      column(1.0, 5.0, 2.0, 7.0, 3.0))
+        assert x.shape == (2, 1, 3)
+        np.testing.assert_array_equal(x[:, 0], [[20.0, 30.0, 31.0], [30.0, 40.0, 41.0]])
+        np.testing.assert_array_equal(y[:, 0, 0], [7.0, 7.0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), k=st.integers(2, 6), extra=st.integers(1, 40),
+           storefront=st.booleans())
+    @example(seed=0, k=10, extra=1, storefront=True)
+    def test_matches_the_per_sample_loop_bit_for_bit(self, seed, k, extra, storefront):
+        # The oracle's forecasts are the forecaster's for make_windows'
+        # windows of each service, which leave out the last one: the same
+        # rows in the same calls, so every float32 forecast keeps its bits.
+        lstm, _, graph = random_pipeline(seed, k, STOREFRONT if storefront else CHAIN)
+        rng = Rng(seed).child(1)
+        rates = rng.uniform(0.0, 500.0, (k + extra, graph.size))
+        usage = rng.uniform(0.0, 4.0, rates.shape)
+        forecasts = np.column_stack([forecast_rates(lstm, make_windows(rates[:, j], k)[0], s)
+                                     for j, s in enumerate(graph.nodes)])
+        want_x, want_y = resource_dataset_oracle(rates, forecasts, usage, graph.nodes, k)
+        x, y = build_resource_dataset(lstm, graph, rates, usage)
+        assert len(x) == extra
+        assert_bitwise_equal(x, want_x)
+        assert_bitwise_equal(y, want_y)
+        for j in range(graph.size):  # the k-minute peaks ending at minutes k .. T-1
+            np.testing.assert_array_equal(y[:, j, 0],
+                                          windowed_max_oracle(usage[:, j].tolist(), k)[1:])
+
+    def test_k_plus_one_minutes_give_one_sample(self):
+        lstm, _, graph = random_pipeline(3, 4)
+        rates = Rng(4).uniform(0.0, 500.0, (5, graph.size))
+        usage = rates / 100.0
+        x, y = build_resource_dataset(lstm, graph, rates, usage)
+        assert x.shape == (1, graph.size, 4) and y.shape == (1, graph.size, 1)
+        assert_bitwise_equal(x, forecast_features(lstm, graph, rates[:4])[1])
+        assert_bitwise_equal(y[0, :, 0], usage[1:].max(axis=0))
+
+    @pytest.mark.parametrize("sample, node", [(0, 0), (4, 2), (5, 1)])
+    def test_non_finite_forecast_names_its_service_and_minute(self, monkeypatch, sample,
+                                                             node):
+        forecast = autoscaler.forecast_services
+
+        def poisoned(lstm, services, windows):
+            out = [f.copy() for f in forecast(lstm, services, windows)]
+            out[node][sample] = np.nan
+            return out
+
+        monkeypatch.setattr(autoscaler, "forecast_services", poisoned)
+        lstm, _, graph = random_pipeline(5, 3)
+        rates = Rng(6).uniform(0.0, 500.0, (9, graph.size))
+        forecasts = np.column_stack(poisoned(lstm, graph.nodes, [
+            make_windows(rates[:, j], 3)[0] for j in range(graph.size)]))
+        with pytest.raises(ValidationError) as want:
+            resource_dataset_oracle(rates, forecasts, rates, graph.nodes, 3)
+        with pytest.raises(ValidationError) as got:
+            build_resource_dataset(lstm, graph, rates, rates)
+        assert str(got.value) == str(want.value) == (
+            f"forecast for {graph.nodes[node]!r} at minute index {sample + 3} is not finite")
+
+    def test_grids_of_one_shape_with_a_sample(self):
+        lstm, _, graph = random_pipeline(7, 3)
+        rates = np.ones((6, graph.size))
+        for usage in (np.ones((5, 3)), np.ones((6, 2)), np.ones(6)):
+            with pytest.raises(ShapeError, match="must be"):
+                build_resource_dataset(lstm, graph, rates, usage)
+        with pytest.raises(ShapeError, match="history"):
+            build_resource_dataset(lstm, graph, np.ones((6, 2)), np.ones((6, 2)))
+        with pytest.raises(EmptyDatasetError, match="3 minutes yield no samples for k=3"):
+            build_resource_dataset(lstm, graph, rates[:3], rates[:3])

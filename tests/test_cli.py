@@ -18,10 +18,11 @@ from graph_phpa.cluster_sim import SimulationLog
 from graph_phpa.config import ExperimentConfig, TraceSpec
 from graph_phpa.errors import DivergenceError
 from graph_phpa.forecast_lstm import LstmConfig, LstmModel, make_windows, train_lstm
-from graph_phpa.predict_gcn import GcnModel, build_resource_dataset, scale_targets
+from graph_phpa.predict_gcn import GcnModel, scale_targets
 from graph_phpa.report import load_run
 from graph_phpa.tensor import MinMaxScaler, mix_seed
-from oracles import assert_bitwise_equal, gcn_forward_scaled_oracle, lstm_forward_scaled_oracle
+from oracles import (assert_bitwise_equal, gcn_forward_scaled_oracle, lstm_forward_scaled_oracle,
+                     resource_dataset_oracle)
 
 
 def negative_forecaster(k: int) -> LstmModel:
@@ -206,7 +207,7 @@ class TestTraining:
         forecasts = np.column_stack([
             forecast_rates(lstm, make_windows(rps[:, j], cfg.lstm.window)[0], service)
             for j, service in enumerate(cfg.graph.nodes)])
-        x, y = build_resource_dataset(rps, forecasts, usage, cfg.graph.nodes, cfg.lstm.window)
+        x, y = resource_dataset_oracle(rps, forecasts, usage, cfg.graph.nodes, cfg.lstm.window)
         out, _ = gcn_forward_scaled_oracle(gcn.weights, gcn.config.activations, cfg.graph.a_hat,
                                            gcn.feature_scaler.transform(x))
         resource = json.loads((d / "resource_metrics.json").read_text(encoding="utf-8"))

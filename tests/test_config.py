@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from conftest import key_path
+from conftest import key_path, run_cli
 from graph_phpa.config import ExperimentConfig, TraceSpec
 from graph_phpa.errors import ConfigError, ValidationError
 
@@ -298,6 +298,42 @@ class TestTraceSpec:
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig.load(path)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("trace, message", [
+        # A 1-minute file with interpolate used to be read first, then fail
+        # with "interpolation expects 5-minute bins, got resolution 1".
+        ({"file": "missing.csv", "interpolate": True},
+         "trace.interpolate spreads 5-minute bins, but trace.resolution is 1"),
+        ({"file": "missing.csv", "resolution": 3, "interpolate": True},
+         "trace.interpolate spreads 5-minute bins, but trace.resolution is 3"),
+        # A 5-minute file without interpolate used to be read, then fail in
+        # cli.prepare, naming no key.
+        ({"file": "missing.csv", "resolution": 5},
+         "trace.resolution 5 needs trace.interpolate: the experiment runs on 1-minute bins"),
+        ({"synthetic": SYNTHETIC, "interpolate": True},
+         "trace.interpolate spreads 5-minute bins, but trace.synthetic.resolution is 1"),
+        ({"synthetic": {**SYNTHETIC, "resolution": 3}, "interpolate": True},
+         "trace.interpolate spreads 5-minute bins, but trace.synthetic.resolution is 3"),
+        ({"synthetic": {**SYNTHETIC, "resolution": 5}},
+         "trace.synthetic.resolution 5 needs trace.interpolate: the experiment runs on "
+         "1-minute bins"),
+    ], ids=["file-1-interpolated", "file-3-interpolated", "file-5", "synthetic-1-interpolated",
+            "synthetic-3-interpolated", "synthetic-5"])
+    def test_bins_that_cannot_become_minutes_exit_2_naming_the_key(self, tmp_path, capsys,
+                                                                   trace, message):
+        # missing.csv does not exist: the check runs before any trace is read.
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps(minimal_config(trace=trace)), encoding="utf-8")
+        code = run_cli("simulate", "--config", str(path), "--policy", "reactive",
+                       "--out", str(tmp_path / "run"))
+        assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_synthetic_5_minute_bins_interpolated(self, tmp_path):
+        spec = TraceSpec(synthetic={**SYNTHETIC, "resolution": 5}, interpolate=True)
+        trace = spec.resolve(tmp_path)
+        assert trace.resolution == 1
+        assert len(trace) == 5 * SYNTHETIC["length"]
 
     def test_resolution_1_beside_synthetic_loads(self):
         cfg = ExperimentConfig.from_json_dict(minimal_config(

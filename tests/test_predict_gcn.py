@@ -24,16 +24,14 @@ from graph_phpa.predict_gcn import (
     ServiceGraph,
     _Batch,
     _loss_and_grads,
-    build_resource_dataset,
     evaluate_gcn,
-    gcn_forward,
     normalize_adjacency,
     predict_resource,
     scale_targets,
     train_gcn,
 )
 from graph_phpa.tensor import BLOCK, DTYPE, MinMaxScaler, Rng
-from conftest import traced_peak
+from conftest import gcn_forward, traced_peak
 from oracles import (
     assert_bitwise_equal,
     finite_diff_gradient,
@@ -42,9 +40,7 @@ from oracles import (
     gcn_loss_and_grads_oracle,
     normalized_adjacency_oracle,
     rel_err,
-    resource_dataset_oracle,
     train_gcn_oracle,
-    windowed_max_oracle,
 )
 
 UNIT = MinMaxScaler(0.0, 1.0, 0.0, 1.0)
@@ -154,19 +150,19 @@ class TestForwardAgainstOracle:
             hidden = tuple(int(rng.integers(1, 5)) for _ in range(depth - 1))
             graph = random_graph(rng.child(trial, 1), n)
             model = random_model(rng.child(trial, 2), graph.nodes, 3, hidden)
-            x = rng.uniform(-1.0, 1.0, (n, 3))
+            x = rng.uniform(-1.0, 1.0, (1, n, 3))
             expected = gcn_forward_oracle(graph.adjacency.tolist(),
                                           [w.tolist() for w in model.weights],
-                                          model.config.activations, x.tolist())
+                                          model.config.activations, x[0].tolist())
             out = gcn_forward(model, graph, x)
-            assert out.shape == (n, 1)
-            np.testing.assert_allclose(out, expected, atol=1e-12)
+            assert out.shape == (1, n, 1)
+            np.testing.assert_allclose(out[0], expected, atol=1e-12)
 
     def test_identity_single_node_linear(self):
         # One isolated node: a_hat is [[1]], so output is x @ w exactly.
         graph = ServiceGraph.from_edges(["solo"], [])
         model = random_model(Rng(5), ("solo",), 4, ())
-        x = np.array([[0.2, -0.3, 0.5, 0.1]])
+        x = np.array([[[0.2, -0.3, 0.5, 0.1]]])
         np.testing.assert_allclose(gcn_forward(model, graph, x), x @ model.weights[0],
                                    atol=1e-15)
 
@@ -175,8 +171,8 @@ class TestForwardAgainstOracle:
         config = GcnConfig(window=2, hidden=(1,), epochs=1)
         model = GcnModel(config, ("solo",),
                          [np.array([[1.0], [0.0]]), np.array([[1.0]])], UNIT, (UNIT,))
-        assert gcn_forward(model, graph, np.array([[-3.0, 9.9]]))[0, 0] == 0.0
-        assert gcn_forward(model, graph, np.array([[2.0, 9.9]]))[0, 0] == 2.0
+        assert gcn_forward(model, graph, np.array([[[-3.0, 9.9]]]))[0, 0, 0] == 0.0
+        assert gcn_forward(model, graph, np.array([[[2.0, 9.9]]]))[0, 0, 0] == 2.0
 
     def test_permutation_equivariance(self):
         # Relabeling nodes permutes outputs the same way; weights are shared,
@@ -184,7 +180,7 @@ class TestForwardAgainstOracle:
         rng = Rng(23)
         graph = random_graph(rng, 5)
         model = random_model(rng.child(1), graph.nodes, 3, (4,))
-        x = rng.uniform(-1.0, 1.0, (5, 3))
+        x = rng.uniform(-1.0, 1.0, (1, 5, 3))
         out = gcn_forward(model, graph, x)
 
         perm = rng.permutation(5)
@@ -192,8 +188,8 @@ class TestForwardAgainstOracle:
         adj_p = graph.adjacency[np.ix_(perm, perm)]
         graph_p = ServiceGraph(nodes=nodes_p, adjacency=adj_p)
         model_p = GcnModel(model.config, nodes_p, model.weights, UNIT, (UNIT,) * 5)
-        out_p = gcn_forward(model_p, graph_p, x[perm])
-        np.testing.assert_allclose(out_p, out[perm], atol=1e-12)
+        out_p = gcn_forward(model_p, graph_p, x[:, perm])
+        np.testing.assert_allclose(out_p, out[:, perm], atol=1e-12)
 
     def test_neighbor_load_is_visible(self):
         # The defining behavior: a node with zero features still produces
@@ -201,21 +197,23 @@ class TestForwardAgainstOracle:
         graph = ServiceGraph.from_edges(["a", "b"], [("a", "b")])
         config = GcnConfig(window=2, hidden=(), epochs=1)
         model = GcnModel(config, ("a", "b"), [np.array([[1.0], [1.0]])], UNIT, (UNIT, UNIT))
-        x = np.array([[3.0, 1.0], [0.0, 0.0]])
+        x = np.array([[[3.0, 1.0], [0.0, 0.0]]])
         out = gcn_forward(model, graph, x)
-        assert out[1, 0] == pytest.approx(0.5 * 4.0)  # got everything via a_hat
+        assert out[0, 1, 0] == pytest.approx(0.5 * 4.0)  # got everything via a_hat
 
     def test_node_mismatch_rejected(self):
         graph = ServiceGraph.from_edges(["a", "b"], [("a", "b")])
         model = random_model(Rng(1), ("x", "y"), 3, ())
-        with pytest.raises(ValidationError):
-            gcn_forward(model, graph, np.zeros((2, 3)))
+        with pytest.raises(ValidationError, match="do not match model nodes"):
+            predict_resource(model, graph, np.zeros((1, 2, 3)))
 
     def test_shape_mismatch_rejected(self):
         graph = ServiceGraph.from_edges(["a"], [])
         model = random_model(Rng(1), ("a",), 3, ())
-        with pytest.raises(ShapeError):
-            gcn_forward(model, graph, np.zeros((1, 4)))
+        # The features must be a batch: one sample (N, k) goes in as (1, N, k).
+        for features in (np.zeros((1, 1, 4)), np.zeros((1, 3)), np.zeros((2, 1, 1, 3))):
+            with pytest.raises(ShapeError, match=r"expected \(S, 1, 3\)"):
+                predict_resource(model, graph, features)
 
 
 class TestPredictResource:
@@ -225,14 +223,14 @@ class TestPredictResource:
         # Weight sums the two scaled features; scalers map [0,10] onto [0,1].
         scaler = MinMaxScaler(0.0, 10.0, 0.0, 1.0)
         model = GcnModel(config, ("solo",), [np.array([[1.0], [1.0]])], scaler, (scaler,))
-        out = predict_resource(model, graph, np.array([[5.0, 5.0]]))
+        out = predict_resource(model, graph, np.array([[[5.0, 5.0]]]))
         # scaled features 0.5+0.5 -> 1.0 -> inverse -> 10.0
-        np.testing.assert_allclose(out, [10.0])
+        np.testing.assert_allclose(out, [[10.0]])
 
         negative = GcnModel(config, ("solo",), [np.array([[-1.0], [-1.0]])],
                             scaler, (scaler,))
         np.testing.assert_array_equal(predict_resource(negative, graph,
-                                                       np.array([[5.0, 5.0]])), [0.0])
+                                                       np.array([[[5.0, 5.0]]])), [[0.0]])
 
     def test_matches_forward_plus_transforms(self):
         rng = Rng(29)
@@ -241,8 +239,8 @@ class TestPredictResource:
         fs = MinMaxScaler(0.0, 300.0, 0.0, 1.0)
         ts = MinMaxScaler(0.0, 8.0, 0.0, 1.0)
         model.feature_scaler, model.target_scalers = fs, (ts,) * 4
-        raw = rng.uniform(0.0, 300.0, (4, 3))
-        manual = ts.inverse_transform(gcn_forward(model, graph, fs.transform(raw))[:, 0])
+        raw = rng.uniform(0.0, 300.0, (5, 4, 3))
+        manual = ts.inverse_transform(gcn_forward(model, graph, fs.transform(raw))[..., 0])
         np.testing.assert_allclose(predict_resource(model, graph, raw),
                                    np.maximum(manual, 0.0), atol=1e-12)
 
@@ -278,7 +276,7 @@ class TestGradients:
         x = rng.uniform(0.0, 1.0, (5, 3, 2))
         y = rng.uniform(0.0, 1.0, (5, 3, 1))
         loss, _ = loss_and_grads(model.weights, graph.a_hat, x, y)
-        per_sample = np.array([gcn_forward(model, graph, xi) for xi in x])
+        per_sample = np.array([gcn_forward(model, graph, x[i:i + 1])[0] for i in range(len(x))])
         assert loss == pytest.approx(float(np.mean((per_sample - y) ** 2)), abs=1e-12)
 
 
@@ -312,7 +310,7 @@ class TestKernelAgainstOracle:
         want_out, _ = gcn_forward_scaled_oracle(model.weights, model.config.activations,
                                                 graph.a_hat, x)
         assert_bitwise_equal(gcn_forward(model, graph, x), want_out)
-        assert_bitwise_equal(gcn_forward(model, graph, x[0]), want_out[0])
+        assert_bitwise_equal(gcn_forward(model, graph, x[:1]), want_out[:1])
 
         want_loss, want_grads = gcn_loss_and_grads_oracle(model.weights, model.config.activations,
                                                           graph.a_hat, x, y)
@@ -448,125 +446,17 @@ class TestBlockedEvaluation:
     def test_memory_is_bounded(self):
         # 5,000 samples of 4 nodes through 32 hidden units: the unblocked
         # forward held every layer's buffers for all samples and peaked at
-        # 12 MB, and an evaluation at 13.6 MB.
+        # 12 MB, and an evaluation at 13.6 MB. A prediction that scaled all
+        # samples before the blocks peaked at 2.4 MB; it peaks at 0.94 MB.
         rng = Rng(8)
         graph = random_graph(rng, 4)
         model = random_model(rng.child(1), graph.nodes, 10, (32,))
         x = rng.uniform(0.0, 1.0, (5000, 4, 10))
         y = rng.uniform(0.0, 1.0, (5000, 4, 1))
-        for name, run in (("gcn_forward", lambda: gcn_forward(model, graph, x)),
+        for name, run in (("predict_resource", lambda: predict_resource(model, graph, x)),
                           ("evaluate_gcn", lambda: evaluate_gcn(model, graph, (x, y)))):
             peak = traced_peak(run)
             assert peak < 3e6, f"{name} peaked at {peak / 1e6:.1f} MB"
-
-
-def column(*values) -> np.ndarray:
-    """A one-node (T, 1) grid."""
-    return np.array(values, dtype=np.float64)[:, None]
-
-
-class TestBuildResourceDataset:
-    def test_windowed_example_by_hand(self):
-        # k=3, T=5: samples at reference minutes t=2,3. Row layout per node is
-        # [w[t-1], w[t], f[t+1]]; target is max r over [t-1 .. t+1]. Forecast
-        # row i is for minute index i+k.
-        w = column(10.0, 20.0, 30.0, 40.0, 50.0)
-        f = column(41.0, 51.0)
-        r = column(1.0, 5.0, 2.0, 7.0, 3.0)
-        x, y = build_resource_dataset(w, f, r, ("a",), 3)
-        assert x.shape == (2, 1, 3)
-        np.testing.assert_array_equal(x[0, 0], [20.0, 30.0, 41.0])
-        np.testing.assert_array_equal(x[1, 0], [30.0, 40.0, 51.0])
-        np.testing.assert_array_equal(y[:, 0, 0], [7.0, 7.0])
-
-    def test_targets_match_loop_oracle(self):
-        rng = Rng(41)
-        t_total, k = 30, 5
-        r = rng.uniform(0.0, 4.0, (t_total, 1))
-        series = rng.uniform(0.0, 100.0, (t_total, 1))
-        _, y = build_resource_dataset(series, series[k:], r, ("a",), k)
-        # Sample s refers to minute t=k-1+s, target max over [t-k+2, t+1]:
-        # exactly the k-window of r ending at t+1, i.e. oracle windows from
-        # index 1 onward.
-        expected = windowed_max_oracle(r[:, 0].tolist(), k)[1:]
-        np.testing.assert_allclose(y[:, 0, 0], expected)
-
-    def test_sample_count_is_t_minus_k(self):
-        series = np.arange(12.0)[:, None]
-        x, y = build_resource_dataset(series, series[4:], series, ("a",), 4)
-        assert len(x) == len(y) == 8
-
-    def test_forecast_column_is_last(self):
-        w = np.zeros((6, 1))
-        f = np.full((3, 1), 9.0)
-        x, _ = build_resource_dataset(w, f, w, ("a",), 3)
-        np.testing.assert_array_equal(x[:, 0, -1], 9.0)
-        np.testing.assert_array_equal(x[:, 0, :-1], 0.0)
-
-    def test_non_finite_forecast_rejected(self):
-        w = np.zeros((6, 1))
-        f = column(0.0, np.nan, 0.0)
-        with pytest.raises(ValidationError, match="'a' at minute index 4 is not finite"):
-            build_resource_dataset(w, f, w, ("a",), 3)
-
-    @given(t_total=st.integers(3, 40), k=st.integers(2, 6), n=st.integers(1, 3),
-           seed=st.integers(0, 2**16), bad=st.none() | st.tuples(st.integers(0, 39),
-                                                                  st.integers(0, 2)))
-    @settings(max_examples=60)
-    def test_matches_per_sample_loop(self, t_total, k, n, seed, bad):
-        # Bitwise, including the error a non-finite forecast raises.
-        if t_total < k + 1:
-            return
-        rng = Rng(seed)
-        nodes = tuple(f"s{i}" for i in range(n))
-        w = rng.uniform(0.0, 100.0, (t_total, n))
-        f = rng.uniform(0.0, 100.0, (t_total - k, n))
-        r = rng.uniform(0.0, 4.0, (t_total, n))
-        if bad is not None:
-            f[bad[0] % (t_total - k), bad[1] % n] = np.inf
-            with pytest.raises(ValidationError) as expected:
-                resource_dataset_oracle(w, f, r, nodes, k)
-            with pytest.raises(ValidationError, match="not finite") as got:
-                build_resource_dataset(w, f, r, nodes, k)
-            assert str(got.value) == str(expected.value)
-            return
-        x, y = build_resource_dataset(w, f, r, nodes, k)
-        x_loop, y_loop = resource_dataset_oracle(w, f, r, nodes, k)
-        assert x.shape == x_loop.shape and y.shape == y_loop.shape
-        np.testing.assert_array_equal(x, x_loop)
-        np.testing.assert_array_equal(y, y_loop)
-
-    def test_missing_series_rejected(self):
-        # A grid needs one column per node.
-        w = np.zeros((6, 1))
-        for workloads, forecasts, resources in ((w, w[3:], np.zeros((6, 0))),
-                                                (w, np.zeros((3, 0)), w),
-                                                (np.zeros(6), w[3:], w)):
-            with pytest.raises(ShapeError, match=r"must be \(T, 1\), \(T-3, 1\)"):
-                build_resource_dataset(workloads, forecasts, resources, ("a",), 3)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            build_resource_dataset(np.zeros((6, 1)), np.zeros((2, 1)), np.zeros((6, 1)),
-                                   ("a",), 3)
-        with pytest.raises(ShapeError):
-            build_resource_dataset(np.zeros((6, 1)), np.zeros((3, 1)), np.zeros((5, 1)),
-                                   ("a",), 3)
-
-    def test_too_short_rejected(self):
-        s = np.zeros((3, 1))
-        with pytest.raises(EmptyDatasetError):
-            build_resource_dataset(s, s[3:], s, ("a",), 3)
-
-    @given(t_total=st.integers(6, 40), k=st.integers(2, 5))
-    @settings(max_examples=40)
-    def test_count_property(self, t_total, k):
-        s = np.arange(float(t_total))[:, None]
-        if t_total < k + 1:
-            return
-        x, y = build_resource_dataset(s, s[k:], s, ("a",), k)
-        assert x.shape == (t_total - k, 1, k)
-        assert y.shape == (t_total - k, 1, 1)
 
 
 class TestTraining:
@@ -695,7 +585,7 @@ class TestSerialization:
         loaded = GcnModel.load(path)
         assert loaded.nodes == model.nodes
         assert loaded.config.activations == model.config.activations
-        x = rng.uniform(0.0, 1.0, (3, 3))
+        x = rng.uniform(0.0, 1.0, (1, 3, 3))
         np.testing.assert_array_equal(predict_resource(loaded, graph, x),
                                       predict_resource(model, graph, x))
 
