@@ -5,7 +5,8 @@ forecast_features is the one place that builds the graph predictor's
 features from request rates: per node, a window's last k-1 rates followed by
 the forecaster's forecast for the next minute. Training
 (build_resource_dataset) and replay (predict_demand) both call it, so the
-GCN predicts from inputs built exactly as the ones it was trained on.
+GCN predicts from inputs built exactly as the ones it was trained on, over
+the call graph it was trained on: the replay takes it from the GCN.
 
 The sizing rule is deliberately small. Clamp each predicted demand into its
 service's resource band, and give the service the whole pods that cover it,
@@ -103,13 +104,13 @@ def forecast_features(lstm: LstmModel, graph: ServiceGraph,
     return forecasts, np.concatenate([windows[:, :, 1:], forecasts[:, :, None]], axis=2)
 
 
-def predict_demand(lstm: LstmModel, gcn_model: GcnModel, graph: ServiceGraph,
+def predict_demand(lstm: LstmModel, gcn_model: GcnModel,
                    rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """forecast_features' forecasts and the predicted vCPU demand of its
-    features, both (T-k+1, N) for a (T, N) grid of rates. A grid of exactly k
-    rows is a batch of one."""
-    forecasts, features = forecast_features(lstm, graph, rates)
-    return forecasts, predict_resource(gcn_model, graph, features)
+    features, both (T-k+1, N) for a (T, N) grid of rates over gcn_model.graph's
+    nodes. A grid of exactly k rows is a batch of one."""
+    forecasts, features = forecast_features(lstm, gcn_model.graph, rates)
+    return forecasts, predict_resource(gcn_model, features)
 
 
 def build_resource_dataset(lstm: LstmModel, graph: ServiceGraph, rates: np.ndarray,

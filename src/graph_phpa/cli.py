@@ -20,7 +20,6 @@ request rates and a scaler for each service on that service's own.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -34,7 +33,7 @@ from .autoscaler import build_resource_dataset
 from .cluster_sim import (PredictivePolicy, ReactivePolicy, ScalingPolicy, SimulationLog,
                           run_simulation)
 from .config import ExperimentConfig
-from .errors import ConfigError, GraphPhpaError, ValidationError
+from .errors import ConfigError, GraphPhpaError, ValidationError, write_json
 from .forecast_lstm import (LstmModel, evaluate, forecast_services, make_windows,
                             scaled_mse, train_lstm)
 from .predict_gcn import GcnModel, evaluate_gcn, scale_targets, train_gcn
@@ -45,39 +44,40 @@ from .traces import (WorkloadTrace, generate_synthetic_trace, save_trace, slice_
 log = logging.getLogger(__name__)
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8", newline="\n")
-
-
-def _check_window(path: Path, config, cfg: ExperimentConfig) -> None:
-    if config.window != cfg.lstm.window:
-        raise ValidationError(f"{path}: config.window {config.window} is not the "
-                              f"config's lstm.window {cfg.lstm.window}")
-
-
 def _load_lstm(models_dir: Path, cfg: ExperimentConfig) -> LstmModel:
     """The forecaster of models_dir/lstm.json, once the file was written for
     cfg's lstm.window and holds a scaler for each of cfg's graph.nodes and no
     other; else a ValidationError naming the file."""
     path = models_dir / "lstm.json"
     model = LstmModel.load(path)
-    _check_window(path, model.config, cfg)
+    if model.config.window != cfg.lstm.window:
+        raise ValidationError(f"{path}: config.window {model.config.window} is not the "
+                              f"config's lstm.window {cfg.lstm.window}")
     if sorted(model.scalers) != sorted(cfg.graph.nodes):
         raise ValidationError(f"{path}: scalers for {sorted(model.scalers)} are not for the "
                               f"config's graph.nodes {list(cfg.graph.nodes)}")
     return model
 
 
+def _edges(graph) -> list[tuple[str, str]]:
+    return [(graph.nodes[i], graph.nodes[j]) for i, j in np.argwhere(np.triu(graph.adjacency))]
+
+
 def _load_gcn(models_dir: Path, cfg: ExperimentConfig) -> GcnModel:
-    """models_dir/gcn.json, once it was trained for cfg's lstm.window and
-    graph.nodes; else a ValidationError naming the file."""
+    """models_dir/gcn.json, once it was trained for cfg's lstm.window on cfg's
+    call graph, its nodes in order and its edges; else a ValidationError naming the file."""
     path = models_dir / "gcn.json"
     model = GcnModel.load(path)
-    _check_window(path, model.config, cfg)
-    if model.nodes != cfg.graph.nodes:
-        raise ValidationError(f"{path}: nodes {list(model.nodes)} are not the config's "
+    if model.window != cfg.lstm.window:
+        raise ValidationError(f"{path}: weights[0] has {model.window} rows, one per feature, "
+                              f"but the config's lstm.window is {cfg.lstm.window}")
+    graph = model.graph
+    if graph.nodes != cfg.graph.nodes:
+        raise ValidationError(f"{path}: nodes {list(graph.nodes)} are not the config's "
                               f"graph.nodes {list(cfg.graph.nodes)}")
+    if not np.array_equal(graph.adjacency, cfg.graph.adjacency):
+        raise ValidationError(f"{path}: trained on the call graph with edges {_edges(graph)}, "
+                              f"not the config's demand.fan_out edges {_edges(cfg.graph)}")
     return model
 
 
@@ -150,9 +150,9 @@ def train_workload(prepared: Prepared, out: Path) -> LstmModel:
 
     out.mkdir(parents=True, exist_ok=True)
     model.save(out / "lstm.json")
-    _write_json(out / "workload_metrics.json", {
+    write_json(out / "workload_metrics.json", {
         "window": k, "trace_sha256": trace_digest(prepared.trace), "fitted_on": entry,
-        "final_train_mse_scaled": history[-1], "services": scores})
+        "final_train_mse_scaled": history[-1], "services": scores}, indent=2)
     return model
 
 
@@ -173,12 +173,12 @@ def train_resource(prepared: Prepared, lstm: LstmModel,
             for lo, hi in prepared.segments)
         model, _ = train_gcn(train_set, cfg.graph, cfg.gcn)
         (train_mse, _), (valid_mse, _), (test_mse, test_per_service) = (
-            evaluate_gcn(model, cfg.graph, dataset)
+            evaluate_gcn(model, dataset)
             for dataset in (train_set, valid_set, test_set))
     target_variance = float(np.var(scale_targets(model.target_scalers, train_set[1])))
     model.save(out / "gcn.json")
     metrics = {
-        "window": cfg.gcn.window, "trace_sha256": trace_digest(prepared.trace),
+        "window": cfg.lstm.window, "trace_sha256": trace_digest(prepared.trace),
         "samples": {"train": len(train_set[0]), "valid": len(valid_set[0]),
                     "test": len(test_set[0])},
         "train_mse_scaled": train_mse,
@@ -187,7 +187,7 @@ def train_resource(prepared: Prepared, lstm: LstmModel,
         "test_mse_scaled_per_service": test_per_service,
         "train_target_variance_scaled": target_variance,
     }
-    _write_json(out / "resource_metrics.json", metrics)
+    write_json(out / "resource_metrics.json", metrics, indent=2)
     log.info("trained demand predictor: train %.6f test %.6f var %.6f",
              train_mse, test_mse, target_variance)
     return model, metrics
@@ -204,7 +204,7 @@ def replay(prepared: Prepared, policy: ScalingPolicy,
     out.mkdir(parents=True, exist_ok=True)
     log_.write_csv(out / "sim.csv")
     summary = log_.summary()
-    _write_json(out / "summary.json", summary)
+    write_json(out / "summary.json", summary, indent=2)
     if log_.decisions:
         log_.write_decisions_csv(out / "decisions.csv")
     return log_, summary
@@ -255,8 +255,8 @@ def cmd_simulate(args) -> int:
         raise ValidationError("phpa policy takes no --threshold")
     else:
         models_dir = Path(args.models)
-        policy = PredictivePolicy(_load_lstm(models_dir, cfg),
-                                  _load_gcn(models_dir, cfg), cfg.graph, cfg.bounds)
+        policy = PredictivePolicy(_load_lstm(models_dir, cfg), _load_gcn(models_dir, cfg),
+                                  cfg.bounds)
     log_, summary = replay(prepare(cfg, base_dir), policy, Path(args.out))
     totals = summary["totals"]
     print(f"{log_.policy_name}: pod_minutes={totals['pod_minutes']} "
@@ -291,7 +291,7 @@ def cmd_experiment(args) -> int:
     print(f"trained demand predictor into {models_dir} (train mse "
           f"{metrics['train_mse_scaled']:.6f}, test mse {metrics['test_mse_scaled']:.6f})")
 
-    policies = [PredictivePolicy(lstm, gcn, cfg.graph, cfg.bounds), *reactive]
+    policies = [PredictivePolicy(lstm, gcn, cfg.bounds), *reactive]
     logs = [replay(prepared, policy, out / "runs" / policy.name)[0] for policy in policies]
     table = write_comparison(out / "comparison", logs, baseline)
     sys.stdout.write(render_table_text(table))
@@ -364,6 +364,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except GraphPhpaError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # the system refused a path: an --out that is a file, say
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}",
+              file=sys.stderr)
         return 2
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from .autoscaler import ScalingBounds, predict_demand, size_pods
 from .errors import ValidationError, check_keys
 from .forecast_lstm import LstmModel
-from .predict_gcn import GcnModel, ServiceGraph
+from .predict_gcn import GcnModel
 from .tensor import blocks, check_seed, keyed_normals, mix_seed
 from .traces import WorkloadTrace, trace_digest
 
@@ -260,32 +260,30 @@ class DecisionLog:
 class PredictivePolicy(ScalingPolicy):
     """Forecast next-minute workload, predict demand on the graph, size pods ahead.
 
-    Every forecast and demand prediction of a run comes from one batched
-    predict_demand call in begin, and size_pods turns the whole demand grid
-    into allocations and pod counts there too. decide, called once a minute in
-    order, returns its minute's row of pod counts. Nothing is carried from one
-    decision to the next: a minute's pods follow from its own prediction.
+    The services are gcn_model.graph.nodes, in order. Every forecast and
+    demand prediction of a run comes from one batched predict_demand call in
+    begin, and size_pods turns the whole demand grid into allocations and pod
+    counts there too. decide, called once a minute in order, returns its
+    minute's row of pod counts. Nothing is carried from one decision to the
+    next: a minute's pods follow from its own prediction.
     """
 
     name = "phpa"
 
-    def __init__(self, lstm: LstmModel, gcn_model: GcnModel, graph: ServiceGraph,
-                 bounds: Mapping[str, ScalingBounds]):
+    def __init__(self, lstm: LstmModel, gcn_model: GcnModel, bounds: Mapping[str, ScalingBounds]):
         self.lstm = lstm
         self.gcn_model = gcn_model
-        self.graph = graph
         self.bounds = bounds
-        self._bounds = [bounds[s] for s in graph.nodes]
+        self._bounds = [bounds[s] for s in gcn_model.graph.nodes]
 
     def begin(self, start_minute, services, rates):
-        nodes = self.graph.nodes
+        nodes = self.gcn_model.graph.nodes
         if tuple(services) != nodes:
             raise ValidationError(f"simulated services {list(services)} are not graph.nodes "
                                   f"{list(nodes)} in order")
-        self._forecasts, self._demand = predict_demand(self.lstm, self.gcn_model, self.graph,
-                                                       rates)
+        self._forecasts, self._demand = predict_demand(self.lstm, self.gcn_model, rates)
         # Row j is predicted at the minute that ends the j-th k-window.
-        self._first_minute = start_minute + self.gcn_model.config.window - 1
+        self._first_minute = start_minute + self.lstm.config.window - 1
         bad = np.argwhere(~np.isfinite(self._demand))
         if len(bad):
             row, j = bad[0].tolist()

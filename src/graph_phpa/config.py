@@ -103,7 +103,7 @@ class ExperimentConfig:
                        bounds={s: read(ScalingBounds, spec, f"bounds.{s}")
                                for s, spec in bounds.items()},
                        lstm=lstm,
-                       gcn=read(GcnConfig, d.get("gcn", {}), "gcn", window=lstm.window),
+                       gcn=read(GcnConfig, d.get("gcn", {}), "gcn"),
                        hpa=read(HpaConfig, d.get("hpa", {}), "hpa"),
                        sim=read(SimConfig, d.get("sim", {}), "sim"),
                        split=read(Split, d.get("split", {}), "split"))

@@ -1,6 +1,6 @@
-"""Exception types shared across the package, and the typed reader that
-turns a config section or a model file into the object it describes, or into
-one of these errors instead of a bare KeyError or TypeError."""
+"""Exception types shared across the package, the typed reader that turns a
+config section or a model file into the object it describes, or into one of
+these errors instead of a bare KeyError or TypeError, and the JSON writer."""
 import functools
 import inspect
 import json
@@ -193,3 +193,11 @@ def read_json_file(path, parse):
         return parse(doc)
     except (ValidationError, ShapeError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
+
+
+def write_json(path, doc, indent: int | None = None) -> None:
+    """Write doc to a file as JSON with sorted keys and a final newline, in
+    UTF-8 with LF line endings, so that the same doc always gives the same
+    bytes; indent as json.dumps takes it."""
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=indent) + "\n",
+                          encoding="utf-8", newline="\n")

@@ -25,7 +25,6 @@ allocating form of the same equations, which the tests keep as the oracle.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -34,7 +33,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import (DivergenceError, EmptyDatasetError, ShapeError, ValidationError,
-                     check_keys, check_value, float_array, read, read_json_file)
+                     check_keys, check_value, float_array, read, read_json_file, write_json)
 from .tensor import (BLOCK, DTYPE, MinMaxScaler, Rng, blocks, carve, check_learning_rate,
                      check_seed, ensure_finite, fit_adam, glorot_init)
 
@@ -144,8 +143,7 @@ class LstmModel:
         return cls(config, *weights, head_b, scalers, fitted_on)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), sort_keys=True) + "\n",
-                              encoding="utf-8", newline="\n")
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path: str | Path) -> "LstmModel":

@@ -6,7 +6,7 @@ rates and their forecasts, and its target is each node's vCPU demand. Layers
 propagate features through the symmetrically normalized adjacency (self loops
 added), so each service sees its neighbors' load, which is what makes
 cascaded demand visible before it arrives. This module is the model alone:
-the graph, config, model, forward pass, fit and evaluation.
+the graph, config, model (which holds its graph), forward pass, fit and evaluation.
 
 The fit computes in float32 (tensor.DTYPE): the aggregated training features,
 the scaled targets, a_hat, the weights, their gradients and Adam state, and
@@ -17,7 +17,6 @@ are given, so the tests can drive a fit in float64 too.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -25,11 +24,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (DivergenceError, EmptyDatasetError, ShapeError, ValidationError,
-                     check_keys, check_name, check_value, float_array, read, read_json_file)
+                     check_keys, check_name, check_value, float_array, read, read_json_file,
+                     write_json)
 from .tensor import (BLOCK, DTYPE, MinMaxScaler, Rng, blocks, check_learning_rate, check_seed,
                      fit_adam, glorot_init)
 
-GCN_SCHEMA = "graph-phpa/gcn-model/v1"
+GCN_SCHEMA = "graph-phpa/gcn-model/v2"
 
 
 def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
@@ -95,7 +95,6 @@ class ServiceGraph:
 
 @dataclass(frozen=True)
 class GcnConfig:
-    window: int = 10
     hidden: tuple[int, ...] = (32,)
     learning_rate: float = 0.001
     epochs: int = 100
@@ -104,8 +103,6 @@ class GcnConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        if self.window < 2:
-            raise ValidationError(f"window must be >= 2, got {self.window}")
         for i, h in enumerate(self.hidden):
             if h < 1:
                 raise ValidationError(f"hidden[{i}] must be >= 1, got {h}")
@@ -114,52 +111,51 @@ class GcnConfig:
             raise ValidationError("epochs and batch_size must be >= 1")
         check_seed(self.seed)
 
-    @property
-    def widths(self) -> tuple[int, ...]:
-        """Feature width at every layer boundary: input k, hidden..., 1 output."""
-        return (self.window,) + self.hidden + (1,)
-
-    @property
-    def activations(self) -> tuple[str, ...]:
-        """What every layer applies to its output: _forward's fixed rule."""
-        return ("relu",) * len(self.hidden) + ("linear",)
+    def widths(self, window: int) -> tuple[int, ...]:
+        """Feature width at every layer boundary: window, hidden..., 1 output."""
+        return (window,) + self.hidden + (1,)
 
 
 class GcnModel:
-    """Trained resource predictor tied to a fixed node ordering.
+    """Trained resource predictor over the call graph it was trained on.
 
     Features share one scaler (they mix through a_hat, so they must live on a
     common scale); targets get one scaler per node, because per-service usage
     magnitudes differ by multiples and the layers share weights across nodes.
-    The config fixes the layers: their widths and their activations.
+    The config fixes the hidden layers; the window is weights[0]'s rows.
     """
 
-    def __init__(self, config: GcnConfig, nodes: tuple[str, ...], weights: list[np.ndarray],
+    def __init__(self, config: GcnConfig, graph: ServiceGraph, weights: list[np.ndarray],
                  feature_scaler: MinMaxScaler, target_scalers):
         self.config = config
-        self.nodes = tuple(nodes)
+        self.graph = graph
         self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
         for idx, w in enumerate(self.weights):
             if w.ndim != 2:
                 raise ShapeError(f"weights[{idx}] must be a matrix, got shape {w.shape}")
         self.feature_scaler = feature_scaler
         self.target_scalers = tuple(target_scalers)
-        if len(self.target_scalers) != len(self.nodes):
+        if len(self.target_scalers) != graph.size:
             raise ShapeError(f"{len(self.target_scalers)} target scalers for "
-                             f"{len(self.nodes)} nodes")
+                             f"{graph.size} nodes")
         shapes = [w.shape for w in self.weights]
-        widths = config.widths
+        widths = config.widths(shapes[0][0] if shapes else 0)
         if shapes != list(zip(widths, widths[1:])):
             raise ShapeError(f"weight shapes {shapes} do not chain the config's layer "
                              f"widths {widths}")
+
+    @property
+    def window(self) -> int:
+        """The features per node: the forecaster's window it was trained with."""
+        return self.weights[0].shape[0]
 
     def to_json_dict(self) -> dict:
         return {
             "schema": GCN_SCHEMA,
             "config": asdict(self.config),
-            "nodes": list(self.nodes),
+            "nodes": list(self.graph.nodes),
+            "adjacency": self.graph.adjacency.tolist(),
             "weights": [w.tolist() for w in self.weights],
-            "activations": list(self.config.activations),
             "feature_scaler": asdict(self.feature_scaler),
             "target_scalers": [asdict(s) for s in self.target_scalers],
         }
@@ -168,14 +164,12 @@ class GcnModel:
     def from_json_dict(cls, d: dict) -> "GcnModel":
         if check_value(d, dict, "gcn model").get("schema") != GCN_SCHEMA:
             raise ValidationError(f"schema must be {GCN_SCHEMA!r}, got {d.get('schema')!r}")
-        keys = ("schema", "config", "nodes", "weights", "activations", "feature_scaler",
+        keys = ("schema", "config", "nodes", "adjacency", "weights", "feature_scaler",
                 "target_scalers")
         check_keys(d, "gcn model", required=keys, allowed=keys)
-        config = read(GcnConfig, d["config"], "config")
-        if d["activations"] != list(config.activations):
-            raise ValidationError(f"activations must be {list(config.activations)} "
-                                  f"for its config, got {d['activations']!r}")
-        return cls(config=config, nodes=check_value(d["nodes"], tuple[str, ...], "nodes"),
+        graph = ServiceGraph(nodes=check_value(d["nodes"], tuple[str, ...], "nodes"),
+                             adjacency=float_array(d["adjacency"], "adjacency"))
+        return cls(config=read(GcnConfig, d["config"], "config"), graph=graph,
                    weights=[float_array(w, f"weights[{i}]")
                             for i, w in enumerate(check_value(d["weights"], list, "weights"))],
                    feature_scaler=MinMaxScaler.from_dict(d["feature_scaler"], "feature_scaler"),
@@ -184,8 +178,7 @@ class GcnModel:
                                                                      "target_scalers"))])
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), sort_keys=True) + "\n",
-                              encoding="utf-8", newline="\n")
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path: str | Path) -> "GcnModel":
@@ -207,7 +200,7 @@ def _forward(weights: list[np.ndarray], a_hat: np.ndarray,
 
     agg[0] holds the input aggregation a_hat @ X of scaled features X
     (S, N, D). Layer l writes its activated output into out[l] (relu on the
-    hidden layers, linear on the last: GcnConfig.activations) and, past the
+    hidden layers, linear on the last, so the config's hidden fixes them) and, past the
     first, its input aggregation a_hat @ out[l-1] into agg[l]. Every product
     is one small product per sample. A single GEMM over all S*N rows would
     round differently wherever the BLAS blocks rows across sample boundaries:
@@ -224,16 +217,16 @@ def _forward(weights: list[np.ndarray], a_hat: np.ndarray,
     return out[-1]
 
 
-def _forward_blocks(model: GcnModel, graph: ServiceGraph, features) -> np.ndarray:
+def _forward_blocks(model: GcnModel, features) -> np.ndarray:
     """Outputs (S, N, 1) of raw features (S, N, k), once they are checked to
-    be model input on graph: each block of at most BLOCK samples is scaled and
-    propagated through one set of layer buffers, sized for one block."""
-    if tuple(graph.nodes) != model.nodes:
-        raise ValidationError(f"graph nodes {graph.nodes} do not match model nodes {model.nodes}")
+    be model input: each block of at most BLOCK samples is scaled and
+    propagated over the model's graph through one set of layer buffers, sized
+    for one block."""
+    graph = model.graph
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 3 or x.shape[1:] != (graph.size, model.config.window):
+    if x.ndim != 3 or x.shape[1:] != (graph.size, model.window):
         raise ShapeError(f"features shape {x.shape}, expected "
-                         f"(S, {graph.size}, {model.config.window})")
+                         f"(S, {graph.size}, {model.window})")
     result = np.empty(x.shape[:2] + (1,))
     agg, out = _layer_buffers(model.weights, min(len(x), BLOCK), graph.size)
     for lo, hi in blocks(len(x)):
@@ -243,10 +236,10 @@ def _forward_blocks(model: GcnModel, graph: ServiceGraph, features) -> np.ndarra
     return result
 
 
-def predict_resource(model: GcnModel, graph: ServiceGraph, features: np.ndarray) -> np.ndarray:
+def predict_resource(model: GcnModel, features: np.ndarray) -> np.ndarray:
     """Per-node demand (S, N) in original units, clamped at zero, of raw
-    features (S, N, k)."""
-    out = _forward_blocks(model, graph, features)[..., 0]
+    features (S, N, k), column j being model.graph.nodes[j]."""
+    out = _forward_blocks(model, features)[..., 0]
     raw = np.stack([s.inverse_transform(out[:, ni])
                     for ni, s in enumerate(model.target_scalers)], axis=-1)
     return np.maximum(raw, 0.0)
@@ -325,8 +318,8 @@ def _loss_and_grads(weights: list[np.ndarray], a_hat: np.ndarray, batch: _Batch,
 
 def train_gcn(train: tuple[np.ndarray, np.ndarray], graph: ServiceGraph,
               config: GcnConfig, dtype=DTYPE) -> tuple[GcnModel, list[float]]:
-    """Fit the predictor with tensor.fit_adam; returns the model and the
-    training MSE of every epoch, in scaled units.
+    """Fit the predictor over graph with tensor.fit_adam; returns the model,
+    which holds graph, and the training MSE of every epoch, in scaled units.
 
     Min-max scalers to [0, 1] are fitted on the training tensors: one shared
     scaler for features, one per node for targets. The fit computes in dtype:
@@ -338,9 +331,8 @@ def train_gcn(train: tuple[np.ndarray, np.ndarray], graph: ServiceGraph,
     """
     x_train = np.asarray(train[0], dtype=np.float64)
     y_train = np.asarray(train[1], dtype=np.float64)
-    if x_train.ndim != 3 or x_train.shape[1] != graph.size or x_train.shape[2] != config.window:
-        raise ShapeError(f"features shape {x_train.shape}, expected "
-                         f"(S, {graph.size}, {config.window})")
+    if x_train.ndim != 3 or x_train.shape[1] != graph.size:
+        raise ShapeError(f"features shape {x_train.shape}, expected (S, {graph.size}, k)")
     if y_train.shape != (x_train.shape[0], graph.size, 1):
         raise ShapeError(f"targets shape {y_train.shape}, expected "
                          f"{(x_train.shape[0], graph.size, 1)}")
@@ -365,24 +357,24 @@ def train_gcn(train: tuple[np.ndarray, np.ndarray], graph: ServiceGraph,
         return _loss_and_grads(weights, a_hat, batch, grads)
 
     rng = Rng(config.seed)
-    widths = config.widths
+    widths = config.widths(x_train.shape[2])
     init = [glorot_init(widths[i], widths[i + 1], rng).astype(dtype)
             for i in range(len(widths) - 1)]
     workspace = _Batch.allocate(init, min(len(agg_train), config.batch_size), graph.size)
     weights, history = fit_adam(init, len(agg_train), config, rng, workspace.front,
                                 batch_loss, "gcn")
-    model = GcnModel(config, graph.nodes, weights, feature_scaler, target_scalers)
+    model = GcnModel(config, graph, weights, feature_scaler, target_scalers)
     return model, history
 
 
-def evaluate_gcn(model: GcnModel, graph: ServiceGraph, dataset: tuple[np.ndarray, np.ndarray]
+def evaluate_gcn(model: GcnModel, dataset: tuple[np.ndarray, np.ndarray]
                  ) -> tuple[float, dict[str, float]]:
     """MSE in scaled units over a raw dataset, the units of the training
     history: over every node, and per service. A non-finite MSE raises
     DivergenceError."""
-    out = _forward_blocks(model, graph, dataset[0])
+    out = _forward_blocks(model, dataset[0])
     sq = (out - scale_targets(model.target_scalers, dataset[1])) ** 2
     mse = float(np.mean(sq))
     if not np.isfinite(mse):
         raise DivergenceError(f"scaled MSE is {mse}, not finite")
-    return mse, {node: float(np.mean(sq[:, ni, :])) for ni, node in enumerate(graph.nodes)}
+    return mse, {node: float(np.mean(sq[:, ni, :])) for ni, node in enumerate(model.graph.nodes)}

@@ -8,7 +8,6 @@ given set of runs.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from pathlib import Path
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .cluster_sim import GRID_COLUMNS, SIM_COLUMNS, SimulationLog
 from .errors import (RunMismatchError, ValidationError, check_keys, check_name, check_value,
-                     read_json_file)
+                     read_json_file, write_json)
 from .tensor import blocks
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
@@ -326,8 +325,7 @@ def write_comparison(out_dir: str | Path, logs: list[SimulationLog], baseline: s
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     table = comparison_table(logs, baseline)
-    (out_dir / "table.json").write_text(json.dumps(table, sort_keys=True, indent=2) + "\n",
-                                        encoding="utf-8", newline="\n")
+    write_json(out_dir / "table.json", table, indent=2)
     (out_dir / "table.txt").write_text(render_table_text(table),
                                        encoding="utf-8", newline="\n")
     axis = _minute_axis(logs)

@@ -121,15 +121,15 @@ def evaluate_lstm(model, dataset, service=None) -> float:
     return forecast_lstm.scaled_mse(model.scalers[service], forecasts, dataset[1])
 
 
-def gcn_forward(model, graph, x) -> np.ndarray:
+def gcn_forward(model, x) -> np.ndarray:
     """The graph predictor's outputs (S, N, 1) for scaled features (S, N, D),
     with no scaler applied: the blocked forward predict_resource and
     evaluate_gcn run, under an identity feature scaler. That scaler's
     0.0 + (x - 0.0) * 1.0 keeps every feature but a negative zero."""
     unit = MinMaxScaler(0.0, 1.0, 0.0, 1.0)
     return predict_gcn._forward_blocks(
-        predict_gcn.GcnModel(model.config, model.nodes, model.weights, unit,
-                             model.target_scalers), graph, x)
+        predict_gcn.GcnModel(model.config, model.graph, model.weights, unit,
+                             model.target_scalers), x)
 
 
 @pytest.fixture(scope="session")

@@ -190,6 +190,12 @@ def _activate(m, kind):
     return [[f(v) for v in row] for row in m]
 
 
+def gcn_activations(hidden) -> tuple[str, ...]:
+    """Every layer's activation, as the kernel applies them: relu on each
+    hidden layer, linear on the output."""
+    return ("relu",) * len(hidden) + ("linear",)
+
+
 def gcn_forward_oracle(a, weights, activations, x):
     """Layer-by-layer propagation H <- act(A_hat H W) with dense loops.
 
@@ -455,10 +461,9 @@ class PerMinutePredictivePolicy(ScalingPolicy):
 
     name = "phpa"
 
-    def __init__(self, lstm, gcn_model, graph, bounds):
+    def __init__(self, lstm, gcn_model, bounds):
         self.lstm = lstm
         self.gcn_model = gcn_model
-        self.graph = graph
         self.bounds = bounds
         self.rows = []
 
@@ -467,13 +472,12 @@ class PerMinutePredictivePolicy(ScalingPolicy):
         self.rows = []
 
     def decide(self, minute, utilization, pods):
-        k = self.gcn_model.config.window
+        k = self.lstm.config.window
         end = minute - self._start_minute + 1
-        forecasts, demand = predict_demand(self.lstm, self.gcn_model, self.graph,
-                                           self._rates[end - k:end])
+        forecasts, demand = predict_demand(self.lstm, self.gcn_model, self._rates[end - k:end])
         targets = []
-        for s, f, d, n in zip(self.graph.nodes, forecasts[0].tolist(), demand[0].tolist(),
-                              pods):
+        for s, f, d, n in zip(self.gcn_model.graph.nodes, forecasts[0].tolist(),
+                              demand[0].tolist(), pods):
             r_new, n_new = size_pods_oracle(d, self.bounds[s])
             self.rows.append(DecisionRow(minute, s, f, d, r_new, n, n_new, n_new - n))
             targets.append(n_new)
@@ -911,7 +915,7 @@ def train_gcn_oracle(train, graph, config, dtype=np.float64, aggregate_in_float6
     a_hat = graph.a_hat.astype(dtype)
     aggs = (graph.a_hat @ feature_scaler.transform(x_train)).astype(dtype)
     rng = Rng(config.seed)
-    widths = config.widths
+    widths = config.widths(x_train.shape[2])
     weights = [glorot_init(widths[i], widths[i + 1], rng).astype(dtype)
                for i in range(len(widths) - 1)]
     states = [AdamState.fresh(w, config.learning_rate) for w in weights]
@@ -924,7 +928,7 @@ def train_gcn_oracle(train, graph, config, dtype=np.float64, aggregate_in_float6
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
             loss, grads = gcn_loss_and_grads_oracle(
-                weights, config.activations, a_hat, xs[idx], ys[idx],
+                weights, gcn_activations(config.hidden), a_hat, xs[idx], ys[idx],
                 first_agg=aggs[idx] if aggregate_in_float64 else None)
             sq_sum += loss * len(idx)
             for li in range(len(weights)):

@@ -20,7 +20,7 @@ from graph_phpa.predict_gcn import GcnConfig, GcnModel, ServiceGraph
 from graph_phpa.tensor import MinMaxScaler, Rng
 from graph_phpa.traces import Split, WorkloadTrace, interpolate_to_minutes, split_dataset
 from conftest import gcn_forward, run_cli
-from oracles import finite_diff_gradient, gcn_forward_oracle
+from oracles import finite_diff_gradient, gcn_activations, gcn_forward_oracle
 from test_forecast_lstm import gradcheck_params, random_model as random_lstm
 from test_predict_gcn import loss_and_grads as gcn_loss_and_grads
 
@@ -93,17 +93,17 @@ def test_01_gcn_forward_matches_dense_oracle():
             a[i, j] = a[j, i] = 1.0
         graph = ServiceGraph(nodes=tuple(f"s{i}" for i in range(n)), adjacency=a)
 
-        config = GcnConfig(window=d_in, hidden=hidden, epochs=1)
-        widths = config.widths
+        config = GcnConfig(hidden=hidden, epochs=1)
+        widths = config.widths(d_in)
         weights = [rng.normal(0.0, 0.6, (widths[i], widths[i + 1]))
                    for i in range(len(widths) - 1)]
-        model = GcnModel(config, graph.nodes, weights, unit, (unit,) * n)
+        model = GcnModel(config, graph, weights, unit, (unit,) * n)
         x = rng.uniform(-1.0, 1.0, (1, n, d_in))
 
-        got = gcn_forward(model, graph, x)[0]
+        got = gcn_forward(model, x)[0]
         want = np.asarray(gcn_forward_oracle(a.tolist(),
                                              [w.tolist() for w in weights],
-                                             model.config.activations, x[0].tolist()))
+                                             gcn_activations(hidden), x[0].tolist()))
         worst = max(worst, float(np.max(np.abs(got - want))))
     elapsed = time.perf_counter() - started
     report(1, "gcn_forward equals dense layer-by-layer oracle",
@@ -138,8 +138,8 @@ def test_02_gradient_checks():
     for i, j in ((0, 1), (0, 2), (2, 3)):
         a[i, j] = a[j, i] = 1.0
     graph = ServiceGraph(nodes=("a", "b", "c", "d"), adjacency=a)
-    config = GcnConfig(window=3, hidden=(4,), epochs=1)
-    widths = config.widths
+    config = GcnConfig(hidden=(4,), epochs=1)
+    widths = config.widths(3)
     weights = [graph_rng.normal(0.0, 0.5, (widths[i], widths[i + 1]))
                for i in range(len(widths) - 1)]
     gx = graph_rng.uniform(0.0, 1.0, (5, 4, 3))

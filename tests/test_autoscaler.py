@@ -180,14 +180,14 @@ class TestRunPolicyStep:
         w = np.zeros((self.k, 1))
         w[-1, 0] = 2.0  # a_hat halves everything on K2, so 2 undoes it
         unit = MinMaxScaler(0.0, 1.0, 0.0, 1.0)
-        self.gcn = GcnModel(GcnConfig(window=self.k, hidden=(), epochs=1),
-                            ("a", "b"), [w], unit, (unit, unit))
+        self.gcn = GcnModel(GcnConfig(hidden=(), epochs=1), self.graph, [w], unit,
+                            (unit, unit))
         self.bounds = {"a": ScalingBounds(1.0, 8.0, 1.0, max_pods=8),
                        "b": ScalingBounds(1.0, 8.0, 1.0, max_pods=8)}
 
     def step(self, lstm, history):
         """((allocation, pods) per service, forecasts, demand), each keyed by service."""
-        forecasts, demand = predict_demand(lstm, self.gcn, self.graph, history)
+        forecasts, demand = predict_demand(lstm, self.gcn, history)
         allocation, pods = size_pods(demand[-1], [self.bounds[s] for s in self.graph.nodes])
         sizes = dict(zip(self.graph.nodes, zip(allocation.tolist(), pods.tolist())))
         return (sizes, dict(zip(self.graph.nodes, forecasts[-1].tolist())),
@@ -210,7 +210,7 @@ class TestRunPolicyStep:
     def test_negative_forecast_clamped_to_zero(self):
         lstm = constant_forecaster(self.k, -0.9)
         history = np.ones((5, 2))
-        forecasts, demand = predict_demand(lstm, self.gcn, self.graph, history)
+        forecasts, demand = predict_demand(lstm, self.gcn, history)
         # Every window's forecast is clamped, not only the latest one.
         np.testing.assert_array_equal(forecasts, np.zeros((3, 2)))
         # Zero forecast, zero features in the demand slot: clamp to r_lb, one pod.
@@ -225,23 +225,23 @@ class TestRunPolicyStep:
         out_short = self.step(lstm, short)
         out_long = self.step(lstm, long)
         assert out_short == out_long
-        assert len(predict_demand(lstm, self.gcn, self.graph, short)[1]) == 1
-        assert len(predict_demand(lstm, self.gcn, self.graph, long)[1]) == 41
+        assert len(predict_demand(lstm, self.gcn, short)[1]) == 1
+        assert len(predict_demand(lstm, self.gcn, long)[1]) == 41
 
     def test_history_too_short_rejected(self):
         lstm = constant_forecaster(self.k, 0.5)
         with pytest.raises(ShapeError, match="history"):
-            predict_demand(lstm, self.gcn, self.graph, grid([1.0], [1.0]))
+            predict_demand(lstm, self.gcn, grid([1.0], [1.0]))
         # One column per service of the graph, no more and no fewer.
         for history in (np.ones((4, 3)), np.ones((4, 1)), np.ones(4)):
             with pytest.raises(ShapeError, match="history"):
-                predict_demand(lstm, self.gcn, self.graph, history)
+                predict_demand(lstm, self.gcn, history)
 
     def test_node_without_a_scaler_rejected(self):
         lstm = constant_forecaster(self.k, 0.5, services=("a",))
         history = np.ones((4, 2))
         with pytest.raises(ValidationError, match="no scaler for service 'b'"):
-            predict_demand(lstm, self.gcn, self.graph, history)
+            predict_demand(lstm, self.gcn, history)
 
     def test_does_not_mutate_inputs(self):
         lstm = constant_forecaster(self.k, 0.5)
@@ -275,7 +275,7 @@ def random_pipeline(seed: int, k: int, graph: ServiceGraph = CHAIN, hidden: int 
                      r.normal(0.0, 0.5, (hidden, 1)), 0.1, scalers, graph.nodes[0],
                      dtype=dtype)
     weights = [glorot_init(k, gcn_hidden, rng), glorot_init(gcn_hidden, 1, rng)]
-    gcn = GcnModel(GcnConfig(window=k, hidden=(gcn_hidden,), epochs=1), graph.nodes, weights,
+    gcn = GcnModel(GcnConfig(hidden=(gcn_hidden,), epochs=1), graph, weights,
                    MinMaxScaler(0.0, 400.0, 0.0, 1.0),
                    tuple(MinMaxScaler(0.0, 5.0, 0.0, 1.0) for _ in graph.nodes))
     return lstm, gcn, graph
@@ -297,10 +297,10 @@ class TestPredictDemandBatch:
         history = np.column_stack([data.draw(rates, label=s) for s in CHAIN.nodes])
         for dtype, rtol in BATCH_OF_ONE_RTOL.items():
             lstm, gcn, graph = random_pipeline(seed, k, dtype=dtype)
-            forecasts, demand = predict_demand(lstm, gcn, graph, history)
+            forecasts, demand = predict_demand(lstm, gcn, history)
             assert forecasts.shape == demand.shape == (extra + 1, graph.size)
             for j in range(extra + 1):
-                one_forecast, one_demand = predict_demand(lstm, gcn, graph, history[j:j + k])
+                one_forecast, one_demand = predict_demand(lstm, gcn, history[j:j + k])
                 for batched, single in ((forecasts[j], one_forecast[0]),
                                         (demand[j], one_demand[0])):
                     scale = max(np.abs(single).max(), 1e-300)
@@ -314,7 +314,7 @@ class TestPredictDemandBatch:
         # buffers peaked at 2.81 MB together.
         lstm, gcn, graph = random_pipeline(11, 10, STOREFRONT, hidden=50, gcn_hidden=32)
         rates = Rng(12).uniform(0.0, 400.0, (720, graph.size))
-        peak = traced_peak(lambda: predict_demand(lstm, gcn, graph, rates))
+        peak = traced_peak(lambda: predict_demand(lstm, gcn, rates))
         assert peak < 2.2e6, f"predict_demand peaked at {peak / 1e6:.2f} MB"
 
 
@@ -328,8 +328,8 @@ class TestForecastFeatures:
         for s in range(6):
             assert_bitwise_equal(features[s, :, :-1], rates[s + 1:s + 4].T)
         assert_bitwise_equal(features[..., -1], forecasts)
-        want = predict_resource(gcn, graph, features)
-        got_forecasts, demand = predict_demand(lstm, gcn, graph, rates)
+        want = predict_resource(gcn, features)
+        got_forecasts, demand = predict_demand(lstm, gcn, rates)
         assert_bitwise_equal(got_forecasts, forecasts)
         assert_bitwise_equal(demand, want)
 

@@ -21,8 +21,8 @@ from graph_phpa.forecast_lstm import LstmConfig, LstmModel, make_windows, train_
 from graph_phpa.predict_gcn import GcnModel, scale_targets
 from graph_phpa.report import load_run
 from graph_phpa.tensor import MinMaxScaler, mix_seed
-from oracles import (assert_bitwise_equal, gcn_forward_scaled_oracle, lstm_forward_scaled_oracle,
-                     resource_dataset_oracle)
+from oracles import (assert_bitwise_equal, gcn_activations, gcn_forward_scaled_oracle,
+                     lstm_forward_scaled_oracle, resource_dataset_oracle)
 
 
 def negative_forecaster(k: int) -> LstmModel:
@@ -208,8 +208,8 @@ class TestTraining:
             forecast_rates(lstm, make_windows(rps[:, j], cfg.lstm.window)[0], service)
             for j, service in enumerate(cfg.graph.nodes)])
         x, y = resource_dataset_oracle(rps, forecasts, usage, cfg.graph.nodes, cfg.lstm.window)
-        out, _ = gcn_forward_scaled_oracle(gcn.weights, gcn.config.activations, cfg.graph.a_hat,
-                                           gcn.feature_scaler.transform(x))
+        out, _ = gcn_forward_scaled_oracle(gcn.weights, gcn_activations(gcn.config.hidden),
+                                           cfg.graph.a_hat, gcn.feature_scaler.transform(x))
         resource = json.loads((d / "resource_metrics.json").read_text(encoding="utf-8"))
         assert resource["valid_mse_scaled"] == float(
             np.mean((out - scale_targets(gcn.target_scalers, y)) ** 2))
@@ -534,6 +534,19 @@ class TestMalformedModelFiles:
         pytest.param("gcn.json", lambda doc: doc.update(nodes=["back", "front"]),
                      "nodes ['back', 'front'] are not the config's graph.nodes "
                      "['front', 'back']", id="gcn-other-nodes"),
+        pytest.param("gcn.json", lambda doc: doc.update(adjacency=[[0.0, 0.0], [0.0, 0.0]]),
+                     "trained on the call graph with edges [], not the config's "
+                     "demand.fan_out edges [('front', 'back')]", id="gcn-other-edges"),
+        pytest.param("gcn.json", lambda doc: doc["weights"][0].pop(),
+                     "weights[0] has 4 rows, one per feature, but the config's lstm.window "
+                     "is 5", id="gcn-other-window"),
+        # A v1 file held no adjacency: its graph came from whatever config ran it.
+        pytest.param("gcn.json", lambda doc: (doc.update(schema="graph-phpa/gcn-model/v1",
+                                                         activations=["relu", "linear"]),
+                                              doc["config"].update(window=5),
+                                              doc.pop("adjacency")),
+                     "schema must be 'graph-phpa/gcn-model/v2', got 'graph-phpa/gcn-model/v1'",
+                     id="gcn-schema-v1"),
         pytest.param("gcn.json", lambda doc: doc["target_scalers"][0].update(out_lo=1.0),
                      "target_scalers[0].out_lo 1.0 must be below target_scalers[0].out_hi 1.0",
                      id="scaler-empty-output-range"),
@@ -601,6 +614,107 @@ class TestMalformedModelFiles:
         # A seed is a 64-bit word; -1 used to load.
         assert "config.seed=-1" in [label for label, _, _ in sweep]
         assert "config.seed=-1" not in admitted
+
+
+class TestCallGraphMismatch:
+    """A graph model runs only over the call graph it was trained on."""
+
+    @staticmethod
+    def edgeless_config(tmp_path: Path) -> str:
+        # TINY_CONFIG's nodes with no fan_out: the same services, no edge.
+        path = tmp_path / "edgeless.json"
+        config = copy.deepcopy(TINY_CONFIG)
+        config["demand"]["fan_out"] = {}
+        path.write_text(json.dumps(config), encoding="utf-8")
+        return str(path)
+
+    def test_simulate_rejects_a_model_of_other_edges(self, tiny_models_dir, tmp_path, capsys):
+        code = run_cli("simulate", "--config", self.edgeless_config(tmp_path), "--policy",
+                       "phpa", "--models", tiny_models_dir, "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {Path(tiny_models_dir) / 'gcn.json'}: trained on the call graph with "
+            f"edges [('front', 'back')], not the config's demand.fan_out edges []\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_train_resource_fits_the_configs_graph(self, tiny_config_path, tiny_models_dir,
+                                                    tmp_path, capsys):
+        # train-resource reads lstm.json only, so the reload that checks the
+        # graph is the replay's: a model retrained without the edge replays
+        # only under a config without it.
+        models = tmp_path / "models"
+        shutil.copytree(tiny_models_dir, models)
+        edgeless = self.edgeless_config(tmp_path)
+        assert run_cli("train-resource", "--config", edgeless, "--models", str(models),
+                       "--out", str(models)) == 0
+        assert GcnModel.load(models / "gcn.json").graph.adjacency.tolist() == [[0.0, 0.0],
+                                                                               [0.0, 0.0]]
+        assert run_cli("simulate", "--config", edgeless, "--policy", "phpa", "--models",
+                       str(models), "--out", str(tmp_path / "run")) == 0
+        capsys.readouterr()
+        assert run_cli("simulate", "--config", tiny_config_path, "--policy", "phpa",
+                       "--models", str(models), "--out", str(tmp_path / "run2")) == 2
+        assert capsys.readouterr().err.startswith(f"error: {models / 'gcn.json'}: trained on "
+                                                  f"the call graph with edges [], not")
+
+
+class TestUnwritableOutput:
+    """An --out the system refuses exits 2 with one line naming the path."""
+
+    @pytest.mark.parametrize("command, where", [
+        ("gen-trace", "dir"), ("gen-trace", "under-file"),
+        ("train-workload", "file"), ("train-workload", "under-file"),
+        ("train-resource", "file"),
+        ("simulate", "file"), ("simulate", "under-file"),
+        ("compare", "file"), ("compare", "under-file"),
+    ])
+    def test_exits_2_naming_the_path(self, tiny_config_path, tiny_models_dir, tmp_path,
+                                     capsys, command, where):
+        # The path the system names: the one it could not make or open.
+        taken = tmp_path / "taken"
+        out = taken / "sub" if where == "under-file" else taken
+        refused = out if command != "gen-trace" or where == "dir" else taken
+        if where == "dir":
+            taken.mkdir()
+        else:
+            taken.write_text("x", encoding="utf-8")
+        argv = {
+            "gen-trace": ["--length", "30"],
+            "train-workload": ["--config", tiny_config_path],
+            "train-resource": ["--config", tiny_config_path, "--models", tiny_models_dir],
+            "simulate": ["--config", tiny_config_path, "--policy", "reactive"],
+            "compare": ["--baseline", "reactive@0.9"],
+        }[command]
+        runs = []
+        if command == "compare":
+            runs = [str(tmp_path / "run")]
+            assert run_cli("simulate", "--config", tiny_config_path, "--policy", "reactive",
+                           "--out", runs[0]) == 0
+            capsys.readouterr()
+        assert run_cli(command, *argv, "--out", str(out), *runs) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {refused}: ") and err.count("\n") == 1
+
+
+class TestReadmeLibraryUse:
+    def test_the_library_example_runs(self, tiny_config_path, tmp_path):
+        # README's "Library use" example, on the tiny config, writing under tmp_path.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("### Library use", 1)[1].split("```python\n", 1)[1]
+        code = block.split("```", 1)[0]
+        for old, new in (("configs/experiment.json", tiny_config_path),
+                         ("runs/models", str(tmp_path / "models")),
+                         ("runs/phpa", str(tmp_path / "phpa"))):
+            assert f'"{old}"' in code
+            code = code.replace(f'"{old}"', repr(new))
+        scope = {}
+        exec(code, scope)
+        assert scope["log"].policy_name == "phpa"
+        assert scope["gcn"].graph.nodes == tuple(TINY_CONFIG["graph"]["nodes"])
+        assert json.loads((tmp_path / "phpa" / "summary.json").read_text(
+            encoding="utf-8")) == scope["summary"]
+        assert {p.name for p in (tmp_path / "models").iterdir()} == {
+            "lstm.json", "gcn.json", "workload_metrics.json", "resource_metrics.json"}
 
 
 class TestSimulate:

@@ -280,9 +280,9 @@ def rate_following_phpa(demand: DemandModel, bounds, k: int = 2) -> PredictivePo
     w = np.zeros((k, 1))
     w[-2, 0] = 30.0
     unit = MinMaxScaler(0.0, 1.0, 0.0, 1.0)
-    gcn = GcnModel(GcnConfig(window=k, hidden=(), epochs=1), graph.nodes, [w],
+    gcn = GcnModel(GcnConfig(hidden=(), epochs=1), graph, [w],
                    MinMaxScaler(0.0, 2000.0, 0.0, 1.0), tuple(unit for _ in graph.nodes))
-    return PredictivePolicy(fixed_forecaster(k, 0.5, graph.nodes), gcn, graph, bounds)
+    return PredictivePolicy(fixed_forecaster(k, 0.5, graph.nodes), gcn, bounds)
 
 
 def stub_trace(values, start_minute=0):
@@ -424,7 +424,7 @@ class TestRunSimulation:
         else:
             # Sized under its own wider bounds, so its targets pass max_pods too.
             policy = rate_following_phpa(demand, flat_bounds(demand.services, 15.0, q=15))
-            warmup = policy.gcn_model.config.window - 1
+            warmup = policy.lstm.config.window - 1
             values = values + values[-1:]  # at least one full window
         log = run_simulation(stub_trace(values), demand, policy, bounds,
                              SimConfig(seed=5, startup_delay=startup_delay,
@@ -554,7 +554,7 @@ class TestSimulationOracle:
             # Sized under its own wider bounds, so its targets pass max_pods too.
             policy, ref = (rate_following_phpa(demand, flat_bounds(demand.services, 15.0, q=15))
                            for _ in range(2))
-            warmup += policy.gcn_model.config.window - 1
+            warmup += policy.lstm.config.window - 1
             values = values + [values[-1]] * warmup  # a decision after warmup
         trace = stub_trace(values, start_minute=start)
         sim = SimConfig(seed=seed, startup_delay=startup_delay, max_total_pods=budget)
@@ -768,12 +768,11 @@ class TestPredictivePolicySimulation:
         w = np.zeros((self.k, 1))
         w[slot, 0] = 2.0
         unit = MinMaxScaler(0.0, 1.0, 0.0, 1.0)
-        gcn = GcnModel(GcnConfig(window=self.k, hidden=(), epochs=1), ("a", "b"),
-                       [w], feature_scaler, (unit, unit))
+        gcn = GcnModel(GcnConfig(hidden=(), epochs=1), graph, [w], feature_scaler,
+                       (unit, unit))
         bounds = {"a": ScalingBounds(1.0, 8.0, 1.0, max_pods=8),
                   "b": ScalingBounds(1.0, 8.0, 1.0, max_pods=8)}
-        return PredictivePolicy(fixed_forecaster(self.k, 0.6, services), gcn, graph,
-                                bounds), bounds
+        return PredictivePolicy(fixed_forecaster(self.k, 0.6, services), gcn, bounds), bounds
 
     def test_constant_workload_reaches_a_fixed_point(self):
         # Forecast slot, identity scaling: demand is 1.2 vCPU every minute, so
@@ -818,10 +817,10 @@ class TestBatchedPredictiveReplay:
         for dtype, rel in ((np.float32, 1e-5), (np.float64, 1e-9)):
             lstm = LstmModel.from_params(loaded.config, [p.astype(dtype) for p in loaded.params],
                                          loaded.scalers, loaded.fitted_on)
-            oracle_policy = PerMinutePredictivePolicy(lstm, gcn, cfg.graph, cfg.bounds)
+            oracle_policy = PerMinutePredictivePolicy(lstm, gcn, cfg.bounds)
             batched, oracle = (
                 cli.replay(prepared, policy, tmp_path / dtype.__name__ / type(policy).__name__)[0]
-                for policy in (PredictivePolicy(lstm, gcn, cfg.graph, cfg.bounds),
+                for policy in (PredictivePolicy(lstm, gcn, cfg.bounds),
                                oracle_policy))
             assert log_rows(batched) == log_rows(oracle)
             grids = batched.decisions

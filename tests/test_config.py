@@ -2,6 +2,7 @@
 import copy
 import json
 import re
+from dataclasses import asdict
 
 import pytest
 
@@ -67,10 +68,11 @@ class TestParsing:
         with pytest.raises(ConfigError, match="missing required key 'back' in bounds"):
             ExperimentConfig.from_json_dict(d)
 
-    def test_windows_must_agree(self):
-        # The GCN's window is lstm.window itself.
+    def test_the_gcn_takes_no_window(self):
+        # The GCN's window is lstm.window itself, so its config states none.
         cfg = ExperimentConfig.from_json_dict(minimal_config(lstm={"window": 8}))
-        assert cfg.gcn.window == cfg.lstm.window == 8
+        assert cfg.lstm.window == 8
+        assert "window" not in asdict(cfg.gcn)
 
     def test_demand_services_come_from_graph(self):
         cfg = ExperimentConfig.from_json_dict(minimal_config())
@@ -398,7 +400,7 @@ class TestBundledConfigs:
         root = Path(__file__).resolve().parents[1]
         cfg, base = ExperimentConfig.load(root / "configs" / "experiment.json")
         assert cfg.graph.size == 4
-        assert cfg.lstm.window == cfg.gcn.window == 10
+        assert cfg.lstm.window == 10
         assert cfg.sim.max_total_pods == 79
         trace = cfg.trace.resolve(base)
         assert trace.resolution == 1

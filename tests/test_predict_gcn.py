@@ -35,6 +35,7 @@ from conftest import gcn_forward, traced_peak
 from oracles import (
     assert_bitwise_equal,
     finite_diff_gradient,
+    gcn_activations,
     gcn_forward_oracle,
     gcn_forward_scaled_oracle,
     gcn_loss_and_grads_oracle,
@@ -59,12 +60,18 @@ def random_graph(rng: Rng, n: int) -> ServiceGraph:
     return ServiceGraph(nodes=tuple(f"s{i}" for i in range(n)), adjacency=a)
 
 
-def random_model(rng: Rng, nodes, window: int, hidden: tuple[int, ...]) -> GcnModel:
-    config = GcnConfig(window=window, hidden=hidden, epochs=1)
-    widths = config.widths
+def random_model(rng: Rng, graph: ServiceGraph, window: int,
+                 hidden: tuple[int, ...]) -> GcnModel:
+    config = GcnConfig(hidden=hidden, epochs=1)
+    widths = config.widths(window)
     weights = [rng.normal(0.0, 0.5, (widths[i], widths[i + 1]))
                for i in range(len(widths) - 1)]
-    return GcnModel(config, tuple(nodes), weights, UNIT, (UNIT,) * len(tuple(nodes)))
+    return GcnModel(config, graph, weights, UNIT, (UNIT,) * graph.size)
+
+
+def single(*nodes: str) -> ServiceGraph:
+    """Nodes without an edge: a_hat is the identity."""
+    return ServiceGraph.from_edges(nodes, [])
 
 
 def loss_and_grads(weights, a_hat, x, y):
@@ -149,99 +156,90 @@ class TestForwardAgainstOracle:
             depth = int(rng.integers(1, 4))
             hidden = tuple(int(rng.integers(1, 5)) for _ in range(depth - 1))
             graph = random_graph(rng.child(trial, 1), n)
-            model = random_model(rng.child(trial, 2), graph.nodes, 3, hidden)
+            model = random_model(rng.child(trial, 2), graph, 3, hidden)
             x = rng.uniform(-1.0, 1.0, (1, n, 3))
             expected = gcn_forward_oracle(graph.adjacency.tolist(),
                                           [w.tolist() for w in model.weights],
-                                          model.config.activations, x[0].tolist())
-            out = gcn_forward(model, graph, x)
+                                          gcn_activations(hidden), x[0].tolist())
+            out = gcn_forward(model, x)
             assert out.shape == (1, n, 1)
             np.testing.assert_allclose(out[0], expected, atol=1e-12)
 
     def test_identity_single_node_linear(self):
         # One isolated node: a_hat is [[1]], so output is x @ w exactly.
-        graph = ServiceGraph.from_edges(["solo"], [])
-        model = random_model(Rng(5), ("solo",), 4, ())
+        model = random_model(Rng(5), single("solo"), 4, ())
         x = np.array([[[0.2, -0.3, 0.5, 0.1]]])
-        np.testing.assert_allclose(gcn_forward(model, graph, x), x @ model.weights[0],
+        np.testing.assert_allclose(gcn_forward(model, x), x @ model.weights[0],
                                    atol=1e-15)
 
     def test_relu_zeroes_negative_preactivations(self):
-        graph = ServiceGraph.from_edges(["solo"], [])
-        config = GcnConfig(window=2, hidden=(1,), epochs=1)
-        model = GcnModel(config, ("solo",),
+        config = GcnConfig(hidden=(1,), epochs=1)
+        model = GcnModel(config, single("solo"),
                          [np.array([[1.0], [0.0]]), np.array([[1.0]])], UNIT, (UNIT,))
-        assert gcn_forward(model, graph, np.array([[[-3.0, 9.9]]]))[0, 0, 0] == 0.0
-        assert gcn_forward(model, graph, np.array([[[2.0, 9.9]]]))[0, 0, 0] == 2.0
+        assert gcn_forward(model, np.array([[[-3.0, 9.9]]]))[0, 0, 0] == 0.0
+        assert gcn_forward(model, np.array([[[2.0, 9.9]]]))[0, 0, 0] == 2.0
 
     def test_permutation_equivariance(self):
         # Relabeling nodes permutes outputs the same way; weights are shared,
         # so the network cannot depend on node order.
         rng = Rng(23)
         graph = random_graph(rng, 5)
-        model = random_model(rng.child(1), graph.nodes, 3, (4,))
+        model = random_model(rng.child(1), graph, 3, (4,))
         x = rng.uniform(-1.0, 1.0, (1, 5, 3))
-        out = gcn_forward(model, graph, x)
+        out = gcn_forward(model, x)
 
         perm = rng.permutation(5)
         nodes_p = tuple(graph.nodes[i] for i in perm)
         adj_p = graph.adjacency[np.ix_(perm, perm)]
         graph_p = ServiceGraph(nodes=nodes_p, adjacency=adj_p)
-        model_p = GcnModel(model.config, nodes_p, model.weights, UNIT, (UNIT,) * 5)
-        out_p = gcn_forward(model_p, graph_p, x[:, perm])
+        model_p = GcnModel(model.config, graph_p, model.weights, UNIT, (UNIT,) * 5)
+        out_p = gcn_forward(model_p, x[:, perm])
         np.testing.assert_allclose(out_p, out[:, perm], atol=1e-12)
 
     def test_neighbor_load_is_visible(self):
         # The defining behavior: a node with zero features still produces
         # output when its neighbor is loaded.
         graph = ServiceGraph.from_edges(["a", "b"], [("a", "b")])
-        config = GcnConfig(window=2, hidden=(), epochs=1)
-        model = GcnModel(config, ("a", "b"), [np.array([[1.0], [1.0]])], UNIT, (UNIT, UNIT))
+        config = GcnConfig(hidden=(), epochs=1)
+        model = GcnModel(config, graph, [np.array([[1.0], [1.0]])], UNIT, (UNIT, UNIT))
         x = np.array([[[3.0, 1.0], [0.0, 0.0]]])
-        out = gcn_forward(model, graph, x)
+        out = gcn_forward(model, x)
         assert out[0, 1, 0] == pytest.approx(0.5 * 4.0)  # got everything via a_hat
 
-    def test_node_mismatch_rejected(self):
-        graph = ServiceGraph.from_edges(["a", "b"], [("a", "b")])
-        model = random_model(Rng(1), ("x", "y"), 3, ())
-        with pytest.raises(ValidationError, match="do not match model nodes"):
-            predict_resource(model, graph, np.zeros((1, 2, 3)))
-
     def test_shape_mismatch_rejected(self):
-        graph = ServiceGraph.from_edges(["a"], [])
-        model = random_model(Rng(1), ("a",), 3, ())
+        model = random_model(Rng(1), single("a"), 3, ())
         # The features must be a batch: one sample (N, k) goes in as (1, N, k).
         for features in (np.zeros((1, 1, 4)), np.zeros((1, 3)), np.zeros((2, 1, 1, 3))):
             with pytest.raises(ShapeError, match=r"expected \(S, 1, 3\)"):
-                predict_resource(model, graph, features)
+                predict_resource(model, features)
 
 
 class TestPredictResource:
     def test_applies_scalers_and_clamps(self):
-        graph = ServiceGraph.from_edges(["solo"], [])
-        config = GcnConfig(window=2, hidden=(), epochs=1)
+        graph = single("solo")
+        config = GcnConfig(hidden=(), epochs=1)
         # Weight sums the two scaled features; scalers map [0,10] onto [0,1].
         scaler = MinMaxScaler(0.0, 10.0, 0.0, 1.0)
-        model = GcnModel(config, ("solo",), [np.array([[1.0], [1.0]])], scaler, (scaler,))
-        out = predict_resource(model, graph, np.array([[[5.0, 5.0]]]))
+        model = GcnModel(config, graph, [np.array([[1.0], [1.0]])], scaler, (scaler,))
+        out = predict_resource(model, np.array([[[5.0, 5.0]]]))
         # scaled features 0.5+0.5 -> 1.0 -> inverse -> 10.0
         np.testing.assert_allclose(out, [[10.0]])
 
-        negative = GcnModel(config, ("solo",), [np.array([[-1.0], [-1.0]])],
+        negative = GcnModel(config, graph, [np.array([[-1.0], [-1.0]])],
                             scaler, (scaler,))
-        np.testing.assert_array_equal(predict_resource(negative, graph,
-                                                       np.array([[[5.0, 5.0]]])), [[0.0]])
+        np.testing.assert_array_equal(predict_resource(negative, np.array([[[5.0, 5.0]]])),
+                                      [[0.0]])
 
     def test_matches_forward_plus_transforms(self):
         rng = Rng(29)
         graph = random_graph(rng, 4)
-        model = random_model(rng.child(1), graph.nodes, 3, (4,))
+        model = random_model(rng.child(1), graph, 3, (4,))
         fs = MinMaxScaler(0.0, 300.0, 0.0, 1.0)
         ts = MinMaxScaler(0.0, 8.0, 0.0, 1.0)
         model.feature_scaler, model.target_scalers = fs, (ts,) * 4
         raw = rng.uniform(0.0, 300.0, (5, 4, 3))
-        manual = ts.inverse_transform(gcn_forward(model, graph, fs.transform(raw))[..., 0])
-        np.testing.assert_allclose(predict_resource(model, graph, raw),
+        manual = ts.inverse_transform(gcn_forward(model, fs.transform(raw))[..., 0])
+        np.testing.assert_allclose(predict_resource(model, raw),
                                    np.maximum(manual, 0.0), atol=1e-12)
 
 
@@ -249,8 +247,8 @@ class TestGradients:
     def test_gradcheck_small_network(self):
         rng = Rng(31)
         graph = random_graph(rng, 4)
-        config = GcnConfig(window=3, hidden=(3,), epochs=1)
-        widths = config.widths
+        config = GcnConfig(hidden=(3,), epochs=1)
+        widths = config.widths(3)
         weights = [rng.normal(0.0, 0.5, (widths[i], widths[i + 1]))
                    for i in range(len(widths) - 1)]
         x = rng.uniform(0.0, 1.0, (6, 4, 3))
@@ -272,11 +270,11 @@ class TestGradients:
     def test_loss_matches_mean_squared_error(self):
         rng = Rng(37)
         graph = random_graph(rng, 3)
-        model = random_model(rng.child(1), graph.nodes, 2, (2,))
+        model = random_model(rng.child(1), graph, 2, (2,))
         x = rng.uniform(0.0, 1.0, (5, 3, 2))
         y = rng.uniform(0.0, 1.0, (5, 3, 1))
         loss, _ = loss_and_grads(model.weights, graph.a_hat, x, y)
-        per_sample = np.array([gcn_forward(model, graph, x[i:i + 1])[0] for i in range(len(x))])
+        per_sample = np.array([gcn_forward(model, x[i:i + 1])[0] for i in range(len(x))])
         assert loss == pytest.approx(float(np.mean((per_sample - y) ** 2)), abs=1e-12)
 
 
@@ -304,15 +302,15 @@ class TestKernelAgainstOracle:
                                                             batch):
         rng = Rng(seed)
         graph = random_graph(rng, n)
-        model = random_model(rng.child(1), graph.nodes, window, tuple(hidden))
+        model = random_model(rng.child(1), graph, window, tuple(hidden))
         x = rng.uniform(0.0, 1.0, (batch, n, window))
         y = rng.uniform(0.0, 1.0, (batch, n, 1))
-        want_out, _ = gcn_forward_scaled_oracle(model.weights, model.config.activations,
+        want_out, _ = gcn_forward_scaled_oracle(model.weights, gcn_activations(hidden),
                                                 graph.a_hat, x)
-        assert_bitwise_equal(gcn_forward(model, graph, x), want_out)
-        assert_bitwise_equal(gcn_forward(model, graph, x[:1]), want_out[:1])
+        assert_bitwise_equal(gcn_forward(model, x), want_out)
+        assert_bitwise_equal(gcn_forward(model, x[:1]), want_out[:1])
 
-        want_loss, want_grads = gcn_loss_and_grads_oracle(model.weights, model.config.activations,
+        want_loss, want_grads = gcn_loss_and_grads_oracle(model.weights, gcn_activations(hidden),
                                                           graph.a_hat, x, y)
         loss, grads = loss_and_grads(model.weights, graph.a_hat, x, y)
         assert_bitwise_equal(loss, want_loss)
@@ -327,12 +325,12 @@ class TestKernelAgainstOracle:
         # 1.3e-6, norm-relative.
         rng = Rng(seed)
         graph = random_graph(rng, n)
-        model = random_model(rng.child(1), graph.nodes, window, tuple(hidden))
+        model = random_model(rng.child(1), graph, window, tuple(hidden))
         weights = [w.astype(np.float32) for w in model.weights]
         a_hat = graph.a_hat.astype(np.float32)
         x = rng.uniform(0.0, 1.0, (batch, n, window)).astype(np.float32)
         y = rng.uniform(0.0, 1.0, (batch, n, 1)).astype(np.float32)
-        want_loss, want_grads = gcn_loss_and_grads_oracle(weights, model.config.activations,
+        want_loss, want_grads = gcn_loss_and_grads_oracle(weights, gcn_activations(hidden),
                                                           a_hat, x, y)
         loss, grads = loss_and_grads(weights, a_hat, x, y)
         assert_bitwise_equal(loss, want_loss)
@@ -351,7 +349,7 @@ class TestKernelAgainstOracle:
         graph = random_graph(rng, n)
         train = (rng.uniform(0.0, 50.0, (samples, n, window)),
                  rng.uniform(0.0, 4.0, (samples, n, 1)))
-        config = GcnConfig(window=window, hidden=tuple(hidden), learning_rate=0.01,
+        config = GcnConfig(hidden=tuple(hidden), learning_rate=0.01,
                            epochs=3, batch_size=batch_size, seed=seed)
         model, history = train_gcn(train, graph, config, np.float64)
         want_weights, want_history = train_gcn_oracle(train, graph, config)
@@ -367,6 +365,7 @@ class TestKernelAgainstOracle:
     @given(samples=st.sampled_from((1, 3, 40, 257, 300)),
            batch_size=st.sampled_from(BATCHES + (64,)), **kernel_cases)
     @example(n=2, hidden=[38, 12], window=2, seed=4, samples=300, batch_size=1)
+    @example(n=2, hidden=[35, 15], window=2, seed=12, samples=257, batch_size=2)
     @settings(max_examples=25, deadline=None)
     def test_float32_training_matches_oracle_and_repeats(self, n, hidden, window, seed,
                                                          samples, batch_size):
@@ -374,22 +373,30 @@ class TestKernelAgainstOracle:
         # float32 oracle aggregates in float32, and the gradients sum in
         # another order. Over 300 random 3-epoch fits the weights differed by
         # at most 2.0e-6 and the histories by 6.8e-7, norm-relative.
-        # The example is a draw where float32 cannot settle one matrix that
-        # well. A hidden unit of its second layer stays dead until step 475,
-        # then wakes with a pre-activation of 2.2e-5, a cancellation of terms
-        # summing to 0.72, which float32 rounds by up to 0.4%. Its outgoing
-        # weight has had no gradient, so Adam's second moment there is zero,
-        # and sqrt(v_hat), about 3e-8, is comparable to epsilon: each step's
-        # size follows the gradient's size, rounding included. The last matrix
-        # ends 1.9e-4 from the oracle's; the float32 oracle itself ends 2.7e-5
-        # from the float64 one. Where a matrix misses 1e-5, the oracle must
-        # miss it too when its input aggregation is rounded as the fit's is,
-        # and the fit must lie within that spread of the oracle so rounded.
+        # The first example is a draw where float32 cannot settle one matrix
+        # that well. A hidden unit of its second layer stays dead until step
+        # 475, then wakes with a pre-activation of 2.2e-5, a cancellation of
+        # terms summing to 0.72, which float32 rounds by up to 0.4%. Its
+        # outgoing weight has had no gradient, so Adam's second moment there
+        # is zero, and sqrt(v_hat), about 3e-8, is comparable to epsilon: each
+        # step's size follows the gradient's size, rounding included. The last
+        # matrix ends 1.9e-4 from the oracle's; the float32 oracle itself ends
+        # 2.7e-5 from the float64 one. Where a matrix misses 1e-5, the oracle
+        # must miss it too when its input aggregation is rounded as the fit's
+        # is, and the fit must lie within that spread of the oracle so rounded.
+        # The second example fails this rule. A unit of the last hidden layer
+        # wakes at step 329 with an outgoing gradient of 3.7e-7, which the
+        # float32 runs round to 3.65e-7 and 3.66e-7, and Adam carries that
+        # rounding into the weight as above. The fit's last matrix ends 1.0e-4
+        # from the float32 oracle's and 1.6e-4 from the rounded oracle's,
+        # whose own spread is 5.6e-5; every float32 run lies 6.5e-5 to 1.7e-4
+        # from the float64 oracle. No rule that accepts only what this one
+        # accepts can pass it; the program is not at fault.
         rng = Rng(seed)
         graph = random_graph(rng, n)
         train = (rng.uniform(0.0, 50.0, (samples, n, window)),
                  rng.uniform(0.0, 4.0, (samples, n, 1)))
-        config = GcnConfig(window=window, hidden=tuple(hidden), learning_rate=0.01,
+        config = GcnConfig(hidden=tuple(hidden), learning_rate=0.01,
                            epochs=3, batch_size=batch_size, seed=seed)
         model, history = train_gcn(train, graph, config)
         want_weights, want_history = train_gcn_oracle(train, graph, config, np.float32)
@@ -417,11 +424,11 @@ class TestBlockedEvaluation:
     def test_forward_equals_the_whole_array_oracle(self, samples, hidden):
         rng = Rng(samples)
         graph = random_graph(rng, 4)
-        model = random_model(rng.child(1), graph.nodes, 10, hidden)
+        model = random_model(rng.child(1), graph, 10, hidden)
         x = rng.uniform(0.0, 1.0, (samples, 4, 10))
-        want, _ = gcn_forward_scaled_oracle(model.weights, model.config.activations,
+        want, _ = gcn_forward_scaled_oracle(model.weights, gcn_activations(hidden),
                                             graph.a_hat, x)
-        assert_bitwise_equal(gcn_forward(model, graph, x), want)
+        assert_bitwise_equal(gcn_forward(model, x), want)
 
     @pytest.mark.parametrize("train_samples, batch_size, valid_samples",
                              [(1, 2, 2), (40, 8, 600), (300, 256, 2 * BLOCK + 3)])
@@ -434,14 +441,14 @@ class TestBlockedEvaluation:
         graph = random_graph(rng, 3)
         x = rng.uniform(0.0, 50.0, (train_samples + valid_samples, 3, 4))
         y = rng.uniform(0.0, 4.0, (train_samples + valid_samples, 3, 1))
-        config = GcnConfig(window=4, hidden=(6,), epochs=2, batch_size=batch_size, seed=3)
+        config = GcnConfig(hidden=(6,), epochs=2, batch_size=batch_size, seed=3)
         valid = (x[train_samples:], y[train_samples:])
         model, _ = train_gcn((x[:train_samples], y[:train_samples]), graph, config)
-        out, _ = gcn_forward_scaled_oracle(model.weights, model.config.activations, graph.a_hat,
-                                           model.feature_scaler.transform(valid[0]))
+        out, _ = gcn_forward_scaled_oracle(model.weights, gcn_activations(config.hidden),
+                                           graph.a_hat, model.feature_scaler.transform(valid[0]))
         sq = (out - scale_targets(model.target_scalers, valid[1])) ** 2
         per_node = {node: float(np.mean(sq[:, i])) for i, node in enumerate(graph.nodes)}
-        assert evaluate_gcn(model, graph, valid) == (float(np.mean(sq)), per_node)
+        assert evaluate_gcn(model, valid) == (float(np.mean(sq)), per_node)
 
     def test_memory_is_bounded(self):
         # 5,000 samples of 4 nodes through 32 hidden units: the unblocked
@@ -450,11 +457,11 @@ class TestBlockedEvaluation:
         # samples before the blocks peaked at 2.4 MB; it peaks at 0.94 MB.
         rng = Rng(8)
         graph = random_graph(rng, 4)
-        model = random_model(rng.child(1), graph.nodes, 10, (32,))
+        model = random_model(rng.child(1), graph, 10, (32,))
         x = rng.uniform(0.0, 1.0, (5000, 4, 10))
         y = rng.uniform(0.0, 1.0, (5000, 4, 1))
-        for name, run in (("predict_resource", lambda: predict_resource(model, graph, x)),
-                          ("evaluate_gcn", lambda: evaluate_gcn(model, graph, (x, y)))):
+        for name, run in (("predict_resource", lambda: predict_resource(model, x)),
+                          ("evaluate_gcn", lambda: evaluate_gcn(model, (x, y)))):
             peak = traced_peak(run)
             assert peak < 3e6, f"{name} peaked at {peak / 1e6:.1f} MB"
 
@@ -476,18 +483,18 @@ class TestTraining:
         rng = Rng(43)
         graph = ServiceGraph.from_edges(["a", "b"], [])
         x, y = self._toy_data(rng, graph, 4, 200)
-        config = GcnConfig(window=4, hidden=(8,), learning_rate=0.02, epochs=200,
+        config = GcnConfig(hidden=(8,), learning_rate=0.02, epochs=200,
                            batch_size=64, seed=7)
         model, history = train_gcn((x, y), graph, config)
         assert history[-1] < 1e-3
         assert history[-1] < 0.1 * history[0]
-        assert evaluate_gcn(model, graph, (x, y))[0] < 2e-3
+        assert evaluate_gcn(model, (x, y))[0] < 2e-3
 
     def test_same_seed_bit_identical(self):
         rng = Rng(47)
         graph = ServiceGraph.from_edges(["a", "b"], [("a", "b")])
         x, y = self._toy_data(rng, graph, 3, 40)
-        config = GcnConfig(window=3, hidden=(4,), epochs=3, seed=13)
+        config = GcnConfig(hidden=(4,), epochs=3, seed=13)
         model_a, hist_a = train_gcn((x, y), graph, config)
         model_b, hist_b = train_gcn((x, y), graph, config)
         assert hist_a == hist_b
@@ -501,7 +508,7 @@ class TestTraining:
         y = rng.uniform(0.0, 1.0, (8, 1, 1))
         # The largest rate float32 holds is about 3.4e38; this one still
         # overflows the float32 outputs once Adam has stepped.
-        config = GcnConfig(window=2, hidden=(4,), learning_rate=1e30, epochs=30, seed=1)
+        config = GcnConfig(hidden=(4,), learning_rate=1e30, epochs=30, seed=1)
         with pytest.raises(DivergenceError):
             train_gcn((x, y), graph, config)
 
@@ -510,33 +517,33 @@ class TestTraining:
         rng = Rng(53)
         graph = ServiceGraph.from_edges(["a", "b"], [("a", "b")])
         x, y = self._toy_data(rng, graph, 3, 20)
-        model, _ = train_gcn((x, y), graph, GcnConfig(window=3, hidden=(4,), epochs=1, seed=1))
+        model, _ = train_gcn((x, y), graph, GcnConfig(hidden=(4,), epochs=1, seed=1))
         y = y.copy()
         y[5, 1, 0] = 1e308
         with pytest.raises(DivergenceError, match="not finite"):
-            evaluate_gcn(model, graph, (x, y))
+            evaluate_gcn(model, (x, y))
 
     def test_shape_validation(self):
         graph = ServiceGraph.from_edges(["a", "b"], [("a", "b")])
         with pytest.raises(ShapeError):
             train_gcn((np.zeros((4, 3, 3)), np.zeros((4, 3, 1))), graph,
-                      GcnConfig(window=3, epochs=1))
+                      GcnConfig(epochs=1))
         with pytest.raises(ShapeError):
             train_gcn((np.zeros((4, 2, 3)), np.zeros((4, 2, 2))), graph,
-                      GcnConfig(window=3, epochs=1))
+                      GcnConfig(epochs=1))
 
     def test_empty_dataset(self):
         graph = ServiceGraph.from_edges(["a"], [])
         with pytest.raises(EmptyDatasetError):
             train_gcn((np.zeros((0, 1, 3)), np.zeros((0, 1, 1))), graph,
-                      GcnConfig(window=3, epochs=1))
+                      GcnConfig(epochs=1))
 
     def test_per_node_mse_averages_to_total(self):
         rng = Rng(59)
         graph = ServiceGraph.from_edges(["a", "b", "c"], [("a", "b"), ("b", "c")])
         x, y = self._toy_data(rng, graph, 3, 30)
-        model, _ = train_gcn((x, y), graph, GcnConfig(window=3, hidden=(4,), epochs=2, seed=3))
-        total, per_node = evaluate_gcn(model, graph, (x, y))
+        model, _ = train_gcn((x, y), graph, GcnConfig(hidden=(4,), epochs=2, seed=3))
+        total, per_node = evaluate_gcn(model, (x, y))
         assert set(per_node) == {"a", "b", "c"}
         assert np.mean(list(per_node.values())) == pytest.approx(total, rel=1e-12)
 
@@ -553,14 +560,14 @@ class TestPrecision:
         rng = Rng(67)
         x = rng.uniform(0.0, 50.0, (300, 4, 5))
         y = rng.uniform(0.0, 4.0, (300, 4, 1))
-        config = GcnConfig(window=5, hidden=(6,), epochs=2, batch_size=64, seed=5)
+        config = GcnConfig(hidden=(6,), epochs=2, batch_size=64, seed=5)
         model, history = train_gcn((x, y), BUNDLED_GRAPH, config)
         assert DTYPE == np.float32
         assert all(type(v) is float for v in history)
         for w in model.weights:
             assert w.dtype == np.float64
             assert_bitwise_equal(w.astype(np.float32).astype(np.float64), w)
-        assert predict_resource(model, BUNDLED_GRAPH, x).dtype == np.float64
+        assert predict_resource(model, x).dtype == np.float64
 
     def test_float32_fit_memory_is_bounded(self):
         # One epoch at the bundled shapes: 2,150 samples of 4 nodes and 10
@@ -570,44 +577,82 @@ class TestPrecision:
         rng = Rng(9)
         x = rng.uniform(0.0, 400.0, (2150, 4, 10))
         y = rng.uniform(0.0, 4.0, (2150, 4, 1))
-        config = GcnConfig(window=10, hidden=(32,), epochs=1, batch_size=256)
+        config = GcnConfig(hidden=(32,), epochs=1, batch_size=256)
         peak = traced_peak(lambda: train_gcn((x, y), BUNDLED_GRAPH, config))
         assert peak < 1.0e6, f"the fit peaked at {peak / 1e6:.2f} MB"
 
 
 class TestSerialization:
-    def test_round_trip_preserves_predictions(self, tmp_path):
-        rng = Rng(61)
-        graph = random_graph(rng, 3)
-        model = random_model(rng.child(1), graph.nodes, 3, (4,))
-        path = tmp_path / "gcn.json"
+    @given(n=st.integers(1, 6), edges=st.lists(st.booleans(), min_size=15, max_size=15),
+           hidden=st.lists(st.integers(1, 8), max_size=2), seed=st.integers(0, 2**16))
+    @example(n=3, edges=[False] * 15, hidden=[4], seed=0)  # no edges: a_hat = I
+    @settings(max_examples=25, deadline=None)
+    def test_round_trip_keeps_the_graph_and_every_prediction(self, tmp_path_factory, n, edges,
+                                                             hidden, seed):
+        upper = iter(edges)
+        nodes = tuple(f"s{i}" for i in range(n))
+        graph = ServiceGraph.from_edges(nodes, [(nodes[i], nodes[j]) for i in range(n)
+                                                for j in range(i + 1, n) if next(upper)])
+        rng = Rng(seed)
+        model = random_model(rng, graph, 3, tuple(hidden))
+        model.feature_scaler = MinMaxScaler(1.0, 300.0, 0.0, 1.0)
+        model.target_scalers = tuple(MinMaxScaler(0.5, 4.0 + i, 0.0, 1.0) for i in range(n))
+        path = tmp_path_factory.mktemp("gcn") / "gcn.json"
         model.save(path)
         loaded = GcnModel.load(path)
-        assert loaded.nodes == model.nodes
-        assert loaded.config.activations == model.config.activations
-        x = rng.uniform(0.0, 1.0, (1, 3, 3))
-        np.testing.assert_array_equal(predict_resource(loaded, graph, x),
-                                      predict_resource(model, graph, x))
+        assert loaded.graph.nodes == nodes
+        assert_bitwise_equal(loaded.graph.adjacency, graph.adjacency)
+        assert_bitwise_equal(loaded.graph.a_hat, graph.a_hat)
+        assert loaded.config == model.config and loaded.window == 3
+        x = rng.uniform(0.0, 300.0, (7, n, 3))
+        assert_bitwise_equal(predict_resource(loaded, x), predict_resource(model, x))
 
-    @pytest.mark.parametrize("activations", [["relu", "relu"], ["linear"], "relu", None])
-    def test_activations_must_match_the_config(self, activations):
-        rng = Rng(61)
-        model = random_model(rng, ("a", "b"), 3, (4,))
-        doc = model.to_json_dict()
-        assert doc["activations"] == ["relu", "linear"]
-        doc["activations"] = activations
-        with pytest.raises(ValidationError, match=r"activations must be "
-                                                  r"\['relu', 'linear'\] for its config"):
+    def test_file_holds_the_graph_and_no_restated_fact(self):
+        graph = ServiceGraph.from_edges(("a", "b", "c"), [("a", "c")])
+        doc = random_model(Rng(61), graph, 3, (4,)).to_json_dict()
+        assert doc["schema"] == "graph-phpa/gcn-model/v2"
+        assert doc["nodes"] == ["a", "b", "c"]
+        assert doc["adjacency"] == [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+        assert "activations" not in doc and "window" not in doc["config"]
+
+    @pytest.mark.parametrize("edit, error, message", [
+        # v1 restated the activations and the window; v2 states each once.
+        (lambda d: d.update(activations=["relu", "linear"]), ValidationError,
+         "unknown key 'activations' in gcn model"),
+        (lambda d: d["config"].update(window=3), ValidationError,
+         "unknown key 'window' in config"),
+        (lambda d: d.pop("adjacency"), ValidationError,
+         "missing required key 'adjacency' in gcn model"),
+        (lambda d: d["adjacency"][0].__setitem__(1, 0.0), ValidationError,
+         "adjacency must be symmetric"),
+        (lambda d: d.update(adjacency=[[1.0, 1.0], [1.0, 0.0]]), ValidationError,
+         "adjacency must have a zero diagonal"),
+        (lambda d: d.update(adjacency=[[0.0, 0.5], [0.5, 0.0]]), ValidationError,
+         "adjacency entries must be 0 or 1"),
+        (lambda d: d.update(adjacency=[[0.0]]), ShapeError,
+         r"adjacency shape \(1, 1\) does not match 2 nodes"),
+        (lambda d: d["adjacency"][1].__setitem__(0, True), ValidationError,
+         "adjacency must be a rectangular array of finite float64 numbers"),
+        (lambda d: d.update(nodes=["a", "a"]), ValidationError, "nodes must be unique"),
+    ], ids=["activations", "config-window", "no-adjacency", "asymmetric", "self-loop",
+            "half-edge", "other-shape", "bool-entry", "duplicate-node"])
+    def test_rejects_a_bad_graph(self, edit, error, message):
+        doc = random_model(Rng(61), ServiceGraph.from_edges(("a", "b"), [("a", "b")]),
+                           3, (4,)).to_json_dict()
+        edit(doc)
+        with pytest.raises(error, match=message):
             GcnModel.from_json_dict(doc)
 
-    def test_rejects_wrong_schema(self):
-        with pytest.raises(ValidationError):
-            GcnModel.from_json_dict({"schema": "nope"})
+    @pytest.mark.parametrize("schema", ["graph-phpa/gcn-model/v1", "nope"])
+    def test_rejects_another_schema(self, schema):
+        with pytest.raises(ValidationError, match=f"schema must be 'graph-phpa/gcn-model/v2', "
+                                                  f"got '{schema}'"):
+            GcnModel.from_json_dict({"schema": schema})
 
     def test_file_is_byte_stable(self, tmp_path):
         rng = Rng(67)
         graph = random_graph(rng, 2)
-        model = random_model(rng.child(1), graph.nodes, 3, ())
+        model = random_model(rng.child(1), graph, 3, ())
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         model.save(a)
         model.save(b)
@@ -617,39 +662,37 @@ class TestSerialization:
 class TestModelValidation:
     def test_weight_chain_mismatch(self):
         with pytest.raises(ShapeError):
-            GcnModel(GcnConfig(window=3, hidden=(4,), epochs=1), ("a",),
+            GcnModel(GcnConfig(hidden=(4,), epochs=1), single("a"),
                      [np.zeros((3, 4)), np.zeros((5, 1))], UNIT, (UNIT,))
 
-    def test_first_weight_must_match_window(self):
-        with pytest.raises(ShapeError):
-            GcnModel(GcnConfig(window=3, hidden=(), epochs=1), ("a",),
-                     [np.zeros((2, 1))], UNIT, (UNIT,))
+    def test_window_is_the_first_weights_rows(self):
+        model = GcnModel(GcnConfig(hidden=(4,), epochs=1), single("a"),
+                         [np.zeros((7, 4)), np.zeros((4, 1))], UNIT, (UNIT,))
+        assert model.window == 7
+        with pytest.raises(ShapeError, match=r"expected \(S, 1, 7\)"):
+            predict_resource(model, np.zeros((1, 1, 3)))
 
     def test_last_weight_must_be_single_output(self):
         with pytest.raises(ShapeError):
-            GcnModel(GcnConfig(window=3, hidden=(), epochs=1), ("a",),
+            GcnModel(GcnConfig(hidden=(), epochs=1), single("a"),
                      [np.zeros((3, 2))], UNIT, (UNIT,))
 
     def test_needs_a_weight_matrix(self):
         with pytest.raises(ShapeError, match="do not chain"):
-            GcnModel(GcnConfig(window=3, hidden=(), epochs=1), ("a",), [], UNIT, (UNIT,))
+            GcnModel(GcnConfig(hidden=(), epochs=1), single("a"), [], UNIT, (UNIT,))
 
     def test_activation_count_must_match(self):
         # The config's layers, one activation each, fix the number of weights.
         with pytest.raises(ShapeError, match="do not chain"):
-            GcnModel(GcnConfig(window=3, hidden=(), epochs=1), ("a",),
+            GcnModel(GcnConfig(hidden=(), epochs=1), single("a"),
                      [np.zeros((3, 1)), np.zeros((1, 1))], UNIT, (UNIT,))
 
     def test_hidden_widths_come_from_the_config(self):
         with pytest.raises(ShapeError, match="do not chain"):
-            GcnModel(GcnConfig(window=3, hidden=(4,), epochs=1), ("a",),
+            GcnModel(GcnConfig(hidden=(4,), epochs=1), single("a"),
                      [np.zeros((3, 2)), np.zeros((2, 1))], UNIT, (UNIT,))
 
     def test_target_scaler_count_must_match_nodes(self):
         with pytest.raises(ShapeError):
-            GcnModel(GcnConfig(window=3, hidden=(), epochs=1), ("a", "b"),
+            GcnModel(GcnConfig(hidden=(), epochs=1), single("a", "b"),
                      [np.zeros((3, 1))], UNIT, (UNIT,))
-
-    def test_window_lower_bound(self):
-        with pytest.raises(ValidationError):
-            GcnConfig(window=1)
