@@ -172,12 +172,17 @@ def _init_params(config: LstmConfig, rng: Rng) -> list[np.ndarray]:
 
 
 @functools.cache
-def _gate_scale(hidden: int, dtype: np.dtype) -> np.ndarray:
-    """Column factors that let one tanh over all four gate blocks give the
-    sigmoid gates as 0.5 * (1 + tanh(x / 2)) and the candidate as tanh(x)."""
+def _gate_affine(hidden: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Column factors and terms that let one tanh over all four gate blocks
+    give the sigmoid gates as 0.5 * (1 + tanh(x / 2)) and the candidate as
+    tanh(x): scale before the tanh, then add the terms and scale again. On the
+    candidate's columns the term is -0.0 and the factor 1.0, which leave every
+    value as it is, signed zeros included, so whole rows take each operation
+    instead of a strided view of the sigmoid blocks."""
     scale = np.repeat(np.array([0.5, 0.5, 0.5, 1.0], dtype=dtype), hidden)
-    scale.flags.writeable = False
-    return scale
+    shift = np.repeat(np.array([1.0, 1.0, 1.0, -0.0], dtype=dtype), hidden)
+    scale.flags.writeable = shift.flags.writeable = False
+    return scale, shift
 
 
 def _lstm_step(h_prev, c_prev, w_h, b, a, tmp, c_out, tanh_c, h_out) -> None:
@@ -186,19 +191,17 @@ def _lstm_step(h_prev, c_prev, w_h, b, a, tmp, c_out, tanh_c, h_out) -> None:
     a (n, 4H) holds the input term x * w_x on entry and the activated gates
     on return; tanh_c (n, H) receives tanh of the new cell state, and tmp
     (n, 4H) is scratch. c_out and h_out may be c_prev and h_prev, which makes
-    the step update a running state in place. With one input feature the
-    input term has a single product per entry, which a broadcast multiply
-    computes exactly, and faster than matmul.
+    the step update a running state in place.
     """
     hidden = w_h.shape[0]
+    scale, shift = _gate_affine(hidden, a.dtype)
     np.matmul(h_prev, w_h, out=tmp)
     a += tmp
     a += b
-    a *= _gate_scale(hidden, a.dtype)
+    a *= scale
     np.tanh(a, out=a)
-    sigmoids = a[:, :3 * hidden]
-    sigmoids += 1.0
-    sigmoids *= 0.5
+    a += shift
+    a *= scale
     gi, gf, go, gg = (a[:, j * hidden:(j + 1) * hidden] for j in range(4))
     np.multiply(gi, gg, out=tmp[:, :hidden])
     np.multiply(gf, c_prev, out=c_out)
@@ -238,7 +241,9 @@ def _forward_scaled(params: list[np.ndarray], x_seq: np.ndarray) -> np.ndarray:
         h.fill(0.0)
         c.fill(0.0)
         for t in range(k):
-            np.multiply(windows[t, :, None], w_x, out=a)
+            # With one input feature each entry of the input term is a single
+            # product, exact in a K=1 product as in a broadcast multiply.
+            np.dot(windows[t, :, None], w_x, out=a)
             _lstm_step(h, c, w_h, b, a, tmp, c, tanh_c, h)
         last[lo:hi] = h
     return np.tanh(last @ head_w + head_b)[:, 0]
@@ -304,7 +309,7 @@ def _loss_and_grads(params: list[np.ndarray], batch: _Batch,
 
     h[0] = 0.0
     c[0] = 0.0
-    np.multiply(x_seq.T[:, :, None], w_x, out=gates)  # the input terms (k, n, 4H)
+    np.dot(x_tm.reshape(k * n, 1), w_x, out=gates.reshape(k * n, 4 * hid))  # input terms
     for t in range(k):
         _lstm_step(h[t], c[t], w_h, b, gates[t], tmp, c[t + 1], tanh_c[t], h[t + 1])
     yhat = np.tanh(h[-1] @ head_w + head_b)[:, 0]

@@ -8,12 +8,9 @@ added), so each service sees its neighbors' load, which is what makes
 cascaded demand visible before it arrives. This module is the model alone:
 the graph, config, model (which holds its graph), forward pass, fit and evaluation.
 
-The fit computes in float32 (tensor.DTYPE): the aggregated training features,
-the scaled targets, a_hat, the weights, their gradients and Adam state, and
-every per-batch array. A model holds its weights in float64, cast exactly from
-the fit's, so the forward pass of evaluation and of the replay computes in
-float64 as it always did. The kernels compute in the dtype of the weights they
-are given, so the tests can drive a fit in float64 too.
+The fit computes in float64, as do the forward passes of evaluation and of
+the replay, and gcn.json holds the weights the fit ends with, so every
+prediction runs the fitted model bit for bit.
 """
 from __future__ import annotations
 
@@ -26,8 +23,8 @@ import numpy as np
 from .errors import (DivergenceError, EmptyDatasetError, ShapeError, ValidationError,
                      check_keys, check_name, check_value, float_array, read, read_json_file,
                      write_json)
-from .tensor import (BLOCK, DTYPE, MinMaxScaler, Rng, blocks, check_learning_rate, check_seed,
-                     fit_adam, glorot_init)
+from .tensor import (BLOCK, MinMaxScaler, Rng, blocks, check_learning_rate, check_seed, fit_adam,
+                     glorot_init)
 
 GCN_SCHEMA = "graph-phpa/gcn-model/v2"
 
@@ -186,12 +183,10 @@ class GcnModel:
 
 
 def _layer_buffers(weights: list[np.ndarray], samples: int, nodes: int):
-    """Empty per-layer arrays for a forward pass, in the weights' dtype: each
-    layer's aggregated input (samples, nodes, D) and its output (samples,
-    nodes, O)."""
-    dtype = weights[0].dtype
-    return ([np.empty((samples, nodes, w.shape[0]), dtype) for w in weights],
-            [np.empty((samples, nodes, w.shape[1]), dtype) for w in weights])
+    """Empty per-layer arrays for a forward pass: each layer's aggregated
+    input (samples, nodes, D) and its output (samples, nodes, O)."""
+    return ([np.empty((samples, nodes, w.shape[0])) for w in weights],
+            [np.empty((samples, nodes, w.shape[1])) for w in weights])
 
 
 def _forward(weights: list[np.ndarray], a_hat: np.ndarray,
@@ -255,8 +250,7 @@ def scale_targets(scalers, y: np.ndarray) -> np.ndarray:
 
 
 class _Batch(NamedTuple):
-    """Every array of a training batch, each (samples, N, width), in the
-    weights' dtype.
+    """Every array of a training batch, each (samples, N, width).
 
     agg and out are _forward's per-layer arrays, and delta[l] takes the loss
     gradient of layer l's output. A fit allocates one _Batch for a full batch;
@@ -275,8 +269,7 @@ class _Batch(NamedTuple):
     @classmethod
     def allocate(cls, weights: list[np.ndarray], samples: int, nodes: int) -> "_Batch":
         agg, out = _layer_buffers(weights, samples, nodes)
-        return cls(agg, out, [np.empty_like(o) for o in out],
-                   np.empty((samples, nodes, 1), weights[0].dtype))
+        return cls(agg, out, [np.empty_like(o) for o in out], np.empty((samples, nodes, 1)))
 
     def front(self, samples: int) -> "_Batch":
         """Contiguous views of the first samples of every array."""
@@ -289,8 +282,7 @@ def _loss_and_grads(weights: list[np.ndarray], a_hat: np.ndarray, batch: _Batch,
     """Batch MSE over all node outputs; writes each weight's gradient into grads.
 
     batch.agg[0] holds the batch's input aggregation a_hat @ X and
-    batch.targets its scaled targets, every array in the dtype of weights and
-    a_hat, in which every step computes. Each weight gradient is one
+    batch.targets its scaled targets. Each weight gradient is one
     (D, S*N) @ (S*N, O) product over every node row of the batch, and so is
     each back-projection through a weight, (S*N, O) @ (O, D).
     """
@@ -317,17 +309,15 @@ def _loss_and_grads(weights: list[np.ndarray], a_hat: np.ndarray, batch: _Batch,
 
 
 def train_gcn(train: tuple[np.ndarray, np.ndarray], graph: ServiceGraph,
-              config: GcnConfig, dtype=DTYPE) -> tuple[GcnModel, list[float]]:
-    """Fit the predictor over graph with tensor.fit_adam; returns the model,
-    which holds graph, and the training MSE of every epoch, in scaled units.
+              config: GcnConfig) -> tuple[GcnModel, list[float]]:
+    """Fit the predictor over graph with tensor.fit_adam, in float64; returns
+    the model, which holds graph, and the training MSE of every epoch, in
+    scaled units.
 
     Min-max scalers to [0, 1] are fitted on the training tensors: one shared
-    scaler for features, one per node for targets. The fit computes in dtype:
-    the aggregated features (scaled and aggregated in float64, then cast),
-    the scaled targets, a_hat, the weights, their gradients and the Adam
-    state. The model holds the fitted weights cast to float64, which is
-    exact. The history is deterministic for a fixed config seed. Score
-    held-out data with evaluate_gcn.
+    scaler for features, one per node for targets. The history is
+    deterministic for a fixed config seed. Score held-out data with
+    evaluate_gcn.
     """
     x_train = np.asarray(train[0], dtype=np.float64)
     y_train = np.asarray(train[1], dtype=np.float64)
@@ -345,21 +335,19 @@ def train_gcn(train: tuple[np.ndarray, np.ndarray], graph: ServiceGraph,
     # The input layer's aggregation a_hat @ X depends on the data alone, so
     # it is computed once instead of once per batch and epoch, a block of
     # samples at a time.
-    agg_train = np.empty(x_train.shape, dtype)
+    agg_train = np.empty(x_train.shape)
     for lo, hi in blocks(len(x_train)):
         agg_train[lo:hi] = graph.a_hat @ feature_scaler.transform(x_train[lo:hi])
-    ys = scale_targets(target_scalers, y_train).astype(dtype)
-    a_hat = graph.a_hat.astype(dtype)
+    ys = scale_targets(target_scalers, y_train)
 
     def batch_loss(weights, batch, idx, grads):
         np.take(agg_train, idx, axis=0, out=batch.agg[0])
         np.take(ys, idx, axis=0, out=batch.targets)
-        return _loss_and_grads(weights, a_hat, batch, grads)
+        return _loss_and_grads(weights, graph.a_hat, batch, grads)
 
     rng = Rng(config.seed)
     widths = config.widths(x_train.shape[2])
-    init = [glorot_init(widths[i], widths[i + 1], rng).astype(dtype)
-            for i in range(len(widths) - 1)]
+    init = [glorot_init(widths[i], widths[i + 1], rng) for i in range(len(widths) - 1)]
     workspace = _Batch.allocate(init, min(len(agg_train), config.batch_size), graph.size)
     weights, history = fit_adam(init, len(agg_train), config, rng, workspace.front,
                                 batch_loss, "gcn")

@@ -2,13 +2,13 @@
 
 Matrices are 2-D numpy arrays in row-major order, float64 unless a caller
 gives another floating dtype: adam_step updates its parameter in the
-parameter's own dtype, which lets both fits train in DTYPE while everything
-else stays float64. Every public operation is deterministic: identical
-inputs (including RNG state) produce bit-identical outputs, and results are
-checked to be finite. All are pure except adam_step, which updates its
-parameter and state in place, fit_adam, which runs both fits' mini-batch Adam
-loop through the callbacks it is given, and one_blas_thread, which sets
-OpenBLAS's thread count for a block.
+parameter's own dtype, which lets the LSTM fit train in DTYPE while
+everything else, the GCN fit included, stays float64. Every public
+operation is deterministic: identical inputs (including RNG state) produce
+bit-identical outputs, and results are checked to be finite. All are pure
+except adam_step, which updates its parameter and state in place, fit_adam,
+which runs both fits' mini-batch Adam loop through the callbacks it is
+given, and one_blas_thread, which sets OpenBLAS's thread count for a block.
 
 Passes over a whole window or dataset walk it in blocks (see blocks), so their
 working memory is bounded by the block size, not by the window's length.
@@ -41,10 +41,12 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 # 0.3.31, x86-64), and numpy takes gemv for one row.
 BLOCK = 256
 
-# The precision both fits compute in, and the LSTM forecasts in. float32
-# halves the LSTM recurrence's time: a 2,150-row forward of the bundled shapes
-# took 23 ms, against 48 ms in float64, on a 2-core x86-64 host with OpenBLAS
-# 0.3.31, and the bundled GCN fit took 0.135 s, against 0.19 s in float64.
+# The precision the LSTM fits and forecasts in. float32 halves the LSTM
+# recurrence's time: a 2,150-row forward of the bundled shapes took 23 ms,
+# against 48 ms in float64, on a 2-core x86-64 host with OpenBLAS 0.3.31. The
+# GCN fits in float64, the precision its model and replay compute in: float32
+# cut the bundled fit from 0.19 s to 0.14 s, but Adam carried the fit's own
+# summation rounding into the weights wherever a dead unit woke.
 DTYPE = np.float32
 
 
@@ -76,7 +78,8 @@ def check_seed(seed: int) -> None:
 def check_learning_rate(rate: float) -> None:
     """A ValidationError naming learning_rate unless it is positive and finite
     in DTYPE: Adam multiplies every step by the rate in the fit's dtype, where
-    a larger one would overflow to inf."""
+    a larger one would overflow to inf. The LSTM fits in DTYPE; the GCN fits
+    in float64 but shares this check, so both configs take the same range."""
     if not rate > 0:
         raise ValidationError(f"learning_rate must be positive, got {rate}")
     with np.errstate(over="ignore"):

@@ -862,14 +862,12 @@ def train_lstm_oracle(train, config, dtype=np.float64):
     return params, history
 
 
-def gcn_forward_scaled_oracle(weights, activations, a_hat, z, keep_cache=False,
-                              first_agg=None):
-    """Propagate scaled features (batch, N, D) through every layer, per sample.
-    first_agg, when given, is the input layer's aggregation a_hat @ z."""
+def gcn_forward_scaled_oracle(weights, activations, a_hat, z, keep_cache=False):
+    """Propagate scaled features (batch, N, D) through every layer, per sample."""
     h = z
     cache = [] if keep_cache else None
-    for li, (w, kind) in enumerate(zip(weights, activations)):
-        agg = first_agg if li == 0 and first_agg is not None else np.matmul(a_hat, h)
+    for w, kind in zip(weights, activations):
+        agg = np.matmul(a_hat, h)
         pre = agg @ w
         if keep_cache:
             cache.append({"agg": agg, "pre": pre, "kind": kind})
@@ -877,10 +875,9 @@ def gcn_forward_scaled_oracle(weights, activations, a_hat, z, keep_cache=False,
     return h, cache
 
 
-def gcn_loss_and_grads_oracle(weights, activations, a_hat, z, targets, first_agg=None):
+def gcn_loss_and_grads_oracle(weights, activations, a_hat, z, targets):
     """Batch MSE over all node outputs plus per-weight einsum gradients."""
-    out, cache = gcn_forward_scaled_oracle(weights, activations, a_hat, z, keep_cache=True,
-                                           first_agg=first_agg)
+    out, cache = gcn_forward_scaled_oracle(weights, activations, a_hat, z, keep_cache=True)
     err = out - targets
     denom = err.size
     loss = float(np.mean(err ** 2))
@@ -899,25 +896,19 @@ def gcn_loss_and_grads_oracle(weights, activations, a_hat, z, targets, first_agg
     return loss, grads
 
 
-def train_gcn_oracle(train, graph, config, dtype=np.float64, aggregate_in_float64=False):
-    """The GCN training loop over the oracle kernel in dtype, one Adam step per
-    weight matrix; returns (weights, history), history being the training MSE
-    of every epoch. The features and targets are scaled in float64 and then
-    cast, and so are a_hat and the initial weights. With
-    aggregate_in_float64, the input layer's aggregation a_hat @ X is also
-    computed in float64 and then cast, as train_gcn computes it."""
+def train_gcn_oracle(train, graph, config):
+    """The GCN training loop over the oracle kernel, one Adam step per weight
+    matrix; returns (weights, history), history being the training MSE of
+    every epoch."""
     x_train, y_train = (np.asarray(a, dtype=np.float64) for a in train)
     feature_scaler = MinMaxScaler.fit(x_train, out_lo=0.0, out_hi=1.0)
     target_scalers = tuple(MinMaxScaler.fit(y_train[:, ni, :], out_lo=0.0, out_hi=1.0)
                            for ni in range(graph.size))
-    xs = feature_scaler.transform(x_train).astype(dtype)
-    ys = scale_targets(target_scalers, y_train).astype(dtype)
-    a_hat = graph.a_hat.astype(dtype)
-    aggs = (graph.a_hat @ feature_scaler.transform(x_train)).astype(dtype)
+    xs = feature_scaler.transform(x_train)
+    ys = scale_targets(target_scalers, y_train)
     rng = Rng(config.seed)
     widths = config.widths(x_train.shape[2])
-    weights = [glorot_init(widths[i], widths[i + 1], rng).astype(dtype)
-               for i in range(len(widths) - 1)]
+    weights = [glorot_init(widths[i], widths[i + 1], rng) for i in range(len(widths) - 1)]
     states = [AdamState.fresh(w, config.learning_rate) for w in weights]
     shuffle_rng = rng.child(1)
     n = len(xs)
@@ -928,8 +919,7 @@ def train_gcn_oracle(train, graph, config, dtype=np.float64, aggregate_in_float6
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
             loss, grads = gcn_loss_and_grads_oracle(
-                weights, gcn_activations(config.hidden), a_hat, xs[idx], ys[idx],
-                first_agg=aggs[idx] if aggregate_in_float64 else None)
+                weights, gcn_activations(config.hidden), graph.a_hat, xs[idx], ys[idx])
             sq_sum += loss * len(idx)
             for li in range(len(weights)):
                 weights[li], states[li] = adam_step_oracle(weights[li], grads[li], states[li])

@@ -73,10 +73,11 @@ def test_one_shared_forecaster_file_of_schema_v5(experiment_dir):
     assert not list(models.glob("lstm_*.json"))
 
 
-def test_every_gcn_weight_is_a_float32_value(experiment_dir):
-    # The GCN fits in float32, so every gcn.json weight is a float32 value,
-    # written as the decimals of its float64 widening.
+def test_gcn_json_holds_a_float64_fit(experiment_dir):
+    # The GCN fits in float64 and gcn.json holds the weights it ends with, so
+    # they are not all values float32 holds, as a float32 fit's would be.
     doc = json.loads((experiment_dir / "models" / "gcn.json").read_text(encoding="utf-8"))
-    for w in doc["weights"]:
-        w = np.array(w, dtype=np.float64)
-        assert np.array_equal(w.astype(np.float32).astype(np.float64), w)
+    weights = [np.array(w, dtype=np.float64) for w in doc["weights"]]
+    assert all(np.all(np.isfinite(w)) for w in weights)
+    assert not all(np.array_equal(w.astype(np.float32).astype(np.float64), w)
+                   for w in weights)

@@ -135,9 +135,10 @@ class TestParsing:
     @pytest.mark.parametrize("section", ["lstm", "gcn"])
     @pytest.mark.parametrize("rate", [1e39, 3.5e38])
     def test_learning_rate_beyond_float32_rejected(self, section, rate):
-        # Both fits run Adam in float32, where such a rate overflows to inf:
-        # lstm.learning_rate 1e39 warned of an overflow in a cast and ended in
-        # "adam_step result contains non-finite entries", naming neither.
+        # The LSTM runs Adam in float32, where such a rate overflows to inf,
+        # and the GCN shares the check: lstm.learning_rate 1e39 warned of an
+        # overflow in a cast and ended in "adam_step result contains
+        # non-finite entries", naming neither.
         message = (f"{section}.learning_rate must be finite in float32 "
                    f"(at most 3.40282347e+38), got {rate}")
         with pytest.raises(ConfigError, match=re.escape(message)):

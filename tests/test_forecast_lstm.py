@@ -25,6 +25,7 @@ from graph_phpa.forecast_lstm import (
     LSTM_SCHEMA,
     LstmConfig,
     LstmModel,
+    _gate_affine,
     _init_params,
     _loss_and_grads,
     _workspace,
@@ -228,6 +229,26 @@ class TestBufferedKernelAgainstOracle:
         for got, want in zip(grads, want_grads, strict=True):
             assert_bitwise_equal(got, want)
         assert not np.any(grads[0]) and not np.any(grads[1]) and not np.any(grads[2])
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_gate_affine_matches_the_sigmoid_blocks_alone(self, dtype):
+        # The step adds the terms to whole gate rows and scales them, instead
+        # of adding 1 and halving only the sigmoid blocks. On the candidate's
+        # columns x + -0.0 and x * 1.0 must give x back, -0.0 included, and
+        # the sigmoid columns must see the same two operations as before.
+        hidden = 5
+        rng = np.random.default_rng(3)
+        edges = [0.0, -0.0, 1.0, -1.0, np.finfo(dtype).tiny, -np.finfo(dtype).smallest_subnormal]
+        a = np.tanh(rng.uniform(-4.0, 4.0, (7, 4 * hidden))).astype(dtype)
+        a[:len(edges)] = np.resize(np.array(edges, dtype), (4 * hidden,))
+        want = a.copy()
+        want[:, :3 * hidden] += 1.0
+        want[:, :3 * hidden] *= 0.5
+        scale, shift = _gate_affine(hidden, np.dtype(dtype))
+        got = a + shift
+        got *= scale
+        assert got.dtype == dtype
+        assert_bitwise_equal(got, want)
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @settings(max_examples=12, deadline=None)

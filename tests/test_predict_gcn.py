@@ -4,8 +4,8 @@ Forward propagation is checked against a dense loop-based reference built
 straight from the layer rule act(A_hat H W), and the analytic gradients
 against central finite differences. Structural properties (permutation
 equivariance, regular-graph normalization) guard the adjacency handling.
-The fit runs in float32; its kernel and training are held to the oracles in
-oracles.py in float32 and in float64, each within its own tolerance.
+The fit runs in float64; its kernel and training are held to the oracles in
+oracles.py.
 """
 import numpy as np
 import pytest
@@ -30,7 +30,7 @@ from graph_phpa.predict_gcn import (
     scale_targets,
     train_gcn,
 )
-from graph_phpa.tensor import BLOCK, DTYPE, MinMaxScaler, Rng
+from graph_phpa.tensor import BLOCK, MinMaxScaler, Rng
 from conftest import gcn_forward, traced_peak
 from oracles import (
     assert_bitwise_equal,
@@ -317,29 +317,16 @@ class TestKernelAgainstOracle:
         for got, want in zip(grads, want_grads):
             assert close(got, want, 1e-12)
 
-    @given(batch=st.sampled_from(BATCHES), **kernel_cases)
-    @settings(max_examples=40, deadline=None)
-    def test_float32_loss_bitwise_gradients_to_rounding(self, n, hidden, window, seed, batch):
-        # In float32 the one-GEMM gradients sum in another order than the
-        # oracle's einsum: over 240 random cases they differed by at most
-        # 1.3e-6, norm-relative.
-        rng = Rng(seed)
-        graph = random_graph(rng, n)
-        model = random_model(rng.child(1), graph, window, tuple(hidden))
-        weights = [w.astype(np.float32) for w in model.weights]
-        a_hat = graph.a_hat.astype(np.float32)
-        x = rng.uniform(0.0, 1.0, (batch, n, window)).astype(np.float32)
-        y = rng.uniform(0.0, 1.0, (batch, n, 1)).astype(np.float32)
-        want_loss, want_grads = gcn_loss_and_grads_oracle(weights, gcn_activations(hidden),
-                                                          a_hat, x, y)
-        loss, grads = loss_and_grads(weights, a_hat, x, y)
-        assert_bitwise_equal(loss, want_loss)
-        for got, want in zip(grads, want_grads):
-            assert got.dtype == np.float32
-            assert close(got, want, 1e-5)
-
     @given(samples=st.sampled_from((1, 3, 40, 257, 300)),
            batch_size=st.sampled_from(BATCHES + (64,)), **kernel_cases)
+    # Draws on which a float32 fit ended more than 1e-5 from its float32
+    # oracle: Adam carried the rounding of the fit's sums into its weights.
+    @example(n=2, hidden=[38, 12], window=2, seed=4, samples=300, batch_size=1)
+    @example(n=2, hidden=[35, 15], window=2, seed=12, samples=257, batch_size=2)
+    @example(n=4, hidden=[23, 30], window=2, seed=23, samples=300, batch_size=1)
+    @example(n=3, hidden=[24, 24], window=2, seed=373, samples=257, batch_size=1)
+    @example(n=2, hidden=[22, 17], window=3, seed=14698, samples=300, batch_size=1)
+    @example(n=2, hidden=[27, 22], window=3, seed=62351, samples=300, batch_size=1)
     @settings(max_examples=25, deadline=None)
     def test_training_matches_oracle_and_repeats(self, n, hidden, window, seed, samples,
                                                  batch_size):
@@ -351,63 +338,11 @@ class TestKernelAgainstOracle:
                  rng.uniform(0.0, 4.0, (samples, n, 1)))
         config = GcnConfig(hidden=tuple(hidden), learning_rate=0.01,
                            epochs=3, batch_size=batch_size, seed=seed)
-        model, history = train_gcn(train, graph, config, np.float64)
+        model, history = train_gcn(train, graph, config)
         want_weights, want_history = train_gcn_oracle(train, graph, config)
         for got, want in zip(model.weights, want_weights):
             assert close(got, want, 1e-10)
         assert close(history, want_history, 1e-10)
-
-        again, again_history = train_gcn(train, graph, config, np.float64)
-        assert again_history == history
-        for got, want in zip(again.weights, model.weights):
-            assert_bitwise_equal(got, want)
-
-    @given(samples=st.sampled_from((1, 3, 40, 257, 300)),
-           batch_size=st.sampled_from(BATCHES + (64,)), **kernel_cases)
-    @example(n=2, hidden=[38, 12], window=2, seed=4, samples=300, batch_size=1)
-    @example(n=2, hidden=[35, 15], window=2, seed=12, samples=257, batch_size=2)
-    @settings(max_examples=25, deadline=None)
-    def test_float32_training_matches_oracle_and_repeats(self, n, hidden, window, seed,
-                                                         samples, batch_size):
-        # The fit aggregates the input features in float64 and casts them, the
-        # float32 oracle aggregates in float32, and the gradients sum in
-        # another order. Over 300 random 3-epoch fits the weights differed by
-        # at most 2.0e-6 and the histories by 6.8e-7, norm-relative.
-        # The first example is a draw where float32 cannot settle one matrix
-        # that well. A hidden unit of its second layer stays dead until step
-        # 475, then wakes with a pre-activation of 2.2e-5, a cancellation of
-        # terms summing to 0.72, which float32 rounds by up to 0.4%. Its
-        # outgoing weight has had no gradient, so Adam's second moment there
-        # is zero, and sqrt(v_hat), about 3e-8, is comparable to epsilon: each
-        # step's size follows the gradient's size, rounding included. The last
-        # matrix ends 1.9e-4 from the oracle's; the float32 oracle itself ends
-        # 2.7e-5 from the float64 one. Where a matrix misses 1e-5, the oracle
-        # must miss it too when its input aggregation is rounded as the fit's
-        # is, and the fit must lie within that spread of the oracle so rounded.
-        # The second example fails this rule. A unit of the last hidden layer
-        # wakes at step 329 with an outgoing gradient of 3.7e-7, which the
-        # float32 runs round to 3.65e-7 and 3.66e-7, and Adam carries that
-        # rounding into the weight as above. The fit's last matrix ends 1.0e-4
-        # from the float32 oracle's and 1.6e-4 from the rounded oracle's,
-        # whose own spread is 5.6e-5; every float32 run lies 6.5e-5 to 1.7e-4
-        # from the float64 oracle. No rule that accepts only what this one
-        # accepts can pass it; the program is not at fault.
-        rng = Rng(seed)
-        graph = random_graph(rng, n)
-        train = (rng.uniform(0.0, 50.0, (samples, n, window)),
-                 rng.uniform(0.0, 4.0, (samples, n, 1)))
-        config = GcnConfig(hidden=tuple(hidden), learning_rate=0.01,
-                           epochs=3, batch_size=batch_size, seed=seed)
-        model, history = train_gcn(train, graph, config)
-        want_weights, want_history = train_gcn_oracle(train, graph, config, np.float32)
-        twin = None
-        for li, (got, want) in enumerate(zip(model.weights, want_weights)):
-            if not close(got, want, 1e-5):
-                twin = twin or train_gcn_oracle(train, graph, config, np.float32,
-                                                aggregate_in_float64=True)[0]
-                spread = np.linalg.norm(twin[li] - want) / np.linalg.norm(want)
-                assert spread > 1e-5 and close(got, twin[li], spread)
-        assert close(history, want_history, 1e-5)
 
         again, again_history = train_gcn(train, graph, config)
         assert again_history == history
@@ -506,10 +441,13 @@ class TestTraining:
         graph = ServiceGraph.from_edges(["a"], [])
         x = rng.uniform(0.0, 1.0, (8, 1, 2))
         y = rng.uniform(0.0, 1.0, (8, 1, 1))
-        # The largest rate float32 holds is about 3.4e38; this one still
-        # overflows the float32 outputs once Adam has stepped.
-        config = GcnConfig(hidden=(4,), learning_rate=1e30, epochs=30, seed=1)
-        with pytest.raises(DivergenceError):
+        # Each Adam step moves a weight by about the learning rate, so after
+        # one step six layers multiply to an output of about 1e35**6, whose
+        # square overflows float64. The rate is one the config accepts
+        # (below float32's 3.4e38); with one hidden layer its relu units die
+        # and the fit stays finite.
+        config = GcnConfig(hidden=(4,) * 5, learning_rate=1e35, epochs=30, seed=1)
+        with pytest.raises(DivergenceError, match="diverged at epoch 1"):
             train_gcn((x, y), graph, config)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -554,32 +492,48 @@ BUNDLED_GRAPH = ServiceGraph.from_edges(
 
 
 class TestPrecision:
-    """The fit computes in float32; the model it returns holds float64 weights."""
+    """The fit computes in float64, the precision the model and the replay use."""
 
-    def test_a_fit_runs_in_float32_and_returns_weights_float32_holds(self):
+    def test_a_fit_runs_in_float64(self):
         rng = Rng(67)
         x = rng.uniform(0.0, 50.0, (300, 4, 5))
         y = rng.uniform(0.0, 4.0, (300, 4, 1))
         config = GcnConfig(hidden=(6,), epochs=2, batch_size=64, seed=5)
         model, history = train_gcn((x, y), BUNDLED_GRAPH, config)
-        assert DTYPE == np.float32
         assert all(type(v) is float for v in history)
         for w in model.weights:
             assert w.dtype == np.float64
-            assert_bitwise_equal(w.astype(np.float32).astype(np.float64), w)
+            # A float32 fit would leave only weights that float32 holds.
+            assert not np.array_equal(w.astype(np.float32).astype(np.float64), w)
         assert predict_resource(model, x).dtype == np.float64
 
-    def test_float32_fit_memory_is_bounded(self):
+    def test_float32_inputs_fit_as_their_float64_widening(self):
+        # Inputs given in float32 are widened before the fit, so they neither
+        # choose the fit's precision nor change a bit of its result.
+        rng = Rng(71)
+        x = rng.uniform(0.0, 50.0, (120, 4, 5)).astype(np.float32)
+        y = rng.uniform(0.0, 4.0, (120, 4, 1)).astype(np.float32)
+        config = GcnConfig(hidden=(6,), epochs=2, batch_size=32, seed=5)
+        model, history = train_gcn((x, y), BUNDLED_GRAPH, config)
+        want, want_history = train_gcn((x.astype(np.float64), y.astype(np.float64)),
+                                       BUNDLED_GRAPH, config)
+        assert history == want_history
+        for got, w in zip(model.weights, want.weights, strict=True):
+            assert got.dtype == np.float64
+            assert_bitwise_equal(got, w)
+
+    def test_fit_memory_is_bounded(self):
         # One epoch at the bundled shapes: 2,150 samples of 4 nodes and 10
-        # features, 32 hidden units, batches of 256. It peaks at about
-        # 0.93 MB: the cast aggregated features, 0.34 MB, and the workspace,
-        # 0.45 MB, are most of it. The float64 fit peaked at 1.83 MB.
+        # features, 32 hidden units, batches of 256. It peaks at 1.80 MB: the
+        # aggregated features, 0.69 MB, and the workspace, 0.90 MB, are most
+        # of it. The bound sits just above that peak; a float32 fit peaked at
+        # 0.93 MB.
         rng = Rng(9)
         x = rng.uniform(0.0, 400.0, (2150, 4, 10))
         y = rng.uniform(0.0, 4.0, (2150, 4, 1))
         config = GcnConfig(hidden=(32,), epochs=1, batch_size=256)
         peak = traced_peak(lambda: train_gcn((x, y), BUNDLED_GRAPH, config))
-        assert peak < 1.0e6, f"the fit peaked at {peak / 1e6:.2f} MB"
+        assert peak < 1.85e6, f"the fit peaked at {peak / 1e6:.2f} MB"
 
 
 class TestSerialization:
