@@ -9,7 +9,8 @@
 
 Each command is a thin wrapper over the library pipeline: prepare resolves the
 trace and its split once; train_workload, train_resource and replay take what
-it returns, write their files and return what they built.
+it returns, write their files and return what they built, each whole on one
+OpenBLAS thread (tensor.one_blas_thread), so training and replay forecast alike.
 
 Set PHPA_LOG=DEBUG (or INFO) for training progress on stderr. Output files
 are byte-stable: rerunning a command with the same config and seeds rewrites
@@ -81,6 +82,14 @@ def _load_gcn(models_dir: Path, cfg: ExperimentConfig) -> GcnModel:
     return model
 
 
+def _check_phpa_delay(cfg: ExperimentConfig, path: str) -> None:
+    """A ConfigError above delay 1: the predictive policy sizes minute m's
+    pods for minute m + 1's forecast, so slower pods land after their minute."""
+    if cfg.sim.startup_delay > 1:
+        raise ConfigError(f"{path}: sim.startup_delay must be 1 for the phpa policy, got "
+                          f"{cfg.sim.startup_delay}: it sizes pods for the next minute")
+
+
 @dataclass(frozen=True)
 class Prepared:
     """One experiment's inputs: the config, its 1-minute trace and the
@@ -111,6 +120,7 @@ def prepare(cfg: ExperimentConfig, base_dir: Path) -> Prepared:
     return Prepared(cfg, trace, tuple((r.start, r.stop) for r in split))
 
 
+@one_blas_thread()
 def train_workload(prepared: Prepared, out: Path) -> LstmModel:
     """Fit the forecaster of every service, its weights on the entry service's
     rates; writes lstm.json and workload_metrics.json into out and returns it.
@@ -123,10 +133,9 @@ def train_workload(prepared: Prepared, out: Path) -> LstmModel:
     nodes, k, entry = cfg.graph.nodes, cfg.lstm.window, cfg.demand.entry
     rps, _ = prepared.series
     lo, hi = prepared.segments[0]
-    with one_blas_thread():
-        model, history = train_lstm(
-            {service: rps[lo:hi, j] for j, service in enumerate(nodes)}, entry,
-            replace(cfg.lstm, seed=mix_seed(cfg.lstm.seed, nodes.index(entry))))
+    model, history = train_lstm(
+        {service: rps[lo:hi, j] for j, service in enumerate(nodes)}, entry,
+        replace(cfg.lstm, seed=mix_seed(cfg.lstm.seed, nodes.index(entry))))
 
     def windows(segment):  # made as they are forecast, one service at a time
         lo, hi = prepared.segments[segment]
@@ -156,25 +165,21 @@ def train_workload(prepared: Prepared, out: Path) -> LstmModel:
     return model
 
 
+@one_blas_thread()
 def train_resource(prepared: Prepared, lstm: LstmModel,
                    out: Path) -> tuple[GcnModel, dict]:
     """Fit the graph demand predictor on the forecaster's own outputs, built
     as the replay builds them (autoscaler.build_resource_dataset); writes
-    gcn.json and resource_metrics.json into out and returns (model, metrics).
-
-    The forecasts and the fit run on one OpenBLAS thread, as the LSTM fit
-    does (see tensor.one_blas_thread)."""
+    gcn.json and resource_metrics.json into out and returns (model, metrics)."""
     cfg = prepared.cfg
     rps, usage = prepared.series
     out.mkdir(parents=True, exist_ok=True)
-    with one_blas_thread():
-        train_set, valid_set, test_set = (
-            build_resource_dataset(lstm, cfg.graph, rps[lo:hi], usage[lo:hi])
-            for lo, hi in prepared.segments)
-        model, _ = train_gcn(train_set, cfg.graph, cfg.gcn)
-        (train_mse, _), (valid_mse, _), (test_mse, test_per_service) = (
-            evaluate_gcn(model, dataset)
-            for dataset in (train_set, valid_set, test_set))
+    train_set, valid_set, test_set = (
+        build_resource_dataset(lstm, cfg.graph, rps[lo:hi], usage[lo:hi])
+        for lo, hi in prepared.segments)
+    model, _ = train_gcn(train_set, cfg.graph, cfg.gcn)
+    (train_mse, _), (valid_mse, _), (test_mse, test_per_service) = (
+        evaluate_gcn(model, dataset) for dataset in (train_set, valid_set, test_set))
     target_variance = float(np.var(scale_targets(model.target_scalers, train_set[1])))
     model.save(out / "gcn.json")
     metrics = {
@@ -193,6 +198,7 @@ def train_resource(prepared: Prepared, lstm: LstmModel,
     return model, metrics
 
 
+@one_blas_thread()
 def replay(prepared: Prepared, policy: ScalingPolicy,
            out: Path) -> tuple[SimulationLog, dict]:
     """Replay the test segment under policy; writes sim.csv, summary.json and,
@@ -254,6 +260,7 @@ def cmd_simulate(args) -> int:
     elif args.threshold is not None:
         raise ValidationError("phpa policy takes no --threshold")
     else:
+        _check_phpa_delay(cfg, args.config)
         models_dir = Path(args.models)
         policy = PredictivePolicy(_load_lstm(models_dir, cfg), _load_gcn(models_dir, cfg),
                                   cfg.bounds)
@@ -277,7 +284,9 @@ def cmd_experiment(args) -> int:
     from .report import check_policy_names, render_table_text, write_comparison
     prepared = prepare(*ExperimentConfig.load(args.config))
     cfg = prepared.cfg
-    # The thresholds, policy names and baseline are checked before training.
+    # The startup delay, thresholds, policy names and baseline are checked
+    # before training.
+    _check_phpa_delay(cfg, args.config)
     reactive = [ReactivePolicy(replace(cfg.hpa, scale_out=threshold), cfg.bounds)
                 for threshold in args.thresholds]
     names = [PredictivePolicy.name, *(policy.name for policy in reactive)]

@@ -3,7 +3,8 @@
 Runs are only comparable when they replayed the same trace minutes with the
 same propagation seed; anything else silently compares apples to oranges, so
 mismatches raise instead of warn. All emitted files are byte-stable for a
-given set of runs.
+given set of runs. A pods chart draws each policy's steps through their
+corners only, the picture a point at every minute would draw.
 """
 from __future__ import annotations
 
@@ -241,28 +242,16 @@ _WIDTH, _HEIGHT = 960, 320
 _LEFT, _RIGHT, _TOP, _BOTTOM = 60, 20, 36, 44
 
 
-def _minute_axis(logs: list[SimulationLog]) -> tuple[int, int, list[str]]:
-    """The minute axis every pods chart of logs shares: its first minute, its
-    span, and the formatted x of each minute from the first. numpy's
-    k / span * plot_w + left is Python's, operation for operation."""
-    m_lo = min(log.start_minute for log in logs)
-    m_hi = max(log.start_minute + log.horizon - 1 for log in logs)
-    m_span = max(m_hi - m_lo, 1)
-    plot_w = _WIDTH - _LEFT - _RIGHT
-    return m_lo, m_span, list(map("%.2f".__mod__, (
-        np.arange(m_hi - m_lo + 1) / m_span * plot_w + _LEFT).tolist()))
-
-
-def _write_pods_chart(fh, logs: list[SimulationLog], service: str,
-                      axis: tuple[int, int, list[str]]) -> None:
+def _write_pods_chart(fh, logs: list[SimulationLog], service: str) -> None:
     """Write to fh an SVG step chart of the service's pod counts over time,
-    one polyline per policy, its points a block of minutes at a time. axis is
-    _minute_axis(logs). Names are XML-escaped."""
+    one polyline per policy through its corners, a block of steps at a time.
+    Names are XML-escaped."""
     if any(service not in log.services for log in logs):
         raise ValidationError(f"unknown service {service!r}")
     width, height, left, right, top, bottom = _WIDTH, _HEIGHT, _LEFT, _RIGHT, _TOP, _BOTTOM
     plot_w, plot_h = width - left - right, height - top - bottom
-    m_lo, m_span, x_text = axis
+    m_lo = min(log.start_minute for log in logs)
+    m_span = max(max(log.start_minute + log.horizon - 1 for log in logs) - m_lo, 1)
     columns = [log.pods[:, log.services.index(service)] for log in logs]
     levels = set().union(*(set(pods.tolist()) for pods in columns))
     p_hi = max(levels) + 1
@@ -289,8 +278,7 @@ def _write_pods_chart(fh, logs: list[SimulationLog], service: str,
                      f'font-size="11" text-anchor="end">{tick}</text>')
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         m = m_lo + frac * m_span
-        x = sx(m)
-        parts.append(f'<text x="{x:.2f}" y="{height - bottom + 18}" '
+        parts.append(f'<text x="{sx(m):.2f}" y="{height - bottom + 18}" '
                      f'font-family="sans-serif" font-size="11" '
                      f'text-anchor="middle">{int(round(m))}</text>')
     parts.append(f'<text x="{left + plot_w / 2:.2f}" y="{height - 8}" '
@@ -300,18 +288,20 @@ def _write_pods_chart(fh, logs: list[SimulationLog], service: str,
     for i, (log, pods) in enumerate(zip(logs, columns)):
         color = _PALETTE[i % len(_PALETTE)]
         fh.write(f'\n<polyline fill="none" stroke="{color}" stroke-width="1.5" points="')
-        offset = log.start_minute - m_lo
-        prev_p = None  # carried across blocks, so a step's corner is drawn at its minute
-        for lo, hi in blocks(log.horizon):
-            coords = []
-            for x, p in zip(x_text[offset + lo:offset + hi], pods[lo:hi].tolist()):
-                if prev_p is not None and p != prev_p:
-                    coords.append(f"{x},{y_text[prev_p]}")
-                coords.append(f"{x},{y_text[p]}")
-                prev_p = p
-            if lo:
-                fh.write(" ")
-            fh.write(" ".join(coords))
+        # Corners only: the first minute, the old level and then the new one
+        # at each minute whose pods differ from the minute before, and the last.
+        first, last = pods[[0, -1]].tolist()
+        fh.write(f"{sx(log.start_minute):.2f},{y_text[first]}")
+        steps = np.flatnonzero(pods[1:] != pods[:-1]) + 1
+        for lo, hi in blocks(len(steps)):
+            at = steps[lo:hi]
+            # numpy's k / span * plot_w + left is sx's, operation for operation.
+            xs = map("%.2f".__mod__, ((at + (log.start_minute - m_lo)) / m_span * plot_w
+                                      + left).tolist())
+            fh.write("".join(f" {x},{y_text[p]} {x},{y_text[q]}"
+                             for x, p, q in zip(xs, pods[at - 1].tolist(), pods[at].tolist())))
+        if log.horizon > 1 and pods[-1] == pods[-2]:  # else the last step drew it
+            fh.write(f" {sx(log.start_minute + log.horizon - 1):.2f},{y_text[last]}")
         lx = left + 10 + i * 180
         fh.write(f'"/>\n<line x1="{lx}" y1="{top - 6}" x2="{lx + 22}" y2="{top - 6}" '
                  f'stroke="{color}" stroke-width="3"/>\n'
@@ -328,8 +318,7 @@ def write_comparison(out_dir: str | Path, logs: list[SimulationLog], baseline: s
     write_json(out_dir / "table.json", table, indent=2)
     (out_dir / "table.txt").write_text(render_table_text(table),
                                        encoding="utf-8", newline="\n")
-    axis = _minute_axis(logs)
     for service in logs[0].services:
         with open(out_dir / f"pods_{service}.svg", "w", encoding="utf-8", newline="\n") as fh:
-            _write_pods_chart(fh, logs, service, axis)
+            _write_pods_chart(fh, logs, service)
     return table

@@ -566,7 +566,7 @@ def one_blas_thread():
     took a median 0.22 s pinned and 0.29 s unpinned, and the bundled
     train_resource (forecasts and GCN fit) 0.42 s and 0.45 s, each pinned
     faster in 7 of the 8 pairs. The thread count is process-wide, so enter
-    the pin from one thread at a time.
+    the pin from one thread at a time. As a decorator, it pins each call.
     """
     api = _openblas_thread_api()
     if api is None:

@@ -13,9 +13,10 @@ pods with size_pods_oracle, the sizing rule restated on Python floats. The
 per-minute demand propagation likewise draws one freshly seeded Rng per
 service and minute and walks the demand model's own topological order. The
 simulation-log references see a log as one SimRow per (minute, service), in
-file order, and aggregate and chart it row by row; a decision log is one
-DecisionRow per (minute, service), written with the package's earlier
-per-row template. The simulator's minute loop and the threshold rule are
+file order, and aggregate and chart it row by row, the chart through its
+corners or, as its earlier form drew it, through every row; a decision log
+is one DecisionRow per (minute, service), written with the package's
+earlier per-row template. The simulator's minute loop and the threshold rule are
 the package's earlier forms, kept to arbitrate the leaner ones bit for bit:
 one minute at a time over Python lists, with a list of targets built
 service by service. The allocating LSTM
@@ -38,6 +39,7 @@ ramp and a largest-remainder rounding per bin.
 import csv
 import io
 import math
+import re
 from pathlib import Path
 from typing import NamedTuple
 
@@ -693,9 +695,13 @@ def mean_utilization_oracle(log):
     return sum(utils) / len(utils) if utils else 0.0
 
 
-def pods_chart_svg_oracle(logs, service):
+def pods_chart_svg_oracle(logs, service, every_minute=False):
     """The pods chart drawn point by point from each log's rows for the
-    service, with "&", "<" and ">" in names written as entities."""
+    service, with "&", "<" and ">" in names written as entities. A polyline
+    goes through its corners: the first row, the old level and then the new
+    one at each row whose pods differ from the row before, and the last row
+    once. every_minute draws a point at every other row too, the chart's
+    earlier form, kept to check that the corners draw its picture."""
 
     def text(name):
         return name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
@@ -742,10 +748,12 @@ def pods_chart_svg_oracle(logs, service):
         color = palette[i % len(palette)]
         coords = []
         prev_p = None
-        for m, p in pts:
+        for k, (m, p) in enumerate(pts):
             if prev_p is not None and p != prev_p:
                 coords.append(f"{sx(m):.2f},{sy(prev_p):.2f}")
-            coords.append(f"{sx(m):.2f},{sy(p):.2f}")
+                coords.append(f"{sx(m):.2f},{sy(p):.2f}")
+            elif every_minute or k in (0, len(pts) - 1):
+                coords.append(f"{sx(m):.2f},{sy(p):.2f}")
             prev_p = p
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                      f'points="{" ".join(coords)}"/>')
@@ -756,6 +764,30 @@ def pods_chart_svg_oracle(logs, service):
                      f'font-size="12">{text(name)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+_POINTS = re.compile(r'points="([^"]*)"')
+
+
+def assert_same_picture(svg, reference):
+    """svg draws reference's picture: the same text outside the polylines,
+    and each polyline's points an ordered subsequence of the reference's with
+    its first and last point, every point it drops lying on a horizontal run
+    between two it keeps."""
+    assert _POINTS.sub("", svg) == _POINTS.sub("", reference)
+    for kept, full in zip(_POINTS.findall(svg), _POINTS.findall(reference)):
+        kept, full = kept.split(), full.split()
+        assert (kept[0], kept[-1]) == (full[0], full[-1])
+        j = 0
+        for point in full:
+            if j < len(kept) and point == kept[j]:
+                j += 1
+                continue
+            assert 0 < j < len(kept), f"{point} lies outside the kept points"
+            y = point.split(",")[1]
+            assert kept[j - 1].split(",")[1] == y == kept[j].split(",")[1], \
+                f"{point} is off the run from {kept[j - 1]} to {kept[j]}"
+        assert j == len(kept), f"{kept[j:]} are not among the reference's points"
 
 
 def lstm_forward_scaled_oracle(params, x_seq, keep_cache=False):

@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 
 from conftest import run_cli
+from graph_phpa.report import load_run
+from oracles import assert_same_picture, pods_chart_svg_oracle
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIG = REPO / "configs" / "experiment.json"
@@ -45,6 +47,15 @@ def test_every_pods_chart_parses_as_xml(experiment_dir):
     assert charts, "the experiment wrote no pods charts"
     for chart in charts:
         ElementTree.parse(chart)
+
+
+def test_every_pods_chart_draws_the_every_minute_picture(experiment_dir):
+    # Each polyline goes through its corners only.
+    logs = [load_run(experiment_dir / "runs" / name)
+            for name in ("phpa", "reactive@0.9", "reactive@0.7")]
+    for service in logs[0].services:
+        svg = (experiment_dir / "comparison" / f"pods_{service}.svg").read_text(encoding="utf-8")
+        assert_same_picture(svg, pods_chart_svg_oracle(logs, service, every_minute=True))
 
 
 def test_every_phpa_decision_follows_the_sizing_rule(experiment_dir):

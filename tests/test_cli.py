@@ -1,5 +1,6 @@
 """Command-line workflow tests on a small configuration."""
 import copy
+import itertools
 import json
 import math
 import os
@@ -34,6 +35,15 @@ def negative_forecaster(k: int) -> LstmModel:
                      np.zeros((hidden, 1)), math.atanh(-0.9),
                      {s: MinMaxScaler(0.0, 100.0) for s in TINY_CONFIG["graph"]["nodes"]},
                      TINY_CONFIG["demand"]["entry"])
+
+
+def delayed_config(tmp_path: Path, startup_delay: int) -> str:
+    """The path of TINY_CONFIG with its pods starting up over startup_delay minutes."""
+    path = tmp_path / "delayed.json"
+    path.write_text(json.dumps(dict(TINY_CONFIG, sim=dict(TINY_CONFIG["sim"],
+                                                          startup_delay=startup_delay))),
+                    encoding="utf-8")
+    return str(path)
 
 
 class TestGenTrace:
@@ -353,12 +363,18 @@ class TestConcurrentTraining:
 
         monkeypatch.setattr(cli, "train_lstm", recording(cli.train_lstm))
         monkeypatch.setattr(cli, "train_gcn", recording(cli.train_gcn))
+        # Every LSTM forward too: the scoring's, train-resource's and the
+        # replay's, so the graph model trains on the forecasts it replays on.
+        monkeypatch.setattr(forecast_lstm, "_forward_scaled",
+                            recording(forecast_lstm._forward_scaled))
         before = get()
         try:
             set_(2)
             assert run_cli("experiment", "--config", tiny_config_path,
                            "--out", str(tmp_path / "exp")) == 0
-            assert threads == [("train_lstm", 1), ("train_gcn", 1)]
+            assert [name for name, _ in itertools.groupby(name for name, _ in threads)] == [
+                "train_lstm", "_forward_scaled", "train_gcn", "_forward_scaled"]
+            assert {count for _, count in threads} == {1}
             assert get() == 2
         finally:
             set_(before)
@@ -794,6 +810,24 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: seed must be in [0, 2**64), got {seed}\n"
         assert not out.exists()
 
+    def test_phpa_at_a_startup_delay_above_1_exits_2(self, tmp_path, capsys):
+        # Its pods used to land a minute after the one they were sized for,
+        # and the run exited 0. The key is checked before the models load.
+        config = delayed_config(tmp_path, 2)
+        out = tmp_path / "run"
+        assert run_cli("simulate", "--config", config, "--policy", "phpa",
+                       "--models", str(tmp_path / "none"), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (f"error: {config}: sim.startup_delay must be 1 for "
+                                           f"the phpa policy, got 2: it sizes pods for the "
+                                           f"next minute\n")
+        assert not out.exists()
+
+    def test_reactive_at_a_startup_delay_of_2_runs(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli("simulate", "--config", delayed_config(tmp_path, 2),
+                       "--policy", "reactive", "--out", str(out)) == 0
+        assert load_run(out).horizon == 80
+
     def test_rerun_is_byte_identical(self, tiny_config_path, tiny_models_dir, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -968,6 +1002,14 @@ class TestExperiment:
                        "--out", str(tmp_path / "run")) == 2
         assert capsys.readouterr().err == message
         assert not (tmp_path / "run").exists()
+
+    def test_a_startup_delay_above_1_exits_2_before_training(self, tmp_path, capsys):
+        config, out = delayed_config(tmp_path, 3), tmp_path / "exp"
+        assert run_cli("experiment", "--config", config, "--out", str(out)) == 2
+        assert capsys.readouterr().err == (f"error: {config}: sim.startup_delay must be 1 for "
+                                           f"the phpa policy, got 3: it sizes pods for the "
+                                           f"next minute\n")
+        assert not (out / "models").exists()
 
     def test_a_segment_of_window_plus_one_minutes_is_enough(self, tmp_path):
         config = tmp_path / "experiment.json"

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from graph_phpa.cluster_sim import SimulationLog
 from graph_phpa.errors import RunMismatchError, ValidationError
 from graph_phpa.report import (
-    _minute_axis,
     _write_pods_chart,
     check_runs_comparable,
     comparison_table,
@@ -29,14 +28,14 @@ from graph_phpa.report import (
 )
 from graph_phpa.tensor import BLOCK
 from conftest import traced_peak
-from oracles import (SimRow, log_from_rows, log_rows, mean_utilization_oracle,
-                     pods_chart_svg_oracle, summary_oracle)
+from oracles import (SimRow, assert_same_picture, log_from_rows, log_rows,
+                     mean_utilization_oracle, pods_chart_svg_oracle, summary_oracle)
 
 
 def pods_chart_svg(logs, service) -> str:
     """The pods chart write_comparison writes for one service."""
     out = io.StringIO()
-    _write_pods_chart(out, logs, service, _minute_axis(logs))
+    _write_pods_chart(out, logs, service)
     return out.getvalue()
 
 
@@ -137,12 +136,15 @@ class TestChart:
         assert "x" in svg and "y" in svg
         assert svg.startswith("<svg")
 
-    def test_step_rendering_adds_corner_points(self):
-        # 2 -> 3 transitions insert the pre-step vertex, so the polyline has
-        # more points than minutes.
-        svg = pods_chart_svg([make_log("x", [2, 3, 2, 2])], "a")
-        points = svg.split('points="')[1].split('"')[0].split()
-        assert len(points) == 4 + 2  # two level changes
+    @pytest.mark.parametrize("pods, count", [
+        ([2, 3, 2, 2], 1 + 2 * 2 + 1), ([2] * 9, 2), ([2] * 8 + [3], 3), ([2], 1),
+        ([2, 3] * 4, 15)])
+    def test_step_rendering_draws_only_corner_points(self, pods, count):
+        # Each level change draws the old level and then the new one at its
+        # minute, between the first minute and the last; a change at the last
+        # minute already drew it, and a one-minute log is a single point.
+        svg = pods_chart_svg([make_log("x", pods)], "a")
+        assert len(svg.split('points="')[1].split('"')[0].split()) == count
 
     def test_unknown_service(self):
         with pytest.raises(ValidationError, match="unknown service"):
@@ -335,6 +337,26 @@ class TestColumnLog:
         for service in services:
             assert pods_chart_svg(logs, service) == pods_chart_svg_oracle(logs, service)
 
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_corners_draw_the_every_minute_picture(self, data):
+        # Column logs of awkward names and any start, and made logs of runs
+        # of levels, of different windows and lengths.
+        levels = st.integers(0, 2)
+        log = data.draw(column_logs(pods=levels, horizon=st.integers(1, 40)))
+        count = st.integers(1, 3)
+        columns = [dataclasses.replace(log, policy_name=f"p{i}",
+                                       pods=data.draw(grids(levels, log.pods.shape)))
+                   for i in range(data.draw(count))]
+        runs = st.lists(st.tuples(st.integers(1, 4), st.integers(1, 8)), min_size=1,
+                        max_size=8).map(lambda runs: [p for p, n in runs for _ in range(n)])
+        made = [make_log(f"m{i}", data.draw(runs), data.draw(runs),
+                         start=data.draw(st.integers(0, 6))) for i in range(data.draw(count))]
+        for logs in (columns, made):
+            for service in logs[0].services:
+                assert_same_picture(pods_chart_svg(logs, service),
+                                    pods_chart_svg_oracle(logs, service, every_minute=True))
+
     def test_pods_chart_of_a_single_minute(self):
         logs = [make_log("x", [3]), make_log("y", [1], start=2)]
         for service in ("a", "b"):
@@ -477,8 +499,9 @@ class TestBlockedLoad:
         assert peak < 3e6, f"load_run peaked at {peak / 1e6:.1f} MB"
 
     def test_pods_charts_memory_is_bounded(self, tmp_path):
-        # Each chart is written a block of minutes at a time. Whole charts,
-        # each polyline's coordinate list and its join, peaked at 4.26 MB.
+        # Each chart's corners are written a block of steps at a time: 0.25 MB.
+        # Whole charts, each polyline's coordinate list and its join, peaked
+        # at 4.26 MB, and one string of each polyline's corners at 1.32 MB.
         services = ("productpage", "details", "reviews", "ratings")
         logs = [random_log(10_000, services, policy=p) for p in ("reactive@0.9", "reactive@0.7")]
         peak = traced_peak(lambda: write_comparison(tmp_path, logs, baseline="reactive@0.7"))
@@ -487,14 +510,14 @@ class TestBlockedLoad:
 
 
 class TestBlockedPodsCharts:
-    """Polyline points are written a block of minutes at a time, yet every
-    step corner lands where a whole-horizon pass put it."""
+    """Polyline corners are written a block of steps at a time, yet every
+    corner lands where a whole-horizon pass put it: at horizons on the edges
+    of blocks of minutes, and at step counts on the edges of blocks of steps."""
 
     @pytest.mark.parametrize("horizon", [BLOCK - 1, BLOCK, 2 * BLOCK - 1, 2 * BLOCK])
     def test_charts_across_the_block_edge(self, tmp_path, horizon):
-        # Service a changes level at minutes BLOCK - 1 and BLOCK, the last of
-        # the first block and the first of the second (at horizon 2 * BLOCK);
-        # service b holds its level across the edge.
+        # Service a changes level at minutes BLOCK - 1 and BLOCK, the last
+        # minute at horizon BLOCK; service b holds its level across BLOCK.
         pods_a = [3 if m < BLOCK - 1 else 5 if m == BLOCK - 1 else 4 for m in range(horizon)]
         pods_b = [2 if m < BLOCK - 2 else 6 for m in range(horizon)]
         logs = [make_log("x", pods_a, pods_b), make_log("y", pods_b, pods_a)]
@@ -502,3 +525,15 @@ class TestBlockedPodsCharts:
         for service in ("a", "b"):
             svg = (tmp_path / f"pods_{service}.svg").read_text(encoding="utf-8")
             assert svg == pods_chart_svg_oracle(logs, service)
+
+    @pytest.mark.parametrize("hold", [0, 1])
+    @pytest.mark.parametrize("steps", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    def test_steps_across_the_block_edge(self, tmp_path, steps, hold):
+        # Pods that change every minute, then hold their last level for hold
+        # more minutes: two corners a step, the first minute and the held one.
+        pods = [3 + m % 2 for m in range(steps + 1)] + [3 + steps % 2] * hold
+        logs = [make_log("x", pods), make_log("y", pods[::-1])]
+        write_comparison(tmp_path, logs, baseline="y")
+        svg = (tmp_path / "pods_a.svg").read_text(encoding="utf-8")
+        assert svg == pods_chart_svg_oracle(logs, "a")
+        assert len(svg.split('points="')[1].split('"')[0].split()) == 2 * steps + 1 + hold
